@@ -35,10 +35,7 @@ from .pauli import (
     CliffordTableau,
     CompileStats,
     PauliString,
-    commutes,
     frame_absorb,
-    heisenberg_map,
-    pauli_mul,
 )
 from .runtime import (
     ShotRecord,
@@ -58,11 +55,11 @@ __all__ = [
     "CompileError", "CompileStats", "DenseState", "HirProgram", "Instruction",
     "LocalizationResult", "OracleError", "PauliString", "RateEstimate",
     "RatioInterval", "Rec", "ShotRecord", "ShotState", "StratumSpec",
-    "attenuation_model", "commutes", "compile_circuit", "dense_run",
+    "attenuation_model", "compile_circuit", "dense_run",
     "expand_factored", "expectation_probe", "fidelity", "flatten",
-    "frame_absorb", "hazard_sample", "heisenberg_map", "importance_sample",
+    "frame_absorb", "hazard_sample", "importance_sample",
     "localize", "lower_to_hir", "optimize_bytecode", "parse_circuit",
-    "pauli_frame_reference_sample", "pauli_mul", "peephole_pass",
+    "pauli_frame_reference_sample", "peephole_pass",
     "plan_and_emit", "poisson_binomial", "ratio_credible_interval",
     "run_shot", "sample", "sample_accumulate", "schedule_pass",
     "t_fidelity_bound",

@@ -10,6 +10,11 @@ and emitted as runtime instructions:
   stored state (dormant invariance), so they become frame-only updates;
 * gates acting inside the active set additionally update the dense array.
 
+Each runtime operation is emitted in its one executable form: promoting a
+qubit and rotating it is one ``Expand``, measuring an active qubit and
+retiring its axis is one ``MeasCollapse``. ``optimize_bytecode`` then only
+merges neighbouring instructions.
+
 Because the emitted instruction stream, the active-set trajectory, and all
 index/parity operands are fixed here, per-shot execution never makes a
 scheduling decision: the compiler consults no randomness and no amplitudes.
@@ -125,13 +130,12 @@ class ArrayGate:
 
 @dataclass(frozen=True)
 class Expand:
-    """Promote a dormant qubit: array <- array (x) |+>, optional fused Z-rot."""
+    """Promote a dormant qubit and rotate it: array <- array (x) Rz-rotated |+>."""
 
     virt: int
     axis: int
     size: int          # 2^k before expansion
-    angle: float = 0.0
-    fused: bool = False
+    angle: float
 
 
 @dataclass(frozen=True)
@@ -167,33 +171,13 @@ class MeasDormantRandom:
 
 
 @dataclass(frozen=True)
-class MeasActive:
-    virt: int
-    axis: int
-    record: int
-    flip: int
-    size: int
-
-
-@dataclass(frozen=True)
-class Retire:
-    """Drop a just-measured active axis and return it to the dormant set."""
-
-    virt: int
-    axis: int
-    size: int                  # 2^k before retiring
-    idx0: np.ndarray | None    # gather indices for branch 0 (None = slice)
-    idx1: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class MeasCollapse:
-    """Fused basis change + active interfering measurement + retire.
+    """Active interfering measurement that retires the measured axis.
 
-    ``u`` is the composed 2x2 unitary of the preceding single-axis array
-    gates (identity when the measurement was already Z-basis); ``pre_gates``
-    carries their frame-bit updates. One traversal computes the branch
-    weight and writes the collapsed, compacted array.
+    ``u`` is the composed 2x2 unitary of the single-axis array gates folded
+    in ahead of it (identity when none were); ``pre_gates`` carries their
+    frame-bit updates. One traversal computes the branch weight and writes
+    the collapsed, compacted array.
     """
 
     virt: int
@@ -203,7 +187,7 @@ class MeasCollapse:
     size: int
     u: tuple                   # ((u00, u01), (u10, u11)) complex
     pre_gates: tuple
-    idx0: np.ndarray | None
+    idx0: np.ndarray | None    # gather indices of branch 0 (None: the halves are slices)
     idx1: np.ndarray | None
 
 
@@ -300,13 +284,11 @@ def _render_instr(ins, prog: BytecodeProgram) -> str:
         tgt = f"{ins.axa}" if ins.axb is None else f"{ins.axa} {ins.axb}"
         return f"ARRAY_{ins.gate} {tgt}"
     if isinstance(ins, Expand):
-        if ins.fused and abs(ins.angle - math.pi / 8) < 1e-12:
+        if abs(ins.angle - math.pi / 8) < 1e-12:
             return f"EXPAND_T {ins.axis}"
-        if ins.fused and abs(ins.angle + math.pi / 8) < 1e-12:
+        if abs(ins.angle + math.pi / 8) < 1e-12:
             return f"EXPAND_T_DAG {ins.axis}"
-        if ins.fused:
-            return f"EXPAND_ROT({ins.angle:.6g}) {ins.axis}"
-        return f"EXPAND {ins.axis}"
+        return f"EXPAND_ROT({ins.angle:.6g}) {ins.axis}"
     if isinstance(ins, GammaRot):
         return f"GAMMA_ROT({ins.angle:.6g}) q{ins.virt}"
     if isinstance(ins, ArrayRot):
@@ -319,13 +301,9 @@ def _render_instr(ins, prog: BytecodeProgram) -> str:
         return f"MEAS_DORMANT_STATIC {ins.virt} -> {_rec_name(prog, ins.record)}"
     if isinstance(ins, MeasDormantRandom):
         return f"MEAS_DORMANT_RANDOM {ins.virt} -> {_rec_name(prog, ins.record)}"
-    if isinstance(ins, MeasActive):
-        return f"MEAS_ACTIVE_INTERFERE {ins.axis} -> {_rec_name(prog, ins.record)}"
     if isinstance(ins, MeasCollapse):
         basis = "".join(g for g, _, _ in ins.pre_gates) or "Z"
         return (f"MEAS_COLLAPSE[{basis}] {ins.axis} -> {_rec_name(prog, ins.record)}")
-    if isinstance(ins, Retire):
-        return f"RETIRE {ins.axis}"
     if isinstance(ins, CondFrame):
         return f"COND_FRAME_PAULI if {_rec_name(prog, ins.record)}"
     if isinstance(ins, NoiseBlock):
@@ -409,13 +387,8 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 adj.absorb_left("H", v)
                 emit(FrameGates((("H", v, None),)))
                 axis = len(active)
-                size_before = 1 << len(active)
                 active[v] = axis
-                instrs.append(Expand(v, axis, size_before))
-                schedule.append(len(active))
-                instrs.append(ArrayRot(v, axis, theta, 1 << len(active)))
-                schedule.append(len(active))
-                k_max = max(k_max, len(active))
+                emit(Expand(v, axis, 1 << axis, theta))
         elif isinstance(op, Meas):
             loc, sign = localize_through(op.observable)
             flip = int(op.flip) ^ (1 if sign < 0 else 0)
@@ -431,7 +404,6 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                     absorb_and_emit_gates((("H", v, None),))
                 axis = active[v]
                 m_active += 1
-                emit(MeasActive(v, axis, op.record, flip, 1 << len(active)))
                 size = 1 << len(active)
                 if axis == len(active) - 1:
                     idx0 = idx1 = None
@@ -443,8 +415,8 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 for u, ax in list(active.items()):
                     if ax > axis:
                         active[u] = ax - 1
-                instrs.append(Retire(v, axis, size, idx0, idx1))
-                schedule.append(len(active))
+                emit(MeasCollapse(v, axis, op.record, flip, size, _IDENTITY_2X2, (),
+                                  idx0, idx1))
         elif isinstance(op, NoiseEvent):
             if op.site != len(sites):
                 raise CompileError("noise sites out of order")
@@ -511,104 +483,69 @@ _GATE_2X2 = {
     "S_DAG": ((1, 0), (0, -1j)),
     "H": ((math.sqrt(0.5), math.sqrt(0.5)), (math.sqrt(0.5), -math.sqrt(0.5))),
 }
+_IDENTITY_2X2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
-def _try_fuse_collapse(src, ks, i):
-    """Match [single-axis ArrayGates...] MeasActive Retire at position i."""
+def _fold_into_collapse(instrs: list, schedule: list, meas: MeasCollapse) -> MeasCollapse:
+    """Pop the run of single-axis array gates on ``meas``'s qubit that ends
+    ``instrs`` and fold it into ``meas``'s basis change."""
     gates = []
-    j = i
-    while (j < len(src) and isinstance(src[j], ArrayGate)
-           and src[j].axb is None and src[j].gate in _GATE_2X2):
-        gates.append(src[j])
-        j += 1
-    if (j + 1 >= len(src) or not isinstance(src[j], MeasActive)
-            or not isinstance(src[j + 1], Retire)):
-        return None
-    meas, retire = src[j], src[j + 1]
-    if retire.axis != meas.axis or retire.virt != meas.virt:
-        return None
-    for g in gates:
-        if g.axa != meas.axis or g.va != meas.virt:
-            return None
-    u = ((1 + 0j, 0j), (0j, 1 + 0j))
-    for g in gates:
+    while (instrs and isinstance(instrs[-1], ArrayGate) and instrs[-1].gate in _GATE_2X2
+           and instrs[-1].axa == meas.axis and instrs[-1].va == meas.virt):
+        gates.append(instrs.pop())
+        schedule.pop()
+    if not gates:
+        return meas
+    u = meas.u
+    for g in reversed(gates):
         m = _GATE_2X2[g.gate]
         u = (
             (m[0][0] * u[0][0] + m[0][1] * u[1][0], m[0][0] * u[0][1] + m[0][1] * u[1][1]),
             (m[1][0] * u[0][0] + m[1][1] * u[1][0], m[1][0] * u[0][1] + m[1][1] * u[1][1]),
         )
-    fused = MeasCollapse(
-        virt=meas.virt, axis=meas.axis, record=meas.record, flip=meas.flip,
-        size=meas.size, u=u,
-        pre_gates=tuple((g.gate, g.va, None) for g in gates),
-        idx0=retire.idx0, idx1=retire.idx1)
-    return fused, ks[j + 1], j + 2
+    pre = tuple((g.gate, g.va, None) for g in reversed(gates))
+    return replace(meas, u=u, pre_gates=pre + meas.pre_gates)
 
 
 def optimize_bytecode(prog: BytecodeProgram) -> BytecodeProgram:
-    """Dispatch-level rewrites: fuse expansion rotations and measurement
-    collapses, coalesce noise, merge consecutive frame updates. Full-array
-    traversals never increase."""
+    """Merge neighbouring instructions: fold the single-axis array gates just
+    before a measurement collapse into it, coalesce noise blocks, and merge
+    consecutive frame updates. Full-array traversals never increase."""
     instrs: list = []
     schedule: list[int] = []
-    i = 0
-    src, ks = prog.instrs, prog.active_schedule
-    while i < len(src):
-        ins = src[i]
-        if (isinstance(ins, Expand) and i + 1 < len(src)
-                and isinstance(src[i + 1], ArrayRot)
-                and src[i + 1].axis == ins.axis and src[i + 1].virt == ins.virt):
-            instrs.append(Expand(ins.virt, ins.axis, ins.size, src[i + 1].angle, fused=True))
-            schedule.append(ks[i + 1])
-            i += 2
+    for ins, k in zip(prog.instrs, prog.active_schedule):
+        prev = instrs[-1] if instrs else None
+        if isinstance(ins, MeasCollapse):
+            ins = _fold_into_collapse(instrs, schedule, ins)
+        elif isinstance(ins, NoiseBlock) and isinstance(prev, NoiseBlock) and prev.hi == ins.lo:
+            instrs[-1] = NoiseBlock(prev.lo, ins.hi)
+            schedule[-1] = k
             continue
-        if isinstance(ins, (ArrayGate, MeasActive)):
-            hit = _try_fuse_collapse(src, ks, i)
-            if hit is not None:
-                fused, k_after, nxt = hit
-                instrs.append(fused)
-                schedule.append(k_after)
-                i = nxt
-                continue
-        if isinstance(ins, NoiseBlock):
-            hi = ins.hi
-            j = i + 1
-            while j < len(src) and isinstance(src[j], NoiseBlock) and src[j].lo == hi:
-                hi = src[j].hi
-                j += 1
-            instrs.append(NoiseBlock(ins.lo, hi))
-            schedule.append(ks[j - 1])
-            i = j
-            continue
-        if isinstance(ins, FrameGates):
-            gates = list(ins.gates)
-            j = i + 1
-            while j < len(src) and isinstance(src[j], FrameGates):
-                gates.extend(src[j].gates)
-                j += 1
-            instrs.append(FrameGates(tuple(gates)))
-            schedule.append(ks[j - 1])
-            i = j
+        elif isinstance(ins, FrameGates) and isinstance(prev, FrameGates):
+            instrs[-1] = FrameGates(prev.gates + ins.gates)
+            schedule[-1] = k
             continue
         instrs.append(ins)
-        schedule.append(ks[i])
-        i += 1
+        schedule.append(k)
     return replace(prog, instrs=instrs, active_schedule=schedule)
 
 
-def compile_circuit(circuit_or_text, optimize: bool = True,
-                    postselect_detectors=()) -> BytecodeProgram:
-    """Full pipeline: parse/flatten -> HIR -> passes -> bytecode -> optimize."""
+def compile_circuit(circuit_or_text, postselect_detectors=()) -> BytecodeProgram:
+    """Full pipeline: parse/flatten -> HIR -> passes -> bytecode -> optimize.
+
+    ``postselect_detectors`` lists detector indices whose shots are kept only
+    when the detector reads 0; an index outside the circuit's detectors is a
+    :class:`CompileError`.
+    """
     if isinstance(circuit_or_text, str):
         circuit = parse_circuit(circuit_or_text)
     else:
         circuit = circuit_or_text
     circuit = flatten(circuit)
-    hir = lower_to_hir(circuit)
-    if optimize:
-        hir = peephole_pass(hir)
-        hir = schedule_pass(hir)
-    prog = plan_and_emit(hir, postselect_detectors=postselect_detectors)
-    if optimize:
-        prog = optimize_bytecode(prog)
-    return prog
+    hir = schedule_pass(peephole_pass(lower_to_hir(circuit)))
+    postselect_detectors = tuple(postselect_detectors)
+    for d in postselect_detectors:
+        if not 0 <= d < hir.num_detectors:
+            raise CompileError(f"postselected detector D{d} does not exist: the circuit "
+                               f"has {hir.num_detectors} detector(s)")
+    return optimize_bytecode(plan_and_emit(hir, postselect_detectors=postselect_detectors))

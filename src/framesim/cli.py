@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .analysis import ratio_credible_interval, t_fidelity_bound
-from .backend import compile_circuit
+from .backend import CompileError, compile_circuit
 from .circuit import CircuitError, flatten, parse_circuit
 from .hir import lower_to_hir, peephole_pass, schedule_pass
 from .runtime import ShotRecord, sample
@@ -77,7 +77,7 @@ def cmd_sample(args) -> int:
         prog = compile_circuit(
             _read_circuit(args.circuit),
             postselect_detectors=_parse_detector_list(args.postselect_detectors))
-    except CircuitError as exc:
+    except (CircuitError, CompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     stratum = None

@@ -243,14 +243,6 @@ class PauliString:
         return out
 
 
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    return a.mul(b)
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    return a.commutes_with(b)
-
-
 def bits_to_mask(bits) -> int:
     """A 0/1 vector as a Python int: entry j becomes bit j."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
@@ -602,10 +594,6 @@ def frame_absorb(tableau: CliffordTableau, gate: str, targets: Sequence[int]) ->
     else:
         raise ValueError(f"{gate!r} is not a supported Clifford gate")
     return tableau
-
-
-def heisenberg_map(tableau: CliffordTableau, physical: PauliString) -> PauliString:
-    return tableau.heisenberg_map(physical)
 
 
 def random_pauli(n: int, rng: np.random.Generator, allow_identity: bool = False) -> PauliString:

@@ -137,6 +137,10 @@ class ShotRng:
 
     def exponential(self) -> float:
         """Unit-rate exponential draw."""
+        c = self._count
+        if c < self._avail:  # uniform inlined for the tabulated case
+            self._count = c + 1
+            return -math.log1p(-(self._draws.item(self._row + c) * 5.421010862427522e-20))
         return -math.log1p(-self.uniform())
 
     @property

@@ -2,25 +2,30 @@
 
 A shot owns one preallocated :class:`ShotState`: the active array, the Pauli
 frame as two Python-int bitmasks, a global scalar, record, detector and
-observable bytes, and a counter-based RNG stream. ``run_shot`` resets what a
-shot reads before it writes it and walks the instruction list; storage is
-reused from shot to shot, and nothing consults the amplitudes to decide
-control flow (the compiler fixed the schedule).
+observable bytes, and a counter-based RNG stream. One loop runs every shot,
+for ``run_shot``, ``sample`` (serial or in workers) and
+``sample_accumulate`` alike: it resets what a shot reads before it writes
+it, draws a stratum's forced faults, and walks the instruction list until
+the end or a failed postselection. Storage is reused from shot to shot, and
+nothing consults the amplitudes to decide control flow (the compiler fixed
+the schedule).
 
 The dispatch loop is threaded code: each instruction is specialized once
 into a closure with its operands (qubit masks, index tuples, precomputed
-rotation phases) bound, so the hot path is a list of calls. On that path,
-frame, record and detector updates are Python int and bytearray operations,
-never numpy scalar accesses. An active array of at most ``_SMALL`` entries
-is a Python list worked by scalar loops over precomputed indices; a larger
-one is a numpy array (capacity 2^k_max) worked by vectorized sweeps that
-make as few numpy calls as the kernel allows, since at these sizes the cost
-of a call, not its arithmetic, dominates.
+rotation phases) bound, so the hot path is a list of calls; every
+instruction kind has exactly one kernel. On that path, frame, record and
+detector updates are Python int and bytearray operations, never numpy
+scalar accesses. An active array of at most ``_SMALL`` entries is a
+Python list worked by scalar loops over precomputed indices; a larger one
+is a numpy array (capacity 2^k_max) worked by vectorized sweeps that make
+as few numpy calls as the kernel allows, since at these sizes the cost of a
+call, not its arithmetic, dominates.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -35,14 +40,12 @@ from .backend import (
     Expand,
     FrameGates,
     GammaRot,
-    MeasActive,
     MeasCollapse,
     MeasDormantRandom,
     MeasDormantStatic,
     NoiseBlock,
     ObservableIns,
     PostSelectIns,
-    Retire,
 )
 from .pauli import PauliString, bits_to_mask
 from .rng import ShotRng
@@ -98,7 +101,7 @@ class ShotState:
     __slots__ = ("n", "k", "k_max", "amps", "buf", "scratch", "views", "frame_x", "frame_z",
                  "gamma", "records", "detectors", "observables", "weight",
                  "accepted", "rng", "renormalize", "forced_faults",
-                 "forced_outcomes", "active_virtuals", "_branch", "_zero_records",
+                 "forced_outcomes", "active_virtuals", "_zero_records",
                  "_blank", "_bits")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0, renormalize: bool = True):
@@ -128,7 +131,6 @@ class ShotState:
         self.k = 0
         self.weight = 1.0
         self.accepted = True
-        self._branch = 0
         # rejected shots stop early; only then can stale bits leak into output
         self._zero_records = any(isinstance(i, PostSelectIns) for i in prog.instrs)
 
@@ -145,7 +147,6 @@ class ShotState:
         self.k = 0
         self.weight = 1.0
         self.accepted = True
-        self._branch = 0
         self.rng.reset(shot)
 
     def active_view(self) -> np.ndarray:
@@ -331,12 +332,9 @@ def _c_array_gate(ins: ArrayGate, prog):
 
 def _c_expand(ins: Expand, prog):
     size, virt = ins.size, ins.virt
-    if ins.fused:
-        e0 = cmath.exp(-1j * ins.angle) * _INV_SQRT2
-        e1 = cmath.exp(1j * ins.angle) * _INV_SQRT2
-        phases = ((e0, e1), (e1, e0))  # indexed by frame parity
-    else:
-        phases = ((_INV_SQRT2, _INV_SQRT2),) * 2
+    e0 = cmath.exp(-1j * ins.angle) * _INV_SQRT2
+    e1 = cmath.exp(1j * ins.angle) * _INV_SQRT2
+    phases = ((e0, e1), (e1, e0))  # indexed by frame parity
     phases_np = tuple((_c0(p0), _c0(p1)) for p0, p1 in phases)
 
     def make(st):
@@ -455,78 +453,11 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
     return run
 
 
-def _c_meas_active(ins: MeasActive, prog):
-    virt, a, record, flip, size = ins.virt, ins.axis, ins.record, ins.flip, ins.size
-    ones = _indices(size, lambda i: (i >> a) & 1)
-
-    def run(st: ShotState) -> None:
-        amps, buf = st.amps, st.buf
-        if size <= _SMALL:
-            p1 = 0.0
-            for i in ones:
-                v = amps[i]
-                p1 += v.real * v.real + v.imag * v.imag
-        else:
-            view = buf[:size].reshape(-1, 2, 1 << a)[:, 1, :]
-            p1 = float(np.vdot(view, view).real)
-        if p1 != p1:
-            raise ShotError("NaN amplitude encountered at an active measurement")
-        if not st.renormalize:
-            if size <= _SMALL:
-                norm2 = 0.0
-                for i in range(size):
-                    v = amps[i]
-                    norm2 += v.real * v.real + v.imag * v.imag
-            else:
-                norm2 = float(np.vdot(buf[:size], buf[:size]).real)
-            p1 = p1 / norm2 if norm2 > 0 else 0.0
-        if p1 < 0.0:
-            p1 = 0.0
-        elif p1 > 1.0:
-            p1 = 1.0
-        parity = (st.frame_x >> virt) & 1
-        fo = st.forced_outcomes
-        forced = None if fo is None else fo.get(record)
-        if forced is None:
-            branch = 1 if st.rng.uniform() < p1 else 0
-            p_branch = p1 if branch else 1.0 - p1
-            if p_branch < BRANCH_FLOOR:
-                branch ^= 1
-                p_branch = 1.0 - p_branch
-        else:
-            branch = forced ^ parity ^ flip
-            p_branch = p1 if branch else 1.0 - p1
-            if p_branch < BRANCH_FLOOR:
-                raise ShotError(
-                    f"forced outcome {forced} for record {record} has probability"
-                    f" {p_branch:.3e}")
-        st.records[record] = branch ^ parity ^ flip
-        st._branch = branch
-        renorm = st.renormalize
-        scale = 1.0 / math.sqrt(p_branch) if renorm else 1.0
-        dead = 1 - branch
-        if size <= _SMALL:
-            for i in range(size):
-                if ((i >> a) & 1) == dead:
-                    amps[i] = 0j
-                elif renorm:
-                    amps[i] *= scale
-        else:
-            view = buf[:size].reshape(-1, 2, 1 << a)
-            view[:, dead, :] = 0.0
-            if renorm:
-                view[:, branch, :] *= scale
-        if renorm:
-            st.gamma *= math.sqrt(p_branch)
-
-    return run
-
-
 def _c_meas_collapse(ins: MeasCollapse, prog):
     virt, a, record, flip, size = ins.virt, ins.axis, ins.record, ins.flip, ins.size
     (u00, u01), (u10, u11) = ins.u
     m = 1 << virt
-    # The fused basis change acts on this qubit alone: tabulate its frame
+    # The folded basis change acts on this qubit alone: tabulate its frame
     # update (x mask, z mask to XOR in) by the qubit's (x, z) bits.
     pre = None
     if ins.pre_gates:
@@ -639,33 +570,6 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
     return run
 
 
-def _c_retire(ins: Retire, prog):
-    size, virt = ins.size, ins.virt
-    half = size >> 1
-    m = 1 << virt
-    idx0, idx1 = ins.idx0, ins.idx1
-    if idx0 is None:  # the retired axis is the top one: the halves are slices
-        idx0, idx1 = np.arange(half), np.arange(half, size)
-    keep = (tuple(idx0.tolist()), tuple(idx1.tolist())) if size <= _SMALL else None
-
-    def run(st: ShotState) -> None:
-        branch = st._branch
-        if size <= _SMALL:
-            amps = st.amps
-            amps[:half] = [amps[i] for i in keep[branch]]
-        else:
-            buf = st.buf
-            np.take(buf, idx1 if branch else idx0, out=st.scratch[:half])
-            buf[:half] = st.scratch[:half]
-            if half <= _SMALL:  # the array fits the list again
-                st.amps[:half] = buf[:half].tolist()
-        if branch:
-            st.frame_x ^= m
-        st.k -= 1
-
-    return run
-
-
 def _c_cond_frame(ins: CondFrame, prog):
     xmask, zmask, record = bits_to_mask(ins.xmask), bits_to_mask(ins.zmask), ins.record
 
@@ -688,38 +592,29 @@ def _site_masks(prog: BytecodeProgram) -> list:
 
 
 def _c_noise_block(ins: NoiseBlock, prog):
-    plan = _block_plan(prog, ins.lo, ins.hi)
     S = prog.cum_hazard
     sites = prog.sites
     lo, hi = ins.lo, ins.hi
-    single_segment = len(plan) == 1 and isinstance(plan[0], tuple)
-    s_hi = S[hi]
+    # a block without certain sites is one hazard segment
+    one_segment = _block_plan(prog, lo, hi) == [(lo, hi)]
     masks = _site_masks(prog)
 
     def run(st: ShotState) -> None:
         ff = st.forced_faults
         rng = st.rng
         if ff is None:
-            if single_segment:
-                i = lo
-                while i < hi:
-                    target = S[i] + rng.exponential()
-                    if target >= s_hi:
-                        return  # survived the rest of the block
-                    site = bisect_right(S, target, i + 1, hi + 1) - 1
-                    case = _pick_case(sites[site], rng)
+            if one_segment:
+                faults = _segment_faults(S, sites, rng, lo, hi)
+            else:
+                faults = hazard_sample(prog, lo, hi, rng)
+            if faults:
+                for site, case in faults:
                     xs, zs = masks[site]
                     st.frame_x ^= xs[case]
                     st.frame_z ^= zs[case]
-                    i = site + 1
-                return
-            for site, case in hazard_sample(prog, lo, hi, rng):
-                xs, zs = masks[site]
-                st.frame_x ^= xs[case]
-                st.frame_z ^= zs[case]
             return
         for site in range(lo, hi):
-            mode = ff.get(site, 0) if isinstance(ff, dict) else int(ff[site])
+            mode = ff[site]
             if mode == 2:
                 continue
             tab = sites[site]
@@ -784,9 +679,7 @@ _FACTORIES = {
     ArrayRot: _c_array_rot,
     MeasDormantStatic: _c_meas_dormant_static,
     MeasDormantRandom: _c_meas_dormant_random,
-    MeasActive: _c_meas_active,
     MeasCollapse: _c_meas_collapse,
-    Retire: _c_retire,
     CondFrame: _c_cond_frame,
     NoiseBlock: _c_noise_block,
     DetectorIns: _c_detector,
@@ -815,22 +708,30 @@ def hazard_sample(prog: BytecodeProgram, lo: int, hi: int, rng: ShotRng) -> list
     The joint law equals independent per-site Bernoulli draws.
     """
     out: list = []
-    plan = _block_plan(prog, lo, hi)
-    S = prog.cum_hazard
-    for part in plan:
+    S, sites = prog.cum_hazard, prog.sites
+    for part in _block_plan(prog, lo, hi):
         if isinstance(part, int):
-            out.append((part, _pick_case(prog.sites[part], rng)))
-            continue
-        a, b = part
-        i = a
-        while i < b:
-            target = S[i] + rng.exponential()
-            idx = bisect_right(S, target, i + 1, b + 1)
-            if idx > b:
-                break  # survived the rest of the segment
-            site = idx - 1  # first index with S > target: that site fires
-            out.append((site, _pick_case(prog.sites[site], rng)))
-            i = site + 1
+            out.append((part, _pick_case(sites[part], rng)))
+        else:
+            out.extend(_segment_faults(S, sites, rng, *part) or ())
+    return out
+
+
+def _segment_faults(S, sites, rng: ShotRng, i: int, b: int):
+    """The (site, case) faults realized among sites [i, b), which hold no
+    certain site, or None when none is: the hazard-skip loop."""
+    out = None
+    s_b = S[b]
+    while i < b:
+        target = S[i] + rng.exponential()
+        if target >= s_b:
+            break  # survived the rest of the segment
+        # the first index with S > target is one past the site that fires
+        site = bisect_right(S, target, i + 1, b + 1) - 1
+        if out is None:
+            out = []
+        out.append((site, _pick_case(sites[site], rng)))
+        i = site + 1
     return out
 
 
@@ -866,24 +767,44 @@ def _block_plan(prog: BytecodeProgram, lo: int, hi: int):
 def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 0,
              seed: int = 0, forced_faults=None, forced_outcomes=None,
              weight: float = 1.0, trace=None) -> ShotRecord:
-    """Execute one shot; returns its record. ``state`` is reused if given."""
+    """Execute one shot; returns its record. ``state`` is reused if given.
+
+    ``forced_faults`` holds one mode per noise site (bytes or bytearray):
+    0 = sample, 1 = trigger, 2 = skip, 3 + c = case c. ``forced_outcomes``
+    maps record indices to the outcome a measurement must give.
+    """
     if state is None:
         state = ShotState(prog, seed=seed)
+    _run(prog, _compiled(prog), state, shot, None, forced_faults, forced_outcomes, weight,
+         trace)
+    return make_record(prog, state)
+
+
+def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_faults=None,
+         forced_outcomes=None, weight: float = 1.0, trace=None) -> bool:
+    """Run shot ``shot`` of ``prog`` on ``state``: reset, draw the stratum's
+    forced faults (which then replace ``forced_faults`` and ``weight``), run
+    ``code``, the program's closures, until the end or a failed
+    postselection. ``trace(state, ins)`` is called after each instruction.
+    Returns whether the shot was accepted."""
     state.reset(shot)
+    if stratum is not None:
+        forced_faults = stratum.draw_forced(state.rng)
+        weight = stratum.weight
     state.forced_faults = forced_faults
     state.forced_outcomes = forced_outcomes
     state.weight = weight
     try:
         if trace is None:
-            for fn in _compiled(prog):
+            for fn in code:
                 fn(state)
         else:
-            for fn, ins in zip(_compiled(prog), prog.instrs):
+            for fn, ins in zip(code, prog.instrs):
                 fn(state)
                 trace(state, ins)
     except _Halt:
         pass
-    return make_record(prog, state)
+    return state.accepted
 
 
 def make_record(prog: BytecodeProgram, state: ShotState) -> ShotRecord:
@@ -924,48 +845,31 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
                                     stratum, keep_rejected)
         return
     state = ShotState(prog, seed=seed, renormalize=renormalize)
+    code = _compiled(prog)
     for shot in range(shots):
-        rec = _one_shot(prog, state, shot, stratum)
-        if rec.accepted or keep_rejected:
-            yield rec
-
-
-def _one_shot(prog, state, shot, stratum) -> ShotRecord:
-    state.reset(shot)
-    if stratum is not None:
-        state.forced_faults = stratum.draw_forced(state.rng)
-        state.weight = stratum.weight
-    else:
-        state.forced_faults = None
-        state.weight = 1.0
-    state.forced_outcomes = None
-    try:
-        for fn in _compiled(prog):
-            fn(state)
-    except _Halt:
-        pass
-    return make_record(prog, state)
+        if _run(prog, code, state, shot, stratum) or keep_rejected:
+            yield make_record(prog, state)
 
 
 def _worker_range(args):
-    prog, lo, hi, seed, renormalize, stratum = args
+    prog, lo, hi, seed, renormalize, stratum, keep_rejected = args
     state = ShotState(prog, seed=seed, renormalize=renormalize)
-    return [_one_shot(prog, state, s, stratum) for s in range(lo, hi)]
+    code = _compiled(prog)
+    return [make_record(prog, state) for s in range(lo, hi)
+            if _run(prog, code, state, s, stratum) or keep_rejected]
 
 
 def _sample_parallel(prog, shots, seed, workers, renormalize, stratum, keep_rejected):
     import multiprocessing as mp
 
-    workers = min(workers, shots)
+    workers = min(workers, shots, os.cpu_count() or 1)
     bounds = np.linspace(0, shots, workers + 1).astype(int)
-    jobs = [(prog, int(lo), int(hi), seed, renormalize, stratum)
+    jobs = [(prog, int(lo), int(hi), seed, renormalize, stratum, keep_rejected)
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     ctx = mp.get_context("fork")
     with ctx.Pool(len(jobs)) as pool:
         for chunk in pool.map(_worker_range, jobs):
-            for rec in chunk:
-                if rec.accepted or keep_rejected:
-                    yield rec
+            yield from chunk
 
 
 def _fold_rows(rows: bytearray, width: int, totals: np.ndarray) -> None:
@@ -995,16 +899,9 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
     rec, det, obs = state.records, state.detectors, state.observables
     accepted = 0
     weight_sum = 0.0
-    compiled = _compiled(prog)
+    code = _compiled(prog)
     for shot in range(shots):
-        state.reset(shot)
-        if stratum is not None:
-            state.forced_faults = stratum.draw_forced(state.rng)
-            state.weight = stratum.weight
-        try:
-            for fn in compiled:
-                fn(state)
-        except _Halt:
+        if not _run(prog, code, state, shot, stratum):
             continue
         accepted += 1
         weight_sum += state.weight
@@ -1063,23 +960,26 @@ class StratumSpec:
             nxt[1:] += prev * p
             self.suffix[i] = nxt
         self.weight = float(self.suffix[0][w]) if w < len(self.suffix[0]) else 0.0
+        # the entries draw_forced reads (counts up to w), as Python floats
+        self._heads = [t[:w + 1].tolist() for t in self.suffix]
 
-    def draw_forced(self, rng: ShotRng) -> np.ndarray:
-        """int8 flags per site: 1 = forced trigger, 2 = forced skip."""
+    def draw_forced(self, rng: ShotRng) -> bytearray:
+        """One forced-fault mode per site: 1 = trigger, 2 = skip."""
         e = len(self.probs)
-        flags = np.full(e, 2, dtype=np.int8)
+        flags = bytearray(b"\x02") * e
+        heads = self._heads
         need = self.w
         for i in range(e):
             if need == 0:
                 break
             remaining = e - i
             if remaining == need:
-                flags[i:] = 1
+                flags[i:] = b"\x01" * need
                 need = 0
                 break
-            tail = self.suffix[i + 1]
+            tail = heads[i + 1]
             p_here = self.probs[i] * (tail[need - 1] if need - 1 < len(tail) else 0.0)
-            p_total = self.suffix[i][need]
+            p_total = heads[i][need]
             if rng.uniform() * p_total < p_here:
                 flags[i] = 1
                 need -= 1

@@ -171,7 +171,7 @@ def crosscheck(circuit: Circuit, seed: int = 0,
     n_sites = len(noise_sites_of(flat))
     if n_sites:
         # every site is pinned: listed ones to their case, the rest to "off"
-        forced_faults = {site: 2 for site in range(n_sites)}
+        forced_faults = bytearray(b"\x02") * n_sites
         for site, case in (fault_plan or {}).items():
             forced_faults[site] = case + 3
 
@@ -193,7 +193,7 @@ def crosscheck(circuit: Circuit, seed: int = 0,
             if prefix.qubit_count < flat.qubit_count:
                 # keep the qubit register the same size across prefixes
                 prefix.instructions.append(_pad_instruction(flat.qubit_count))
-            pprog = compile_circuit(prefix, optimize=True)
+            pprog = compile_circuit(prefix)
             pstate = ShotState(pprog, seed=seed)
             run_shot(pprog, pstate, shot=0, forced_faults=forced_faults,
                      forced_outcomes=outcome_plan)

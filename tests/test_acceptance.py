@@ -18,7 +18,6 @@ from framesim.backend import (
     ArrayGate,
     ArrayRot,
     Expand,
-    MeasActive,
     MeasCollapse,
     NoiseBlock,
     compile_circuit,
@@ -299,7 +298,7 @@ def test_criterion_7_sampler_exactness():
     # (b) realized fault counts follow the Poisson-binomial pmf
     probs = [0.05, 0.2, 0.35, 0.5]
     text = "".join(f"X_ERROR({p}) {j}\n" for j, p in enumerate(probs)) + "M 0\n"
-    prog2 = compile_circuit(text, optimize=False)
+    prog2 = compile_circuit(text)
     pmf = poisson_binomial(probs)
     cnt = np.zeros(len(probs) + 1)
     for shot in range(n):

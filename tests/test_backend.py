@@ -14,7 +14,6 @@ from framesim.backend import (
     FrameGates,
     GammaRot,
     MeasCollapse,
-    MeasActive,
     MeasDormantRandom,
     MeasDormantStatic,
     NoiseBlock,
@@ -155,16 +154,16 @@ def test_mirror_plan_matches_worked_example():
     assert kinds.count("Expand") == 1
     assert any(isinstance(i, NoiseBlock) and (i.lo, i.hi) == (0, 2) for i in prog.instrs)
     assert kinds.count("MeasDormantStatic") == 1
-    fused = [i for i in prog.instrs if isinstance(i, (MeasCollapse, MeasActive))]
+    fused = [i for i in prog.instrs if isinstance(i, MeasCollapse)]
     assert len(fused) == 1
     expand = next(i for i in prog.instrs if isinstance(i, Expand))
-    assert expand.fused and abs(expand.angle - math.pi / 8) < 1e-12
+    assert abs(expand.angle - math.pi / 8) < 1e-12
 
 
 def test_pure_clifford_kmax_zero():
     prog = compile_circuit("H 0\nCX 0 1\nS 1\nM 0 1\nDETECTOR rec[-1] rec[-2]\n")
     assert prog.k_max == 0
-    assert not any(isinstance(i, (Expand, ArrayRot, ArrayGate, MeasActive, MeasCollapse))
+    assert not any(isinstance(i, (Expand, ArrayRot, ArrayGate, MeasCollapse))
                    for i in prog.instrs)
 
 
@@ -176,7 +175,7 @@ def test_expand_then_collapse_returns_to_zero():
 
 
 def test_dormant_z_rotation_is_scalar_phase():
-    prog = compile_circuit("T 0\nM 0\n", optimize=False)
+    prog = compile_circuit("T 0\nM 0\n")
     assert any(isinstance(i, GammaRot) for i in prog.instrs)
     assert prog.k_max == 0
 
@@ -208,14 +207,33 @@ def test_passive_clifford_padding_changes_nothing():
     assert prog1.stats.clifford_ops > prog0.stats.clifford_ops
 
 
-def test_optimizer_fuses_expand_rot():
+def test_emit_fuses_expand_rot():
+    # emission promotes and rotates in one Expand and measures the active
+    # axis with one MeasCollapse; the optimizer leaves both as they are
     prog = _full_pipeline("H 0\nT 0\nM 0\n")
-    raw_kinds = [type(i).__name__ for i in prog.instrs]
-    assert "Expand" in raw_kinds and "ArrayRot" in raw_kinds
+    assert [type(i).__name__ for i in prog.instrs] == ["FrameGates", "Expand", "MeasCollapse"]
+    expand, meas = prog.instrs[1], prog.instrs[2]
+    assert abs(expand.angle - math.pi / 8) < 1e-12 and expand.size == 1
+    assert meas.pre_gates == () and meas.u == ((1, 0), (0, 1)) and meas.size == 2
+    assert prog.active_schedule == [0, 1, 0]
     opt = optimize_bytecode(prog)
-    expand = next(i for i in opt.instrs if isinstance(i, Expand))
-    assert expand.fused
-    assert not any(isinstance(i, ArrayRot) for i in opt.instrs)
+    assert opt.instrs == prog.instrs and opt.active_schedule == prog.active_schedule
+    assert [line.split()[0] for line in opt.dump().splitlines()] == [
+        "FRAME_CLIFFORD", "EXPAND_T", "MEAS_COLLAPSE[Z]"]
+
+
+def test_optimizer_folds_basis_change_into_collapse():
+    prog = _full_pipeline("H 0\nT 0\nS 0\nH 0\nM 0\n")
+    assert [type(i).__name__ for i in prog.instrs] == [
+        "FrameGates", "Expand", "ArrayGate", "ArrayGate", "MeasCollapse"]
+    opt = optimize_bytecode(prog)
+    assert [type(i).__name__ for i in opt.instrs] == ["FrameGates", "Expand", "MeasCollapse"]
+    assert opt.active_schedule == [0, 1, 0]
+    meas = opt.instrs[-1]
+    assert meas.pre_gates == (("S", 0, None), ("H", 0, None))
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    assert np.allclose(np.array(meas.u), h @ np.diag([1, 1j]))
+    assert opt.dump().splitlines()[-1] == "MEAS_COLLAPSE[SH] 0 -> rec[0]"
 
 
 def test_optimizer_coalesces_noise_and_keeps_segments():
@@ -250,6 +268,15 @@ def test_optimizer_never_increases_traversals():
         work_opt = sum(getattr(i, "size", 0) for i in opt.instrs)
         assert work_opt <= work
         assert len(opt.instrs) <= len(prog.instrs)
+
+
+def test_postselect_detector_out_of_range_rejected():
+    text = "X_ERROR(0.5) 0\nM 0\nDETECTOR rec[-1]\nM 0\nDETECTOR rec[-1]\n"
+    for bad in ((2,), (-1,), (0, 5)):
+        with pytest.raises(CompileError, match="does not exist"):
+            compile_circuit(text, postselect_detectors=bad)
+    prog = compile_circuit(text, postselect_detectors=(0, 1))
+    assert sum(type(i).__name__ == "PostSelectIns" for i in prog.instrs) == 2
 
 
 def test_stats_dump_fields():

@@ -103,6 +103,17 @@ def test_sample_postselect_detectors_flag(tmp_path, capsys):
     assert all(l[0] == "0" for l in kept)
 
 
+@pytest.mark.parametrize("index", ["7", "-1"])
+def test_sample_rejects_missing_postselect_detector(tmp_path, capsys, index):
+    p = tmp_path / "d.txt"
+    p.write_text("X_ERROR(0.5) 0\nM 0\nDETECTOR rec[-1]\n")
+    assert main(["sample", str(p), "--shots", "5", f"--postselect-detectors={index}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"D{index}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_validate_passes(capsys):
     assert main(["validate", "--mirrors", "3", "--fuzz", "6", "--self-test"]) == 0
     assert "all validation checks passed" in capsys.readouterr().out

@@ -7,10 +7,7 @@ import pytest
 from framesim.pauli import (
     CliffordTableau,
     PauliString,
-    commutes,
     frame_absorb,
-    heisenberg_map,
-    pauli_mul,
     random_clifford_word,
     random_pauli,
 )
@@ -67,7 +64,7 @@ def word_to_dense(word, n: int, circuit_order: bool = True) -> np.ndarray:
 def test_mul_xz_is_minus_i_y():
     x = PauliString.single(1, 0, "X")
     z = PauliString.single(1, 0, "Z")
-    prod = pauli_mul(x, z)
+    prod = x.mul(z)
     assert prod.x[0] == 1 and prod.z[0] == 1
     assert prod.residual_phase() == 3
     assert str(prod) == "-iY"
@@ -79,8 +76,8 @@ def test_mul_identity():
     for _ in range(20):
         p = random_pauli(4, rng)
         ident = PauliString.identity(4)
-        assert pauli_mul(ident, p) == p
-        assert pauli_mul(p, ident) == p
+        assert ident.mul(p) == p
+        assert p.mul(ident) == p
 
 
 def test_mul_matches_dense_kron():
@@ -89,7 +86,7 @@ def test_mul_matches_dense_kron():
         n = int(rng.integers(1, 4))
         a = random_pauli(n, rng, allow_identity=True)
         b = random_pauli(n, rng, allow_identity=True)
-        prod = pauli_mul(a, b)
+        prod = a.mul(b)
         assert np.allclose(prod.to_dense(), a.to_dense() @ b.to_dense())
 
 
@@ -98,23 +95,23 @@ def test_mul_associative_and_adjoint():
     for _ in range(40):
         n = int(rng.integers(1, 4))
         a, b, c = (random_pauli(n, rng) for _ in range(3))
-        assert pauli_mul(pauli_mul(a, b), c) == pauli_mul(a, pauli_mul(b, c))
-        ab = pauli_mul(a, b)
+        assert a.mul(b).mul(c) == a.mul(b.mul(c))
+        ab = a.mul(b)
         assert np.allclose(ab.adjoint().to_dense(), ab.to_dense().conj().T)
 
 
 def test_mul_length_mismatch():
     with pytest.raises(ValueError):
-        pauli_mul(PauliString.identity(2), PauliString.identity(3))
+        PauliString.identity(2).mul(PauliString.identity(3))
 
 
 def test_commutes_basics():
     x = PauliString.single(1, 0, "X")
     z = PauliString.single(1, 0, "Z")
-    assert not commutes(x, z)
+    assert not x.commutes_with(z)
     xx = PauliString.from_label("XX")
     zz = PauliString.from_label("ZZ")
-    assert commutes(xx, zz)
+    assert xx.commutes_with(zz)
 
 
 def test_commutes_matches_dense():
@@ -125,7 +122,7 @@ def test_commutes_matches_dense():
         b = random_pauli(n, rng)
         da, db = a.to_dense(), b.to_dense()
         dense_comm = np.allclose(da @ db, db @ da)
-        assert commutes(a, b) == dense_comm
+        assert a.commutes_with(b) == dense_comm
 
 
 def test_hermitian_bookkeeping():
@@ -188,7 +185,7 @@ def test_frame_absorb_circuit_order_semantics():
     t = CliffordTableau(2)
     frame_absorb(t, "H", [0])
     frame_absorb(t, "CX", [0, 1])
-    mapped = heisenberg_map(t, PauliString.from_label("XX"))
+    mapped = t.heisenberg_map(PauliString.from_label("XX"))
     assert mapped.short_str() in ("+Z0", "-Z0")
     word = [("H", 0, None), ("CX", 0, 1)]
     u = word_to_dense(word, 2, circuit_order=True)
@@ -201,14 +198,14 @@ def test_heisenberg_identity_tableau():
     t = CliffordTableau(4)
     for _ in range(10):
         p = random_pauli(4, rng)
-        assert heisenberg_map(t, p) == p
+        assert t.heisenberg_map(p) == p
 
 
 def test_heisenberg_after_h_maps_z_to_x():
     t = CliffordTableau(2)
     frame_absorb(t, "H", [0])
     z0 = PauliString.single(2, 0, "Z")
-    assert heisenberg_map(t, z0).short_str() == "+X0"
+    assert t.heisenberg_map(z0).short_str() == "+X0"
 
 
 def test_maps_match_dense_conjugation():
@@ -274,7 +271,7 @@ def test_commutation_preserved_by_maps():
     for _ in range(50):
         a = random_pauli(5, rng)
         b = random_pauli(5, rng)
-        assert commutes(a, b) == commutes(t.heisenberg_map(a), t.heisenberg_map(b))
+        assert a.commutes_with(b) == t.heisenberg_map(a).commutes_with(t.heisenberg_map(b))
 
 
 def test_absorb_rotation_right_matches_dense():

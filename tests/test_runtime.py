@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from framesim.backend import Expand, compile_circuit
 from framesim.oracle import expand_factored, fidelity, dense_run
 from framesim.circuit import flatten, parse_circuit
 from framesim.pauli import PauliString
-from framesim.testing import crosscheck
+from framesim.testing import crosscheck, random_circuit
 from framesim.rng import ShotRng, mix64
 from framesim.runtime import (
     _SMALL,
@@ -115,8 +116,45 @@ def test_worker_count_does_not_change_records():
     assert one == two
 
 
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # a stand-in pool runs the jobs in this process: no process is started
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    prog = compile_circuit("H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n")
+    stratum = StratumSpec(prog, 1)
+
+    def records(workers):
+        return [(rec.measurements.tolist(), rec.weight)
+                for st in (None, stratum)
+                for rec in sample(prog, 50, seed=4, workers=workers, stratum=st)]
+
+    serial = records(1)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    for cpus, workers, expect in ((3, 1000, 3), (None, 8, 1), (16, 5, 5), (64, 1000, 50)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert records(workers) == serial
+        assert sizes[-2:] == [expect, expect]
+
+
 def test_hazard_sample_edge_cases():
-    prog = compile_circuit("X_ERROR(0.0) 0\nX_ERROR(1.0) 0\nM 0\n", optimize=False)
+    prog = compile_circuit("X_ERROR(0.0) 0\nX_ERROR(1.0) 0\nM 0\n")
     rng = ShotRng(0, 0)
     for shot in range(200):
         rng.reset(shot)
@@ -125,7 +163,7 @@ def test_hazard_sample_edge_cases():
 
 
 def test_hazard_all_zero_probability():
-    prog = compile_circuit("X_ERROR(0) 0 1 2\nM 0\n", optimize=False)
+    prog = compile_circuit("X_ERROR(0) 0 1 2\nM 0\n")
     rng = ShotRng(1, 0)
     for shot in range(100):
         rng.reset(shot)
@@ -134,7 +172,7 @@ def test_hazard_all_zero_probability():
 
 def test_hazard_sites_after_certain_site_still_fire():
     # regression: a p=1 site must not absorb the hazard of later sites
-    prog = compile_circuit("X_ERROR(1.0) 0\nX_ERROR(0.5) 1\nM 0 1\n", optimize=False)
+    prog = compile_circuit("X_ERROR(1.0) 0\nX_ERROR(0.5) 1\nM 0 1\n")
     rng = ShotRng(0, 0)
     h0 = h1 = 0
     n = 20_000
@@ -159,6 +197,34 @@ def test_hazard_joint_pattern_chi2():
     expect = np.array([0.9 * 0.7, 0.9 * 0.3, 0.1 * 0.7, 0.1 * 0.3]) * n
     chi2 = float(((counts - expect) ** 2 / expect).sum())
     assert chi2 < CHI2_999[3]
+
+
+def test_shot_loop_paths_agree():
+    # sample, sample_accumulate and run_shot share one shot loop; their
+    # results must agree shot for shot, with postselection and with a stratum
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        circ = random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(4, 20)),
+                              p_noise=0.2, reset_rate=0.05, feedforward_rate=0.1)
+        prog = compile_circuit(circ.serialize() + "DETECTOR rec[-1]\n",
+                               postselect_detectors=(0,))
+        strata = [None] + ([StratumSpec(prog, 1)] if prog.sites else [])
+        for stratum in strata:
+            recs = list(sample(prog, 300, seed=5, stratum=stratum, keep_rejected=False))
+            acc = sample_accumulate(prog, 300, seed=5, stratum=stratum)
+            assert acc["shots"] == 300 and acc["accepted"] == len(recs)
+            assert acc["weight_sum"] == sum(r.weight for r in recs)
+            for key in ("measurements", "detectors", "observables"):
+                total = sum((getattr(r, key).astype(np.int64) for r in recs),
+                            np.zeros(len(acc[key]), dtype=np.int64))
+                assert np.array_equal(acc[key], total)
+        state = ShotState(prog, seed=5)
+        for shot, rec in enumerate(sample(prog, 300, seed=5)):
+            one = run_shot(prog, state, shot=shot)
+            assert np.array_equal(one.measurements, rec.measurements)
+            assert np.array_equal(one.detectors, rec.detectors)
+            assert np.array_equal(one.observables, rec.observables)
+            assert (one.accepted, one.weight) == (rec.accepted, rec.weight)
 
 
 def test_poisson_binomial_basics():
@@ -199,7 +265,7 @@ def test_stratum_site_selection_frequencies():
     for shot in range(n):
         rng.reset(shot)
         flags = spec.draw_forced(rng)
-        counts[int(np.flatnonzero(flags == 1)[0])] += 1
+        counts[flags.index(1)] += 1
     raw = np.array([p * np.prod([1 - q for j, q in enumerate(probs) if j != i])
                     for i, p in enumerate(probs)])
     expect = raw / raw.sum() * n
