@@ -40,7 +40,7 @@ from .hir import (
     peephole_pass,
     schedule_pass,
 )
-from .pauli import CliffordTableau, CompileStats, PauliString
+from .pauli import CliffordTableau, CompileStats, PauliString, bit_indices
 
 _TOL = 1e-12
 
@@ -80,21 +80,21 @@ def localize(pauli: PauliString, active_set=frozenset()) -> LocalizationResult:
         gates.append((g, a, b))
         cur.conjugate_gate(g, a, b)
 
-    xs = [int(q) for q in np.flatnonzero(cur.x)]
+    xs = bit_indices(cur.x)
     if xs:
         dormant = [q for q in xs if q not in active_set]
         v = dormant[0] if dormant else xs[0]
         for q in xs:
             if q != v:
                 emit("CX", v, q)
-        for q in [int(j) for j in np.flatnonzero(cur.z)]:
+        for q in bit_indices(cur.z):
             if q != v:
                 emit("CZ", v, q)
-        if cur.z[v]:
+        if (cur.z >> v) & 1:
             emit("S", v)
         basis = "X"
     else:
-        zs = [int(q) for q in np.flatnonzero(cur.z)]
+        zs = bit_indices(cur.z)
         act = [q for q in zs if q in active_set]
         v = act[0] if act else zs[0]
         for q in zs:
@@ -195,8 +195,8 @@ class MeasCollapse:
 class CondFrame:
     """Record-conditioned Pauli multiplied into the frame."""
 
-    xmask: np.ndarray
-    zmask: np.ndarray
+    xmask: int    # frame bits the VM XORs in (bit j = virtual qubit j)
+    zmask: int
     record: int
 
 
@@ -231,8 +231,8 @@ class SiteTable:
 
     prob: float
     case_cum: list          # cumulative masses, last == prob
-    case_x: list            # uint8 mask arrays
-    case_z: list
+    case_x: list            # per case, the frame X bits the VM XORs in (bit j = qubit j)
+    case_z: list            # and the frame Z bits
 
 
 @dataclass
@@ -426,13 +426,13 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 mapped = adj.forward_map(pauli)
                 cum += mass
                 case_cum.append(cum)
-                case_x.append(mapped.x.copy())
-                case_z.append(mapped.z.copy())
+                case_x.append(mapped.x)
+                case_z.append(mapped.z)
             sites.append(SiteTable(cum, case_cum, case_x, case_z))
             emit(NoiseBlock(op.site, op.site + 1))
         elif isinstance(op, CondPauli):
             mapped = adj.forward_map(op.pauli)
-            emit(CondFrame(mapped.x.copy(), mapped.z.copy(), op.record))
+            emit(CondFrame(mapped.x, mapped.z, op.record))
         elif isinstance(op, DetectorDef):
             emit(DetectorIns(op.index, op.records))
             if op.index in postselect_detectors:

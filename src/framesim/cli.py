@@ -73,6 +73,17 @@ def cmd_sample(args) -> int:
     if args.shots < 1:
         print("error: --shots must be >= 1", file=sys.stderr)
         return 2
+    workers = args.workers
+    if workers is None:
+        env = os.environ.get("FRAMESIM_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            print(f"error: FRAMESIM_WORKERS must be an integer >= 1, got {env!r}",
+                  file=sys.stderr)
+            return 2
     try:
         prog = compile_circuit(
             _read_circuit(args.circuit),
@@ -91,7 +102,7 @@ def cmd_sample(args) -> int:
             return 2
     out = open(args.out, "wb") if args.out else sys.stdout.buffer
     try:
-        stream = sample(prog, args.shots, seed=args.seed, workers=args.workers,
+        stream = sample(prog, args.shots, seed=args.seed, workers=workers,
                         stratum=stratum, keep_rejected=args.keep_rejected)
         if args.format == "csv":
             out.write(b"shot,weight,bits\n")
@@ -157,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "frame-factoring compiler and per-shot VM.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_workers = int(os.environ.get("FRAMESIM_WORKERS", "1"))
-
     c = sub.add_parser("compile", help="emit HIR, bytecode, or compile stats")
     c.add_argument("circuit", nargs="?", help="circuit file (default stdin)")
     c.add_argument("--emit", choices=("hir", "bytecode", "stats"), default="stats")
@@ -171,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("circuit", nargs="?", help="circuit file (default stdin)")
     s.add_argument("--shots", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, default=default_workers)
+    s.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: $FRAMESIM_WORKERS, else 1)")
     s.add_argument("--format", choices=("01", "bin", "csv"), default="01")
     s.add_argument("--out", default=None)
     s.add_argument("--stratum-w", type=int, default=None,

@@ -443,11 +443,12 @@ def peephole_pass(hir: HirProgram) -> HirProgram:
 # -- scheduling ----------------------------------------------------------------
 
 
-def _support(op) -> frozenset:
-    out: set[int] = set()
+def _support(op) -> int:
+    """The qubits ``op`` acts on, as a bitmask."""
+    out = 0
     for p in _paulis_of(op):
-        out.update(int(q) for q in p.support())
-    return frozenset(out)
+        out |= p.x | p.z
+    return out
 
 
 def schedule_pass(hir: HirProgram) -> HirProgram:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Instruction, Rec
-from .pauli import CliffordTableau, PauliString, mask_to_bits
+from .pauli import CliffordTableau, PauliString, bit_indices
 
 MAX_ORACLE_QUBITS = 14
 
@@ -112,13 +112,8 @@ def _apply_swap(vec: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 def apply_pauli_dense(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """Apply i^e X^x Z^z to a dense vector (qubit 0 = MSB)."""
     n = p.n
-    xmask = 0
-    zmask = 0
-    for j in range(n):
-        if p.x[j]:
-            xmask |= 1 << (n - 1 - j)
-        if p.z[j]:
-            zmask |= 1 << (n - 1 - j)
+    xmask = sum(1 << (n - 1 - j) for j in bit_indices(p.x))
+    zmask = sum(1 << (n - 1 - j) for j in bit_indices(p.z))
     idx = np.arange(len(vec))
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & zmask) & 1)
     out = np.empty_like(vec)
@@ -359,10 +354,7 @@ def apply_tableau_dense(tableau: CliffordTableau, vec: np.ndarray) -> np.ndarray
     psi0 = tableau_to_dense_state(tableau)
     out = np.zeros_like(vec)
     for b in np.flatnonzero(np.abs(vec) > 0):
-        xb = PauliString(n)
-        for j in range(n):
-            if (int(b) >> (n - 1 - j)) & 1:
-                xb = xb.mul(PauliString.single(n, j, "X"))
+        xb = PauliString(n, sum(1 << j for j in range(n) if (int(b) >> (n - 1 - j)) & 1))
         col = apply_pauli_dense(tableau.forward_map(xb), psi0)
         out += vec[b] * col
     return out
@@ -391,9 +383,7 @@ def expand_factored(state, frame: CliffordTableau) -> DenseState:
             if (idx >> p) & 1:
                 dense_idx |= 1 << (n - 1 - v)
         vec[dense_idx] = a
-    pauli = PauliString(n, mask_to_bits(state.frame_x, n),
-                        mask_to_bits(state.frame_z, n), 0)
-    vec = apply_pauli_dense(pauli, vec)
+    vec = apply_pauli_dense(PauliString(n, state.frame_x, state.frame_z), vec)
     vec = apply_tableau_dense(frame, vec)
     vec = vec * (state.gamma / abs(state.gamma) if state.gamma != 0 else 1.0)
     norm = np.linalg.norm(vec)

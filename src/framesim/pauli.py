@@ -1,10 +1,11 @@
-"""Bit-vector Pauli algebra and Clifford conjugation tableaus.
+"""Bit-packed Pauli algebra and Clifford conjugation tableaus.
 
 Everything downstream (the compiler, the localizer, the runtime frame) is
-built on two objects defined here:
+built on two objects defined here, and all of it shares one bit format: a
+set of qubits is a Python int whose bit j is qubit j.
 
-* :class:`PauliString` stores an N-qubit Pauli as two uint8 bit vectors plus
-  a power of i, with the fixed operator convention
+* :class:`PauliString` stores an N-qubit Pauli as two such bitmasks plus a
+  power of i, with the fixed operator convention
 
       P = i^phase_exp * X^x * Z^z,
 
@@ -13,14 +14,14 @@ built on two objects defined here:
   factor of i folded into ``phase_exp``. All products and conjugations track
   ``phase_exp`` exactly mod 4.
 
-* :class:`CliffordTableau` stores a Clifford unitary U through the images of
-  the generators ``X_j``/``Z_j`` under conjugation, maintaining forward
-  (``U P U^dag``) and inverse (``U^dag P U``) rows simultaneously so that
-  mapping an operator into the frame coordinates never requires inverting
-  anything at use time.
+* :class:`CliffordTableau` stores a Clifford unitary U through its inverse
+  rows, the images ``U^dag X_j U`` and ``U^dag Z_j U``. Mapping an operator
+  into frame coordinates reads those rows; the forward image ``U P U^dag``
+  is recovered from them by commutation parities, so no row is stored
+  twice.
 
-Bit vectors use numpy uint8 arrays; per-gate updates touch a constant number
-of rows or columns, so absorbing a gate is linear in the qubit count.
+Parities are ``int.bit_count()`` of an AND of two masks, so a product or a
+commutation check costs a few machine-word operations per 64 qubits.
 """
 from __future__ import annotations
 
@@ -38,15 +39,67 @@ _INV_GATE = {"H": "H", "S": "S_DAG", "S_DAG": "S", "X": "X", "Y": "Y", "Z": "Z",
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
+def bit_indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _conjugate_bits(gate: str, a: int, b: int | None, x: int, z: int, e: int) -> tuple:
+    """``G (i^e X^x Z^z) G^dag`` for a named local Clifford, as ``(x, z, e)``."""
+    xa = (x >> a) & 1
+    za = (z >> a) & 1
+    if gate == "H":
+        e += 2 * (xa & za)
+        if xa != za:
+            x ^= 1 << a
+            z ^= 1 << a
+    elif gate == "S":
+        e += xa
+        z ^= xa << a
+    elif gate == "S_DAG":
+        e += 3 * xa
+        z ^= xa << a
+    elif gate == "X":
+        e += 2 * za
+    elif gate == "Z":
+        e += 2 * xa
+    elif gate == "Y":
+        e += 2 * (xa ^ za)
+    elif gate == "CX":
+        x ^= xa << b
+        z ^= ((z >> b) & 1) << a
+    elif gate == "CZ":
+        xb = (x >> b) & 1
+        e += 2 * (xa & xb)
+        z ^= (xa << b) ^ (xb << a)
+    elif gate == "SWAP":
+        dx = xa ^ ((x >> b) & 1)
+        dz = za ^ ((z >> b) & 1)
+        x ^= (dx << a) | (dx << b)
+        z ^= (dz << a) | (dz << b)
+    else:
+        raise ValueError(f"unknown gate {gate!r}")
+    return x, z, e & 3
+
+
+def _anticommute(x1: int, z1: int, x2: int, z2: int) -> int:
+    return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1
+
+
 class PauliString:
-    """N-qubit Pauli operator ``i^phase_exp X^x Z^z``."""
+    """N-qubit Pauli operator ``i^phase_exp X^x Z^z``; ``x``, ``z`` are bitmasks."""
 
     __slots__ = ("n", "x", "z", "phase_exp")
 
-    def __init__(self, n: int, x=None, z=None, phase_exp: int = 0):
+    def __init__(self, n: int, x: int = 0, z: int = 0, phase_exp: int = 0):
         self.n = n
-        self.x = np.zeros(n, dtype=np.uint8) if x is None else np.asarray(x, dtype=np.uint8)
-        self.z = np.zeros(n, dtype=np.uint8) if z is None else np.asarray(z, dtype=np.uint8)
+        self.x = x
+        self.z = z
         self.phase_exp = phase_exp & 3
 
     # -- constructors -------------------------------------------------
@@ -58,18 +111,14 @@ class PauliString:
     @classmethod
     def single(cls, n: int, qubit: int, kind: str) -> "PauliString":
         """Hermitian X/Y/Z on one qubit (Y carries its factor of i)."""
-        p = cls(n)
+        bit = 1 << int(qubit)
         if kind == "X":
-            p.x[qubit] = 1
-        elif kind == "Z":
-            p.z[qubit] = 1
-        elif kind == "Y":
-            p.x[qubit] = 1
-            p.z[qubit] = 1
-            p.phase_exp = 1
-        else:
-            raise ValueError(f"unknown Pauli kind {kind!r}")
-        return p
+            return cls(n, bit, 0)
+        if kind == "Z":
+            return cls(n, 0, bit)
+        if kind == "Y":
+            return cls(n, bit, bit, 1)
+        raise ValueError(f"unknown Pauli kind {kind!r}")
 
     @classmethod
     def from_label(cls, label: str, n: int | None = None) -> "PauliString":
@@ -92,21 +141,21 @@ class PauliString:
         return p
 
     def copy(self) -> "PauliString":
-        return PauliString(self.n, self.x.copy(), self.z.copy(), self.phase_exp)
+        return PauliString(self.n, self.x, self.z, self.phase_exp)
 
     # -- structure ----------------------------------------------------
 
     def is_identity(self) -> bool:
-        return self.phase_exp == 0 and not self.x.any() and not self.z.any()
+        return self.phase_exp == 0 and not self.x and not self.z
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.x | self.z)
+    def support(self) -> list[int]:
+        return bit_indices(self.x | self.z)
 
     def weight(self) -> int:
-        return int(np.count_nonzero(self.x | self.z))
+        return (self.x | self.z).bit_count()
 
     def y_count(self) -> int:
-        return int(np.count_nonzero(self.x & self.z))
+        return (self.x & self.z).bit_count()
 
     def residual_phase(self) -> int:
         """Power of i left after writing the string as phase * Hermitian word."""
@@ -126,22 +175,19 @@ class PauliString:
 
     def hermitian_word(self) -> "PauliString":
         """The sign-free Hermitian word (phase_exp set to the Y count)."""
-        w = self.copy()
-        w.phase_exp = w.y_count() & 3
-        return w
+        return PauliString(self.n, self.x, self.z, self.y_count())
 
     def key(self) -> tuple:
-        return (self.x.tobytes(), self.z.tobytes(), self.phase_exp)
+        return (self.x, self.z, self.phase_exp)
 
     def word_key(self) -> tuple:
         """Key ignoring the overall sign (bits only)."""
-        return (self.x.tobytes(), self.z.tobytes())
+        return (self.x, self.z)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PauliString) and self.n == other.n
                 and self.phase_exp == other.phase_exp
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self.z, other.z))
+                and self.x == other.x and self.z == other.z)
 
     def __hash__(self):
         return hash(self.key())
@@ -152,72 +198,37 @@ class PauliString:
         """Operator product self * other with exact i-power tracking."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        cross = int(np.count_nonzero(self.z & other.x)) & 1
-        return PauliString(
-            self.n,
-            self.x ^ other.x,
-            self.z ^ other.z,
-            (self.phase_exp + other.phase_exp + 2 * cross) & 3,
-        )
+        cross = (self.z & other.x).bit_count() & 1
+        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z,
+                           self.phase_exp + other.phase_exp + 2 * cross)
 
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        par = (int(np.count_nonzero(self.x & other.z))
-               + int(np.count_nonzero(self.z & other.x))) & 1
-        return par == 0
+        return not _anticommute(self.x, self.z, other.x, other.z)
 
     def adjoint(self) -> "PauliString":
         """Dagger: conjugate the scalar, bits unchanged."""
         # (i^e X^x Z^z)^dag = i^{-e} Z^z X^x = i^{-e} (-1)^{|x&z|} X^x Z^z
-        e = (-self.phase_exp + 2 * self.y_count()) & 3
-        return PauliString(self.n, self.x.copy(), self.z.copy(), e)
+        return PauliString(self.n, self.x, self.z, -self.phase_exp + 2 * self.y_count())
 
     def conjugate_gate(self, gate: str, a: int, b: int | None = None) -> None:
         """In-place conjugation ``P <- G P G^dag`` for a named local Clifford."""
-        x, z = self.x, self.z
-        if gate == "H":
-            self.phase_exp = (self.phase_exp + 2 * (x[a] & z[a])) & 3
-            x[a], z[a] = z[a], x[a]
-        elif gate == "S":
-            self.phase_exp = (self.phase_exp + x[a]) & 3
-            z[a] ^= x[a]
-        elif gate == "S_DAG":
-            self.phase_exp = (self.phase_exp + 3 * x[a]) & 3
-            z[a] ^= x[a]
-        elif gate == "X":
-            self.phase_exp = (self.phase_exp + 2 * z[a]) & 3
-        elif gate == "Z":
-            self.phase_exp = (self.phase_exp + 2 * x[a]) & 3
-        elif gate == "Y":
-            self.phase_exp = (self.phase_exp + 2 * (x[a] ^ z[a])) & 3
-        elif gate == "CX":
-            x[b] ^= x[a]
-            z[a] ^= z[b]
-        elif gate == "CZ":
-            self.phase_exp = (self.phase_exp + 2 * (x[a] & x[b])) & 3
-            z[b] ^= x[a]
-            z[a] ^= x[b]
-        elif gate == "SWAP":
-            x[a], x[b] = x[b], x[a]
-            z[a], z[b] = z[b], z[a]
-        else:
-            raise ValueError(f"unknown gate {gate!r}")
+        self.x, self.z, self.phase_exp = _conjugate_bits(gate, a, b, self.x, self.z,
+                                                         self.phase_exp)
 
     # -- rendering ----------------------------------------------------
 
+    def _char(self, j: int) -> str:
+        return "_XZY"[((self.x >> j) & 1) + 2 * ((self.z >> j) & 1)]
+
     def __str__(self) -> str:
-        chars = []
-        for j in range(self.n):
-            chars.append("_XZY"[int(self.x[j]) + 2 * int(self.z[j])])
-        return _PHASE_PREFIX[self.residual_phase()] + "".join(chars)
+        body = "".join(self._char(j) for j in range(self.n))
+        return _PHASE_PREFIX[self.residual_phase()] + body
 
     def short_str(self) -> str:
         """Compact support rendering, e.g. ``+X0`` or ``-iY2Z5``."""
-        terms = []
-        for j in self.support():
-            terms.append("_XZY"[int(self.x[j]) + 2 * int(self.z[j])] + str(int(j)))
-        body = "".join(terms) if terms else "_"
+        body = "".join(self._char(j) + str(j) for j in self.support()) or "_"
         return _PHASE_PREFIX[self.residual_phase()] + body
 
     def __repr__(self) -> str:
@@ -235,24 +246,12 @@ class PauliString:
         out = np.array([[1j ** self.phase_exp]], dtype=complex)
         for j in range(self.n):
             m = np.eye(2, dtype=complex)
-            if self.x[j]:
+            if (self.x >> j) & 1:
                 m = m @ mats["X"]
-            if self.z[j]:
+            if (self.z >> j) & 1:
                 m = m @ mats["Z"]
             out = np.kron(out, m)
         return out
-
-
-def bits_to_mask(bits) -> int:
-    """A 0/1 vector as a Python int: entry j becomes bit j."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def mask_to_bits(mask: int, n: int) -> np.ndarray:
-    """Inverse of :func:`bits_to_mask`: the low ``n`` bits as a uint8 vector."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 @dataclass
@@ -280,192 +279,98 @@ class CompileStats:
 
 
 class CliffordTableau:
-    """Clifford unitary tracked through generator images, with inverse rows.
+    """Clifford unitary U stored as its inverse rows.
 
-    Row conventions:
-      forward rows  fx[j], fz[j]  hold  U X_j U^dag  and  U Z_j U^dag
-      inverse rows  ix[j], iz[j]  hold  U^dag X_j U  and  U^dag Z_j U
-
-    ``absorb_right`` multiplies a gate on the right (U <- U G, circuit
-    order); ``absorb_left`` multiplies on the left (U <- G U). Both cost
-    O(n) bit operations per local gate.
+    ``ix[j]`` and ``iz[j]`` hold ``U^dag X_j U`` and ``U^dag Z_j U`` as
+    ``(x, z, phase_exp)`` int tuples. ``absorb_left`` (U <- G U) rewrites
+    the O(1) rows of the gate's qubits; ``absorb_right`` (U <- U G, circuit
+    order) and ``absorb_rotation_right`` conjugate every row.
     """
 
-    __slots__ = ("n", "fx_x", "fx_z", "fx_p", "fz_x", "fz_z", "fz_p",
-                 "ix_x", "ix_z", "ix_p", "iz_x", "iz_z", "iz_p")
+    __slots__ = ("n", "ix", "iz")
 
     def __init__(self, n: int):
         self.n = n
-        eye = np.eye(n, dtype=np.uint8)
-        zero = np.zeros((n, n), dtype=np.uint8)
-        self.fx_x = eye.copy(); self.fx_z = zero.copy(); self.fx_p = np.zeros(n, dtype=np.uint8)
-        self.fz_x = zero.copy(); self.fz_z = eye.copy(); self.fz_p = np.zeros(n, dtype=np.uint8)
-        self.ix_x = eye.copy(); self.ix_z = zero.copy(); self.ix_p = np.zeros(n, dtype=np.uint8)
-        self.iz_x = zero.copy(); self.iz_z = eye.copy(); self.iz_p = np.zeros(n, dtype=np.uint8)
+        self.ix = [(1 << j, 0, 0) for j in range(n)]
+        self.iz = [(0, 1 << j, 0) for j in range(n)]
 
-    def copy(self) -> "CliffordTableau":
-        t = CliffordTableau.__new__(CliffordTableau)
-        t.n = self.n
-        for f in self.__slots__[1:]:
-            setattr(t, f, getattr(self, f).copy())
+    @classmethod
+    def _from_rows(cls, n: int, ix: list, iz: list) -> "CliffordTableau":
+        t = cls.__new__(cls)
+        t.n, t.ix, t.iz = n, ix, iz
         return t
 
-    # -- row access helpers --------------------------------------------
+    def copy(self) -> "CliffordTableau":
+        return CliffordTableau._from_rows(self.n, list(self.ix), list(self.iz))
 
-    def _row(self, block: str, j: int) -> PauliString:
-        x = getattr(self, block + "_x")[j]
-        z = getattr(self, block + "_z")[j]
-        p = int(getattr(self, block + "_p")[j])
-        return PauliString(self.n, x.copy(), z.copy(), p)
+    # -- the two maps ---------------------------------------------------
 
-    def _set_row(self, block: str, j: int, p: PauliString) -> None:
-        getattr(self, block + "_x")[j] = p.x
-        getattr(self, block + "_z")[j] = p.z
-        getattr(self, block + "_p")[j] = p.phase_exp & 3
-
-    def x_image(self, j: int) -> PauliString:
-        return self._row("fx", j)
-
-    def z_image(self, j: int) -> PauliString:
-        return self._row("fz", j)
-
-    # -- composition of a Pauli out of stored rows ----------------------
-
-    def _map_through(self, p: PauliString, xx, xz, xp, zx, zz, zp) -> PauliString:
-        out_x = np.zeros(self.n, dtype=np.uint8)
-        out_z = np.zeros(self.n, dtype=np.uint8)
-        phase = p.phase_exp
-        for j in np.flatnonzero(p.x):
-            cross = int(np.count_nonzero(out_z & xx[j])) & 1
-            phase = (phase + int(xp[j]) + 2 * cross) & 3
-            out_x ^= xx[j]
-            out_z ^= xz[j]
-        for j in np.flatnonzero(p.z):
-            cross = int(np.count_nonzero(out_z & zx[j])) & 1
-            phase = (phase + int(zp[j]) + 2 * cross) & 3
-            out_x ^= zx[j]
-            out_z ^= zz[j]
-        return PauliString(self.n, out_x, out_z, phase)
-
-    def forward_map(self, p: PauliString) -> PauliString:
-        """U P U^dag, exact in phase."""
-        if p.n != self.n:
-            raise ValueError("length mismatch")
-        return self._map_through(p, self.fx_x, self.fx_z, self.fx_p,
-                                 self.fz_x, self.fz_z, self.fz_p)
+    def _map(self, x: int, z: int, e: int) -> tuple:
+        """``U^dag (i^e X^x Z^z) U`` as ``(x, z, e)``, multiplied out of the rows."""
+        ox = oz = 0
+        for rows, mask in ((self.ix, x), (self.iz, z)):
+            while mask:
+                low = mask & -mask
+                rx, rz, re = rows[low.bit_length() - 1]
+                e += re + 2 * ((oz & rx).bit_count() & 1)
+                ox ^= rx
+                oz ^= rz
+                mask ^= low
+        return ox, oz, e & 3
 
     def heisenberg_map(self, p: PauliString) -> PauliString:
         """U^dag P U: map a physical operator into frame coordinates."""
         if p.n != self.n:
             raise ValueError("length mismatch")
-        return self._map_through(p, self.ix_x, self.ix_z, self.ix_p,
-                                 self.iz_x, self.iz_z, self.iz_p)
+        return PauliString(self.n, *self._map(p.x, p.z, p.phase_exp))
+
+    def forward_map(self, p: PauliString) -> PauliString:
+        """U P U^dag, exact in phase.
+
+        Its X bit c is set iff it anticommutes with Z_c, that is iff P
+        anticommutes with ``U^dag Z_c U``; likewise its Z bit c with X_c.
+        The phase is whatever makes ``heisenberg_map`` of the result P.
+        """
+        if p.n != self.n:
+            raise ValueError("length mismatch")
+        px, pz = p.x, p.z
+        qx = qz = 0
+        bit = 1
+        for (xx, xz, _), (zx, zz, _) in zip(self.ix, self.iz):
+            if ((px & zz) ^ (pz & zx)).bit_count() & 1:
+                qx |= bit
+            if ((px & xz) ^ (pz & xx)).bit_count() & 1:
+                qz |= bit
+            bit <<= 1
+        return PauliString(self.n, qx, qz, p.phase_exp - self._map(qx, qz, 0)[2])
+
+    def x_image(self, j: int) -> PauliString:
+        return self.forward_map(PauliString.single(self.n, j, "X"))
+
+    def z_image(self, j: int) -> PauliString:
+        return self.forward_map(PauliString.single(self.n, j, "Z"))
 
     # -- gate absorption -------------------------------------------------
 
-    def _recombine(self, side: str, gate: str, a: int, b: int | None) -> None:
-        """Rewrite the rows of one side using G P G^dag decompositions.
-
-        side 'f': forward rows recombine under right-multiplication.
-        side 'i': inverse rows recombine under left-multiplication, which
-        uses the inverse gate's decomposition.
-        """
-        if side == "f":
-            X, Z = "fx", "fz"
-        else:
-            X, Z = "ix", "iz"
-            gate = _INV_GATE[gate]
-        if gate == "H":
-            rx, rz = self._row(X, a), self._row(Z, a)
-            self._set_row(X, a, rz)
-            self._set_row(Z, a, rx)
-        elif gate == "S":
-            # X_a -> i X_a Z_a under S . S^dag
-            r = self._row(X, a).mul(self._row(Z, a))
-            r.phase_exp = (r.phase_exp + 1) & 3
-            self._set_row(X, a, r)
-        elif gate == "S_DAG":
-            r = self._row(X, a).mul(self._row(Z, a))
-            r.phase_exp = (r.phase_exp + 3) & 3
-            self._set_row(X, a, r)
-        elif gate == "X":
-            getattr(self, Z + "_p")[a] = (getattr(self, Z + "_p")[a] + 2) & 3
-        elif gate == "Z":
-            getattr(self, X + "_p")[a] = (getattr(self, X + "_p")[a] + 2) & 3
-        elif gate == "Y":
-            getattr(self, X + "_p")[a] = (getattr(self, X + "_p")[a] + 2) & 3
-            getattr(self, Z + "_p")[a] = (getattr(self, Z + "_p")[a] + 2) & 3
-        elif gate == "CX":
-            self._set_row(X, a, self._row(X, a).mul(self._row(X, b)))
-            self._set_row(Z, b, self._row(Z, a).mul(self._row(Z, b)))
-        elif gate == "CZ":
-            new_a = self._row(X, a).mul(self._row(Z, b))
-            new_b = self._row(Z, a).mul(self._row(X, b))
-            self._set_row(X, a, new_a)
-            self._set_row(X, b, new_b)
-        elif gate == "SWAP":
-            ra, rb = self._row(X, a), self._row(X, b)
-            self._set_row(X, a, rb); self._set_row(X, b, ra)
-            ra, rb = self._row(Z, a), self._row(Z, b)
-            self._set_row(Z, a, rb); self._set_row(Z, b, ra)
-        else:
-            raise ValueError(f"unknown gate {gate!r}")
-
-    def _conjugate_rows(self, side: str, gate: str, a: int, b: int | None) -> None:
-        """Conjugate every stored row of one side by a gate, column-wise.
-
-        side 'i': inverse rows conjugate by G^dag under right-multiplication.
-        side 'f': forward rows conjugate by G under left-multiplication.
-        """
-        if side == "i":
-            gate = _INV_GATE[gate]
-        blocks = ("ix", "iz") if side == "i" else ("fx", "fz")
-        for blk in blocks:
-            bx = getattr(self, blk + "_x")
-            bz = getattr(self, blk + "_z")
-            bp = getattr(self, blk + "_p")
-            if gate == "H":
-                bp += 2 * (bx[:, a] & bz[:, a])
-                tmp = bx[:, a].copy()
-                bx[:, a] = bz[:, a]
-                bz[:, a] = tmp
-            elif gate == "S":
-                bp += bx[:, a]
-                bz[:, a] ^= bx[:, a]
-            elif gate == "S_DAG":
-                bp += 3 * bx[:, a]
-                bz[:, a] ^= bx[:, a]
-            elif gate == "X":
-                bp += 2 * bz[:, a]
-            elif gate == "Z":
-                bp += 2 * bx[:, a]
-            elif gate == "Y":
-                bp += 2 * (bx[:, a] ^ bz[:, a])
-            elif gate == "CX":
-                bx[:, b] ^= bx[:, a]
-                bz[:, a] ^= bz[:, b]
-            elif gate == "CZ":
-                bp += 2 * (bx[:, a] & bx[:, b])
-                bz[:, b] ^= bx[:, a]
-                bz[:, a] ^= bx[:, b]
-            elif gate == "SWAP":
-                for arr in (bx, bz):
-                    tmp = arr[:, a].copy()
-                    arr[:, a] = arr[:, b]
-                    arr[:, b] = tmp
-            else:
-                raise ValueError(f"unknown gate {gate!r}")
-            np.bitwise_and(bp, 3, out=bp)
+    def absorb_left(self, gate: str, a: int, b: int | None = None) -> None:
+        """U <- G U: the rows of X_q, Z_q for q in G's qubits become the
+        images of ``G^dag X_q G`` and ``G^dag Z_q G`` under the old rows."""
+        inv = _INV_GATE.get(gate, gate)
+        new = []
+        for q in ((a,) if b is None else (a, b)):
+            bit = 1 << q
+            new.append((self.ix, q, self._map(*_conjugate_bits(inv, a, b, bit, 0, 0))))
+            new.append((self.iz, q, self._map(*_conjugate_bits(inv, a, b, 0, bit, 0))))
+        for rows, q, row in new:
+            rows[q] = row
 
     def absorb_right(self, gate: str, a: int, b: int | None = None) -> None:
-        """U <- U G (gate applied after U in circuit order)."""
-        self._recombine("f", gate, a, b)
-        self._conjugate_rows("i", gate, a, b)
-
-    def absorb_left(self, gate: str, a: int, b: int | None = None) -> None:
-        """U <- G U."""
-        self._conjugate_rows("f", gate, a, b)
-        self._recombine("i", gate, a, b)
+        """U <- U G (gate applied after U in circuit order): every row is
+        conjugated by G^dag."""
+        inv = _INV_GATE.get(gate, gate)
+        for rows in (self.ix, self.iz):
+            for j, row in enumerate(rows):
+                rows[j] = _conjugate_bits(inv, a, b, *row)
 
     def absorb_rotation_right(self, pauli: PauliString, quarter_turns: int) -> None:
         """U <- U * exp(-i (m pi/4) P) for Hermitian P; m mod 8 matters."""
@@ -474,104 +379,58 @@ class CliffordTableau:
             return
         if not pauli.is_hermitian():
             raise ValueError("rotation generator must be Hermitian")
-        phys = pauli if pauli.hermitian_sign() > 0 else _negate(pauli)
-        sign_neg = pauli.hermitian_sign() < 0
-        if sign_neg:
+        phys = pauli.hermitian_word()
+        if pauli.hermitian_sign() < 0:
             m = (-m) % 8
-        fwd_p = self.forward_map(phys)
-        n = self.n
-        # C G C^dag = -i sin(m pi/2) P G for anticommuting G (m odd),
-        # and -G for m in {2, 6}; C^dag R C picks up the opposite sign of i.
-        fwd_extra = 3 if m in (1, 5) else 1
-        inv_extra = 1 if m in (1, 5) else 3
-        for blk in ("fx", "fz"):
-            bp = getattr(self, blk + "_p")
-            for j in range(n):
-                anti = int(phys.z[j]) if blk == "fx" else int(phys.x[j])
-                if not anti:
+        if m == 4:  # C = -I
+            return
+        px, pz, pe = phys.x, phys.z, phys.phase_exp
+        # C^dag R C = R for commuting R. For anticommuting R it is -R when
+        # m is 2 or 6, and i^extra P R when m is odd.
+        extra = 1 if m in (1, 5) else 3
+        for rows in (self.ix, self.iz):
+            for j, (x, z, e) in enumerate(rows):
+                if not _anticommute(px, pz, x, z):
                     continue
                 if m % 2 == 0:
-                    if m in (2, 6):
-                        bp[j] = (bp[j] + 2) & 3
-                    continue
-                new = fwd_p.mul(self._row(blk, j))
-                new.phase_exp = (new.phase_exp + fwd_extra) & 3
-                self._set_row(blk, j, new)
-        for blk in ("ix", "iz"):
-            bp = getattr(self, blk + "_p")
-            for j in range(n):
-                row = self._row(blk, j)
-                if row.commutes_with(phys):
-                    continue
-                if m % 2 == 0:
-                    if m in (2, 6):
-                        bp[j] = (bp[j] + 2) & 3
-                    continue
-                new = phys.mul(row)
-                new.phase_exp = (new.phase_exp + inv_extra) & 3
-                self._set_row(blk, j, new)
+                    rows[j] = (x, z, (e + 2) & 3)
+                else:
+                    cross = (pz & x).bit_count() & 1
+                    rows[j] = (px ^ x, pz ^ z, (pe + e + 2 * cross + extra) & 3)
 
     # -- composition ----------------------------------------------------
 
     def inverse(self) -> "CliffordTableau":
-        t = CliffordTableau.__new__(CliffordTableau)
-        t.n = self.n
-        t.fx_x = self.ix_x.copy(); t.fx_z = self.ix_z.copy(); t.fx_p = self.ix_p.copy()
-        t.fz_x = self.iz_x.copy(); t.fz_z = self.iz_z.copy(); t.fz_p = self.iz_p.copy()
-        t.ix_x = self.fx_x.copy(); t.ix_z = self.fx_z.copy(); t.ix_p = self.fx_p.copy()
-        t.iz_x = self.fz_x.copy(); t.iz_z = self.fz_z.copy(); t.iz_p = self.fz_p.copy()
-        return t
+        """The rows of U^dag are the forward images of U."""
+        return CliffordTableau._from_rows(self.n, [self.x_image(j).key() for j in range(self.n)],
+                                          [self.z_image(j).key() for j in range(self.n)])
 
     def compose(self, other: "CliffordTableau") -> "CliffordTableau":
         """Tableau for self * other (other applied first under conjugation)."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        out = CliffordTableau.__new__(CliffordTableau)
-        out.n = self.n
-        n = self.n
-        fx = [self.forward_map(other.x_image(j)) for j in range(n)]
-        fz = [self.forward_map(other.z_image(j)) for j in range(n)]
-        ix = [other.heisenberg_map(self._row("ix", j)) for j in range(n)]
-        iz = [other.heisenberg_map(self._row("iz", j)) for j in range(n)]
-        out.fx_x = np.stack([p.x for p in fx]); out.fx_z = np.stack([p.z for p in fx])
-        out.fx_p = np.array([p.phase_exp for p in fx], dtype=np.uint8)
-        out.fz_x = np.stack([p.x for p in fz]); out.fz_z = np.stack([p.z for p in fz])
-        out.fz_p = np.array([p.phase_exp for p in fz], dtype=np.uint8)
-        out.ix_x = np.stack([p.x for p in ix]); out.ix_z = np.stack([p.z for p in ix])
-        out.ix_p = np.array([p.phase_exp for p in ix], dtype=np.uint8)
-        out.iz_x = np.stack([p.x for p in iz]); out.iz_z = np.stack([p.z for p in iz])
-        out.iz_p = np.array([p.phase_exp for p in iz], dtype=np.uint8)
-        return out
+        return CliffordTableau._from_rows(self.n, [other._map(*row) for row in self.ix],
+                                          [other._map(*row) for row in self.iz])
 
     def is_identity(self) -> bool:
-        n = self.n
-        eye = np.eye(n, dtype=np.uint8)
-        return (np.array_equal(self.fx_x, eye) and not self.fx_z.any()
-                and not self.fx_p.any()
-                and np.array_equal(self.fz_z, eye) and not self.fz_x.any()
-                and not self.fz_p.any())
+        return all(self.ix[j] == (1 << j, 0, 0) and self.iz[j] == (0, 1 << j, 0)
+                   for j in range(self.n))
 
     def check_symplectic(self) -> bool:
-        """On-diagonal pairs anticommute, all other pairs commute."""
-        n = self.n
-        for j in range(n):
-            for k in range(n):
-                xj = self.x_image(j)
-                zk = self.z_image(k)
-                if xj.commutes_with(zk) != (j != k):
+        """On-diagonal pairs of rows anticommute, all other pairs commute.
+
+        This holds for the rows of U^dag exactly when it holds for the
+        generator images of U."""
+        for j, (xj, zj, _) in enumerate(self.ix):
+            for k, (xk, zk, _) in enumerate(self.iz):
+                if _anticommute(xj, zj, xk, zk) != (j == k):
                     return False
-                if j < k:
-                    if not self.x_image(j).commutes_with(self.x_image(k)):
-                        return False
-                    if not self.z_image(j).commutes_with(self.z_image(k)):
+            for rows in (self.ix, self.iz):
+                xa, za, _ = rows[j]
+                for xb, zb, _ in rows[j + 1:]:
+                    if _anticommute(xa, za, xb, zb):
                         return False
         return True
-
-
-def _negate(p: PauliString) -> PauliString:
-    q = p.copy()
-    q.phase_exp = (q.phase_exp + 2) & 3
-    return q
 
 
 def frame_absorb(tableau: CliffordTableau, gate: str, targets: Sequence[int]) -> CliffordTableau:
@@ -600,7 +459,8 @@ def random_pauli(n: int, rng: np.random.Generator, allow_identity: bool = False)
     while True:
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
         z = rng.integers(0, 2, size=n, dtype=np.uint8)
-        p = PauliString(n, x, z, 0)
+        p = PauliString(n, sum(1 << int(j) for j in np.flatnonzero(x)),
+                        sum(1 << int(j) for j in np.flatnonzero(z)))
         p.phase_exp = p.y_count() & 3  # Hermitian, sign +
         if int(rng.integers(0, 2)):
             p.phase_exp = (p.phase_exp + 2) & 3

@@ -54,21 +54,22 @@ class ShotRng:
 
     Draw c of a shot is ``mix64(key + c * golden)`` with
     ``key = mix64(mix64(seed) ^ shot)``. For the shots in [``_lo``,
-    ``_hi``), ``_keys`` holds the keys and ``_draws`` (flat, ``_width`` per
-    shot) the first draws. The current shot is entry ``_slot`` of the table
-    with its first draw at ``_row`` and ``_avail`` draws tabulated; a shot
-    outside the table has ``_avail`` 0 and its key in ``_key``.
+    ``_hi``), ``_keys`` holds the keys, ``_draws`` (flat, ``_width`` per
+    shot) the first draws and ``_uniforms`` their :meth:`uniform` values.
+    The current shot is entry ``_slot`` of the table with its first draw at
+    ``_row`` and ``_avail`` draws tabulated; a shot outside the table has
+    ``_avail`` 0 and its key in ``_key``.
     """
 
-    __slots__ = ("_seed_mix", "_key", "_count", "_keys", "_draws", "_tmp", "_slot",
-                 "_row", "_width", "_avail", "_lo", "_hi", "_need", "_prev")
+    __slots__ = ("_seed_mix", "_key", "_count", "_keys", "_draws", "_uniforms", "_tmp",
+                 "_slot", "_row", "_width", "_avail", "_lo", "_hi", "_need", "_prev")
 
     def __init__(self, seed: int, shot: int = 0):
         self._seed_mix = mix64(seed & _MASK)
         self._key = 0
         self._count = 0
         self._keys = np.empty(_BLOCK, dtype=np.uint64)
-        self._draws = self._tmp = None
+        self._draws = self._uniforms = self._tmp = None
         self._slot = self._row = 0
         self._width = -1  # no table yet
         self._avail = 0
@@ -100,6 +101,7 @@ class ShotRng:
         if width != self._width:
             self._width = width
             self._draws = np.empty(_BLOCK * width, dtype=np.uint64)
+            self._uniforms = np.empty(_BLOCK * width, dtype=np.float64)
             self._tmp = np.empty(_BLOCK * max(width, 1), dtype=np.uint64)
         keys, tmp = self._keys, self._tmp
         np.add(_SHOTS, np.uint64(lo), out=keys)
@@ -110,6 +112,8 @@ class ShotRng:
             np.multiply(_SHOTS[:width], _GOLDEN_U64, out=steps)  # c * golden, c < width
             np.add(keys[:, None], steps, out=self._draws.reshape(_BLOCK, width))
             _mix64_inplace(self._draws, tmp)
+            np.right_shift(self._draws, 11, out=tmp)
+            np.multiply(tmp, 2.0 ** -53, out=self._uniforms)  # exact, as in uniform()
         self._lo, self._hi = lo, lo + _BLOCK
 
     def next_u64(self) -> int:
@@ -125,12 +129,15 @@ class ShotRng:
         return x ^ (x >> 31)
 
     def uniform(self) -> float:
-        """Uniform float in [0, 1)."""
+        """Uniform float in [0, 1): the top 53 bits of a draw, scaled exactly.
+
+        Scaling all 64 bits by 2**-64 would round the largest draws up to 1.0.
+        """
         c = self._count
-        if c < self._avail:  # next_u64 inlined for the tabulated case
+        if c < self._avail:  # tabulated with numpy
             self._count = c + 1
-            return self._draws.item(self._row + c) * 5.421010862427522e-20  # 2**-64
-        return self.next_u64() * 5.421010862427522e-20
+            return self._uniforms.item(self._row + c)
+        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def bit(self) -> int:
         return self.next_u64() >> 63
@@ -140,7 +147,7 @@ class ShotRng:
         c = self._count
         if c < self._avail:  # uniform inlined for the tabulated case
             self._count = c + 1
-            return -math.log1p(-(self._draws.item(self._row + c) * 5.421010862427522e-20))
+            return -math.log1p(-self._uniforms.item(self._row + c))
         return -math.log1p(-self.uniform())
 
     @property

@@ -47,7 +47,7 @@ from .backend import (
     ObservableIns,
     PostSelectIns,
 )
-from .pauli import PauliString, bits_to_mask
+from .pauli import PauliString
 from .rng import ShotRng
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -87,7 +87,7 @@ class ShotState:
       and ``views`` keeps the numpy views of the two that vectorized kernels
       reuse from shot to shot.
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
-      virtual qubit j (``pauli.mask_to_bits`` gives the bit vector).
+      virtual qubit j, the bit format of every ``PauliString``.
     * ``records``, ``detectors`` and ``observables`` are bytearrays of 0/1
       bytes.
 
@@ -571,7 +571,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
 
 
 def _c_cond_frame(ins: CondFrame, prog):
-    xmask, zmask, record = bits_to_mask(ins.xmask), bits_to_mask(ins.zmask), ins.record
+    xmask, zmask, record = ins.xmask, ins.zmask, ins.record
 
     def run(st: ShotState) -> None:
         if st.records[record]:
@@ -581,23 +581,15 @@ def _c_cond_frame(ins: CondFrame, prog):
     return run
 
 
-def _site_masks(prog: BytecodeProgram) -> list:
-    """Per noise site, the frame masks of its cases as ints: (x masks, z masks)."""
-    masks = prog.__dict__.get("_site_masks")
-    if masks is None:
-        masks = prog.__dict__["_site_masks"] = [
-            (tuple(map(bits_to_mask, site.case_x)), tuple(map(bits_to_mask, site.case_z)))
-            for site in prog.sites]
-    return masks
-
-
 def _c_noise_block(ins: NoiseBlock, prog):
+    # the closure binds what it reads of ``prog``, not ``prog`` itself: the
+    # program holds its closures, and a reference back would make a cycle
     S = prog.cum_hazard
     sites = prog.sites
     lo, hi = ins.lo, ins.hi
+    plan = _block_plan(prog, lo, hi)
     # a block without certain sites is one hazard segment
-    one_segment = _block_plan(prog, lo, hi) == [(lo, hi)]
-    masks = _site_masks(prog)
+    one_segment = plan == [(lo, hi)]
 
     def run(st: ShotState) -> None:
         ff = st.forced_faults
@@ -606,12 +598,12 @@ def _c_noise_block(ins: NoiseBlock, prog):
             if one_segment:
                 faults = _segment_faults(S, sites, rng, lo, hi)
             else:
-                faults = hazard_sample(prog, lo, hi, rng)
+                faults = _plan_faults(S, sites, plan, rng)
             if faults:
                 for site, case in faults:
-                    xs, zs = masks[site]
-                    st.frame_x ^= xs[case]
-                    st.frame_z ^= zs[case]
+                    tab = sites[site]
+                    st.frame_x ^= tab.case_x[case]
+                    st.frame_z ^= tab.case_z[case]
             return
         for site in range(lo, hi):
             mode = ff[site]
@@ -626,9 +618,8 @@ def _c_noise_block(ins: NoiseBlock, prog):
                 case = _pick_case(tab, rng)
             else:
                 case = mode - 3  # explicit case: mode = case + 3
-            xs, zs = masks[site]
-            st.frame_x ^= xs[case]
-            st.frame_z ^= zs[case]
+            st.frame_x ^= tab.case_x[case]
+            st.frame_z ^= tab.case_z[case]
 
     return run
 
@@ -707,9 +698,14 @@ def hazard_sample(prog: BytecodeProgram, lo: int, hi: int, rng: ShotRng) -> list
     next realized fault, with certain (p=1) sites handled as segment breaks.
     The joint law equals independent per-site Bernoulli draws.
     """
+    return _plan_faults(prog.cum_hazard, prog.sites, _block_plan(prog, lo, hi), rng)
+
+
+def _plan_faults(S, sites, plan, rng: ShotRng) -> list:
+    """The (site, case) faults realized over a block plan: a certain site
+    always fires, each segment between them is hazard-skipped."""
     out: list = []
-    S, sites = prog.cum_hazard, prog.sites
-    for part in _block_plan(prog, lo, hi):
+    for part in plan:
         if isinstance(part, int):
             out.append((part, _pick_case(sites[part], rng)))
         else:
@@ -1014,25 +1010,20 @@ def expectation_probe(prog: BytecodeProgram, state: ShotState,
     mapped = prog.final_tableau.heisenberg_map(observable)
     sign = mapped.hermitian_sign()
     word = mapped.hermitian_word()
-    par = ((bits_to_mask(word.x) & state.frame_z).bit_count()
-           + (bits_to_mask(word.z) & state.frame_x).bit_count()) & 1
+    wx, wz = word.x, word.z
+    par = ((wx & state.frame_z).bit_count() + (wz & state.frame_x).bit_count()) & 1
     active_pos = {v: p for p, v in enumerate(state.active_virtuals)}
     xm = 0
     zm = 0
-    ycount = 0
     for j in word.support():
-        j = int(j)
         if j not in active_pos:
-            if word.x[j]:
+            if (wx >> j) & 1:
                 return 0.0
             continue
         p = active_pos[j]
-        if word.x[j]:
-            xm |= 1 << p
-        if word.z[j]:
-            zm |= 1 << p
-        if word.x[j] and word.z[j]:
-            ycount += 1
+        xm |= ((wx >> j) & 1) << p
+        zm |= ((wz >> j) & 1) << p
+    ycount = (xm & zm).bit_count()
     amps = state.active_view()
     idx = np.arange(len(amps))
     phases = (1j ** (ycount & 3)) * (1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1))

@@ -114,6 +114,19 @@ def test_sample_rejects_missing_postselect_detector(tmp_path, capsys, index):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_framesim_workers_is_usage_error(mirror_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("FRAMESIM_WORKERS", value)
+    assert main(["compile", mirror_file]) == 0  # compile never reads it
+    capsys.readouterr()
+    assert main(["sample", mirror_file, "--shots", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FRAMESIM_WORKERS")
+    monkeypatch.setenv("FRAMESIM_WORKERS", "1")
+    assert main(["sample", mirror_file, "--shots", "3"]) == 0
+
+
 def test_validate_passes(capsys):
     assert main(["validate", "--mirrors", "3", "--fuzz", "6", "--self-test"]) == 0
     assert "all validation checks passed" in capsys.readouterr().out

@@ -65,7 +65,7 @@ def test_mul_xz_is_minus_i_y():
     x = PauliString.single(1, 0, "X")
     z = PauliString.single(1, 0, "Z")
     prod = x.mul(z)
-    assert prod.x[0] == 1 and prod.z[0] == 1
+    assert prod.x == 1 and prod.z == 1
     assert prod.residual_phase() == 3
     assert str(prod) == "-iY"
     assert np.allclose(prod.to_dense(), -1j * _Y)
@@ -312,3 +312,33 @@ def test_compose_and_inverse():
         assert tc.heisenberg_map(p) == tb.heisenberg_map(ta.heisenberg_map(p))
     ident = ta.compose(ta.inverse())
     assert ident.is_identity()
+
+
+@pytest.mark.parametrize("n", [70, 130])
+def test_int_tableau_past_one_machine_word(n):
+    # rows span several 64-bit words; gates land on both sides of each boundary
+    rng = np.random.default_rng(n)
+    word = random_clifford_word(n, 400, rng)
+    left, right = CliffordTableau(n), CliffordTableau(n)
+    for gate, a, b in word:
+        left.absorb_left(gate, a, b)
+        right.absorb_right(gate, a, b)
+    assert left.check_symplectic() and right.check_symplectic()
+    paulis = [random_pauli(n, rng) for _ in range(12)]
+    for t in (left, right):
+        for p in paulis:
+            assert t.forward_map(t.heisenberg_map(p)) == p
+            assert t.heisenberg_map(t.forward_map(p)) == p
+        for p, q in zip(paulis, paulis[1:]):
+            for f in (t.forward_map, t.heisenberg_map):
+                assert p.commutes_with(q) == f(p).commutes_with(f(q))
+    for p in paulis:
+        # left-absorbed U = G_L ... G_1 conjugates gate by gate in word order,
+        # right-absorbed U = G_1 ... G_L in reverse order
+        fwd, rev = p.copy(), p.copy()
+        for gate, a, b in word:
+            fwd.conjugate_gate(gate, a, b)
+        for gate, a, b in reversed(word):
+            rev.conjugate_gate(gate, a, b)
+        assert left.forward_map(p) == fwd
+        assert right.forward_map(p) == rev

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import framesim.rng
 from framesim.backend import Expand, compile_circuit
 from framesim.oracle import expand_factored, fidelity, dense_run
 from framesim.circuit import flatten, parse_circuit
@@ -89,8 +90,30 @@ def test_rng_tabulated_draws_match_scalar_mixer():
             elif kind == 1:
                 assert rng.bit() == want >> 63
             else:
-                assert rng.uniform() == want * 2.0 ** -64
+                assert rng.uniform() == (want >> 11) * 2.0 ** -53
         assert rng.draws == (i % 7 if shot < 1100 else 90)
+
+
+def test_rng_uniform_below_one_at_max_draw(monkeypatch):
+    # the largest draw must map below 1.0, so an exponential stays finite
+    class MaxDraw(ShotRng):
+        def next_u64(self):
+            return 2**64 - 1
+
+    per_draw = MaxDraw(0, 0)
+    assert per_draw.uniform() < 1.0
+    assert math.isfinite(per_draw.exponential())
+
+    # every tabulated draw is the largest one
+    monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(2**64 - 1))
+    tab = ShotRng(0, 0)
+    for shot in range(1, 129):  # one draw per shot, then a tabulated block
+        tab.uniform()
+        tab.reset(shot)
+    assert tab._avail >= 1
+    assert tab.uniform() < 1.0
+    tab.reset(128)
+    assert math.isfinite(tab.exponential())
 
 
 def test_active_array_crosses_list_size_both_ways():
@@ -183,6 +206,30 @@ def test_hazard_sites_after_certain_site_still_fire():
         h1 += 1 in hit
     assert h0 == n
     assert abs(h1 / n - 0.5) < 3 * math.sqrt(0.25 / n)
+
+
+@pytest.mark.parametrize("text", [
+    "H 0\nDEPOLARIZE1(0.2) 0 1\nCX 0 1\nX_ERROR(0.1) 1\nM 0 1\n",
+    # the certain site splits the noise block into several segments
+    "X_ERROR(0.3) 0\nX_ERROR(1.0) 1\nDEPOLARIZE1(0.2) 0\nM 0 1\n",
+], ids=["plain", "certain_site"])
+def test_sampled_program_freed_without_cycle_collector(text):
+    # the program holds its instruction closures; none may refer back to it
+    import gc
+    import weakref
+
+    prog = compile_circuit(text)
+    assert prog.sites
+    for _ in sample(prog, 50, seed=1):
+        pass
+    sample_accumulate(prog, 50, seed=2)
+    ref = weakref.ref(prog)
+    gc.disable()
+    try:
+        del prog
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_hazard_joint_pattern_chi2():
