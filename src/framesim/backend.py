@@ -13,7 +13,9 @@ and emitted as runtime instructions:
 Each runtime operation is emitted in its one executable form: promoting a
 qubit and rotating it is one ``Expand``, measuring an active qubit and
 retiring its axis is one ``MeasCollapse``. ``optimize_bytecode`` then only
-merges neighbouring instructions.
+merges neighbouring instructions. The instruction list is the only record of
+the active dimension k. ``plan_schedule`` plans the scheduling pass's
+candidates, each once, and ``compile_circuit`` keeps the winner's program.
 
 Because the emitted instruction stream, the active-set trajectory, and all
 index/parity operands are fixed here, per-shot execution never makes a
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,9 +39,10 @@ from .hir import (
     ObservableDef,
     PostSelectOp,
     Rot,
+    _rec_name,
     lower_to_hir,
     peephole_pass,
-    schedule_pass,
+    schedule_candidate,
 )
 from .pauli import CliffordTableau, CompileStats, PauliString, bit_indices
 
@@ -120,7 +124,7 @@ class FrameGates:
 class ArrayGate:
     """Local Clifford acting inside the active set: array kernel + frame."""
 
-    gate: str     # CX | CZ | S | S_DAG | H
+    gate: str     # CX | CZ | S | H
     va: int       # virtual qubits (frame side)
     vb: int | None
     axa: int      # axis positions (array side)
@@ -239,7 +243,6 @@ class SiteTable:
 class BytecodeProgram:
     n: int
     instrs: list
-    active_schedule: list        # k after each instruction
     k_max: int
     sites: list                  # SiteTable per noise site
     cum_hazard: list             # length len(sites)+1, prefix -log1p(-p)
@@ -252,10 +255,14 @@ class BytecodeProgram:
     final_active: tuple
     stats: CompileStats
 
+    @property
+    def active_schedule(self) -> list:
+        """k after each instruction: +1 per ``Expand``, -1 per ``MeasCollapse``."""
+        return list(accumulate(isinstance(ins, Expand) - isinstance(ins, MeasCollapse)
+                               for ins in self.instrs))
+
     def dump(self) -> str:
-        lines = []
-        for ins, k in zip(self.instrs, self.active_schedule):
-            lines.append(_render_instr(ins, self))
+        lines = [_render_instr(ins, self) for ins in self.instrs]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def fingerprint(self) -> str:
@@ -269,14 +276,8 @@ class BytecodeProgram:
         self.__dict__.update(state)
 
 
-def _rec_name(prog: BytecodeProgram, record: int) -> str:
-    try:
-        return f"rec[{prog.user_records.index(record)}]"
-    except ValueError:
-        return f"tmp[{record}]"
-
-
 def _render_instr(ins, prog: BytecodeProgram) -> str:
+    recs = prog.user_records
     if isinstance(ins, FrameGates):
         body = " ".join(f"{g} {a}" if b is None else f"{g} {a} {b}" for g, a, b in ins.gates)
         return f"FRAME_CLIFFORD {body}"
@@ -298,14 +299,14 @@ def _render_instr(ins, prog: BytecodeProgram) -> str:
             return f"ARRAY_T_DAG {ins.axis}"
         return f"ARRAY_ROT({ins.angle:.6g}) {ins.axis}"
     if isinstance(ins, MeasDormantStatic):
-        return f"MEAS_DORMANT_STATIC {ins.virt} -> {_rec_name(prog, ins.record)}"
+        return f"MEAS_DORMANT_STATIC {ins.virt} -> {_rec_name(ins.record, recs)}"
     if isinstance(ins, MeasDormantRandom):
-        return f"MEAS_DORMANT_RANDOM {ins.virt} -> {_rec_name(prog, ins.record)}"
+        return f"MEAS_DORMANT_RANDOM {ins.virt} -> {_rec_name(ins.record, recs)}"
     if isinstance(ins, MeasCollapse):
         basis = "".join(g for g, _, _ in ins.pre_gates) or "Z"
-        return (f"MEAS_COLLAPSE[{basis}] {ins.axis} -> {_rec_name(prog, ins.record)}")
+        return (f"MEAS_COLLAPSE[{basis}] {ins.axis} -> {_rec_name(ins.record, recs)}")
     if isinstance(ins, CondFrame):
-        return f"COND_FRAME_PAULI if {_rec_name(prog, ins.record)}"
+        return f"COND_FRAME_PAULI if {_rec_name(ins.record, recs)}"
     if isinstance(ins, NoiseBlock):
         return f"NOISE_BLOCK sites=[{ins.lo}..{ins.hi})"
     if isinstance(ins, DetectorIns):
@@ -313,7 +314,7 @@ def _render_instr(ins, prog: BytecodeProgram) -> str:
     if isinstance(ins, ObservableIns):
         return f"OBSERVABLE L{ins.index}"
     if isinstance(ins, PostSelectIns):
-        where = f"D{ins.ref}" if ins.kind == "detector" else _rec_name(prog, ins.ref)
+        where = f"D{ins.ref}" if ins.kind == "detector" else _rec_name(ins.ref, recs)
         return f"POSTSELECT {where} == {ins.required}"
     return repr(ins)
 
@@ -336,17 +337,12 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
     adj = CliffordTableau(n)     # accumulated virtual adjustment W
     active: dict[int, int] = {}  # virtual qubit -> axis position
     instrs: list = []
-    schedule: list[int] = []
-    k = 0
+    emit = instrs.append
     k_max = 0
     sites: list[SiteTable] = []
     m_active = 0
     rot_count = 0
     postselect_detectors = frozenset(postselect_detectors)
-
-    def emit(ins) -> None:
-        instrs.append(ins)
-        schedule.append(len(active))
 
     def absorb_and_emit_gates(gates) -> None:
         pending: list[tuple] = []
@@ -459,7 +455,7 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
     stats = replace(hir.stats, active_measurements=m_active, k_max=k_max,
                     nonclifford_rotations=rot_count)
     return BytecodeProgram(
-        n=n, instrs=instrs, active_schedule=schedule, k_max=k_max,
+        n=n, instrs=instrs, k_max=k_max,
         sites=sites, cum_hazard=cum_hazard,
         record_count=hir.record_count, user_records=hir.user_records,
         hidden_records=hidden, num_detectors=hir.num_detectors,
@@ -467,33 +463,50 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
         final_tableau=final_tableau, final_active=final_active, stats=stats)
 
 
-def plan_metrics(hir: HirProgram) -> tuple[int, int]:
+def _plan_cost(prog: BytecodeProgram) -> tuple[int, int]:
     """(k_max, total active-array work): the scheduling objective.
 
     Work counts the sweep size of every instruction that touches the dense
     array, so moving frame-only operations between k-levels is free.
     """
-    prog = plan_and_emit(hir)
-    work = sum(getattr(ins, "size", 0) for ins in prog.instrs)
-    return prog.k_max, work
+    return prog.k_max, sum(getattr(ins, "size", 0) for ins in prog.instrs)
+
+
+def plan_metrics(hir: HirProgram) -> tuple[int, int]:
+    """The scheduling objective of ``plan_and_emit(hir)``."""
+    return _plan_cost(plan_and_emit(hir))
+
+
+def plan_schedule(hir: HirProgram, postselect_detectors=()):
+    """``(winner, its program)``: ``schedule_candidate(hir)``, or ``hir``
+    itself if the candidate's (k_max, work) is worse. ``hir`` is planned only
+    if the candidate could lose: k_max 0 leaves no sized instruction, so cost
+    (0, 0), and an unmoved candidate plans the same. ``PostSelectIns`` has no
+    size, so the postselected detectors leave the costs unchanged."""
+    candidate = schedule_candidate(hir)
+    prog = plan_and_emit(candidate, postselect_detectors)
+    if prog.k_max == 0 or all(a is b for a, b in zip(candidate.ops, hir.ops)):
+        return candidate, prog
+    before = plan_and_emit(hir, postselect_detectors)
+    if _plan_cost(prog) > _plan_cost(before):
+        return hir, before
+    return candidate, prog
 
 
 _GATE_2X2 = {
     "S": ((1, 0), (0, 1j)),
-    "S_DAG": ((1, 0), (0, -1j)),
     "H": ((math.sqrt(0.5), math.sqrt(0.5)), (math.sqrt(0.5), -math.sqrt(0.5))),
 }
 _IDENTITY_2X2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
-def _fold_into_collapse(instrs: list, schedule: list, meas: MeasCollapse) -> MeasCollapse:
+def _fold_into_collapse(instrs: list, meas: MeasCollapse) -> MeasCollapse:
     """Pop the run of single-axis array gates on ``meas``'s qubit that ends
     ``instrs`` and fold it into ``meas``'s basis change."""
     gates = []
     while (instrs and isinstance(instrs[-1], ArrayGate) and instrs[-1].gate in _GATE_2X2
            and instrs[-1].axa == meas.axis and instrs[-1].va == meas.virt):
         gates.append(instrs.pop())
-        schedule.pop()
     if not gates:
         return meas
     u = meas.u
@@ -512,22 +525,18 @@ def optimize_bytecode(prog: BytecodeProgram) -> BytecodeProgram:
     before a measurement collapse into it, coalesce noise blocks, and merge
     consecutive frame updates. Full-array traversals never increase."""
     instrs: list = []
-    schedule: list[int] = []
-    for ins, k in zip(prog.instrs, prog.active_schedule):
+    for ins in prog.instrs:
         prev = instrs[-1] if instrs else None
         if isinstance(ins, MeasCollapse):
-            ins = _fold_into_collapse(instrs, schedule, ins)
+            ins = _fold_into_collapse(instrs, ins)
         elif isinstance(ins, NoiseBlock) and isinstance(prev, NoiseBlock) and prev.hi == ins.lo:
             instrs[-1] = NoiseBlock(prev.lo, ins.hi)
-            schedule[-1] = k
             continue
         elif isinstance(ins, FrameGates) and isinstance(prev, FrameGates):
             instrs[-1] = FrameGates(prev.gates + ins.gates)
-            schedule[-1] = k
             continue
         instrs.append(ins)
-        schedule.append(k)
-    return replace(prog, instrs=instrs, active_schedule=schedule)
+    return replace(prog, instrs=instrs)
 
 
 def compile_circuit(circuit_or_text, postselect_detectors=()) -> BytecodeProgram:
@@ -542,10 +551,10 @@ def compile_circuit(circuit_or_text, postselect_detectors=()) -> BytecodeProgram
     else:
         circuit = circuit_or_text
     circuit = flatten(circuit)
-    hir = schedule_pass(peephole_pass(lower_to_hir(circuit)))
+    hir = peephole_pass(lower_to_hir(circuit))
     postselect_detectors = tuple(postselect_detectors)
     for d in postselect_detectors:
         if not 0 <= d < hir.num_detectors:
             raise CompileError(f"postselected detector D{d} does not exist: the circuit "
                                f"has {hir.num_detectors} detector(s)")
-    return optimize_bytecode(plan_and_emit(hir, postselect_detectors=postselect_detectors))
+    return optimize_bytecode(plan_schedule(hir, postselect_detectors)[1])

@@ -26,7 +26,7 @@ def _read_circuit(path: str | None) -> str:
         return fh.read()
 
 
-def _parse_detector_list(text: str | None):
+def _parse_detector_list(text: str):
     if not text:
         return ()
     try:
@@ -46,8 +46,7 @@ def cmd_compile(args) -> int:
             hir = schedule_pass(peephole_pass(lower_to_hir(circuit)))
             sys.stdout.write(hir.dump())
             return 0
-        prog = compile_circuit(
-            circuit, postselect_detectors=_parse_detector_list(args.postselect_detectors))
+        prog = compile_circuit(circuit, postselect_detectors=args.postselect_detectors)
     except Exception as exc:  # compile failures are check failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -85,9 +84,8 @@ def cmd_sample(args) -> int:
                   file=sys.stderr)
             return 2
     try:
-        prog = compile_circuit(
-            _read_circuit(args.circuit),
-            postselect_detectors=_parse_detector_list(args.postselect_detectors))
+        prog = compile_circuit(_read_circuit(args.circuit),
+                               postselect_detectors=args.postselect_detectors)
     except (CircuitError, CompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -172,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("circuit", nargs="?", help="circuit file (default stdin)")
     c.add_argument("--emit", choices=("hir", "bytecode", "stats"), default="stats")
     c.add_argument("--json", action="store_true", help="stats as JSON")
-    c.add_argument("--postselect-detectors", default=None,
+    c.add_argument("--postselect-detectors", type=_parse_detector_list, default=(),
                    help="comma-separated detector indices required to be 0")
     c.set_defaults(func=cmd_compile)
 
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--stratum-w", type=int, default=None,
                    help="importance-sample with exactly this many faults")
-    s.add_argument("--postselect-detectors", default=None)
+    s.add_argument("--postselect-detectors", type=_parse_detector_list, default=())
     s.add_argument("--keep-rejected", action="store_true")
     s.set_defaults(func=cmd_sample)
 

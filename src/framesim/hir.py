@@ -14,7 +14,8 @@ Two passes rewrite the op list:
   absorbing them into the final frame while conjugating all later ops.
 * ``schedule_pass`` bubbles measurements earlier and rotations later through
   commuting swaps, keeping the result only if the planned peak active
-  dimension (and then total active work) does not get worse.
+  dimension (and then total active work) does not get worse. The backend's
+  ``plan_schedule`` does that planning and hands the plan to the compiler.
 """
 from __future__ import annotations
 
@@ -451,17 +452,13 @@ def _support(op) -> int:
     return out
 
 
-def schedule_pass(hir: HirProgram) -> HirProgram:
+def schedule_candidate(hir: HirProgram) -> HirProgram:
     """Pull measurements earlier and push rotations later via commuting swaps.
 
     A bubble stops before crossing a rotation/measurement that shares qubit
     support with the moved op (crossing such a commuting neighbour forfeits
-    the contraction the move was after). The result is kept only if backend
-    planning confirms the peak active dimension, then the total active-array
-    work, did not get worse.
+    the contraction the move was after). Only reorders ops.
     """
-    from .backend import plan_metrics
-
     ops = list(hir.ops)
     for i in range(len(ops)):
         if isinstance(ops[i], Meas):
@@ -483,9 +480,12 @@ def schedule_pass(hir: HirProgram) -> HirProgram:
                     break
                 ops[j], ops[j + 1] = ops[j + 1], ops[j]
                 j += 1
-    candidate = replace(hir, ops=ops)
-    before = plan_metrics(hir)
-    after = plan_metrics(candidate)
-    if after[0] > before[0] or (after[0] == before[0] and after[1] > before[1]):
-        return hir
-    return candidate
+    return replace(hir, ops=ops)
+
+
+def schedule_pass(hir: HirProgram) -> HirProgram:
+    """:func:`schedule_candidate`, or ``hir`` itself if the backend's plans
+    show a worse peak active dimension, then total active-array work."""
+    from .backend import plan_schedule
+
+    return plan_schedule(hir)[0]

@@ -160,18 +160,15 @@ class ShotState:
 #
 # Each _c_* factory binds one instruction's operands and returns run(st).
 
-_FRAME_OPCODES = {"H": 0, "S": 1, "S_DAG": 1, "CX": 2, "CZ": 3, "SWAP": 4}
+# the gates the backend emits: localization's CX, CZ and S, plus H
+_FRAME_OPCODES = {"H": 0, "S": 1, "CX": 2, "CZ": 3}
 
 
 def _frame_ops(gates) -> tuple:
-    """(opcode, mask_a, mask_b) for each gate of a Clifford word that moves
-    frame bits; X/Y/Z conjugations never do."""
-    ops = []
-    for g, a, b in gates:
-        op = _FRAME_OPCODES.get(g)
-        if op is not None:
-            ops.append((op, 1 << a, 0 if b is None else 1 << b))
-    return tuple(ops)
+    """(opcode, mask_a, mask_b) for each gate of a Clifford word; a gate the
+    backend does not emit is a KeyError here, when it is specialized."""
+    return tuple((_FRAME_OPCODES[g], 1 << a, 0 if b is None else 1 << b)
+                 for g, a, b in gates)
 
 
 def _conjugate_frame(ops, fx: int, fz: int) -> tuple[int, int]:
@@ -186,22 +183,14 @@ def _conjugate_frame(ops, fx: int, fz: int) -> tuple[int, int]:
             if (fx ^ fz) & ma:
                 fx ^= ma
                 fz ^= ma
-        elif op == 1:  # S, S_DAG
+        elif op == 1:  # S
             if fx & ma:
                 fz ^= ma
-        elif op == 3:  # CZ
+        else:  # CZ
             if fx & ma:
                 fz ^= mb
             if fx & mb:
                 fz ^= ma
-        else:  # SWAP: flipping both bits swaps them when they differ
-            both = ma | mb
-            t = fx & both
-            if t and t != both:
-                fx ^= both
-            t = fz & both
-            if t and t != both:
-                fz ^= both
     return fx, fz
 
 
@@ -240,9 +229,8 @@ def _c_array_gate(ins: ArrayGate, prog):
     g, size = ins.gate, ins.size
     a, b = ins.axa, ins.axb
     ops = _frame_ops(((g, ins.va, ins.vb),))
-    if g in ("S", "S_DAG"):
-        ph = 1j if g == "S" else -1j
-        ph_np = _c0(ph)
+    if g == "S":
+        ph_np = _c0(1j)
         ones = _indices(size, lambda i: (i >> a) & 1)
 
         def make(st):
@@ -253,7 +241,7 @@ def _c_array_gate(ins: ArrayGate, prog):
             if size <= _SMALL:
                 amps = st.amps
                 for i in ones:
-                    amps[i] *= ph
+                    amps[i] *= 1j
             else:
                 v1 = _views(st, make)
                 np.multiply(v1, ph_np, out=v1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from framesim import backend
 from framesim.backend import (
     ArrayGate,
     ArrayRot,
@@ -25,6 +26,7 @@ from framesim.backend import (
 from framesim.circuit import flatten, parse_circuit
 from framesim.hir import lower_to_hir, peephole_pass, schedule_pass
 from framesim.pauli import PauliString, random_pauli
+from framesim.testing import random_circuit, repetition_code_circuit
 
 from test_pauli import GATE_MATS, embed
 
@@ -302,3 +304,41 @@ def test_schedule_is_amplitude_and_seed_free():
     np.random.seed(99)
     b = compile_circuit(MIRROR).fingerprint()
     assert a == b
+
+
+@pytest.mark.parametrize("text, planned", [
+    (repetition_code_circuit(3, 2, 0.01).serialize(), 1),  # no Rot: k_max is 0
+    (MIRROR, 2),
+], ids=["repetition_code", "mirror"])
+def test_compile_plans_each_candidate_once(monkeypatch, text, planned):
+    calls = []
+    real = backend.plan_and_emit
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "plan_and_emit", counting)
+    compile_circuit(text)
+    assert len(calls) == planned
+
+
+def test_one_call_and_staged_pipelines_agree():
+    """``compile_circuit`` keeps the program planned for the schedule's
+    winner; it must equal planning the winner again, rejected or kept."""
+    rng = np.random.default_rng(12345)
+    rejected = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        depth = int(rng.integers(3, 60))
+        rot_rate = float(rng.uniform(0.05, 0.5))
+        measure_rate = float(rng.uniform(0.05, 0.3))
+        circ = random_circuit(rng, n, depth, p_noise=0.1, reset_rate=0.05,
+                              feedforward_rate=0.05, rot_rate=rot_rate,
+                              measure_rate=measure_rate)
+        hir = peephole_pass(lower_to_hir(flatten(circ)))
+        scheduled = schedule_pass(hir)
+        rejected += scheduled is hir
+        staged = optimize_bytecode(plan_and_emit(scheduled))
+        assert compile_circuit(circ).fingerprint() == staged.fingerprint()
+    assert rejected >= 5

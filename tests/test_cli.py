@@ -161,3 +161,14 @@ def test_cli_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("command", [["compile"], ["sample", "--shots", "5"]])
+def test_malformed_postselect_detectors_is_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "d.txt"
+    p.write_text("X_ERROR(0.5) 0\nM 0\nDETECTOR rec[-1]\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(p), *command[1:], "--postselect-detectors", "a"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "bad detector list" in captured.err and "Traceback" not in captured.err
