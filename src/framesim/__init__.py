@@ -43,7 +43,6 @@ from .runtime import (
     StratumSpec,
     expectation_probe,
     hazard_sample,
-    importance_sample,
     poisson_binomial,
     run_shot,
     sample,
@@ -57,7 +56,7 @@ __all__ = [
     "RatioInterval", "Rec", "ShotRecord", "ShotState", "StratumSpec",
     "attenuation_model", "compile_circuit", "dense_run",
     "expand_factored", "expectation_probe", "fidelity", "flatten",
-    "frame_absorb", "hazard_sample", "importance_sample",
+    "frame_absorb", "hazard_sample",
     "localize", "lower_to_hir", "optimize_bytecode", "parse_circuit",
     "pauli_frame_reference_sample", "peephole_pass",
     "plan_and_emit", "poisson_binomial", "ratio_credible_interval",

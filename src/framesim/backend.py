@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
-import numpy as np
-
 from .circuit import flatten, parse_circuit
 from .hir import (
     CondPauli,
@@ -191,8 +189,6 @@ class MeasCollapse:
     size: int
     u: tuple                   # ((u00, u01), (u10, u11)) complex
     pre_gates: tuple
-    idx0: np.ndarray | None    # gather indices of branch 0 (None: the halves are slices)
-    idx1: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,6 @@ class BytecodeProgram:
     cum_hazard: list             # length len(sites)+1, prefix -log1p(-p)
     record_count: int
     user_records: tuple
-    hidden_records: tuple
     num_detectors: int
     num_observables: int
     final_tableau: CliffordTableau
@@ -401,18 +396,11 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 axis = active[v]
                 m_active += 1
                 size = 1 << len(active)
-                if axis == len(active) - 1:
-                    idx0 = idx1 = None
-                else:
-                    all_idx = np.arange(size)
-                    idx0 = all_idx[(all_idx >> axis) & 1 == 0]
-                    idx1 = all_idx[(all_idx >> axis) & 1 == 1]
                 del active[v]
                 for u, ax in list(active.items()):
                     if ax > axis:
                         active[u] = ax - 1
-                emit(MeasCollapse(v, axis, op.record, flip, size, _IDENTITY_2X2, (),
-                                  idx0, idx1))
+                emit(MeasCollapse(v, axis, op.record, flip, size, _IDENTITY_2X2, ()))
         elif isinstance(op, NoiseEvent):
             if op.site != len(sites):
                 raise CompileError("noise sites out of order")
@@ -451,15 +439,13 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
 
     final_tableau = hir.final_frame.compose(adj.inverse())
     final_active = tuple(v for v, ax in sorted(active.items(), key=lambda kv: kv[1]))
-    hidden = tuple(sorted(set(range(hir.record_count)) - set(hir.user_records)))
     stats = replace(hir.stats, active_measurements=m_active, k_max=k_max,
                     nonclifford_rotations=rot_count)
     return BytecodeProgram(
         n=n, instrs=instrs, k_max=k_max,
         sites=sites, cum_hazard=cum_hazard,
         record_count=hir.record_count, user_records=hir.user_records,
-        hidden_records=hidden, num_detectors=hir.num_detectors,
-        num_observables=hir.num_observables,
+        num_detectors=hir.num_detectors, num_observables=hir.num_observables,
         final_tableau=final_tableau, final_active=final_active, stats=stats)
 
 

@@ -28,6 +28,13 @@ ANNOTATIONS = ("DETECTOR", "OBSERVABLE_INCLUDE", "TICK", "QUBIT_COORDS", "POSTSE
 OPCODES = frozenset(CLIFFORD_1Q + CLIFFORD_2Q + ROTATIONS + MEASUREMENTS
                     + NOISE_1Q + NOISE_2Q + ANNOTATIONS + ("R",))
 
+# Size limits checked before flattening allocates anything. Compile time
+# grows with qubits times targets, so one stray index (``H 2047``) already
+# costs seconds; the target limit keeps flatten and compile within about a
+# gigabyte, whatever the REPEAT counts.
+MAX_QUBITS = 2048
+MAX_TARGETS = 1 << 20  # flattened targets; an instruction without any counts one
+
 _ARG_COUNT = {"R_X": 1, "R_Y": 1, "R_Z": 1, "X_ERROR": 1, "Y_ERROR": 1,
               "Z_ERROR": 1, "DEPOLARIZE1": 1, "DEPOLARIZE2": 1,
               "OBSERVABLE_INCLUDE": 1}
@@ -300,8 +307,16 @@ def flatten(circuit: Circuit) -> Circuit:
 
     Idempotent; raises on lookbacks that reach past the records produced so
     far. Detector / observable / postselect record references are resolved
-    the same way as classical controls.
+    the same way as classical controls. A circuit over more than
+    ``MAX_QUBITS`` qubits or ``MAX_TARGETS`` flattened targets is refused
+    before anything is expanded.
     """
+    n = circuit.qubit_count
+    if n > MAX_QUBITS:
+        raise CircuitError(f"circuit uses {n} qubits; the limit is {MAX_QUBITS}")
+    size = _flat_targets(circuit)
+    if size > MAX_TARGETS:
+        raise CircuitError(f"circuit flattens to {size} targets; the limit is {MAX_TARGETS}")
     out = Circuit()
     _flatten_into(circuit, out, record_count=0)
     return out
@@ -344,4 +359,15 @@ def instruction_count(circuit: Circuit) -> int:
             total += ins.count * instruction_count(ins.body)
         else:
             total += 1
+    return total
+
+
+def _flat_targets(circuit: Circuit) -> int:
+    """Flattened targets, counting an instruction without targets as one."""
+    total = 0
+    for ins in circuit.instructions:
+        if isinstance(ins, RepeatBlock):
+            total += ins.count * _flat_targets(ins.body)
+        else:
+            total += max(1, len(ins.targets))
     return total

@@ -46,7 +46,6 @@ class Meas:
     observable: PauliString
     record: int
     flip: bool = False
-    hidden: bool = False
 
 
 @dataclass
@@ -218,7 +217,7 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                 phys_z = PauliString.single(n, q, "Z")
                 mapped = frame.heisenberg_map(phys_z)
                 ops.append(Meas(mapped.hermitian_word(), records,
-                                flip=mapped.hermitian_sign() < 0, hidden=True))
+                                flip=mapped.hermitian_sign() < 0))
                 phys_x = PauliString.single(n, q, "X")
                 ops.append(CondPauli(frame.heisenberg_map(phys_x), records))
                 records += 1
@@ -385,7 +384,7 @@ def _absorb_clifford_rotation(ops: list, start: int, word: PauliString, m: int,
         elif isinstance(op, Meas):
             g = _conjugate_by_quarter(op.observable, word, m)
             ops[idx] = Meas(g.hermitian_word(), op.record,
-                            flip=op.flip ^ (g.hermitian_sign() < 0), hidden=op.hidden)
+                            flip=op.flip ^ (g.hermitian_sign() < 0))
         elif isinstance(op, NoiseEvent):
             ops[idx] = NoiseEvent(op.site, [(mass, _conjugate_by_quarter(p, word, m))
                                             for mass, p in op.cases])

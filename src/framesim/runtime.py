@@ -6,9 +6,14 @@ observable bytes, and a counter-based RNG stream. One loop runs every shot,
 for ``run_shot``, ``sample`` (serial or in workers) and
 ``sample_accumulate`` alike: it resets what a shot reads before it writes
 it, draws a stratum's forced faults, and walks the instruction list until
-the end or a failed postselection. Storage is reused from shot to shot, and
-nothing consults the amplitudes to decide control flow (the compiler fixed
-the schedule).
+the end or a failed postselection. A shot's faults reach the ``NoiseBlock``
+kernels in one form, a sorted list of ``(site, case)`` pairs: the
+hazard-skip sampler produces it per block, and a forced run (``run_shot``'s
+``forced_faults``, ``testing.crosscheck``, ``StratumSpec.draw_forced``)
+passes it for the whole shot, where a ``None`` case is drawn when its block
+runs, in the order the sampled path draws it. Storage is reused from shot
+to shot, and nothing consults the amplitudes to decide control flow (the
+compiler fixed the schedule).
 
 The dispatch loop is threaded code: each instruction is specialized once
 into a closure with its operands (qubit masks, index tuples, precomputed
@@ -26,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +105,11 @@ class ShotState:
 
     __slots__ = ("n", "k", "k_max", "amps", "buf", "scratch", "views", "frame_x", "frame_z",
                  "gamma", "records", "detectors", "observables", "weight",
-                 "accepted", "rng", "renormalize", "forced_faults",
+                 "accepted", "rng", "forced_faults",
                  "forced_outcomes", "active_virtuals", "_zero_records",
                  "_blank", "_bits")
 
-    def __init__(self, prog: BytecodeProgram, seed: int = 0, renormalize: bool = True):
+    def __init__(self, prog: BytecodeProgram, seed: int = 0):
         self.n = prog.n
         self.k_max = prog.k_max
         cap = 1 << prog.k_max
@@ -123,7 +128,6 @@ class ShotState:
         self._bits = tuple(np.frombuffer(b, dtype=np.uint8) for b in
                            (self.records, self.detectors, self.observables))
         self.rng = ShotRng(seed, 0)
-        self.renormalize = renormalize
         self.forced_faults = None
         self.forced_outcomes = None
         self.active_virtuals = prog.final_active
@@ -456,7 +460,12 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
     step = 1 << a
     # (branch-0, branch-1) index pairs; pair i becomes entry i after collapse
     pairs = tuple((i, i + step) for i in _indices(size, lambda i: not (i >> a) & 1))
-    idx0, idx1 = ins.idx0, ins.idx1  # gathers of the two halves; None: the halves are slices
+    # gathers of the two halves, unless they are the array's two slices
+    idx0 = idx1 = None
+    if size > _SMALL and step < half:
+        all_idx = np.arange(size)
+        idx0 = all_idx[(all_idx >> a) & 1 == 0]
+        idx1 = all_idx[(all_idx >> a) & 1 == 1]
     u10_np, u11_np = _c0(u10), _c0(u11)
 
     def make(st):
@@ -530,8 +539,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                     f"forced outcome {forced} for record {record} has probability"
                     f" {p_branch:.3e}")
         st.records[record] = branch ^ parity ^ flip
-        renorm = st.renormalize
-        scale = 1.0 / math.sqrt(p_branch * p_all) if renorm else 1.0
+        scale = 1.0 / math.sqrt(p_branch * p_all)
         if size == 2:
             amps[0] = (b1 if branch else b0) * scale
         elif size <= _SMALL:
@@ -552,8 +560,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             fx ^= m
         st.frame_x, st.frame_z = fx, fz
         st.k -= 1
-        if renorm:
-            st.gamma *= math.sqrt(p_branch)
+        st.gamma *= math.sqrt(p_branch)
 
     return run
 
@@ -575,9 +582,10 @@ def _c_noise_block(ins: NoiseBlock, prog):
     S = prog.cum_hazard
     sites = prog.sites
     lo, hi = ins.lo, ins.hi
-    plan = _block_plan(prog, lo, hi)
+    plan = _block_plan(sites, lo, hi)
     # a block without certain sites is one hazard segment
     one_segment = plan == [(lo, hi)]
+    lo_key, hi_key = (lo,), (hi,)  # (s,) sorts just before the pairs of site s
 
     def run(st: ShotState) -> None:
         ff = st.forced_faults
@@ -587,25 +595,14 @@ def _c_noise_block(ins: NoiseBlock, prog):
                 faults = _segment_faults(S, sites, rng, lo, hi)
             else:
                 faults = _plan_faults(S, sites, plan, rng)
-            if faults:
-                for site, case in faults:
-                    tab = sites[site]
-                    st.frame_x ^= tab.case_x[case]
-                    st.frame_z ^= tab.case_z[case]
-            return
-        for site in range(lo, hi):
-            mode = ff[site]
-            if mode == 2:
-                continue
+            if not faults:
+                return
+        else:
+            faults = ff[bisect_left(ff, lo_key):bisect_left(ff, hi_key)]
+        for site, case in faults:
             tab = sites[site]
-            if mode == 0:
-                if not tab.case_cum or rng.uniform() >= tab.prob:
-                    continue
+            if case is None:
                 case = _pick_case(tab, rng)
-            elif mode == 1:
-                case = _pick_case(tab, rng)
-            else:
-                case = mode - 3  # explicit case: mode = case + 3
             st.frame_x ^= tab.case_x[case]
             st.frame_z ^= tab.case_z[case]
 
@@ -686,7 +683,7 @@ def hazard_sample(prog: BytecodeProgram, lo: int, hi: int, rng: ShotRng) -> list
     next realized fault, with certain (p=1) sites handled as segment breaks.
     The joint law equals independent per-site Bernoulli draws.
     """
-    return _plan_faults(prog.cum_hazard, prog.sites, _block_plan(prog, lo, hi), rng)
+    return _plan_faults(prog.cum_hazard, prog.sites, _block_plan(prog.sites, lo, hi), rng)
 
 
 def _plan_faults(S, sites, plan, rng: ShotRng) -> list:
@@ -727,21 +724,19 @@ def _pick_case(site, rng: ShotRng) -> int:
     return min(c, len(site.case_cum) - 1)
 
 
-def _block_plan(prog: BytecodeProgram, lo: int, hi: int):
-    cache = prog.__dict__.setdefault("_block_plans", {})
-    plan = cache.get((lo, hi))
-    if plan is None:
-        plan = []
-        start = lo
-        for s in range(lo, hi):
-            if prog.sites[s].prob >= 1.0:
-                if start < s:
-                    plan.append((start, s))
-                plan.append(s)
-                start = s + 1
-        if start < hi:
-            plan.append((start, hi))
-        cache[(lo, hi)] = plan
+def _block_plan(sites, lo: int, hi: int) -> list:
+    """Sites [lo, hi) as a plan for :func:`_plan_faults`: each certain (p=1)
+    site on its own, the runs between them as (start, stop) segments."""
+    plan: list = []
+    start = lo
+    for s in range(lo, hi):
+        if sites[s].prob >= 1.0:
+            if start < s:
+                plan.append((start, s))
+            plan.append(s)
+            start = s + 1
+    if start < hi:
+        plan.append((start, hi))
     return plan
 
 
@@ -750,34 +745,35 @@ def _block_plan(prog: BytecodeProgram, lo: int, hi: int):
 
 def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 0,
              seed: int = 0, forced_faults=None, forced_outcomes=None,
-             weight: float = 1.0, trace=None) -> ShotRecord:
+             trace=None) -> ShotRecord:
     """Execute one shot; returns its record. ``state`` is reused if given.
 
-    ``forced_faults`` holds one mode per noise site (bytes or bytearray):
-    0 = sample, 1 = trigger, 2 = skip, 3 + c = case c. ``forced_outcomes``
-    maps record indices to the outcome a measurement must give.
+    ``forced_faults`` is the shot's faults as a list of ``(site, case)``
+    pairs sorted by site, each site at most once: exactly the listed sites
+    fire, so ``[]`` means no fault fires, and a case of ``None`` is drawn
+    from the site's case law when its block runs. ``None`` (the default)
+    samples the faults. ``forced_outcomes`` maps record indices to the
+    outcome a measurement must give.
     """
     if state is None:
         state = ShotState(prog, seed=seed)
-    _run(prog, _compiled(prog), state, shot, None, forced_faults, forced_outcomes, weight,
-         trace)
+    _run(prog, _compiled(prog), state, shot, None, forced_faults, forced_outcomes, trace)
     return make_record(prog, state)
 
 
 def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_faults=None,
-         forced_outcomes=None, weight: float = 1.0, trace=None) -> bool:
-    """Run shot ``shot`` of ``prog`` on ``state``: reset, draw the stratum's
-    forced faults (which then replace ``forced_faults`` and ``weight``), run
-    ``code``, the program's closures, until the end or a failed
-    postselection. ``trace(state, ins)`` is called after each instruction.
-    Returns whether the shot was accepted."""
+         forced_outcomes=None, trace=None) -> bool:
+    """Run shot ``shot`` of ``prog`` on ``state``: reset, let the stratum
+    draw the shot's fault list (which then replaces ``forced_faults``) and
+    set its weight, run ``code``, the program's closures, until the end or a
+    failed postselection. ``trace(state, ins)`` is called after each
+    instruction. Returns whether the shot was accepted."""
     state.reset(shot)
     if stratum is not None:
         forced_faults = stratum.draw_forced(state.rng)
-        weight = stratum.weight
+        state.weight = stratum.weight
     state.forced_faults = forced_faults
     state.forced_outcomes = forced_outcomes
-    state.weight = weight
     try:
         if trace is None:
             for fn in code:
@@ -815,7 +811,7 @@ def _user_idx(prog: BytecodeProgram):
 
 
 def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
-           renormalize: bool = True, stratum=None, keep_rejected: bool = True):
+           stratum=None, keep_rejected: bool = True):
     """Yield ShotRecords for shot indices 0..shots-1, deterministically.
 
     Records depend only on (seed, shot index): any worker split produces the
@@ -825,10 +821,9 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if workers > 1:
-        yield from _sample_parallel(prog, shots, seed, workers, renormalize,
-                                    stratum, keep_rejected)
+        yield from _sample_parallel(prog, shots, seed, workers, stratum, keep_rejected)
         return
-    state = ShotState(prog, seed=seed, renormalize=renormalize)
+    state = ShotState(prog, seed=seed)
     code = _compiled(prog)
     for shot in range(shots):
         if _run(prog, code, state, shot, stratum) or keep_rejected:
@@ -836,19 +831,19 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
 
 
 def _worker_range(args):
-    prog, lo, hi, seed, renormalize, stratum, keep_rejected = args
-    state = ShotState(prog, seed=seed, renormalize=renormalize)
+    prog, lo, hi, seed, stratum, keep_rejected = args
+    state = ShotState(prog, seed=seed)
     code = _compiled(prog)
     return [make_record(prog, state) for s in range(lo, hi)
             if _run(prog, code, state, s, stratum) or keep_rejected]
 
 
-def _sample_parallel(prog, shots, seed, workers, renormalize, stratum, keep_rejected):
+def _sample_parallel(prog, shots, seed, workers, stratum, keep_rejected):
     import multiprocessing as mp
 
     workers = min(workers, shots, os.cpu_count() or 1)
     bounds = np.linspace(0, shots, workers + 1).astype(int)
-    jobs = [(prog, int(lo), int(hi), seed, renormalize, stratum, keep_rejected)
+    jobs = [(prog, int(lo), int(hi), seed, stratum, keep_rejected)
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     ctx = mp.get_context("fork")
     with ctx.Pool(len(jobs)) as pool:
@@ -933,54 +928,40 @@ class StratumSpec:
             raise ValueError(f"stratum fault count {w} exceeds {e} sites")
         self.w = w
         self.probs = probs
-        # suffix[i] = pmf of the fault count over sites i..E-1
-        self.suffix = [None] * (e + 1)
-        self.suffix[e] = np.array([1.0])
+        # suffix[i][c] = Pr[c faults among sites i..E-1], for counts c <= w,
+        # by the recurrence of poisson_binomial in its float operation order
+        suffix = [None] * e + [[1.0]]
         for i in range(e - 1, -1, -1):
             p = probs[i]
-            prev = self.suffix[i + 1]
-            nxt = np.zeros(len(prev) + 1)
-            nxt[:-1] += prev * (1.0 - p)
-            nxt[1:] += prev * p
-            self.suffix[i] = nxt
-        self.weight = float(self.suffix[0][w]) if w < len(self.suffix[0]) else 0.0
-        # the entries draw_forced reads (counts up to w), as Python floats
-        self._heads = [t[:w + 1].tolist() for t in self.suffix]
+            q = 1.0 - p
+            prev = suffix[i + 1]
+            nxt = [prev[c] * q + prev[c - 1] * p for c in range(1, len(prev))]
+            nxt.insert(0, prev[0] * q)
+            if len(prev) <= w:
+                nxt.append(prev[-1] * p)
+            suffix[i] = nxt
+        self.suffix = suffix
+        self.weight = suffix[0][w]
 
-    def draw_forced(self, rng: ShotRng) -> bytearray:
-        """One forced-fault mode per site: 1 = trigger, 2 = skip."""
+    def draw_forced(self, rng: ShotRng) -> list:
+        """The shot's fault list: ``(site, None)`` for each of the w sites
+        drawn, in site order; their cases are drawn when their blocks run."""
         e = len(self.probs)
-        flags = bytearray(b"\x02") * e
-        heads = self._heads
+        suffix = self.suffix
         need = self.w
+        out = []
         for i in range(e):
             if need == 0:
                 break
-            remaining = e - i
-            if remaining == need:
-                flags[i:] = b"\x01" * need
-                need = 0
+            if e - i == need:
+                out.extend((j, None) for j in range(i, e))
                 break
-            tail = heads[i + 1]
-            p_here = self.probs[i] * (tail[need - 1] if need - 1 < len(tail) else 0.0)
-            p_total = heads[i][need]
-            if rng.uniform() * p_total < p_here:
-                flags[i] = 1
+            # 0 < need < e - i, so both counts are inside the tables
+            p_here = self.probs[i] * suffix[i + 1][need - 1]
+            if rng.uniform() * suffix[i][need] < p_here:
+                out.append((i, None))
                 need -= 1
-        return flags
-
-
-def importance_sample(prog: BytecodeProgram, stratum, shots: int, seed: int = 0,
-                      workers: int = 1, keep_rejected: bool = True):
-    """Weighted records conditioned on a fault-count stratum.
-
-    ``stratum`` is a :class:`StratumSpec` or a fault count w; every record
-    carries weight Pr[W = w].
-    """
-    if not isinstance(stratum, StratumSpec):
-        stratum = StratumSpec(prog, int(stratum))
-    return sample(prog, shots, seed=seed, workers=workers, stratum=stratum,
-                  keep_rejected=keep_rejected)
+        return out
 
 
 # -- expectation probe -----------------------------------------------------------

@@ -160,20 +160,18 @@ def crosscheck(circuit: Circuit, seed: int = 0,
                checkpoints: bool = False) -> dict:
     """Force one oracle trajectory onto the compiled VM and compare.
 
-    Returns per-comparison booleans/fidelities; raises nothing on mismatch so
-    callers can report. With ``checkpoints`` every circuit prefix is compiled
-    and expanded against the truncated oracle run under the same plans.
+    The oracle's measurement outcomes become the VM's forced outcomes, and
+    ``fault_plan`` (site -> case; None: no fault) becomes its fault list, so
+    a site the plan does not name stays quiet in both. Returns
+    per-comparison booleans/fidelities; raises nothing on mismatch so callers
+    can report. With ``checkpoints`` every circuit prefix is compiled and
+    expanded against the truncated oracle run under the same plans.
     """
     flat = flatten(circuit)
     oracle = dense_run(flat, fault_plan=fault_plan, seed=seed)
     outcome_plan = {i: int(b) for i, b in enumerate(oracle.records)}
-    forced_faults = None
-    n_sites = len(noise_sites_of(flat))
-    if n_sites:
-        # every site is pinned: listed ones to their case, the rest to "off"
-        forced_faults = bytearray(b"\x02") * n_sites
-        for site, case in (fault_plan or {}).items():
-            forced_faults[site] = case + 3
+    # the VM's fault list: exactly the planned sites fire, with their cases
+    forced_faults = sorted((fault_plan or {}).items())
 
     prog = compile_circuit(flat)
     state = ShotState(prog, seed=seed)

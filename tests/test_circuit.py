@@ -184,3 +184,85 @@ def test_postselect_forms():
     assert c.instructions[3].args == (1.0,)
     with pytest.raises(CircuitError):
         parse_circuit("POSTSELECT 0")
+
+
+# one malformed line per raise site of the parser and validator; the bad
+# statement sits on the line the error must name
+@pytest.mark.parametrize("text, line", [
+    ("H 0\nCX rec[-1 0", 2),                     # record target without ']'
+    ("H 0\nCX rec[x] 0", 2),                     # record target not an integer
+    ("M 0\nCX rec[-0] 1", 2),                    # lookback of zero
+    ("H 0\nH q", 2),                             # qubit target not an integer
+    ("H 0\nH -3", 2),                            # negative qubit
+    ("H 0\nX_ERROR 0", 2),                       # missing probability argument
+    ("H 0\nDEPOLARIZE2(1.5) 0 1", 2),            # probability above one
+    ("M 0\nPOSTSELECT(2) rec[-1]", 2),           # postselect value not 0 or 1
+    ("M 0\nOBSERVABLE_INCLUDE(0.5) rec[-1]", 2),  # fractional observable index
+    ("H 0\nCX 0 1 2", 2),                        # odd target count
+    ("M 0\nCZ 0 rec[-1]", 2),                    # record as the second of a pair
+    ("M 0\nSWAP rec[-1] 0", 2),                  # record control on SWAP
+    ("H 0\nCZ 1 1", 2),                          # repeated qubit in a pair
+    ("H 0\nDEPOLARIZE2(0.1) 0 1 2", 2),          # odd qubit count
+    ("H 0\nDEPOLARIZE2(0.1) 2 2", 2),            # repeated qubit in a pair
+    ("M 0\nDETECTOR 0", 2),                      # qubit target on a detector
+    ("M 0\nPOSTSELECT", 2),                      # postselect without a record
+    ("M 0\nOBSERVABLE_INCLUDE(0) 1", 2),         # qubit target on an observable
+    ("M 0\nX rec[-1]", 2),                       # classical X without its qubit
+    ("M 0\nZ 0 rec[-1]", 2),                     # classical Z pair out of order
+    ("M 0\nMX rec[-1]", 2),                      # record target on a measurement
+    ("H 0\nR_Z(0.5)", 2),                        # rotation without a qubit
+    ("H 0\n}", 2),                               # unmatched brace
+    ("H 0\nREPEAT 3 H 0", 2),                    # REPEAT without '{'
+    ("H 0\nREPEAT three { H 0 }", 2),            # REPEAT count not an integer
+    ("H 0\nREPEAT -1 { H 0 }", 2),               # REPEAT count below one
+    ("H 0\nREPEAT 2 {\nH 0", 3),                 # unclosed REPEAT: the last line
+    ("H 0\nR_X(0.5 0", 2),                       # missing ')'
+    ("H 0\nR_X(0.5, x) 0", 2),                   # argument not a number
+    ("H 0\nCNOT 0 1", 2),                        # unknown opcode
+    ("H 0\nR_Y(inf) 0", 2),                      # non-finite argument
+])
+def test_parse_error_names_its_line(text, line):
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_nested_repeat_serialize_round_trip():
+    text = "H 0\nREPEAT 2 {\n    M 0\n    REPEAT 3 {\n        CX rec[-1] 4\n        X_ERROR(0.25) 6\n    }\n}\nM 4\n"
+    c = parse_circuit(text)
+    assert c.serialize() == text
+    assert parse_circuit(c.serialize()).serialize() == text
+    assert c.qubit_count == 7 == flatten(c).qubit_count
+
+
+def test_size_limits_refuse_before_flattening(monkeypatch, tmp_path, capsys):
+    import framesim.circuit
+    from framesim.backend import compile_circuit
+    from framesim.cli import main
+    from framesim.testing import crosscheck
+
+    monkeypatch.setattr(framesim.circuit, "MAX_QUBITS", 4)
+    monkeypatch.setattr(framesim.circuit, "MAX_TARGETS", 24)
+    # at the limits: 4 qubits, 1 + 10 * 2 + 3 = 24 targets
+    ok = parse_circuit("H 3\nREPEAT 10 { CX 0 1 }\nM 0 1 2\n")
+    assert len(flatten(ok)) == 12
+    assert crosscheck(ok)["records_match"]
+    too_wide = "H 4\nM 0\n"
+    too_long = "H 3\nREPEAT 10 { CX 0 1 }\nM 0 1 2 3\n"
+    # a REPEAT count this large would need terabytes if it were expanded
+    huge = "REPEAT 1000000000 { REPEAT 1000000000 { H 0 } }\n"
+    for text, match in ((too_wide, "5 qubits"), (too_long, "25 targets"),
+                        (huge, "targets")):
+        with pytest.raises(CircuitError, match=match):
+            flatten(parse_circuit(text))
+        with pytest.raises(CircuitError, match=match):
+            compile_circuit(text)
+        with pytest.raises(CircuitError, match=match):
+            crosscheck(parse_circuit(text))
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        for argv in (["compile", str(path), "--emit", "hir"], ["compile", str(path)],
+                     ["sample", str(path), "--shots", "2"]):
+            assert main(argv) == 1
+            assert "limit" in capsys.readouterr().err

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import framesim.rng
-from framesim.backend import Expand, compile_circuit
+from framesim.backend import ArrayGate, ArrayRot, Expand, MeasCollapse, compile_circuit
 from framesim.oracle import expand_factored, fidelity, dense_run
 from framesim.circuit import flatten, parse_circuit
 from framesim.pauli import PauliString
-from framesim.testing import crosscheck, random_circuit
+from framesim.testing import crosscheck, random_circuit, random_fault_plan
 from framesim.rng import ShotRng, mix64
 from framesim.runtime import (
     _SMALL,
@@ -23,7 +23,6 @@ from framesim.runtime import (
     StratumSpec,
     expectation_probe,
     hazard_sample,
-    importance_sample,
     poisson_binomial,
     run_shot,
     sample,
@@ -130,6 +129,46 @@ def test_active_array_crosses_list_size_both_ways():
         res = crosscheck(circ, seed=seed, checkpoints=True)
         assert res["records_match"]
         assert res["min_checkpoint_fidelity"] >= 1 - 1e-10
+
+
+def _vector_kernels(prog) -> set:
+    """The vectorized kernel branches a program runs: the kinds of its
+    instructions on arrays above the list size."""
+    reach = set()
+    for ins in prog.instrs:
+        if getattr(ins, "size", 0) <= _SMALL:
+            continue
+        if isinstance(ins, ArrayGate):
+            reach.add(ins.gate if ins.gate != "CX" else
+                      "CX control above" if ins.axa > ins.axb else "CX control below")
+        elif isinstance(ins, ArrayRot):
+            reach.add("ArrayRot")
+        elif isinstance(ins, MeasCollapse):
+            top = 1 << ins.axis == ins.size >> 1  # the halves are the two slices
+            reach.add("collapse " + ("slices" if top else "gathered"))
+    return reach
+
+
+def test_vectorized_kernels_match_oracle():
+    # arrays above the list size run the numpy kernels; force oracle
+    # trajectories, faults included, through every one of them. No final
+    # measurement of every qubit, which would leave a basis state and make
+    # the fidelity check blind to the amplitudes.
+    rng = np.random.default_rng(2026)
+    circuits = [random_circuit(rng, 7, 70, p_noise=0.05, rot_rate=0.45, measure_rate=0.06,
+                               measure_all=False) for _ in range(15)]
+    reach = set()
+    for circ in circuits:
+        prog = compile_circuit(circ)
+        if prog.k_max <= 4:
+            continue
+        reach |= _vector_kernels(prog)
+        for seed in range(3):
+            res = crosscheck(circ, seed=seed, fault_plan=random_fault_plan(circ, rng))
+            assert res["records_match"] and res["detectors_match"]
+            assert res["fidelity"] > 1 - 1e-10
+    assert reach == {"S", "H", "CZ", "CX control above", "CX control below", "ArrayRot",
+                     "collapse gathered", "collapse slices"}
 
 
 def test_worker_count_does_not_change_records():
@@ -296,7 +335,7 @@ def test_stratum_weights_cover_unity():
 
 def test_stratum_zero_runs_noiseless():
     prog = compile_circuit("X_ERROR(0.3) 0\nX_ERROR(0.2) 1\nM 0 1\n")
-    recs = list(importance_sample(prog, 0, 500, seed=5))
+    recs = list(sample(prog, 500, seed=5, stratum=StratumSpec(prog, 0)))
     assert all(not r.measurements.any() for r in recs)
     assert all(abs(r.weight - 0.7 * 0.8) < 1e-12 for r in recs)
 
@@ -311,8 +350,8 @@ def test_stratum_site_selection_frequencies():
     n = 120_000
     for shot in range(n):
         rng.reset(shot)
-        flags = spec.draw_forced(rng)
-        counts[flags.index(1)] += 1
+        [(site, _)] = spec.draw_forced(rng)
+        counts[site] += 1
     raw = np.array([p * np.prod([1 - q for j, q in enumerate(probs) if j != i])
                     for i, p in enumerate(probs)])
     expect = raw / raw.sum() * n
@@ -394,14 +433,6 @@ def test_normalization_after_active_measurement():
         assert abs(np.linalg.norm(st.active_view()) - 1.0) < 1e-12
 
 
-def test_subnormalized_mode_tracks_branch_probability():
-    prog = compile_circuit("H 0\nM 0\nH 0\nM 0\n")
-    st = ShotState(prog, renormalize=False)
-    run_shot(prog, st, shot=0)
-    total = abs(st.gamma) ** 2 * float(np.linalg.norm(st.active_view()) ** 2)
-    assert abs(total - 0.25) < 1e-12  # two fair branches
-
-
 def test_gamma_squared_is_branch_probability():
     prog = compile_circuit("H 0\nM 0\nH 0\nM 0\n")
     st = ShotState(prog)
@@ -416,6 +447,36 @@ def test_branch_floor_forces_alternate_branch():
     st = ShotState(prog)
     for shot in range(200):
         assert not run_shot(prog, st, shot=shot).measurements.any()
+
+
+def test_branch_floor_flips_a_draw_into_an_extinct_branch(monkeypatch):
+    # one size-2 collapse whose branch 1 has probability sin(1e-7)^2 ~ 1e-14,
+    # below the floor; a draw of 0.0 lands in it and must be flipped back
+    prog = compile_circuit("R_X(2e-7) 0\nM 0\n")
+    kinds = [type(ins) for ins in prog.instrs]
+    assert kinds.count(Expand) == kinds.count(MeasCollapse) == 1
+    monkeypatch.setattr(ShotRng, "uniform", lambda self: 0.0)
+    for shot in range(3):
+        assert run_shot(prog, shot=shot).measurements.tolist() == [0]
+
+
+@pytest.mark.parametrize("text", [
+    "H 0\nM 0\nX rec[-1] 0\nM 0\n",
+    "H 0\nM 0\nH 0\nZ rec[-1] 0\nH 0\nM 0\n",
+    "H 0\nH 1\nM 1 0\nX rec[-1] 0 rec[-2] 1\nM 0 1\n",
+], ids=["X", "Z", "X_two_pairs"])
+def test_classical_pauli_controls_undo_the_outcome(text):
+    # each controlled Pauli returns its measured qubit to |0>, so the final
+    # measurements read 0 whatever the first ones gave
+    circ = parse_circuit(text)
+    for seed in range(4):
+        res = crosscheck(circ, seed=seed)
+        assert res["records_match"] and res["fidelity"] > 1 - 1e-10
+    prog = compile_circuit(circ)
+    final = len(circ.instructions[-1].targets)
+    recs = [rec.measurements for rec in sample(prog, 200, seed=3)]
+    assert all(not rec[-final:].any() for rec in recs)
+    assert 0 < sum(int(rec[0]) for rec in recs) < 200
 
 
 def test_forced_zero_probability_branch_raises():
