@@ -16,7 +16,7 @@ from .analysis import ratio_credible_interval, t_fidelity_bound
 from .backend import CompileError, compile_circuit
 from .circuit import CircuitError, flatten, parse_circuit
 from .hir import lower_to_hir, peephole_pass, schedule_pass
-from .runtime import ShotRecord, sample
+from .runtime import ShotError, ShotRecord, sample
 
 
 def _read_circuit(path: str | None) -> str:
@@ -116,6 +116,9 @@ def cmd_sample(args) -> int:
                 if args.keep_rejected and not rec.accepted:
                     line += " rejected"
                 out.write((line + "\n").encode())
+    except ShotError as exc:  # a shot failed while the stream was consumed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if args.out:
             out.close()

@@ -8,7 +8,9 @@ Python and statistically solid at the shot counts used here.
 Sampling loops visit shots in order. When a stream is reset to the shot
 after the previous one and that shot is not tabulated yet, it tabulates the
 keys and leading draws of the next block of shots with numpy's wrapping
-uint64 arithmetic, in buffers it reuses. The tabulated values are the same
+uint64 arithmetic, in buffers it reuses, as many draws per shot as the
+shots before it made. A new stream's first shot is never tabulated, so the
+first block already has that width. The tabulated values are the same
 integers the scalar mixer computes; only the cost per draw changes.
 """
 from __future__ import annotations
@@ -75,7 +77,8 @@ class ShotRng:
         self._avail = 0
         self._lo = self._hi = 0
         self._need = 0  # most draws any shot has used; sets the next width
-        self._prev = shot - 1
+        # the first shot is not tabulated: it shows how many draws a shot makes
+        self._prev = shot
         self.reset(shot)
 
     def reset(self, shot: int) -> None:

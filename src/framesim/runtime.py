@@ -1,10 +1,29 @@
 """Per-shot bytecode execution over the factored runtime state.
 
-A shot owns one preallocated :class:`ShotState`: the active array, the Pauli
-frame as two Python-int bitmasks, a global scalar, record, detector and
-observable bytes, and a counter-based RNG stream. One loop runs every shot,
-for ``run_shot``, ``sample`` (serial or in workers) and
-``sample_accumulate`` alike: it resets what a shot reads before it writes
+Each program class has one engine. A program with an active array
+(``k_max`` > 0) runs on the closure VM below. A frame-only program
+(``k_max`` == 0) is sampled through its frame table: the first ``sample`` or
+``sample_accumulate`` call walks ``prog.instrs`` once, holding every frame
+bit as a GF(2)-affine form over the shot's random inputs (each noise
+site's cases and each ``MeasDormantRandom`` coin), and transposes the output
+forms into one XOR effect per input. A shot then resets its RNG stream and
+makes exactly the closure VM's draws in instruction order: the stratum's
+fault list, then per ``NoiseBlock`` the hazard-skip draws (or the cases the
+stratum left open) and per coin one bit, stopping at a failed
+postselection. It XORs the effect of every input that fires into one int,
+and chunks of shots are unpacked with numpy. Records are bit-identical to
+the closure VM's. ``run_shot``, ``trace``, ``expectation_probe`` and
+``testing.crosscheck`` always use the closure VM, the reference engine, and
+so does a frame-only program whose table would exceed ``_TABLE_BITS``.
+``sample`` with workers builds the table or the closures before it forks
+its pool, so the workers inherit them, and keeps at most two chunks of
+shots per worker in flight.
+
+In the closure VM, a shot owns one preallocated :class:`ShotState`: the
+active array, the Pauli frame as two Python-int bitmasks, a global scalar,
+record, detector and observable bytes, and a counter-based RNG stream. One
+loop runs every shot, for ``run_shot``, ``sample`` (serial or in workers)
+and ``sample_accumulate`` alike: it resets what a shot reads before it writes
 it, draws a stratum's forced faults, and walks the instruction list until
 the end or a failed postselection. A shot's faults reach the ``NoiseBlock``
 kernels in one form, a sorted list of ``(site, case)`` pairs: the
@@ -29,9 +48,11 @@ call, not its arithmetic, dominates.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +73,13 @@ from .backend import (
     ObservableIns,
     PostSelectIns,
 )
-from .pauli import PauliString
+from .pauli import PauliString, bit_indices
 from .rng import ShotRng
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
 _SMALL = 16  # active arrays up to this size live in a Python list
-_FOLD_BYTES = 1 << 20  # sample_accumulate sums its packed rows at this size
+_FOLD_BYTES = 1 << 20  # output bytes summed, or unpacked from a table, at a time
 
 
 class ShotError(RuntimeError):
@@ -664,13 +685,279 @@ _FACTORIES = {
 }
 
 
-def _compiled(prog: BytecodeProgram):
-    """Instruction closures, specialized once per program."""
+def _cache(prog: BytecodeProgram) -> dict:
+    """The program's runtime cache: its instruction closures (``"code"``)
+    and its frame table (``"table"``), each built on first use. Code that
+    edits ``prog.instrs`` drops the whole entry."""
     cache = prog.__dict__.get("_dispatch")
     if cache is None:
-        cache = [_FACTORIES[type(i)](i, prog) for i in prog.instrs]
-        prog.__dict__["_dispatch"] = cache
+        cache = prog.__dict__["_dispatch"] = {}
     return cache
+
+
+def _compiled(prog: BytecodeProgram):
+    """Instruction closures, specialized once per program."""
+    cache = _cache(prog)
+    code = cache.get("code")
+    if code is None:
+        code = cache["code"] = [_FACTORIES[type(i)](i, prog) for i in prog.instrs]
+    return code
+
+
+# -- frame-only programs as a table from random inputs to output bits -------------
+
+_NOISE, _COIN, _CHECK = 0, 1, 2
+_TABLE_BITS = 1 << 28  # most (inputs x output bits) a table may hold: 32 MiB of ints
+_TRANSPOSE_BYTES = 1 << 22  # unpacked bytes per block of the build's transpose
+
+
+@dataclass(slots=True)
+class _FrameTable:
+    """A frame-only program as XOR effects on its output bits.
+
+    Output bit p of a shot is bit p of ``const`` XOR the
+    ``effects[site][case]`` of each fault that fires and the effect of each
+    coin that comes up 1. Bits [0, ``width``) are the user records, detectors
+    and observables, in that order (``nm`` and ``nd`` user records and
+    detectors); a bit above is hidden: an observable as it stood at a
+    postselection that a later ``ObservableIns`` changes.
+
+    ``steps`` is the shot's draw sequence, in instruction order:
+
+    * ``(_NOISE, lo, hi, plan)`` draws the faults of a noise block (``plan``
+      is its block plan, or None when the block is one hazard segment);
+    * ``(_COIN, effect, 0, None)`` draws a coin;
+    * ``(_CHECK, bit, required, (keep, moves))`` is a postselection. A failed
+      check ends the shot with the output bits ``keep`` written so far and,
+      for each ``(hidden, obs)`` of ``moves``, the hidden snapshot moved onto
+      its observable.
+    """
+
+    const: int
+    effects: list   # per site, per case
+    steps: list
+    width: int
+    nm: int
+    nd: int
+    nbytes: int     # bytes of one packed shot, hidden bits included
+    S: list         # the program's cum_hazard and sites, for the draws
+    sites: list
+
+
+def _frame_table(prog: BytecodeProgram):
+    """The program's frame table, or None when the closure VM runs it: the
+    program has an active array, or the table would exceed _TABLE_BITS."""
+    if prog.k_max:
+        return None
+    cache = _cache(prog)
+    if "table" not in cache:
+        cache["table"] = _build_table(prog)
+    return cache["table"]
+
+
+def _build_table(prog: BytecodeProgram):
+    """Walk ``prog.instrs`` once, holding each frame bit, record and output
+    bit as an affine form over the random inputs: a Python int whose bit 0 is
+    the constant and whose bit i is input i. Then transpose the output forms
+    into one effect per input."""
+    sites = prog.sites
+    nm, nd = len(prog.user_records), prog.num_detectors
+    width = nm + nd + prog.num_observables
+    n_checks = n_coins = 0
+    for ins in prog.instrs:
+        n_checks += type(ins) is PostSelectIns
+        n_coins += type(ins) is MeasDormantRandom
+    n_inputs = 1 + n_coins + sum(len(s.case_x) for s in sites)
+    if n_inputs * (width + n_checks * prog.num_observables) > _TABLE_BITS:
+        return None
+    fx = [0] * prog.n
+    fz = [0] * prog.n
+    rec = [0] * prog.record_count
+    out = [0] * width  # output forms; hidden bits are appended
+    user_pos = {r: p for p, r in enumerate(prog.user_records)}
+    obs0 = nm + nd
+    written = 0  # output bits written so far
+    nxt = 1  # the next input bit
+    site_bit = [0] * len(sites)  # each site's first input bit; case c is bit + c
+    steps: list = []
+    checks: list = []  # per check: (step index, written, observable forms then)
+    for ins in prog.instrs:
+        t = type(ins)
+        if t is FrameGates:
+            for op, a, b in ins.gates:
+                op = _FRAME_OPCODES[op]
+                if op == 2:  # CX
+                    fx[b] ^= fx[a]
+                    fz[a] ^= fz[b]
+                elif op == 0:  # H
+                    fx[a], fz[a] = fz[a], fx[a]
+                elif op == 1:  # S
+                    fz[a] ^= fx[a]
+                else:  # CZ
+                    fz[b] ^= fx[a]
+                    fz[a] ^= fx[b]
+        elif t is MeasDormantStatic:
+            form = rec[ins.record] = fx[ins.virt] ^ ins.flip
+            p = user_pos.get(ins.record)
+            if p is not None:
+                out[p] = form
+                written |= 1 << p
+        elif t is MeasDormantRandom:
+            v, coin = ins.virt, 1 << nxt
+            steps.append((_COIN, nxt, 0, None))
+            nxt += 1
+            form = rec[ins.record] = coin ^ fz[v] ^ ins.flip
+            fx[v], fz[v] = fz[v] ^ coin, fx[v]
+            p = user_pos.get(ins.record)
+            if p is not None:
+                out[p] = form
+                written |= 1 << p
+        elif t is CondFrame:
+            form = rec[ins.record]
+            if form:
+                for j in bit_indices(ins.xmask):
+                    fx[j] ^= form
+                for j in bit_indices(ins.zmask):
+                    fz[j] ^= form
+        elif t is NoiseBlock:
+            lo, hi = ins.lo, ins.hi
+            for s in range(lo, hi):
+                site_bit[s] = nxt
+                for cx, cz in zip(sites[s].case_x, sites[s].case_z):
+                    bit = 1 << nxt
+                    nxt += 1
+                    for j in bit_indices(cx):
+                        fx[j] ^= bit
+                    for j in bit_indices(cz):
+                        fz[j] ^= bit
+            plan = _block_plan(sites, lo, hi)
+            steps.append((_NOISE, lo, hi, None if plan == [(lo, hi)] else plan))
+        elif t is DetectorIns:
+            form = 0
+            for r in ins.records:
+                form ^= rec[r]
+            out[nm + ins.index] = form
+            written |= 1 << (nm + ins.index)
+        elif t is ObservableIns:
+            for r in ins.records:
+                out[obs0 + ins.index] ^= rec[r]
+            written |= 1 << (obs0 + ins.index)
+        elif t is PostSelectIns:
+            # a postselected record is always a user record
+            p = nm + ins.ref if ins.kind == "detector" else user_pos[ins.ref]
+            checks.append((len(steps), written, out[obs0:width]))
+            steps.append((_CHECK, p, ins.required, None))
+        elif t is not GammaRot:  # a rotation of a dormant qubit moves only gamma
+            raise ShotError(f"{t.__name__} has no frame-table form")
+    for i, written, obs_then in checks:
+        keep, moves = written, []
+        for o, form in enumerate(obs_then):
+            if form != out[obs0 + o]:  # the observable changes after the check
+                keep &= ~(1 << (obs0 + o))
+                if form:
+                    moves.append((len(out), obs0 + o))
+                    out.append(form)
+        kind, p, required, _ = steps[i]
+        steps[i] = (kind, p, required, (keep, tuple(moves)))
+    effects = _transpose(out, nxt)
+    return _FrameTable(
+        const=effects[0],
+        effects=[effects[b: b + len(s.case_x)] for b, s in zip(site_bit, sites)],
+        steps=[(k, effects[a], 0, None) if k == _COIN else (k, a, b, c)
+               for k, a, b, c in steps],
+        width=width, nm=nm, nd=nd, nbytes=max(1, (len(out) + 7) // 8),
+        S=prog.cum_hazard, sites=sites)
+
+
+def _transpose(forms: list, n_inputs: int) -> list:
+    """``effects[i]``: the int whose bit p is bit i of ``forms[p]``, for each
+    input i < ``n_inputs``; bit matrices are unpacked a block of inputs at a
+    time."""
+    if not forms:
+        return [0] * n_inputs
+    nb_in = (n_inputs + 7) // 8
+    mat = np.frombuffer(b"".join([f.to_bytes(nb_in, "little") for f in forms]),
+                        dtype=np.uint8).reshape(len(forms), nb_in)
+    block = max(1, _TRANSPOSE_BYTES // (8 * len(forms)))  # input bytes per block
+    effects = []
+    for b0 in range(0, nb_in, block):
+        bits = np.unpackbits(mat[:, b0:b0 + block], axis=1, bitorder="little")
+        # packbits runs several times faster on a contiguous copy
+        raw = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little").tobytes()
+        nb_out = (len(forms) + 7) // 8
+        effects += [int.from_bytes(raw[i: i + nb_out], "little")
+                    for i in range(0, len(raw), nb_out)]
+    return effects[:n_inputs]
+
+
+def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
+                 keep_rejected: bool) -> tuple[bytes, bytearray]:
+    """Shots [lo, hi) of a frame table: each kept shot's output bits, packed
+    little-endian in ``tab.nbytes`` bytes, and its acceptance (0 or 1).
+
+    Each shot makes the serial VM's draws in its order: the stratum's fault
+    list, then per step a noise block's hazard-skip draws (or, with a
+    stratum, the cases its listed sites leave open) or a coin.
+    """
+    S, sites, effects, steps = tab.S, tab.sites, tab.effects, tab.steps
+    const, nbytes = tab.const, tab.nbytes
+    rng = ShotRng(seed, lo)
+    packed = bytearray()
+    flags = bytearray()
+    ff = None
+    for shot in range(lo, hi):
+        rng.reset(shot)
+        if stratum is not None:
+            ff = stratum.draw_forced(rng)
+        acc = const
+        accepted = 1
+        for kind, a, b, c in steps:
+            if kind == _NOISE:
+                if ff is None:
+                    faults = (_segment_faults(S, sites, rng, a, b) if c is None
+                              else _plan_faults(S, sites, c, rng))
+                    if not faults:
+                        continue
+                else:
+                    faults = ff[bisect_left(ff, (a,)):bisect_left(ff, (b,))]
+                for site, case in faults:
+                    if case is None:
+                        case = _pick_case(sites[site], rng)
+                    acc ^= effects[site][case]
+            elif kind == _COIN:
+                if rng.bit():
+                    acc ^= a
+            elif (acc >> a) & 1 != b:
+                keep, moves = c
+                out = acc & keep
+                for hidden, obs in moves:
+                    out |= ((acc >> hidden) & 1) << obs
+                acc = out
+                accepted = 0
+                break
+        if accepted or keep_rejected:
+            packed += acc.to_bytes(nbytes, "little")
+            flags.append(accepted)
+    return bytes(packed), flags
+
+
+def _unpack(tab: _FrameTable, packed: bytes) -> np.ndarray:
+    """The visible output bits of packed shots, one uint8 row per shot."""
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, tab.nbytes)
+    return np.unpackbits(rows, axis=1, count=tab.width, bitorder="little")
+
+
+def _table_records(tab: _FrameTable, packed: bytes, flags: bytearray, weight: float):
+    """ShotRecords of packed shots: row views of one unpacked chunk."""
+    nm, nmd = tab.nm, tab.nm + tab.nd
+    for row, accepted in zip(_unpack(tab, packed), flags):
+        yield ShotRecord(row[:nm], row[nm:nmd], row[nmd:], accepted == 1, weight)
+
+
+def _chunk_shots(prog: BytecodeProgram) -> int:
+    """Shots per chunk: about _FOLD_BYTES of unpacked output bits."""
+    width = len(prog.user_records) + prog.num_detectors + prog.num_observables
+    return max(1, _FOLD_BYTES // max(width, 1))
 
 
 # -- hazard sampling -------------------------------------------------------------
@@ -815,13 +1102,22 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     """Yield ShotRecords for shot indices 0..shots-1, deterministically.
 
     Records depend only on (seed, shot index): any worker split produces the
-    same stream. With a stratum, every record carries that stratum's weight
-    and noise sites are forced per its conditional law.
+    same stream, and a frame-only program's table gives the records the
+    closure VM gives. With a stratum, every record carries that stratum's
+    weight and noise sites are forced per its conditional law.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if workers > 1:
         yield from _sample_parallel(prog, shots, seed, workers, stratum, keep_rejected)
+        return
+    tab = _frame_table(prog)
+    if tab is not None:
+        weight = 1.0 if stratum is None else stratum.weight
+        step = _chunk_shots(prog)
+        for lo in range(0, shots, step):
+            part = _table_shots(tab, seed, lo, min(lo + step, shots), stratum, keep_rejected)
+            yield from _table_records(tab, *part, weight)
         return
     state = ShotState(prog, seed=seed)
     code = _compiled(prog)
@@ -830,8 +1126,23 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
             yield make_record(prog, state)
 
 
-def _worker_range(args):
-    prog, lo, hi, seed, stratum, keep_rejected = args
+_WORKER = None  # a pool worker's (prog, seed, stratum, keep_rejected)
+
+
+def _init_worker(*args) -> None:
+    """Pool initializer. A fork worker gets its arguments by inheritance, not
+    by pickle, so the program arrives with the caches the parent built."""
+    global _WORKER
+    _WORKER = args
+
+
+def _worker_range(bounds):
+    """Shots [lo, hi) in a pool worker: packed table output, or records."""
+    prog, seed, stratum, keep_rejected = _WORKER
+    lo, hi = bounds
+    tab = _frame_table(prog)
+    if tab is not None:
+        return _table_shots(tab, seed, lo, hi, stratum, keep_rejected)
     state = ShotState(prog, seed=seed)
     code = _compiled(prog)
     return [make_record(prog, state) for s in range(lo, hi)
@@ -839,16 +1150,29 @@ def _worker_range(args):
 
 
 def _sample_parallel(prog, shots, seed, workers, stratum, keep_rejected):
+    """``sample`` over a fork pool. The parent builds the program's table or
+    closures before the fork, and at most two chunks per worker are in
+    flight, so the parent holds a bounded number of finished chunks."""
     import multiprocessing as mp
 
     workers = min(workers, shots, os.cpu_count() or 1)
-    bounds = np.linspace(0, shots, workers + 1).astype(int)
-    jobs = [(prog, int(lo), int(hi), seed, stratum, keep_rejected)
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    tab = _frame_table(prog)
+    if tab is None:
+        _compiled(prog)
+    weight = 1.0 if stratum is None else stratum.weight
+    step = min(_chunk_shots(prog), -(-shots // workers))
+    jobs = iter([(lo, min(lo + step, shots)) for lo in range(0, shots, step)])
     ctx = mp.get_context("fork")
-    with ctx.Pool(len(jobs)) as pool:
-        for chunk in pool.map(_worker_range, jobs):
-            yield from chunk
+    with ctx.Pool(workers, initializer=_init_worker,
+                  initargs=(prog, seed, stratum, keep_rejected)) as pool:
+        pending = deque(pool.apply_async(_worker_range, (job,))
+                        for job in itertools.islice(jobs, 2 * workers))
+        while pending:
+            part = pending.popleft().get()
+            job = next(jobs, None)
+            if job is not None:
+                pending.append(pool.apply_async(_worker_range, (job,)))
+            yield from part if tab is None else _table_records(tab, *part, weight)
 
 
 def _fold_rows(rows: bytearray, width: int, totals: np.ndarray) -> None:
@@ -866,8 +1190,12 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
 
     Each accepted shot appends its record, detector and observable bytes to
     one row buffer; the rows are summed with numpy once the buffer holds
-    about a megabyte, so the per-shot cost is a few bytearray appends.
+    about a megabyte, so the per-shot cost is a few bytearray appends. A
+    frame-only program's table sums its unpacked chunks instead.
     """
+    tab = _frame_table(prog)
+    if tab is not None:
+        return _table_accumulate(prog, tab, shots, seed, stratum)
     state = ShotState(prog, seed=seed)
     uidx = _user_idx(prog)
     n_rec, n_det = prog.record_count, prog.num_detectors
@@ -895,6 +1223,25 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
             "measurements": meas.copy() if uidx is None else meas[uidx],
             "detectors": totals[n_rec:n_rec + n_det].copy(),
             "observables": totals[n_rec + n_det:].copy()}
+
+
+def _table_accumulate(prog, tab: _FrameTable, shots: int, seed: int, stratum) -> dict:
+    totals = np.zeros(tab.width, dtype=np.int64)
+    weight = 1.0 if stratum is None else stratum.weight
+    accepted = 0
+    weight_sum = 0.0
+    step = _chunk_shots(prog)
+    for lo in range(0, shots, step):
+        packed, flags = _table_shots(tab, seed, lo, min(lo + step, shots), stratum, False)
+        if flags:
+            totals += _unpack(tab, packed).sum(axis=0, dtype=np.int64)
+        accepted += len(flags)
+        for _ in flags:  # the closure VM's sum, one shot at a time
+            weight_sum += weight
+    nm, nmd = tab.nm, tab.nm + tab.nd
+    return {"shots": shots, "accepted": accepted, "weight_sum": weight_sum,
+            "measurements": totals[:nm].copy(), "detectors": totals[nm:nmd].copy(),
+            "observables": totals[nmd:].copy()}
 
 
 # -- stratified importance sampling --------------------------------------------

@@ -67,6 +67,27 @@ def test_sample_zero_shots_usage_error(mirror_file, capsys):
     assert main(["sample", mirror_file, "--shots", "0"]) == 2
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sample_shot_error_exits_1(tmp_path, capsys, monkeypatch, workers):
+    # no honest circuit cheaply reaches a ShotError, so the collapse kernel is
+    # swapped for one that raises as a NaN amplitude would
+    import framesim.runtime as runtime
+    from framesim.backend import MeasCollapse
+
+    def broken(ins, prog):
+        def run(st):
+            raise runtime.ShotError("NaN amplitude encountered at an active measurement")
+
+        return run
+
+    monkeypatch.setitem(runtime._FACTORIES, MeasCollapse, broken)
+    p = tmp_path / "c.txt"
+    p.write_text("H 0\nT 0\nH 0\nM 0\n")
+    assert main(["sample", str(p), "--shots", "5", "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: NaN amplitude encountered at an active measurement\n"
+
+
 def test_sample_deterministic_bytes(mirror_file, tmp_path):
     out1 = tmp_path / "a.bin"
     out2 = tmp_path / "b.bin"

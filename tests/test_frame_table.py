@@ -1,0 +1,226 @@
+"""The frame table of k_max = 0 programs against the closure VM, bit for bit.
+
+``sample`` and ``sample_accumulate`` run a frame-only program through its
+table; with ``runtime._frame_table`` patched to return None they run the same
+program on the closure VM, the reference engine. Records, acceptance, weights
+and totals must agree exactly, serially and over a fork pool.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import framesim.runtime as runtime
+from framesim.backend import compile_circuit
+from framesim.runtime import StratumSpec, sample, sample_accumulate
+from framesim.testing import random_circuit, repetition_code_circuit
+
+# An observable read before and after a postselected record, so a rejected
+# shot keeps the observable as it stood at the check.
+POSTSELECTED_RECORD = """\
+OBSERVABLE_INCLUDE(0) rec[-1]
+M 0
+POSTSELECT rec[-1]
+OBSERVABLE_INCLUDE(0) rec[-2]
+OBSERVABLE_INCLUDE(1) rec[-1]
+"""
+
+
+def _records(prog, shots, seed, **kw) -> list:
+    return [(r.measurements.tolist(), r.detectors.tolist(), r.observables.tolist(),
+             r.accepted, r.weight) for r in sample(prog, shots, seed=seed, **kw)]
+
+
+def _totals(prog, shots, seed, stratum) -> tuple:
+    acc = sample_accumulate(prog, shots, seed=seed, stratum=stratum)
+    return (acc["shots"], acc["accepted"], acc["weight_sum"],
+            *(acc[k].tolist() for k in ("measurements", "detectors", "observables")))
+
+
+def _both(monkeypatch, fn):
+    """``fn()`` through the frame table, then through the closure VM."""
+    table = fn()
+    with monkeypatch.context() as m:
+        m.setattr(runtime, "_frame_table", lambda prog: None)
+        closure = fn()
+    return table, closure
+
+
+def _corpus(count: int):
+    """The rot_rate=0 fuzz corpus: resets, feedforward, M/MX/MY (coins of
+    MeasDormantRandom), noise, and in turn a postselected detector or a
+    postselected record."""
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        circ = random_circuit(rng, int(rng.integers(1, 6)), int(rng.integers(3, 30)),
+                              p_noise=0.2, rot_rate=0.0, reset_rate=0.08,
+                              feedforward_rate=0.1)
+        text = circ.serialize() + "DETECTOR rec[-1]\n"
+        if i % 2:
+            yield compile_circuit(text + POSTSELECTED_RECORD)
+        else:
+            yield compile_circuit(text, postselect_detectors=(0,))
+
+
+def _strata(prog) -> list:
+    return [None] + [StratumSpec(prog, w) for w in (1, 2) if w <= len(prog.sites)]
+
+
+def test_corpus_exercises_every_table_step():
+    kinds = set()
+    for prog in _corpus(50):
+        assert prog.k_max == 0
+        tab = runtime._frame_table(prog)
+        assert tab is not None
+        kinds.update(step[0] for step in tab.steps)
+        kinds.update("moves" for step in tab.steps if step[0] == runtime._CHECK and step[3][1])
+    assert kinds == {runtime._NOISE, runtime._COIN, runtime._CHECK, "moves"}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_table_records_match_closure_vm_on_corpus(monkeypatch, seed):
+    rejected = 0
+    for prog in _corpus(50):
+        for stratum in _strata(prog):
+            for keep in (True, False):
+                table, closure = _both(monkeypatch, lambda: _records(
+                    prog, 60, seed, stratum=stratum, keep_rejected=keep))
+                assert table == closure
+                rejected += sum(not r[3] for r in table)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_table_totals_match_closure_vm_on_corpus(monkeypatch, seed):
+    for prog in _corpus(50):
+        for stratum in _strata(prog):
+            table, closure = _both(monkeypatch, lambda: _totals(prog, 60, seed, stratum))
+            assert table == closure
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_table_worker_records_match_closure_vm(monkeypatch, seed):
+    # one fork pool per program, against the serial closure VM; the stratum
+    # and keep_rejected rotate
+    for i, prog in enumerate(_corpus(50)):
+        strata = _strata(prog)
+        stratum = strata[i % len(strata)]
+        keep = i % 4 < 2
+        with monkeypatch.context() as m:
+            m.setattr(runtime, "_frame_table", lambda prog: None)
+            closure = _records(prog, 60, seed, stratum=stratum, keep_rejected=keep)
+        assert _records(prog, 60, seed, stratum=stratum, keep_rejected=keep,
+                        workers=2) == closure
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_table_matches_closure_vm_on_repetition_code(monkeypatch, seed):
+    prog = compile_circuit(repetition_code_circuit(25, 25, 1e-3))
+    assert runtime._frame_table(prog) is not None
+    for workers in (1, 2):
+        table, closure = _both(monkeypatch, lambda: _records(prog, 150, seed, workers=workers))
+        assert table == closure
+    table, closure = _both(monkeypatch, lambda: _totals(prog, 150, seed, None))
+    assert table == closure
+    stratum = StratumSpec(prog, 2)
+    table, closure = _both(monkeypatch, lambda: _records(prog, 40, seed, stratum=stratum))
+    assert table == closure
+
+
+def test_table_is_rebuilt_after_instructions_change():
+    # the negative controls edit prog.instrs and drop the "_dispatch" entry
+    from dataclasses import replace
+
+    from framesim.backend import MeasDormantStatic
+
+    prog = compile_circuit("X_ERROR(1.0) 0\nM 0\n")
+    assert [r[0] for r in _records(prog, 3, 0)] == [[1]] * 3
+    prog.instrs = [replace(i, flip=i.flip ^ 1) if isinstance(i, MeasDormantStatic) else i
+                   for i in prog.instrs]
+    prog.__dict__.pop("_dispatch")
+    assert [r[0] for r in _records(prog, 3, 0)] == [[0]] * 3
+
+
+def test_table_chunks_do_not_change_records(monkeypatch):
+    prog = next(_corpus(1))
+    whole = _records(prog, 300, 9)
+    monkeypatch.setattr(runtime, "_FOLD_BYTES", 7 * len(prog.user_records) + 1)
+    assert runtime._chunk_shots(prog) < 300
+    assert _records(prog, 300, 9) == whole
+    assert _records(prog, 300, 9, workers=2) == whole
+
+
+def test_table_built_in_transpose_blocks_is_the_same(monkeypatch):
+    prog = compile_circuit(repetition_code_circuit(5, 5, 0.05))
+    whole = runtime._build_table(prog)
+    monkeypatch.setattr(runtime, "_TRANSPOSE_BYTES", 64)  # one input byte per block
+    assert runtime._build_table(prog) == whole
+
+
+def test_oversized_table_falls_back_to_closure_vm(monkeypatch):
+    prog = compile_circuit(repetition_code_circuit(3, 3, 0.1))
+    monkeypatch.setattr(runtime, "_TABLE_BITS", 10)
+    assert runtime._frame_table(prog) is None
+    assert len(_records(prog, 20, 1)) == 20
+
+
+# -- property test: small generated circuits -------------------------------------
+
+_P = st.sampled_from([0.1, 0.5, 1.0])
+
+
+@st.composite
+def _frame_circuits(draw):
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    lines, records = [], 0
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["1q", "2q", "noise", "meas", "reset", "ff", "det",
+                                     "obs", "post"]))
+        if kind == "1q":
+            lines.append(f"{draw(st.sampled_from(['H', 'S', 'S_DAG', 'X', 'Y', 'Z']))} "
+                         f"{draw(qubit)}")
+        elif kind == "2q" and n > 1:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            lines.append(f"{draw(st.sampled_from(['CX', 'CZ', 'SWAP']))} {a} {b}")
+        elif kind == "noise":
+            op = draw(st.sampled_from(["X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1",
+                                       "DEPOLARIZE2"]))
+            if op == "DEPOLARIZE2" and n > 1:
+                a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+                lines.append(f"{op}({draw(_P)}) {a} {b}")
+            elif op != "DEPOLARIZE2":
+                lines.append(f"{op}({draw(_P)}) {draw(qubit)}")
+        elif kind == "meas":
+            lines.append(f"{draw(st.sampled_from(['M', 'MX', 'MY']))} {draw(qubit)}")
+            records += 1
+        elif kind == "reset":
+            lines.append(f"R {draw(qubit)}")
+        elif records:
+            k = draw(st.integers(1, records))
+            if kind == "ff":
+                lines.append(f"{draw(st.sampled_from(['CX', 'CZ', 'X', 'Z']))} rec[-{k}] "
+                             f"{draw(qubit)}")
+            elif kind == "det":
+                lines.append(f"DETECTOR rec[-{k}]")
+            elif kind == "obs":
+                lines.append(f"OBSERVABLE_INCLUDE({draw(st.integers(0, 1))}) rec[-{k}]")
+            elif kind == "post":
+                lines.append(f"POSTSELECT({draw(st.integers(0, 1))}) rec[-{k}]")
+    lines.append("M " + " ".join(str(q) for q in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(text=_frame_circuits(), seed=st.integers(0, 2**31 - 1), w=st.integers(0, 2))
+def test_table_matches_closure_vm_property(text, seed, w):
+    prog = compile_circuit(text)
+    assert runtime._frame_table(prog) is not None
+    stratum = StratumSpec(prog, w) if w <= len(prog.sites) else None
+    with pytest.MonkeyPatch.context() as mp:
+        table = (_records(prog, 40, seed, stratum=stratum), _totals(prog, 40, seed, stratum))
+        mp.setattr(runtime, "_frame_table", lambda prog: None)
+        closure = (_records(prog, 40, seed, stratum=stratum), _totals(prog, 40, seed, stratum))
+    assert table == closure

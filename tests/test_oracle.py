@@ -181,3 +181,112 @@ M 0 1
     assert abs(rate - 0.42) < 0.01
     noiseless = dense_run(circ)
     assert not noiseless.user_records.any()
+
+
+# Small circuits whose noiseless records are all zero, so the Pauli-frame
+# reference sampler applies. The noise is placed unevenly, so that a frame
+# rule the reference got wrong (a swap that does not move a flip, an S that
+# does not turn X into Y, a record control that is ignored) moves a rate.
+REFERENCE_CIRCUITS = {
+    "h_s": """\
+H 0
+Z_ERROR(0.2) 0
+H 0
+H 1
+S 1
+X_ERROR(0.15) 1
+S_DAG 1
+H 1
+M 0 1
+DETECTOR rec[-2]
+DETECTOR rec[-1]
+""",
+    "cz_swap": """\
+H 1 2
+X_ERROR(0.2) 0
+X_ERROR(0.1) 3
+CZ 0 1 2 3
+H 1 2
+X_ERROR(0.25) 4
+SWAP 4 5
+M 0 1 2 3 4 5
+DETECTOR rec[-6]
+DETECTOR rec[-5]
+DETECTOR rec[-4]
+DETECTOR rec[-3]
+DETECTOR rec[-2]
+DETECTOR rec[-1]
+""",
+    "depolarize": """\
+H 1
+DEPOLARIZE1(0.3) 0 1
+H 1
+DEPOLARIZE2(0.3) 2 3
+M 0 1 2 3
+DETECTOR rec[-4]
+DETECTOR rec[-3]
+DETECTOR rec[-2]
+DETECTOR rec[-1]
+DETECTOR rec[-2] rec[-1]
+""",
+    "classical_control": """\
+X_ERROR(0.2) 0
+M 0
+CX rec[-1] 1
+H 2
+CZ rec[-1] 2
+H 2
+DEPOLARIZE1(0.1) 3
+M 3
+X rec[-1] 4
+H 5
+Z rec[-1] 5
+H 5
+M 1 2 4 5
+DETECTOR rec[-4]
+DETECTOR rec[-3]
+DETECTOR rec[-2]
+DETECTOR rec[-1]
+DETECTOR rec[-4] rec[-2]
+""",
+    # all of the above at once: noise, a Clifford word, noise, its inverse
+    "mirror": """\
+DEPOLARIZE1(0.04) 0 1 2
+H 0
+CX 0 1
+S 1
+CZ 1 2
+SWAP 0 2
+H 2
+DEPOLARIZE2(0.05) 0 2
+Y_ERROR(0.02) 1
+H 2
+SWAP 0 2
+CZ 1 2
+S_DAG 1
+CX 0 1
+H 0
+M 0 1 2
+DETECTOR rec[-3]
+DETECTOR rec[-2]
+DETECTOR rec[-1]
+DETECTOR rec[-3] rec[-1]
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CIRCUITS))
+def test_frame_reference_marginals_match_vm(name):
+    from framesim.backend import compile_circuit
+    from framesim.runtime import sample_accumulate
+
+    circ = flatten(parse_circuit(REFERENCE_CIRCUITS[name]))
+    assert not dense_run(circ).user_records.any()  # the reference applies
+    shots = 40_000
+    prog = compile_circuit(circ)
+    vm = sample_accumulate(prog, shots, seed=17)["detectors"] / shots
+    _, det, _ = pauli_frame_reference_sample(circ, shots, seed=18)
+    for a, b in zip(vm, det.mean(axis=0)):
+        pooled = (a + b) / 2
+        sigma = math.sqrt(pooled * (1 - pooled) * 2 / shots)
+        assert abs(a - b) <= 5 * sigma

@@ -186,8 +186,9 @@ def test_worker_count_capped_at_cpu_count(monkeypatch):
     sizes = []
 
     class Pool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -195,8 +196,8 @@ def test_worker_count_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
+        def apply_async(self, fn, args):
+            return SimpleNamespace(get=lambda: fn(*args))
 
     prog = compile_circuit("H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n")
     stratum = StratumSpec(prog, 1)
