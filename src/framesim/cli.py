@@ -73,6 +73,9 @@ def cmd_sample(args) -> int:
         print("error: --shots must be >= 1", file=sys.stderr)
         return 2
     workers = args.workers
+    if workers is not None and workers < 1:
+        print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
+        return 2
     if workers is None:
         env = os.environ.get("FRAMESIM_WORKERS", "1")
         try:

@@ -16,6 +16,11 @@ Two passes rewrite the op list:
   commuting swaps, keeping the result only if the planned peak active
   dimension (and then total active work) does not get worse. The backend's
   ``plan_schedule`` does that planning and hands the plan to the compiler.
+
+Both passes move ops by adjacent swaps. Each op's scheduling facts (kind,
+records read and written, Pauli bits, support) are computed once and travel
+with it, so a swap test is a few integer operations; ops on disjoint qubits
+commute without a Pauli product.
 """
 from __future__ import annotations
 
@@ -258,53 +263,59 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                       detectors, max(observables, default=-1) + 1, stats)
 
 
-# -- commutation / dependency helpers -----------------------------------------
+# -- scheduling facts -----------------------------------------------------------
+#
+# Both passes move ops by adjacent swaps and test each swap many times, so
+# every op's scheduling facts are computed once, kept in a list parallel to
+# the op list and swapped along with it. The facts of an op are the tuple
+# (kind, reads, write, paulis, support): its kind code below, the records it
+# reads, the record it writes (or None), its Paulis as (x, z) bit pairs and
+# the union of their supports as one mask.
+
+_OTHER, _ROT, _MEAS, _NOISE, _PSEL = range(5)
 
 
-def _paulis_of(op) -> list[PauliString]:
+def _facts(op) -> tuple:
     if isinstance(op, Rot):
-        return [op.generator]
+        g = op.generator
+        return _ROT, (), None, ((g.x, g.z),), g.x | g.z
     if isinstance(op, Meas):
-        return [op.observable]
+        g = op.observable
+        return _MEAS, (), op.record, ((g.x, g.z),), g.x | g.z
     if isinstance(op, NoiseEvent):
-        return [p for _, p in op.cases]
+        paulis = tuple((p.x, p.z) for _, p in op.cases)
+        support = 0
+        for x, z in paulis:
+            support |= x | z
+        return _NOISE, (), None, paulis, support
     if isinstance(op, CondPauli):
-        return [op.pauli]
-    return []
-
-
-def _reads(op) -> tuple:
-    if isinstance(op, CondPauli):
-        return (op.record,)
+        g = op.pauli
+        return _OTHER, (op.record,), None, ((g.x, g.z),), g.x | g.z
     if isinstance(op, (DetectorDef, ObservableDef)):
-        return op.records
-    if isinstance(op, PostSelectOp) and op.kind == "record":
-        return (op.ref,)
-    return ()
+        return _OTHER, op.records, None, (), 0
+    if isinstance(op, PostSelectOp):
+        return _PSEL, (), None, (), 0
+    return _OTHER, (), None, (), 0
 
 
-def _writes(op) -> tuple:
-    return (op.record,) if isinstance(op, Meas) else ()
-
-
-def _quantum_commute(a, b) -> bool:
-    for pa in _paulis_of(a):
-        for pb in _paulis_of(b):
-            if not pa.commutes_with(pb):
+def _swappable(a: tuple, b: tuple) -> bool:
+    """True if the op with facts ``b`` may execute before the adjacent op with
+    facts ``a``: neither postselects, not both are noise, ``b`` reads no
+    record ``a`` writes, and every Pauli pair commutes. Ops on disjoint
+    qubits commute without a product."""
+    kind_a, _, write_a, paulis_a, support_a = a
+    kind_b, reads_b, _, paulis_b, support_b = b
+    if kind_a == _PSEL or kind_b == _PSEL or kind_a == kind_b == _NOISE:
+        return False
+    if write_a is not None and write_a in reads_b:
+        return False
+    if not support_a & support_b:
+        return True
+    for xa, za in paulis_a:
+        for xb, zb in paulis_b:
+            if ((xa & zb) ^ (za & xb)).bit_count() & 1:
                 return False
     return True
-
-
-def _swappable(a, b) -> bool:
-    """True if b may execute before a (adjacent swap)."""
-    if isinstance(a, PostSelectOp) or isinstance(b, PostSelectOp):
-        return False
-    if isinstance(a, NoiseEvent) and isinstance(b, NoiseEvent):
-        return False
-    for r in _reads(b):
-        if r in _writes(a):
-            return False
-    return _quantum_commute(a, b)
 
 
 # -- peephole ------------------------------------------------------------------
@@ -369,14 +380,22 @@ def _conjugate_by_quarter(p: PauliString, w: PauliString, m: int) -> PauliString
     return out
 
 
-def _absorb_clifford_rotation(ops: list, start: int, word: PauliString, m: int,
+def _absorb_clifford_rotation(ops: list, facts: list, start: int, word: PauliString, m: int,
                               frame: CliffordTableau) -> None:
-    """Push exp(-i m pi/4 word) at position start into the final frame."""
+    """Push exp(-i m pi/4 word) at position start into the final frame.
+
+    Only ops with a Pauli that anticommutes with ``word`` change; they are
+    rewritten and their facts recomputed."""
     m = m % 8
     if m == 0:
         return
     frame.absorb_rotation_right(word, m)
+    wx, wz = word.x, word.z
     for idx in range(start, len(ops)):
+        _, _, _, paulis, support = facts[idx]
+        if not support & (wx | wz) or not any(((x & wz) ^ (z & wx)).bit_count() & 1
+                                              for x, z in paulis):
+            continue
         op = ops[idx]
         if isinstance(op, Rot):
             g = _conjugate_by_quarter(op.generator, word, m)
@@ -390,11 +409,17 @@ def _absorb_clifford_rotation(ops: list, start: int, word: PauliString, m: int,
                                             for mass, p in op.cases])
         elif isinstance(op, CondPauli):
             ops[idx] = CondPauli(_conjugate_by_quarter(op.pauli, word, m), op.record)
+        facts[idx] = _facts(ops[idx])
 
 
 def peephole_pass(hir: HirProgram) -> HirProgram:
-    """Fuse equal-generator rotations, drop full turns, absorb Clifford parts."""
+    """Fuse equal-generator rotations, drop full turns, absorb Clifford parts.
+
+    Returns ``hir`` itself when it has no rotation, so there is nothing to do."""
+    if not any(isinstance(op, Rot) for op in hir.ops):
+        return hir
     ops = list(hir.ops)
+    facts = [_facts(op) for op in ops]
     frame = hir.final_frame.copy()
     changed = True
     while changed:
@@ -416,21 +441,24 @@ def peephole_pass(hir: HirProgram) -> HirProgram:
                                     op.eighths + other.eighths)
                     else:
                         fused = Rot(op.generator, op.angle + other.angle, None)
-                    ops[i] = fused
+                    ops[i] = fused  # same generator, so facts[i] still holds
                     del ops[j]
+                    del facts[j]
                     changed = True
                     op = fused
                     continue
-                if not _swappable(op, other) or not _swappable(other, op):
+                if not _swappable(facts[i], facts[j]) or not _swappable(facts[j], facts[i]):
                     break
                 j += 1
             m, resid_angle, resid_eighths = _split_clifford_part(op.angle, op.eighths)
             if m != 0 or abs(resid_angle) < _TOL:
                 del ops[i]
+                del facts[i]
                 if abs(resid_angle) >= _TOL:
                     ops.insert(i, Rot(op.generator, resid_angle, resid_eighths))
-                _absorb_clifford_rotation(ops, i + (abs(resid_angle) >= _TOL), op.generator,
-                                          m, frame)
+                    facts.insert(i, _facts(ops[i]))
+                _absorb_clifford_rotation(ops, facts, i + (abs(resid_angle) >= _TOL),
+                                          op.generator, m, frame)
                 changed = True
                 continue
             i += 1
@@ -443,41 +471,45 @@ def peephole_pass(hir: HirProgram) -> HirProgram:
 # -- scheduling ----------------------------------------------------------------
 
 
-def _support(op) -> int:
-    """The qubits ``op`` acts on, as a bitmask."""
-    out = 0
-    for p in _paulis_of(op):
-        out |= p.x | p.z
-    return out
-
-
 def schedule_candidate(hir: HirProgram) -> HirProgram:
     """Pull measurements earlier and push rotations later via commuting swaps.
 
     A bubble stops before crossing a rotation/measurement that shares qubit
     support with the moved op (crossing such a commuting neighbour forfeits
-    the contraction the move was after). Only reorders ops.
+    the contraction the move was after). Only reorders ops; each op's facts
+    are computed once and travel with it.
     """
     ops = list(hir.ops)
+    facts = [_facts(op) for op in ops]
     for i in range(len(ops)):
-        if isinstance(ops[i], Meas):
-            sup = _support(ops[i])
+        moved = facts[i]
+        if moved[0] == _MEAS:
+            sup = moved[4]
             j = i
-            while j > 0 and _swappable(ops[j - 1], ops[j]):
-                if isinstance(ops[j - 1], Rot) and sup & _support(ops[j - 1]):
-                    break
-                if isinstance(ops[j - 1], NoiseEvent):
+            while j > 0:
+                prev = facts[j - 1]
+                if prev[0] == _NOISE:
                     break  # entering a noise run splits its sampling block
+                if prev[0] == _ROT and sup & prev[4]:
+                    break
+                if not _swappable(prev, moved):
+                    break
                 ops[j - 1], ops[j] = ops[j], ops[j - 1]
+                facts[j - 1], facts[j] = moved, prev
                 j -= 1
     for i in range(len(ops) - 1, -1, -1):
-        if isinstance(ops[i], Rot):
-            sup = _support(ops[i])
+        moved = facts[i]
+        if moved[0] == _ROT:
+            sup = moved[4]
             j = i
-            while j + 1 < len(ops) and _swappable(ops[j], ops[j + 1]):
-                if isinstance(ops[j + 1], (Rot, Meas)) and sup & _support(ops[j + 1]):
+            while j + 1 < len(ops):
+                nxt = facts[j + 1]
+                if (nxt[0] == _ROT or nxt[0] == _MEAS) and sup & nxt[4]:
+                    break
+                if not _swappable(moved, nxt):
                     break
                 ops[j], ops[j + 1] = ops[j + 1], ops[j]
+                facts[j], facts[j + 1] = nxt, moved
                 j += 1
     return replace(hir, ops=ops)
 

@@ -16,9 +16,12 @@ set of qubits is a Python int whose bit j is qubit j.
 
 * :class:`CliffordTableau` stores a Clifford unitary U through its inverse
   rows, the images ``U^dag X_j U`` and ``U^dag Z_j U``. Mapping an operator
-  into frame coordinates reads those rows; the forward image ``U P U^dag``
-  is recovered from them by commutation parities, so no row is stored
-  twice.
+  into frame coordinates reads those rows. The forward image ``U P U^dag``
+  is recovered from them by commutation parities, read off a transposed
+  copy of the row bits (the row/column bookkeeping of Aaronson and
+  Gottesman): per qubit, the set of rows with an x or a z bit there. The
+  copy is built on the first forward map and kept in step by every later
+  row write, so a forward map costs the weight of its operand, not n.
 
 Parities are ``int.bit_count()`` of an AND of two masks, so a product or a
 commutation check costs a few machine-word operations per 64 qubits.
@@ -285,23 +288,67 @@ class CliffordTableau:
     ``(x, z, phase_exp)`` int tuples. ``absorb_left`` (U <- G U) rewrites
     the O(1) rows of the gate's qubits; ``absorb_right`` (U <- U G, circuit
     order) and ``absorb_rotation_right`` conjugate every row.
+
+    ``_cols`` is None or the transposed row bits, four lists indexed by
+    qubit j whose entries are masks over row indices c: rows ``ix[c]`` with
+    an x bit on j, ``ix[c]`` with a z bit on j, then the same for ``iz[c]``.
+    Every row write goes through :meth:`_write_rows`, which keeps them in step.
     """
 
-    __slots__ = ("n", "ix", "iz")
+    __slots__ = ("n", "ix", "iz", "_cols")
 
     def __init__(self, n: int):
         self.n = n
         self.ix = [(1 << j, 0, 0) for j in range(n)]
         self.iz = [(0, 1 << j, 0) for j in range(n)]
+        self._cols = None
 
     @classmethod
     def _from_rows(cls, n: int, ix: list, iz: list) -> "CliffordTableau":
         t = cls.__new__(cls)
-        t.n, t.ix, t.iz = n, ix, iz
+        t.n, t.ix, t.iz, t._cols = n, ix, iz, None
         return t
 
     def copy(self) -> "CliffordTableau":
-        return CliffordTableau._from_rows(self.n, list(self.ix), list(self.iz))
+        t = CliffordTableau._from_rows(self.n, list(self.ix), list(self.iz))
+        if self._cols is not None:
+            t._cols = tuple(list(col) for col in self._cols)
+        return t
+
+    # -- the transposed rows --------------------------------------------
+
+    def _columns(self) -> tuple:
+        """The transposed row bits, built from the rows on first use."""
+        cols = self._cols
+        if cols is None:
+            n = self.n
+            cols = ([0] * n, [0] * n, [0] * n, [0] * n)
+            for rows, colx, colz in ((self.ix, cols[0], cols[1]), (self.iz, cols[2], cols[3])):
+                for c, (x, z, _) in enumerate(rows):
+                    for j in bit_indices(x):
+                        colx[j] |= 1 << c
+                    for j in bit_indices(z):
+                        colz[j] |= 1 << c
+            self._cols = cols
+        return cols
+
+    def _write_rows(self, writes) -> None:
+        """Store ``(z_row, c, row)`` writes into ``iz`` (or ``ix``) and flip
+        the column bits each one changes."""
+        cols = self._cols
+        for z_row, c, row in writes:
+            rows = self.iz if z_row else self.ix
+            if cols is not None:
+                old = rows[c]
+                bit = 1 << c
+                base = 2 if z_row else 0
+                for col, diff in ((cols[base], old[0] ^ row[0]),
+                                  (cols[base + 1], old[1] ^ row[1])):
+                    while diff:
+                        low = diff & -diff
+                        col[low.bit_length() - 1] ^= bit
+                        diff ^= low
+            rows[c] = row
 
     # -- the two maps ---------------------------------------------------
 
@@ -329,19 +376,27 @@ class CliffordTableau:
 
         Its X bit c is set iff it anticommutes with Z_c, that is iff P
         anticommutes with ``U^dag Z_c U``; likewise its Z bit c with X_c.
+        Over the set bits j of ``p.x`` and ``p.z`` that is an XOR of columns.
         The phase is whatever makes ``heisenberg_map`` of the result P.
         """
         if p.n != self.n:
             raise ValueError("length mismatch")
-        px, pz = p.x, p.z
+        xx, xz, zx, zz = self._columns()
         qx = qz = 0
-        bit = 1
-        for (xx, xz, _), (zx, zz, _) in zip(self.ix, self.iz):
-            if ((px & zz) ^ (pz & zx)).bit_count() & 1:
-                qx |= bit
-            if ((px & xz) ^ (pz & xx)).bit_count() & 1:
-                qz |= bit
-            bit <<= 1
+        mask = p.x
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            qx ^= zz[j]
+            qz ^= xz[j]
+            mask ^= low
+        mask = p.z
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            qx ^= zx[j]
+            qz ^= xx[j]
+            mask ^= low
         return PauliString(self.n, qx, qz, p.phase_exp - self._map(qx, qz, 0)[2])
 
     def x_image(self, j: int) -> PauliString:
@@ -359,18 +414,17 @@ class CliffordTableau:
         new = []
         for q in ((a,) if b is None else (a, b)):
             bit = 1 << q
-            new.append((self.ix, q, self._map(*_conjugate_bits(inv, a, b, bit, 0, 0))))
-            new.append((self.iz, q, self._map(*_conjugate_bits(inv, a, b, 0, bit, 0))))
-        for rows, q, row in new:
-            rows[q] = row
+            new.append((False, q, self._map(*_conjugate_bits(inv, a, b, bit, 0, 0))))
+            new.append((True, q, self._map(*_conjugate_bits(inv, a, b, 0, bit, 0))))
+        self._write_rows(new)
 
     def absorb_right(self, gate: str, a: int, b: int | None = None) -> None:
         """U <- U G (gate applied after U in circuit order): every row is
         conjugated by G^dag."""
         inv = _INV_GATE.get(gate, gate)
-        for rows in (self.ix, self.iz):
-            for j, row in enumerate(rows):
-                rows[j] = _conjugate_bits(inv, a, b, *row)
+        self._write_rows([(z_row, j, _conjugate_bits(inv, a, b, *row))
+                          for z_row, rows in ((False, self.ix), (True, self.iz))
+                          for j, row in enumerate(rows)])
 
     def absorb_rotation_right(self, pauli: PauliString, quarter_turns: int) -> None:
         """U <- U * exp(-i (m pi/4) P) for Hermitian P; m mod 8 matters."""
@@ -388,15 +442,17 @@ class CliffordTableau:
         # C^dag R C = R for commuting R. For anticommuting R it is -R when
         # m is 2 or 6, and i^extra P R when m is odd.
         extra = 1 if m in (1, 5) else 3
-        for rows in (self.ix, self.iz):
+        writes = []
+        for z_row, rows in ((False, self.ix), (True, self.iz)):
             for j, (x, z, e) in enumerate(rows):
                 if not _anticommute(px, pz, x, z):
                     continue
                 if m % 2 == 0:
-                    rows[j] = (x, z, (e + 2) & 3)
+                    writes.append((z_row, j, (x, z, (e + 2) & 3)))
                 else:
                     cross = (pz & x).bit_count() & 1
-                    rows[j] = (px ^ x, pz ^ z, (pe + e + 2 * cross + extra) & 3)
+                    writes.append((z_row, j, (px ^ x, pz ^ z, (pe + e + 2 * cross + extra) & 3)))
+        self._write_rows(writes)
 
     # -- composition ----------------------------------------------------
 

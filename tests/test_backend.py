@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -342,3 +343,14 @@ def test_one_call_and_staged_pipelines_agree():
         staged = optimize_bytecode(plan_and_emit(scheduled))
         assert compile_circuit(circ).fingerprint() == staged.fingerprint()
     assert rejected >= 5
+
+
+def test_wide_frame_compiles_in_linear_time():
+    # one H per qubit on 1999 qubits, then one measurement: a forward map
+    # costs the weight of its operand, so the final frame's inverse takes
+    # milliseconds; a scan of all n rows per mapped Pauli took seconds
+    text = "".join(f"H {q}\n" for q in range(1999)) + "M 0\n"
+    start = time.process_time()
+    prog = compile_circuit(text)
+    assert time.process_time() - start < 1.0
+    assert prog.n == 1999

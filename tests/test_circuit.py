@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesim.circuit import (
     Circuit,
@@ -266,3 +268,86 @@ def test_size_limits_refuse_before_flattening(monkeypatch, tmp_path, capsys):
                      ["sample", str(path), "--shots", "2"]):
             assert main(argv) == 1
             assert "limit" in capsys.readouterr().err
+
+
+_QUBIT = st.integers(0, 40)
+_REC = st.integers(1, 9).map(lambda k: f"rec[-{k}]") | st.integers(0, 9).map(lambda r: f"rec[{r}]")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PAIRS = st.lists(st.tuples(_QUBIT, _QUBIT).filter(lambda ab: ab[0] != ab[1]),
+                  min_size=1, max_size=3).map(lambda ps: [q for ab in ps for q in ab])
+
+
+def _args(values) -> str:
+    return "(" + ", ".join(repr(v) for v in values) + ")"
+
+
+@st.composite
+def _instruction_line(draw) -> str:
+    kind = draw(st.sampled_from(["1q", "rot", "noise", "2q", "dep2", "cond", "detector",
+                                 "observable", "postselect", "tick", "coords"]))
+    if kind == "1q":
+        name = draw(st.sampled_from(["H", "S", "S_DAG", "X", "Y", "Z", "T", "T_DAG",
+                                     "M", "MX", "MY", "R"]))
+        targets = draw(st.lists(_QUBIT, min_size=1, max_size=4))
+    elif kind == "rot":
+        name = draw(st.sampled_from(["R_X", "R_Y", "R_Z"])) + _args([draw(_FINITE)])
+        targets = draw(st.lists(_QUBIT, min_size=1, max_size=3))
+    elif kind == "noise":
+        name = draw(st.sampled_from(["X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1"]))
+        name += _args([draw(st.floats(0.0, 1.0))])
+        targets = draw(st.lists(_QUBIT, min_size=1, max_size=3))
+    elif kind == "2q":
+        name, targets = draw(st.sampled_from(["CX", "CZ", "SWAP"])), draw(_PAIRS)
+    elif kind == "dep2":
+        name, targets = "DEPOLARIZE2" + _args([draw(st.floats(0.0, 1.0))]), draw(_PAIRS)
+    elif kind == "cond":
+        name = draw(st.sampled_from(["CX", "CZ", "X", "Z"]))
+        targets = [t for _ in range(draw(st.integers(1, 2))) for t in (draw(_REC), draw(_QUBIT))]
+    elif kind == "detector":
+        name = "DETECTOR" + (_args(draw(st.lists(_FINITE, min_size=1, max_size=3)))
+                             if draw(st.booleans()) else "")
+        targets = draw(st.lists(_REC, max_size=3))
+    elif kind == "observable":
+        name = f"OBSERVABLE_INCLUDE({draw(st.integers(0, 5))})"
+        targets = draw(st.lists(_REC, max_size=3))
+    elif kind == "postselect":
+        name = "POSTSELECT" + draw(st.sampled_from(["", "(0)", "(1)"]))
+        targets = draw(st.lists(_REC, min_size=1, max_size=3))
+    elif kind == "tick":
+        name, targets = "TICK", []
+    else:
+        name = "QUBIT_COORDS" + _args(draw(st.lists(_FINITE, min_size=1, max_size=2)))
+        targets = [draw(_QUBIT)]
+    if draw(st.booleans()):
+        name = name.lower()
+    line = " ".join([name, *map(str, targets)])
+    return line + ("  # note" if draw(st.booleans()) else "")
+
+
+@st.composite
+def _circuit_lines(draw, depth: int = 2) -> list:
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if depth and draw(st.integers(0, 4)) == 0:
+            lines.append(f"REPEAT {draw(st.integers(1, 5))} {{")
+            lines.extend("  " + line for line in draw(_circuit_lines(depth - 1)))
+            lines.append("}")
+        else:
+            lines.append(draw(_instruction_line()))
+    return lines
+
+
+def _shape(circuit: Circuit) -> list:
+    """The parsed structure without source line numbers."""
+    return [("REPEAT", ins.count, _shape(ins.body)) if isinstance(ins, RepeatBlock)
+            else (ins.opcode, ins.targets, ins.args) for ins in circuit.instructions]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuit_lines())
+def test_parse_serialize_parse_is_a_fixed_point(lines):
+    first = parse_circuit("\n".join(lines) + "\n")
+    text = first.serialize()
+    second = parse_circuit(text)
+    assert _shape(second) == _shape(first)
+    assert second.serialize() == text

@@ -148,6 +148,16 @@ def test_bad_framesim_workers_is_usage_error(mirror_file, monkeypatch, capsys, v
     assert main(["sample", mirror_file, "--shots", "3"]) == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_workers_below_one_is_usage_error(mirror_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("FRAMESIM_WORKERS", "1")
+    assert main(["sample", mirror_file, "--shots", "3", "--workers", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --workers")
+    assert "Traceback" not in captured.err
+
+
 def test_validate_passes(capsys):
     assert main(["validate", "--mirrors", "3", "--fuzz", "6", "--self-test"]) == 0
     assert "all validation checks passed" in capsys.readouterr().out

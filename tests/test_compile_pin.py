@@ -1,0 +1,56 @@
+"""Golden compile pin: the emitted programs of fixed circuits, as digests.
+
+Compiler speed work must not change what the compiler emits. The digests
+below are sha256 over ``BytecodeProgram.fingerprint()`` (the bytecode dump
+plus the active schedule), each fingerprint followed by a NUL byte. Both
+constants were computed at commit b715b7f, before the per-op scheduling
+facts and the column-indexed ``forward_map`` went in; a change that moves
+either one changes emitted programs and must say why.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from framesim import compile_circuit
+from framesim.testing import random_circuit, repetition_code_circuit
+
+WORKED_MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_DAG 0\nH 0\nM 0 1\n"
+
+WORKLOADS_SHA256 = "7e926bb18b59d53082fc954f5552904698e88c41668cb3fa80282a5d2307af6c"
+CORPUS_200_SHA256 = "7fd6b1d75a131160fcc58d869456506cabb4e4361142f2456cdcd7b4942530cb"
+
+
+def _digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(compile_circuit(text).fingerprint().encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _workloads():
+    """The three programs the benchmark compiles: mirror, rep_d25, rot_n14."""
+    yield WORKED_MIRROR
+    yield repetition_code_circuit(25, 25, 1e-3).serialize()
+    yield random_circuit(np.random.default_rng(0), 14, 400, p_noise=1e-3, rot_rate=0.3,
+                         measure_rate=0.03).serialize()
+
+
+def _corpus(count: int):
+    """Small seeded circuits with rotations, noise, resets and feedforward."""
+    rng = np.random.default_rng(12345)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        depth = int(rng.integers(4, 60))
+        yield random_circuit(rng, n, depth, p_noise=0.01, reset_rate=0.05,
+                             feedforward_rate=0.05).serialize()
+
+
+def test_workload_programs_are_pinned():
+    assert _digest(_workloads()) == WORKLOADS_SHA256
+
+
+def test_corpus_programs_are_pinned():
+    assert _digest(_corpus(200)) == CORPUS_200_SHA256

@@ -8,9 +8,15 @@ import pytest
 
 from framesim.circuit import flatten, parse_circuit
 from framesim.hir import (
+    CondPauli,
+    DetectorDef,
     Meas,
     NoiseEvent,
+    ObservableDef,
+    PostSelectOp,
     Rot,
+    _facts,
+    _swappable,
     lower_to_hir,
     peephole_pass,
     schedule_pass,
@@ -180,7 +186,6 @@ def test_schedule_never_increases_kmax():
 
 def test_schedule_matches_exhaustive_min_on_tiny_cases():
     """BFS over legal adjacent swaps gives the reachable minimum k_max."""
-    from framesim.hir import _swappable
     from dataclasses import replace
 
     rng = np.random.default_rng(67)
@@ -197,7 +202,7 @@ def test_schedule_matches_exhaustive_min_on_tiny_cases():
         while frontier:
             ops = frontier.pop()
             for j in range(len(ops) - 1):
-                if _swappable(ops[j], ops[j + 1]):
+                if _swappable(_facts(ops[j]), _facts(ops[j + 1])):
                     cand = list(ops)
                     cand[j], cand[j + 1] = cand[j + 1], cand[j]
                     key = tuple(map(id, cand))
@@ -231,3 +236,68 @@ def test_hir_dump_format():
     assert lines[1] == "NOISE site=0"
     assert "MEAS" in lines[3] and "rec[1]" in lines[3]
     assert lines[4].startswith("T_DAG")
+
+
+# The object-based swap predicate the scheduler used before it kept per-op
+# facts, copied here as the reference for the facts-based one.
+
+def _reference_paulis(op):
+    if isinstance(op, Rot):
+        return [op.generator]
+    if isinstance(op, Meas):
+        return [op.observable]
+    if isinstance(op, NoiseEvent):
+        return [p for _, p in op.cases]
+    if isinstance(op, CondPauli):
+        return [op.pauli]
+    return []
+
+
+def _reference_reads(op):
+    if isinstance(op, CondPauli):
+        return (op.record,)
+    if isinstance(op, (DetectorDef, ObservableDef)):
+        return op.records
+    if isinstance(op, PostSelectOp) and op.kind == "record":
+        return (op.ref,)
+    return ()
+
+
+def _reference_swappable(a, b) -> bool:
+    if isinstance(a, PostSelectOp) or isinstance(b, PostSelectOp):
+        return False
+    if isinstance(a, NoiseEvent) and isinstance(b, NoiseEvent):
+        return False
+    writes = (a.record,) if isinstance(a, Meas) else ()
+    for r in _reference_reads(b):
+        if r in writes:
+            return False
+    return all(pa.commutes_with(pb) for pa in _reference_paulis(a)
+               for pb in _reference_paulis(b))
+
+
+def _swap_corpus():
+    from framesim.testing import repetition_code_circuit
+
+    rng = np.random.default_rng(83)
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        yield random_circuit(rng, n, int(rng.integers(5, 40)), p_noise=0.05, reset_rate=0.1,
+                             feedforward_rate=0.1).serialize()
+    yield repetition_code_circuit(3, 2, 0.1).serialize()
+    yield ("H 0\nT 0\nCX 0 1\nM 0\nX_ERROR(0.1) 1\nM 1\nDETECTOR rec[-1] rec[-2]\n"
+           "POSTSELECT rec[-2]\nT 1\nOBSERVABLE_INCLUDE(0) rec[-1]\nM 1\n")
+
+
+def test_facts_swappable_matches_object_predicate():
+    pairs = same_support_commuting = 0
+    for text in _swap_corpus():
+        ops = peephole_pass(lower(text)).ops
+        facts = [_facts(op) for op in ops]
+        for a, fa in zip(ops, facts):
+            for b, fb in zip(ops, facts):
+                want = _reference_swappable(a, b)
+                assert _swappable(fa, fb) == want, (a, b)
+                pairs += 1
+                same_support_commuting += bool(want and fa[4] & fb[4])
+    assert pairs > 20_000 and same_support_commuting > 1000

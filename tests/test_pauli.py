@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesim.pauli import (
     CliffordTableau,
@@ -342,3 +344,97 @@ def test_int_tableau_past_one_machine_word(n):
             rev.conjugate_gate(gate, a, b)
         assert left.forward_map(p) == fwd
         assert right.forward_map(p) == rev
+
+
+def _forward_map_by_rows(t: CliffordTableau, p: PauliString) -> PauliString:
+    """The row-by-row forward map: one commutation parity per inverse row."""
+    qx = qz = 0
+    for c, ((xx, xz, _), (zx, zz, _)) in enumerate(zip(t.ix, t.iz)):
+        if ((p.x & zz) ^ (p.z & zx)).bit_count() & 1:
+            qx |= 1 << c
+        if ((p.x & xz) ^ (p.z & xx)).bit_count() & 1:
+            qz |= 1 << c
+    return PauliString(t.n, qx, qz, p.phase_exp - t._map(qx, qz, 0)[2])
+
+
+def _draw_pauli(data, n: int) -> PauliString:
+    p = PauliString(n, data.draw(st.integers(0, 2 ** n - 1)), data.draw(st.integers(0, 2 ** n - 1)))
+    p.phase_exp = (p.y_count() + 2 * data.draw(st.integers(0, 1))) & 3
+    return p
+
+
+def _draw_gate(data, n: int) -> tuple:
+    if n >= 2 and data.draw(st.booleans()):
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        return data.draw(st.sampled_from(["CX", "CZ", "SWAP"])), a, b
+    return data.draw(st.sampled_from(["H", "S", "S_DAG", "X", "Y", "Z"])), data.draw(
+        st.integers(0, n - 1)), None
+
+
+def _rotation_dense(p: PauliString, m: int) -> np.ndarray:
+    w, v = np.linalg.eigh(p.to_dense())
+    return v @ np.diag(np.exp(-1j * m * np.pi / 4 * w)) @ v.conj().T
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_forward_map_matches_row_parities_property(data):
+    """Every mutator keeps the transposed rows in step: after each step of a
+    random sequence, forward_map equals the row-by-row parities, and for
+    n <= 3 the dense conjugation by a unitary tracked alongside."""
+    n = data.draw(st.integers(1, 3) | st.integers(4, 70))
+    t = CliffordTableau(n)
+    dense = n <= 3
+    u = np.eye(2 ** n, dtype=complex) if dense else None
+    steps = data.draw(st.lists(st.sampled_from(
+        ["left", "right", "rotation", "copy", "compose", "inverse", "probe"]), max_size=25))
+    for step in steps + ["probe"]:
+        if step == "left":
+            gate, a, b = _draw_gate(data, n)
+            t.absorb_left(gate, a, b)
+            if dense:
+                u = embed(GATE_MATS[gate], (a,) if b is None else (a, b), n) @ u
+        elif step == "right":
+            gate, a, b = _draw_gate(data, n)
+            t.absorb_right(gate, a, b)
+            if dense:
+                u = u @ embed(GATE_MATS[gate], (a,) if b is None else (a, b), n)
+        elif step == "rotation":
+            p, m = _draw_pauli(data, n), data.draw(st.integers(0, 7))
+            t.absorb_rotation_right(p, m)
+            if dense:
+                u = u @ _rotation_dense(p, m)
+        elif step == "copy":
+            # the copy owns its rows and columns: writing to it leaves t alone
+            twin = t.copy()
+            gate, a, b = _draw_gate(data, n)
+            twin.absorb_left(gate, a, b)
+            p = _draw_pauli(data, n)
+            assert twin.forward_map(p) == _forward_map_by_rows(twin, p)
+        elif step == "compose":
+            other = CliffordTableau(n)
+            v = np.eye(2 ** n, dtype=complex) if dense else None
+            for _ in range(data.draw(st.integers(0, 4))):
+                gate, a, b = _draw_gate(data, n)
+                other.absorb_left(gate, a, b)
+                if dense:
+                    v = embed(GATE_MATS[gate], (a,) if b is None else (a, b), n) @ v
+            if data.draw(st.booleans()):
+                other.forward_map(PauliString(n))  # build other's columns first
+            t = t.compose(other)
+            if dense:
+                u = u @ v
+        elif step == "inverse":
+            t = t.inverse()
+            if dense:
+                u = u.conj().T
+        else:
+            p = _draw_pauli(data, n)
+            got = t.forward_map(p)
+            assert got == _forward_map_by_rows(t, p)
+            if dense:
+                assert np.allclose(got.to_dense(), u @ p.to_dense() @ u.conj().T, atol=1e-9)
+    for j in range(n):
+        assert t.x_image(j) == _forward_map_by_rows(t, PauliString.single(n, j, "X"))
+        assert t.z_image(j) == _forward_map_by_rows(t, PauliString.single(n, j, "Z"))
+
