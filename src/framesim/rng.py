@@ -12,6 +12,8 @@ uint64 arithmetic, in buffers it reuses, as many draws per shot as the
 shots before it made. A new stream's first shot is never tabulated, so the
 first block already has that width. The tabulated values are the same
 integers the scalar mixer computes; only the cost per draw changes.
+:class:`ShotStreams` holds a chunk of shots' streams side by side, one draw
+counter per shot, for samplers that run shots in lock-step.
 """
 from __future__ import annotations
 
@@ -156,3 +158,34 @@ class ShotRng:
     @property
     def draws(self) -> int:
         return self._count
+
+
+class ShotStreams:
+    """The streams of shots [lo, hi) side by side, for lock-step sampling.
+
+    ``keys[i]`` is the key of shot ``lo + i`` and ``counts[i]`` its draw
+    counter, so ``next_u64(rows)`` gives each listed shot the draw its
+    :class:`ShotRng` would make next: ``mix64(key + count * golden)``.
+    """
+
+    __slots__ = ("keys", "counts")
+
+    def __init__(self, seed: int, lo: int, hi: int):
+        keys = np.arange(lo, hi, dtype=np.uint64)
+        keys ^= np.uint64(mix64(seed & _MASK))
+        _mix64_inplace(keys, np.empty_like(keys))
+        self.keys = keys
+        self.counts = np.zeros(hi - lo, dtype=np.uint64)
+
+    def next_u64(self, rows: np.ndarray) -> np.ndarray:
+        """The next draw of each shot in ``rows`` (distinct indices)."""
+        x = self.counts[rows]
+        self.counts[rows] = x + 1
+        x *= _GOLDEN_U64
+        x += self.keys[rows]
+        _mix64_inplace(x, np.empty_like(x))
+        return x
+
+    def uniform(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`ShotRng.uniform` of each shot in ``rows``, the same floats."""
+        return np.right_shift(self.next_u64(rows), 11) * 2.0 ** -53

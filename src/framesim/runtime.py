@@ -6,18 +6,22 @@ Each program class has one engine. A program with an active array
 ``sample_accumulate`` call walks ``prog.instrs`` once, holding every frame
 bit as a GF(2)-affine form over the shot's random inputs (each noise
 site's cases and each ``MeasDormantRandom`` coin), and transposes the output
-forms into one XOR effect per input. A shot then resets its RNG stream and
-makes exactly the closure VM's draws in instruction order: the stratum's
-fault list, then per ``NoiseBlock`` the hazard-skip draws (or the cases the
-stratum left open) and per coin one bit, stopping at a failed
-postselection. It XORs the effect of every input that fires into one int,
-and chunks of shots are unpacked with numpy. Records are bit-identical to
-the closure VM's. ``run_shot``, ``trace``, ``expectation_probe`` and
-``testing.crosscheck`` always use the closure VM, the reference engine, and
-so does a frame-only program whose table would exceed ``_TABLE_BITS``.
-``sample`` with workers builds the table or the closures before it forks
-its pool, so the workers inherit them, and keeps at most two chunks of
-shots per worker in flight.
+forms into a matrix of packed XOR effect rows, one per input. A chunk of
+shots then runs in lock-step, one table step at a time, as numpy operations
+over the shots still running: each shot keeps its own draw counter, so it
+makes exactly the closure VM's draws in instruction order (the stratum's
+fault list, then per ``NoiseBlock`` the hazard-skip draws, or the cases
+the stratum left open, and per coin one bit), stopping at a failed
+postselection. A fired input XORs its effect row into the shot's output
+row. numpy only clears shots that surely survive a hazard segment; every
+draw that may fire a fault takes the serial VM's scalar arithmetic, so
+records are bit-identical to the closure VM's. ``run_shot``, ``trace``,
+``expectation_probe`` and ``testing.crosscheck`` always use the closure VM,
+the reference engine, and so does a frame-only program whose table would
+exceed ``_TABLE_BITS``. ``sample`` with workers builds the table or the
+closures before it forks its pool, so the workers inherit them, and keeps
+at most two chunks of shots per worker in flight; a table program forks
+only when each worker gets more than a whole chunk.
 
 In the closure VM, a shot owns one preallocated :class:`ShotState`: the
 active array, the Pauli frame as two Python-int bitmasks, a global scalar,
@@ -53,7 +57,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +78,7 @@ from .backend import (
     PostSelectIns,
 )
 from .pauli import PauliString, bit_indices
-from .rng import ShotRng
+from .rng import ShotRng, ShotStreams
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
@@ -707,41 +711,50 @@ def _compiled(prog: BytecodeProgram):
 # -- frame-only programs as a table from random inputs to output bits -------------
 
 _NOISE, _COIN, _CHECK = 0, 1, 2
-_TABLE_BITS = 1 << 28  # most (inputs x output bits) a table may hold: 32 MiB of ints
+_TABLE_BITS = 1 << 28  # most (inputs x output bits) a table may hold: 32 MiB of effects
 _TRANSPOSE_BYTES = 1 << 22  # unpacked bytes per block of the build's transpose
+_GUARD = 2.0 ** -40  # a lock-step survival's margin, relative to the bound (_may_fault)
 
 
 @dataclass(slots=True)
 class _FrameTable:
     """A frame-only program as XOR effects on its output bits.
 
-    Output bit p of a shot is bit p of ``const`` XOR the
-    ``effects[site][case]`` of each fault that fires and the effect of each
-    coin that comes up 1. Bits [0, ``width``) are the user records, detectors
-    and observables, in that order (``nm`` and ``nd`` user records and
-    detectors); a bit above is hidden: an observable as it stood at a
-    postselection that a later ``ObservableIns`` changes.
+    Output bit p of a shot is bit p of the constant row XOR the effect row of
+    each fault that fires and of each coin that comes up 1. ``effects`` holds
+    one row of ``nbytes`` little-endian bytes per random input: row 0 is the
+    constant, row ``first[site] + case`` a fault. Bits [0, ``width``) are
+    the user records, detectors and observables, in that order (``nm`` and
+    ``nd`` user records and detectors); a bit above is hidden: an observable
+    as it stood at a postselection that a later ``ObservableIns`` changes.
 
     ``steps`` is the shot's draw sequence, in instruction order:
 
     * ``(_NOISE, lo, hi, plan)`` draws the faults of a noise block (``plan``
-      is its block plan, or None when the block is one hazard segment);
-    * ``(_COIN, effect, 0, None)`` draws a coin;
+      is its block plan);
+    * ``(_COIN, row, 0, None)`` draws a coin with effect row ``row``;
     * ``(_CHECK, bit, required, (keep, moves))`` is a postselection. A failed
       check ends the shot with the output bits ``keep`` written so far and,
       for each ``(hidden, obs)`` of ``moves``, the hidden snapshot moved onto
       its observable.
+
+    The remaining fields are the program's sites and ``cum_hazard`` in the
+    forms the draws read; they follow from the program, so equality skips
+    the numpy ones.
     """
 
-    const: int
-    effects: list   # per site, per case
+    effects: bytes
     steps: list
     width: int
     nm: int
     nd: int
     nbytes: int     # bytes of one packed shot, hidden bits included
-    S: list         # the program's cum_hazard and sites, for the draws
-    sites: list
+    S: list         # the program's cum_hazard
+    hazard: np.ndarray = field(compare=False)  # S as an array
+    first: np.ndarray = field(compare=False)   # per site, the effect row of case 0
+    prob: np.ndarray = field(compare=False)    # per site, its probability
+    ncases: np.ndarray = field(compare=False)  # per site, its case count
+    case_cum: np.ndarray = field(compare=False)  # per site, case_cum padded with inf
 
 
 def _frame_table(prog: BytecodeProgram):
@@ -830,8 +843,7 @@ def _build_table(prog: BytecodeProgram):
                         fx[j] ^= bit
                     for j in bit_indices(cz):
                         fz[j] ^= bit
-            plan = _block_plan(sites, lo, hi)
-            steps.append((_NOISE, lo, hi, None if plan == [(lo, hi)] else plan))
+            steps.append((_NOISE, lo, hi, _block_plan(sites, lo, hi)))
         elif t is DetectorIns:
             form = 0
             for r in ins.records:
@@ -859,35 +871,36 @@ def _build_table(prog: BytecodeProgram):
                     out.append(form)
         kind, p, required, _ = steps[i]
         steps[i] = (kind, p, required, (keep, tuple(moves)))
-    effects = _transpose(out, nxt)
+    nbytes = max(1, (len(out) + 7) // 8)
+    ncases = [len(s.case_cum) for s in sites]
+    case_cum = np.full((len(sites), max(ncases, default=1)), np.inf)
+    for i, s in enumerate(sites):
+        case_cum[i, :ncases[i]] = s.case_cum
     return _FrameTable(
-        const=effects[0],
-        effects=[effects[b: b + len(s.case_x)] for b, s in zip(site_bit, sites)],
-        steps=[(k, effects[a], 0, None) if k == _COIN else (k, a, b, c)
-               for k, a, b, c in steps],
-        width=width, nm=nm, nd=nd, nbytes=max(1, (len(out) + 7) // 8),
-        S=prog.cum_hazard, sites=sites)
+        effects=_transpose(out, nxt, nbytes).tobytes(), steps=steps,
+        width=width, nm=nm, nd=nd, nbytes=nbytes, S=prog.cum_hazard,
+        hazard=np.array(prog.cum_hazard), first=np.array(site_bit, dtype=np.int64),
+        prob=np.array([s.prob for s in sites], dtype=np.float64),
+        ncases=np.array(ncases, dtype=np.int64), case_cum=case_cum)
 
 
-def _transpose(forms: list, n_inputs: int) -> list:
-    """``effects[i]``: the int whose bit p is bit i of ``forms[p]``, for each
-    input i < ``n_inputs``; bit matrices are unpacked a block of inputs at a
-    time."""
+def _transpose(forms: list, n_inputs: int, nbytes: int) -> np.ndarray:
+    """The effect matrix: row i packs bit i of each of ``forms`` (bit p of
+    the row is bit i of ``forms[p]``) into ``nbytes`` little-endian bytes,
+    for each input i < ``n_inputs``; bit matrices are unpacked a block of
+    inputs at a time."""
     if not forms:
-        return [0] * n_inputs
+        return np.zeros((n_inputs, nbytes), dtype=np.uint8)
     nb_in = (n_inputs + 7) // 8
     mat = np.frombuffer(b"".join([f.to_bytes(nb_in, "little") for f in forms]),
                         dtype=np.uint8).reshape(len(forms), nb_in)
     block = max(1, _TRANSPOSE_BYTES // (8 * len(forms)))  # input bytes per block
-    effects = []
+    rows = []
     for b0 in range(0, nb_in, block):
         bits = np.unpackbits(mat[:, b0:b0 + block], axis=1, bitorder="little")
         # packbits runs several times faster on a contiguous copy
-        raw = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little").tobytes()
-        nb_out = (len(forms) + 7) // 8
-        effects += [int.from_bytes(raw[i: i + nb_out], "little")
-                    for i in range(0, len(raw), nb_out)]
-    return effects[:n_inputs]
+        rows.append(np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little"))
+    return np.concatenate(rows)[:n_inputs]
 
 
 def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
@@ -895,50 +908,127 @@ def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
     """Shots [lo, hi) of a frame table: each kept shot's output bits, packed
     little-endian in ``tab.nbytes`` bytes, and its acceptance (0 or 1).
 
-    Each shot makes the serial VM's draws in its order: the stratum's fault
-    list, then per step a noise block's hazard-skip draws (or, with a
-    stratum, the cases its listed sites leave open) or a coin.
+    The shots run in lock-step: each step of ``tab.steps`` is a few numpy
+    operations over the shots still running, whose output rows ``acc``
+    accumulates. Each shot keeps its own draw counter, so it makes the
+    serial VM's draws in its order: the stratum's fault list, then per step
+    a noise block's hazard-skip draws (or, with a stratum, the cases its
+    listed sites leave open) or a coin.
     """
-    S, sites, effects, steps = tab.S, tab.sites, tab.effects, tab.steps
-    const, nbytes = tab.const, tab.nbytes
+    nbytes = tab.nbytes
+    effects = np.frombuffer(tab.effects, dtype=np.uint8).reshape(-1, nbytes)
+    streams = ShotStreams(seed, lo, hi)
+    acc = np.empty((hi - lo, nbytes), dtype=np.uint8)
+    acc[:] = effects[0]
+    accepted = np.ones(hi - lo, dtype=bool)
+    run = np.arange(hi - lo)  # the rows of the shots still running
+    forced = None if stratum is None else _forced_sites(stratum, seed, lo, hi, streams)
+
+    def fire(rows, sites) -> None:
+        """Shots ``rows`` (distinct) fault at ``sites``: draw each case
+        where a site has several, as ``_pick_case`` does, and XOR its
+        effect."""
+        row = tab.first[sites]
+        multi = (tab.ncases[sites] > 1).nonzero()[0]
+        if len(multi):
+            s = sites[multi]
+            u = streams.uniform(rows[multi]) * tab.prob[s]
+            # bisect_right: the count of case_cum entries <= u
+            case = np.count_nonzero(tab.case_cum[s] <= u[:, None], axis=1)
+            row[multi] += np.minimum(case, tab.ncases[s] - 1)
+        acc[rows] ^= effects[row]
+
+    for kind, a, b, c in tab.steps:
+        if kind == _NOISE:
+            if forced is None:
+                for part in c:
+                    if isinstance(part, int):  # a certain site
+                        fire(run, np.full(len(run), part))
+                    else:
+                        _segment(tab, streams, fire, run, *part)
+            else:
+                for col in forced:  # each shot's k-th listed site, in turn
+                    sites = col[run]
+                    hit = ((sites >= a) & (sites < b)).nonzero()[0]
+                    if len(hit):
+                        fire(run[hit], sites[hit])
+        elif kind == _COIN:
+            acc[run[streams.next_u64(run) >> 63 == 1]] ^= effects[a]
+        else:
+            fail = (acc[run, a >> 3] >> (a & 7)) & 1 != b
+            if fail.any():
+                rows = run[fail]
+                keep, moves = c
+                old = acc[rows]
+                new = old & np.frombuffer(keep.to_bytes(nbytes, "little"), dtype=np.uint8)
+                for hidden, obs in moves:
+                    new[:, obs >> 3] |= ((old[:, hidden >> 3] >> (hidden & 7)) & 1) << (obs & 7)
+                acc[rows] = new
+                accepted[rows] = False
+                run = run[~fail]
+                if not len(run):
+                    break
+    if keep_rejected:
+        return acc.tobytes(), bytearray(accepted.view(np.uint8).tobytes())
+    return acc[accepted].tobytes(), bytearray(b"\x01" * int(np.count_nonzero(accepted)))
+
+
+def _may_fault(start, u: np.ndarray, s_b: float) -> np.ndarray:
+    """Where the hazard-skip draws ``u`` (uniforms) taken at cumulative
+    hazard ``start`` may end below ``s_b``: only those shots run the serial
+    loop's exact arithmetic, and every other one surely survives.
+
+    numpy never decides that a fault fires: ``np.log1p`` and ``math.log1p``
+    may differ in the last bits. Each is within a few ulps of log1p, so the
+    two targets t = start + exponential (start >= 0) differ by at most
+    2^-47 of the larger. Were the serial target below s_b while the numpy
+    one reached s_b + g, with g = 2^-40 max(|s_b|, 1), the numpy target
+    would be below s_b / (1 - 2^-47), and the two would differ by less than
+    2^-46 max(|s_b|, 1), far below g.
+    """
+    return start - np.log1p(-u) < s_b + _GUARD * max(abs(s_b), 1.0)
+
+
+def _segment(tab: _FrameTable, streams: ShotStreams, fire, rows, i: int, b: int) -> None:
+    """Shots ``rows`` run the hazard-skip loop over sites [i, b), which hold
+    no certain site, in lock-step: "while any shot is still inside the
+    segment", each such shot draws its next exponential. A shot that
+    :func:`_may_fault` runs the serial loop's arithmetic, ``math.log1p`` and
+    ``bisect_right`` on S, and fires the site it finds.
+    """
+    S, s_b = tab.S, tab.S[b]
+    pos = np.full(len(rows), i)
+    while len(rows):
+        u = streams.uniform(rows)
+        unsure = _may_fault(tab.hazard[pos], u, s_b).nonzero()[0]
+        hit, sites = [], []
+        for k, p, v in zip(unsure.tolist(), pos[unsure].tolist(), u[unsure].tolist()):
+            target = S[p] + -math.log1p(-v)  # the serial VM's sum
+            if target < s_b:
+                hit.append(k)
+                sites.append(bisect_right(S, target, p + 1, b + 1) - 1)
+        if not hit:
+            return
+        rows, sites = rows[hit], np.array(sites)
+        fire(rows, sites)
+        inside = (sites + 1 < b).nonzero()[0]
+        rows, pos = rows[inside], sites[inside] + 1
+
+
+def _forced_sites(stratum, seed: int, lo: int, hi: int, streams: ShotStreams) -> np.ndarray:
+    """Each shot's stratum fault list, drawn first on a scalar stream: row k
+    holds each shot's k-th listed site (-1 past its last), and ``streams``
+    resumes each shot after those draws."""
     rng = ShotRng(seed, lo)
-    packed = bytearray()
-    flags = bytearray()
-    ff = None
+    lists = []
     for shot in range(lo, hi):
         rng.reset(shot)
-        if stratum is not None:
-            ff = stratum.draw_forced(rng)
-        acc = const
-        accepted = 1
-        for kind, a, b, c in steps:
-            if kind == _NOISE:
-                if ff is None:
-                    faults = (_segment_faults(S, sites, rng, a, b) if c is None
-                              else _plan_faults(S, sites, c, rng))
-                    if not faults:
-                        continue
-                else:
-                    faults = ff[bisect_left(ff, (a,)):bisect_left(ff, (b,))]
-                for site, case in faults:
-                    if case is None:
-                        case = _pick_case(sites[site], rng)
-                    acc ^= effects[site][case]
-            elif kind == _COIN:
-                if rng.bit():
-                    acc ^= a
-            elif (acc >> a) & 1 != b:
-                keep, moves = c
-                out = acc & keep
-                for hidden, obs in moves:
-                    out |= ((acc >> hidden) & 1) << obs
-                acc = out
-                accepted = 0
-                break
-        if accepted or keep_rejected:
-            packed += acc.to_bytes(nbytes, "little")
-            flags.append(accepted)
-    return bytes(packed), flags
+        lists.append([site for site, _ in stratum.draw_forced(rng)])
+        streams.counts[shot - lo] = rng.draws
+    forced = np.full((max(map(len, lists)), hi - lo), -1, dtype=np.int64)
+    for i, sites in enumerate(lists):
+        forced[:len(sites), i] = sites
+    return forced
 
 
 def _unpack(tab: _FrameTable, packed: bytes) -> np.ndarray:
@@ -1105,16 +1195,23 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     same stream, and a frame-only program's table gives the records the
     closure VM gives. With a stratum, every record carries that stratum's
     weight and noise sites are forced per its conditional law.
+
+    ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
+    pool starts only when that leaves more than one worker and, for a
+    frame-table program, when each worker gets more than a whole chunk of
+    shots; below that the pool costs more than the shots, and this process
+    samples alone.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if workers > 1:
-        yield from _sample_parallel(prog, shots, seed, workers, stratum, keep_rejected)
-        return
     tab = _frame_table(prog)
+    step = _chunk_shots(prog)
+    workers = min(workers, shots, os.cpu_count() or 1)
+    if workers > 1 and (tab is None or shots > workers * step):
+        yield from _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected)
+        return
     if tab is not None:
         weight = 1.0 if stratum is None else stratum.weight
-        step = _chunk_shots(prog)
         for lo in range(0, shots, step):
             part = _table_shots(tab, seed, lo, min(lo + step, shots), stratum, keep_rejected)
             yield from _table_records(tab, *part, weight)
@@ -1149,14 +1246,13 @@ def _worker_range(bounds):
             if _run(prog, code, state, s, stratum) or keep_rejected]
 
 
-def _sample_parallel(prog, shots, seed, workers, stratum, keep_rejected):
-    """``sample`` over a fork pool. The parent builds the program's table or
-    closures before the fork, and at most two chunks per worker are in
-    flight, so the parent holds a bounded number of finished chunks."""
+def _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected):
+    """``sample`` over a pool of ``workers`` fork workers. The parent builds
+    the program's table (``tab``) or closures before the fork, and at most
+    two chunks per worker are in flight, so the parent holds a bounded
+    number of finished chunks."""
     import multiprocessing as mp
 
-    workers = min(workers, shots, os.cpu_count() or 1)
-    tab = _frame_table(prog)
     if tab is None:
         _compiled(prog)
     weight = 1.0 if stratum is None else stratum.weight
@@ -1193,6 +1289,8 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
     about a megabyte, so the per-shot cost is a few bytearray appends. A
     frame-only program's table sums its unpacked chunks instead.
     """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     tab = _frame_table(prog)
     if tab is not None:
         return _table_accumulate(prog, tab, shots, seed, stratum)

@@ -4,8 +4,10 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -69,3 +71,31 @@ def hir_dense_replay(hir: HirProgram, fault_plan=None, outcome_plan=None, seed=0
             raise AssertionError(f"unknown HIR op {op!r}")
     vec = apply_tableau_dense(hir.final_frame, vec)
     return vec, records, detectors, observables
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """A stand-in for ``sample``'s fork pool: its jobs run in this process,
+    so no process is started. Returns the list of the sizes of the pools
+    started."""
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def apply_async(self, fn, args):
+            return SimpleNamespace(get=lambda: fn(*args))
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    return sizes

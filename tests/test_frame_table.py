@@ -7,13 +7,17 @@ and totals must agree exactly, serially and over a fork pool.
 """
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import framesim.runtime as runtime
 from framesim.backend import compile_circuit
+from framesim.rng import ShotStreams
 from framesim.runtime import StratumSpec, sample, sample_accumulate
 from framesim.testing import random_circuit, repetition_code_circuit
 
@@ -103,7 +107,20 @@ def test_table_totals_match_closure_vm_on_corpus(monkeypatch, seed):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_table_worker_records_match_closure_vm(monkeypatch, seed):
     # one fork pool per program, against the serial closure VM; the stratum
-    # and keep_rejected rotate
+    # and keep_rejected rotate. Chunks of 7 shots give each of the 2 workers
+    # more than a chunk of the 60 shots, so every run forks.
+    import os
+
+    pools = []
+    parallel = runtime._sample_parallel
+
+    def counted(*args):
+        pools.append(args[4])
+        yield from parallel(*args)
+
+    monkeypatch.setattr(runtime, "_sample_parallel", counted)
+    monkeypatch.setattr(runtime, "_chunk_shots", lambda prog: 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for i, prog in enumerate(_corpus(50)):
         strata = _strata(prog)
         stratum = strata[i % len(strata)]
@@ -113,6 +130,20 @@ def test_table_worker_records_match_closure_vm(monkeypatch, seed):
             closure = _records(prog, 60, seed, stratum=stratum, keep_rejected=keep)
         assert _records(prog, 60, seed, stratum=stratum, keep_rejected=keep,
                         workers=2) == closure
+    assert pools == [2] * 50
+
+
+def test_table_program_forks_only_past_a_chunk_per_worker(monkeypatch, pool_sizes):
+    import os
+
+    prog = next(_corpus(1))
+    monkeypatch.setattr(runtime, "_chunk_shots", lambda prog: 10)
+    serial = _records(prog, 21, 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _records(prog, 20, 3, workers=2) == serial[:20]
+    assert pool_sizes == []
+    assert _records(prog, 21, 3, workers=2) == serial
+    assert pool_sizes == [2]
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -127,6 +158,56 @@ def test_table_matches_closure_vm_on_repetition_code(monkeypatch, seed):
     stratum = StratumSpec(prog, 2)
     table, closure = _both(monkeypatch, lambda: _records(prog, 40, seed, stratum=stratum))
     assert table == closure
+
+
+def test_chunk_where_every_shot_faults_matches_closure_vm(monkeypatch):
+    # One noise site whose cumulative hazard is set to the largest first
+    # exponential of the chunk, as numpy computes it: every shot's serial
+    # target falls below it, so every shot faults. Where numpy's log1p
+    # rounds that largest draw above math.log1p's, that shot's numpy target
+    # lands exactly on the bound, and only the guard sends it to the
+    # serial arithmetic that fires its fault.
+    shots = 64
+    for seed in range(2000):
+        u = ShotStreams(seed, 0, shots).uniform(np.arange(shots))  # first draws
+        top = float(-np.log1p(-u.max()))
+        if top > -math.log1p(-u.max()):
+            break
+    else:  # numpy's log1p agrees with math.log1p here: a bound just above
+        top = math.nextafter(top, math.inf)
+    prog = compile_circuit("X_ERROR(0.5) 0\nM 0\n")
+    prog.cum_hazard = [0.0, top]
+    table, closure = _both(monkeypatch, lambda: _records(prog, shots, seed))
+    assert table == closure
+    assert all(r[0] == [1] for r in closure)
+
+
+def _log1p_disagreements() -> list:
+    """Uniform draws at which np.log1p and math.log1p differ here, or plain
+    draws where they never do."""
+    u = np.random.default_rng(7).integers(0, 2**53, 20_000) * 2.0**-53
+    differ = np.log1p(-u) != np.array([math.log1p(-x) for x in u.tolist()])
+    return (u[differ] if differ.any() else u[:200]).tolist()
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(u=st.sampled_from(_log1p_disagreements()) | st.floats(0, 1, exclude_max=True),
+       start=st.sampled_from([0.0, 1e-9, 1.0]) | st.floats(0, 1e6),
+       offset=st.integers(-2, 2), numpy_side=st.booleans())
+def test_sure_survival_never_hides_a_fault_property(u, start, offset, numpy_side):
+    # A segment [start, s_b) with s_b within two ulps of either target, also
+    # where s_b is far above the segment's own hazard s_b - start: a draw
+    # that _may_fault clears must draw no fault in the serial loop.
+    exact = start + -math.log1p(-u)
+    s_b = float(start - np.log1p(-u)) if numpy_side else exact
+    for _ in range(abs(offset)):
+        s_b = math.nextafter(s_b, math.copysign(math.inf, offset))
+    assume(s_b >= start)
+    survives = not runtime._may_fault(np.array([start]), np.array([u]), s_b)[0]
+    rng = SimpleNamespace(exponential=lambda: -math.log1p(-u))
+    sites = [SimpleNamespace(case_cum=[0.5], prob=0.5)]
+    faults = runtime._segment_faults([start, s_b], sites, rng, 0, 1)
+    assert not (survives and faults)
 
 
 def test_table_is_rebuilt_after_instructions_change():

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,49 +170,55 @@ def test_vectorized_kernels_match_oracle():
                      "collapse gathered", "collapse slices"}
 
 
+# a program the closure VM runs (k_max = 1): it forks whenever workers > 1
+ACTIVE = "H 0\nT 0\nH 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n"
+
+
 def test_worker_count_does_not_change_records():
-    prog = compile_circuit("H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n")
+    prog = compile_circuit(ACTIVE)
+    assert prog.k_max > 0
     one = [rec.measurements.tolist() for rec in sample(prog, 200, seed=4, workers=1)]
     two = [rec.measurements.tolist() for rec in sample(prog, 200, seed=4, workers=2)]
     assert one == two
 
 
-def test_worker_count_capped_at_cpu_count(monkeypatch):
-    # a stand-in pool runs the jobs in this process: no process is started
-    import multiprocessing
+def _stratified_records(prog, workers, shots=50):
+    return [(rec.measurements.tolist(), rec.weight)
+            for st in (None, StratumSpec(prog, 1))
+            for rec in sample(prog, shots, seed=4, workers=workers, stratum=st)]
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch, pool_sizes):
     import os
 
-    sizes = []
-
-    class Pool:
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, fn, args):
-            return SimpleNamespace(get=lambda: fn(*args))
-
-    prog = compile_circuit("H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n")
-    stratum = StratumSpec(prog, 1)
-
-    def records(workers):
-        return [(rec.measurements.tolist(), rec.weight)
-                for st in (None, stratum)
-                for rec in sample(prog, 50, seed=4, workers=workers, stratum=st)]
-
-    serial = records(1)
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: SimpleNamespace(Pool=Pool))
-    for cpus, workers, expect in ((3, 1000, 3), (None, 8, 1), (16, 5, 5), (64, 1000, 50)):
+    prog = compile_circuit(ACTIVE)
+    serial = _stratified_records(prog, 1)
+    for cpus, workers, expect in ((3, 1000, 3), (16, 5, 5), (64, 1000, 50)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert records(workers) == serial
-        assert sizes[-2:] == [expect, expect]
+        assert _stratified_records(prog, workers) == serial
+        assert pool_sizes[-2:] == [expect, expect]
+
+
+def test_one_worker_after_the_cap_samples_without_a_pool(monkeypatch, pool_sizes):
+    import os
+
+    prog = compile_circuit(ACTIVE)
+    serial = _stratified_records(prog, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _stratified_records(prog, 8) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _stratified_records(prog, 2, shots=1) == _stratified_records(prog, 1, shots=1)
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("text", [ACTIVE, "H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n"],
+                         ids=["closure_vm", "frame_table"])
+@pytest.mark.parametrize("shots", [-3, 0])
+def test_shot_count_below_one_is_refused(text, shots):
+    prog = compile_circuit(text)
+    for run in (sample_accumulate, lambda prog, shots: list(sample(prog, shots))):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            run(prog, shots)
 
 
 def test_hazard_sample_edge_cases():
