@@ -131,6 +131,10 @@ def cmd_sample(args) -> int:
 def cmd_validate(args) -> int:
     from .testing import run_validation_suite
 
+    for name in ("mirrors", "fuzz"):
+        if getattr(args, name) < 0:
+            print(f"error: --{name} must be >= 0, got {getattr(args, name)}", file=sys.stderr)
+            return 2
     failures = run_validation_suite(seed=args.seed, mirrors=args.mirrors,
                                     fuzz=args.fuzz)
     if args.self_test:
@@ -156,12 +160,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.what == "ratio":
-        ri = ratio_credible_interval(args.k1, args.n1, args.k2, args.n2,
-                                     samples=args.samples, seed=args.seed)
-        print(f"{ri.median:.8g} {ri.lo:.8g} {ri.hi:.8g}")
-    else:
-        print(f"{t_fidelity_bound(args.y):.12g}")
+    try:
+        if args.what == "ratio":
+            ri = ratio_credible_interval(args.k1, args.n1, args.k2, args.n2,
+                                         samples=args.samples, seed=args.seed)
+            print(f"{ri.median:.8g} {ri.lo:.8g} {ri.hi:.8g}")
+        else:
+            print(f"{t_fidelity_bound(args.y):.12g}")
+    except ValueError as exc:  # counts, sample size or <Y> out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -12,19 +12,23 @@ Two passes rewrite the op list:
 * ``peephole_pass`` fuses rotations on equal generators across commuting
   neighbours, drops full turns, and splits off Clifford quarter-turn parts,
   absorbing them into the final frame while conjugating all later ops.
-* ``schedule_pass`` bubbles measurements earlier and rotations later through
-  commuting swaps, keeping the result only if the planned peak active
-  dimension (and then total active work) does not get worse. The backend's
-  ``plan_schedule`` does that planning and hands the plan to the compiler.
+* ``schedule_pass`` moves measurements earlier and rotations later past
+  the ops they commute with, keeping the result only if the planned peak
+  active dimension (and then total active work) does not get worse. The
+  backend's ``plan_schedule`` does that planning and hands the plan to the
+  compiler.
 
-Both passes move ops by adjacent swaps. Each op's scheduling facts (kind,
-records read and written, Pauli bits, support) are computed once and travel
-with it, so a swap test is a few integer operations; ops on disjoint qubits
-commute without a Pauli product.
+Each op's scheduling facts (kind, records read and written, Pauli bits,
+support) are computed once. The peephole moves ops by adjacent swaps, each a
+few integer operations on two facts tuples; ops on disjoint qubits commute
+without a Pauli product. The scheduler moves each op in one jump, to a stop
+found from a per-qubit index of the ops it might not cross.
 """
 from __future__ import annotations
 
+import bisect
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .circuit import Circuit, CircuitError, Rec
@@ -176,8 +180,8 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                 if op not in ("X", "Z"):
                     raise CircuitError(f"{op} does not take record controls", ins.line)
                 for ctrl, tgt in zip(ins.targets[::2], ins.targets[1::2]):
-                    phys = PauliString.single(n, tgt, op)
-                    ops.append(CondPauli(frame.heisenberg_map(phys), user_records[ctrl.value]))
+                    ops.append(CondPauli(frame.heisenberg_single(tgt, op),
+                                         user_records[ctrl.value]))
                 continue
             for q in ins.targets:
                 frame.absorb_left(op, q)
@@ -186,8 +190,8 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
             for a, b in zip(ins.targets[::2], ins.targets[1::2]):
                 if isinstance(a, Rec):
                     kind = "X" if op == "CX" else "Z"
-                    phys = PauliString.single(n, b, kind)
-                    ops.append(CondPauli(frame.heisenberg_map(phys), user_records[a.value]))
+                    ops.append(CondPauli(frame.heisenberg_single(b, kind),
+                                         user_records[a.value]))
                 else:
                     frame.absorb_left(op, a, b)
                     clifford_ops += 1
@@ -200,8 +204,7 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                 angle, eighths = ins.args[0] / 2.0, None
             axis = _ROT_AXES[op]
             for q in ins.targets:
-                phys = PauliString.single(n, q, axis)
-                rot = _canonical_rot(frame.heisenberg_map(phys), angle, eighths)
+                rot = _canonical_rot(frame.heisenberg_single(q, axis), angle, eighths)
                 quarters = _clifford_quarters(rot)
                 if quarters is not None:
                     if quarters % 8:
@@ -211,20 +214,17 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
         elif op in ("M", "MX", "MY"):
             basis = {"M": "Z", "MX": "X", "MY": "Y"}[op]
             for q in ins.targets:
-                phys = PauliString.single(n, q, basis)
-                mapped = frame.heisenberg_map(phys)
+                mapped = frame.heisenberg_single(q, basis)
                 ops.append(Meas(mapped.hermitian_word(),
                                 records, flip=mapped.hermitian_sign() < 0))
                 user_records.append(records)
                 records += 1
         elif op == "R":
             for q in ins.targets:
-                phys_z = PauliString.single(n, q, "Z")
-                mapped = frame.heisenberg_map(phys_z)
+                mapped = frame.heisenberg_single(q, "Z")
                 ops.append(Meas(mapped.hermitian_word(), records,
                                 flip=mapped.hermitian_sign() < 0))
-                phys_x = PauliString.single(n, q, "X")
-                ops.append(CondPauli(frame.heisenberg_map(phys_x), records))
+                ops.append(CondPauli(frame.heisenberg_single(q, "X"), records))
                 records += 1
         elif op in ("X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"):
             groups = ([(q,) for q in ins.targets] if op != "DEPOLARIZE2"
@@ -265,12 +265,12 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
 
 # -- scheduling facts -----------------------------------------------------------
 #
-# Both passes move ops by adjacent swaps and test each swap many times, so
-# every op's scheduling facts are computed once, kept in a list parallel to
-# the op list and swapped along with it. The facts of an op are the tuple
-# (kind, reads, write, paulis, support): its kind code below, the records it
-# reads, the record it writes (or None), its Paulis as (x, z) bit pairs and
-# the union of their supports as one mask.
+# Both passes test ops against each other many times, so every op's
+# scheduling facts are computed once and kept in a list parallel to the op
+# list (the peephole swaps them along with the ops). The facts of an op are
+# the tuple (kind, reads, write, paulis, support): its kind code below, the
+# records it reads, the record it writes (or None), its Paulis as (x, z) bit
+# pairs and the union of their supports as one mask.
 
 _OTHER, _ROT, _MEAS, _NOISE, _PSEL = range(5)
 
@@ -471,47 +471,210 @@ def peephole_pass(hir: HirProgram) -> HirProgram:
 # -- scheduling ----------------------------------------------------------------
 
 
-def schedule_candidate(hir: HirProgram) -> HirProgram:
-    """Pull measurements earlier and push rotations later via commuting swaps.
+class _Sequence:
+    """Ops in their current order, each with an integer label that increases
+    along the list, so two positions compare in O(1): order maintenance
+    after Bender et al. (2002). Nodes are op indices; node ``size`` is a head
+    sentinel with label 0. An append adds ``_GAP`` to the tail's label; an
+    insert takes the midpoint of its gap and, when the gap is empty, first
+    spreads out the smallest aligned label range around it that is sparse
+    enough."""
 
-    A bubble stops before crossing a rotation/measurement that shares qubit
-    support with the moved op (crossing such a commuting neighbour forfeits
-    the contraction the move was after). Only reorders ops; each op's facts
-    are computed once and travel with it.
-    """
-    ops = list(hir.ops)
-    facts = [_facts(op) for op in ops]
-    for i in range(len(ops)):
-        moved = facts[i]
-        if moved[0] == _MEAS:
-            sup = moved[4]
-            j = i
-            while j > 0:
-                prev = facts[j - 1]
-                if prev[0] == _NOISE:
-                    break  # entering a noise run splits its sampling block
-                if prev[0] == _ROT and sup & prev[4]:
-                    break
-                if not _swappable(prev, moved):
-                    break
-                ops[j - 1], ops[j] = ops[j], ops[j - 1]
-                facts[j - 1], facts[j] = moved, prev
-                j -= 1
-    for i in range(len(ops) - 1, -1, -1):
-        moved = facts[i]
-        if moved[0] == _ROT:
-            sup = moved[4]
-            j = i
-            while j + 1 < len(ops):
-                nxt = facts[j + 1]
-                if (nxt[0] == _ROT or nxt[0] == _MEAS) and sup & nxt[4]:
-                    break
-                if not _swappable(moved, nxt):
-                    break
-                ops[j], ops[j + 1] = ops[j + 1], ops[j]
-                facts[j], facts[j + 1] = nxt, moved
-                j += 1
-    return replace(hir, ops=ops)
+    _GAP = 1 << 32
+
+    def __init__(self, size: int):
+        self.label = [0] * (size + 1)
+        self.nxt = [-1] * (size + 1)
+        self.prv = [-1] * (size + 1)
+        self.head = self.tail = size
+
+    def append(self, v: int) -> None:
+        t = self.tail
+        self.label[v] = self.label[t] + self._GAP
+        self.nxt[t] = v
+        self.prv[v] = t
+        self.tail = v
+
+    def insert_after(self, a: int, v: int) -> None:
+        if a == self.tail:
+            self.append(v)
+            return
+        label, nxt = self.label, self.nxt
+        b = nxt[a]
+        if label[b] - label[a] < 2:
+            self._spread(a)
+        label[v] = (label[a] + label[b]) >> 1
+        nxt[a], nxt[v] = v, b
+        self.prv[b], self.prv[v] = v, a
+
+    def _spread(self, a: int) -> None:
+        """Relabel evenly the nodes of the smallest range [base, base + 2^i)
+        around ``a``'s label that holds fewer than (4/3)^i - 1 of them, so
+        every gap in it exceeds (3/2)^i - 1 >= 2."""
+        label, nxt, prv = self.label, self.nxt, self.prv
+        lo = hi = a
+        count = 1
+        i = 0
+        while True:
+            i += 1
+            base = label[a] >> i << i
+            top = base + (1 << i)
+            while prv[lo] >= 0 and label[prv[lo]] >= base:
+                lo = prv[lo]
+                count += 1
+            while nxt[hi] >= 0 and label[nxt[hi]] < top:
+                hi = nxt[hi]
+                count += 1
+            if (count + 1) * 3 ** i < 4 ** i:
+                break
+        step = (1 << i) // (count + 1)
+        v = lo
+        while True:
+            label[v] = base
+            if v == hi:
+                return
+            base += step
+            v = nxt[v]
+
+    def order(self) -> list:
+        out = []
+        v = self.nxt[self.head]
+        while v >= 0:
+            out.append(v)
+            v = self.nxt[v]
+        return out
+
+
+def _jump(order: list, facts: list, mover: int, walls: tuple, barriers: tuple) -> list:
+    """Move each op of kind ``mover``, taken in ``order``, to just after the
+    latest op before it that it may not cross; return the new order.
+
+    An op may not cross a barrier, a wall whose support meets its own, or an
+    op with an anticommuting Pauli (``_swappable``; a mover reads no record
+    and writes none that an op before it reads). The index holds, per qubit,
+    the latest wall on it and, by position, the other ops since the last
+    barrier with an X (or Z) bit on it. A mover tests only the ops whose X
+    bits meet its Z bits or whose Z bits meet its X bits, from the latest
+    down, and the walls on its support, then inserts itself once. An op is
+    indexed only on the qubits where a later mover may look it up before a
+    barrier or a wall that stays put stops it."""
+    size = len(order)
+    look_x = [0] * size  # per position, the X bits that movers after it look up
+    look_z = [0] * size
+    ax = az = 0
+    last = -1
+    for j in range(size - 1, -1, -1):
+        look_x[j] = ax
+        look_z[j] = az
+        kind, _, _, paulis, support = facts[order[j]]
+        if kind == mover:
+            ax |= paulis[0][0]
+            az |= paulis[0][1]
+            if last < 0:
+                last = j
+        elif kind in walls:
+            # a wall that does not move stops every later mover on its support
+            ax &= ~support
+            az &= ~support
+        elif kind in barriers:
+            ax = az = 0
+    if last < 0:
+        return order
+    seq = _Sequence(len(facts))
+    label = seq.label
+    start = seq.head
+    wall_at: dict = {}  # qubit -> the latest wall on it
+    xs = defaultdict(list)  # qubit -> non-wall ops with an X bit there, by position
+    zs = defaultdict(list)  # the same for Z bits
+    in_walls = in_xs = in_zs = 0  # the qubits each of the three has a key for
+    commuting: set = set()  # the ops a mover was found to commute with
+    for j in range(last + 1):
+        i = order[j]
+        kind, _, _, paulis, support = facts[i]
+        if kind in barriers:
+            seq.append(i)
+            start = i
+            wall_at.clear()
+            xs.clear()
+            zs.clear()
+            in_walls = in_xs = in_zs = 0
+            continue
+        moved = False
+        if kind == mover:
+            (x, z), = paulis
+            at = start
+            best = label[at]
+            m = support & in_walls
+            while m:
+                low = m & -m
+                m ^= low
+                w = wall_at[low.bit_length() - 1]
+                if label[w] > best:
+                    at, best = w, label[w]
+            commuting.clear()
+            for index, m in ((xs, z & in_xs), (zs, x & in_zs)):
+                while m:
+                    low = m & -m
+                    m ^= low
+                    for c in reversed(index[low.bit_length() - 1]):
+                        if label[c] <= best:
+                            break
+                        if c in commuting:
+                            continue
+                        if any(((cx & z) ^ (cz & x)).bit_count() & 1 for cx, cz in facts[c][3]):
+                            at, best = c, label[c]
+                            break
+                        commuting.add(c)
+            moved = at != seq.tail
+            seq.insert_after(at, i)
+        else:
+            seq.append(i)
+        if not paulis:
+            continue
+        if kind in walls:
+            # a mover lands after every wall on its support, so each op
+            # placed is the latest wall on its own qubits
+            m = support & (look_x[j] | look_z[j])
+            in_walls |= m
+            while m:
+                low = m & -m
+                m ^= low
+                wall_at[low.bit_length() - 1] = i
+            continue
+        ux = uz = 0
+        for px, pz in paulis:
+            ux |= px
+            uz |= pz
+        ux &= look_z[j]
+        uz &= look_x[j]
+        in_xs |= ux
+        in_zs |= uz
+        for index, m in ((xs, ux), (zs, uz)):
+            while m:
+                low = m & -m
+                m ^= low
+                if moved:
+                    bisect.insort(index[low.bit_length() - 1], i, key=label.__getitem__)
+                else:
+                    index[low.bit_length() - 1].append(i)
+    return seq.order() + order[last + 1:]
+
+
+def schedule_candidate(hir: HirProgram) -> HirProgram:
+    """Pull measurements earlier, then push rotations later, each by one jump.
+
+    A measurement stops after the latest noise event, postselection, rotation
+    on its support or op it anticommutes with; a rotation stops before the
+    earliest postselection, rotation or measurement on its support or op it
+    anticommutes with (crossing a commuting rotation or measurement on shared
+    support forfeits the contraction the move was after). Measurements move
+    in program order and rotations in reverse, each past the ops already
+    placed, which is what moving them one adjacent swap at a time would give.
+    Only reorders ops."""
+    facts = [_facts(op) for op in hir.ops]
+    order = _jump(list(range(len(facts))), facts, _MEAS, (_ROT,), (_NOISE, _PSEL))
+    order = _jump(order[::-1], facts, _ROT, (_ROT, _MEAS), (_PSEL,))[::-1]
+    return replace(hir, ops=[hir.ops[i] for i in order])
 
 
 def schedule_pass(hir: HirProgram) -> HirProgram:

@@ -90,6 +90,27 @@ def _conjugate_bits(gate: str, a: int, b: int | None, x: int, z: int, e: int) ->
     return x, z, e & 3
 
 
+# ``G^dag P G`` for the generators P that a gate G changes, for
+# ``CliffordTableau.absorb_left``: per gate, the tuple of changed rows
+# ``(z_row, t, factors, de)``. Row ``(z_row, t)`` is ``iz`` (or ``ix``) of
+# the gate's qubit t (0 for a, 1 for b); its new value is the product of the
+# old rows ``factors``, left to right, times ``i^de``. Rows not listed keep
+# their value. S^dag X S = -Y = i^3 X Z, and S X S^dag = Y = i X Z.
+_X_A, _Z_A, _X_B, _Z_B = (False, 0), (True, 0), (False, 1), (True, 1)
+_LEFT_ROWS = {
+    "H": ((*_X_A, (_Z_A,), 0), (*_Z_A, (_X_A,), 0)),
+    "S": ((*_X_A, (_X_A, _Z_A), 3),),
+    "S_DAG": ((*_X_A, (_X_A, _Z_A), 1),),
+    "X": ((*_Z_A, (_Z_A,), 2),),
+    "Y": ((*_X_A, (_X_A,), 2), (*_Z_A, (_Z_A,), 2)),
+    "Z": ((*_X_A, (_X_A,), 2),),
+    "CX": ((*_X_A, (_X_A, _X_B), 0), (*_Z_B, (_Z_A, _Z_B), 0)),
+    "CZ": ((*_X_A, (_X_A, _Z_B), 0), (*_X_B, (_X_B, _Z_A), 0)),
+    "SWAP": ((*_X_A, (_X_B,), 0), (*_Z_A, (_Z_B,), 0),
+             (*_X_B, (_X_A,), 0), (*_Z_B, (_Z_A,), 0)),
+}
+
+
 def _anticommute(x1: int, z1: int, x2: int, z2: int) -> int:
     return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1
 
@@ -371,6 +392,15 @@ class CliffordTableau:
             raise ValueError("length mismatch")
         return PauliString(self.n, *self._map(p.x, p.z, p.phase_exp))
 
+    def heisenberg_single(self, q: int, kind: str) -> PauliString:
+        """``heisenberg_map`` of the Hermitian one-qubit Pauli ``kind`` on
+        qubit q; for X and Z that is a stored row."""
+        if kind == "Z":
+            return PauliString(self.n, *self.iz[q])
+        if kind == "X":
+            return PauliString(self.n, *self.ix[q])
+        return self.heisenberg_map(PauliString.single(self.n, q, kind))
+
     def forward_map(self, p: PauliString) -> PauliString:
         """U P U^dag, exact in phase.
 
@@ -409,14 +439,28 @@ class CliffordTableau:
 
     def absorb_left(self, gate: str, a: int, b: int | None = None) -> None:
         """U <- G U: the rows of X_q, Z_q for q in G's qubits become the
-        images of ``G^dag X_q G`` and ``G^dag Z_q G`` under the old rows."""
-        inv = _INV_GATE.get(gate, gate)
-        new = []
-        for q in ((a,) if b is None else (a, b)):
-            bit = 1 << q
-            new.append((False, q, self._map(*_conjugate_bits(inv, a, b, bit, 0, 0))))
-            new.append((True, q, self._map(*_conjugate_bits(inv, a, b, 0, bit, 0))))
-        self._write_rows(new)
+        images of ``G^dag X_q G`` and ``G^dag Z_q G`` under the old rows.
+
+        ``_LEFT_ROWS`` lists, per gate, only the rows that change, each as a
+        product of old rows times a power of i, so CX(a,b) is two products
+        and two row writes."""
+        try:
+            changes = _LEFT_ROWS[gate]
+        except KeyError:
+            raise ValueError(f"unknown gate {gate!r}") from None
+        qubits = (a, b)
+        rows = (self.ix, self.iz)
+        writes = []
+        for z_row, t, factors, de in changes:
+            z_f, t_f = factors[0]
+            x, z, e = rows[z_f][qubits[t_f]]
+            for z_f, t_f in factors[1:]:
+                fx, fz, fe = rows[z_f][qubits[t_f]]
+                e += fe + 2 * ((z & fx).bit_count() & 1)
+                x ^= fx
+                z ^= fz
+            writes.append((z_row, qubits[t], (x, z, (e + de) & 3)))
+        self._write_rows(writes)
 
     def absorb_right(self, gate: str, a: int, b: int | None = None) -> None:
         """U <- U G (gate applied after U in circuit order): every row is

@@ -1369,6 +1369,8 @@ class StratumSpec:
     def __init__(self, prog: BytecodeProgram, w: int):
         probs = [s.prob for s in prog.sites]
         e = len(probs)
+        if w < 0:
+            raise ValueError(f"stratum fault count {w} is negative")
         if w > e:
             raise ValueError(f"stratum fault count {w} exceeds {e} sites")
         self.w = w

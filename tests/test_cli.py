@@ -203,3 +203,38 @@ def test_malformed_postselect_detectors_is_usage_error(tmp_path, capsys, command
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "bad detector list" in captured.err and "Traceback" not in captured.err
+
+
+def test_negative_stratum_is_rejected(tmp_path, capsys):
+    from framesim.backend import compile_circuit
+    from framesim.runtime import StratumSpec
+
+    with pytest.raises(ValueError, match="negative"):
+        StratumSpec(compile_circuit("X_ERROR(0.1) 0\nM 0\n"), -1)
+    p = tmp_path / "c.txt"
+    p.write_text("X_ERROR(0.1) 0\nM 0\n")
+    assert main(["sample", str(p), "--shots", "5", "--stratum-w", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--k1", "-1", "--n1", "0", "--k2", "1", "--n2", "10"],
+    ["ratio", "--k1", "1", "--n1", "10", "--k2", "1", "--n2", "10", "--samples", "0"],
+    ["tbound", "--y", "2"],
+    ["tbound", "--y", "nan"],
+])
+def test_analyze_out_of_range_is_usage_error(capsys, argv):
+    assert main(["analyze", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--mirrors", "--fuzz"])
+def test_validate_negative_count_is_usage_error(capsys, flag):
+    assert main(["validate", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "all validation checks passed" not in captured.out
+    assert captured.err.startswith(f"error: {flag}")

@@ -2,10 +2,13 @@
 
 Compiler speed work must not change what the compiler emits. The digests
 below are sha256 over ``BytecodeProgram.fingerprint()`` (the bytecode dump
-plus the active schedule), each fingerprint followed by a NUL byte. Both
-constants were computed at commit b715b7f, before the per-op scheduling
-facts and the column-indexed ``forward_map`` went in; a change that moves
-either one changes emitted programs and must say why.
+plus the active schedule), each fingerprint followed by a NUL byte. The
+first two constants were computed at commit b715b7f, before the per-op
+scheduling facts and the column-indexed ``forward_map`` went in.
+``COMMUTING_SHA256`` was computed at commit 48f235b, before the scheduler's
+jumps and the per-gate ``absorb_left`` rows replaced the adjacent-swap bubble
+and the generic row conjugation. A change that moves any of them changes
+emitted programs and must say why.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ WORKED_MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_D
 
 WORKLOADS_SHA256 = "7e926bb18b59d53082fc954f5552904698e88c41668cb3fa80282a5d2307af6c"
 CORPUS_200_SHA256 = "7fd6b1d75a131160fcc58d869456506cabb4e4361142f2456cdcd7b4942530cb"
+COMMUTING_SHA256 = "c5af7f48c12ce7707a6b307496ed5984682df775c75ebe4adca48de625bd41f8"
 
 
 def _digest(texts) -> str:
@@ -48,9 +52,38 @@ def _corpus(count: int):
                              feedforward_rate=0.05).serialize()
 
 
+def _commuting(seed: int, mixed: bool = False, n: int = 20, pairs: int = 300) -> str:
+    """``pairs`` seeded ``CX`` + ``M`` pairs over ``n`` qubits: long runs of
+    commuting measurements. ``mixed`` adds, after some pairs, a ``T``, an
+    ``MX``, an ``X_ERROR`` or an ``H``."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(pairs):
+        a, b = rng.choice(n, size=2, replace=False)
+        lines.append(f"CX {a} {b}")
+        lines.append(f"M {int(rng.integers(0, n))}")
+        if mixed:
+            roll = rng.random()
+            q = int(rng.integers(0, n))
+            if roll < 0.04:
+                lines.append(f"T {q}")
+            elif roll < 0.08:
+                lines.append(f"MX {q}")
+            elif roll < 0.10:
+                lines.append(f"X_ERROR(0.01) {q}")
+            elif roll < 0.13:
+                lines.append(f"H {q}")
+    return "\n".join(lines) + "\n"
+
+
 def test_workload_programs_are_pinned():
     assert _digest(_workloads()) == WORKLOADS_SHA256
 
 
 def test_corpus_programs_are_pinned():
     assert _digest(_corpus(200)) == CORPUS_200_SHA256
+
+
+def test_commuting_heavy_programs_are_pinned():
+    assert _digest([_commuting(1), _commuting(2), _commuting(3),
+                    _commuting(4, mixed=True)]) == COMMUTING_SHA256

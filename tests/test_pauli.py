@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framesim.pauli import (
+    _INV_GATE,
     CliffordTableau,
     PauliString,
+    _conjugate_bits,
     frame_absorb,
     random_clifford_word,
     random_pauli,
@@ -438,3 +440,47 @@ def test_forward_map_matches_row_parities_property(data):
         assert t.x_image(j) == _forward_map_by_rows(t, PauliString.single(n, j, "X"))
         assert t.z_image(j) == _forward_map_by_rows(t, PauliString.single(n, j, "Z"))
 
+
+
+def _absorb_left_generic(t: CliffordTableau, gate: str, a: int, b: int | None = None) -> None:
+    """The generic conjugation path ``absorb_left`` replaced: every row of
+    G's qubits, changed or not, is ``_map`` of the named-gate conjugation
+    ``G^dag P G`` of its generator."""
+    inv = _INV_GATE.get(gate, gate)
+    new = []
+    for q in ((a,) if b is None else (a, b)):
+        bit = 1 << q
+        new.append((False, q, t._map(*_conjugate_bits(inv, a, b, bit, 0, 0))))
+        new.append((True, q, t._map(*_conjugate_bits(inv, a, b, 0, bit, 0))))
+    t._write_rows(new)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_absorb_left_matches_generic_conjugation_property(data):
+    """For a random tableau and every gate, the per-gate row table gives the
+    rows, phases included, and the column bits (when built) of the generic
+    conjugation path; a one-qubit Pauli's image is its row."""
+    n = data.draw(st.integers(2, 6) | st.integers(7, 70))
+    t = CliffordTableau(n)
+    for _ in range(data.draw(st.integers(0, 30))):
+        gate, a, b = _draw_gate(data, n)
+        t.absorb_right(gate, a, b)
+    if data.draw(st.booleans()):
+        t._columns()
+    for gate in ("H", "S", "S_DAG", "X", "Y", "Z", "CX", "CZ", "SWAP"):
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if gate not in ("CX", "CZ", "SWAP"):
+            b = None
+        ref = t.copy()
+        _absorb_left_generic(ref, gate, a, b)
+        t.absorb_left(gate, a, b)
+        assert t.ix == ref.ix and t.iz == ref.iz, gate
+        assert t._cols == ref._cols, gate
+    for kind in ("X", "Y", "Z"):
+        assert t.heisenberg_single(a, kind) == t.heisenberg_map(PauliString.single(n, a, kind))
+
+
+def test_absorb_left_rejects_unknown_gate():
+    with pytest.raises(ValueError):
+        CliffordTableau(2).absorb_left("T", 0)
