@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_MAX_SAMPLES = 10 ** 7  # four float arrays of this length: 320 MB
 
 
 @dataclass
@@ -62,12 +63,15 @@ def ratio_credible_interval(k1: int, n1: int, k2: int, n2: int,
 
     Monte Carlo over paired posterior draws; the median of the elementwise
     ratios is the point estimate and the 2.5th/97.5th percentiles bound it.
+    ``samples`` must lie in [10^4, 10^7].
     """
     for k, n in ((k1, n1), (k2, n2)):
         if n < 1 or not 0 <= k <= n:
             raise ValueError(f"invalid counts k={k}, n={n}")
     if samples < 10_000:
         raise ValueError("need at least 10^4 Monte Carlo samples")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"at most 10^7 Monte Carlo samples, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))
     p1 = rng.beta(k1 + 0.5, n1 - k1 + 0.5, size=samples)
     p2 = rng.beta(k2 + 0.5, n2 - k2 + 0.5, size=samples)

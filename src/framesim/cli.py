@@ -20,10 +20,19 @@ from .runtime import ShotError, ShotRecord, sample
 
 
 def _read_circuit(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The circuit text of ``path``, or of stdin for None or ``-``. A file
+    that cannot be read as UTF-8 text raises a CircuitError."""
+    path = None if path == "-" else path
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CircuitError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        msg = f"{path or 'stdin'} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        raise CircuitError(msg) from None
 
 
 def _parse_detector_list(text: str):
@@ -101,7 +110,11 @@ def cmd_sample(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    out = open(args.out, "wb") if args.out else sys.stdout.buffer
+    try:
+        out = open(args.out, "wb") if args.out else sys.stdout.buffer
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     try:
         stream = sample(prog, args.shots, seed=args.seed, workers=workers,
                         stratum=stratum, keep_rejected=args.keep_rejected)

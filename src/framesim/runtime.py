@@ -18,18 +18,26 @@ draw that may fire a fault takes the serial VM's scalar arithmetic, so
 records are bit-identical to the closure VM's. ``run_shot``, ``trace``,
 ``expectation_probe`` and ``testing.crosscheck`` always use the closure VM,
 the reference engine, and so does a frame-only program whose table would
-exceed ``_TABLE_BITS``. ``sample`` with workers builds the table or the
-closures before it forks its pool, so the workers inherit them, and keeps
-at most two chunks of shots per worker in flight; a table program forks
-only when each worker gets more than a whole chunk.
+exceed ``_TABLE_BITS``.
+
+Sampling has one path for both engines. ``_shot_rows`` runs a range of
+shots, on the table or the closure VM, and returns each kept shot's output
+bits as packed rows with its acceptance flags; a chunk is about a megabyte
+(``_FOLD_BYTES``) of unpacked output bits. ``_chunks`` yields the chunks in
+shot order, from this process or from a fork pool, and unpacks them;
+``sample`` yields each row as a ``ShotRecord`` and ``sample_accumulate``
+sums them. So records arrive a chunk at a time: the first record of a slow
+program waits for its whole chunk. The pool is forked after the table or
+the closures are built, so the workers inherit them; it keeps at most two
+chunks per worker in flight, and a table program forks only when each
+worker gets more than a whole chunk.
 
 In the closure VM, a shot owns one preallocated :class:`ShotState`: the
 active array, the Pauli frame as two Python-int bitmasks, a global scalar,
 record, detector and observable bytes, and a counter-based RNG stream. One
-loop runs every shot, for ``run_shot``, ``sample`` (serial or in workers)
-and ``sample_accumulate`` alike: it resets what a shot reads before it writes
-it, draws a stratum's forced faults, and walks the instruction list until
-the end or a failed postselection. A shot's faults reach the ``NoiseBlock``
+loop runs every shot, for ``run_shot`` and ``_shot_rows`` alike: it resets
+what a shot reads before it writes it, draws a stratum's forced faults, and
+walks the instruction list until the end or a failed postselection. A shot's faults reach the ``NoiseBlock``
 kernels in one form, a sorted list of ``(site, case)`` pairs: the
 hazard-skip sampler produces it per block, and a forced run (``run_shot``'s
 ``forced_faults``, ``testing.crosscheck``, ``StratumSpec.draw_forced``)
@@ -83,7 +91,7 @@ from .rng import ShotRng, ShotStreams
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
 _SMALL = 16  # active arrays up to this size live in a Python list
-_FOLD_BYTES = 1 << 20  # output bytes summed, or unpacked from a table, at a time
+_FOLD_BYTES = 1 << 20  # unpacked output bytes of a chunk of shots
 
 
 class ShotError(RuntimeError):
@@ -723,10 +731,10 @@ class _FrameTable:
     Output bit p of a shot is bit p of the constant row XOR the effect row of
     each fault that fires and of each coin that comes up 1. ``effects`` holds
     one row of ``nbytes`` little-endian bytes per random input: row 0 is the
-    constant, row ``first[site] + case`` a fault. Bits [0, ``width``) are
-    the user records, detectors and observables, in that order (``nm`` and
-    ``nd`` user records and detectors); a bit above is hidden: an observable
-    as it stood at a postselection that a later ``ObservableIns`` changes.
+    constant, row ``first[site] + case`` a fault. The first bits are the
+    user records, detectors and observables, in that order; a bit above
+    them is hidden: an observable as it stood at a postselection that a
+    later ``ObservableIns`` changes.
 
     ``steps`` is the shot's draw sequence, in instruction order:
 
@@ -745,9 +753,6 @@ class _FrameTable:
 
     effects: bytes
     steps: list
-    width: int
-    nm: int
-    nd: int
     nbytes: int     # bytes of one packed shot, hidden bits included
     S: list         # the program's cum_hazard
     hazard: np.ndarray = field(compare=False)  # S as an array
@@ -878,7 +883,7 @@ def _build_table(prog: BytecodeProgram):
         case_cum[i, :ncases[i]] = s.case_cum
     return _FrameTable(
         effects=_transpose(out, nxt, nbytes).tobytes(), steps=steps,
-        width=width, nm=nm, nd=nd, nbytes=nbytes, S=prog.cum_hazard,
+        nbytes=nbytes, S=prog.cum_hazard,
         hazard=np.array(prog.cum_hazard), first=np.array(site_bit, dtype=np.int64),
         prob=np.array([s.prob for s in sites], dtype=np.float64),
         ncases=np.array(ncases, dtype=np.int64), case_cum=case_cum)
@@ -904,9 +909,9 @@ def _transpose(forms: list, n_inputs: int, nbytes: int) -> np.ndarray:
 
 
 def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
-                 keep_rejected: bool) -> tuple[bytes, bytearray]:
-    """Shots [lo, hi) of a frame table: each kept shot's output bits, packed
-    little-endian in ``tab.nbytes`` bytes, and its acceptance (0 or 1).
+                 keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Shots [lo, hi) of a frame table, as :func:`_shot_rows` returns them;
+    a row has ``tab.nbytes`` bytes, hidden bits included.
 
     The shots run in lock-step: each step of ``tab.steps`` is a few numpy
     operations over the shots still running, whose output rows ``acc``
@@ -969,8 +974,8 @@ def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
                 if not len(run):
                     break
     if keep_rejected:
-        return acc.tobytes(), bytearray(accepted.view(np.uint8).tobytes())
-    return acc[accepted].tobytes(), bytearray(b"\x01" * int(np.count_nonzero(accepted)))
+        return acc, accepted
+    return acc[accepted], accepted[accepted]
 
 
 def _may_fault(start, u: np.ndarray, s_b: float) -> np.ndarray:
@@ -1029,25 +1034,6 @@ def _forced_sites(stratum, seed: int, lo: int, hi: int, streams: ShotStreams) ->
     for i, sites in enumerate(lists):
         forced[:len(sites), i] = sites
     return forced
-
-
-def _unpack(tab: _FrameTable, packed: bytes) -> np.ndarray:
-    """The visible output bits of packed shots, one uint8 row per shot."""
-    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, tab.nbytes)
-    return np.unpackbits(rows, axis=1, count=tab.width, bitorder="little")
-
-
-def _table_records(tab: _FrameTable, packed: bytes, flags: bytearray, weight: float):
-    """ShotRecords of packed shots: row views of one unpacked chunk."""
-    nm, nmd = tab.nm, tab.nm + tab.nd
-    for row, accepted in zip(_unpack(tab, packed), flags):
-        yield ShotRecord(row[:nm], row[nm:nmd], row[nmd:], accepted == 1, weight)
-
-
-def _chunk_shots(prog: BytecodeProgram) -> int:
-    """Shots per chunk: about _FOLD_BYTES of unpacked output bits."""
-    width = len(prog.user_records) + prog.num_detectors + prog.num_observables
-    return max(1, _FOLD_BYTES // max(width, 1))
 
 
 # -- hazard sampling -------------------------------------------------------------
@@ -1187,20 +1173,50 @@ def _user_idx(prog: BytecodeProgram):
     return prog.__dict__["_user_idx"]
 
 
-def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
-           stratum=None, keep_rejected: bool = True):
-    """Yield ShotRecords for shot indices 0..shots-1, deterministically.
+def _chunk_shots(prog: BytecodeProgram) -> int:
+    """Shots per chunk: about _FOLD_BYTES of unpacked output bits."""
+    width = len(prog.user_records) + prog.num_detectors + prog.num_observables
+    return max(1, _FOLD_BYTES // max(width, 1))
 
-    Records depend only on (seed, shot index): any worker split produces the
-    same stream, and a frame-only program's table gives the records the
-    closure VM gives. With a stratum, every record carries that stratum's
-    weight and noise sites are forced per its conditional law.
+
+def _shot_rows(prog: BytecodeProgram, seed: int, lo: int, hi: int, stratum,
+               keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Shots [lo, hi), on the program's frame table or else the closure VM:
+    each kept shot's output bits (user records, detectors, observables)
+    packed little-endian, one uint8 row per shot, and its acceptance flags
+    (bool). A rejected shot is kept only with ``keep_rejected``. This is the
+    one place that runs shots for ``sample`` and ``sample_accumulate``."""
+    tab = _frame_table(prog)
+    if tab is not None:
+        return _table_shots(tab, seed, lo, hi, stratum, keep_rejected)
+    state = ShotState(prog, seed=seed)
+    code = _compiled(prog)
+    rec, det, obs = state.records, state.detectors, state.observables
+    rows, flags = bytearray(), bytearray()
+    for shot in range(lo, hi):
+        if _run(prog, code, state, shot, stratum) or keep_rejected:
+            rows += rec
+            rows += det
+            rows += obs
+            flags.append(state.accepted)
+    width = len(rec) + len(det) + len(obs)
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(flags), width)
+    uidx = _user_idx(prog)
+    if uidx is not None:
+        bits = bits[:, np.concatenate([uidx, np.arange(len(rec), width)])]
+    return np.packbits(bits, axis=1, bitorder="little"), np.frombuffer(flags, dtype=bool)
+
+
+def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
+            keep_rejected: bool):
+    """Yield each chunk of :func:`_shot_rows` in shot order, unpacked to one
+    uint8 row of output bits per kept shot, with its acceptance flags.
 
     ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
     pool starts only when that leaves more than one worker and, for a
     frame-table program, when each worker gets more than a whole chunk of
     shots; below that the pool costs more than the shots, and this process
-    samples alone.
+    runs the chunks alone.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -1208,19 +1224,32 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     step = _chunk_shots(prog)
     workers = min(workers, shots, os.cpu_count() or 1)
     if workers > 1 and (tab is None or shots > workers * step):
-        yield from _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected)
-        return
-    if tab is not None:
-        weight = 1.0 if stratum is None else stratum.weight
-        for lo in range(0, shots, step):
-            part = _table_shots(tab, seed, lo, min(lo + step, shots), stratum, keep_rejected)
-            yield from _table_records(tab, *part, weight)
-        return
-    state = ShotState(prog, seed=seed)
-    code = _compiled(prog)
-    for shot in range(shots):
-        if _run(prog, code, state, shot, stratum) or keep_rejected:
-            yield make_record(prog, state)
+        parts = _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected)
+    else:
+        parts = (_shot_rows(prog, seed, lo, min(lo + step, shots), stratum, keep_rejected)
+                 for lo in range(0, shots, step))
+    width = len(prog.user_records) + prog.num_detectors + prog.num_observables
+    for packed, flags in parts:
+        yield np.unpackbits(packed, axis=1, count=width, bitorder="little"), flags
+
+
+def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
+           stratum=None, keep_rejected: bool = True):
+    """Yield ShotRecords for shot indices 0..shots-1, deterministically.
+
+    Records depend only on (seed, shot index): any worker split produces the
+    same stream, and a frame-only program's table gives the records the
+    closure VM gives. With a stratum, every record carries that stratum's
+    weight and noise sites are forced per its conditional law. Records
+    arrive a chunk of shots at a time, as row views of the chunk's bits;
+    ``workers`` is used as :func:`_chunks` describes.
+    """
+    weight = 1.0 if stratum is None else stratum.weight
+    nm = len(prog.user_records)
+    nmd = nm + prog.num_detectors
+    for bits, flags in _chunks(prog, shots, seed, workers, stratum, keep_rejected):
+        for row, accepted in zip(bits, flags.tolist()):
+            yield ShotRecord(row[:nm], row[nm:nmd], row[nmd:], accepted, weight)
 
 
 _WORKER = None  # a pool worker's (prog, seed, stratum, keep_rejected)
@@ -1234,30 +1263,23 @@ def _init_worker(*args) -> None:
 
 
 def _worker_range(bounds):
-    """Shots [lo, hi) in a pool worker: packed table output, or records."""
+    """Shots [lo, hi) in a pool worker, as packed rows."""
     prog, seed, stratum, keep_rejected = _WORKER
-    lo, hi = bounds
-    tab = _frame_table(prog)
-    if tab is not None:
-        return _table_shots(tab, seed, lo, hi, stratum, keep_rejected)
-    state = ShotState(prog, seed=seed)
-    code = _compiled(prog)
-    return [make_record(prog, state) for s in range(lo, hi)
-            if _run(prog, code, state, s, stratum) or keep_rejected]
+    return _shot_rows(prog, seed, *bounds, stratum, keep_rejected)
 
 
 def _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected):
-    """``sample`` over a pool of ``workers`` fork workers. The parent builds
-    the program's table (``tab``) or closures before the fork, and at most
-    two chunks per worker are in flight, so the parent holds a bounded
-    number of finished chunks."""
+    """Yield the packed chunks of :func:`_shot_rows` in shot order from a
+    pool of ``workers`` fork workers. The parent builds the program's table
+    (``tab``) or closures before the fork. Chunk bounds are made as jobs are
+    sent, and at most two chunks per worker are in flight, so the parent
+    holds a bounded number of chunks whatever the shot count."""
     import multiprocessing as mp
 
     if tab is None:
         _compiled(prog)
-    weight = 1.0 if stratum is None else stratum.weight
     step = min(_chunk_shots(prog), -(-shots // workers))
-    jobs = iter([(lo, min(lo + step, shots)) for lo in range(0, shots, step)])
+    jobs = ((lo, min(lo + step, shots)) for lo in range(0, shots, step))
     ctx = mp.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker,
                   initargs=(prog, seed, stratum, keep_rejected)) as pool:
@@ -1268,75 +1290,27 @@ def _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected):
             job = next(jobs, None)
             if job is not None:
                 pending.append(pool.apply_async(_worker_range, (job,)))
-            yield from part if tab is None else _table_records(tab, *part, weight)
-
-
-def _fold_rows(rows: bytearray, width: int, totals: np.ndarray) -> None:
-    """Add the packed 0/1 rows of ``rows`` (``width`` bytes each) into
-    ``totals``, then empty ``rows``."""
-    if rows:
-        totals += np.frombuffer(rows, dtype=np.uint8).reshape(-1, width).sum(
-            axis=0, dtype=np.int64)
-    del rows[:]
+            yield part
 
 
 def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
                       stratum=None) -> dict:
     """Streaming marginals: bit sums for measurements/detectors/observables.
 
-    Each accepted shot appends its record, detector and observable bytes to
-    one row buffer; the rows are summed with numpy once the buffer holds
-    about a megabyte, so the per-shot cost is a few bytearray appends. A
-    frame-only program's table sums its unpacked chunks instead.
+    The accepted shots' bits are summed a chunk at a time; the weight sum
+    adds one shot's weight at a time, as a shot-by-shot loop would.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    tab = _frame_table(prog)
-    if tab is not None:
-        return _table_accumulate(prog, tab, shots, seed, stratum)
-    state = ShotState(prog, seed=seed)
-    uidx = _user_idx(prog)
-    n_rec, n_det = prog.record_count, prog.num_detectors
-    width = n_rec + n_det + prog.num_observables
-    totals = np.zeros(width, dtype=np.int64)
-    rows = bytearray()
-    fold_at = max(width, _FOLD_BYTES - _FOLD_BYTES % max(width, 1))
-    rec, det, obs = state.records, state.detectors, state.observables
-    accepted = 0
-    weight_sum = 0.0
-    code = _compiled(prog)
-    for shot in range(shots):
-        if not _run(prog, code, state, shot, stratum):
-            continue
-        accepted += 1
-        weight_sum += state.weight
-        rows += rec
-        rows += det
-        rows += obs
-        if len(rows) >= fold_at:
-            _fold_rows(rows, width, totals)
-    _fold_rows(rows, width, totals)
-    meas = totals[:n_rec]
-    return {"shots": shots, "accepted": accepted, "weight_sum": weight_sum,
-            "measurements": meas.copy() if uidx is None else meas[uidx],
-            "detectors": totals[n_rec:n_rec + n_det].copy(),
-            "observables": totals[n_rec + n_det:].copy()}
-
-
-def _table_accumulate(prog, tab: _FrameTable, shots: int, seed: int, stratum) -> dict:
-    totals = np.zeros(tab.width, dtype=np.int64)
+    nm = len(prog.user_records)
+    nmd = nm + prog.num_detectors
+    totals = np.zeros(nmd + prog.num_observables, dtype=np.int64)
     weight = 1.0 if stratum is None else stratum.weight
     accepted = 0
     weight_sum = 0.0
-    step = _chunk_shots(prog)
-    for lo in range(0, shots, step):
-        packed, flags = _table_shots(tab, seed, lo, min(lo + step, shots), stratum, False)
-        if flags:
-            totals += _unpack(tab, packed).sum(axis=0, dtype=np.int64)
+    for bits, flags in _chunks(prog, shots, seed, 1, stratum, False):
+        totals += bits.sum(axis=0, dtype=np.int64)
         accepted += len(flags)
-        for _ in flags:  # the closure VM's sum, one shot at a time
+        for _ in range(len(flags)):
             weight_sum += weight
-    nm, nmd = tab.nm, tab.nm + tab.nd
     return {"shots": shots, "accepted": accepted, "weight_sum": weight_sum,
             "measurements": totals[:nm].copy(), "detectors": totals[nm:nmd].copy(),
             "observables": totals[nmd:].copy()}

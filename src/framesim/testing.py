@@ -12,11 +12,11 @@ import numpy as np
 from .backend import compile_circuit
 from .circuit import Circuit, flatten, parse_circuit
 from .oracle import dense_run, expand_factored, fidelity, noise_sites_of
+from .pauli import _INV_GATE
 from .runtime import ShotState, run_shot
 
 _CLIFFORDS_1Q = ("H", "S", "S_DAG", "X", "Y", "Z")
-_INVERSE = {"H": "H", "S": "S_DAG", "S_DAG": "S", "X": "X", "Y": "Y", "Z": "Z",
-            "CX": "CX", "CZ": "CZ", "SWAP": "SWAP", "T": "T_DAG", "T_DAG": "T"}
+_INVERSE = {**_INV_GATE, "T": "T_DAG", "T_DAG": "T"}
 
 
 def random_circuit(rng: np.random.Generator, n: int, depth: int,

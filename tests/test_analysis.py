@@ -96,3 +96,16 @@ def test_attenuation_edge_cases():
         attenuation_model(0.6, 0.3, 0.3, 1, 1)
     with pytest.raises(ValueError):
         attenuation_model(-0.1, 0, 0, 1, 1)
+
+
+def test_ratio_interval_refuses_samples_above_bound_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 10\\^7"):
+            ratio_credible_interval(1, 10, 1, 10, samples=10 ** 7 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the four arrays would take 320 MB

@@ -224,6 +224,7 @@ def test_negative_stratum_is_rejected(tmp_path, capsys):
     ["ratio", "--k1", "1", "--n1", "10", "--k2", "1", "--n2", "10", "--samples", "0"],
     ["tbound", "--y", "2"],
     ["tbound", "--y", "nan"],
+    ["ratio", "--k1", "1", "--n1", "10", "--k2", "1", "--n2", "10", "--samples", "10000001"],
 ])
 def test_analyze_out_of_range_is_usage_error(capsys, argv):
     assert main(["analyze", *argv]) == 2
@@ -238,3 +239,27 @@ def test_validate_negative_count_is_usage_error(capsys, flag):
     captured = capsys.readouterr()
     assert "all validation checks passed" not in captured.out
     assert captured.err.startswith(f"error: {flag}")
+
+
+@pytest.mark.parametrize("command", ["compile", "sample"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_circuit_is_an_error(tmp_path, capsys, command, kind):
+    path = tmp_path / "c.txt"
+    if kind == "directory":
+        path = tmp_path
+    elif kind == "not_utf8":
+        path.write_bytes(b"M 0\n# caf\xe9\n")
+    argv = [command, str(path)] + (["--shots", "3"] if command == "sample" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(path) in captured.err
+
+
+def test_sample_out_into_missing_directory_is_an_error(mirror_file, tmp_path, capsys):
+    out = tmp_path / "absent" / "shots.txt"
+    assert main(["sample", mirror_file, "--shots", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert not out.parent.exists()

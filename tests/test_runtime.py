@@ -711,3 +711,86 @@ def test_runtime_k_tracks_planned_schedule():
             seen = []
             run_shot(prog, st, shot=shot, trace=lambda s, _i: seen.append(s.k))
             assert seen == planned
+
+
+# A k_max > 0 program with a reset and a postselected detector: its user
+# records are three of its four records, so sampling selects user columns.
+CHUNKED = ("H 0\nT 0\nH 0\nM 0\nR 0\nH 1\nT 1\nCX 1 0\nDEPOLARIZE1(0.2) 0 1\n"
+           "M 0 1\nDETECTOR rec[-1]\n")
+
+
+def _record_tuple(rec) -> tuple:
+    return (rec.measurements.tolist(), rec.detectors.tolist(), rec.observables.tolist(),
+            bool(rec.accepted), rec.weight)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_closure_vm_chunks_match_run_shot(monkeypatch, workers):
+    # chunks of 7 shots: 60 shots cross several chunk boundaries, serially
+    # and over a real fork pool
+    import os
+
+    import framesim.runtime as runtime
+
+    prog = compile_circuit(CHUNKED, postselect_detectors=(0,))
+    assert prog.k_max > 0 and prog.user_records == (0, 2, 3) and prog.record_count == 4
+    pools = []
+    parallel = runtime._sample_parallel
+
+    def counted(*args):
+        pools.append(args[4])
+        yield from parallel(*args)
+
+    monkeypatch.setattr(runtime, "_sample_parallel", counted)
+    monkeypatch.setattr(runtime, "_chunk_shots", lambda prog: 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seed = 9
+    for stratum in (None, StratumSpec(prog, 1)):
+        state = ShotState(prog, seed=seed)
+        reference = []
+        for shot in range(60):
+            if stratum is None:
+                reference.append(_record_tuple(run_shot(prog, state, shot=shot)))
+            else:
+                runtime._run(prog, runtime._compiled(prog), state, shot, stratum)
+                reference.append(_record_tuple(runtime.make_record(prog, state)))
+        accepted = [r for r in reference if r[3]]
+        assert 0 < len(accepted) < 60
+        for keep in (True, False):
+            got = [_record_tuple(r) for r in sample(prog, 60, seed=seed, workers=workers,
+                                                   stratum=stratum, keep_rejected=keep)]
+            assert got == (reference if keep else accepted)
+        acc = sample_accumulate(prog, 60, seed=seed, stratum=stratum)
+        weight_sum = 0.0
+        for r in accepted:
+            weight_sum += r[4]
+        assert acc["accepted"] == len(accepted) and acc["weight_sum"] == weight_sum
+        for i, key in enumerate(("measurements", "detectors", "observables")):
+            total = np.sum([r[i] for r in accepted], axis=0, dtype=np.int64)
+            assert acc[key].tolist() == total.tolist()
+    assert pools == ([2] * 4 if workers == 2 else [])
+
+
+def test_pool_makes_chunk_bounds_as_it_sends_them(monkeypatch, pool_sizes):
+    # one-shot chunks over 500,000 shots: a list of every chunk's bounds,
+    # made before the first shot, would take tens of megabytes
+    import os
+    import tracemalloc
+
+    import framesim.runtime as runtime
+
+    prog = compile_circuit("X_ERROR(0.1) 0\nM 0\n")
+    monkeypatch.setattr(runtime, "_chunk_shots", lambda prog: 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert runtime._frame_table(prog) is not None  # built before the measurement
+    stream = sample(prog, 500_000, seed=1, workers=2)
+    tracemalloc.start()
+    try:
+        first = next(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        stream.close()
+    assert pool_sizes == [2]
+    assert _record_tuple(first) == _record_tuple(run_shot(prog, shot=0, seed=1))
+    assert peak < 5 * 2**20
