@@ -1210,14 +1210,9 @@ def _shot_rows(prog: BytecodeProgram, seed: int, lo: int, hi: int, stratum,
 def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
             keep_rejected: bool):
     """Yield each chunk of :func:`_shot_rows` in shot order, unpacked to one
-    uint8 row of output bits per kept shot, with its acceptance flags.
-
-    ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
-    pool starts only when that leaves more than one worker and, for a
-    frame-table program, when each worker gets more than a whole chunk of
-    shots; below that the pool costs more than the shots, and this process
-    runs the chunks alone.
-    """
+    uint8 row of output bits per kept shot, with its acceptance flags; the
+    chunks come from a fork pool when :func:`sample`'s rule for
+    ``workers`` starts one."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     tab = _frame_table(prog)
@@ -1241,8 +1236,13 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     same stream, and a frame-only program's table gives the records the
     closure VM gives. With a stratum, every record carries that stratum's
     weight and noise sites are forced per its conditional law. Records
-    arrive a chunk of shots at a time, as row views of the chunk's bits;
-    ``workers`` is used as :func:`_chunks` describes.
+    arrive a chunk of shots at a time, as row views of the chunk's bits.
+
+    ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
+    pool starts only when that leaves more than one worker and, for a
+    frame-table program, when each worker gets more than a whole chunk of
+    shots; below that the pool costs more than the shots, and this process
+    samples alone.
     """
     weight = 1.0 if stratum is None else stratum.weight
     nm = len(prog.user_records)
