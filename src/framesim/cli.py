@@ -21,11 +21,13 @@ from .runtime import ShotError, ShotRecord, sample
 
 def _read_circuit(path: str | None) -> str:
     """The circuit text of ``path``, or of stdin for None or ``-``. A file
-    that cannot be read as UTF-8 text raises a CircuitError."""
+    that cannot be read as UTF-8 text raises a CircuitError. Stdin's bytes
+    are decoded here, strictly: its text layer may follow the locale and
+    turn bad bytes into surrogates."""
     path = None if path == "-" else path
     try:
         if path is None:
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:

@@ -23,14 +23,16 @@ exceed ``_TABLE_BITS``.
 Sampling has one path for both engines. ``_shot_rows`` runs a range of
 shots, on the table or the closure VM, and returns each kept shot's output
 bits as packed rows with its acceptance flags; a chunk is about a megabyte
-(``_FOLD_BYTES``) of unpacked output bits. ``_chunks`` yields the chunks in
-shot order, from this process or from a fork pool, and unpacks them;
-``sample`` yields each row as a ``ShotRecord`` and ``sample_accumulate``
-sums them. So records arrive a chunk at a time: the first record of a slow
-program waits for its whole chunk. The pool is forked after the table or
-the closures are built, so the workers inherit them; it keeps at most two
-chunks per worker in flight, and a table program forks only when each
-worker gets more than a whole chunk.
+(``_FOLD_BYTES``) of unpacked output bits, and a closure-VM chunk also at
+most about ``_CHUNK_WORK`` amplitude operations. ``_chunks`` yields the
+chunks in shot order, from this process or from a fork pool, and unpacks
+them; ``sample`` yields each row as a ``ShotRecord`` and
+``sample_accumulate`` sums them. So records arrive a chunk at a time, and
+the first record of a slow program waits for a chunk of tens of shots at
+most. The chunks of one process share one ``ShotState``. The pool is
+forked after the table or the closures are built, so the workers inherit
+them; it keeps at most two chunks per worker in flight, and a table
+program forks only when each worker gets more than a whole chunk.
 
 In the closure VM, a shot owns one preallocated :class:`ShotState`: the
 active array, the Pauli frame as two Python-int bitmasks, a global scalar,
@@ -53,9 +55,34 @@ instruction kind has exactly one kernel. On that path, frame, record and
 detector updates are Python int and bytearray operations, never numpy
 scalar accesses. An active array of at most ``_SMALL`` entries is a
 Python list worked by scalar loops over precomputed indices; a larger one
-is a numpy array (capacity 2^k_max) worked by vectorized sweeps that make
-as few numpy calls as the kernel allows, since at these sizes the cost of a
-call, not its arithmetic, dominates.
+is a numpy array (capacity 2^k_max) worked by vectorized sweeps over views
+built once per state. At these sizes a numpy call costs about a microsecond
+whatever it computes, and a strided view costs that again for every run of
+its innermost axis, so the kernels make few calls over long runs:
+
+* ``ArrayRot`` multiplies only the branch-1 half, by its phase relative to
+  branch 0's, and folds branch 0's phase into ``gamma``; the phase has unit
+  modulus, so ``|gamma|^2`` stays the product of the branch probabilities.
+* A kernel whose lowest axis is 1 (``S``, ``H``, ``CZ``, ``ArrayRot``) runs
+  on the two stride-2 sub-arrays, where that axis becomes axis 0 and each
+  view is one long strided run. ``CX`` moves each run of entries below its
+  lower axis as one element of a void dtype, and so does ``MeasCollapse``
+  when it copies the two halves of a lower axis into ``scratch`` in one
+  call (on axis 1 it copies the sub-arrays' halves as long runs instead).
+* ``MeasCollapse`` writes its halves, its branch row and its output between
+  ``buf`` and ``scratch``, allocating nothing. A branch row of its basis
+  change that is one half, their sum or their difference, times a factor
+  (the identity, a bare ``H``), costs no multiply or one add; the factor
+  goes into the output's scale. ``p_all`` comes from the two halves, one
+  pass for the identity, and no ``np.vdot`` spans more than ``_DOT``
+  entries.
+
+These forms change rounding, not results. ``gamma`` carries
+``ArrayRot``'s branch-0 phase, ``p_all`` is summed over the halves in
+their copied order and a row is applied as c (v0 + eps v1), so amplitudes
+differ from plain two-half sweeps in the last bits (about 1e-18 absolute
+at 2^14 entries), and a record can differ only where a draw lands within
+rounding of a branch probability.
 """
 from __future__ import annotations
 
@@ -84,6 +111,7 @@ from .backend import (
     NoiseBlock,
     ObservableIns,
     PostSelectIns,
+    _plan_cost,
 )
 from .pauli import PauliString, bit_indices
 from .rng import ShotRng, ShotStreams
@@ -92,6 +120,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
 _SMALL = 16  # active arrays up to this size live in a Python list
 _FOLD_BYTES = 1 << 20  # unpacked output bytes of a chunk of shots
+_CHUNK_WORK = 1 << 24  # most amplitude operations of a closure-VM chunk
+# entries of the longest np.vdot: OpenBLAS runs a longer one on several
+# threads, which doubled the CPU time of a 2^14-entry program's shots on a
+# 2-core host for no gain in wall time
+_DOT = 1 << 13
 
 
 class ShotError(RuntimeError):
@@ -262,6 +295,32 @@ def _c0(z) -> np.ndarray:
     return np.array(z, dtype=np.complex128)
 
 
+def _split(x: np.ndarray, lo: int) -> tuple:
+    """``(sub, shift)`` pairs that cover the 1-D array ``x`` for a kernel whose
+    lowest axis is ``lo``. On axis 1 a view's inner loop has two entries, and
+    a numpy call pays for every inner loop, so an axis-1 kernel runs on the
+    two stride-2 sub-arrays, where that axis becomes axis 0 (``shift`` 1)
+    and its views are single long strided runs. Any other axis keeps ``x``:
+    from axis 2 up a split into 2^lo sub-arrays measured slower at 2^10
+    entries and mixed at 2^13 (2-core x86-64 host, numpy 2.4)."""
+    if lo == 1:
+        return (x[0::2], 1), (x[1::2], 1)
+    return ((x, 0),)
+
+
+def _halves(x: np.ndarray, a: int) -> tuple:
+    """The (branch-0, branch-1) views of axis ``a`` of the 1-D array ``x``."""
+    v = x.reshape(-1, 2, 1 << a)
+    return v[:, 0, :], v[:, 1, :]
+
+
+def _blocks(x: np.ndarray, a: int) -> np.ndarray:
+    """The contiguous array ``x`` with each run of 2^a entries as one element
+    of a void dtype. numpy copies such an element whole, so a copy that keeps
+    these runs intact loops only over the axes above ``a``."""
+    return x.view(f"V{x.itemsize << a}")
+
+
 def _c_array_gate(ins: ArrayGate, prog):
     g, size = ins.gate, ins.size
     a, b = ins.axa, ins.axb
@@ -271,7 +330,7 @@ def _c_array_gate(ins: ArrayGate, prog):
         ones = _indices(size, lambda i: (i >> a) & 1)
 
         def make(st):
-            return st.buf[:size].reshape(-1, 2, 1 << a)[:, 1, :]
+            return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
 
         def run(st: ShotState) -> None:
             st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
@@ -280,8 +339,8 @@ def _c_array_gate(ins: ArrayGate, prog):
                 for i in ones:
                     amps[i] *= 1j
             else:
-                v1 = _views(st, make)
-                np.multiply(v1, ph_np, out=v1)
+                for v1 in _views(st, make):
+                    np.multiply(v1, ph_np, out=v1)
 
         return run
     if g == "H":
@@ -290,8 +349,9 @@ def _c_array_gate(ins: ArrayGate, prog):
         inv_sqrt2 = _c0(_INV_SQRT2)
 
         def make(st):
-            view = st.buf[:size].reshape(-1, 2, step)
-            return view, view[:, 0, :], view[:, 1, :], st.scratch[: size // 2].reshape(-1, step)
+            parts = tuple(_halves(x, a - s) + (st.scratch[: len(x) // 2].reshape(-1, step >> s),)
+                          for x, s in _split(st.buf[:size], a))
+            return st.buf[:size], parts
 
         def run(st: ShotState) -> None:
             st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
@@ -303,15 +363,16 @@ def _c_array_gate(ins: ArrayGate, prog):
                     amps[i] = (lo + hi) * _INV_SQRT2
                     amps[j] = (lo - hi) * _INV_SQRT2
             else:
-                view, v0, v1, sc = _views(st, make)
-                np.copyto(sc, v0)
-                np.add(sc, v1, out=v0)
-                np.subtract(sc, v1, out=v1)
-                np.multiply(view, inv_sqrt2, out=view)
+                whole, parts = _views(st, make)
+                for v0, v1, sc in parts:
+                    np.copyto(sc, v0)
+                    np.add(sc, v1, out=v0)
+                    np.subtract(sc, v1, out=v1)
+                np.multiply(whole, inv_sqrt2, out=whole)
 
         return run
     hi, lo = max(a, b), min(a, b)
-    shape = (size >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    mid = 1 << (hi - lo - 1)  # entries between the two axes
     if g == "CX":
         tm = 1 << b
         pairs = tuple((i, i | tm) for i in _indices(size, lambda i: (i >> a) & 1
@@ -319,8 +380,9 @@ def _c_array_gate(ins: ArrayGate, prog):
 
         def make(st):
             # (destination, source): the control-set block with its target
-            # axis reversed; numpy buffers the overlapping copy
-            view = st.buf[:size].reshape(shape)
+            # axis reversed; numpy buffers the overlapping copy. The runs of
+            # entries below the lower axis move whole, as void elements.
+            view = _blocks(st.buf[:size], lo).reshape(-1, 2, mid, 2)
             if a == hi:
                 return view[:, 1], view[:, 1, :, ::-1]
             return view[:, :, :, 1], view[:, ::-1, :, 1]
@@ -337,9 +399,11 @@ def _c_array_gate(ins: ArrayGate, prog):
         return run
     if g == "CZ":
         ones = _indices(size, lambda i: (i >> a) & 1 and (i >> b) & 1)
+        minus = _c0(-1)  # a multiply: numpy's complex negative has no fast loop
 
         def make(st):
-            return st.buf[:size].reshape(shape)[:, 1, :, 1, :]
+            return tuple(x.reshape(-1, 2, mid, 2, 1 << (lo - s))[:, 1, :, 1, :]
+                         for x, s in _split(st.buf[:size], lo))
 
         def run(st: ShotState) -> None:
             st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
@@ -348,8 +412,8 @@ def _c_array_gate(ins: ArrayGate, prog):
                 for i in ones:
                     amps[i] = -amps[i]
             else:
-                v11 = _views(st, make)
-                np.negative(v11, out=v11)
+                for v11 in _views(st, make):
+                    np.multiply(v11, minus, out=v11)
 
         return run
     raise ShotError(f"unknown array gate {g}")
@@ -407,13 +471,14 @@ def _c_array_rot(ins: ArrayRot, prog):
     e0 = cmath.exp(-1j * ins.angle)
     e1 = e0.conjugate()
     phases = ((e0, e1), (e1, e0))
-    phases_np = tuple((_c0(p0), _c0(p1)) for p0, p1 in phases)
+    # above the list size branch 0's phase goes into gamma, and only branch 1
+    # is multiplied, by its phase relative to branch 0's
+    ratios = (_c0(e1 / e0), _c0(e0 / e1))
     zeros = _indices(size, lambda i: not (i >> a) & 1)
     ones = _indices(size, lambda i: (i >> a) & 1)
 
     def make(st):
-        view = st.buf[:size].reshape(-1, 2, 1 << a)
-        return view[:, 0, :], view[:, 1, :]
+        return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
 
     def run(st: ShotState) -> None:
         if size == 2:
@@ -429,10 +494,11 @@ def _c_array_rot(ins: ArrayRot, prog):
             for i in ones:
                 amps[i] *= ph1
         else:
-            ph0, ph1 = phases_np[(st.frame_x >> virt) & 1]
-            v0, v1 = _views(st, make)
-            np.multiply(v0, ph0, out=v0)
-            np.multiply(v1, ph1, out=v1)
+            parity = (st.frame_x >> virt) & 1
+            st.gamma *= phases[parity][0]
+            ratio = ratios[parity]
+            for v1 in _views(st, make):
+                np.multiply(v1, ratio, out=v1)
 
     return run
 
@@ -478,6 +544,44 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
     return run
 
 
+def _norm2(x: np.ndarray) -> float:
+    """The squared norm of the contiguous complex array ``x``, from vdots of
+    at most ``_DOT`` entries each."""
+    if x.size <= _DOT:
+        return float(np.vdot(x, x).real)
+    x = x.reshape(-1)
+    return float(sum(np.vdot(x[i:i + _DOT], x[i:i + _DOT]).real
+                     for i in range(0, len(x), _DOT)))
+
+
+def _row_form(u0: complex, u1: complex) -> tuple:
+    """``(form, c, eps)`` for a row (u0, u1) of a collapse's basis change: the
+    row is c (1, eps), or c (0, 1) for form 1. Form 0 is eps = 0, forms 2
+    and 3 are eps = 1 and -1, and form 4 any other eps, so the row takes
+    branch 0, branch 1, their sum, their difference, or branch 0 plus eps
+    times branch 1, times c."""
+    if u0 == 0:
+        return 1, u1, 0j
+    eps = u1 / u0
+    return {0: 0, 1: 2, -1: 3}.get(eps, 4), u0, eps
+
+
+def _row(form: int, eps: np.ndarray, v0, v1, out, spare):
+    """The row of form ``form`` (of :func:`_row_form`) applied to the
+    branches ``v0``, ``v1``, short of its factor c: one of them, or ``out``
+    holding the result; ``spare`` is a work half for form 4."""
+    if form == 0:
+        return v0
+    if form == 1:
+        return v1
+    if form == 2:
+        return np.add(v0, v1, out=out)
+    if form == 3:
+        return np.subtract(v0, v1, out=out)
+    np.multiply(v1, eps, out=spare)
+    return np.add(v0, spare, out=out)
+
+
 def _c_meas_collapse(ins: MeasCollapse, prog):
     virt, a, record, flip, size = ins.virt, ins.axis, ins.record, ins.flip, ins.size
     (u00, u01), (u10, u11) = ins.u
@@ -493,19 +597,35 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
     step = 1 << a
     # (branch-0, branch-1) index pairs; pair i becomes entry i after collapse
     pairs = tuple((i, i + step) for i in _indices(size, lambda i: not (i >> a) & 1))
-    # gathers of the two halves, unless they are the array's two slices
-    idx0 = idx1 = None
-    if size > _SMALL and step < half:
-        all_idx = np.arange(size)
-        idx0 = all_idx[(all_idx >> a) & 1 == 0]
-        idx1 = all_idx[(all_idx >> a) & 1 == 1]
-    u10_np, u11_np = _c0(u10), _c0(u11)
+    (f0, c0, eps0), (f1, c1, eps1) = _row_form(u00, u01), _row_form(u10, u11)
+    eps0, eps1 = _c0(eps0), _c0(eps1)
+    c1_sq = abs(c1) ** 2
 
     def make(st):
+        """(copy, halves, v0, v1, head, tmp, tmp2, k): the (destination,
+        source) copy that fills ``halves`` when they are not the array's two
+        slices; the contiguous branch halves v0 and v1, its two halves; the
+        collapsed array's place; two work halves apart from all three; a
+        0-d slot for this shot's factor."""
         buf, sc = st.buf, st.scratch
-        # the last two are 0-d slots for this shot's collapse factors
-        return (buf[:half], buf[half:size], sc[:half], sc[half:size], buf[:size],
-                _c0(0), _c0(0))
+        k = _c0(0)
+        if step == half:
+            return None, buf[:size], buf[:half], buf[half:size], buf[:half], sc[:half], \
+                sc[half:size], k
+        # One copy moves the halves into scratch, and buf[:size] becomes the
+        # work space. On axis 1 the copy keeps the two stride-2 sub-arrays
+        # apart, so each half is two long runs, and the collapsed array is
+        # written back through the transposed view of its two lanes.
+        # Elsewhere each run of 2^a entries moves as one element.
+        if a == 1:
+            copy = (sc[:size].reshape(2, 2, -1), buf[:size].reshape(-1, 2, 2).transpose(1, 2, 0))
+            lanes = 2
+        else:
+            copy = (_blocks(sc[:size], a).reshape(2, -1), _blocks(buf[:size], a).reshape(-1, 2).T)
+            lanes = 1
+        v0, v1, tmp, tmp2 = (x.reshape(lanes, -1) for x in
+                             (sc[:half], sc[half:size], buf[half:size], buf[:half]))
+        return copy, sc[:size], v0, v1, buf[:half].reshape(-1, lanes).T, tmp, tmp2, k
 
     def run(st: ShotState) -> None:
         fx, fz = st.frame_x, st.frame_z
@@ -536,18 +656,18 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                 p_all += q1 + b0.real * b0.real + b0.imag * b0.imag
                 rows.append((b0, b1))
         else:
-            # contiguous halves: strided views with a short inner axis cost
-            # several times more per numpy call than a gather
-            head, v1, rot1, tmp, whole, k0, k1 = _views(st, make)
-            v0 = head
-            if idx0 is not None:
-                v0 = st.buf[idx0]
-                v1 = st.buf[idx1]
-            np.multiply(v0, u10_np, out=rot1)  # u's branch-1 row applied
-            np.multiply(v1, u11_np, out=tmp)
-            np.add(rot1, tmp, out=rot1)
-            p1 = float(np.vdot(rot1, rot1).real)
-            p_all = float(np.vdot(whole, whole).real)  # u is unitary
+            copy, halves, v0, v1, head, tmp, tmp2, k = _views(st, make)
+            if copy is not None:
+                np.copyto(*copy)
+            w1 = _row(f1, eps1, v0, v1, tmp, tmp2)
+            if f1 < 2:  # row 1 takes one branch, so p_all is one pass away
+                n0 = _norm2(v0)
+                n1 = _norm2(v1)
+                p_all = n0 + n1  # u is unitary
+                p1 = c1_sq * (n1 if f1 else n0)
+            else:
+                p_all = _norm2(halves)
+                p1 = c1_sq * _norm2(w1)
         if p1 != p1:
             raise ShotError("NaN amplitude encountered at an active measurement")
         p1 = p1 / p_all if p_all > 0 else 0.0
@@ -579,16 +699,13 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             amps[:half] = [row[branch] * scale for row in rows]
         else:
             if branch:
-                k0[()] = scale
-                np.multiply(rot1, k0, out=head)
+                k[()] = c1 * scale
+                np.multiply(w1, k, out=head)
             else:
-                k0[()] = u00 * scale
-                k1[()] = u01 * scale
-                np.multiply(v0, k0, out=tmp)
-                np.multiply(v1, k1, out=rot1)
-                np.add(tmp, rot1, out=head)
+                k[()] = c0 * scale
+                np.multiply(_row(f0, eps0, v0, v1, head, tmp), k, out=head)
             if half <= _SMALL:  # the array fits the list again
-                st.amps[:half] = head.tolist()
+                st.amps[:half] = st.buf[:half].tolist()
         if branch:
             fx ^= m
         st.frame_x, st.frame_z = fx, fz
@@ -1174,22 +1291,32 @@ def _user_idx(prog: BytecodeProgram):
 
 
 def _chunk_shots(prog: BytecodeProgram) -> int:
-    """Shots per chunk: about _FOLD_BYTES of unpacked output bits."""
+    """Shots per chunk: about _FOLD_BYTES of unpacked output bits, and for a
+    program with an active array at most about _CHUNK_WORK amplitude
+    operations (its work, the sum of its sweep sizes, per shot), so that a
+    slow program's first record does not wait long."""
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
-    return max(1, _FOLD_BYTES // max(width, 1))
+    shots = max(1, _FOLD_BYTES // max(width, 1))
+    if prog.k_max:
+        shots = min(shots, max(1, _CHUNK_WORK // _plan_cost(prog)[1]))
+    return shots
 
 
 def _shot_rows(prog: BytecodeProgram, seed: int, lo: int, hi: int, stratum,
-               keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
+               keep_rejected: bool, state: ShotState | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Shots [lo, hi), on the program's frame table or else the closure VM:
     each kept shot's output bits (user records, detectors, observables)
     packed little-endian, one uint8 row per shot, and its acceptance flags
-    (bool). A rejected shot is kept only with ``keep_rejected``. This is the
-    one place that runs shots for ``sample`` and ``sample_accumulate``."""
+    (bool). A rejected shot is kept only with ``keep_rejected``. The closure
+    VM runs on ``state``, a ShotState of ``prog`` seeded with ``seed``, or
+    on a new one. This is the one place that runs shots for ``sample`` and
+    ``sample_accumulate``."""
     tab = _frame_table(prog)
     if tab is not None:
         return _table_shots(tab, seed, lo, hi, stratum, keep_rejected)
-    state = ShotState(prog, seed=seed)
+    if state is None:
+        state = ShotState(prog, seed=seed)
     code = _compiled(prog)
     rec, det, obs = state.records, state.detectors, state.observables
     rows, flags = bytearray(), bytearray()
@@ -1221,8 +1348,10 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     if workers > 1 and (tab is None or shots > workers * step):
         parts = _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected)
     else:
-        parts = (_shot_rows(prog, seed, lo, min(lo + step, shots), stratum, keep_rejected)
-                 for lo in range(0, shots, step))
+        # one state for every chunk: its views are built on its first shot
+        state = None if tab is not None else ShotState(prog, seed=seed)
+        parts = (_shot_rows(prog, seed, lo, min(lo + step, shots), stratum, keep_rejected,
+                            state) for lo in range(0, shots, step))
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     for packed, flags in parts:
         yield np.unpackbits(packed, axis=1, count=width, bitorder="little"), flags
@@ -1252,20 +1381,22 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
             yield ShotRecord(row[:nm], row[nm:nmd], row[nmd:], accepted, weight)
 
 
-_WORKER = None  # a pool worker's (prog, seed, stratum, keep_rejected)
+_WORKER = None  # a pool worker's (prog, seed, stratum, keep_rejected, state)
 
 
-def _init_worker(*args) -> None:
+def _init_worker(prog, seed, stratum, keep_rejected) -> None:
     """Pool initializer. A fork worker gets its arguments by inheritance, not
-    by pickle, so the program arrives with the caches the parent built."""
+    by pickle, so the program arrives with the caches the parent built. A
+    closure-VM worker runs all its jobs on one ShotState."""
     global _WORKER
-    _WORKER = args
+    state = None if _frame_table(prog) is not None else ShotState(prog, seed=seed)
+    _WORKER = (prog, seed, stratum, keep_rejected, state)
 
 
 def _worker_range(bounds):
     """Shots [lo, hi) in a pool worker, as packed rows."""
-    prog, seed, stratum, keep_rejected = _WORKER
-    return _shot_rows(prog, seed, *bounds, stratum, keep_rejected)
+    prog, seed, stratum, keep_rejected, state = _WORKER
+    return _shot_rows(prog, seed, *bounds, stratum, keep_rejected, state)
 
 
 def _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected):

@@ -256,6 +256,21 @@ def test_unreadable_circuit_is_an_error(tmp_path, capsys, command, kind):
     assert captured.err.startswith("error:") and str(path) in captured.err
 
 
+@pytest.mark.parametrize("command", ["compile", "sample"])
+def test_non_utf8_stdin_is_an_error_under_the_c_locale(command):
+    # under the C locale Python's stdin text layer would turn the bad byte
+    # into a surrogate; the bytes are decoded strictly instead
+    import os
+
+    env = dict(os.environ, LC_ALL="C", PYTHONIOENCODING="")
+    argv = [sys.executable, "-m", "framesim.cli", command] + (
+        ["--shots", "1"] if command == "sample" else [])
+    proc = subprocess.run(argv, input=b"M 0\n\xff\n", capture_output=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: stdin is not UTF-8 text: invalid start byte at byte 4\n"
+
+
 def test_sample_out_into_missing_directory_is_an_error(mirror_file, tmp_path, capsys):
     out = tmp_path / "absent" / "shots.txt"
     assert main(["sample", mirror_file, "--shots", "3", "--out", str(out)]) == 1

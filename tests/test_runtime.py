@@ -1,13 +1,17 @@
 """VM execution: measurement statistics, noise sampling, strata, probes."""
 from __future__ import annotations
 
+import cmath
 import math
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import framesim.rng
+from framesim import runtime
 from framesim.backend import ArrayGate, ArrayRot, Expand, MeasCollapse, compile_circuit
 from framesim.oracle import expand_factored, fidelity, dense_run
 from framesim.circuit import flatten, parse_circuit
@@ -16,6 +20,7 @@ from framesim.testing import crosscheck, random_circuit, random_fault_plan
 from framesim.rng import ShotRng, mix64
 from framesim.runtime import (
     _SMALL,
+    _row_form,
     BRANCH_FLOOR,
     ShotError,
     ShotState,
@@ -131,8 +136,11 @@ def test_active_array_crosses_list_size_both_ways():
 
 
 def _vector_kernels(prog) -> set:
-    """The vectorized kernel branches a program runs: the kinds of its
-    instructions on arrays above the list size."""
+    """The vectorized kernel forms a program runs, on arrays above the list
+    size: each gate kind and ArrayRot, each also on axis 1 (the stride-2
+    sub-arrays; two-entry void elements for CX); each collapse layout (the
+    array's two slices, axis 1's lanes, the void-element gather) and the
+    form of the collapse's branch-1 row."""
     reach = set()
     for ins in prog.instrs:
         if getattr(ins, "size", 0) <= _SMALL:
@@ -140,38 +148,181 @@ def _vector_kernels(prog) -> set:
         if isinstance(ins, ArrayGate):
             reach.add(ins.gate if ins.gate != "CX" else
                       "CX control above" if ins.axa > ins.axb else "CX control below")
+            if 1 in (ins.axa, ins.axb) and 0 not in (ins.axa, ins.axb):
+                reach.add(ins.gate + " axis 1")
         elif isinstance(ins, ArrayRot):
             reach.add("ArrayRot")
+            if ins.axis == 1:
+                reach.add("ArrayRot axis 1")
         elif isinstance(ins, MeasCollapse):
             top = 1 << ins.axis == ins.size >> 1  # the halves are the two slices
-            reach.add("collapse " + ("slices" if top else "gathered"))
+            reach.add("collapse " + ("slices" if top else "axis 1" if ins.axis == 1
+                                     else "gathered"))
+            form, c, _ = _row_form(*ins.u[1])
+            if ins.u == ((1, 0), (0, 1)):
+                reach.add("collapse identity")
+            elif form in (2, 3) and complex(c).imag == 0:
+                reach.add("collapse real ratio")
+            elif form == 4:
+                reach.add("collapse general row")
     return reach
+
+
+VECTOR_FORMS = {"S", "H", "CZ", "CX control above", "CX control below", "ArrayRot",
+                "S axis 1", "H axis 1", "CZ axis 1", "CX axis 1", "ArrayRot axis 1",
+                "collapse slices", "collapse gathered", "collapse axis 1",
+                "collapse identity", "collapse real ratio", "collapse general row"}
+
+
+def _vector_corpus():
+    """Random circuits whose arrays pass the list size, without a final
+    measurement of every qubit, which would leave a basis state and make
+    the fidelity check blind to the amplitudes."""
+    rng = np.random.default_rng(2026)
+    circuits = [random_circuit(rng, 7, 70, p_noise=0.05, rot_rate=0.45, measure_rate=0.06,
+                               measure_all=False) for _ in range(40)]
+    return rng, [c for c in circuits if compile_circuit(c).k_max > 4]
 
 
 def test_vectorized_kernels_match_oracle():
     # arrays above the list size run the numpy kernels; force oracle
-    # trajectories, faults included, through every one of them. No final
-    # measurement of every qubit, which would leave a basis state and make
-    # the fidelity check blind to the amplitudes.
-    rng = np.random.default_rng(2026)
-    circuits = [random_circuit(rng, 7, 70, p_noise=0.05, rot_rate=0.45, measure_rate=0.06,
-                               measure_all=False) for _ in range(15)]
+    # trajectories, faults included, through every form of every one
+    rng, circuits = _vector_corpus()
     reach = set()
     for circ in circuits:
-        prog = compile_circuit(circ)
-        if prog.k_max <= 4:
-            continue
-        reach |= _vector_kernels(prog)
+        reach |= _vector_kernels(compile_circuit(circ))
         for seed in range(3):
             res = crosscheck(circ, seed=seed, fault_plan=random_fault_plan(circ, rng))
             assert res["records_match"] and res["detectors_match"]
             assert res["fidelity"] > 1 - 1e-10
-    assert reach == {"S", "H", "CZ", "CX control above", "CX control below", "ArrayRot",
-                     "collapse gathered", "collapse slices"}
+    assert reach == VECTOR_FORMS
+
+
+def test_crosscheck_sees_a_wrong_vectorized_kernel(monkeypatch):
+    # negative control: swap the halves after each axis-1 H, an amplitude
+    # error; the corpus's fidelity must fall, whatever the records do
+    right = runtime._c_array_gate
+
+    def wrong(ins, prog):
+        run = right(ins, prog)
+        if ins.gate != "H" or ins.axa != 1 or ins.size <= _SMALL:
+            return run
+
+        def swapped(st):
+            run(st)
+            v = st.buf[:ins.size].reshape(-1, 2, 2)
+            v[:] = v[:, ::-1].copy()
+
+        return swapped
+
+    monkeypatch.setitem(runtime._FACTORIES, ArrayGate, wrong)
+    rng, circuits = _vector_corpus()
+    worst = 1.0
+    for circ in circuits:
+        for seed in range(3):
+            try:
+                res = crosscheck(circ, seed=seed, fault_plan=random_fault_plan(circ, rng))
+            except ShotError:  # a forced outcome the wrong state rules out
+                continue
+            worst = min(worst, res["fidelity"])
+    assert worst < 1 - 1e-10
+
+
+def _kernel_run(ins, amps, frame_x=0, forced=None):
+    """``ins``'s kernel on a state holding ``amps``: the live array times
+    gamma afterwards."""
+    k = len(amps).bit_length() - 1
+    prog = SimpleNamespace(n=16, k_max=k + 1, record_count=1, num_detectors=0,
+                           num_observables=0, final_active=(), instrs=[])
+    st = ShotState(prog)
+    st.buf[:len(amps)] = amps
+    st.k = k
+    st.frame_x = frame_x
+    if forced is not None:
+        st.forced_outcomes = {0: forced}
+    runtime._FACTORIES[type(ins)](ins, prog)(st)
+    return st.active_view() * st.gamma
+
+
+def _on_axis(amps, a, m):
+    """The 2x2 matrix ``m`` applied to axis ``a`` of ``amps``."""
+    t = amps.reshape(-1, 2, 1 << a)
+    return np.einsum("ij,ajb->aib", np.asarray(m), t).reshape(-1)
+
+
+def test_vectorized_kernels_match_dense_at_every_axis():
+    k = 10
+    size = 1 << k
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps /= np.linalg.norm(amps)
+    idx = np.arange(size)
+    r = math.sqrt(0.5)
+    for a in range(k):
+        bit = (idx >> a) & 1
+        cases = [
+            (ArrayGate("S", 0, None, a, None, size), {}, np.where(bit, 1j, 1) * amps),
+            (ArrayGate("H", 0, None, a, None, size), {}, _on_axis(amps, a, [[r, r], [r, -r]])),
+            (Expand(0, k, size, 0.3), {"frame_x": 1},
+             np.concatenate([amps * cmath.exp(0.3j), amps * cmath.exp(-0.3j)]) * r),
+        ]
+        for parity in (0, 1):
+            phase = np.exp(-0.4j * np.where(bit ^ parity, -1, 1))
+            cases.append((ArrayRot(0, a, 0.4, size), {"frame_x": parity}, phase * amps))
+        for u in (((1, 0), (0, 1)), ((r, r), (r, -r)), ((r, r * 1j), (r, -r * 1j)),
+                  ((0, 1), (1, 0))):
+            rotated = _on_axis(amps, a, u).reshape(-1, 2, 1 << a)
+            for branch in (0, 1):
+                ins = MeasCollapse(0, a, 0, 0, size, u, ())
+                cases.append((ins, {"forced": branch}, rotated[:, branch].reshape(-1)))
+        for b in range(k):
+            if b == a:
+                continue
+            cases.append((ArrayGate("CX", 0, 1, a, b, size), {},
+                          amps[np.where(bit, idx ^ (1 << b), idx)]))
+            cases.append((ArrayGate("CZ", 0, 1, a, b, size), {},
+                          np.where(bit & (idx >> b), -1, 1) * amps))
+        for ins, kw, want in cases:
+            got = _kernel_run(ins, amps, **kw)
+            assert np.abs(got - want).max() < 1e-12, ins
 
 
 # a program the closure VM runs (k_max = 1): it forks whenever workers > 1
 ACTIVE = "H 0\nT 0\nH 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n"
+
+
+def test_first_record_of_a_slow_program_arrives_quickly():
+    # a closure-VM chunk is capped by its active work as well as by its
+    # output bytes, so the first record of this k_max = 14 circuit waits for
+    # a few dozen shots rather than tens of thousands
+    circ = random_circuit(np.random.default_rng(0), 14, 400, p_noise=1e-3, rot_rate=0.3,
+                          measure_rate=0.03)
+    prog = compile_circuit(circ)
+    assert prog.k_max == 14 and runtime._chunk_shots(prog) < 100
+    t0 = time.perf_counter()
+    next(sample(prog, 10**6))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_records_do_not_depend_on_chunk_size(monkeypatch):
+    circ = random_circuit(np.random.default_rng(3), 6, 60, p_noise=0.05, rot_rate=0.3,
+                          measure_rate=0.1)
+    prog = compile_circuit(circ)
+    assert prog.k_max > 0
+    work = runtime._plan_cost(prog)[1]
+
+    def run():
+        recs = [(r.measurements.tolist(), r.detectors.tolist(), r.observables.tolist())
+                for r in sample(prog, 50, seed=2)]
+        acc = sample_accumulate(prog, 50, seed=2)
+        return recs, acc["measurements"].tolist(), acc["detectors"].tolist()
+
+    want = run()
+    assert runtime._chunk_shots(prog) >= 50  # one chunk
+    for per_chunk in (1, 7):
+        monkeypatch.setattr(runtime, "_CHUNK_WORK", per_chunk * work)
+        assert runtime._chunk_shots(prog) == per_chunk
+        assert run() == want
 
 
 def test_worker_count_does_not_change_records():
