@@ -329,6 +329,7 @@ def _gate_is_frame_only(gate: str, a: int, b: int | None, active: dict) -> bool:
 def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
     """Classify every HIR op against the planned active set and emit bytecode."""
     n = hir.n
+    low_n = (1 << n) - 1
     adj = CliffordTableau(n)     # accumulated virtual adjustment W
     active: dict[int, int] = {}  # virtual qubit -> axis position
     instrs: list = []
@@ -406,17 +407,32 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 raise CompileError("noise sites out of order")
             cum = 0.0
             case_cum, case_x, case_z = [], [], []
+            # the cases span at most the images of two generators per qubit
+            # of the site, and the bits of a forward map are linear: each
+            # case is reduced against a basis of the cases before it, and
+            # only what is left is mapped
+            basis = []  # (pivot bit, reduced case bits, their forward bits)
             for mass, pauli in op.cases:
-                mapped = adj.forward_map(pauli)
+                v = pauli.x | pauli.z << n
+                x = z = 0
+                for pivot, bv, bx, bz in basis:
+                    if v & pivot:
+                        v ^= bv
+                        x ^= bx
+                        z ^= bz
+                if v:
+                    bx, bz = adj._forward_bits(v & low_n, v >> n)
+                    basis.append((v & -v, v, bx, bz))
+                    x ^= bx
+                    z ^= bz
                 cum += mass
                 case_cum.append(cum)
-                case_x.append(mapped.x)
-                case_z.append(mapped.z)
+                case_x.append(x)
+                case_z.append(z)
             sites.append(SiteTable(cum, case_cum, case_x, case_z))
             emit(NoiseBlock(op.site, op.site + 1))
         elif isinstance(op, CondPauli):
-            mapped = adj.forward_map(op.pauli)
-            emit(CondFrame(mapped.x, mapped.z, op.record))
+            emit(CondFrame(*adj._forward_bits(op.pauli.x, op.pauli.z), op.record))
         elif isinstance(op, DetectorDef):
             emit(DetectorIns(op.index, op.records))
             if op.index in postselect_detectors:

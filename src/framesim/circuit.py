@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Union
 
 CLIFFORD_1Q = ("H", "S", "S_DAG", "X", "Y", "Z")
@@ -93,11 +94,19 @@ class Circuit:
     """Ordered instruction list; qubit_count is inferred (max target + 1)."""
 
     instructions: list = field(default_factory=list)
+    # (instructions covered, their qubit count), as ``flatten`` left it
+    _counted: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
 
     @property
     def qubit_count(self) -> int:
-        best = 0
-        for ins in self.instructions:
+        """One more than the largest qubit target. ``flatten`` stores on its
+        output the count together with the number of instructions it
+        covers, so only instructions appended since are walked; an
+        instruction replaced in place is not seen."""
+        counted, best = self._counted
+        if counted > len(self.instructions):
+            counted = best = 0
+        for ins in islice(self.instructions, counted, None):
             if isinstance(ins, RepeatBlock):
                 best = max(best, ins.body.qubit_count)
             else:
@@ -319,6 +328,7 @@ def flatten(circuit: Circuit) -> Circuit:
         raise CircuitError(f"circuit flattens to {size} targets; the limit is {MAX_TARGETS}")
     out = Circuit()
     _flatten_into(circuit, out, record_count=0)
+    out._counted = (len(out.instructions), n)
     return out
 
 

@@ -7,11 +7,19 @@ result is an op list that acts in one common virtual basis plus a final
 frame tableau: replaying the ops on |0...0> and then applying the frame
 reproduces the physical circuit.
 
+Lowering builds a noise site's cases as products of the frame's stored rows
+for its qubits, in the order of the oracle's case tables.
+
 Two passes rewrite the op list:
 
-* ``peephole_pass`` fuses rotations on equal generators across commuting
-  neighbours, drops full turns, and splits off Clifford quarter-turn parts,
-  absorbing them into the final frame while conjugating all later ops.
+* ``peephole_pass`` fuses each rotation with the later rotations on the same
+  word that it reaches past ops it commutes with, drops full turns, and
+  splits off Clifford quarter-turn parts into the final frame. A part
+  conjugates every later op, so each sweep keeps the product of its parts
+  as one tableau and maps an op through it when the sweep first reaches
+  it; only the few ops a lookahead has already reached are conjugated part
+  by part. After the first sweep, only rotations whose lookahead stopped at
+  a deleted op are looked at again.
 * ``schedule_pass`` moves measurements earlier and rotations later past
   the ops they commute with, keeping the result only if the planned peak
   active dimension (and then total active work) does not get worse. The
@@ -19,8 +27,8 @@ Two passes rewrite the op list:
   compiler.
 
 Each op's scheduling facts (kind, records read and written, Pauli bits,
-support) are computed once. The peephole moves ops by adjacent swaps, each a
-few integer operations on two facts tuples; ops on disjoint qubits commute
+support) are computed once per form of the op. Whether two ops commute is a
+few integer operations on their facts tuples; ops on disjoint qubits commute
 without a Pauli product. The scheduler moves each op in one jump, to a stop
 found from a per-qubit index of the ops it might not cross.
 """
@@ -32,6 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .circuit import Circuit, CircuitError, Rec
+from .oracle import _SITE_LABELS  # the noise case tables shared with the dense oracle
 from .pauli import CliffordTableau, CompileStats, PauliString
 
 _QUARTER = math.pi / 4.0
@@ -160,6 +169,15 @@ def _canonical_rot(generator: PauliString, angle: float, eighths) -> Rot:
     return Rot(word, angle, eighths)
 
 
+def _row_letters(frame: CliffordTableau, q: int) -> dict:
+    """``heisenberg_single`` of X, Y and Z on qubit q as ``(x, z, e)``
+    tuples: two stored rows and, for Y = i X Z, their product."""
+    xx, xz, xe = frame.ix[q]
+    zx, zz, ze = frame.iz[q]
+    y = (xx ^ zx, xz ^ zz, (1 + xe + ze + 2 * ((xz & zx).bit_count() & 1)) & 3)
+    return {"X": frame.ix[q], "Y": y, "Z": frame.iz[q]}
+
+
 def lower_to_hir(circuit: Circuit) -> HirProgram:
     """Lower a flattened, validated circuit; Cliffords vanish into the frame."""
     n = max(circuit.qubit_count, 1)
@@ -171,7 +189,6 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
     observables: set[int] = set()
     site = 0
     clifford_ops = 0
-    from .oracle import site_cases  # case tables shared with the dense oracle
 
     for ins in circuit.instructions:
         op = ins.opcode
@@ -226,12 +243,25 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                                 flip=mapped.hermitian_sign() < 0))
                 ops.append(CondPauli(frame.heisenberg_single(q, "X"), records))
                 records += 1
-        elif op in ("X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"):
+        elif op in _SITE_LABELS:
+            divisor, labels = _SITE_LABELS[op]
+            mass = ins.args[0] / divisor
             groups = ([(q,) for q in ins.targets] if op != "DEPOLARIZE2"
                       else list(zip(ins.targets[::2], ins.targets[1::2])))
             for qubits in groups:
-                cases = [(mass, frame.heisenberg_map(pauli))
-                         for mass, pauli in site_cases(ins, qubits, n) if mass > 0.0]
+                cases = []
+                if mass > 0.0:
+                    # each case is a product of the frame's rows for its qubits
+                    letters = [_row_letters(frame, q) for q in qubits]
+                    for label in labels:
+                        x = z = e = 0
+                        for ch, rows in zip(label, letters):
+                            if ch != "I":
+                                rx, rz, re = rows[ch]
+                                e += re + 2 * ((z & rx).bit_count() & 1)
+                                x ^= rx
+                                z ^= rz
+                        cases.append((mass, PauliString(n, x, z, e)))
                 ops.append(NoiseEvent(site, cases))
                 site += 1
         elif op == "DETECTOR":
@@ -267,10 +297,10 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
 #
 # Both passes test ops against each other many times, so every op's
 # scheduling facts are computed once and kept in a list parallel to the op
-# list (the peephole swaps them along with the ops). The facts of an op are
-# the tuple (kind, reads, write, paulis, support): its kind code below, the
-# records it reads, the record it writes (or None), its Paulis as (x, z) bit
-# pairs and the union of their supports as one mask.
+# list (the peephole recomputes them when it rewrites an op). The facts of an
+# op are the tuple (kind, reads, write, paulis, support): its kind code below,
+# the records it reads, the record it writes (or None), its Paulis as (x, z)
+# bit pairs and the union of their supports as one mask.
 
 _OTHER, _ROT, _MEAS, _NOISE, _PSEL = range(5)
 
@@ -364,107 +394,184 @@ def _split_clifford_part(angle: float, eighths):
     return m, resid, None
 
 
-def _conjugate_by_quarter(p: PauliString, w: PauliString, m: int) -> PauliString:
-    """C^dag P C for C = exp(-i m pi/4 W); W a +1 Hermitian word."""
-    if p.commutes_with(w):
-        return p
-    m = m % 4
-    if m == 0:
-        return p
-    if m == 2:
-        out = p.copy()
-        out.phase_exp = (out.phase_exp + 2) & 3
-        return out
-    out = w.mul(p)
-    out.phase_exp = (out.phase_exp + (1 if m == 1 else 3)) & 3
-    return out
+def _quarter_image(w: PauliString, m: int):
+    """The map ``(x, z, e) -> C^dag (i^e X^x Z^z) C`` for C = exp(-i m pi/4 W),
+    W a +1 Hermitian word and m in 1..3: the identity on what commutes with
+    W, and on the rest a sign for m = 2, else i^(+-1) W P."""
+    wx, wz, we = w.x, w.z, w.phase_exp
+    turn = 1 if m == 1 else 3
+
+    def image(x: int, z: int, e: int) -> tuple:
+        if not ((x & wz) ^ (z & wx)).bit_count() & 1:
+            return x, z, e
+        if m == 2:
+            return x, z, (e + 2) & 3
+        return wx ^ x, wz ^ z, (we + e + 2 * ((wz & x).bit_count() & 1) + turn) & 3
+
+    return image
 
 
-def _absorb_clifford_rotation(ops: list, facts: list, start: int, word: PauliString, m: int,
-                              frame: CliffordTableau) -> None:
-    """Push exp(-i m pi/4 word) at position start into the final frame.
+def _rewrite(op, image):
+    """``op`` with each of its Paulis ``i^e X^x Z^z`` replaced by
+    ``image(x, z, e)``, a conjugation; a rotation or measurement folds the
+    sign it gains as lowering does."""
+    if isinstance(op, Rot):
+        g = op.generator
+        return _canonical_rot(PauliString(g.n, *image(g.x, g.z, g.phase_exp)),
+                              op.angle, op.eighths)
+    if isinstance(op, Meas):
+        g = op.observable
+        g = PauliString(g.n, *image(g.x, g.z, g.phase_exp))
+        return Meas(g.hermitian_word(), op.record, flip=op.flip ^ (g.hermitian_sign() < 0))
+    if isinstance(op, NoiseEvent):
+        return NoiseEvent(op.site, [(mass, PauliString(p.n, *image(p.x, p.z, p.phase_exp)))
+                                    for mass, p in op.cases])
+    if isinstance(op, CondPauli):
+        g = op.pauli
+        return CondPauli(PauliString(g.n, *image(g.x, g.z, g.phase_exp)), op.record)
+    return op
 
-    Only ops with a Pauli that anticommutes with ``word`` change; they are
-    rewritten and their facts recomputed."""
-    m = m % 8
-    if m == 0:
-        return
-    frame.absorb_rotation_right(word, m)
-    wx, wz = word.x, word.z
-    for idx in range(start, len(ops)):
-        _, _, _, paulis, support = facts[idx]
-        if not support & (wx | wz) or not any(((x & wz) ^ (z & wx)).bit_count() & 1
-                                              for x, z in paulis):
-            continue
-        op = ops[idx]
-        if isinstance(op, Rot):
-            g = _conjugate_by_quarter(op.generator, word, m)
-            ops[idx] = _canonical_rot(g, op.angle, op.eighths)
-        elif isinstance(op, Meas):
-            g = _conjugate_by_quarter(op.observable, word, m)
-            ops[idx] = Meas(g.hermitian_word(), op.record,
-                            flip=op.flip ^ (g.hermitian_sign() < 0))
-        elif isinstance(op, NoiseEvent):
-            ops[idx] = NoiseEvent(op.site, [(mass, _conjugate_by_quarter(p, word, m))
-                                            for mass, p in op.cases])
-        elif isinstance(op, CondPauli):
-            ops[idx] = CondPauli(_conjugate_by_quarter(op.pauli, word, m), op.record)
-        facts[idx] = _facts(ops[idx])
+
+class _Peephole:
+    """The peephole's op list, each op with its facts and a uid that its
+    rewrites keep. ``stop`` maps a rotation's uid to the uid of the op at
+    which its last lookahead stopped; ``blocked`` maps an op's uid to the
+    uids of the rotations whose lookahead stopped there."""
+
+    def __init__(self, hir: HirProgram):
+        self.n = hir.n
+        self.ops = list(hir.ops)
+        self.facts = [_facts(op) for op in self.ops]
+        self.uids = list(range(len(self.ops)))
+        self.stop: dict = {}
+        self.blocked = defaultdict(list)
+
+    def _reach(self, p: int, delta, touched: int) -> None:
+        """Map ``ops[p]`` from its sweep-start form through ``delta``, unless
+        it misses ``touched``, the support of every part in ``delta``."""
+        if self.facts[p][4] & touched:
+            self.ops[p] = _rewrite(self.ops[p], delta._map)
+            self.facts[p] = _facts(self.ops[p])
+
+    def _delete(self, p: int, unblocked: list) -> None:
+        """Delete ``ops[p]``; note the rotations whose lookahead stopped there."""
+        u = self.uids[p]
+        self.stop.pop(u, None)
+        unblocked.extend((r, u) for r in self.blocked.pop(u, ()))
+        del self.ops[p], self.facts[p], self.uids[p]
+
+    def sweep(self, pending):
+        """Move a cursor over the ops once and return ``(delta, unblocked)``.
+
+        At each rotation the cursor fuses into it every later rotation on the
+        same word it reaches past ops that commute with it, then splits off
+        its Clifford part. ``pending`` None examines every rotation; a set
+        examines only the rotations with those uids until the list first
+        changes, and every rotation after that.
+
+        A split-off part exp(-i m pi/4 W) conjugates every later op by
+        itself. Those are deferred: ``delta`` (None until the first part) is
+        the product of the parts so far, and an op is mapped through it
+        when the cursor or a lookahead first reaches it. An op reached
+        before takes each later part at once, unless the part's own
+        lookahead passed it, which means it commutes with W.
+        ``unblocked`` is the set of rotations whose last lookahead stopped
+        at an op this sweep deleted."""
+        ops, facts, uids, stop, blocked = self.ops, self.facts, self.uids, self.stop, self.blocked
+        delta = None
+        touched = 0
+        unblocked: list = []  # (rotation uid, uid of the deleted op)
+        reached = 0  # ops[:reached] are in current coordinates
+        i = 0
+        while i < len(ops):
+            if i == reached:
+                self._reach(i, delta, touched)
+                reached += 1
+            kind, _, _, paulis, support = facts[i]
+            if kind != _ROT or (pending is not None and uids[i] not in pending):
+                i += 1
+                continue
+            op = ops[i]
+            word = paulis[0]
+            x, z = word
+            j = i + 1
+            while j < len(ops):
+                if j == reached:
+                    self._reach(j, delta, touched)
+                    reached += 1
+                kind, _, _, others, osup = facts[j]
+                if kind == _ROT and others[0] == word:
+                    other = ops[j]
+                    if op.eighths is not None and other.eighths is not None:
+                        op = Rot(op.generator, (op.eighths + other.eighths) * math.pi / 8,
+                                 op.eighths + other.eighths)
+                    else:
+                        op = Rot(op.generator, op.angle + other.angle, None)
+                    ops[i] = op  # same generator, so facts[i] still holds
+                    self._delete(j, unblocked)
+                    reached -= 1
+                    pending = None
+                    continue
+                # may j move before i, and i after j? one check covers both
+                if kind == _PSEL or (support & osup and any(
+                        ((ox & z) ^ (oz & x)).bit_count() & 1 for ox, oz in others)):
+                    stop[uids[i]] = uids[j]
+                    blocked[uids[j]].append(uids[i])
+                    break
+                j += 1
+            else:
+                stop.pop(uids[i], None)
+            m, resid_angle, resid_eighths = _split_clifford_part(op.angle, op.eighths)
+            if m == 0 and abs(resid_angle) >= _TOL:
+                i += 1
+                continue
+            pending = None
+            if abs(resid_angle) >= _TOL:
+                ops[i] = Rot(op.generator, resid_angle, resid_eighths)
+            else:
+                self._delete(i, unblocked)
+                reached -= 1
+                j -= 1
+            m %= 4  # exp(-i pi W) = -1 conjugates nothing
+            if m:
+                # from where the lookahead stopped, the ops already reached
+                # take the part now
+                quarter = _quarter_image(op.generator, m)
+                for idx in range(j, reached):
+                    _, _, _, others, osup = facts[idx]
+                    if support & osup and any(((ox & z) ^ (oz & x)).bit_count() & 1
+                                              for ox, oz in others):
+                        ops[idx] = _rewrite(ops[idx], quarter)
+                        facts[idx] = _facts(ops[idx])
+                if delta is None:
+                    delta = CliffordTableau(self.n)
+                delta.absorb_rotation_right(op.generator, m)
+                touched |= support
+        return delta, {r for r, u in unblocked if stop.get(r) == u}
 
 
 def peephole_pass(hir: HirProgram) -> HirProgram:
     """Fuse equal-generator rotations, drop full turns, absorb Clifford parts.
 
-    Returns ``hir`` itself when it has no rotation, so there is nothing to do."""
+    Sweeps until nothing changes. A rotation's lookahead stops at the first
+    op it does not commute with, and every rewrite after that conjugates
+    both by the same Clifford or by one that commutes with the rotation, so
+    the lookahead would stop there again unless a sweep deleted that op.
+    After the first sweep, a sweep therefore examines only the rotations so
+    unblocked, until one of them changes the list. Returns ``hir`` itself
+    when it has no rotation, so there is nothing to do."""
     if not any(isinstance(op, Rot) for op in hir.ops):
         return hir
-    ops = list(hir.ops)
-    facts = [_facts(op) for op in ops]
-    frame = hir.final_frame.copy()
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(ops):
-            op = ops[i]
-            if not isinstance(op, Rot):
-                i += 1
-                continue
-            # try to pull a later rotation with the same generator back to i
-            j = i + 1
-            while j < len(ops):
-                other = ops[j]
-                if (isinstance(other, Rot)
-                        and other.generator.word_key() == op.generator.word_key()):
-                    if op.eighths is not None and other.eighths is not None:
-                        fused = Rot(op.generator, (op.eighths + other.eighths) * math.pi / 8,
-                                    op.eighths + other.eighths)
-                    else:
-                        fused = Rot(op.generator, op.angle + other.angle, None)
-                    ops[i] = fused  # same generator, so facts[i] still holds
-                    del ops[j]
-                    del facts[j]
-                    changed = True
-                    op = fused
-                    continue
-                if not _swappable(facts[i], facts[j]) or not _swappable(facts[j], facts[i]):
-                    break
-                j += 1
-            m, resid_angle, resid_eighths = _split_clifford_part(op.angle, op.eighths)
-            if m != 0 or abs(resid_angle) < _TOL:
-                del ops[i]
-                del facts[i]
-                if abs(resid_angle) >= _TOL:
-                    ops.insert(i, Rot(op.generator, resid_angle, resid_eighths))
-                    facts.insert(i, _facts(ops[i]))
-                _absorb_clifford_rotation(ops, facts, i + (abs(resid_angle) >= _TOL),
-                                          op.generator, m, frame)
-                changed = True
-                continue
-            i += 1
-    out = replace(hir, ops=ops, final_frame=frame)
+    work = _Peephole(hir)
+    frame = hir.final_frame
+    pending = None
+    while pending is None or pending:
+        delta, pending = work.sweep(pending)
+        if delta is not None:
+            frame = frame.compose(delta)
+    out = replace(hir, ops=work.ops, final_frame=frame)
     out.stats = replace(hir.stats,
-                        nonclifford_rotations=sum(1 for o in ops if isinstance(o, Rot)))
+                        nonclifford_rotations=sum(1 for o in work.ops if isinstance(o, Rot)))
     return out
 
 

@@ -148,8 +148,15 @@ def measure_pauli_dense(vec: np.ndarray, obs: PauliString, rng, forced: int | No
     return new / norm, bit
 
 
-_DEPOL1_CASES = ("X", "Y", "Z")
-_DEPOL2_CASES = tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]
+# Per noise opcode, the divisor of its probability that gives each case's
+# mass, and its cases in order: one Pauli letter per qubit of the site.
+_SITE_LABELS = {
+    "X_ERROR": (1.0, ("X",)),
+    "Y_ERROR": (1.0, ("Y",)),
+    "Z_ERROR": (1.0, ("Z",)),
+    "DEPOLARIZE1": (3.0, ("X", "Y", "Z")),
+    "DEPOLARIZE2": (15.0, tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]),
+}
 
 
 def noise_sites_of(circuit: Circuit) -> list[tuple[int, Instruction, tuple[int, ...]]]:
@@ -174,26 +181,19 @@ def noise_sites_of(circuit: Circuit) -> list[tuple[int, Instruction, tuple[int, 
 
 def site_cases(ins: Instruction, qubits: tuple[int, ...], n: int) -> list[tuple[float, PauliString]]:
     """(probability, physical Pauli) cases for one noise site."""
-    p = ins.args[0]
-    op = ins.opcode
-    if op == "X_ERROR":
-        return [(p, PauliString.single(n, qubits[0], "X"))]
-    if op == "Y_ERROR":
-        return [(p, PauliString.single(n, qubits[0], "Y"))]
-    if op == "Z_ERROR":
-        return [(p, PauliString.single(n, qubits[0], "Z"))]
-    if op == "DEPOLARIZE1":
-        return [(p / 3.0, PauliString.single(n, qubits[0], c)) for c in _DEPOL1_CASES]
-    if op == "DEPOLARIZE2":
-        out = []
-        for label in _DEPOL2_CASES:
-            pauli = PauliString.identity(n)
-            for ch, q in zip(label, qubits):
-                if ch != "I":
-                    pauli = pauli.mul(PauliString.single(n, q, ch))
-            out.append((p / 15.0, pauli))
-        return out
-    raise OracleError(f"not a noise opcode: {op}")
+    try:
+        divisor, labels = _SITE_LABELS[ins.opcode]
+    except KeyError:
+        raise OracleError(f"not a noise opcode: {ins.opcode}") from None
+    mass = ins.args[0] / divisor
+    out = []
+    for label in labels:
+        pauli = PauliString.identity(n)
+        for ch, q in zip(label, qubits):
+            if ch != "I":
+                pauli = pauli.mul(PauliString.single(n, q, ch))
+        out.append((mass, pauli))
+    return out
 
 
 @dataclass

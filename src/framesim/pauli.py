@@ -411,23 +411,27 @@ class CliffordTableau:
         """
         if p.n != self.n:
             raise ValueError("length mismatch")
+        qx, qz = self._forward_bits(p.x, p.z)
+        return PauliString(self.n, qx, qz, p.phase_exp - self._map(qx, qz, 0)[2])
+
+    def _forward_bits(self, x: int, z: int) -> tuple:
+        """The X and Z bits of ``forward_map`` of ``X^x Z^z``, without its
+        phase: an XOR of columns, linear in ``(x, z)``."""
         xx, xz, zx, zz = self._columns()
         qx = qz = 0
-        mask = p.x
-        while mask:
-            low = mask & -mask
+        while x:
+            low = x & -x
             j = low.bit_length() - 1
             qx ^= zz[j]
             qz ^= xz[j]
-            mask ^= low
-        mask = p.z
-        while mask:
-            low = mask & -mask
+            x ^= low
+        while z:
+            low = z & -z
             j = low.bit_length() - 1
             qx ^= zx[j]
             qz ^= xx[j]
-            mask ^= low
-        return PauliString(self.n, qx, qz, p.phase_exp - self._map(qx, qz, 0)[2])
+            z ^= low
+        return qx, qz
 
     def x_image(self, j: int) -> PauliString:
         return self.forward_map(PauliString.single(self.n, j, "X"))

@@ -7,8 +7,11 @@ first two constants were computed at commit b715b7f, before the per-op
 scheduling facts and the column-indexed ``forward_map`` went in.
 ``COMMUTING_SHA256`` was computed at commit 48f235b, before the scheduler's
 jumps and the per-gate ``absorb_left`` rows replaced the adjacent-swap bubble
-and the generic row conjugation. A change that moves any of them changes
-emitted programs and must say why.
+and the generic row conjugation. The fingerprint leaves out the noise site
+tables, so ``SITES_SHA256`` pins those of the workloads and the corpus: it
+was computed at commit c18a4f9, before lowering and planning mapped noise
+cases without phases. A change that moves any of them changes emitted
+programs and must say why.
 """
 from __future__ import annotations
 
@@ -24,12 +27,24 @@ WORKED_MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_D
 WORKLOADS_SHA256 = "7e926bb18b59d53082fc954f5552904698e88c41668cb3fa80282a5d2307af6c"
 CORPUS_200_SHA256 = "7fd6b1d75a131160fcc58d869456506cabb4e4361142f2456cdcd7b4942530cb"
 COMMUTING_SHA256 = "c5af7f48c12ce7707a6b307496ed5984682df775c75ebe4adca48de625bd41f8"
+SITES_SHA256 = "2b1f115558ae320c0897c59b39a607ec6f460e539bda6641f06d1bf15aa92c41"
 
 
 def _digest(texts) -> str:
     h = hashlib.sha256()
     for text in texts:
         h.update(compile_circuit(text).fingerprint().encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _site_digest(texts) -> str:
+    """sha256 over each program's site tables and cumulative hazards."""
+    h = hashlib.sha256()
+    for text in texts:
+        prog = compile_circuit(text)
+        h.update(repr([(s.prob, s.case_cum, s.case_x, s.case_z) for s in prog.sites]).encode())
+        h.update(repr(prog.cum_hazard).encode())
         h.update(b"\0")
     return h.hexdigest()
 
@@ -87,3 +102,7 @@ def test_corpus_programs_are_pinned():
 def test_commuting_heavy_programs_are_pinned():
     assert _digest([_commuting(1), _commuting(2), _commuting(3),
                     _commuting(4, mixed=True)]) == COMMUTING_SHA256
+
+
+def test_noise_site_tables_are_pinned():
+    assert _site_digest([*_workloads(), *_corpus(200)]) == SITES_SHA256

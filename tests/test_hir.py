@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from framesim.circuit import flatten, parse_circuit
+from framesim.circuit import Circuit, Instruction, flatten, parse_circuit
 from framesim.hir import (
     CondPauli,
     DetectorDef,
@@ -22,8 +22,8 @@ from framesim.hir import (
     schedule_pass,
 )
 from framesim.backend import plan_metrics
-from framesim.oracle import dense_run, fidelity, DenseState
-from framesim.testing import random_circuit, random_fault_plan
+from framesim.oracle import dense_run, fidelity, DenseState, site_cases
+from framesim.testing import crosscheck, random_circuit, random_fault_plan
 
 from conftest import hir_dense_replay
 
@@ -87,6 +87,51 @@ def _replay_equiv(text, hir, seed=0, plan=None):
     if got != [int(b) for b in oracle.records]:
         return False
     return fidelity(DenseState(vec, max(flat.qubit_count, 1)), oracle.state) > 1 - 1e-10
+
+
+def test_lowering_counts_qubits_appended_after_flatten():
+    # flatten keeps the count it found; an instruction appended later on a
+    # higher qubit must still widen the register
+    flat = flatten(parse_circuit("H 0\nT 0\nM 0\n"))
+    assert flat.qubit_count == 1
+    flat.instructions.append(Instruction("X", (3,), (), 0))
+    flat.instructions.append(Instruction("M", (3,), (), 0))
+    assert flat.qubit_count == 4
+    hir = lower_to_hir(flat)
+    assert hir.n == 4
+    meas = [op for op in hir.ops if isinstance(op, Meas)]
+    assert [m.observable.short_str() for m in meas] == ["+X0", "+Z3"] and meas[1].flip
+    res = crosscheck(flat)
+    assert res["records_match"] and res["fidelity"] > 1 - 1e-10
+
+
+def test_lowered_noise_cases_are_mapped_site_cases():
+    """Lowering builds each site's cases from the frame's rows; they equal
+    ``heisenberg_map`` of ``oracle.site_cases`` through the frame of the
+    circuit before the site, in order and in phase."""
+    rng = np.random.default_rng(89)
+    sites = 0
+    for _ in range(30):
+        flat = flatten(random_circuit(rng, int(rng.integers(1, 6)), int(rng.integers(5, 40)),
+                                      p_noise=0.3, reset_rate=0.05, feedforward_rate=0.05))
+        n = max(flat.qubit_count, 1)
+        pad = Instruction("QUBIT_COORDS", (n - 1,), (), 0)  # widens, changes no frame
+        events = [op for op in lower_to_hir(flat).ops if isinstance(op, NoiseEvent)]
+        sid = 0
+        for k, ins in enumerate(flat.instructions):
+            if ins.opcode not in ("X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"):
+                continue
+            frame = lower_to_hir(Circuit(flat.instructions[:k] + [pad])).final_frame
+            width = 2 if ins.opcode == "DEPOLARIZE2" else 1
+            for at in range(0, len(ins.targets), width):
+                want = [(mass, frame.heisenberg_map(p).key())
+                        for mass, p in site_cases(ins, ins.targets[at:at + width], n)]
+                got = [(mass, p.key()) for mass, p in events[sid].cases]
+                assert got == want
+                sid += 1
+        assert sid == len(events)
+        sites += sid
+    assert sites > 100
 
 
 def test_lowering_replay_invariant_random():

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framesim.rng
 from framesim import runtime
@@ -945,3 +947,19 @@ def test_pool_makes_chunk_bounds_as_it_sends_them(monkeypatch, pool_sizes):
     assert pool_sizes == [2]
     assert _record_tuple(first) == _record_tuple(run_shot(prog, shot=0, seed=1))
     assert peak < 5 * 2**20
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5), depth=st.integers(1, 40),
+       rot_rate=st.sampled_from([0.1, 0.3, 0.6, 0.9]), measure_all=st.booleans())
+def test_closure_vm_matches_dense_oracle_property(seed, n, depth, rot_rate, measure_all):
+    """The whole compile and the closure VM (``run_shot``) against the dense
+    oracle, with the oracle's outcomes and a random fault plan forced on
+    both. Without the final measurement the state is not a basis state, so
+    an amplitude error shows in the fidelity."""
+    rng = np.random.default_rng(seed)
+    circ = random_circuit(rng, n, depth, p_noise=0.2, rot_rate=rot_rate, reset_rate=0.05,
+                          feedforward_rate=0.1, measure_all=measure_all)
+    res = crosscheck(circ, seed=seed, fault_plan=random_fault_plan(circ, rng, trigger_rate=0.5))
+    assert res["records_match"] and res["detectors_match"] and res["observables_match"]
+    assert res["fidelity"] >= 1 - 1e-10
