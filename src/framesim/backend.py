@@ -66,46 +66,44 @@ class LocalizationResult:
 
 
 def localize(pauli: PauliString, active_set=frozenset()) -> LocalizationResult:
-    """Greedy single-axis compression of a Hermitian Pauli.
+    """Greedy single-axis compression of a Hermitian Pauli, in closed form.
 
     Pivot choice: X-support prefers a dormant pivot (promotion is forced
     there anyway and keeps every control dormant); pure-Z support prefers an
     active pivot, which avoids promotion entirely. Emitted controlled gates
     then never have an active control with a dormant target.
+
+    With X-support and pivot v, ``CX(v, q)`` for every other X qubit q
+    leaves X on v alone and the parity of the Y count as v's Z bit,
+    ``CZ(v, q)`` for every other Z qubit q clears the rest, and ``S(v)``
+    turns a remaining Y into X. None of these gates changes the phase
+    except ``S``, so a word with c Y letters becomes -X_v exactly when
+    c mod 4 is 1 or 2. A Z word becomes +Z_v by ``CX(q, v)`` for every other
+    qubit q; a weight-1 X or Z word needs no gates.
     """
     if pauli.weight() == 0:
         raise CompileError("cannot localize the identity")
-    cur = pauli.copy()
-    gates: list[tuple] = []
+    gates, axis, basis, sign = _localize_bits(pauli.x, pauli.z, active_set)
+    return LocalizationResult(gates, axis, basis, sign * pauli.hermitian_sign())
 
-    def emit(g: str, a: int, b: int | None = None) -> None:
-        gates.append((g, a, b))
-        cur.conjugate_gate(g, a, b)
 
-    xs = bit_indices(cur.x)
-    if xs:
-        dormant = [q for q in xs if q not in active_set]
-        v = dormant[0] if dormant else xs[0]
-        for q in xs:
-            if q != v:
-                emit("CX", v, q)
-        for q in bit_indices(cur.z):
-            if q != v:
-                emit("CZ", v, q)
-        if (cur.z >> v) & 1:
-            emit("S", v)
-        basis = "X"
-    else:
-        zs = bit_indices(cur.z)
-        act = [q for q in zs if q in active_set]
-        v = act[0] if act else zs[0]
-        for q in zs:
-            if q != v:
-                emit("CX", q, v)
-        basis = "Z"
-    if cur.weight() != 1:
-        raise CompileError("localization failed to reach a single axis")
-    return LocalizationResult(tuple(gates), v, basis, cur.hermitian_sign())
+def _localize_bits(x: int, z: int, active) -> tuple:
+    """``localize`` of the +1 Hermitian word with bits ``(x, z)``, not the
+    identity, as ``(gates, axis, basis, sign)``."""
+    if x:
+        xs = bit_indices(x)
+        v = next((q for q in xs if q not in active), xs[0])
+        gates = [("CX", v, q) for q in xs if q != v]
+        gates += [("CZ", v, q) for q in bit_indices(z & ~(1 << v))]
+        y = (x & z).bit_count()
+        if y & 1:
+            gates.append(("S", v, None))
+        return tuple(gates), v, "X", -1 if y & 3 in (1, 2) else 1
+    if not z & (z - 1):
+        return (), z.bit_length() - 1, "Z", 1
+    zs = bit_indices(z)
+    v = next((q for q in zs if q in active), zs[0])
+    return tuple(("CX", q, v) for q in zs if q != v), v, "Z", 1
 
 
 # -- bytecode instructions ----------------------------------------------------
@@ -357,42 +355,31 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
             emit(FrameGates(tuple(pending)))
 
     def localize_through(word: PauliString):
-        mapped = adj.forward_map(word)
-        sign = mapped.hermitian_sign()
-        loc = localize(mapped.hermitian_word(), active.keys())
-        absorb_and_emit_gates(loc.gates)
-        return loc, sign * loc.sign
+        """Localize ``adj``'s forward image of ``word``: its bits, and its
+        sign from one row product; returns ``(axis, basis, sign)``."""
+        x, z = adj._forward_bits(word.x, word.z)
+        # the image's phase, less the factor of i of each of its Y letters
+        r = (word.phase_exp - adj._map(x, z, 0)[2] - (x & z).bit_count()) & 3
+        if r & 1:
+            raise CompileError(f"cannot localize the non-Hermitian image of {word}")
+        gates, v, basis, sign = _localize_bits(x, z, active)
+        if gates:
+            absorb_and_emit_gates(gates)
+        return v, basis, sign * (1 - r)
 
     for op in hir.ops:
-        if isinstance(op, Rot):
-            rot_count += 1
-            loc, sign = localize_through(op.generator)
-            theta = op.angle * sign
-            v = loc.axis
-            if v in active:
-                if loc.basis == "X":
-                    absorb_and_emit_gates((("H", v, None),))
-                emit(ArrayRot(v, active[v], theta, 1 << len(active)))
-            elif loc.basis == "Z":
-                emit(GammaRot(v, theta))
-            else:
-                adj.absorb_left("H", v)
-                emit(FrameGates((("H", v, None),)))
-                axis = len(active)
-                active[v] = axis
-                emit(Expand(v, axis, 1 << axis, theta))
-        elif isinstance(op, Meas):
-            loc, sign = localize_through(op.observable)
+        kind = type(op)
+        if kind is Meas:
+            v, basis, sign = localize_through(op.observable)
             flip = int(op.flip) ^ (1 if sign < 0 else 0)
-            v = loc.axis
             if v not in active:
-                if loc.basis == "Z":
+                if basis == "Z":
                     emit(MeasDormantStatic(v, op.record, flip))
                 else:
                     emit(MeasDormantRandom(v, op.record, flip))
                     adj.absorb_left("H", v)
             else:
-                if loc.basis == "X":
+                if basis == "X":
                     absorb_and_emit_gates((("H", v, None),))
                 axis = active[v]
                 m_active += 1
@@ -402,7 +389,24 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                     if ax > axis:
                         active[u] = ax - 1
                 emit(MeasCollapse(v, axis, op.record, flip, size, _IDENTITY_2X2, ()))
-        elif isinstance(op, NoiseEvent):
+        elif kind is Rot:
+            rot_count += 1
+            v, basis, sign = localize_through(op.generator)
+            theta = op.angle * sign
+            if v in active:
+                if basis == "X":
+                    absorb_and_emit_gates((("H", v, None),))
+                emit(ArrayRot(v, active[v], theta, 1 << len(active)))
+            elif basis == "Z":
+                emit(GammaRot(v, theta))
+            else:
+                adj.absorb_left("H", v)
+                emit(FrameGates((("H", v, None),)))
+                axis = len(active)
+                active[v] = axis
+                emit(Expand(v, axis, 1 << axis, theta))
+                k_max = max(k_max, axis + 1)
+        elif kind is NoiseEvent:
             if op.site != len(sites):
                 raise CompileError("noise sites out of order")
             cum = 0.0
@@ -431,19 +435,18 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 case_z.append(z)
             sites.append(SiteTable(cum, case_cum, case_x, case_z))
             emit(NoiseBlock(op.site, op.site + 1))
-        elif isinstance(op, CondPauli):
+        elif kind is CondPauli:
             emit(CondFrame(*adj._forward_bits(op.pauli.x, op.pauli.z), op.record))
-        elif isinstance(op, DetectorDef):
+        elif kind is DetectorDef:
             emit(DetectorIns(op.index, op.records))
             if op.index in postselect_detectors:
                 emit(PostSelectIns("detector", op.index, 0))
-        elif isinstance(op, ObservableDef):
+        elif kind is ObservableDef:
             emit(ObservableIns(op.index, op.records))
-        elif isinstance(op, PostSelectOp):
+        elif kind is PostSelectOp:
             emit(PostSelectIns(op.kind, op.ref, op.required))
         else:
             raise CompileError(f"cannot emit HIR op {op!r}")
-        k_max = max(k_max, len(active))
 
     cum_hazard = [0.0]
     for s in sites:

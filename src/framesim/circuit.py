@@ -8,8 +8,15 @@ Grammar (one instruction per line or ``;``-separated):
 
 Targets are decimal qubit indices, lookbacks ``rec[-k]`` (k >= 1), or, as an
 extension used by flattened circuits, absolute records ``rec[r]`` (r >= 0).
-Flattening expands REPEAT blocks in textual order and rewrites lookbacks to
-absolute measurement indices.
+Qubit indices, record numbers and REPEAT counts are ASCII digits only: no
+sign (but the lookback's ``-``), underscore or other script's digits.
+
+Parsing keeps, for the length of one call, a dict from each distinct
+statement text to its validated opcode, targets and arguments, so a
+statement repeated on many lines is parsed once. Flattening expands REPEAT
+blocks in textual order and rewrites lookbacks to absolute measurement
+indices; an instruction without record targets is immutable and needs no
+rewrite, so the flat circuit shares it with its input.
 """
 from __future__ import annotations
 
@@ -111,8 +118,8 @@ class Circuit:
                 best = max(best, ins.body.qubit_count)
             else:
                 for t in ins.targets:
-                    if isinstance(t, int):
-                        best = max(best, t + 1)
+                    if isinstance(t, int) and t >= best:
+                        best = t + 1
         return best
 
     def __len__(self) -> int:
@@ -144,25 +151,31 @@ def _serialize_into(circuit: Circuit, lines: list[str], indent: int) -> None:
             lines.append(pad + str(ins))
 
 
+def _is_decimal(text: str) -> bool:
+    """True for one or more ASCII digits and nothing else: ``int`` alone also
+    takes signs, underscores and non-ASCII digits."""
+    return text.isdigit() and text.isascii()
+
+
 def _parse_target(tok: str, line: int) -> Target:
+    if _is_decimal(tok):
+        return int(tok)
     if tok.startswith("rec["):
-        if not tok.endswith("]"):
-            raise CircuitError(f"malformed record target {tok!r}", line)
         inner = tok[4:-1]
-        try:
-            v = int(inner)
-        except ValueError:
-            raise CircuitError(f"malformed record target {tok!r}", line) from None
+        if not tok.endswith("]") or not _is_decimal(inner.removeprefix("-")):
+            raise CircuitError(f"malformed record target {tok!r}", line)
+        v = int(inner)
         if inner.startswith("-") and v == 0:
             raise CircuitError("lookback must be >= 1", line)
         return Rec(v)
-    try:
-        q = int(tok)
-    except ValueError:
-        raise CircuitError(f"malformed target {tok!r}", line) from None
-    if q < 0:
-        raise CircuitError(f"negative qubit index {q}", line)
-    return q
+    if tok.startswith("-") and _is_decimal(tok[1:]):
+        raise CircuitError(f"negative qubit index {tok}", line)
+    raise CircuitError(f"malformed target {tok!r}", line)
+
+
+_NOISE = frozenset(NOISE_1Q + NOISE_2Q)
+_PAIRED = frozenset(CLIFFORD_2Q)
+_NEEDS_QUBIT = frozenset(CLIFFORD_1Q + ROTATIONS + MEASUREMENTS + NOISE_1Q + ("R",)) - {"X", "Z"}
 
 
 def _validate(ins: Instruction) -> None:
@@ -170,7 +183,7 @@ def _validate(ins: Instruction) -> None:
     want = _ARG_COUNT.get(op)
     if want is not None and len(ins.args) != want:
         raise CircuitError(f"{op} takes {want} argument(s), got {len(ins.args)}", line)
-    if op in NOISE_1Q + NOISE_2Q:
+    if op in _NOISE:
         p = ins.args[0]
         if not 0.0 <= p <= 1.0:
             raise CircuitError(f"{op} probability {p} outside [0, 1]", line)
@@ -181,8 +194,8 @@ def _validate(ins: Instruction) -> None:
         if ins.args[0] < 0 or ins.args[0] != int(ins.args[0]):
             raise CircuitError("observable index must be a non-negative integer", line)
     qubit_targets = [t for t in ins.targets if isinstance(t, int)]
-    rec_targets = [t for t in ins.targets if isinstance(t, Rec)]
-    if op in CLIFFORD_2Q:
+    rec_targets = len(qubit_targets) < len(ins.targets)
+    if op in _PAIRED:
         # classical control form: CX/CZ rec[-k] q (pairwise)
         if len(ins.targets) % 2:
             raise CircuitError(f"{op} expects target pairs", line)
@@ -194,7 +207,7 @@ def _validate(ins: Instruction) -> None:
             if isinstance(a, int) and isinstance(b, int) and a == b:
                 raise CircuitError(f"{op} needs distinct qubits, got {a} {a}", line)
     elif op == "DEPOLARIZE2":
-        if len(qubit_targets) != len(ins.targets) or len(ins.targets) % 2:
+        if rec_targets or len(ins.targets) % 2:
             raise CircuitError("DEPOLARIZE2 expects qubit pairs", line)
         for a, b in zip(ins.targets[::2], ins.targets[1::2]):
             if a == b:
@@ -217,44 +230,51 @@ def _validate(ins: Instruction) -> None:
                     raise CircuitError(f"classical {op} expects (rec, qubit) pairs", line)
     elif rec_targets:
         raise CircuitError(f"{op} does not take record targets", line)
-    if op in CLIFFORD_1Q + ROTATIONS + MEASUREMENTS + NOISE_1Q + ("R",):
-        if op not in ("X", "Z") and not qubit_targets:
-            raise CircuitError(f"{op} needs at least one qubit target", line)
+    if op in _NEEDS_QUBIT and not qubit_targets:
+        raise CircuitError(f"{op} needs at least one qubit target", line)
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse circuit text; raises :class:`CircuitError` with line numbers."""
+    """Parse circuit text; raises :class:`CircuitError` with line numbers.
+
+    Each distinct statement text is parsed and validated once per call, the
+    first time it occurs, so an invalid statement is reported at its first
+    line. A dict local to the call keeps the statement's opcode, targets and
+    arguments, and each later occurrence costs one lookup and one
+    :class:`Instruction` carrying its own line.
+    """
     root = Circuit()
     stack: list[Circuit] = [root]
-    pending_repeat: list[int] = []
+    body = root.instructions
+    parsed: dict[str, tuple] = {}  # statement text -> (opcode, targets, args)
+    lines = text.splitlines()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
-        for chunk in code.split(";"):
+    for lineno, raw in enumerate(lines, start=1):
+        for chunk in raw.split("#", 1)[0].split(";"):
             stmt = chunk.strip()
-            if not stmt:
-                continue
             while stmt:
-                if stmt.startswith("}"):
+                if stmt[0] == "}":
                     if len(stack) == 1:
                         raise CircuitError("unmatched '}'", lineno)
                     stack.pop()
+                    body = stack[-1].instructions
                     stmt = stmt[1:].strip()
                     continue
-                if stmt.upper().startswith("REPEAT"):
+                if stmt[:6].upper() == "REPEAT":
                     rest = stmt[6:].strip()
                     if "{" not in rest:
                         raise CircuitError("REPEAT needs '{'", lineno)
                     count_str, after = rest.split("{", 1)
-                    try:
-                        count = int(count_str.strip())
-                    except ValueError:
-                        raise CircuitError(f"bad REPEAT count {count_str.strip()!r}", lineno) from None
+                    count_str = count_str.strip()
+                    if not _is_decimal(count_str):
+                        raise CircuitError(f"bad REPEAT count {count_str!r}", lineno)
+                    count = int(count_str)
                     if count < 1:
                         raise CircuitError(f"REPEAT count must be >= 1, got {count}", lineno)
-                    body = Circuit()
-                    stack[-1].instructions.append(RepeatBlock(count, body, lineno))
-                    stack.append(body)
+                    block = Circuit()
+                    body.append(RepeatBlock(count, block, lineno))
+                    stack.append(block)
+                    body = block.instructions
                     stmt = after.strip()
                     continue
                 # ordinary instruction; may be terminated by '}' on same line
@@ -263,11 +283,18 @@ def parse_circuit(text: str) -> Circuit:
                     ins_text, stmt = stmt[:brace].strip(), stmt[brace:]
                 else:
                     ins_text, stmt = stmt, ""
-                if ins_text:
-                    stack[-1].instructions.append(_parse_instruction(ins_text, lineno))
+                if not ins_text:
+                    continue
+                fields = parsed.get(ins_text)
+                if fields is None:
+                    ins = _parse_instruction(ins_text, lineno)
+                    parsed[ins_text] = (ins.opcode, ins.targets, ins.args)
+                    body.append(ins)
+                else:
+                    body.append(Instruction(*fields, lineno))
 
     if len(stack) != 1:
-        raise CircuitError("unclosed REPEAT block", len(text.splitlines()))
+        raise CircuitError("unclosed REPEAT block", len(lines))
     return root
 
 
@@ -288,6 +315,9 @@ def _parse_instruction(stmt: str, lineno: int) -> Instruction:
         arg_text = arg_text.rstrip(")").strip()
         if arg_text:
             try:
+                # float() alone also takes underscores and non-ASCII digits
+                if not arg_text.isascii() or "_" in arg_text:
+                    raise ValueError
                 args = tuple(float(a) for a in arg_text.split(","))
             except ValueError:
                 raise CircuitError(f"malformed argument list ({arg_text!r})", lineno) from None
@@ -315,8 +345,11 @@ def flatten(circuit: Circuit) -> Circuit:
     """Expand REPEAT blocks and resolve lookbacks to absolute record indices.
 
     Idempotent; raises on lookbacks that reach past the records produced so
-    far. Detector / observable / postselect record references are resolved
-    the same way as classical controls. A circuit over more than
+    far and on absolute records not yet produced. Detector / observable /
+    postselect record references are resolved the same way as classical
+    controls. Instructions are immutable, so one without record targets is
+    shared with the input, as often as its REPEAT blocks repeat it; only
+    instructions with record targets are rebuilt. A circuit over more than
     ``MAX_QUBITS`` qubits or ``MAX_TARGETS`` flattened targets is refused
     before anything is expanded.
     """
@@ -327,38 +360,43 @@ def flatten(circuit: Circuit) -> Circuit:
     if size > MAX_TARGETS:
         raise CircuitError(f"circuit flattens to {size} targets; the limit is {MAX_TARGETS}")
     out = Circuit()
-    _flatten_into(circuit, out, record_count=0)
+    _flatten_into(circuit, out.instructions, 0)
     out._counted = (len(out.instructions), n)
     return out
 
 
-def _flatten_into(circuit: Circuit, out: Circuit, record_count: int) -> int:
+def _flatten_into(circuit: Circuit, out: list, record_count: int) -> int:
+    append = out.append
     for ins in circuit.instructions:
         if isinstance(ins, RepeatBlock):
             for _ in range(ins.count):
                 record_count = _flatten_into(ins.body, out, record_count)
             continue
-        new_targets = []
-        for t in ins.targets:
-            if isinstance(t, Rec):
-                if t.is_lookback:
-                    abs_index = record_count + t.value
-                    if abs_index < 0:
-                        raise CircuitError(
-                            f"lookback rec[{t.value}] reaches before any record",
-                            ins.line)
-                    new_targets.append(Rec(abs_index))
-                else:
-                    if t.value >= record_count:
-                        raise CircuitError(
-                            f"absolute record rec[{t.value}] not yet produced",
-                            ins.line)
-                    new_targets.append(t)
-            else:
-                new_targets.append(t)
-        out.instructions.append(Instruction(ins.opcode, tuple(new_targets), ins.args, ins.line))
+        if Rec in map(type, ins.targets):
+            ins = _resolve_records(ins, record_count)
+        append(ins)
         record_count += _measurements_in(ins)
     return record_count
+
+
+def _resolve_records(ins: Instruction, record_count: int) -> Instruction:
+    """``ins`` with its lookbacks made absolute, after ``record_count``
+    records; ``ins`` itself if all its records are absolute already."""
+    targets = []
+    for t in ins.targets:
+        if isinstance(t, Rec):
+            if t.value < 0:
+                abs_index = record_count + t.value
+                if abs_index < 0:
+                    raise CircuitError(
+                        f"lookback rec[{t.value}] reaches before any record", ins.line)
+                t = Rec(abs_index)
+            elif t.value >= record_count:
+                raise CircuitError(
+                    f"absolute record rec[{t.value}] not yet produced", ins.line)
+        targets.append(t)
+    targets = tuple(targets)
+    return ins if targets == ins.targets else Instruction(ins.opcode, targets, ins.args, ins.line)
 
 
 def instruction_count(circuit: Circuit) -> int:
@@ -379,5 +417,5 @@ def _flat_targets(circuit: Circuit) -> int:
         if isinstance(ins, RepeatBlock):
             total += ins.count * _flat_targets(ins.body)
         else:
-            total += max(1, len(ins.targets))
+            total += len(ins.targets) or 1
     return total

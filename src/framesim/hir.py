@@ -178,6 +178,18 @@ def _row_letters(frame: CliffordTableau, q: int) -> dict:
     return {"X": frame.ix[q], "Y": y, "Z": frame.iz[q]}
 
 
+_MEAS_BASIS = {"M": "Z", "MX": "X", "MY": "Y"}
+
+
+def _meas(frame: CliffordTableau, q: int, kind: str, record: int) -> Meas:
+    """The measurement of the Hermitian one-qubit Pauli ``kind`` on qubit q,
+    mapped through the frame: its row's word, and the row's sign as the flip."""
+    x, z, e = _row_letters(frame, q)[kind] if kind == "Y" else (
+        frame.iz[q] if kind == "Z" else frame.ix[q])
+    y = (x & z).bit_count()
+    return Meas(PauliString(frame.n, x, z, y), record, flip=(e - y) & 3 == 2)
+
+
 def lower_to_hir(circuit: Circuit) -> HirProgram:
     """Lower a flattened, validated circuit; Cliffords vanish into the frame."""
     n = max(circuit.qubit_count, 1)
@@ -204,7 +216,8 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                 frame.absorb_left(op, q)
                 clifford_ops += 1
         elif op in ("CX", "CZ", "SWAP"):
-            for a, b in zip(ins.targets[::2], ins.targets[1::2]):
+            pairs = iter(ins.targets)
+            for a, b in zip(pairs, pairs):
                 if isinstance(a, Rec):
                     kind = "X" if op == "CX" else "Z"
                     ops.append(CondPauli(frame.heisenberg_single(b, kind),
@@ -228,20 +241,16 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                         frame.absorb_rotation_right(rot.generator, quarters % 8)
                     continue
                 ops.append(rot)
-        elif op in ("M", "MX", "MY"):
-            basis = {"M": "Z", "MX": "X", "MY": "Y"}[op]
+        elif op in _MEAS_BASIS:
+            basis = _MEAS_BASIS[op]
             for q in ins.targets:
-                mapped = frame.heisenberg_single(q, basis)
-                ops.append(Meas(mapped.hermitian_word(),
-                                records, flip=mapped.hermitian_sign() < 0))
+                ops.append(_meas(frame, q, basis, records))
                 user_records.append(records)
                 records += 1
         elif op == "R":
             for q in ins.targets:
-                mapped = frame.heisenberg_single(q, "Z")
-                ops.append(Meas(mapped.hermitian_word(), records,
-                                flip=mapped.hermitian_sign() < 0))
-                ops.append(CondPauli(frame.heisenberg_single(q, "X"), records))
+                ops.append(_meas(frame, q, "Z", records))
+                ops.append(CondPauli(PauliString(n, *frame.ix[q]), records))
                 records += 1
         elif op in _SITE_LABELS:
             divisor, labels = _SITE_LABELS[op]
@@ -306,24 +315,25 @@ _OTHER, _ROT, _MEAS, _NOISE, _PSEL = range(5)
 
 
 def _facts(op) -> tuple:
-    if isinstance(op, Rot):
-        g = op.generator
-        return _ROT, (), None, ((g.x, g.z),), g.x | g.z
-    if isinstance(op, Meas):
+    kind = type(op)
+    if kind is Meas:
         g = op.observable
         return _MEAS, (), op.record, ((g.x, g.z),), g.x | g.z
-    if isinstance(op, NoiseEvent):
+    if kind is Rot:
+        g = op.generator
+        return _ROT, (), None, ((g.x, g.z),), g.x | g.z
+    if kind is NoiseEvent:
         paulis = tuple((p.x, p.z) for _, p in op.cases)
         support = 0
         for x, z in paulis:
             support |= x | z
         return _NOISE, (), None, paulis, support
-    if isinstance(op, CondPauli):
+    if kind is CondPauli:
         g = op.pauli
         return _OTHER, (op.record,), None, ((g.x, g.z),), g.x | g.z
-    if isinstance(op, (DetectorDef, ObservableDef)):
+    if kind is DetectorDef or kind is ObservableDef:
         return _OTHER, op.records, None, (), 0
-    if isinstance(op, PostSelectOp):
+    if kind is PostSelectOp:
         return _PSEL, (), None, (), 0
     return _OTHER, (), None, (), 0
 

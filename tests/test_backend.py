@@ -26,7 +26,7 @@ from framesim.backend import (
 )
 from framesim.circuit import flatten, parse_circuit
 from framesim.hir import lower_to_hir, peephole_pass, schedule_pass
-from framesim.pauli import PauliString, random_pauli
+from framesim.pauli import PauliString, bit_indices, random_pauli
 from framesim.testing import random_circuit, repetition_code_circuit
 
 from test_pauli import GATE_MATS, embed
@@ -95,6 +95,69 @@ def test_localize_active_pivot_preferences():
     p = PauliString.from_label("XX")
     res = localize(p, active_set={0})
     assert res.axis == 1
+
+
+def _reference_localize(pauli: PauliString, active_set=frozenset()):
+    """The gate-by-gate localization that the closed form replaced, kept as
+    the reference: it conjugates a copy of the word by each gate it emits."""
+    cur = pauli.copy()
+    gates = []
+
+    def emit(g, a, b=None):
+        gates.append((g, a, b))
+        cur.conjugate_gate(g, a, b)
+
+    xs = bit_indices(cur.x)
+    if xs:
+        dormant = [q for q in xs if q not in active_set]
+        v = dormant[0] if dormant else xs[0]
+        for q in xs:
+            if q != v:
+                emit("CX", v, q)
+        for q in bit_indices(cur.z):
+            if q != v:
+                emit("CZ", v, q)
+        if (cur.z >> v) & 1:
+            emit("S", v)
+        basis = "X"
+    else:
+        zs = bit_indices(cur.z)
+        act = [q for q in zs if q in active_set]
+        v = act[0] if act else zs[0]
+        for q in zs:
+            if q != v:
+                emit("CX", q, v)
+        basis = "Z"
+    assert cur.weight() == 1
+    return tuple(gates), v, basis, cur.hermitian_sign()
+
+
+def test_closed_form_localize_matches_gate_by_gate_reference():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(2500):
+        n = int(rng.integers(1, 41))
+        weight = int(rng.integers(1, min(n, 12) + 1))
+        support = rng.choice(n, size=weight, replace=False)
+        letters = rng.choice(list("XYZ"), size=weight)
+        p = PauliString(n)
+        for q, ch in zip(support, letters):
+            p = p.mul(PauliString.single(n, int(q), str(ch)))
+        if rng.random() < 0.5:
+            p = PauliString(n, p.x, p.z, p.phase_exp + 2)
+        active = {int(q) for q in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
+        res = localize(p, active)
+        assert (res.gates, res.axis, res.basis, res.sign) == _reference_localize(p, active)
+        seen.add((res.basis, res.sign, weight == 1, bool(p.x & p.z)))
+    # both bases, both signs, single letters and Y letters all occur
+    assert {b for b, _, _, _ in seen} == {"X", "Z"}
+    assert {s for _, s, _, _ in seen} == {1, -1}
+    assert (True, True) in {(w, y) for _, _, w, y in seen}
+
+
+def test_localize_rejects_a_non_hermitian_word():
+    with pytest.raises(ValueError):
+        localize(PauliString(2, 0b01, 0b10, 1))
 
 
 def test_localize_never_entangles_dormant_targets():

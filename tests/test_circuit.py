@@ -351,3 +351,131 @@ def test_parse_serialize_parse_is_a_fixed_point(lines):
     second = parse_circuit(text)
     assert _shape(second) == _shape(first)
     assert second.serialize() == text
+
+
+# numbers are ASCII decimal: int() and float() alone also take signs,
+# underscores and other scripts' digits ("H ٣" would read as qubit 3)
+@pytest.mark.parametrize("stmt", [
+    "H 1_0",
+    "H +3",
+    "H -0",
+    "H ٣",                # ARABIC-INDIC DIGIT THREE
+    "H ²",                # SUPERSCRIPT TWO
+    "M 0\nCX rec[+0] 1",
+    "M 0\nCX rec[-1_0] 1",
+    "M 0\nCX rec[١] 1",
+    "M 0\nCX rec[--1] 1",
+    "M 0\nCX rec[] 1",
+    "REPEAT 1_0 {\nH 0\n}",
+    "REPEAT +2 {\nH 0\n}",
+    "REPEAT ٣ {\nH 0\n}",
+    "R_X(0_5) 0",
+    "R_X(٠.5) 0",
+])
+def test_numbers_must_be_ascii_decimal(stmt):
+    first, *rest = stmt.split("\n")
+    text = "\n".join(["H 0", first, *rest])
+    line = 3 if first == "M 0" else 2
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(text)
+    assert err.value.line == line
+
+
+def test_ascii_decimal_forms_still_parse():
+    c = parse_circuit("H 007\nM 0\nCX rec[-01] 10\nREPEAT 02 {\nR_X(-0.5e-1) 1\n}\n")
+    assert c.instructions[0].targets == (7,)
+    assert c.instructions[2].targets == (Rec(-1), 10)
+    assert c.instructions[3].count == 2
+    assert c.instructions[3].body.instructions[0].args == (-0.05,)
+
+
+def test_repeated_statement_keeps_its_own_line():
+    c = parse_circuit("H 0\nCX 0 1\nH 0\n\nH 0  # again\nCX 0 1; H 0\n")
+    assert [(i.opcode, i.targets, i.line) for i in c.instructions] == [
+        ("H", (0,), 1), ("CX", (0, 1), 2), ("H", (0,), 3),
+        ("H", (0,), 5), ("CX", (0, 1), 6), ("H", (0,), 6)]
+
+
+def test_repeated_invalid_statement_raises_at_its_first_line():
+    text = "H 0\nM 0\nCZ 1 1\nH 0\nM 1\nX 2\nCZ 1 1\n"
+    with pytest.raises(CircuitError) as err:
+        parse_circuit(text)
+    assert err.value.line == 3
+    assert "distinct" in str(err.value)
+
+
+def test_semicolons_braces_and_repeat_bodies_parse_as_statements():
+    text = ("H 0; H 0 ;M 0\n"
+            "REPEAT 2 { CX rec[-1] 1; H 0 }\n"
+            "REPEAT 3 {\n"
+            "  M 0; REPEAT 2 { H 0 } H 0 }  H 0\n"
+            "M 0\n")
+    c = parse_circuit(text)
+
+    def shape(circuit):
+        return [("REPEAT", ins.count, ins.line, shape(ins.body)) if isinstance(ins, RepeatBlock)
+                else (ins.opcode, ins.targets, ins.line) for ins in circuit.instructions]
+
+    assert shape(c) == [
+        ("H", (0,), 1), ("H", (0,), 1), ("M", (0,), 1),
+        ("REPEAT", 2, 2, [("CX", (Rec(-1), 1), 2), ("H", (0,), 2)]),
+        ("REPEAT", 3, 3, [("M", (0,), 4), ("REPEAT", 2, 4, [("H", (0,), 4)]), ("H", (0,), 4)]),
+        ("H", (0,), 4),
+        ("M", (0,), 5),
+    ]
+    with pytest.raises(CircuitError, match="unmatched"):
+        parse_circuit(text + "}\n")
+
+
+def test_each_distinct_statement_is_parsed_once(monkeypatch):
+    import framesim.circuit
+    from framesim.testing import repetition_code_circuit
+
+    text = repetition_code_circuit(25, 25, 1e-3).serialize()
+    calls = []
+    parse_one = framesim.circuit._parse_instruction
+
+    def counting(stmt, lineno):
+        calls.append(stmt)
+        return parse_one(stmt, lineno)
+
+    monkeypatch.setattr(framesim.circuit, "_parse_instruction", counting)
+    c = parse_circuit(text)
+    statements = [line.strip() for line in text.splitlines() if line.strip()]
+    assert len(c) == len(statements) == 1901
+    assert len(calls) == len(set(calls)) == len(set(statements)) == 125
+
+
+def test_flatten_shares_instructions_without_records():
+    from framesim.testing import repetition_code_circuit
+
+    c = parse_circuit(repetition_code_circuit(5, 3, 1e-3).serialize())
+    f = flatten(c)
+    assert len(f) == len(c)
+    shared = [a is b for a, b in zip(c.instructions, f.instructions)]
+    has_rec = [any(isinstance(t, Rec) for t in ins.targets) for ins in c.instructions]
+    assert shared == [not r for r in has_rec]
+    assert any(has_rec) and not all(has_rec)
+    # a REPEAT body's instruction appears once per repetition, as one object
+    f = flatten(parse_circuit("REPEAT 3 { H 0; M 0; DETECTOR rec[-1] }"))
+    assert f.instructions[0] is f.instructions[3] is f.instructions[6]
+    assert [ins.targets for ins in f.instructions[2::3]] == [(Rec(0),), (Rec(1),), (Rec(2),)]
+
+
+def test_flatten_of_a_flat_circuit_is_equal_and_shared():
+    c = parse_circuit("REPEAT 2 { M 0; CX rec[-1] 1 }\nDETECTOR rec[-1] rec[-2]\nX_ERROR(0.1) 0")
+    f = flatten(c)
+    again = flatten(f)
+    assert again == f
+    assert all(a is b for a, b in zip(again.instructions, f.instructions))
+    assert again.qubit_count == f.qubit_count == 2
+
+
+def test_flatten_refuses_absolute_records_not_yet_produced():
+    with pytest.raises(CircuitError, match="not yet produced") as err:
+        flatten(parse_circuit("M 0 1\nCX rec[1] 2\nDETECTOR rec[2]"))
+    assert err.value.line == 3
+    f = flatten(parse_circuit("M 0\nCX rec[-1] 1"))
+    f.instructions.insert(0, Instruction("DETECTOR", (Rec(0),), (), 1))
+    with pytest.raises(CircuitError, match=r"rec\[0\] not yet produced"):
+        flatten(f)

@@ -10,8 +10,12 @@ jumps and the per-gate ``absorb_left`` rows replaced the adjacent-swap bubble
 and the generic row conjugation. The fingerprint leaves out the noise site
 tables, so ``SITES_SHA256`` pins those of the workloads and the corpus: it
 was computed at commit c18a4f9, before lowering and planning mapped noise
-cases without phases. A change that moves any of them changes emitted
-programs and must say why.
+cases without phases. ``FRONTEND_SHA256`` pins what the front end hands
+the compiler, the ``(opcode, targets, args, line)`` of every instruction of
+``flatten(parse_circuit(text))`` for the same texts: it was computed at
+commit a985830, before the parser kept one parse per distinct statement and
+flatten shared the instructions without records. A change that moves any of
+them changes emitted programs and must say why.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import hashlib
 
 import numpy as np
 
-from framesim import compile_circuit
+from framesim import compile_circuit, flatten, parse_circuit
 from framesim.testing import random_circuit, repetition_code_circuit
 
 WORKED_MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_DAG 0\nH 0\nM 0 1\n"
@@ -28,6 +32,7 @@ WORKLOADS_SHA256 = "7e926bb18b59d53082fc954f5552904698e88c41668cb3fa80282a5d2307
 CORPUS_200_SHA256 = "7fd6b1d75a131160fcc58d869456506cabb4e4361142f2456cdcd7b4942530cb"
 COMMUTING_SHA256 = "c5af7f48c12ce7707a6b307496ed5984682df775c75ebe4adca48de625bd41f8"
 SITES_SHA256 = "2b1f115558ae320c0897c59b39a607ec6f460e539bda6641f06d1bf15aa92c41"
+FRONTEND_SHA256 = "4333571072835b198043cf5a53b8de849769f4fc7c56fbec5c9dfaaddee83ef0"
 
 
 def _digest(texts) -> str:
@@ -45,6 +50,16 @@ def _site_digest(texts) -> str:
         prog = compile_circuit(text)
         h.update(repr([(s.prob, s.case_cum, s.case_x, s.case_z) for s in prog.sites]).encode())
         h.update(repr(prog.cum_hazard).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _frontend_digest(texts) -> str:
+    """sha256 over each flattened instruction's opcode, targets, arguments and line."""
+    h = hashlib.sha256()
+    for text in texts:
+        for ins in flatten(parse_circuit(text)).instructions:
+            h.update(repr((ins.opcode, ins.targets, ins.args, ins.line)).encode())
         h.update(b"\0")
     return h.hexdigest()
 
@@ -106,3 +121,7 @@ def test_commuting_heavy_programs_are_pinned():
 
 def test_noise_site_tables_are_pinned():
     assert _site_digest([*_workloads(), *_corpus(200)]) == SITES_SHA256
+
+
+def test_front_end_output_is_pinned():
+    assert _frontend_digest([*_workloads(), *_corpus(200)]) == FRONTEND_SHA256
