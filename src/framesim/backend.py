@@ -363,8 +363,7 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
         if r & 1:
             raise CompileError(f"cannot localize the non-Hermitian image of {word}")
         gates, v, basis, sign = _localize_bits(x, z, active)
-        if gates:
-            absorb_and_emit_gates(gates)
+        absorb_and_emit_gates(gates)
         return v, basis, sign * (1 - r)
 
     for op in hir.ops:

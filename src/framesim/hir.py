@@ -184,8 +184,10 @@ _MEAS_BASIS = {"M": "Z", "MX": "X", "MY": "Y"}
 def _meas(frame: CliffordTableau, q: int, kind: str, record: int) -> Meas:
     """The measurement of the Hermitian one-qubit Pauli ``kind`` on qubit q,
     mapped through the frame: its row's word, and the row's sign as the flip."""
-    x, z, e = _row_letters(frame, q)[kind] if kind == "Y" else (
-        frame.iz[q] if kind == "Z" else frame.ix[q])
+    if kind == "Y":
+        x, z, e = _row_letters(frame, q)["Y"]
+    else:
+        x, z, e = frame.iz[q] if kind == "Z" else frame.ix[q]
     y = (x & z).bit_count()
     return Meas(PauliString(frame.n, x, z, y), record, flip=(e - y) & 3 == 2)
 
