@@ -13,7 +13,8 @@ shots before it made. A new stream's first shot is never tabulated, so the
 first block already has that width. The tabulated values are the same
 integers the scalar mixer computes; only the cost per draw changes.
 :class:`ShotStreams` holds a chunk of shots' streams side by side, one draw
-counter per shot, for samplers that run shots in lock-step.
+counter per shot, for samplers that run shots in lock-step or that draw a
+grid of each shot's next draws at once.
 """
 from __future__ import annotations
 
@@ -189,3 +190,13 @@ class ShotStreams:
     def uniform(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`ShotRng.uniform` of each shot in ``rows``, the same floats."""
         return np.right_shift(self.next_u64(rows), 11) * 2.0 ** -53
+
+    def uniforms(self, rows: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
+        """The uniforms of draws ``start[i]`` to ``start[i] + n - 1`` of shot
+        ``rows[i]``, one row per shot, as :meth:`uniform` would give them;
+        the counters do not move."""
+        x = np.add.outer(start.astype(np.uint64), np.arange(n, dtype=np.uint64))
+        x *= _GOLDEN_U64
+        x += self.keys[rows][:, None]
+        _mix64_inplace(x, np.empty_like(x))
+        return np.right_shift(x, 11, out=x) * 2.0 ** -53

@@ -16,9 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import framesim.runtime as runtime
-from framesim.backend import compile_circuit
+from framesim.backend import MeasDormantRandom, compile_circuit
 from framesim.rng import ShotStreams
-from framesim.runtime import StratumSpec, sample, sample_accumulate
+from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
 from framesim.testing import random_circuit, repetition_code_circuit
 
 # An observable read before and after a postselected record, so a rejected
@@ -233,11 +233,129 @@ def test_table_chunks_do_not_change_records(monkeypatch):
     assert _records(prog, 300, 9, workers=2) == whole
 
 
-def test_table_built_in_transpose_blocks_is_the_same(monkeypatch):
-    prog = compile_circuit(repetition_code_circuit(5, 5, 0.05))
-    whole = runtime._build_table(prog)
-    monkeypatch.setattr(runtime, "_TRANSPOSE_BYTES", 64)  # one input byte per block
-    assert runtime._build_table(prog) == whole
+def test_grids_and_xor_batches_do_not_change_records(monkeypatch):
+    # Grids of at most 7 draws split a chunk's shots over many grids, and
+    # XOR batches of 2 rows split one shot's coins across batches.
+    progs = [compile_circuit(repetition_code_circuit(5, 5, 0.05)), *_corpus(10)]
+    whole = [_records(prog, 100, 2) for prog in progs]
+    monkeypatch.setattr(runtime, "_GRID", 7)
+    monkeypatch.setattr(runtime, "_XOR_PAIRS", 2)
+    assert [_records(prog, 100, 2) for prog in progs] == whole
+
+
+def _output_bits(rec) -> np.ndarray:
+    return np.concatenate([rec.measurements, rec.detectors, rec.observables])
+
+
+def _coin_free_programs(count: int):
+    """The fuzz corpus's circuits without their checks, where no measurement
+    draws a coin."""
+    rng = np.random.default_rng(2025)
+    while count:
+        circ = random_circuit(rng, int(rng.integers(1, 6)), int(rng.integers(3, 30)),
+                              p_noise=0.2, rot_rate=0.0, reset_rate=0.08,
+                              feedforward_rate=0.1)
+        prog = compile_circuit(circ.serialize() + "DETECTOR rec[-1]\n")
+        if prog.sites and not any(isinstance(i, MeasDormantRandom) for i in prog.instrs):
+            count -= 1
+            yield prog
+
+
+def test_effect_rows_match_forced_faults_on_closure_vm():
+    # Each noise case's effect row is what that one fault changes in the
+    # closure VM's output bits; the constant row is the fault-free output.
+    progs = [compile_circuit(repetition_code_circuit(25, 25, 1e-3)),
+             *_coin_free_programs(20)]
+    multi = 0
+    for prog in progs:
+        tab = runtime._frame_table(prog)
+        width = len(prog.user_records) + prog.num_detectors + prog.num_observables
+        effects = np.unpackbits(np.frombuffer(tab.effects, dtype=np.uint8).reshape(
+            -1, tab.nbytes), axis=1, count=width, bitorder="little")
+        assert len(effects) == 1 + sum(len(s.case_x) for s in prog.sites)
+        state = ShotState(prog)
+        clean = _output_bits(run_shot(prog, state, forced_faults=[]))
+        assert effects[0].tolist() == clean.tolist()
+        for site, table in enumerate(prog.sites):
+            multi += len(table.case_x) > 1
+            for case in range(len(table.case_x)):
+                faulty = _output_bits(run_shot(prog, state, forced_faults=[(site, case)]))
+                assert effects[tab.first[site] + case].tolist() == (faulty ^ clean).tolist()
+    assert multi > 0
+
+
+def _draw_programs() -> list:
+    """Programs whose table shots draw for coins, certain (p=1) sites and
+    multi-case sites, across checks."""
+    certain = compile_circuit(
+        "H 0\nX_ERROR(1.0) 1\nDEPOLARIZE1(0.4) 0 1\nM 0 1\nDETECTOR rec[-1]\n"
+        "X_ERROR(0.2) 2\nY_ERROR(1.0) 0\nDEPOLARIZE2(0.5) 1 2\nM 2\n"
+        "POSTSELECT rec[-1]\nH 2\nX_ERROR(0.3) 0\nM 0 2\nDETECTOR rec[-1] rec[-2]\n")
+    return [certain, *_corpus(30)]
+
+
+def test_table_shots_make_the_closure_vm_draws(monkeypatch):
+    # Every shot's draw counter after _table_shots equals the draws the
+    # closure VM's ShotRng made for that shot, so each shot consumed exactly
+    # the serial draws whatever path the grid sent it down.
+    made = []
+
+    class Recorded(runtime.ShotStreams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(runtime, "ShotStreams", Recorded)
+    seen = set()
+    for prog in _draw_programs() + [compile_circuit(repetition_code_circuit(7, 7, 0.01))]:
+        tab = runtime._frame_table(prog)
+        seen.update(step[0] for step in tab.steps)
+        seen.update("certain" for s in prog.sites if s.prob >= 1.0)
+        seen.update("multi" for s in prog.sites if len(s.case_x) > 1)
+        code = runtime._compiled(prog)
+        for stratum in _strata(prog):
+            for keep in (True, False):
+                made.clear()
+                runtime._table_shots(tab, 4, 10, 90, stratum, keep)
+                state = ShotState(prog, seed=4)
+                draws = []
+                for shot in range(10, 90):
+                    runtime._run(prog, code, state, shot, stratum)
+                    draws.append(state.rng.draws)
+                assert made[0].counts.tolist() == draws
+    assert seen == {runtime._NOISE, runtime._COIN, runtime._CHECK, "certain", "multi"}
+
+
+# An observable changed after a check by one record and, through a record
+# included twice, by nothing: a rejected shot keeps each as it stood there.
+CHANGED_AFTER_CHECK = """\
+H 0
+M 0
+OBSERVABLE_INCLUDE(0) rec[-1]
+OBSERVABLE_INCLUDE(1) rec[-1]
+X_ERROR(0.3) 1
+M 1
+POSTSELECT rec[-1]
+X_ERROR(0.2) 2
+M 2
+OBSERVABLE_INCLUDE(0) rec[-1]
+OBSERVABLE_INCLUDE(1) rec[-1] rec[-1]
+OBSERVABLE_INCLUDE(2) rec[-2]
+DETECTOR rec[-1]
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_backward_build_keeps_observables_as_at_the_check(monkeypatch, seed):
+    prog = compile_circuit(CHANGED_AFTER_CHECK)
+    (check,) = [s for s in runtime._frame_table(prog).steps if s[0] == runtime._CHECK]
+    assert len(check[3][1]) == 3  # each observable touched after the check moves
+    for keep in (False, True):
+        table, closure = _both(monkeypatch, lambda: _records(prog, 200, seed,
+                                                             keep_rejected=keep))
+        assert table == closure
+    # rejected shots kept observables 0 and 1 as the coin set them
+    assert {tuple(r[2]) for r in table if not r[3]} == {(0, 0, 0), (1, 1, 0)}
 
 
 def test_oversized_table_falls_back_to_closure_vm(monkeypatch):
