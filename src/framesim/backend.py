@@ -116,6 +116,11 @@ class FrameGates:
     gates: tuple  # ((gate, a, b), ...)
 
 
+# the gates the backend emits: localization's CX, CZ and S, plus H; both
+# runtime engines read a FrameGates word through these opcodes
+_FRAME_OPCODES = {"H": 0, "S": 1, "CX": 2, "CZ": 3}
+
+
 @dataclass(frozen=True)
 class ArrayGate:
     """Local Clifford acting inside the active set: array kernel + frame."""
@@ -231,6 +236,23 @@ class SiteTable:
     case_cum: list          # cumulative masses, last == prob
     case_x: list            # per case, the frame X bits the VM XORs in (bit j = qubit j)
     case_z: list            # and the frame Z bits
+
+
+def _block_plan(sites, lo: int, hi: int) -> list:
+    """Sites [lo, hi) of a ``NoiseBlock`` as the parts its faults are drawn
+    over: each certain (p=1) site on its own, the runs between them as
+    (start, stop) hazard segments."""
+    plan: list = []
+    start = lo
+    for s in range(lo, hi):
+        if sites[s].prob >= 1.0:
+            if start < s:
+                plan.append((start, s))
+            plan.append(s)
+            start = s + 1
+    if start < hi:
+        plan.append((start, hi))
+    return plan
 
 
 @dataclass
@@ -557,8 +579,14 @@ def compile_circuit(circuit_or_text, postselect_detectors=()) -> BytecodeProgram
     circuit = flatten(circuit)
     hir = peephole_pass(lower_to_hir(circuit))
     postselect_detectors = tuple(postselect_detectors)
+    check_postselect_detectors(hir, postselect_detectors)
+    return optimize_bytecode(plan_schedule(hir, postselect_detectors)[1])
+
+
+def check_postselect_detectors(hir: HirProgram, postselect_detectors) -> None:
+    """Raise a :class:`CompileError` for a postselected detector index that
+    ``hir`` has no detector for."""
     for d in postselect_detectors:
         if not 0 <= d < hir.num_detectors:
             raise CompileError(f"postselected detector D{d} does not exist: the circuit "
                                f"has {hir.num_detectors} detector(s)")
-    return optimize_bytecode(plan_schedule(hir, postselect_detectors)[1])

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .analysis import ratio_credible_interval, t_fidelity_bound
-from .backend import CompileError, compile_circuit
+from .backend import CompileError, check_postselect_detectors, compile_circuit
 from .circuit import CircuitError, flatten, parse_circuit
 from .hir import lower_to_hir, peephole_pass, schedule_pass
 from .runtime import ShotError, ShotRecord, sample
@@ -54,8 +54,9 @@ def cmd_compile(args) -> int:
         return 1
     try:
         if args.emit == "hir":
-            hir = schedule_pass(peephole_pass(lower_to_hir(circuit)))
-            sys.stdout.write(hir.dump())
+            hir = peephole_pass(lower_to_hir(circuit))
+            check_postselect_detectors(hir, args.postselect_detectors)
+            sys.stdout.write(schedule_pass(hir).dump())
             return 0
         prog = compile_circuit(circuit, postselect_detectors=args.postselect_detectors)
     except Exception as exc:  # compile failures are check failures

@@ -1,45 +1,26 @@
-"""Per-shot bytecode execution over the factored runtime state.
+"""Per-shot bytecode execution over the factored runtime state, and sampling.
 
 Each program class has one engine. A program with an active array
 (``k_max`` > 0) runs on the closure VM below. A frame-only program
-(``k_max`` == 0) is sampled through its frame table: the first ``sample`` or
-``sample_accumulate`` call walks ``prog.instrs`` once, backwards, holding
-for each frame bit and record the output bits it flips from that point on,
-so each random input (a noise site's case, a ``MeasDormantRandom`` coin)
-gets its packed XOR effect row directly (about 2.5 ms for the d=25,
-25-round repetition code, against 3.7 ms for the forward walk and
-transpose it replaced). A chunk of shots then runs one span at a time, a span being the
-steps between two postselections: one numpy grid holds each shot's next
-draws as a shot without faults would make them, numpy clears the shots
-that surely survive every hazard segment, and the rest run their first
-unsure segment in lock-step and are gridded again from the next part
-(600 shots of that code: about 1.5 ms against 2.3 ms for one lock-step
-pass per noise block; three to five grids, the second for about 290
-shots). Each shot keeps its own draw counter, so it makes exactly the
-closure VM's draws in instruction order (the stratum's fault list, then
-per ``NoiseBlock`` the hazard-skip draws, or the cases the stratum left
-open, and per coin one bit), stopping at a failed postselection. A fired
-input XORs its effect row into the shot's output row. numpy only clears
-shots that surely survive a hazard segment; every draw that may fire a
-fault takes the serial VM's arithmetic (``math.log1p``, the same float
-sum and search), so records are bit-identical to the closure VM's.
-``run_shot``, ``trace``, ``expectation_probe`` and ``testing.crosscheck``
-always use the closure VM, the reference engine, and so does a frame-only
-program whose table would exceed ``_TABLE_BITS``.
+(``k_max`` == 0) is sampled through its frame table (:mod:`framesim.table`).
+``_frame_table`` is the switch. ``run_shot``, ``trace``,
+``expectation_probe`` and ``testing.crosscheck`` always use the closure VM,
+the reference engine.
 
-Sampling has one path for both engines. ``_shot_rows`` runs a range of
-shots, on the table or the closure VM, and returns each kept shot's output
-bits as packed rows with its acceptance flags; a chunk is about a megabyte
-(``_FOLD_BYTES``) of unpacked output bits, and a closure-VM chunk also at
-most about ``_CHUNK_WORK`` amplitude operations. ``_chunks`` yields the
-chunks in shot order, from this process or from a fork pool, and unpacks
-them; ``sample`` yields each row as a ``ShotRecord`` and
-``sample_accumulate`` sums them. So records arrive a chunk at a time, and
-the first record of a slow program waits for a chunk of tens of shots at
-most. The chunks of one process share one ``ShotState``. The pool is
-forked after the table or the closures are built, so the workers inherit
-them; it keeps at most two chunks per worker in flight, and a table
-program forks only when each worker gets more than a whole chunk.
+Sampling has one path for both engines. ``_chunks`` picks the engine once
+per call, in this process and before any fork: the program's table, or one
+``ShotState`` with the program's closures built, which the chunks of this
+process share and each fork worker inherits. ``_shot_rows`` runs a range of
+shots on it and returns each kept shot's output bits as packed rows with
+its acceptance flags; a chunk is about a megabyte (``_FOLD_BYTES``) of
+unpacked output bits, and a closure-VM chunk also at most about
+``_CHUNK_WORK`` amplitude operations. ``_chunks`` yields the chunks in shot
+order, from this process or from a fork pool, and unpacks them; ``sample``
+yields each row as a ``ShotRecord`` and ``sample_accumulate`` sums them. So
+records arrive a chunk at a time, and the first record of a slow program
+waits for a chunk of tens of shots at most. The pool keeps at most two
+chunks per worker in flight, and a table program forks only when each
+worker gets more than a whole chunk.
 
 In the closure VM, a shot owns one preallocated :class:`ShotState`: the
 active array, the Pauli frame as two Python-int bitmasks, a global scalar,
@@ -104,6 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import (
+    _FRAME_OPCODES,
     ArrayGate,
     ArrayRot,
     BytecodeProgram,
@@ -118,10 +100,12 @@ from .backend import (
     NoiseBlock,
     ObservableIns,
     PostSelectIns,
+    _block_plan,
     _plan_cost,
 )
 from .pauli import PauliString
-from .rng import ShotRng, ShotStreams
+from .rng import ShotRng
+from .table import _build_table, _table_shots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
@@ -169,6 +153,9 @@ class ShotState:
     * ``records``, ``detectors`` and ``observables`` are bytearrays of 0/1
       bytes.
 
+    A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) exceed the
+    machine's physical memory is refused before anything is allocated.
+
     ``reset`` clears only what a shot reads before writing it: ``amps[0]``,
     the frame, the scalars and the observables, which accumulate by XOR.
     Every record and detector is written before it is read, so they are
@@ -186,6 +173,9 @@ class ShotState:
         self.n = prog.n
         self.k_max = prog.k_max
         cap = 1 << prog.k_max
+        if 32 * cap > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ShotError(f"k_max={prog.k_max} needs {32 * cap} bytes for its active "
+                            "array, more than this machine's physical memory")
         self.buf = np.zeros(cap, dtype=np.complex128)
         self.scratch = np.zeros(cap, dtype=np.complex128)
         self.views = {}
@@ -236,10 +226,6 @@ class ShotState:
 # -- instruction specialization --------------------------------------------------
 #
 # Each _c_* factory binds one instruction's operands and returns run(st).
-
-# the gates the backend emits: localization's CX, CZ and S, plus H
-_FRAME_OPCODES = {"H": 0, "S": 1, "CX": 2, "CZ": 3}
-
 
 def _frame_ops(gates) -> tuple:
     """(opcode, mask_a, mask_b) for each gate of a Clifford word; a gate the
@@ -840,479 +826,16 @@ def _compiled(prog: BytecodeProgram):
     return code
 
 
-# -- frame-only programs as a table from random inputs to output bits -------------
-
-_NOISE, _COIN, _CHECK = 0, 1, 2
-_SURE = 3  # a span part: a certain (p=1) site
-_TABLE_BITS = 1 << 28  # most (inputs x output bits) a table may hold: 32 MiB of effects
-_GUARD = 2.0 ** -40  # a lock-step survival's margin, relative to the bound (_may_fault)
-_GRID = 1 << 16  # most draws of one span grid; more shots take several grids
-_XOR_PAIRS = 1 << 12  # most effect rows gathered at once for _xor_rows
-
-
-@dataclass(slots=True, eq=False)
-class _Span:
-    """A run of table steps without a check, as the parts a shot draws for,
-    in order: hazard segments, certain sites and coins. A shot in which no
-    fault fires makes ``off[k]`` draws before part k and ``off[-1]`` in all;
-    those offsets are its draws' columns in :func:`_span`'s grid.
-
-    Per part, ``lo`` is a segment's first site, a certain site or a coin's
-    effect row, and ``hi`` a segment's stop. ``seg`` lists the segments, with
-    the cumulative hazards at their ends; ``fixed`` lists the other parts,
-    which fire without a hazard draw: ``coin`` marks its coins, whose draws
-    are in the columns ``coin_col``."""
-
-    steps: list  # the span's _NOISE and _COIN steps, which a stratum's shots run
-    off: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    seg: np.ndarray
-    seg_start: np.ndarray
-    seg_end: np.ndarray
-    fixed: np.ndarray
-    coin: np.ndarray
-    coin_col: np.ndarray
-
-
-@dataclass(slots=True, eq=False)
-class _FrameTable:
-    """A frame-only program as XOR effects on its output bits.
-
-    Output bit p of a shot is bit p of the constant row XOR the effect row of
-    each fault that fires and of each coin that comes up 1. ``effects`` holds
-    one row of ``nbytes`` little-endian bytes per random input: row 0 is the
-    constant, row ``first[site] + case`` a fault. The first bits are the
-    user records, detectors and observables, in that order; a bit above
-    them is hidden: an observable as it stood at a postselection that a
-    later ``ObservableIns`` changes. A row is padded to whole 64-bit words,
-    so the shots' rows are XORed as words.
-
-    ``steps`` is the shot's draw sequence, in instruction order:
-
-    * ``(_NOISE, lo, hi, plan)`` draws the faults of a noise block (``plan``
-      is its block plan);
-    * ``(_COIN, row, 0, None)`` draws a coin with effect row ``row``;
-    * ``(_CHECK, bit, required, (keep, moves))`` is a postselection. A failed
-      check ends the shot with the output bits ``keep`` written before it
-      and, for each ``(hidden, obs)`` of ``moves``, the hidden snapshot moved
-      onto its observable.
-
-    ``spans`` is the same sequence as :func:`_table_shots` runs it: each
-    check, and each run of other steps between them as a :class:`_Span`
-    (the d=25, 25-round repetition code's 25 noise blocks are one span).
-    The remaining fields are the program's sites and ``cum_hazard`` in the
-    forms the draws read.
-    """
-
-    effects: bytes
-    steps: list
-    nbytes: int     # bytes of one packed shot, hidden bits and padding included
-    S: list         # the program's cum_hazard
-    hazard: np.ndarray  # S as an array
-    first: np.ndarray   # per site, the effect row of case 0
-    prob: np.ndarray    # per site, its probability
-    ncases: np.ndarray  # per site, its case count
-    case_cum: np.ndarray  # per site of several cases: case_cum, inf-padded
-    spans: list
-
-
 def _frame_table(prog: BytecodeProgram):
-    """The program's frame table, or None when the closure VM runs it: the
-    program has an active array, or the table would exceed _TABLE_BITS."""
+    """The engine switch: the program's frame table (:mod:`framesim.table`),
+    or None when the closure VM runs it: the program has an active array, or
+    the table would exceed ``table._TABLE_BITS``."""
     if prog.k_max:
         return None
     cache = _cache(prog)
     if "table" not in cache:
         cache["table"] = _build_table(prog)
     return cache["table"]
-
-
-def _build_table(prog: BytecodeProgram):
-    """Walk ``prog.instrs`` once, backwards, holding for each frame bit and
-    record the output bits it flips from that point on, as Python ints over
-    output bits: ``sx[q]`` and ``sz[q]`` for virtual qubit q's frame X and Z
-    bits, ``recs[r]`` for record r. A gate maps them by its transpose. A
-    fault's effect row is the XOR of the rows of the frame bits its case
-    flips, a coin's the row of its record XOR that of the frame X bit it
-    sets; each is packed to bytes once, and no transpose is needed. For the
-    d=25, 25-round repetition code (2,547 instructions, 625 effect rows of
-    160 bytes) this takes about 2.5 ms, against 3.7 ms for the forward walk
-    over affine forms and the bit-matrix transpose it replaced.
-
-    A check's hidden bits are made when the walk reaches it: an observable
-    that an ``ObservableIns`` after the check changes gets one, and each
-    ``ObservableIns`` of that observable before the check flips it too, so
-    it holds the observable as it stood at the check."""
-    sites = prog.sites
-    nm, nd, no = len(prog.user_records), prog.num_detectors, prog.num_observables
-    width = nm + nd + no
-    kinds = list(map(type, prog.instrs))
-    n_inputs = 1 + kinds.count(MeasDormantRandom) + sum(len(s.case_x) for s in sites)
-    if n_inputs * (width + kinds.count(PostSelectIns) * no) > _TABLE_BITS:
-        return None
-    sx = [0] * prog.n
-    sz = [0] * prog.n
-    recs = [0] * prog.record_count
-    user_bit = [0] * prog.record_count  # per record, its output bit if a user record
-    for p, r in enumerate(prog.user_records):
-        user_bit[r] = 1 << p
-    obs0 = nm + nd
-    # per observable: its output bit and the hidden bits of the checks after
-    obs_bits = [1 << (obs0 + o) for o in range(no)]
-    touched = 0  # the observables that an ObservableIns after this point changes
-    after = 0  # the record and detector bits written after this point
-    hidden = width  # the next hidden bit
-    rows = [0] * n_inputs  # effect rows as ints; row 0 is the constant
-    nxt = n_inputs  # one past the row of the last input not yet met
-    site_bit = [0] * len(sites)
-    steps: list = []
-    for ins in reversed(prog.instrs):
-        t = type(ins)
-        if t is MeasDormantStatic:
-            r = ins.record
-            bit = user_bit[r]
-            after |= bit
-            row = recs[r] ^ bit
-            sx[ins.virt] ^= row
-            if ins.flip:
-                rows[0] ^= row
-        elif t is DetectorIns:
-            bit = 1 << (nm + ins.index)
-            after |= bit
-            for r in ins.records:
-                recs[r] ^= bit
-        elif t is CondFrame:
-            # the record flips the outputs of the frame bits it feeds forward
-            row, m = 0, ins.xmask
-            while m:
-                low = m & -m
-                row ^= sx[low.bit_length() - 1]
-                m ^= low
-            m = ins.zmask
-            while m:
-                low = m & -m
-                row ^= sz[low.bit_length() - 1]
-                m ^= low
-            recs[ins.record] ^= row
-        elif t is FrameGates:
-            for op, a, b in reversed(ins.gates):  # each gate's transpose
-                op = _FRAME_OPCODES[op]
-                if op == 2:  # CX
-                    sx[a] ^= sx[b]
-                    sz[b] ^= sz[a]
-                elif op == 0:  # H
-                    sx[a], sz[a] = sz[a], sx[a]
-                elif op == 1:  # S
-                    sx[a] ^= sz[a]
-                else:  # CZ
-                    sx[a] ^= sz[b]
-                    sx[b] ^= sz[a]
-        elif t is NoiseBlock:
-            lo, hi = ins.lo, ins.hi
-            for s in range(hi - 1, lo - 1, -1):
-                site = sites[s]
-                nxt -= len(site.case_x)
-                site_bit[s] = nxt
-                i = nxt
-                for cx, cz in zip(site.case_x, site.case_z):
-                    row = 0  # the outputs of the frame bits the case flips
-                    while cx:
-                        low = cx & -cx
-                        row ^= sx[low.bit_length() - 1]
-                        cx ^= low
-                    while cz:
-                        low = cz & -cz
-                        row ^= sz[low.bit_length() - 1]
-                        cz ^= low
-                    rows[i] = row
-                    i += 1
-            steps.append((_NOISE, lo, hi, _block_plan(sites, lo, hi)))
-        elif t is MeasDormantRandom:
-            v, r = ins.virt, ins.record
-            bit = user_bit[r]
-            after |= bit
-            row = recs[r] ^ bit
-            if ins.flip:
-                rows[0] ^= row
-            nxt -= 1
-            # the coin sets the record and the new X bit, which is the old Z
-            # bit XOR the coin; the new Z bit is the old X bit
-            rows[nxt] = row ^ sx[v]
-            sx[v], sz[v] = sz[v], rows[nxt]
-            steps.append((_COIN, nxt, 0, None))
-        elif t is ObservableIns:
-            bits = obs_bits[ins.index]
-            touched |= 1 << ins.index
-            for r in ins.records:
-                recs[r] ^= bits
-        elif t is PostSelectIns:
-            # a postselected record is always a user record
-            p = (nm + ins.ref if ins.kind == "detector"
-                 else user_bit[ins.ref].bit_length() - 1)
-            moves = []
-            for o in range(no):
-                if touched >> o & 1:
-                    moves.append((hidden, obs0 + o))
-                    obs_bits[o] |= 1 << hidden
-                    hidden += 1
-            keep = ((1 << width) - 1) & ~after & ~(touched << obs0)
-            steps.append((_CHECK, p, ins.required, (keep, tuple(moves))))
-        elif t is not GammaRot:  # a rotation of a dormant qubit moves only gamma
-            raise ShotError(f"{t.__name__} has no frame-table form")
-    steps.reverse()
-    nbytes = 8 * max(1, (hidden + 63) // 64)
-    ncases = [len(s.case_cum) for s in sites]
-    case_cum = np.full((len(sites), max(ncases, default=1)), np.inf)
-    for i, n in enumerate(ncases):
-        if n > 1:  # a one-case site draws no case
-            case_cum[i, :n] = sites[i].case_cum
-    hazard = np.array(prog.cum_hazard)
-    return _FrameTable(
-        effects=b"".join([row.to_bytes(nbytes, "little") for row in rows]), steps=steps,
-        nbytes=nbytes, S=prog.cum_hazard, hazard=hazard,
-        first=np.array(site_bit, dtype=np.int64),
-        prob=np.array([s.prob for s in sites], dtype=np.float64),
-        ncases=np.array(ncases, dtype=np.int64),
-        case_cum=case_cum,
-        spans=_spans(steps, sites, hazard))
-
-
-def _spans(steps: list, sites, hazard: np.ndarray) -> list:
-    """``steps`` with each run of steps between checks as a :class:`_Span`."""
-    items: list = []
-    run: list = []
-    parts: list = []  # the run's parts: (kind, lo, hi, fault-free draws)
-    for step in steps:
-        kind, a, b, plan = step
-        if kind == _CHECK:
-            if run:
-                items.append(_span_of(run, parts, hazard))
-                run, parts = [], []
-            items.append(step)
-            continue
-        run.append(step)
-        if kind == _COIN:
-            parts.append((_COIN, a, 0, 1))
-        else:
-            parts += [(_SURE, p, 0, int(len(sites[p].case_cum) > 1)) if isinstance(p, int)
-                      else (_NOISE, *p, 1) for p in plan]
-    if run:
-        items.append(_span_of(run, parts, hazard))
-    return items
-
-
-def _span_of(steps: list, parts: list, hazard: np.ndarray) -> _Span:
-    """The :class:`_Span` of ``steps``, whose parts are ``parts``."""
-    kind, lo, hi, draws = (np.array(col, dtype=np.int64) for col in zip(*parts))
-    off = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum(draws, out=off[1:])
-    seg = (kind == _NOISE).nonzero()[0]
-    fixed = (kind != _NOISE).nonzero()[0]
-    coin = kind[fixed] == _COIN
-    return _Span(steps=steps, off=off, lo=lo, hi=hi, seg=seg, seg_start=hazard[lo[seg]],
-                 seg_end=hazard[hi[seg]], fixed=fixed, coin=coin, coin_col=off[fixed[coin]])
-
-
-def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
-                 keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Shots [lo, hi) of a frame table, as :func:`_shot_rows` returns them;
-    a row has ``tab.nbytes`` bytes, hidden bits and padding included.
-
-    The shots run a span at a time (:func:`_span`) and stop at a failed
-    check; ``acc`` accumulates their output rows. Each shot keeps its own
-    draw counter, so it makes the serial VM's draws in its order: the
-    stratum's fault list, then per step a noise block's hazard-skip draws
-    (or, with a stratum, the cases its listed sites leave open) or a coin.
-    A stratum's shots run each step of a span in lock-step.
-    """
-    nbytes = tab.nbytes
-    effects = np.frombuffer(tab.effects, dtype="<u8").reshape(-1, nbytes // 8)
-    streams = ShotStreams(seed, lo, hi)
-    acc = np.empty((hi - lo, nbytes // 8), dtype="<u8")
-    acc[:] = effects[0]
-    acc8 = acc.view(np.uint8)
-    accepted = np.ones(hi - lo, dtype=bool)
-    run = np.arange(hi - lo)  # the rows of the shots still running
-    forced = None if stratum is None else _forced_sites(stratum, seed, lo, hi, streams)
-
-    def fire(rows, sites) -> None:
-        """Shots ``rows`` (distinct) fault at ``sites``: draw each case
-        where a site has several, as ``_pick_case`` does, and XOR its
-        effect."""
-        acc[rows] ^= effects[_fault_rows(tab, sites, lambda m: streams.uniform(rows[m]))]
-
-    for item in tab.spans:
-        if type(item) is _Span and forced is None:
-            step = max(1, _GRID // max(int(item.off[-1]), 1))
-            for i in range(0, len(run), step):
-                _span(tab, item, streams, acc, effects, fire, run[i:i + step])
-            continue
-        if type(item) is _Span:
-            for kind, a, b, _ in item.steps:
-                if kind == _NOISE:
-                    for col in forced:  # each shot's k-th listed site, in turn
-                        sites = col[run]
-                        hit = ((sites >= a) & (sites < b)).nonzero()[0]
-                        if len(hit):
-                            fire(run[hit], sites[hit])
-                else:
-                    acc[run[streams.next_u64(run) >> 63 == 1]] ^= effects[a]
-            continue
-        _, a, b, (keep, moves) = item  # a check
-        fail = (acc8[run, a >> 3] >> (a & 7)) & 1 != b
-        if fail.any():
-            rows = run[fail]
-            old = acc8[rows]
-            new = old & np.frombuffer(keep.to_bytes(nbytes, "little"), dtype=np.uint8)
-            for hidden, obs in moves:
-                new[:, obs >> 3] |= ((old[:, hidden >> 3] >> (hidden & 7)) & 1) << (obs & 7)
-            acc8[rows] = new
-            accepted[rows] = False
-            run = run[~fail]
-            if not len(run):
-                break
-    if keep_rejected:
-        return acc8, accepted
-    return acc8[accepted], accepted[accepted]
-
-
-def _fault_rows(tab: _FrameTable, sites: np.ndarray, uniform) -> np.ndarray:
-    """The effect rows of faults at ``sites``: ``uniform(m)`` gives the
-    case draws of the entries ``m`` whose site has several cases, which
-    pick the case as ``_pick_case`` does."""
-    row = tab.first[sites]
-    multi = (tab.ncases[sites] > 1).nonzero()[0]
-    if len(multi):
-        s = sites[multi]
-        u = uniform(multi) * tab.prob[s]
-        # bisect_right: the count of case_cum entries <= u
-        case = np.count_nonzero(tab.case_cum[s] <= u[:, None], axis=1)
-        row[multi] += np.minimum(case, tab.ncases[s] - 1)
-    return row
-
-
-def _span(tab: _FrameTable, span: _Span, streams: ShotStreams, acc: np.ndarray,
-          effects: np.ndarray, fire, rows: np.ndarray) -> None:
-    """Shots ``rows`` run ``span``, a grid of draws at a time.
-
-    Each round draws, for each shot, the uniforms a fault-free shot would
-    draw from the shot's next part on, one per column. Where
-    :func:`_may_fault` clears every segment, the shot is done: its coins and
-    certain sites fire from their columns. Otherwise the parts before its
-    first unsure segment do, and the shot runs that segment as
-    :func:`_segment`, whose faults shift its counter; it starts the next
-    round at the next part.
-    """
-    nparts = len(span.off) - 1
-    draws = int(span.off[-1])
-    seg, fixed = span.seg, span.fixed
-    p0 = np.zeros(len(rows), dtype=np.int64)  # each shot's next part
-    start = streams.counts[rows].astype(np.int64)  # its counter at part 0, had it no fault
-    while True:
-        u = streams.uniforms(rows, start, draws)
-        stop = np.full(len(rows), nparts)  # each shot's first unsure segment
-        if len(seg):
-            unsure = _may_fault(span.seg_start, u[:, span.off[seg]], span.seg_end)
-            unsure &= seg >= p0[:, None]
-            some = unsure.any(axis=1).nonzero()[0]
-            stop[some] = seg[unsure[some].argmax(axis=1)]
-        if len(fixed):
-            fired = (fixed >= p0[:, None]) & (fixed < stop[:, None])
-            if len(span.coin_col):
-                fired[:, span.coin] &= u[:, span.coin_col] >= 0.5
-            k, c = fired.nonzero()  # k ascending
-            parts = fixed[c]
-            which = span.lo[parts]
-            sure = (~span.coin[c]).nonzero()[0]
-            if len(sure):
-                which[sure] = _fault_rows(tab, which[sure],
-                                          lambda m: u[k[sure[m]], span.off[parts[sure[m]]]])
-            _xor_rows(acc, rows, k, effects, which)
-        streams.counts[rows] = start + span.off[stop]
-        left = (stop < nparts).nonzero()[0]
-        if not len(left):
-            return
-        rows, part = rows[left], stop[left]
-        _segment(tab, streams, fire, rows, span.lo[part], span.hi[part])
-        going = (part + 1 < nparts).nonzero()[0]
-        if not len(going):
-            return
-        rows, p0 = rows[going], part[going] + 1
-        start = streams.counts[rows].astype(np.int64) - span.off[p0]
-
-
-def _xor_rows(acc: np.ndarray, rows: np.ndarray, k: np.ndarray, effects: np.ndarray,
-              which: np.ndarray) -> None:
-    """``acc[rows[k[i]]] ^= effects[which[i]]`` for each i, where ``k`` is
-    ascending and may repeat: the effects of each shot are XORed together
-    first, _XOR_PAIRS at a time."""
-    for i in range(0, len(k), _XOR_PAIRS):
-        kk = k[i:i + _XOR_PAIRS]
-        heads = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
-        acc[rows[kk[heads]]] ^= np.bitwise_xor.reduceat(effects[which[i:i + _XOR_PAIRS]],
-                                                        heads, axis=0)
-
-
-def _may_fault(start, u: np.ndarray, s_b) -> np.ndarray:
-    """Where the hazard-skip draws ``u`` (uniforms) taken at cumulative
-    hazard ``start`` may end below ``s_b``: only those shots run the serial
-    loop's exact arithmetic, and every other one surely survives.
-
-    numpy never decides that a fault fires: ``np.log1p`` and ``math.log1p``
-    may differ in the last bits. Each is within a few ulps of log1p, so the
-    two targets t = start + exponential (start >= 0) differ by at most
-    2^-47 of the larger. Were the serial target below s_b while the numpy
-    one reached s_b + g, with g = 2^-40 max(|s_b|, 1), the numpy target
-    would be below s_b / (1 - 2^-47), and the two would differ by less than
-    2^-46 max(|s_b|, 1), far below g.
-    """
-    return start - np.log1p(-u) < s_b + _GUARD * np.maximum(np.abs(s_b), 1.0)
-
-
-def _segment(tab: _FrameTable, streams: ShotStreams, fire, rows: np.ndarray,
-             pos: np.ndarray, stop: np.ndarray) -> None:
-    """Shots ``rows`` run the hazard-skip loop, each over its own sites
-    [pos, stop), which hold no certain site, in lock-step: "while any shot
-    is still inside its segment", each such shot draws its next
-    exponential. A shot that :func:`_may_fault` takes the serial loop's
-    arithmetic, whose results numpy reproduces exactly: ``math.log1p`` per
-    draw, one float addition, and ``bisect_right`` on S as a
-    ``searchsorted``; it fires the site it finds.
-    """
-    hazard = tab.hazard
-    while len(rows):
-        u = streams.uniform(rows)
-        k = _may_fault(hazard[pos], u, hazard[stop]).nonzero()[0]
-        if not len(k):
-            return
-        # the serial VM's sum S[i] + -math.log1p(-u), as the same float ops
-        target = hazard[pos[k]] + -np.array(list(map(math.log1p, (-u[k]).tolist())))
-        hit = (target < hazard[stop[k]]).nonzero()[0]
-        if not len(hit):
-            return
-        rows, stop = rows[k[hit]], stop[k[hit]]
-        # bisect_right(S, target, i + 1, b + 1) - 1: S[i] <= target < S[b]
-        sites = np.searchsorted(hazard, target[hit], side="right") - 1
-        fire(rows, sites)
-        inside = (sites + 1 < stop).nonzero()[0]
-        rows, pos, stop = rows[inside], sites[inside] + 1, stop[inside]
-
-
-def _forced_sites(stratum, seed: int, lo: int, hi: int, streams: ShotStreams) -> np.ndarray:
-    """Each shot's stratum fault list, drawn first on a scalar stream: row k
-    holds each shot's k-th listed site (-1 past its last), and ``streams``
-    resumes each shot after those draws."""
-    rng = ShotRng(seed, lo)
-    lists = []
-    for shot in range(lo, hi):
-        rng.reset(shot)
-        lists.append([site for site, _ in stratum.draw_forced(rng)])
-        streams.counts[shot - lo] = rng.draws
-    forced = np.full((max(map(len, lists)), hi - lo), -1, dtype=np.int64)
-    for i, sites in enumerate(lists):
-        forced[:len(sites), i] = sites
-    return forced
 
 
 # -- hazard sampling -------------------------------------------------------------
@@ -1364,22 +887,6 @@ def _pick_case(site, rng: ShotRng) -> int:
     u = rng.uniform() * site.prob
     c = bisect_right(site.case_cum, u)
     return min(c, len(site.case_cum) - 1)
-
-
-def _block_plan(sites, lo: int, hi: int) -> list:
-    """Sites [lo, hi) as a plan for :func:`_plan_faults`: each certain (p=1)
-    site on its own, the runs between them as (start, stop) segments."""
-    plan: list = []
-    start = lo
-    for s in range(lo, hi):
-        if sites[s].prob >= 1.0:
-            if start < s:
-                plan.append((start, s))
-            plan.append(s)
-            start = s + 1
-    if start < hi:
-        plan.append((start, hi))
-    return plan
 
 
 # -- shot execution ---------------------------------------------------------------
@@ -1464,21 +971,18 @@ def _chunk_shots(prog: BytecodeProgram) -> int:
     return shots
 
 
-def _shot_rows(prog: BytecodeProgram, seed: int, lo: int, hi: int, stratum,
-               keep_rejected: bool, state: ShotState | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Shots [lo, hi), on the program's frame table or else the closure VM:
-    each kept shot's output bits (user records, detectors, observables)
-    packed little-endian, one uint8 row per shot, and its acceptance flags
-    (bool). A rejected shot is kept only with ``keep_rejected``. The closure
-    VM runs on ``state``, a ShotState of ``prog`` seeded with ``seed``, or
-    on a new one. This is the one place that runs shots for ``sample`` and
-    ``sample_accumulate``."""
-    tab = _frame_table(prog)
-    if tab is not None:
-        return _table_shots(tab, seed, lo, hi, stratum, keep_rejected)
-    if state is None:
-        state = ShotState(prog, seed=seed)
+def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, stratum,
+               keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Shots [lo, hi) on ``engine``, the program's frame table or a
+    ShotState of ``prog`` seeded with ``seed``, on which the closure VM
+    runs: each kept shot's output bits (user records, detectors,
+    observables) packed little-endian, one uint8 row per shot, and its
+    acceptance flags (bool). A rejected shot is kept only with
+    ``keep_rejected``. This is the one place that runs shots for ``sample``
+    and ``sample_accumulate``."""
+    if type(engine) is not ShotState:
+        return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
+    state = engine
     code = _compiled(prog)
     rec, det, obs = state.records, state.detectors, state.observables
     rows, flags = bytearray(), bytearray()
@@ -1504,16 +1008,19 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     ``workers`` starts one."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    tab = _frame_table(prog)
+    # the engine, once and before any fork; a state's views are built on its
+    # first shot, so every chunk of a process runs on the one state
+    engine = _frame_table(prog)
+    if engine is None:
+        engine = ShotState(prog, seed=seed)
+        _compiled(prog)
     step = _chunk_shots(prog)
     workers = min(workers, shots, os.cpu_count() or 1)
-    if workers > 1 and (tab is None or shots > workers * step):
-        parts = _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected)
+    if workers > 1 and (type(engine) is ShotState or shots > workers * step):
+        parts = _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected)
     else:
-        # one state for every chunk: its views are built on its first shot
-        state = None if tab is not None else ShotState(prog, seed=seed)
-        parts = (_shot_rows(prog, seed, lo, min(lo + step, shots), stratum, keep_rejected,
-                            state) for lo in range(0, shots, step))
+        parts = (_shot_rows(prog, engine, seed, lo, min(lo + step, shots), stratum,
+                            keep_rejected) for lo in range(0, shots, step))
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     for packed, flags in parts:
         yield np.unpackbits(packed, axis=1, count=width, bitorder="little"), flags
@@ -1544,39 +1051,36 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
             yield ShotRecord(m, d, o, accepted, weight)
 
 
-_WORKER = None  # a pool worker's (prog, seed, stratum, keep_rejected, state)
+_WORKER = None  # a pool worker's (prog, engine, seed, stratum, keep_rejected)
 
 
-def _init_worker(prog, seed, stratum, keep_rejected) -> None:
+def _init_worker(*args) -> None:
     """Pool initializer. A fork worker gets its arguments by inheritance, not
-    by pickle, so the program arrives with the caches the parent built. A
-    closure-VM worker runs all its jobs on one ShotState."""
+    by pickle, so the program and its engine arrive as the parent built
+    them; a closure-VM worker runs all its jobs on its copy of the state."""
     global _WORKER
-    state = None if _frame_table(prog) is not None else ShotState(prog, seed=seed)
-    _WORKER = (prog, seed, stratum, keep_rejected, state)
+    _WORKER = args
 
 
 def _worker_range(bounds):
     """Shots [lo, hi) in a pool worker, as packed rows."""
-    prog, seed, stratum, keep_rejected, state = _WORKER
-    return _shot_rows(prog, seed, *bounds, stratum, keep_rejected, state)
+    prog, engine, seed, stratum, keep_rejected = _WORKER
+    return _shot_rows(prog, engine, seed, *bounds, stratum, keep_rejected)
 
 
-def _sample_parallel(prog, tab, shots, seed, workers, stratum, keep_rejected):
+def _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected):
     """Yield the packed chunks of :func:`_shot_rows` in shot order from a
-    pool of ``workers`` fork workers. The parent builds the program's table
-    (``tab``) or closures before the fork. Chunk bounds are made as jobs are
-    sent, and at most two chunks per worker are in flight, so the parent
-    holds a bounded number of chunks whatever the shot count."""
+    pool of ``workers`` fork workers, which inherit ``engine``, built by
+    :func:`_chunks`. Chunk bounds are made as jobs are sent, and at most two
+    chunks per worker are in flight, so the parent holds a bounded number of
+    chunks whatever the shot count."""
     import multiprocessing as mp
 
-    if tab is None:
-        _compiled(prog)
     step = min(_chunk_shots(prog), -(-shots // workers))
     jobs = ((lo, min(lo + step, shots)) for lo in range(0, shots, step))
     ctx = mp.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker,
-                  initargs=(prog, seed, stratum, keep_rejected)) as pool:
+                  initargs=(prog, engine, seed, stratum, keep_rejected)) as pool:
         pending = deque(pool.apply_async(_worker_range, (job,))
                         for job in itertools.islice(jobs, 2 * workers))
         while pending:
@@ -1687,10 +1191,14 @@ def expectation_probe(prog: BytecodeProgram, state: ShotState,
     """<psi|P|psi> of the current factored state, non-collapsing.
 
     Dormant axes contribute <0|Z|0> = 1 or kill the term (<0|X|0> = 0);
-    active support costs one traversal of the active array.
+    active support costs one traversal of the active array. The shot must
+    have been accepted: a failed postselection stops it before the final
+    tableau and active set the probe reads.
     """
     if not observable.is_hermitian():
         raise ValueError("probe observable must be Hermitian")
+    if not state.accepted:
+        raise ValueError("probe of a shot that a postselection stopped")
     mapped = prog.final_tableau.heisenberg_map(observable)
     sign = mapped.hermitian_sign()
     word = mapped.hermitian_word()

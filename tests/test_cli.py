@@ -135,6 +135,28 @@ def test_sample_rejects_missing_postselect_detector(tmp_path, capsys, index):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("emit", ["hir", "bytecode", "stats"])
+def test_compile_rejects_missing_postselect_detector(tmp_path, capsys, emit):
+    p = tmp_path / "d.txt"
+    p.write_text("X_ERROR(0.5) 0\nM 0\nDETECTOR rec[-1]\n")
+    assert main(["compile", str(p), "--emit", emit, "--postselect-detectors", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: postselected detector D5 does not exist: the circuit "
+                            "has 1 detector(s)\n")
+
+
+def test_sample_refuses_an_active_array_larger_than_memory(tmp_path, capsys):
+    # k_max = 40 needs 32 * 2^40 bytes of buf and scratch
+    p = tmp_path / "wide.txt"
+    p.write_text("".join(f"H {q}\nT {q}\n" for q in range(40)))
+    assert main(["sample", str(p), "--shots", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: k_max=40 needs {32 << 40} bytes")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_bad_framesim_workers_is_usage_error(mirror_file, monkeypatch, capsys, value):
     monkeypatch.setenv("FRAMESIM_WORKERS", value)

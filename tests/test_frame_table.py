@@ -16,9 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import framesim.runtime as runtime
+import framesim.table as frametable
 from framesim.backend import MeasDormantRandom, compile_circuit
 from framesim.rng import ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
+from framesim.table import _CHECK, _COIN, _NOISE, _SURE, _may_fault, _Span, _table_shots
 from framesim.testing import random_circuit, repetition_code_circuit
 
 # An observable read before and after a postselected record, so a rejected
@@ -72,21 +74,43 @@ def _strata(prog) -> list:
     return [None] + [StratumSpec(prog, w) for w in (1, 2) if w <= len(prog.sites)]
 
 
+def _kinds(tab) -> set:
+    """The kinds of a table's span parts, ``_CHECK`` if it has a check and
+    ``"moves"`` if a check has moves."""
+    kinds = set()
+    for item in tab.spans:
+        if type(item) is _Span:
+            kinds.update(item.kind.tolist())
+        else:  # a check (bit, required, keep, moves)
+            kinds.add(_CHECK)
+            if item[3]:
+                kinds.add("moves")
+    return kinds
+
+
+# Coins, certain (p=1) sites and multi-case sites, across a check: the noise
+# block of the second line is one certain site and a segment, the one of
+# the third a segment, a certain site and a segment.
+CERTAIN_SITES = (
+    "H 0\nX_ERROR(1.0) 1\nDEPOLARIZE1(0.4) 0 1\nM 0 1\nDETECTOR rec[-1]\n"
+    "X_ERROR(0.2) 2\nY_ERROR(1.0) 0\nDEPOLARIZE2(0.5) 1 2\nM 2\n"
+    "POSTSELECT rec[-1]\nH 2\nX_ERROR(0.3) 0\nM 0 2\nDETECTOR rec[-1] rec[-2]\n")
+
+
 def test_corpus_exercises_every_table_step():
     kinds = set()
     for prog in _corpus(50):
         assert prog.k_max == 0
         tab = runtime._frame_table(prog)
         assert tab is not None
-        kinds.update(step[0] for step in tab.steps)
-        kinds.update("moves" for step in tab.steps if step[0] == runtime._CHECK and step[3][1])
-    assert kinds == {runtime._NOISE, runtime._COIN, runtime._CHECK, "moves"}
+        kinds |= _kinds(tab)
+    assert kinds == {_NOISE, _COIN, _CHECK, "moves"}
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_table_records_match_closure_vm_on_corpus(monkeypatch, seed):
     rejected = 0
-    for prog in _corpus(50):
+    for prog in [compile_circuit(CERTAIN_SITES), *_corpus(50)]:
         for stratum in _strata(prog):
             for keep in (True, False):
                 table, closure = _both(monkeypatch, lambda: _records(
@@ -203,7 +227,7 @@ def test_sure_survival_never_hides_a_fault_property(u, start, offset, numpy_side
     for _ in range(abs(offset)):
         s_b = math.nextafter(s_b, math.copysign(math.inf, offset))
     assume(s_b >= start)
-    survives = not runtime._may_fault(np.array([start]), np.array([u]), s_b)[0]
+    survives = not _may_fault(np.array([start]), np.array([u]), s_b)[0]
     rng = SimpleNamespace(exponential=lambda: -math.log1p(-u))
     sites = [SimpleNamespace(case_cum=[0.5], prob=0.5)]
     faults = runtime._segment_faults([start, s_b], sites, rng, 0, 1)
@@ -238,8 +262,8 @@ def test_grids_and_xor_batches_do_not_change_records(monkeypatch):
     # XOR batches of 2 rows split one shot's coins across batches.
     progs = [compile_circuit(repetition_code_circuit(5, 5, 0.05)), *_corpus(10)]
     whole = [_records(prog, 100, 2) for prog in progs]
-    monkeypatch.setattr(runtime, "_GRID", 7)
-    monkeypatch.setattr(runtime, "_XOR_PAIRS", 2)
+    monkeypatch.setattr(frametable, "_GRID", 7)
+    monkeypatch.setattr(frametable, "_XOR_PAIRS", 2)
     assert [_records(prog, 100, 2) for prog in progs] == whole
 
 
@@ -287,11 +311,7 @@ def test_effect_rows_match_forced_faults_on_closure_vm():
 def _draw_programs() -> list:
     """Programs whose table shots draw for coins, certain (p=1) sites and
     multi-case sites, across checks."""
-    certain = compile_circuit(
-        "H 0\nX_ERROR(1.0) 1\nDEPOLARIZE1(0.4) 0 1\nM 0 1\nDETECTOR rec[-1]\n"
-        "X_ERROR(0.2) 2\nY_ERROR(1.0) 0\nDEPOLARIZE2(0.5) 1 2\nM 2\n"
-        "POSTSELECT rec[-1]\nH 2\nX_ERROR(0.3) 0\nM 0 2\nDETECTOR rec[-1] rec[-2]\n")
-    return [certain, *_corpus(30)]
+    return [compile_circuit(CERTAIN_SITES), *_corpus(30)]
 
 
 def test_table_shots_make_the_closure_vm_draws(monkeypatch):
@@ -300,30 +320,30 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
     # the serial draws whatever path the grid sent it down.
     made = []
 
-    class Recorded(runtime.ShotStreams):
+    class Recorded(ShotStreams):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(runtime, "ShotStreams", Recorded)
+    monkeypatch.setattr(frametable, "ShotStreams", Recorded)
     seen = set()
     for prog in _draw_programs() + [compile_circuit(repetition_code_circuit(7, 7, 0.01))]:
         tab = runtime._frame_table(prog)
-        seen.update(step[0] for step in tab.steps)
+        seen |= _kinds(tab) - {"moves"}
         seen.update("certain" for s in prog.sites if s.prob >= 1.0)
         seen.update("multi" for s in prog.sites if len(s.case_x) > 1)
         code = runtime._compiled(prog)
         for stratum in _strata(prog):
             for keep in (True, False):
                 made.clear()
-                runtime._table_shots(tab, 4, 10, 90, stratum, keep)
+                _table_shots(tab, 4, 10, 90, stratum, keep)
                 state = ShotState(prog, seed=4)
                 draws = []
                 for shot in range(10, 90):
                     runtime._run(prog, code, state, shot, stratum)
                     draws.append(state.rng.draws)
                 assert made[0].counts.tolist() == draws
-    assert seen == {runtime._NOISE, runtime._COIN, runtime._CHECK, "certain", "multi"}
+    assert seen == {_NOISE, _COIN, _CHECK, _SURE, "certain", "multi"}
 
 
 # An observable changed after a check by one record and, through a record
@@ -348,8 +368,8 @@ DETECTOR rec[-1]
 @pytest.mark.parametrize("seed", [0, 1])
 def test_backward_build_keeps_observables_as_at_the_check(monkeypatch, seed):
     prog = compile_circuit(CHANGED_AFTER_CHECK)
-    (check,) = [s for s in runtime._frame_table(prog).steps if s[0] == runtime._CHECK]
-    assert len(check[3][1]) == 3  # each observable touched after the check moves
+    (check,) = [s for s in runtime._frame_table(prog).spans if type(s) is not _Span]
+    assert len(check[3]) == 3  # each observable touched after the check moves
     for keep in (False, True):
         table, closure = _both(monkeypatch, lambda: _records(prog, 200, seed,
                                                              keep_rejected=keep))
@@ -360,7 +380,7 @@ def test_backward_build_keeps_observables_as_at_the_check(monkeypatch, seed):
 
 def test_oversized_table_falls_back_to_closure_vm(monkeypatch):
     prog = compile_circuit(repetition_code_circuit(3, 3, 0.1))
-    monkeypatch.setattr(runtime, "_TABLE_BITS", 10)
+    monkeypatch.setattr(frametable, "_TABLE_BITS", 10)
     assert runtime._frame_table(prog) is None
     assert len(_records(prog, 20, 1)) == 20
 

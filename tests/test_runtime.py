@@ -580,6 +580,41 @@ def test_probe_rejects_non_hermitian():
         expectation_probe(prog, st, bad)
 
 
+@pytest.mark.parametrize("text", [
+    "X_ERROR(1) 1\nM 1\nPOSTSELECT(0) rec[-1]\nH 0\nT 0\n",
+    "H 0\nT 0\nX_ERROR(1) 1\nM 1\nPOSTSELECT(0) rec[-1]\nS 0\nH 0\n",
+], ids=["rotation_after_check", "gates_after_check"])
+def test_probe_refuses_a_shot_a_postselection_stopped(text):
+    # the final tableau and active set describe gates the stopped shot never
+    # ran: read anyway, the first program's probe indexed past its array and
+    # the second's returned <Y> = -0.707
+    prog = compile_circuit(text)
+    st = ShotState(prog)
+    assert not run_shot(prog, st, shot=0).accepted
+    with pytest.raises(ValueError, match="postselection"):
+        expectation_probe(prog, st, PauliString.single(2, 0, "Y"))
+
+
+# k_max = 40: buf and scratch would take 32 * 2^40 bytes
+WIDE = "".join(f"H {q}\nT {q}\n" for q in range(40))
+
+
+def test_state_refuses_an_active_array_larger_than_memory(monkeypatch, pool_sizes):
+    # refused before anything is allocated, and in this process, before a
+    # pool starts: a pool initializer that raised would respawn forever
+    import os
+
+    prog = compile_circuit(WIDE)
+    assert prog.k_max == 40
+    need = f"k_max=40 needs {32 << 40} bytes"
+    with pytest.raises(ShotError, match=need):
+        run_shot(prog)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ShotError, match=need):
+        list(sample(prog, 4, workers=2))
+    assert pool_sizes == []
+
+
 def test_normalization_after_active_measurement():
     rng = np.random.default_rng(29)
     from framesim.testing import random_circuit
