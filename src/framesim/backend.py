@@ -12,10 +12,12 @@ and emitted as runtime instructions:
 
 Each runtime operation is emitted in its one executable form: promoting a
 qubit and rotating it is one ``Expand``, measuring an active qubit and
-retiring its axis is one ``MeasCollapse``. ``optimize_bytecode`` then only
-merges neighbouring instructions. The instruction list is the only record of
-the active dimension k. ``plan_schedule`` plans the scheduling pass's
-candidates, each once, and ``compile_circuit`` keeps the winner's program.
+retiring its axis is one ``MeasCollapse``; neighbouring frame words and
+noise sites are merged as they are emitted. ``optimize_bytecode`` then only
+folds single-axis basis changes into the collapse after them. The
+instruction list is the only record of the active dimension k.
+``plan_schedule`` plans the scheduling pass's candidates, each once, and
+``compile_circuit`` keeps the winner's program.
 
 Because the emitted instruction stream, the active-set trajectory, and all
 index/parity operands are fixed here, per-shot execution never makes a
@@ -23,6 +25,7 @@ scheduling decision: the compiler consults no randomness and no amplitudes.
 """
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -102,8 +105,8 @@ def _localize_bits(x: int, z: int, active) -> tuple:
     if not z & (z - 1):
         return (), z.bit_length() - 1, "Z", 1
     zs = bit_indices(z)
-    v = next((q for q in zs if q in active), zs[0])
-    return tuple(("CX", q, v) for q in zs if q != v), v, "Z", 1
+    v = next((q for q in zs if q in active), zs[0]) if active else zs[0]
+    return tuple([("CX", q, v) for q in zs if q != v]), v, "Z", 1
 
 
 # -- bytecode instructions ----------------------------------------------------
@@ -334,20 +337,11 @@ def _render_instr(ins, prog: BytecodeProgram) -> str:
     return repr(ins)
 
 
-def _gate_is_frame_only(gate: str, a: int, b: int | None, active: dict) -> bool:
-    if gate == "CX":
-        if a not in active:
-            return True
-        if b not in active:
-            raise CompileError("localization produced an entangling CX into a dormant qubit")
-        return False
-    if gate == "CZ":
-        return a not in active or b not in active
-    return a not in active
-
-
 def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
-    """Classify every HIR op against the planned active set and emit bytecode."""
+    """Classify every HIR op against the planned active set and emit bytecode.
+
+    Neighbouring frame words are emitted as one ``FrameGates``, and
+    neighbouring noise sites as one ``NoiseBlock``."""
     n = hir.n
     low_n = (1 << n) - 1
     adj = CliffordTableau(n)     # accumulated virtual adjustment W
@@ -360,21 +354,33 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
     rot_count = 0
     postselect_detectors = frozenset(postselect_detectors)
 
-    def absorb_and_emit_gates(gates) -> None:
-        pending: list[tuple] = []
-        for g, a, b in gates:
-            frame_only = _gate_is_frame_only(g, a, b, active)
+    def emit_frame(gates: tuple) -> None:
+        """Emit a frame word, merged into the one just before it if any."""
+        if instrs and type(instrs[-1]) is FrameGates:
+            instrs[-1] = FrameGates(instrs[-1].gates + gates)
+        else:
+            emit(FrameGates(gates))
+
+    def absorb_and_emit_gates(gates: tuple) -> None:
+        """Absorb a word of local gates into ``adj`` and emit it. A gate
+        whose control (for CZ, either qubit) is dormant acts on the frame
+        alone, and each run of those is one frame word; the others act on
+        the array too. No CX may have an active control and a dormant
+        target."""
+        start = 0
+        for i, (g, a, b) in enumerate(gates):
             adj.absorb_left(g, a, b)
-            if frame_only:
-                pending.append((g, a, b))
-            else:
-                if pending:
-                    emit(FrameGates(tuple(pending)))
-                    pending = []
+            if a in active and (g != "CZ" or b in active):
+                if g == "CX" and b not in active:
+                    raise CompileError(
+                        "localization produced an entangling CX into a dormant qubit")
+                if start < i:
+                    emit_frame(gates[start:i])
                 emit(ArrayGate(g, a, b, active[a], None if b is None else active[b],
                                1 << len(active)))
-        if pending:
-            emit(FrameGates(tuple(pending)))
+                start = i + 1
+        if start < len(gates):
+            emit_frame(gates[start:] if start else gates)
 
     def localize_through(word: PauliString):
         """Localize ``adj``'s forward image of ``word``: its bits, and its
@@ -422,7 +428,7 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 emit(GammaRot(v, theta))
             else:
                 adj.absorb_left("H", v)
-                emit(FrameGates((("H", v, None),)))
+                emit_frame((("H", v, None),))
                 axis = len(active)
                 active[v] = axis
                 emit(Expand(v, axis, 1 << axis, theta))
@@ -455,7 +461,10 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 case_x.append(x)
                 case_z.append(z)
             sites.append(SiteTable(cum, case_cum, case_x, case_z))
-            emit(NoiseBlock(op.site, op.site + 1))
+            if instrs and type(instrs[-1]) is NoiseBlock:
+                instrs[-1] = NoiseBlock(instrs[-1].lo, op.site + 1)
+            else:
+                emit(NoiseBlock(op.site, op.site + 1))
         elif kind is CondPauli:
             emit(CondFrame(*adj._forward_bits(op.pauli.x, op.pauli.z), op.record))
         elif kind is DetectorDef:
@@ -547,20 +556,13 @@ def _fold_into_collapse(instrs: list, meas: MeasCollapse) -> MeasCollapse:
 
 
 def optimize_bytecode(prog: BytecodeProgram) -> BytecodeProgram:
-    """Merge neighbouring instructions: fold the single-axis array gates just
-    before a measurement collapse into it, coalesce noise blocks, and merge
-    consecutive frame updates. Full-array traversals never increase."""
+    """Fold the single-axis array gates just before each measurement
+    collapse into it (``plan_and_emit`` already merged neighbouring frame
+    words and noise blocks). Full-array traversals never increase."""
     instrs: list = []
     for ins in prog.instrs:
-        prev = instrs[-1] if instrs else None
         if isinstance(ins, MeasCollapse):
             ins = _fold_into_collapse(instrs, ins)
-        elif isinstance(ins, NoiseBlock) and isinstance(prev, NoiseBlock) and prev.hi == ins.lo:
-            instrs[-1] = NoiseBlock(prev.lo, ins.hi)
-            continue
-        elif isinstance(ins, FrameGates) and isinstance(prev, FrameGates):
-            instrs[-1] = FrameGates(prev.gates + ins.gates)
-            continue
         instrs.append(ins)
     return replace(prog, instrs=instrs)
 
@@ -571,14 +573,31 @@ def compile_circuit(circuit_or_text, postselect_detectors=()) -> BytecodeProgram
     ``postselect_detectors`` lists detector indices whose shots are kept only
     when the detector reads 0; an index outside the circuit's detectors is a
     :class:`CompileError`.
+
+    The compile makes no reference cycles, so the cyclic garbage collector
+    is paused while it runs and its previous state restored after. If a
+    young-generation collection fell due meanwhile, that one collection
+    runs before returning, when only the program is left of the compile's
+    objects, so its cost stays with the compile and does not move into the
+    sampling that follows.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _compile(circuit_or_text, tuple(postselect_detectors))
+    finally:
+        if enabled:
+            gc.enable()
+            if gc.get_count()[0] > gc.get_threshold()[0]:
+                gc.collect(0)
+
+
+def _compile(circuit_or_text, postselect_detectors: tuple) -> BytecodeProgram:
     if isinstance(circuit_or_text, str):
         circuit = parse_circuit(circuit_or_text)
     else:
         circuit = circuit_or_text
-    circuit = flatten(circuit)
-    hir = peephole_pass(lower_to_hir(circuit))
-    postselect_detectors = tuple(postselect_detectors)
+    hir = peephole_pass(lower_to_hir(flatten(circuit)))
     check_postselect_detectors(hir, postselect_detectors)
     return optimize_bytecode(plan_schedule(hir, postselect_detectors)[1])
 

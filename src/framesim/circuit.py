@@ -56,11 +56,20 @@ class CircuitError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
+# ``Rec`` and ``Instruction`` are frozen dataclasses whose ``__init__`` fills
+# the instance dict directly: the generated one calls ``object.__setattr__``
+# per field, which costs about three times as much. Equality, hashing and
+# the refusal of attribute writes are the dataclass's.
+
+
+@dataclass(frozen=True, init=False)
 class Rec:
     """Measurement record target: negative = lookback, non-negative = absolute."""
 
     value: int
+
+    def __init__(self, value: int):
+        self.__dict__["value"] = value
 
     @property
     def is_lookback(self) -> bool:
@@ -73,12 +82,19 @@ class Rec:
 Target = Union[int, Rec]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instruction:
     opcode: str
     targets: tuple[Target, ...] = ()
     args: tuple[float, ...] = ()
     line: int = 0
+
+    def __init__(self, opcode: str, targets: tuple = (), args: tuple = (), line: int = 0):
+        d = self.__dict__
+        d["opcode"] = opcode
+        d["targets"] = targets
+        d["args"] = args
+        d["line"] = line
 
     def __str__(self) -> str:
         s = self.opcode
@@ -101,15 +117,17 @@ class Circuit:
     """Ordered instruction list; qubit_count is inferred (max target + 1)."""
 
     instructions: list = field(default_factory=list)
-    # (instructions covered, their qubit count), as ``flatten`` left it
+    # (instructions covered, their qubit count), as ``parse_circuit`` or
+    # ``flatten`` left it
     _counted: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
 
     @property
     def qubit_count(self) -> int:
-        """One more than the largest qubit target. ``flatten`` stores on its
-        output the count together with the number of instructions it
-        covers, so only instructions appended since are walked; an
-        instruction replaced in place is not seen."""
+        """One more than the largest qubit target. ``parse_circuit`` and
+        ``flatten`` store on their output the count together with the number
+        of instructions it covers, so only instructions appended since are
+        walked; an instruction replaced in place, or one added to a REPEAT
+        body, is not seen."""
         counted, best = self._counted
         if counted > len(self.instructions):
             counted = best = 0
@@ -241,15 +259,25 @@ def parse_circuit(text: str) -> Circuit:
     first time it occurs, so an invalid statement is reported at its first
     line. A dict local to the call keeps the statement's opcode, targets and
     arguments, and each later occurrence costs one lookup and one
-    :class:`Instruction` carrying its own line.
+    :class:`Instruction` carrying its own line. A raw line that holds one
+    plain statement (no ``#``, ``;``, ``{`` or ``}``) is kept in a second
+    such dict, so a repeated line is not split or stripped again. The qubit
+    count is found along the way and stored on the result.
     """
     root = Circuit()
     stack: list[Circuit] = [root]
     body = root.instructions
     parsed: dict[str, tuple] = {}  # statement text -> (opcode, targets, args)
+    plain: dict[str, tuple] = {}   # raw line of one plain statement -> the same
+    qubits = 0
     lines = text.splitlines()
 
     for lineno, raw in enumerate(lines, start=1):
+        fields = plain.get(raw)
+        if fields is not None:
+            op, targets, args = fields
+            body.append(Instruction(op, targets, args, lineno))
+            continue
         for chunk in raw.split("#", 1)[0].split(";"):
             stmt = chunk.strip()
             while stmt:
@@ -288,13 +316,19 @@ def parse_circuit(text: str) -> Circuit:
                 fields = parsed.get(ins_text)
                 if fields is None:
                     ins = _parse_instruction(ins_text, lineno)
-                    parsed[ins_text] = (ins.opcode, ins.targets, ins.args)
+                    fields = parsed[ins_text] = (ins.opcode, ins.targets, ins.args)
+                    for t in ins.targets:
+                        if type(t) is int and t >= qubits:
+                            qubits = t + 1
                     body.append(ins)
                 else:
                     body.append(Instruction(*fields, lineno))
+        if fields is not None and not ("#" in raw or ";" in raw or "{" in raw or "}" in raw):
+            plain[raw] = fields
 
     if len(stack) != 1:
         raise CircuitError("unclosed REPEAT block", len(lines))
+    root._counted = (len(root.instructions), qubits)
     return root
 
 
@@ -335,12 +369,6 @@ def _parse_instruction(stmt: str, lineno: int) -> Instruction:
     return ins
 
 
-def _measurements_in(ins: Instruction) -> int:
-    if ins.opcode in MEASUREMENTS:
-        return sum(1 for t in ins.targets if isinstance(t, int))
-    return 0
-
-
 def flatten(circuit: Circuit) -> Circuit:
     """Expand REPEAT blocks and resolve lookbacks to absolute record indices.
 
@@ -349,9 +377,10 @@ def flatten(circuit: Circuit) -> Circuit:
     postselect record references are resolved the same way as classical
     controls. Instructions are immutable, so one without record targets is
     shared with the input, as often as its REPEAT blocks repeat it; only
-    instructions with record targets are rebuilt. A circuit over more than
-    ``MAX_QUBITS`` qubits or ``MAX_TARGETS`` flattened targets is refused
-    before anything is expanded.
+    instructions with record targets are rebuilt. Whether a target tuple
+    holds records, and how many qubits it names, is found once per distinct
+    tuple. A circuit over more than ``MAX_QUBITS`` qubits or ``MAX_TARGETS``
+    flattened targets is refused before anything is expanded.
     """
     n = circuit.qubit_count
     if n > MAX_QUBITS:
@@ -360,22 +389,35 @@ def flatten(circuit: Circuit) -> Circuit:
     if size > MAX_TARGETS:
         raise CircuitError(f"circuit flattens to {size} targets; the limit is {MAX_TARGETS}")
     out = Circuit()
-    _flatten_into(circuit, out.instructions, 0)
+    _flatten_into(circuit, out.instructions, 0, {})
     out._counted = (len(out.instructions), n)
     return out
 
 
-def _flatten_into(circuit: Circuit, out: list, record_count: int) -> int:
+_MEASURING = frozenset(MEASUREMENTS)
+
+
+def _flatten_into(circuit: Circuit, out: list, record_count: int, seen: dict) -> int:
+    """Append ``circuit`` flattened to ``out``, after ``record_count``
+    records, and return the record count after it. ``seen`` maps each
+    target tuple met so far to whether it holds a record and how many
+    qubit targets it has."""
     append = out.append
     for ins in circuit.instructions:
         if isinstance(ins, RepeatBlock):
             for _ in range(ins.count):
-                record_count = _flatten_into(ins.body, out, record_count)
+                record_count = _flatten_into(ins.body, out, record_count, seen)
             continue
-        if Rec in map(type, ins.targets):
+        targets = ins.targets
+        facts = seen.get(targets)
+        if facts is None:
+            facts = seen[targets] = (Rec in map(type, targets),
+                                     sum(isinstance(t, int) for t in targets))
+        if facts[0]:
             ins = _resolve_records(ins, record_count)
         append(ins)
-        record_count += _measurements_in(ins)
+        if ins.opcode in _MEASURING:
+            record_count += facts[1]
     return record_count
 
 
@@ -383,20 +425,19 @@ def _resolve_records(ins: Instruction, record_count: int) -> Instruction:
     """``ins`` with its lookbacks made absolute, after ``record_count``
     records; ``ins`` itself if all its records are absolute already."""
     targets = []
+    changed = False
     for t in ins.targets:
         if isinstance(t, Rec):
-            if t.value < 0:
-                abs_index = record_count + t.value
-                if abs_index < 0:
-                    raise CircuitError(
-                        f"lookback rec[{t.value}] reaches before any record", ins.line)
-                t = Rec(abs_index)
-            elif t.value >= record_count:
-                raise CircuitError(
-                    f"absolute record rec[{t.value}] not yet produced", ins.line)
+            v = t.value
+            if v < 0:
+                if record_count + v < 0:
+                    raise CircuitError(f"lookback rec[{v}] reaches before any record", ins.line)
+                t = Rec(record_count + v)
+                changed = True
+            elif v >= record_count:
+                raise CircuitError(f"absolute record rec[{v}] not yet produced", ins.line)
         targets.append(t)
-    targets = tuple(targets)
-    return ins if targets == ins.targets else Instruction(ins.opcode, targets, ins.args, ins.line)
+    return Instruction(ins.opcode, tuple(targets), ins.args, ins.line) if changed else ins
 
 
 def instruction_count(circuit: Circuit) -> int:

@@ -169,33 +169,47 @@ def _canonical_rot(generator: PauliString, angle: float, eighths) -> Rot:
     return Rot(word, angle, eighths)
 
 
-def _row_letters(frame: CliffordTableau, q: int) -> dict:
-    """``heisenberg_single`` of X, Y and Z on qubit q as ``(x, z, e)``
-    tuples: two stored rows and, for Y = i X Z, their product."""
+def _letter_row(frame: CliffordTableau, q: int, letter: str) -> tuple:
+    """``heisenberg_single`` of the Hermitian one-qubit Pauli ``letter`` on
+    qubit q as an ``(x, z, e)`` tuple: a stored row for X and Z, and for
+    Y = i X Z their product."""
+    if letter == "X":
+        return frame.ix[q]
+    if letter == "Z":
+        return frame.iz[q]
     xx, xz, xe = frame.ix[q]
     zx, zz, ze = frame.iz[q]
-    y = (xx ^ zx, xz ^ zz, (1 + xe + ze + 2 * ((xz & zx).bit_count() & 1)) & 3)
-    return {"X": frame.ix[q], "Y": y, "Z": frame.iz[q]}
-
-
-_MEAS_BASIS = {"M": "Z", "MX": "X", "MY": "Y"}
+    return xx ^ zx, xz ^ zz, (1 + xe + ze + 2 * ((xz & zx).bit_count() & 1)) & 3
 
 
 def _meas(frame: CliffordTableau, q: int, kind: str, record: int) -> Meas:
     """The measurement of the Hermitian one-qubit Pauli ``kind`` on qubit q,
     mapped through the frame: its row's word, and the row's sign as the flip."""
-    if kind == "Y":
-        x, z, e = _row_letters(frame, q)["Y"]
-    else:
-        x, z, e = frame.iz[q] if kind == "Z" else frame.ix[q]
+    x, z, e = _letter_row(frame, q, kind)
     y = (x & z).bit_count()
     return Meas(PauliString(frame.n, x, z, y), record, flip=(e - y) & 3 == 2)
+
+
+# what lowering does with each opcode
+(_GATE_1Q, _GATE_2Q, _ROTATION, _MEASURE, _RESET, _NOISE_SITE, _DETECTOR, _OBSERVABLE,
+ _POSTSELECT, _SKIP) = range(10)
+_LOWERING = {
+    **dict.fromkeys(("H", "S", "S_DAG", "X", "Y", "Z"), _GATE_1Q),
+    **dict.fromkeys(("CX", "CZ", "SWAP"), _GATE_2Q),
+    **dict.fromkeys(_ROT_AXES, _ROTATION),
+    "M": _MEASURE, "MX": _MEASURE, "MY": _MEASURE, "R": _RESET,
+    **dict.fromkeys(_SITE_LABELS, _NOISE_SITE),
+    "DETECTOR": _DETECTOR, "OBSERVABLE_INCLUDE": _OBSERVABLE, "POSTSELECT": _POSTSELECT,
+    "TICK": _SKIP, "QUBIT_COORDS": _SKIP,
+}
+_MEAS_BASIS = {"M": "Z", "MX": "X", "MY": "Y"}
 
 
 def lower_to_hir(circuit: Circuit) -> HirProgram:
     """Lower a flattened, validated circuit; Cliffords vanish into the frame."""
     n = max(circuit.qubit_count, 1)
     frame = CliffordTableau(n)
+    absorb = frame.absorb_left
     ops: list = []
     records = 0
     user_records: list[int] = []
@@ -206,7 +220,22 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
 
     for ins in circuit.instructions:
         op = ins.opcode
-        if op in ("H", "S", "S_DAG", "X", "Y", "Z"):
+        kind = _LOWERING.get(op)
+        if kind == _GATE_2Q:
+            pairs = iter(ins.targets)
+            for a, b in zip(pairs, pairs):
+                if isinstance(a, Rec):
+                    letter = "X" if op == "CX" else "Z"
+                    ops.append(CondPauli(frame.heisenberg_single(b, letter),
+                                         user_records[a.value]))
+                else:
+                    absorb(op, a, b)
+                    clifford_ops += 1
+        elif kind == _DETECTOR:
+            refs = tuple([user_records[t.value] for t in ins.targets])
+            ops.append(DetectorDef(detectors, refs))
+            detectors += 1
+        elif kind == _GATE_1Q:
             if ins.targets and isinstance(ins.targets[0], Rec):
                 if op not in ("X", "Z"):
                     raise CircuitError(f"{op} does not take record controls", ins.line)
@@ -215,19 +244,40 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                                          user_records[ctrl.value]))
                 continue
             for q in ins.targets:
-                frame.absorb_left(op, q)
+                absorb(op, q)
                 clifford_ops += 1
-        elif op in ("CX", "CZ", "SWAP"):
-            pairs = iter(ins.targets)
-            for a, b in zip(pairs, pairs):
-                if isinstance(a, Rec):
-                    kind = "X" if op == "CX" else "Z"
-                    ops.append(CondPauli(frame.heisenberg_single(b, kind),
-                                         user_records[a.value]))
-                else:
-                    frame.absorb_left(op, a, b)
-                    clifford_ops += 1
-        elif op in ("T", "T_DAG", "R_X", "R_Y", "R_Z"):
+        elif kind == _NOISE_SITE:
+            divisor, labels = _SITE_LABELS[op]
+            mass = ins.args[0] / divisor
+            groups = ([(q,) for q in ins.targets] if op != "DEPOLARIZE2"
+                      else list(zip(ins.targets[::2], ins.targets[1::2])))
+            for qubits in groups:
+                cases = []
+                if mass > 0.0:
+                    # each case is a product of the frame's rows for its qubits
+                    for label in labels:
+                        x = z = e = 0
+                        for ch, q in zip(label, qubits):
+                            if ch != "I":
+                                rx, rz, re = _letter_row(frame, q, ch)
+                                e += re + 2 * ((z & rx).bit_count() & 1)
+                                x ^= rx
+                                z ^= rz
+                        cases.append((mass, PauliString(n, x, z, e)))
+                ops.append(NoiseEvent(site, cases))
+                site += 1
+        elif kind == _MEASURE:
+            basis = _MEAS_BASIS[op]
+            for q in ins.targets:
+                ops.append(_meas(frame, q, basis, records))
+                user_records.append(records)
+                records += 1
+        elif kind == _RESET:
+            for q in ins.targets:
+                ops.append(_meas(frame, q, "Z", records))
+                ops.append(CondPauli(PauliString(n, *frame.ix[q]), records))
+                records += 1
+        elif kind == _ROTATION:
             if op == "T":
                 angle, eighths = math.pi / 8, 1
             elif op == "T_DAG":
@@ -243,54 +293,16 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                         frame.absorb_rotation_right(rot.generator, quarters % 8)
                     continue
                 ops.append(rot)
-        elif op in _MEAS_BASIS:
-            basis = _MEAS_BASIS[op]
-            for q in ins.targets:
-                ops.append(_meas(frame, q, basis, records))
-                user_records.append(records)
-                records += 1
-        elif op == "R":
-            for q in ins.targets:
-                ops.append(_meas(frame, q, "Z", records))
-                ops.append(CondPauli(PauliString(n, *frame.ix[q]), records))
-                records += 1
-        elif op in _SITE_LABELS:
-            divisor, labels = _SITE_LABELS[op]
-            mass = ins.args[0] / divisor
-            groups = ([(q,) for q in ins.targets] if op != "DEPOLARIZE2"
-                      else list(zip(ins.targets[::2], ins.targets[1::2])))
-            for qubits in groups:
-                cases = []
-                if mass > 0.0:
-                    # each case is a product of the frame's rows for its qubits
-                    letters = [_row_letters(frame, q) for q in qubits]
-                    for label in labels:
-                        x = z = e = 0
-                        for ch, rows in zip(label, letters):
-                            if ch != "I":
-                                rx, rz, re = rows[ch]
-                                e += re + 2 * ((z & rx).bit_count() & 1)
-                                x ^= rx
-                                z ^= rz
-                        cases.append((mass, PauliString(n, x, z, e)))
-                ops.append(NoiseEvent(site, cases))
-                site += 1
-        elif op == "DETECTOR":
-            refs = tuple(user_records[t.value] for t in ins.targets)
-            ops.append(DetectorDef(detectors, refs))
-            detectors += 1
-        elif op == "OBSERVABLE_INCLUDE":
+        elif kind == _OBSERVABLE:
             k = int(ins.args[0])
-            refs = tuple(user_records[t.value] for t in ins.targets)
+            refs = tuple([user_records[t.value] for t in ins.targets])
             ops.append(ObservableDef(k, refs))
             observables.add(k)
-        elif op == "POSTSELECT":
+        elif kind == _POSTSELECT:
             required = int(ins.args[0]) if ins.args else 0
             for t in ins.targets:
                 ops.append(PostSelectOp("record", user_records[t.value], required))
-        elif op in ("TICK", "QUBIT_COORDS"):
-            continue
-        else:
+        elif kind != _SKIP:
             raise CircuitError(f"cannot lower opcode {op}", ins.line)
 
     stats = CompileStats(
@@ -789,10 +801,11 @@ def schedule_candidate(hir: HirProgram) -> HirProgram:
     support forfeits the contraction the move was after). Measurements move
     in program order and rotations in reverse, each past the ops already
     placed, which is what moving them one adjacent swap at a time would give.
-    Only reorders ops."""
+    Only reorders ops; without a rotation, only measurements move."""
     facts = [_facts(op) for op in hir.ops]
     order = _jump(list(range(len(facts))), facts, _MEAS, (_ROT,), (_NOISE, _PSEL))
-    order = _jump(order[::-1], facts, _ROT, (_ROT, _MEAS), (_PSEL,))[::-1]
+    if Rot in map(type, hir.ops):
+        order = _jump(order[::-1], facts, _ROT, (_ROT, _MEAS), (_PSEL,))[::-1]
     return replace(hir, ops=[hir.ops[i] for i in order])
 
 

@@ -92,22 +92,23 @@ def _conjugate_bits(gate: str, a: int, b: int | None, x: int, z: int, e: int) ->
 
 # ``G^dag P G`` for the generators P that a gate G changes, for
 # ``CliffordTableau.absorb_left``: per gate, the tuple of changed rows
-# ``(z_row, t, factors, de)``. Row ``(z_row, t)`` is ``iz`` (or ``ix``) of
-# the gate's qubit t (0 for a, 1 for b); its new value is the product of the
-# old rows ``factors``, left to right, times ``i^de``. Rows not listed keep
-# their value. S^dag X S = -Y = i^3 X Z, and S X S^dag = Y = i X Z.
-_X_A, _Z_A, _X_B, _Z_B = (False, 0), (True, 0), (False, 1), (True, 1)
+# ``(row, first, rest, de)``. Rows are numbered 0-3 for ``ix[a]``, ``iz[a]``,
+# ``ix[b]``, ``iz[b]`` of the gate's qubits a and b. Row ``row``'s new value is
+# the product of the old rows ``first`` and then ``rest``, left to right,
+# times ``i^de``. Rows not listed keep their value. S^dag X S = -Y =
+# i^3 X Z, and S X S^dag = Y = i X Z.
+_X_A, _Z_A, _X_B, _Z_B = range(4)
 _LEFT_ROWS = {
-    "H": ((*_X_A, (_Z_A,), 0), (*_Z_A, (_X_A,), 0)),
-    "S": ((*_X_A, (_X_A, _Z_A), 3),),
-    "S_DAG": ((*_X_A, (_X_A, _Z_A), 1),),
-    "X": ((*_Z_A, (_Z_A,), 2),),
-    "Y": ((*_X_A, (_X_A,), 2), (*_Z_A, (_Z_A,), 2)),
-    "Z": ((*_X_A, (_X_A,), 2),),
-    "CX": ((*_X_A, (_X_A, _X_B), 0), (*_Z_B, (_Z_A, _Z_B), 0)),
-    "CZ": ((*_X_A, (_X_A, _Z_B), 0), (*_X_B, (_X_B, _Z_A), 0)),
-    "SWAP": ((*_X_A, (_X_B,), 0), (*_Z_A, (_Z_B,), 0),
-             (*_X_B, (_X_A,), 0), (*_Z_B, (_Z_A,), 0)),
+    "H": ((_X_A, _Z_A, (), 0), (_Z_A, _X_A, (), 0)),
+    "S": ((_X_A, _X_A, (_Z_A,), 3),),
+    "S_DAG": ((_X_A, _X_A, (_Z_A,), 1),),
+    "X": ((_Z_A, _Z_A, (), 2),),
+    "Y": ((_X_A, _X_A, (), 2), (_Z_A, _Z_A, (), 2)),
+    "Z": ((_X_A, _X_A, (), 2),),
+    "CX": ((_X_A, _X_A, (_X_B,), 0), (_Z_B, _Z_A, (_Z_B,), 0)),
+    "CZ": ((_X_A, _X_A, (_Z_B,), 0), (_X_B, _X_B, (_Z_A,), 0)),
+    "SWAP": ((_X_A, _X_B, (), 0), (_Z_A, _Z_B, (), 0),
+             (_X_B, _X_A, (), 0), (_Z_B, _Z_A, (), 0)),
 }
 
 
@@ -313,7 +314,8 @@ class CliffordTableau:
     ``_cols`` is None or the transposed row bits, four lists indexed by
     qubit j whose entries are masks over row indices c: rows ``ix[c]`` with
     an x bit on j, ``ix[c]`` with a z bit on j, then the same for ``iz[c]``.
-    Every row write goes through :meth:`_write_rows`, which keeps them in step.
+    ``absorb_left`` flips the column bits of each row it writes; every other
+    row write goes through :meth:`_write_rows`, which does the same.
     """
 
     __slots__ = ("n", "ix", "iz", "_cols")
@@ -447,24 +449,38 @@ class CliffordTableau:
 
         ``_LEFT_ROWS`` lists, per gate, only the rows that change, each as a
         product of old rows times a power of i, so CX(a,b) is two products
-        and two row writes."""
+        and two row writes. Each new row is computed from the old rows, its
+        changed column bits flipped and the row stored, in one loop."""
         try:
             changes = _LEFT_ROWS[gate]
         except KeyError:
             raise ValueError(f"unknown gate {gate!r}") from None
-        qubits = (a, b)
-        rows = (self.ix, self.iz)
-        writes = []
-        for z_row, t, factors, de in changes:
-            z_f, t_f = factors[0]
-            x, z, e = rows[z_f][qubits[t_f]]
-            for z_f, t_f in factors[1:]:
-                fx, fz, fe = rows[z_f][qubits[t_f]]
+        ix, iz, cols = self.ix, self.iz, self._cols
+        old = (ix[a], iz[a]) if b is None else (ix[a], iz[a], ix[b], iz[b])
+        for row, first, rest, de in changes:
+            x, z, e = old[first]
+            for f in rest:
+                fx, fz, fe = old[f]
                 e += fe + 2 * ((z & fx).bit_count() & 1)
                 x ^= fx
                 z ^= fz
-            writes.append((z_row, qubits[t], (x, z, (e + de) & 3)))
-        self._write_rows(writes)
+            c = b if row & 2 else a
+            if cols is not None:
+                ox, oz, _ = old[row]
+                bit = 1 << c
+                diff = ox ^ x
+                col = cols[(row & 1) << 1]
+                while diff:
+                    low = diff & -diff
+                    col[low.bit_length() - 1] ^= bit
+                    diff ^= low
+                diff = oz ^ z
+                col = cols[((row & 1) << 1) + 1]
+                while diff:
+                    low = diff & -diff
+                    col[low.bit_length() - 1] ^= bit
+                    diff ^= low
+            (iz if row & 1 else ix)[c] = (x, z, (e + de) & 3)
 
     def absorb_right(self, gate: str, a: int, b: int | None = None) -> None:
         """U <- U G (gate applied after U in circuit order): every row is

@@ -417,3 +417,72 @@ def test_wide_frame_compiles_in_linear_time():
     prog = compile_circuit(text)
     assert time.process_time() - start < 1.0
     assert prog.n == 1999
+
+
+def _bench_texts():
+    """The three texts the benchmark compiles: mirror, rep_d25, rot_n14."""
+    return [MIRROR, repetition_code_circuit(25, 25, 1e-3).serialize(),
+            random_circuit(np.random.default_rng(0), 14, 400, p_noise=1e-3, rot_rate=0.3,
+                           measure_rate=0.03).serialize()]
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+@pytest.mark.parametrize("text, error", [
+    (MIRROR, None),
+    ("H 0\nNOPE 1\n", "CircuitError"),
+    ("M 0\nDETECTOR rec[-1]\n", "CompileError"),
+], ids=["ok", "circuit_error", "compile_error"])
+def test_compile_pauses_the_collector_and_restores_its_state(monkeypatch, was_enabled,
+                                                             text, error):
+    """The cyclic collector is off while the compile runs and back in its
+    previous state afterwards, also when the compile raises."""
+    import gc
+
+    seen = []
+    real = backend.lower_to_hir
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "lower_to_hir", recording)
+    was = gc.isenabled()
+    try:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if error is None:
+            compile_circuit(text)
+            assert seen == [False]
+        else:
+            with pytest.raises(ValueError) as info:
+                compile_circuit(text, postselect_detectors=(3,))
+            assert type(info.value).__name__ == error
+        assert gc.isenabled() is was_enabled
+        if was_enabled:
+            # a young collection that fell due ran before returning
+            assert gc.get_count()[0] <= gc.get_threshold()[0]
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_compile_leaves_no_cyclic_garbage():
+    """With the collector paused, nothing would collect reference cycles a
+    compile made: compiling the bench texts and 30 seeded random circuits
+    leaves none."""
+    import gc
+
+    rng = np.random.default_rng(2024)
+    texts = _bench_texts() + [
+        random_circuit(rng, int(rng.integers(1, 9)), int(rng.integers(3, 60)), p_noise=0.05,
+                       reset_rate=0.05, feedforward_rate=0.05,
+                       rot_rate=float(rng.uniform(0.05, 0.5))).serialize()
+        for _ in range(30)]
+    gc.collect()
+    for text in texts:
+        compile_circuit(text)
+    assert gc.collect() == 0

@@ -446,6 +446,44 @@ def test_each_distinct_statement_is_parsed_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(set(statements)) == 125
 
 
+def _shape(circuit):
+    return [("REPEAT", ins.count, ins.line, _shape(ins.body)) if isinstance(ins, RepeatBlock)
+            else (ins.opcode, ins.targets, ins.args, ins.line) for ins in circuit.instructions]
+
+
+def test_repeated_raw_lines_parse_as_before():
+    """A repeated raw line of one plain statement is looked up, not split
+    again; repeated lines with a comment, a ``;``, surrounding whitespace, a
+    ``}`` or a ``REPEAT`` parse as before. The reference is the same text
+    with every line made distinct by a comment of its own."""
+    lines = ["H 0", "H 0 # c", "H 0", "  H 0  ", "  H 0  ", "H 0; X 1", "H 0; X 1",
+             "REPEAT 2 {", "M 0", "M 0", "}", "REPEAT 2 {", "M 0 }", "REPEAT 2 {", "M 0 }",
+             "X_ERROR(0.1) 0 1", "X_ERROR(0.1) 0 1", "CX 0 1", "CX 0 1 ", "CX 0 1",
+             "M 1; DETECTOR rec[-1]", "DETECTOR rec[-1]", "DETECTOR rec[-1]", "", "H 0"]
+    text = "\n".join(lines) + "\n"
+    distinct = "".join(f"{line} # {k}\n" for k, line in enumerate(lines))
+    c = parse_circuit(text)
+    assert _shape(c) == _shape(parse_circuit(distinct))
+    assert _shape(flatten(c)) == _shape(flatten(parse_circuit(distinct)))
+    assert [(ins.opcode, ins.line) for ins in c.instructions[:8]] == [
+        ("H", 1), ("H", 2), ("H", 3), ("H", 4), ("H", 5), ("H", 6), ("X", 6), ("H", 7)]
+    assert c.instructions[-1].line == 25
+    # the parser stores the qubit count; an instruction appended later counts
+    assert c.qubit_count == Circuit(list(c.instructions)).qubit_count == 2
+    c.instructions.append(Instruction("H", (9,)))
+    assert c.qubit_count == 10
+
+
+def test_repeated_invalid_line_is_reported_at_its_first_line():
+    with pytest.raises(CircuitError, match="unknown opcode") as err:
+        parse_circuit("H 0\nNOPE 1\nH 0\nNOPE 1\n")
+    assert err.value.line == 2
+    # valid alone, but its lookback reaches before any record the first time
+    with pytest.raises(CircuitError, match="before any record") as err:
+        flatten(parse_circuit("M 0\nDETECTOR rec[-2]\nM 1\nDETECTOR rec[-2]\n"))
+    assert err.value.line == 2
+
+
 def test_flatten_shares_instructions_without_records():
     from framesim.testing import repetition_code_circuit
 

@@ -216,6 +216,25 @@ def test_cli_entry_point_runs():
     assert float(proc.stdout) == pytest.approx(0.5)
 
 
+def test_python_dash_m_framesim_runs_sample(mirror_file, capsys):
+    """``python -m framesim`` runs the CLI from a source checkout, with only
+    ``src`` on the path: the same output as ``main``."""
+    import os
+    from pathlib import Path
+
+    import framesim
+
+    src = str(Path(framesim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["sample", mirror_file, "--shots", "20", "--seed", "5"]
+    proc = subprocess.run([sys.executable, "-m", "framesim", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert len(proc.stdout.splitlines()) == 20
+
+
 @pytest.mark.parametrize("command", [["compile"], ["sample", "--shots", "5"]])
 def test_malformed_postselect_detectors_is_usage_error(tmp_path, capsys, command):
     p = tmp_path / "d.txt"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from framesim.pauli import (
     _INV_GATE,
+    _LEFT_ROWS,
     CliffordTableau,
     PauliString,
     _conjugate_bits,
@@ -479,6 +480,50 @@ def test_absorb_left_matches_generic_conjugation_property(data):
         assert t._cols == ref._cols, gate
     for kind in ("X", "Y", "Z"):
         assert t.heisenberg_single(a, kind) == t.heisenberg_map(PauliString.single(n, a, kind))
+
+
+def _absorb_left_two_pass(t: CliffordTableau, gate: str, a: int, b: int | None = None) -> None:
+    """Reference reading of ``_LEFT_ROWS``: every changed row is computed
+    from the old rows first, then all are stored; the columns are not kept."""
+    qubits = (a, a, b, b)
+    old = [(t.iz if row & 1 else t.ix)[qubits[row]] for row in range(4 if b is not None else 2)]
+    new = []
+    for row, first, rest, de in _LEFT_ROWS[gate]:
+        x, z, e = 0, 0, de
+        for f in (first, *rest):
+            fx, fz, fe = old[f]
+            e += fe + 2 * ((z & fx).bit_count() & 1)
+            x ^= fx
+            z ^= fz
+        new.append((row, (x, z, e & 3)))
+    for row, value in new:
+        (t.iz if row & 1 else t.ix)[qubits[row]] = value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_absorb_left_matches_two_pass_reference(seed):
+    """On random tableaux of 8-64 qubits with columns built, each gate of
+    ``_LEFT_ROWS`` gives the rows of the two-pass reference, and the columns
+    it keeps equal those rebuilt from its rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 65))
+    t = CliffordTableau(n)
+    for gate, a, b in random_clifford_word(n, 4 * n, rng):
+        t.absorb_right(gate, a, b)
+    t._columns()
+    ref = CliffordTableau._from_rows(n, list(t.ix), list(t.iz))
+    gates = sorted(_LEFT_ROWS)
+    for step in range(300):
+        gate = gates[step % len(gates)] if step < len(gates) else str(rng.choice(gates))
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        if gate not in ("CX", "CZ", "SWAP"):
+            b = None
+        t.absorb_left(gate, a, b)
+        _absorb_left_two_pass(ref, gate, a, b)
+        assert t.ix == ref.ix and t.iz == ref.iz, (step, gate)
+        rebuilt = CliffordTableau._from_rows(n, list(t.ix), list(t.iz))
+        assert t._cols == rebuilt._columns(), (step, gate)
+    assert t.check_symplectic()
 
 
 def test_absorb_left_rejects_unknown_gate():
