@@ -383,16 +383,17 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
             emit_frame(gates[start:] if start else gates)
 
     def localize_through(word: PauliString):
-        """Localize ``adj``'s forward image of ``word``: its bits, and its
-        sign from one row product; returns ``(axis, basis, sign)``."""
+        """Localize ``adj``'s forward image of ``word`` to one axis and
+        absorb the localizing gates; returns ``(axis, basis, sign)``. Then
+        ``adj`` maps ``word`` to sign * P on the axis, so its stored row of
+        P is sign * ``word``, and the sign is read off that row's phase."""
         x, z = adj._forward_bits(word.x, word.z)
-        # the image's phase, less the factor of i of each of its Y letters
-        r = (word.phase_exp - adj._map(x, z, 0)[2] - (x & z).bit_count()) & 3
-        if r & 1:
-            raise CompileError(f"cannot localize the non-Hermitian image of {word}")
-        gates, v, basis, sign = _localize_bits(x, z, active)
+        gates, v, basis, _ = _localize_bits(x, z, active)
         absorb_and_emit_gates(gates)
-        return v, basis, sign * (1 - r)
+        e = (adj.iz if basis == "Z" else adj.ix)[v][2] - word.phase_exp
+        if e & 1:
+            raise CompileError(f"cannot localize the non-Hermitian image of {word}")
+        return v, basis, 1 - (e & 2)
 
     for op in hir.ops:
         kind = type(op)
