@@ -378,8 +378,9 @@ def flatten(circuit: Circuit) -> Circuit:
     controls. Instructions are immutable, so one without record targets is
     shared with the input, as often as its REPEAT blocks repeat it; only
     instructions with record targets are rebuilt. Whether a target tuple
-    holds records, and how many qubits it names, is found once per distinct
-    tuple. A circuit over more than ``MAX_QUBITS`` qubits or ``MAX_TARGETS``
+    holds records, and how many qubits it names, is found once per tuple
+    object: the parser shares one among the occurrences of a statement. A
+    circuit over more than ``MAX_QUBITS`` qubits or ``MAX_TARGETS``
     flattened targets is refused before anything is expanded.
     """
     n = circuit.qubit_count
@@ -399,9 +400,10 @@ _MEASURING = frozenset(MEASUREMENTS)
 
 def _flatten_into(circuit: Circuit, out: list, record_count: int, seen: dict) -> int:
     """Append ``circuit`` flattened to ``out``, after ``record_count``
-    records, and return the record count after it. ``seen`` maps each
-    target tuple met so far to whether it holds a record and how many
-    qubit targets it has."""
+    records, and return the record count after it. ``seen`` maps the id of
+    each target tuple met so far to whether it holds a record and how many
+    qubit targets it has; the input holds every such tuple until the
+    flatten returns, so no id is reused meanwhile."""
     append = out.append
     for ins in circuit.instructions:
         if isinstance(ins, RepeatBlock):
@@ -409,10 +411,10 @@ def _flatten_into(circuit: Circuit, out: list, record_count: int, seen: dict) ->
                 record_count = _flatten_into(ins.body, out, record_count, seen)
             continue
         targets = ins.targets
-        facts = seen.get(targets)
+        facts = seen.get(id(targets))
         if facts is None:
-            facts = seen[targets] = (Rec in map(type, targets),
-                                     sum(isinstance(t, int) for t in targets))
+            facts = seen[id(targets)] = (Rec in map(type, targets),
+                                         sum(isinstance(t, int) for t in targets))
         if facts[0]:
             ins = _resolve_records(ins, record_count)
         append(ins)
