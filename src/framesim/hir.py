@@ -217,6 +217,7 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
     observables: set[int] = set()
     site = 0
     clifford_ops = 0
+    rotations = 0
 
     for ins in circuit.instructions:
         op = ins.opcode
@@ -293,6 +294,7 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
                         frame.absorb_rotation_right(rot.generator, quarters % 8)
                     continue
                 ops.append(rot)
+                rotations += 1
         elif kind == _OBSERVABLE:
             k = int(ins.args[0])
             refs = tuple([user_records[t.value] for t in ins.targets])
@@ -309,7 +311,7 @@ def lower_to_hir(circuit: Circuit) -> HirProgram:
         n_qubits=n,
         clifford_ops=clifford_ops,
         measurements=records,
-        nonclifford_rotations=sum(1 for o in ops if isinstance(o, Rot)),
+        nonclifford_rotations=rotations,
         noise_mechanisms=site,
     )
     return HirProgram(n, ops, frame, records, tuple(user_records),
@@ -337,7 +339,7 @@ def _facts(op) -> tuple:
         g = op.generator
         return _ROT, (), None, ((g.x, g.z),), g.x | g.z
     if kind is NoiseEvent:
-        paulis = tuple((p.x, p.z) for _, p in op.cases)
+        paulis = tuple([(p.x, p.z) for _, p in op.cases])
         support = 0
         for x, z in paulis:
             support |= x | z
@@ -584,7 +586,7 @@ def peephole_pass(hir: HirProgram) -> HirProgram:
     After the first sweep, a sweep therefore examines only the rotations so
     unblocked, until one of them changes the list. Returns ``hir`` itself
     when it has no rotation, so there is nothing to do."""
-    if not any(isinstance(op, Rot) for op in hir.ops):
+    if Rot not in map(type, hir.ops):
         return hir
     work = _Peephole(hir)
     frame = hir.final_frame
