@@ -105,7 +105,7 @@ def _localize_bits(x: int, z: int, active) -> tuple:
     if not z & (z - 1):
         return (), z.bit_length() - 1, "Z", 1
     zs = bit_indices(z)
-    v = next((q for q in zs if q in active), zs[0]) if active else zs[0]
+    v = next((q for q in zs if q in active), zs[0])
     return tuple([("CX", q, v) for q in zs if q != v]), v, "Z", 1
 
 
@@ -380,7 +380,7 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                                1 << len(active)))
                 start = i + 1
         if start < len(gates):
-            emit_frame(gates[start:] if start else gates)
+            emit_frame(gates[start:])
 
     def localize_through(word: PauliString):
         """Localize ``adj``'s forward image of ``word`` to one axis and
@@ -594,6 +594,8 @@ def compile_circuit(circuit_or_text, postselect_detectors=()) -> BytecodeProgram
 
 
 def _compile(circuit_or_text, postselect_detectors: tuple) -> BytecodeProgram:
+    """:func:`compile_circuit`'s pipeline; its objects other than the
+    program die when it returns."""
     if isinstance(circuit_or_text, str):
         circuit = parse_circuit(circuit_or_text)
     else:

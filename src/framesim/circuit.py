@@ -56,20 +56,11 @@ class CircuitError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-# ``Rec`` and ``Instruction`` are frozen dataclasses whose ``__init__`` fills
-# the instance dict directly: the generated one calls ``object.__setattr__``
-# per field, which costs about three times as much. Equality, hashing and
-# the refusal of attribute writes are the dataclass's.
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Rec:
     """Measurement record target: negative = lookback, non-negative = absolute."""
 
     value: int
-
-    def __init__(self, value: int):
-        self.__dict__["value"] = value
 
     @property
     def is_lookback(self) -> bool:
@@ -84,6 +75,11 @@ Target = Union[int, Rec]
 
 @dataclass(frozen=True, init=False)
 class Instruction:
+    """One statement. Equality, hashing and the refusal of attribute writes
+    are the frozen dataclass's; ``__init__`` fills the instance dict
+    directly, since the generated one calls ``object.__setattr__`` per
+    field and costs about twice as much."""
+
     opcode: str
     targets: tuple[Target, ...] = ()
     args: tuple[float, ...] = ()
