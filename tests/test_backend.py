@@ -29,6 +29,7 @@ from framesim.hir import lower_to_hir, peephole_pass, schedule_pass
 from framesim.pauli import PauliString, bit_indices, random_pauli
 from framesim.testing import random_circuit, repetition_code_circuit
 
+from test_compile_pin import _workloads
 from test_pauli import GATE_MATS, embed
 
 MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_DAG 0\nH 0\nM 0 1\n"
@@ -419,13 +420,6 @@ def test_wide_frame_compiles_in_linear_time():
     assert prog.n == 1999
 
 
-def _bench_texts():
-    """The three texts the benchmark compiles: mirror, rep_d25, rot_n14."""
-    return [MIRROR, repetition_code_circuit(25, 25, 1e-3).serialize(),
-            random_circuit(np.random.default_rng(0), 14, 400, p_noise=1e-3, rot_rate=0.3,
-                           measure_rate=0.03).serialize()]
-
-
 @pytest.mark.parametrize("was_enabled", [True, False])
 @pytest.mark.parametrize("text, error", [
     (MIRROR, None),
@@ -477,7 +471,7 @@ def test_compile_leaves_no_cyclic_garbage():
     import gc
 
     rng = np.random.default_rng(2024)
-    texts = _bench_texts() + [
+    texts = list(_workloads()) + [
         random_circuit(rng, int(rng.integers(1, 9)), int(rng.integers(3, 60)), p_noise=0.05,
                        reset_rate=0.05, feedforward_rate=0.05,
                        rot_rate=float(rng.uniform(0.05, 0.5))).serialize()
