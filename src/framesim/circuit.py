@@ -62,10 +62,6 @@ class Rec:
 
     value: int
 
-    @property
-    def is_lookback(self) -> bool:
-        return self.value < 0
-
     def __str__(self) -> str:
         return f"rec[{self.value}]"
 
@@ -436,17 +432,6 @@ def _resolve_records(ins: Instruction, record_count: int) -> Instruction:
                 raise CircuitError(f"absolute record rec[{v}] not yet produced", ins.line)
         targets.append(t)
     return Instruction(ins.opcode, tuple(targets), ins.args, ins.line) if changed else ins
-
-
-def instruction_count(circuit: Circuit) -> int:
-    """Flattened length: sum over blocks of count * body length, plus top level."""
-    total = 0
-    for ins in circuit.instructions:
-        if isinstance(ins, RepeatBlock):
-            total += ins.count * instruction_count(ins.body)
-        else:
-            total += 1
-    return total
 
 
 def _flat_targets(circuit: Circuit) -> int:

@@ -77,7 +77,7 @@ def cmd_compile(args) -> int:
 
 def _format_bits(rec: ShotRecord) -> str:
     bits = np.concatenate([rec.measurements, rec.detectors, rec.observables])
-    return "".join("1" if b else "0" for b in bits)
+    return (bits + ord("0")).tobytes().decode()
 
 
 def cmd_sample(args) -> int:

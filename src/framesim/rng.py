@@ -6,15 +6,16 @@ The mixer is SplitMix64, which is cheap enough to run per draw in pure
 Python and statistically solid at the shot counts used here.
 
 Sampling loops visit shots in order. When a stream is reset to the shot
-after the previous one and that shot is not tabulated yet, it tabulates the
-keys and leading draws of the next block of shots with numpy's wrapping
-uint64 arithmetic, in buffers it reuses, as many draws per shot as the
-shots before it made. A new stream's first shot is never tabulated, so the
-first block already has that width. The tabulated values are the same
-integers the scalar mixer computes; only the cost per draw changes.
-:class:`ShotStreams` holds a chunk of shots' streams side by side, one draw
-counter per shot, for samplers that run shots in lock-step or that draw a
-grid of each shot's next draws at once.
+after the previous one and that shot is not tabulated yet, it takes the
+keys and leading uniforms of the next block of shots from a
+:class:`ShotStreams`, as many draws per shot as the shots before it made.
+A new stream's first shot is never tabulated, so the first block already
+has that width. :class:`ShotStreams` is the one vector form of the mixer:
+it holds a chunk of shots' streams side by side, one draw counter per
+shot, for samplers that run shots in lock-step or that draw a grid of each
+shot's next draws at once. Its values are the ones the scalar mixer
+computes; only the cost per draw changes. A coin is a uniform's test
+``u >= 0.5``, which holds exactly when bit 63 of the draw is set.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 128      # shots tabulated at a time
 _MAX_WIDTH = 64   # most draws per shot tabulated; later draws mix per draw
-_SHOTS = np.arange(_BLOCK, dtype=np.uint64)
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MUL1_U64 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2_U64 = np.uint64(0x94D049BB133111EB)
@@ -59,24 +59,23 @@ class ShotRng:
 
     Draw c of a shot is ``mix64(key + c * golden)`` with
     ``key = mix64(mix64(seed) ^ shot)``. For the shots in [``_lo``,
-    ``_hi``), ``_keys`` holds the keys, ``_draws`` (flat, ``_width`` per
-    shot) the first draws and ``_uniforms`` their :meth:`uniform` values.
-    The current shot is entry ``_slot`` of the table with its first draw at
-    ``_row`` and ``_avail`` draws tabulated; a shot outside the table has
-    ``_avail`` 0 and its key in ``_key``.
+    ``_hi``), ``_keys`` holds the keys and ``_uniforms`` (flat, ``_width``
+    per shot) the :meth:`uniform` values of the first draws, both from a
+    :class:`ShotStreams` of the block. The current shot is entry ``_slot``
+    of the table with its first uniform at ``_row`` and ``_avail`` draws
+    tabulated; a shot outside the table has ``_avail`` 0 and its key in
+    ``_key``.
     """
 
-    __slots__ = ("_seed_mix", "_key", "_count", "_keys", "_draws", "_uniforms", "_tmp",
+    __slots__ = ("_seed", "_key", "_count", "_keys", "_uniforms",
                  "_slot", "_row", "_width", "_avail", "_lo", "_hi", "_need", "_prev")
 
     def __init__(self, seed: int, shot: int = 0):
-        self._seed_mix = mix64(seed & _MASK)
+        self._seed = seed
         self._key = 0
         self._count = 0
-        self._keys = np.empty(_BLOCK, dtype=np.uint64)
-        self._draws = self._uniforms = self._tmp = None
-        self._slot = self._row = 0
-        self._width = -1  # no table yet
+        self._keys = self._uniforms = None
+        self._slot = self._row = self._width = 0
         self._avail = 0
         self._lo = self._hi = 0
         self._need = 0  # most draws any shot has used; sets the next width
@@ -100,33 +99,18 @@ class ShotRng:
             self._key = None  # read from _keys only past the tabulated draws
             return
         self._avail = 0
-        self._key = mix64(self._seed_mix ^ (shot & _MASK))
+        self._key = mix64(mix64(self._seed & _MASK) ^ (shot & _MASK))
 
     def _tabulate(self, lo: int) -> None:
-        width = self._need
-        if width != self._width:
-            self._width = width
-            self._draws = np.empty(_BLOCK * width, dtype=np.uint64)
-            self._uniforms = np.empty(_BLOCK * width, dtype=np.float64)
-            self._tmp = np.empty(_BLOCK * max(width, 1), dtype=np.uint64)
-        keys, tmp = self._keys, self._tmp
-        np.add(_SHOTS, np.uint64(lo), out=keys)
-        keys ^= np.uint64(self._seed_mix)
-        _mix64_inplace(keys, tmp[:_BLOCK])
-        if width:
-            steps = tmp[:width]
-            np.multiply(_SHOTS[:width], _GOLDEN_U64, out=steps)  # c * golden, c < width
-            np.add(keys[:, None], steps, out=self._draws.reshape(_BLOCK, width))
-            _mix64_inplace(self._draws, tmp)
-            np.right_shift(self._draws, 11, out=tmp)
-            np.multiply(tmp, 2.0 ** -53, out=self._uniforms)  # exact, as in uniform()
+        streams = ShotStreams(self._seed, lo, lo + _BLOCK)
+        self._width = width = self._need
+        self._keys = streams.keys
+        self._uniforms = streams.uniforms(slice(None), streams.counts, width).ravel()
         self._lo, self._hi = lo, lo + _BLOCK
 
     def next_u64(self) -> int:
         c = self._count
         self._count = c + 1
-        if c < self._avail:
-            return self._draws.item(self._row + c)
         if self._key is None:
             self._key = self._keys.item(self._slot)
         x = (self._key + c * _GOLDEN + _GOLDEN) & _MASK
@@ -146,7 +130,8 @@ class ShotRng:
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def bit(self) -> int:
-        return self.next_u64() >> 63
+        """A coin: 1 when the next uniform is at least 1/2."""
+        return 1 if self.uniform() >= 0.5 else 0
 
     def exponential(self) -> float:
         """Unit-rate exponential draw."""
@@ -165,8 +150,8 @@ class ShotStreams:
     """The streams of shots [lo, hi) side by side, for lock-step sampling.
 
     ``keys[i]`` is the key of shot ``lo + i`` and ``counts[i]`` its draw
-    counter, so ``next_u64(rows)`` gives each listed shot the draw its
-    :class:`ShotRng` would make next: ``mix64(key + count * golden)``.
+    counter, so ``uniform(rows)`` gives each listed shot the uniform its
+    :class:`ShotRng` would draw next, from ``mix64(key + count * golden)``.
     """
 
     __slots__ = ("keys", "counts")
@@ -178,18 +163,15 @@ class ShotStreams:
         self.keys = keys
         self.counts = np.zeros(hi - lo, dtype=np.uint64)
 
-    def next_u64(self, rows: np.ndarray) -> np.ndarray:
-        """The next draw of each shot in ``rows`` (distinct indices)."""
+    def uniform(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`ShotRng.uniform` of the next draw of each shot in ``rows``
+        (distinct indices), the same floats; their counters move on."""
         x = self.counts[rows]
         self.counts[rows] = x + 1
         x *= _GOLDEN_U64
         x += self.keys[rows]
         _mix64_inplace(x, np.empty_like(x))
-        return x
-
-    def uniform(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`ShotRng.uniform` of each shot in ``rows``, the same floats."""
-        return np.right_shift(self.next_u64(rows), 11) * 2.0 ** -53
+        return np.right_shift(x, 11, out=x) * 2.0 ** -53
 
     def uniforms(self, rows: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
         """The uniforms of draws ``start[i]`` to ``start[i] + n - 1`` of shot

@@ -45,7 +45,7 @@ from .rng import ShotRng, ShotStreams
 
 _NOISE, _COIN, _CHECK = 0, 1, 2
 _SURE = 3  # a span part: a certain (p=1) site
-_TABLE_BITS = 1 << 28  # most (inputs x output bits) a table may hold: 32 MiB of effects
+_TABLE_BITS = 1 << 28  # most (rows x output bits) a table's build may hold: 32 MiB of rows
 _GUARD = 2.0 ** -40  # a lock-step survival's margin, relative to the bound (_may_fault)
 _GRID = 1 << 16  # most draws of one span grid; more shots take several grids
 _XOR_PAIRS = 1 << 12  # most effect rows gathered at once for _xor_rows
@@ -111,15 +111,16 @@ class _FrameTable:
 
 
 def _build_table(prog: BytecodeProgram):
-    """The program's :class:`_FrameTable`, or None when it would exceed
-    _TABLE_BITS. Walk ``prog.instrs`` once, backwards, holding for each
-    frame bit and record the output bits it flips from that point on, as
-    Python ints over output bits: ``sx[q]`` and ``sz[q]`` for virtual qubit
-    q's frame X and Z bits, ``recs[r]`` for record r. A gate maps them by
-    its transpose. A fault's effect row is the XOR of the rows of the frame
-    bits its case flips, a coin's the row of its record XOR that of the
-    frame X bit it sets; each is packed to bytes once, and no transpose is
-    needed. The draw sequence comes out backwards, as span parts and checks.
+    """The program's :class:`_FrameTable`, or None when its build would hold
+    more than _TABLE_BITS bits of rows. Walk ``prog.instrs`` once,
+    backwards, holding for each frame bit and record the output bits it
+    flips from that point on, as Python ints over output bits: ``sx[q]`` and
+    ``sz[q]`` for virtual qubit q's frame X and Z bits, ``recs[r]`` for
+    record r. A gate maps them by its transpose. A fault's effect row is the
+    XOR of the rows of the frame bits its case flips, a coin's the row of
+    its record XOR that of the frame X bit it sets; each is packed to bytes
+    once, and no transpose is needed. The draw sequence comes out backwards,
+    as span parts and checks.
 
     A check's hidden bits are made when the walk reaches it: an observable
     that an ``ObservableIns`` after the check changes gets one, and each
@@ -130,7 +131,9 @@ def _build_table(prog: BytecodeProgram):
     width = nm + nd + no
     kinds = list(map(type, prog.instrs))
     n_inputs = 1 + kinds.count(MeasDormantRandom) + sum(len(s.case_x) for s in sites)
-    if n_inputs * (width + kinds.count(PostSelectIns) * no) > _TABLE_BITS:
+    # the walk holds, besides the effect rows, sx, sz, recs, user_bit and obs_bits
+    held = n_inputs + 2 * (prog.n + prog.record_count) + no
+    if held * (width + kinds.count(PostSelectIns) * no) > _TABLE_BITS:
         return None
     sx = [0] * prog.n
     sz = [0] * prog.n
@@ -330,7 +333,7 @@ def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
         if type(item) is _Span:
             for kind, a, b in zip(item.kind.tolist(), item.lo.tolist(), item.hi.tolist()):
                 if kind == _COIN:
-                    acc[run[streams.next_u64(run) >> 63 == 1]] ^= effects[a]
+                    acc[run[streams.uniform(run) >= 0.5]] ^= effects[a]
                     continue
                 for col in forced:  # each shot's k-th listed site in [a, b), in turn
                     sites = col[run]

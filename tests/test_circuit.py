@@ -13,7 +13,6 @@ from framesim.circuit import (
     Rec,
     RepeatBlock,
     flatten,
-    instruction_count,
     parse_circuit,
 )
 
@@ -129,8 +128,7 @@ def test_flatten_lookback_out_of_range():
 
 def test_instruction_count_formula():
     c = parse_circuit("H 0\nREPEAT 3 { X 0; REPEAT 2 { Z 1 } }\nM 0")
-    assert instruction_count(c) == 1 + 3 * (1 + 2 * 1) + 1
-    assert len(flatten(c)) == instruction_count(c)
+    assert len(flatten(c)) == 11
 
 
 def test_roundtrip_fixed_point():

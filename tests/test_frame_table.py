@@ -15,10 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import framesim.rng
 import framesim.runtime as runtime
 import framesim.table as frametable
 from framesim.backend import MeasDormantRandom, compile_circuit
-from framesim.rng import ShotStreams
+from framesim.rng import ShotRng, ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
 from framesim.table import _CHECK, _COIN, _NOISE, _SURE, _may_fault, _Span, _table_shots
 from framesim.testing import random_circuit, repetition_code_circuit
@@ -346,6 +347,31 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
     assert seen == {_NOISE, _COIN, _CHECK, _SURE, "certain", "multi"}
 
 
+@pytest.mark.parametrize("draw, coin", [(1 << 63, 1), ((1 << 63) - 1, 0)])
+def test_coin_boundary_in_both_engines(monkeypatch, draw, coin):
+    # A draw's uniform is (x >> 11) * 2**-53, exactly 1/2 at x = 2**63: every
+    # coin reads u >= 0.5, so that draw is a 1 and the draw below it a 0.
+    class Fixed(ShotRng):
+        def next_u64(self):
+            return draw
+
+    assert Fixed(0, 0).bit() == coin  # a draw of the scalar mixer
+
+    monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(draw))
+    rng = ShotRng(0, 0)
+    rng.bit()
+    rng.reset(1)  # the next shot: a tabulated block
+    assert rng._avail == 1
+    assert rng.bit() == coin
+    prog = compile_circuit("H 0\nM 0\n")
+    (meas,) = [i for i in prog.instrs if type(i) is MeasDormantRandom]
+    tab = runtime._frame_table(prog)
+    assert _kinds(tab) == {_COIN}
+    for stratum in (None, StratumSpec(prog, 0)):  # _span's grid, then the stratum branch
+        rows, _ = _table_shots(tab, 4, 0, 20, stratum, True)
+        assert (rows[:, 0] & 1).tolist() == [coin ^ meas.flip] * 20
+
+
 # An observable changed after a check by one record and, through a record
 # included twice, by nothing: a rejected shot keeps each as it stood there.
 CHANGED_AFTER_CHECK = """\
@@ -383,6 +409,21 @@ def test_oversized_table_falls_back_to_closure_vm(monkeypatch):
     monkeypatch.setattr(frametable, "_TABLE_BITS", 10)
     assert runtime._frame_table(prog) is None
     assert len(_records(prog, 20, 1)) == 20
+
+
+def test_table_budget_counts_the_build_rows(monkeypatch):
+    # 2,000 (M 0, DETECTOR) pairs after one fault and one coin: three effect
+    # rows of about 4,000 bits fit, but the build's row per record does not
+    prog = compile_circuit("X_ERROR(0.3) 0\nH 1\nM 1\n" + "M 0\nDETECTOR rec[-1]\n" * 2000)
+    inputs = 1 + len(prog.sites) + sum(type(i) is MeasDormantRandom for i in prog.instrs)
+    width = len(prog.user_records) + prog.num_detectors
+    assert inputs == 3 and width == 4001
+    monkeypatch.setattr(frametable, "_TABLE_BITS", 1 << 20)
+    assert inputs * width <= frametable._TABLE_BITS
+    assert runtime._frame_table(prog) is None
+    table, closure = _both(monkeypatch, lambda: _records(prog, 40, 3))
+    assert table == closure
+    assert len({tuple(r[0][:2]) for r in table}) > 1  # the fault and the coin vary
 
 
 # -- property test: small generated circuits -------------------------------------
