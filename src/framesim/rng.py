@@ -101,6 +101,23 @@ class ShotRng:
         self._avail = 0
         self._key = mix64(mix64(self._seed & _MASK) ^ (shot & _MASK))
 
+    @classmethod
+    def block(cls, seed: int, lo: int, hi: int, width: int) -> list:
+        """One stream per shot of [lo, hi), each reset to its shot: the keys
+        and first ``width`` uniforms of all of them come from one
+        :class:`ShotStreams` of the range, and they share that table."""
+        streams = ShotStreams(seed, lo, hi)
+        keys = streams.keys
+        uniforms = streams.uniforms(slice(None), streams.counts, width).ravel()
+        out = []
+        for slot in range(hi - lo):
+            r = cls.__new__(cls)
+            r._seed, r._keys, r._uniforms, r._lo, r._hi = seed, keys, uniforms, lo, hi
+            r._width = r._avail = r._need = width
+            r._slot, r._row, r._count, r._key, r._prev = slot, slot * width, 0, None, lo + slot
+            out.append(r)
+        return out
+
     def _tabulate(self, lo: int) -> None:
         streams = ShotStreams(self._seed, lo, lo + _BLOCK)
         self._width = width = self._need

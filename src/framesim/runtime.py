@@ -1,4 +1,4 @@
-"""Per-shot bytecode execution over the factored runtime state, and sampling.
+"""Bytecode execution over the factored runtime state, and sampling.
 
 Each program class has one engine. A program with an active array
 (``k_max`` > 0) runs on the closure VM below. A frame-only program
@@ -12,29 +12,55 @@ per call, in this process and before any fork: the program's table, or one
 ``ShotState`` with the program's closures built, which the chunks of this
 process share and each fork worker inherits. ``_shot_rows`` runs a range of
 shots on it and returns each kept shot's output bits as packed rows with
-its acceptance flags; a chunk is about a megabyte (``_FOLD_BYTES``) of
-unpacked output bits, and a closure-VM chunk also at most about
-``_CHUNK_WORK`` amplitude operations. ``_chunks`` yields the chunks in shot
-order, from this process or from a fork pool, and unpacks them; ``sample``
-yields each row as a ``ShotRecord`` and ``sample_accumulate`` sums them. So
-records arrive a chunk at a time, and the first record of a slow program
-waits for a chunk of tens of shots at most. The pool keeps at most two
-chunks per worker in flight, and a table program forks only when each
-worker gets more than a whole chunk.
+its acceptance flags. A chunk holds about a megabyte (``_FOLD_BYTES``) of
+unpacked output bits and, on the closure VM, of per-shot walk state; the
+first closure-VM chunk of a call also holds at most about ``_CHUNK_WORK``
+amplitude operations, and each later chunk doubles, up to the megabyte.
+``_chunks`` yields the chunks in shot order, from this process or from a
+fork pool, and unpacks them; ``sample`` yields each row as a
+``ShotRecord`` and ``sample_accumulate`` sums them. So records arrive a
+chunk at a time, and the first record of a slow program waits for a chunk
+of tens of shots at most. The pool keeps at most two chunks per worker in
+flight, and a table program forks only when each worker gets more than a
+whole chunk.
 
-In the closure VM, a shot owns one preallocated :class:`ShotState`: the
-active array, the Pauli frame as two Python-int bitmasks, a global scalar,
-record, detector and observable bytes, and a counter-based RNG stream. One
-loop runs every shot, for ``run_shot`` and ``_shot_rows`` alike: it resets
-what a shot reads before it writes it, draws a stratum's forced faults, and
-walks the instruction list until the end or a failed postselection. A shot's faults reach the ``NoiseBlock``
-kernels in one form, a sorted list of ``(site, case)`` pairs: the
-hazard-skip sampler produces it per block, and a forced run (``run_shot``'s
-``forced_faults``, ``testing.crosscheck``, ``StratumSpec.draw_forced``)
-passes it for the whole shot, where a ``None`` case is drawn when its block
-runs, in the order the sampled path draws it. Storage is reused from shot
-to shot, and nothing consults the amplitudes to decide control flow (the
-compiler fixed the schedule).
+The closure VM runs a group of shots in one depth-first walk (``_walk``).
+Each shot owns its Pauli frame, as two Python-int bitmasks, its scalar
+``gamma``, its record, detector and observable bytes, and its
+counter-based RNG stream, from which it makes exactly the draws it would
+make alone. The active array belongs to the path. Two shots hold
+bit-identical arrays for as long as they agree on the path key: the probe
+bits, which are the frame X bits that ``Expand`` and ``ArrayRot`` read to
+pick the sign of their angle, and each collapse's branch, whose
+probability and scale the path fixes (a draw that hits ``BRANCH_FLOOR``
+takes the other branch at that branch's own probability, bit for bit). So
+each step does its frame, record, detector, noise and postselection work
+once per shot and its amplitude kernel once per path, on the state's one
+array:
+
+* ``ArrayGate`` conjugates each shot's frame by its gate, then runs its
+  kernel.
+* ``Expand`` and ``ArrayRot`` split the group by their probe bit and pass
+  that bit to the kernel.
+* ``MeasCollapse`` computes its branch probability once per path; draws,
+  records and updates the frame once per shot; and applies each branch
+  taken once.
+
+At a split the walk goes on with the smaller part and defers the other
+with a snapshot of the array. A deferred ``Expand`` or ``ArrayRot``
+part reruns its instruction on the snapshot; a deferred collapse branch
+keeps only its collapsed half. Since the part the walk goes on with is at
+most half the group it came from, at most log2(group size) snapshots are
+live at once. ``run_shot``, ``trace``, ``expectation_probe`` and
+``testing.crosscheck`` run the same walk with a group of one shot, the
+:class:`ShotState` itself, which holds both the shot and its array. A shot
+that fails a postselection leaves the group there. Nothing consults the
+amplitudes to decide control flow (the compiler fixed the schedule). A
+shot's faults reach the ``NoiseBlock`` steps in one form, a sorted list of
+``(site, case)`` pairs: the hazard-skip sampler produces it per block, and
+a forced run (``run_shot``'s ``forced_faults``, ``testing.crosscheck``,
+``StratumSpec.draw_forced``) passes it for the whole shot, where a ``None``
+case is drawn when its block runs, in the order the sampled path draws it.
 
 The dispatch loop is threaded code: each instruction is specialized once
 into a closure with its operands (qubit masks, index tuples, precomputed
@@ -58,12 +84,12 @@ its innermost axis, so the kernels make few calls over long runs:
   when it copies the two halves of a lower axis into ``scratch`` in one
   call (on axis 1 it copies the sub-arrays' halves as long runs instead).
 * ``MeasCollapse`` writes its halves, its branch row and its output between
-  ``buf`` and ``scratch``, allocating nothing. A branch row of its basis
-  change that is one half, their sum or their difference, times a factor
-  (the identity, a bare ``H``), costs no multiply or one add; the factor
-  goes into the output's scale. ``p_all`` comes from the two halves, one
-  pass for the identity, and no ``np.vdot`` spans more than ``_DOT``
-  entries.
+  ``buf`` and ``scratch``, allocating nothing for the branch the walk goes
+  on with. A branch row of its basis change that is one half, their sum or
+  their difference, times a factor (the identity, a bare ``H``), costs no
+  multiply or one add; the factor goes into the output's scale. ``p_all``
+  comes from the two halves, one pass for the identity, and no ``np.vdot``
+  spans more than ``_DOT`` entries.
 
 These forms change rounding, not results. ``gamma`` carries
 ``ArrayRot``'s branch-0 phase, ``p_all`` is summed over the halves in
@@ -104,14 +130,18 @@ from .backend import (
     _plan_cost,
 )
 from .pauli import PauliString
-from .rng import ShotRng
+from .rng import _MAX_WIDTH, ShotRng
 from .table import _build_table, _table_shots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
 _SMALL = 16  # active arrays up to this size live in a Python list
-_FOLD_BYTES = 1 << 20  # unpacked output bytes of a chunk of shots
-_CHUNK_WORK = 1 << 24  # most amplitude operations of a closure-VM chunk
+_FOLD_BYTES = 1 << 20  # unpacked output bytes and walk state of a chunk of shots
+_CHUNK_WORK = 1 << 24  # most amplitude operations of a call's first closure-VM chunk
+# a sampled shot's walk state besides its output bytes: its _Shot, its
+# ShotRng, their fields and the list slots that hold it (about 450 bytes on
+# the mirror, measured with tracemalloc, Python 3.11)
+_SHOT_BYTES = 512
 # entries of the longest np.vdot: OpenBLAS runs a longer one on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
 # 2-core host for no gain in wall time
@@ -123,7 +153,7 @@ class ShotError(RuntimeError):
 
 
 class _Halt(Exception):
-    """Raised by a failed postselect check to stop the shot immediately."""
+    """Raised when a postselection stops every shot of a path."""
 
 
 @dataclass(slots=True)
@@ -139,7 +169,9 @@ _EMPTY_BITS = np.zeros(0, dtype=np.uint8)
 
 
 class ShotState:
-    """Reusable per-shot storage; capacity fixed by the compiled program.
+    """Reusable storage of the closure VM: the active array of a walk's
+    paths, and the fields of one shot; capacity fixed by the compiled
+    program.
 
     * The active array has 2^k entries. While that is at most ``_SMALL``
       it lives in ``amps``, a Python list, where scalar kernels touch no
@@ -147,27 +179,28 @@ class ShotState:
       ``active_view()`` returns the live 2^k entries as a prefix of
       ``buf`` either way. ``scratch`` is a work buffer of the same capacity,
       and ``views`` keeps the numpy views of the two that vectorized kernels
-      reuse from shot to shot.
+      reuse from shot to shot. ``pending`` holds the walk's deferred parts,
+      each with its snapshot of the array.
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
-    * ``records``, ``detectors`` and ``observables`` are bytearrays of 0/1
-      bytes.
+    * ``out`` holds the records, detectors and observables, in that order,
+      as 0/1 bytes.
+    * ``draws`` is how many draws a sampled shot's stream tabulates.
 
     A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) exceed the
     machine's physical memory is refused before anything is allocated.
 
-    ``reset`` clears only what a shot reads before writing it: ``amps[0]``,
-    the frame, the scalars and the observables, which accumulate by XOR.
-    Every record and detector is written before it is read, so they are
-    cleared only when a postselection can stop a shot before writing them
-    all.
+    ``reset`` clears only what a shot reads before writing it: the frame,
+    the scalars and the observables, which accumulate by XOR. Every record
+    and detector is written before it is read, so they are cleared only
+    when a postselection can stop a shot before writing them all. The walk
+    starts the array.
     """
 
-    __slots__ = ("n", "k", "k_max", "amps", "buf", "scratch", "views", "frame_x", "frame_z",
-                 "gamma", "records", "detectors", "observables", "weight",
-                 "accepted", "rng", "forced_faults",
-                 "forced_outcomes", "active_virtuals", "_zero_records",
-                 "_blank", "_bits")
+    __slots__ = ("n", "k", "k_max", "amps", "buf", "scratch", "views", "pending",
+                 "frame_x", "frame_z", "gamma", "out", "weight", "accepted", "rng",
+                 "forced_faults", "forced_outcomes", "active_virtuals", "draws",
+                 "_clear", "_bits")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
         self.n = prog.n
@@ -179,39 +212,37 @@ class ShotState:
         self.buf = np.zeros(cap, dtype=np.complex128)
         self.scratch = np.zeros(cap, dtype=np.complex128)
         self.views = {}
+        self.pending = []
         self.amps = [0j] * min(cap, _SMALL)
         self.frame_x = 0
         self.frame_z = 0
-        self.records = bytearray(prog.record_count)
-        self.detectors = bytearray(prog.num_detectors)
-        self.observables = bytearray(prog.num_observables)
-        # zero bytes for the clears in reset, and numpy views for make_record
-        self._blank = tuple(bytes(len(b)) for b in
-                            (self.records, self.detectors, self.observables))
-        self._bits = tuple(np.frombuffer(b, dtype=np.uint8) for b in
-                           (self.records, self.detectors, self.observables))
+        nr, nd = prog.record_count, prog.num_detectors
+        self.out = bytearray(nr + nd + prog.num_observables)
+        # rejected shots stop early; only then can stale bits leak into output
+        start = 0 if any(isinstance(i, PostSelectIns) for i in prog.instrs) else nr + nd
+        self._clear = (start, bytes(len(self.out) - start)) if len(self.out) > start else None
+        # numpy views of the records, detectors and observables for make_record
+        bits = np.frombuffer(self.out, dtype=np.uint8)
+        self._bits = (bits[:nr], bits[nr:nr + nd], bits[nr + nd:])
         self.rng = ShotRng(seed, 0)
         self.forced_faults = None
         self.forced_outcomes = None
         self.active_virtuals = prog.final_active
+        # a shot with no fault draws once per collapse, coin and noise block
+        self.draws = min(_MAX_WIDTH, sum(isinstance(i, (MeasCollapse, MeasDormantRandom,
+                                                        NoiseBlock)) for i in prog.instrs))
         self.gamma = 1.0 + 0.0j
         self.k = 0
         self.weight = 1.0
         self.accepted = True
-        # rejected shots stop early; only then can stale bits leak into output
-        self._zero_records = any(isinstance(i, PostSelectIns) for i in prog.instrs)
 
     def reset(self, shot: int) -> None:
-        self.amps[0] = 1 + 0j
         self.frame_x = 0
         self.frame_z = 0
-        if self._zero_records:
-            self.records[:] = self._blank[0]
-            self.detectors[:] = self._blank[1]
-        if self.observables:
-            self.observables[:] = self._blank[2]
+        if self._clear is not None:
+            start, zeros = self._clear
+            self.out[start:] = zeros
         self.gamma = 1.0 + 0.0j
-        self.k = 0
         self.weight = 1.0
         self.accepted = True
         self.rng.reset(shot)
@@ -222,10 +253,45 @@ class ShotState:
             self.buf[:size] = self.amps[:size]
         return self.buf[:size]
 
+    def snapshot(self) -> tuple:
+        """``(k, entries)``: a copy of the live array, for :meth:`restore`."""
+        size = 1 << self.k
+        return self.k, (self.amps[:size] if size <= _SMALL else self.buf[:size].copy())
+
+    def restore(self, snap: tuple) -> None:
+        """Make ``snap``, a :meth:`snapshot` or a collapsed half of the same
+        form, the live array."""
+        self.k, entries = snap
+        if type(entries) is list:
+            self.amps[:len(entries)] = entries
+        else:
+            self.buf[:len(entries)] = entries
+
+
+class _Shot:
+    """One sampled shot of a group walk: the per-shot fields of a
+    :class:`ShotState`, under the same names, with the shot's stream
+    ``rng`` and its output bytes ``out`` at their start."""
+
+    __slots__ = ("frame_x", "frame_z", "gamma", "out", "accepted", "rng", "forced_faults")
+
+    def __init__(self, rng: ShotRng, width: int):
+        self.frame_x = 0
+        self.frame_z = 0
+        self.gamma = 1.0 + 0.0j
+        self.out = bytearray(width)
+        self.accepted = True
+        self.rng = rng
+        self.forced_faults = None
+
 
 # -- instruction specialization --------------------------------------------------
 #
-# Each _c_* factory binds one instruction's operands and returns run(st).
+# Each _c_* factory binds one instruction's operands and returns its step,
+# run(st, group): ``st`` holds the path's active array and ``group`` the
+# shots on that path (a list it may shrink). A step does each shot's work
+# and its amplitude kernel once. A step that splits the group returns the
+# deferred parts, as (instruction offset to resume at, shots, snapshot).
 
 def _frame_ops(gates) -> tuple:
     """(opcode, mask_a, mask_b) for each gate of a Clifford word; a gate the
@@ -260,10 +326,27 @@ def _conjugate_frame(ops, fx: int, fz: int) -> tuple[int, int]:
 def _c_frame(ins: FrameGates, prog):
     ops = _frame_ops(ins.gates)
 
-    def run(st: ShotState) -> None:
-        st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
+    def run(st: ShotState, group: list) -> None:
+        for s in group:
+            s.frame_x, s.frame_z = _conjugate_frame(ops, s.frame_x, s.frame_z)
 
     return run
+
+
+def _fork(st: ShotState, group: list, m: int):
+    """Split ``group`` by the frame X bit ``m`` that a kernel reads. Returns
+    that bit of the shots left in ``group`` and, when some shots have the
+    other bit, their deferred part: rerun this instruction on a snapshot of
+    the array. The smaller part stays."""
+    ones = [s for s in group if s.frame_x & m]
+    if not ones:
+        return 0, None
+    if len(ones) == len(group):
+        return 1, None
+    zeros = [s for s in group if not s.frame_x & m]
+    stay, bit, other = (ones, 1, zeros) if len(ones) <= len(zeros) else (zeros, 0, ones)
+    group[:] = stay
+    return bit, [(0, other, st.snapshot())]
 
 
 def _indices(size: int, keep) -> tuple:
@@ -314,10 +397,10 @@ def _blocks(x: np.ndarray, a: int) -> np.ndarray:
     return x.view(f"V{x.itemsize << a}")
 
 
-def _c_array_gate(ins: ArrayGate, prog):
+def _array_gate_kernel(ins: ArrayGate):
+    """The amplitude kernel ``kernel(st)`` of an ``ArrayGate``."""
     g, size = ins.gate, ins.size
     a, b = ins.axa, ins.axb
-    ops = _frame_ops(((g, ins.va, ins.vb),))
     if g == "S":
         ph_np = _c0(1j)
         ones = _indices(size, lambda i: (i >> a) & 1)
@@ -325,8 +408,7 @@ def _c_array_gate(ins: ArrayGate, prog):
         def make(st):
             return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
 
-        def run(st: ShotState) -> None:
-            st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
+        def kernel(st: ShotState) -> None:
             if size <= _SMALL:
                 amps = st.amps
                 for i in ones:
@@ -335,7 +417,7 @@ def _c_array_gate(ins: ArrayGate, prog):
                 for v1 in _views(st, make):
                     np.multiply(v1, ph_np, out=v1)
 
-        return run
+        return kernel
     if g == "H":
         step = 1 << a
         pairs = tuple((i, i + step) for i in _indices(size, lambda i: not (i >> a) & 1))
@@ -346,8 +428,7 @@ def _c_array_gate(ins: ArrayGate, prog):
                           for x, s in _split(st.buf[:size], a))
             return st.buf[:size], parts
 
-        def run(st: ShotState) -> None:
-            st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
+        def kernel(st: ShotState) -> None:
             if size <= _SMALL:
                 amps = st.amps
                 for i, j in pairs:
@@ -363,7 +444,7 @@ def _c_array_gate(ins: ArrayGate, prog):
                     np.subtract(sc, v1, out=v1)
                 np.multiply(whole, inv_sqrt2, out=whole)
 
-        return run
+        return kernel
     hi, lo = max(a, b), min(a, b)
     mid = 1 << (hi - lo - 1)  # entries between the two axes
     if g == "CX":
@@ -380,8 +461,7 @@ def _c_array_gate(ins: ArrayGate, prog):
                 return view[:, 1], view[:, 1, :, ::-1]
             return view[:, :, :, 1], view[:, ::-1, :, 1]
 
-        def run(st: ShotState) -> None:
-            st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
+        def kernel(st: ShotState) -> None:
             if size <= _SMALL:
                 amps = st.amps
                 for i, j in pairs:
@@ -389,7 +469,7 @@ def _c_array_gate(ins: ArrayGate, prog):
             else:
                 np.copyto(*_views(st, make))
 
-        return run
+        return kernel
     if g == "CZ":
         ones = _indices(size, lambda i: (i >> a) & 1 and (i >> b) & 1)
         minus = _c0(-1)  # a multiply: numpy's complex negative has no fast loop
@@ -398,8 +478,7 @@ def _c_array_gate(ins: ArrayGate, prog):
             return tuple(x.reshape(-1, 2, mid, 2, 1 << (lo - s))[:, 1, :, 1, :]
                          for x, s in _split(st.buf[:size], lo))
 
-        def run(st: ShotState) -> None:
-            st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
+        def kernel(st: ShotState) -> None:
             if size <= _SMALL:
                 amps = st.amps
                 for i in ones:
@@ -408,12 +487,26 @@ def _c_array_gate(ins: ArrayGate, prog):
                 for v11 in _views(st, make):
                     np.multiply(v11, minus, out=v11)
 
-        return run
+        return kernel
     raise ShotError(f"unknown array gate {g}")
 
 
-def _c_expand(ins: Expand, prog):
-    size, virt = ins.size, ins.virt
+def _c_array_gate(ins: ArrayGate, prog):
+    ops = _frame_ops(((ins.gate, ins.va, ins.vb),))
+    kernel = _array_gate_kernel(ins)
+
+    def run(st: ShotState, group: list) -> None:
+        for s in group:
+            s.frame_x, s.frame_z = _conjugate_frame(ops, s.frame_x, s.frame_z)
+        kernel(st)
+
+    return run
+
+
+def _expand_kernel(ins: Expand):
+    """The amplitude kernel ``kernel(st, parity)`` of an ``Expand``, given the
+    frame X bit of its qubit."""
+    size = ins.size
     e0 = cmath.exp(-1j * ins.angle) * _INV_SQRT2
     e1 = cmath.exp(1j * ins.angle) * _INV_SQRT2
     phases = ((e0, e1), (e1, e0))  # indexed by frame parity
@@ -422,15 +515,8 @@ def _c_expand(ins: Expand, prog):
     def make(st):
         return st.buf[:size], st.buf[size: 2 * size]
 
-    def run(st: ShotState) -> None:
-        parity = (st.frame_x >> virt) & 1
-        if size == 1:
-            ph0, ph1 = phases[parity]
-            amps = st.amps
-            v = amps[0]
-            amps[0] = v * ph0
-            amps[1] = v * ph1
-        elif 2 * size <= _SMALL:
+    def kernel(st: ShotState, parity: int) -> None:
+        if 2 * size <= _SMALL:
             ph0, ph1 = phases[parity]
             amps = st.amps
             for i in range(size):
@@ -446,6 +532,18 @@ def _c_expand(ins: Expand, prog):
             np.multiply(old, ph0, out=old)
         st.k += 1
 
+    return kernel
+
+
+def _c_expand(ins: Expand, prog):
+    m = 1 << ins.virt
+    kernel = _expand_kernel(ins)
+
+    def run(st: ShotState, group: list):
+        parity, deferred = _fork(st, group, m)
+        kernel(st, parity)
+        return deferred
+
     return run
 
 
@@ -453,45 +551,65 @@ def _c_gamma_rot(ins: GammaRot, prog):
     virt = ins.virt
     phases = (cmath.exp(-1j * ins.angle), cmath.exp(1j * ins.angle))
 
-    def run(st: ShotState) -> None:
-        st.gamma *= phases[(st.frame_x >> virt) & 1]
+    def run(st: ShotState, group: list) -> None:
+        for s in group:
+            s.gamma *= phases[(s.frame_x >> virt) & 1]
 
     return run
 
 
-def _c_array_rot(ins: ArrayRot, prog):
-    virt, a, size = ins.virt, ins.axis, ins.size
+def _array_rot_phases(ins: ArrayRot) -> tuple:
+    """Per frame parity, the (branch-0, branch-1) phases of an ``ArrayRot``."""
     e0 = cmath.exp(-1j * ins.angle)
     e1 = e0.conjugate()
-    phases = ((e0, e1), (e1, e0))
-    # above the list size branch 0's phase goes into gamma, and only branch 1
-    # is multiplied, by its phase relative to branch 0's
-    ratios = (_c0(e1 / e0), _c0(e0 / e1))
+    return (e0, e1), (e1, e0)
+
+
+def _array_rot_kernel(ins: ArrayRot):
+    """The amplitude kernel ``kernel(st, parity)`` of an ``ArrayRot``, given
+    the frame X bit of its qubit. Above the list size it multiplies only
+    branch 1, by its phase relative to branch 0's; the step moves branch 0's
+    phase into each shot's ``gamma``."""
+    a, size = ins.axis, ins.size
+    phases = _array_rot_phases(ins)
+    ratios = tuple(_c0(p1 / p0) for p0, p1 in phases)
     zeros = _indices(size, lambda i: not (i >> a) & 1)
     ones = _indices(size, lambda i: (i >> a) & 1)
 
     def make(st):
         return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
 
-    def run(st: ShotState) -> None:
-        if size == 2:
-            ph0, ph1 = phases[(st.frame_x >> virt) & 1]
-            amps = st.amps
-            amps[0] *= ph0
-            amps[1] *= ph1
-        elif size <= _SMALL:
-            ph0, ph1 = phases[(st.frame_x >> virt) & 1]
+    def kernel(st: ShotState, parity: int) -> None:
+        if size <= _SMALL:
+            ph0, ph1 = phases[parity]
             amps = st.amps
             for i in zeros:
                 amps[i] *= ph0
             for i in ones:
                 amps[i] *= ph1
         else:
-            parity = (st.frame_x >> virt) & 1
-            st.gamma *= phases[parity][0]
             ratio = ratios[parity]
             for v1 in _views(st, make):
                 np.multiply(v1, ratio, out=v1)
+
+    return kernel
+
+
+def _c_array_rot(ins: ArrayRot, prog):
+    m = 1 << ins.virt
+    # above the list size, branch 0's phase goes into gamma
+    to_gamma = ins.size > _SMALL
+    phases = _array_rot_phases(ins)
+    kernel = _array_rot_kernel(ins)
+
+    def run(st: ShotState, group: list):
+        parity, deferred = _fork(st, group, m)
+        if to_gamma:
+            ph0 = phases[parity][0]
+            for s in group:
+                s.gamma *= ph0
+        kernel(st, parity)
+        return deferred
 
     return run
 
@@ -499,15 +617,15 @@ def _c_array_rot(ins: ArrayRot, prog):
 def _c_meas_dormant_static(ins: MeasDormantStatic, prog):
     virt, record, flip = ins.virt, ins.record, ins.flip
 
-    def run(st: ShotState) -> None:
-        bit = ((st.frame_x >> virt) & 1) ^ flip
+    def run(st: ShotState, group: list) -> None:
         fo = st.forced_outcomes
-        if fo is not None:
-            forced = fo.get(record)
+        forced = None if fo is None else fo.get(record)
+        for s in group:
+            bit = ((s.frame_x >> virt) & 1) ^ flip
             if forced is not None and forced != bit:
                 raise ShotError(
                     f"forced outcome {forced} for record {record} has probability 0")
-        st.records[record] = bit
+            s.out[record] = bit
 
     return run
 
@@ -516,23 +634,21 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
     virt, record, flip = ins.virt, ins.record, ins.flip
     m = 1 << virt
 
-    def run(st: ShotState) -> None:
-        fx, fz = st.frame_x, st.frame_z
-        p = (fz >> virt) & 1
+    def run(st: ShotState, group: list) -> None:
         fo = st.forced_outcomes
-        if fo is None:
-            coin = st.rng.bit()
-        else:
-            forced = fo.get(record)
-            coin = st.rng.bit() if forced is None else forced ^ p ^ flip
-        st.records[record] = coin ^ p ^ flip
-        if (fx ^ fz) & m:  # swap the x and z bits
-            fx ^= m
-            fz ^= m
-        if coin:
-            fx ^= m
-        st.frame_x, st.frame_z = fx, fz
-        st.gamma *= _INV_SQRT2
+        forced = None if fo is None else fo.get(record)
+        for s in group:
+            fx, fz = s.frame_x, s.frame_z
+            p = (fz >> virt) & 1
+            coin = s.rng.bit() if forced is None else forced ^ p ^ flip
+            s.out[record] = coin ^ p ^ flip
+            if (fx ^ fz) & m:  # swap the x and z bits
+                fx ^= m
+                fz ^= m
+            if coin:
+                fx ^= m
+            s.frame_x, s.frame_z = fx, fz
+            s.gamma *= _INV_SQRT2
 
     return run
 
@@ -595,16 +711,17 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
     c1_sq = abs(c1) ** 2
 
     def make(st):
-        """(copy, halves, v0, v1, head, tmp, tmp2, k): the (destination,
-        source) copy that fills ``halves`` when they are not the array's two
-        slices; the contiguous branch halves v0 and v1, its two halves; the
-        collapsed array's place; two work halves apart from all three; a
-        0-d slot for this shot's factor."""
+        """(copy, halves, v0, v1, head, tmp, tmp2, k, lanes): the
+        (destination, source) copy that fills ``halves`` when they are not
+        the array's two slices; the contiguous branch halves v0 and v1, its
+        two halves; the collapsed array's place; two work halves apart from
+        all three; a 0-d slot for a branch's factor; and the lanes that
+        ``head`` transposes, 0 when it is a plain slice."""
         buf, sc = st.buf, st.scratch
         k = _c0(0)
         if step == half:
             return None, buf[:size], buf[:half], buf[half:size], buf[:half], sc[:half], \
-                sc[half:size], k
+                sc[half:size], k, 0
         # One copy moves the halves into scratch, and buf[:size] becomes the
         # work space. On axis 1 the copy keeps the two stride-2 sub-arrays
         # apart, so each half is two long runs, and the collapsed array is
@@ -618,23 +735,11 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             lanes = 1
         v0, v1, tmp, tmp2 = (x.reshape(lanes, -1) for x in
                              (sc[:half], sc[half:size], buf[half:size], buf[:half]))
-        return copy, sc[:size], v0, v1, buf[:half].reshape(-1, lanes).T, tmp, tmp2, k
+        return copy, sc[:size], v0, v1, buf[:half].reshape(-1, lanes).T, tmp, tmp2, k, lanes
 
-    def run(st: ShotState) -> None:
-        fx, fz = st.frame_x, st.frame_z
-        if pre is not None:
-            dx, dz = pre[(2 if fx & m else 0) | (1 if fz & m else 0)]
-            fx ^= dx
-            fz ^= dz
-        if size == 2:
-            amps = st.amps
-            a0 = amps[0]
-            a1 = amps[1]
-            b0 = u00 * a0 + u01 * a1
-            b1 = u10 * a0 + u11 * a1
-            p1 = b1.real * b1.real + b1.imag * b1.imag
-            p_all = p1 + b0.real * b0.real + b0.imag * b0.imag
-        elif size <= _SMALL:
+    def run(st: ShotState, group: list):
+        # the branch probability, once per path
+        if size <= _SMALL:
             amps = st.amps
             rows = []  # (b0, b1): u applied to each pair
             p1 = 0.0
@@ -649,7 +754,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                 p_all += q1 + b0.real * b0.real + b0.imag * b0.imag
                 rows.append((b0, b1))
         else:
-            copy, halves, v0, v1, head, tmp, tmp2, k = _views(st, make)
+            copy, halves, v0, v1, head, tmp, tmp2, k, lanes = _views(st, make)
             if copy is not None:
                 np.copyto(*copy)
             w1 = _row(f1, eps1, v0, v1, tmp, tmp2)
@@ -668,42 +773,74 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             p1 = 0.0
         elif p1 > 1.0:
             p1 = 1.0
-        parity = (fx >> virt) & 1
+        # the draw, the record and the frame, per shot. A draw that hits the
+        # floor takes the other branch with probability 1 - p_branch, which
+        # is that branch's own: for a flip to 1, p1 > 1 - BRANCH_FLOOR >= 1/2,
+        # so 1 - p1 is exact and 1 - (1 - p1) == p1. So the shots of a path
+        # take one of two (branch, probability) pairs, one array each.
+        q0 = 1.0 - p1
+        probs = (q0, p1)
+        roots = (math.sqrt(q0), math.sqrt(p1))
+        hit = 1 if p1 >= BRANCH_FLOOR else 0  # the branch of a draw below p1
+        miss = 0 if q0 >= BRANCH_FLOOR else 1  # and of any other draw
         fo = st.forced_outcomes
         forced = None if fo is None else fo.get(record)
-        if forced is None:
-            branch = 1 if st.rng.uniform() < p1 else 0
-            p_branch = p1 if branch else 1.0 - p1
-            if p_branch < BRANCH_FLOOR:
-                branch ^= 1
-                p_branch = 1.0 - p_branch
-        else:
-            branch = forced ^ parity ^ flip
-            p_branch = p1 if branch else 1.0 - p1
-            if p_branch < BRANCH_FLOOR:
-                raise ShotError(
-                    f"forced outcome {forced} for record {record} has probability"
-                    f" {p_branch:.3e}")
-        st.records[record] = branch ^ parity ^ flip
-        scale = 1.0 / math.sqrt(p_branch * p_all)
-        if size == 2:
-            amps[0] = (b1 if branch else b0) * scale
-        elif size <= _SMALL:
-            amps[:half] = [row[branch] * scale for row in rows]
-        else:
-            if branch:
-                k[()] = c1 * scale
-                np.multiply(w1, k, out=head)
+        parts = ([], [])
+        for s in group:
+            fx, fz = s.frame_x, s.frame_z
+            if pre is not None:
+                dx, dz = pre[(2 if fx & m else 0) | (1 if fz & m else 0)]
+                fx ^= dx
+                fz ^= dz
+            parity = (fx >> virt) & 1
+            if forced is None:
+                branch = hit if s.rng.uniform() < p1 else miss
             else:
-                k[()] = c0 * scale
-                np.multiply(_row(f0, eps0, v0, v1, head, tmp), k, out=head)
-            if half <= _SMALL:  # the array fits the list again
-                st.amps[:half] = st.buf[:half].tolist()
-        if branch:
-            fx ^= m
-        st.frame_x, st.frame_z = fx, fz
+                branch = forced ^ parity ^ flip
+                if probs[branch] < BRANCH_FLOOR:
+                    raise ShotError(
+                        f"forced outcome {forced} for record {record} has probability"
+                        f" {probs[branch]:.3e}")
+            s.out[record] = branch ^ parity ^ flip
+            if branch:
+                fx ^= m
+            s.frame_x, s.frame_z = fx, fz
+            s.gamma *= roots[branch]
+            parts[branch].append(s)
+        # each branch taken, once: the one deferred into its collapsed half,
+        # then the group's in place. The smaller part stays in the group.
+        n0, n1 = len(parts[0]), len(parts[1])
+        stay = 1 if n0 == 0 or 0 < n1 < n0 else 0
+        deferred = []
+        for branch in ((1 - stay, stay) if n0 and n1 else (stay,)):
+            scale = 1.0 / math.sqrt(probs[branch] * p_all)
+            here = branch == stay
+            if size <= _SMALL:
+                entries = [row[branch] * scale for row in rows]
+                if here:
+                    amps[:half] = entries
+            else:
+                if here:
+                    out, spare = head, tmp
+                else:
+                    entries = np.empty(half, dtype=np.complex128)
+                    out, spare = (entries.reshape(-1, lanes).T if lanes else entries), tmp2
+                if branch:
+                    k[()] = c1 * scale
+                    np.multiply(w1, k, out=out)
+                else:
+                    k[()] = c0 * scale
+                    np.multiply(_row(f0, eps0, v0, v1, out, spare), k, out=out)
+                if half <= _SMALL:  # the array fits the list again
+                    if here:
+                        st.amps[:half] = st.buf[:half].tolist()
+                    else:
+                        entries = entries.tolist()
+            if not here:
+                deferred.append((1, parts[branch], (st.k - 1, entries)))
+                group[:] = parts[stay]
         st.k -= 1
-        st.gamma *= math.sqrt(p_branch)
+        return deferred
 
     return run
 
@@ -711,10 +848,11 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
 def _c_cond_frame(ins: CondFrame, prog):
     xmask, zmask, record = ins.xmask, ins.zmask, ins.record
 
-    def run(st: ShotState) -> None:
-        if st.records[record]:
-            st.frame_x ^= xmask
-            st.frame_z ^= zmask
+    def run(st: ShotState, group: list) -> None:
+        for s in group:
+            if s.out[record]:
+                s.frame_x ^= xmask
+                s.frame_z ^= zmask
 
     return run
 
@@ -730,62 +868,70 @@ def _c_noise_block(ins: NoiseBlock, prog):
     one_segment = plan == [(lo, hi)]
     lo_key, hi_key = (lo,), (hi,)  # (s,) sorts just before the pairs of site s
 
-    def run(st: ShotState) -> None:
-        ff = st.forced_faults
-        rng = st.rng
-        if ff is None:
-            if one_segment:
-                faults = _segment_faults(S, sites, rng, lo, hi)
+    def run(st: ShotState, group: list) -> None:
+        for s in group:
+            ff = s.forced_faults
+            rng = s.rng
+            if ff is None:
+                if one_segment:
+                    faults = _segment_faults(S, sites, rng, lo, hi)
+                else:
+                    faults = _plan_faults(S, sites, plan, rng)
+                if not faults:
+                    continue
             else:
-                faults = _plan_faults(S, sites, plan, rng)
-            if not faults:
-                return
-        else:
-            faults = ff[bisect_left(ff, lo_key):bisect_left(ff, hi_key)]
-        for site, case in faults:
-            tab = sites[site]
-            if case is None:
-                case = _pick_case(tab, rng)
-            st.frame_x ^= tab.case_x[case]
-            st.frame_z ^= tab.case_z[case]
+                faults = ff[bisect_left(ff, lo_key):bisect_left(ff, hi_key)]
+            for site, case in faults:
+                tab = sites[site]
+                if case is None:
+                    case = _pick_case(tab, rng)
+                s.frame_x ^= tab.case_x[case]
+                s.frame_z ^= tab.case_z[case]
 
     return run
 
 
 def _c_detector(ins: DetectorIns, prog):
-    index, records = ins.index, ins.records
+    index, records = prog.record_count + ins.index, ins.records
 
-    def run(st: ShotState) -> None:
-        bit = 0
-        rec = st.records
-        for r in records:
-            bit ^= rec[r]
-        st.detectors[index] = bit
+    def run(st: ShotState, group: list) -> None:
+        for s in group:
+            out = s.out
+            bit = 0
+            for r in records:
+                bit ^= out[r]
+            out[index] = bit
 
     return run
 
 
 def _c_observable(ins: ObservableIns, prog):
-    index, records = ins.index, ins.records
+    index = prog.record_count + prog.num_detectors + ins.index
+    records = ins.records
 
-    def run(st: ShotState) -> None:
-        bit = 0
-        rec = st.records
-        for r in records:
-            bit ^= rec[r]
-        st.observables[index] ^= bit
+    def run(st: ShotState, group: list) -> None:
+        for s in group:
+            out = s.out
+            bit = 0
+            for r in records:
+                bit ^= out[r]
+            out[index] ^= bit
 
     return run
 
 
 def _c_postselect(ins: PostSelectIns, prog):
-    kind, ref, required = ins.kind, ins.ref, ins.required
+    ref = prog.record_count + ins.ref if ins.kind == "detector" else ins.ref
+    required = ins.required
 
-    def run(st: ShotState) -> None:
-        bit = st.detectors[ref] if kind == "detector" else st.records[ref]
-        if bit != required:
-            st.accepted = False
-            raise _Halt
+    def run(st: ShotState, group: list) -> None:
+        stopped = [s for s in group if s.out[ref] != required]
+        if stopped:
+            for s in stopped:
+                s.accepted = False
+            if len(stopped) == len(group):
+                raise _Halt
+            group[:] = [s for s in group if s.accepted]
 
     return run
 
@@ -890,6 +1036,7 @@ def _pick_case(site, rng: ShotRng) -> int:
 
 
 # -- shot execution ---------------------------------------------------------------
+# -- shot execution ---------------------------------------------------------------
 
 
 def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 0,
@@ -912,28 +1059,45 @@ def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 
 
 def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_faults=None,
          forced_outcomes=None, trace=None) -> bool:
-    """Run shot ``shot`` of ``prog`` on ``state``: reset, let the stratum
-    draw the shot's fault list (which then replaces ``forced_faults``) and
-    set its weight, run ``code``, the program's closures, until the end or a
-    failed postselection. ``trace(state, ins)`` is called after each
-    instruction. Returns whether the shot was accepted."""
+    """Run shot ``shot`` of ``prog`` on ``state``, a group of one: reset, let
+    the stratum draw the shot's fault list (which then replaces
+    ``forced_faults``) and set its weight, and walk ``code``, the program's
+    closures. ``trace(state, ins)`` is called after each instruction.
+    Returns whether the shot was accepted."""
     state.reset(shot)
     if stratum is not None:
         forced_faults = stratum.draw_forced(state.rng)
         state.weight = stratum.weight
     state.forced_faults = forced_faults
     state.forced_outcomes = forced_outcomes
-    try:
-        if trace is None:
-            for fn in code:
-                fn(state)
-        else:
-            for fn, ins in zip(code, prog.instrs):
-                fn(state)
-                trace(state, ins)
-    except _Halt:
-        pass
+    _walk(prog, code, state, [state], trace)
     return state.accepted
+
+
+def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
+    """Run the shots of ``group``, each at its start, through ``code``, the
+    program's closures, depth first on ``st``'s one active array: a path
+    runs until the end or until a postselection stops its last shot, and
+    then the walk takes up the part deferred last. ``trace(st, ins)`` is
+    called after each instruction of a group of one."""
+    st.k = 0
+    st.amps[0] = 1 + 0j
+    pending = st.pending
+    pending[:] = [(0, list(group), None)]
+    end = len(code)
+    while pending:
+        pc, group, snap = pending.pop()
+        if snap is not None:
+            st.restore(snap)
+        try:
+            for pc in range(pc, end):
+                deferred = code[pc](st, group)
+                if trace is not None:
+                    trace(st, prog.instrs[pc])
+                if deferred:
+                    pending += [(pc + step, part, snap) for step, part, snap in deferred]
+        except _Halt:
+            pass
 
 
 def make_record(prog: BytecodeProgram, state: ShotState) -> ShotRecord:
@@ -959,44 +1123,68 @@ def _user_idx(prog: BytecodeProgram):
     return prog.__dict__["_user_idx"]
 
 
-def _chunk_shots(prog: BytecodeProgram) -> int:
-    """Shots per chunk: about _FOLD_BYTES of unpacked output bits, and for a
-    program with an active array at most about _CHUNK_WORK amplitude
-    operations (its work, the sum of its sweep sizes, per shot), so that a
-    slow program's first record does not wait long."""
+def _fold_shots(prog: BytecodeProgram) -> int:
+    """Most shots of a chunk: about _FOLD_BYTES of unpacked output bits and,
+    on the closure VM, of the walk's per-shot state (_SHOT_BYTES and the
+    shot's output bytes)."""
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
-    shots = max(1, _FOLD_BYTES // max(width, 1))
+    if _frame_table(prog) is None:
+        width += _SHOT_BYTES + prog.record_count + prog.num_detectors + prog.num_observables
+    return max(1, _FOLD_BYTES // width)
+
+
+def _chunk_shots(prog: BytecodeProgram) -> int:
+    """Shots of a call's first chunk: :func:`_fold_shots`, and for a program
+    with an active array at most about _CHUNK_WORK amplitude operations (its
+    work, the sum of its sweep sizes, per shot), so that a slow program's
+    first record does not wait long."""
+    shots = _fold_shots(prog)
     if prog.k_max:
         shots = min(shots, max(1, _CHUNK_WORK // _plan_cost(prog)[1]))
     return shots
+
+
+def _bounds(shots: int, first: int, most: int):
+    """The (lo, hi) of each chunk of shots [0, ``shots``): ``first`` shots,
+    then each chunk twice the last, up to ``most``. The bounds are made as
+    they are taken."""
+    lo, step = 0, first
+    while lo < shots:
+        hi = min(lo + step, shots)
+        yield lo, hi
+        lo = hi
+        step = min(2 * step, most)
 
 
 def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, stratum,
                keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
     """Shots [lo, hi) on ``engine``, the program's frame table or a
     ShotState of ``prog`` seeded with ``seed``, on which the closure VM
-    runs: each kept shot's output bits (user records, detectors,
-    observables) packed little-endian, one uint8 row per shot, and its
-    acceptance flags (bool). A rejected shot is kept only with
+    walks them as one group: each kept shot's output bits (user records,
+    detectors, observables) packed little-endian, one uint8 row per shot,
+    and its acceptance flags (bool). A rejected shot is kept only with
     ``keep_rejected``. This is the one place that runs shots for ``sample``
     and ``sample_accumulate``."""
     if type(engine) is not ShotState:
         return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
     state = engine
-    code = _compiled(prog)
-    rec, det, obs = state.records, state.detectors, state.observables
+    width = len(state.out)
+    shots = [_Shot(rng, width) for rng in ShotRng.block(seed, lo, hi, state.draws)]
+    if stratum is not None:
+        for s in shots:
+            s.forced_faults = stratum.draw_forced(s.rng)
+    state.forced_outcomes = None
+    _walk(prog, _compiled(prog), state, shots)
+    state.draws = min(_MAX_WIDTH, max(s.rng.draws for s in shots))
     rows, flags = bytearray(), bytearray()
-    for shot in range(lo, hi):
-        if _run(prog, code, state, shot, stratum) or keep_rejected:
-            rows += rec
-            rows += det
-            rows += obs
-            flags.append(state.accepted)
-    width = len(rec) + len(det) + len(obs)
+    for s in shots:
+        if s.accepted or keep_rejected:
+            rows += s.out
+            flags.append(s.accepted)
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(flags), width)
     uidx = _user_idx(prog)
     if uidx is not None:
-        bits = bits[:, np.concatenate([uidx, np.arange(len(rec), width)])]
+        bits = bits[:, np.concatenate([uidx, np.arange(prog.record_count, width)])]
     return np.packbits(bits, axis=1, bitorder="little"), np.frombuffer(flags, dtype=bool)
 
 
@@ -1014,13 +1202,13 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     if engine is None:
         engine = ShotState(prog, seed=seed)
         _compiled(prog)
-    step = _chunk_shots(prog)
+    first = _chunk_shots(prog)
     workers = min(workers, shots, os.cpu_count() or 1)
-    if workers > 1 and (type(engine) is ShotState or shots > workers * step):
+    if workers > 1 and (type(engine) is ShotState or shots > workers * first):
         parts = _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected)
     else:
-        parts = (_shot_rows(prog, engine, seed, lo, min(lo + step, shots), stratum,
-                            keep_rejected) for lo in range(0, shots, step))
+        parts = (_shot_rows(prog, engine, seed, lo, hi, stratum, keep_rejected)
+                 for lo, hi in _bounds(shots, first, max(first, _fold_shots(prog))))
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     for packed, flags in parts:
         yield np.unpackbits(packed, axis=1, count=width, bitorder="little"), flags
@@ -1071,13 +1259,15 @@ def _worker_range(bounds):
 def _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected):
     """Yield the packed chunks of :func:`_shot_rows` in shot order from a
     pool of ``workers`` fork workers, which inherit ``engine``, built by
-    :func:`_chunks`. Chunk bounds are made as jobs are sent, and at most two
+    :func:`_chunks`. Chunk bounds are made as jobs are sent, no chunk is more
+    than a worker's share of the shots, and at most two
     chunks per worker are in flight, so the parent holds a bounded number of
     chunks whatever the shot count."""
     import multiprocessing as mp
 
-    step = min(_chunk_shots(prog), -(-shots // workers))
-    jobs = ((lo, min(lo + step, shots)) for lo in range(0, shots, step))
+    per = -(-shots // workers)
+    first = _chunk_shots(prog)
+    jobs = _bounds(shots, min(first, per), min(max(first, _fold_shots(prog)), per))
     ctx = mp.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker,
                   initargs=(prog, engine, seed, stratum, keep_rejected)) as pool:
@@ -1114,6 +1304,7 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
             "observables": totals[nmd:].copy()}
 
 
+# -- stratified importance sampling --------------------------------------------
 # -- stratified importance sampling --------------------------------------------
 
 

@@ -45,7 +45,7 @@ from .rng import ShotRng, ShotStreams
 
 _NOISE, _COIN, _CHECK = 0, 1, 2
 _SURE = 3  # a span part: a certain (p=1) site
-_TABLE_BITS = 1 << 28  # most (rows x output bits) a table's build may hold: 32 MiB of rows
+_TABLE_BITS = 1 << 28  # most bits of rows a table's build may hold: 32 MiB
 _GUARD = 2.0 ** -40  # a lock-step survival's margin, relative to the bound (_may_fault)
 _GRID = 1 << 16  # most draws of one span grid; more shots take several grids
 _XOR_PAIRS = 1 << 12  # most effect rows gathered at once for _xor_rows
@@ -131,9 +131,10 @@ def _build_table(prog: BytecodeProgram):
     width = nm + nd + no
     kinds = list(map(type, prog.instrs))
     n_inputs = 1 + kinds.count(MeasDormantRandom) + sum(len(s.case_x) for s in sites)
-    # the walk holds, besides the effect rows, sx, sz, recs, user_bit and obs_bits
-    held = n_inputs + 2 * (prog.n + prog.record_count) + no
-    if held * (width + kinds.count(PostSelectIns) * no) > _TABLE_BITS:
+    # the walk holds, besides the effect rows, the rows sx, sz, recs and
+    # obs_bits, and user_bit, whose p-th user record holds p + 1 bits
+    held = n_inputs + 2 * prog.n + prog.record_count + no
+    if held * (width + kinds.count(PostSelectIns) * no) + nm * (nm + 1) // 2 > _TABLE_BITS:
         return None
     sx = [0] * prog.n
     sz = [0] * prog.n

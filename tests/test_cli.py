@@ -75,7 +75,7 @@ def test_sample_shot_error_exits_1(tmp_path, capsys, monkeypatch, workers):
     from framesim.backend import MeasCollapse
 
     def broken(ins, prog):
-        def run(st):
+        def run(st, group):
             raise runtime.ShotError("NaN amplitude encountered at an active measurement")
 
         return run

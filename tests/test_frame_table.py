@@ -426,6 +426,18 @@ def test_table_budget_counts_the_build_rows(monkeypatch):
     assert len({tuple(r[0][:2]) for r in table}) > 1  # the fault and the coin vary
 
 
+def test_mid_sized_repetition_code_samples_on_the_table(monkeypatch):
+    # d=61, 100 rounds: the budget counts user_bit as the bits it holds,
+    # about nm^2/2 for nm user records, so the build fits in 0.90 of it;
+    # d=101 needs 2.49 of it and falls back
+    prog = compile_circuit(repetition_code_circuit(61, 100, 1e-3))
+    assert runtime._frame_table(prog) is not None
+    table, closure = _both(monkeypatch, lambda: _records(prog, 20, 5))
+    assert table == closure
+    assert len({tuple(r[1]) for r in table}) > 1  # faults fire
+    assert runtime._frame_table(compile_circuit(repetition_code_circuit(101, 100, 1e-3))) is None
+
+
 # -- property test: small generated circuits -------------------------------------
 
 _P = st.sampled_from([0.1, 0.5, 1.0])

@@ -210,8 +210,8 @@ def test_crosscheck_sees_a_wrong_vectorized_kernel(monkeypatch):
         if ins.gate != "H" or ins.axa != 1 or ins.size <= _SMALL:
             return run
 
-        def swapped(st):
-            run(st)
+        def swapped(st, group):
+            run(st, group)
             v = st.buf[:ins.size].reshape(-1, 2, 2)
             v[:] = v[:, ::-1].copy()
 
@@ -242,7 +242,7 @@ def _kernel_run(ins, amps, frame_x=0, forced=None):
     st.frame_x = frame_x
     if forced is not None:
         st.forced_outcomes = {0: forced}
-    runtime._FACTORIES[type(ins)](ins, prog)(st)
+    runtime._FACTORIES[type(ins)](ins, prog)(st, [st])
     return st.active_view() * st.gamma
 
 
