@@ -338,11 +338,13 @@ def _fork(st: ShotState, group: list, m: int):
     that bit of the shots left in ``group`` and, when some shots have the
     other bit, their deferred part: rerun this instruction on a snapshot of
     the array. The smaller part stays."""
+    first = group[0].frame_x & m
+    for s in group:
+        if s.frame_x & m != first:
+            break
+    else:
+        return 1 if first else 0, None
     ones = [s for s in group if s.frame_x & m]
-    if not ones:
-        return 0, None
-    if len(ones) == len(group):
-        return 1, None
     zeros = [s for s in group if not s.frame_x & m]
     stay, bit, other = (ones, 1, zeros) if len(ones) <= len(zeros) else (zeros, 0, ones)
     group[:] = stay
