@@ -813,7 +813,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         # then the group's in place. The smaller part stays in the group.
         n0, n1 = len(parts[0]), len(parts[1])
         stay = 1 if n0 == 0 or 0 < n1 < n0 else 0
-        deferred = []
+        deferred = None
         for branch in ((1 - stay, stay) if n0 and n1 else (stay,)):
             scale = 1.0 / math.sqrt(probs[branch] * p_all)
             here = branch == stay
@@ -839,7 +839,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                     else:
                         entries = entries.tolist()
             if not here:
-                deferred.append((1, parts[branch], (st.k - 1, entries)))
+                deferred = [(1, parts[branch], (st.k - 1, entries))]
                 group[:] = parts[stay]
         st.k -= 1
         return deferred
@@ -1086,18 +1086,18 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
     st.amps[0] = 1 + 0j
     pending = st.pending
     pending[:] = [(0, list(group), None)]
-    end = len(code)
     while pending:
         pc, group, snap = pending.pop()
         if snap is not None:
             st.restore(snap)
         try:
-            for pc in range(pc, end):
-                deferred = code[pc](st, group)
+            for fn in itertools.islice(code, pc, None):
+                deferred = fn(st, group)
                 if trace is not None:
                     trace(st, prog.instrs[pc])
-                if deferred:
+                if deferred is not None:
                     pending += [(pc + step, part, snap) for step, part, snap in deferred]
+                pc += 1
         except _Halt:
             pass
 
