@@ -1096,7 +1096,7 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
                 if trace is not None:
                     trace(st, prog.instrs[pc])
                 if deferred is not None:
-                    pending += [(pc + step, part, snap) for step, part, snap in deferred]
+                    pending += [(pc + step, part, copy) for step, part, copy in deferred]
                 pc += 1
         except _Halt:
             pass
@@ -1175,7 +1175,6 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     if stratum is not None:
         for s in shots:
             s.forced_faults = stratum.draw_forced(s.rng)
-    state.forced_outcomes = None
     _walk(prog, _compiled(prog), state, shots)
     state.draws = min(_MAX_WIDTH, max(s.rng.draws for s in shots))
     rows, flags = bytearray(), bytearray()
