@@ -10,11 +10,14 @@ after the previous one and that shot is not tabulated yet, it takes the
 keys and leading uniforms of the next block of shots from a
 :class:`ShotStreams`, as many draws per shot as the shots before it made.
 A new stream's first shot is never tabulated, so the first block already
-has that width. :class:`ShotStreams` is the one vector form of the mixer:
-it holds a chunk of shots' streams side by side, one draw counter per
-shot, for samplers that run shots in lock-step or that draw a grid of each
-shot's next draws at once. Its values are the ones the scalar mixer
-computes; only the cost per draw changes. A coin is a uniform's test
+has that width. A sampler that runs a chunk of shots side by side takes
+one stream per shot from :meth:`ShotRng.block`, which share one table of
+the chunk, and widens its own stream by the most draws they made.
+:class:`ShotStreams` is the one vector form of the mixer: it holds a
+chunk of shots' streams side by side, one draw counter per shot, for
+samplers that run shots in lock-step or that draw a grid of each shot's
+next draws at once. Its values are the ones the scalar mixer computes;
+only the cost per draw changes. A coin is a uniform's test
 ``u >= 0.5``, which holds exactly when bit 63 of the draw is set.
 """
 from __future__ import annotations
@@ -30,6 +33,7 @@ _MAX_WIDTH = 64   # most draws per shot tabulated; later draws mix per draw
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MUL1_U64 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2_U64 = np.uint64(0x94D049BB133111EB)
+_NO_TABLE = (None, None, 0, 0, 0)  # a stream's table before it has one
 
 
 def mix64(x: int) -> int:
@@ -64,32 +68,30 @@ class ShotRng:
     :class:`ShotStreams` of the block. The current shot is entry ``_slot``
     of the table with its first uniform at ``_row`` and ``_avail`` draws
     tabulated; a shot outside the table has ``_avail`` 0 and its key in
-    ``_key``.
+    ``_key``. A ``table`` given to the constructor is a :meth:`block`'s
+    shared one.
     """
 
     __slots__ = ("_seed", "_key", "_count", "_keys", "_uniforms",
                  "_slot", "_row", "_width", "_avail", "_lo", "_hi", "_need", "_prev")
 
-    def __init__(self, seed: int, shot: int = 0):
+    def __init__(self, seed: int, shot: int = 0, table: tuple = _NO_TABLE):
         self._seed = seed
         self._key = 0
         self._count = 0
-        self._keys = self._uniforms = None
-        self._slot = self._row = self._width = 0
-        self._avail = 0
-        self._lo = self._hi = 0
+        self._keys, self._uniforms, self._lo, self._hi, self._width = table
         self._need = 0  # most draws any shot has used; sets the next width
         # the first shot is not tabulated: it shows how many draws a shot makes
         self._prev = shot
         self.reset(shot)
 
     def reset(self, shot: int) -> None:
-        if self._count > self._need:
-            self._need = min(self._count, _MAX_WIDTH)
+        self.widen(self._count)
         self._count = 0
         inside = self._lo <= shot < self._hi
         if not inside and shot == self._prev + 1 and 0 <= shot <= _MASK - _BLOCK:
-            self._tabulate(shot)
+            self._keys, self._uniforms, self._lo, self._hi, self._width = \
+                self._table(shot, shot + _BLOCK)
             inside = True
         self._prev = shot
         if inside:
@@ -101,29 +103,27 @@ class ShotRng:
         self._avail = 0
         self._key = mix64(mix64(self._seed & _MASK) ^ (shot & _MASK))
 
-    @classmethod
-    def block(cls, seed: int, lo: int, hi: int, width: int) -> list:
-        """One stream per shot of [lo, hi), each reset to its shot: the keys
-        and first ``width`` uniforms of all of them come from one
-        :class:`ShotStreams` of the range, and they share that table."""
-        streams = ShotStreams(seed, lo, hi)
-        keys = streams.keys
-        uniforms = streams.uniforms(slice(None), streams.counts, width).ravel()
-        out = []
-        for slot in range(hi - lo):
-            r = cls.__new__(cls)
-            r._seed, r._keys, r._uniforms, r._lo, r._hi = seed, keys, uniforms, lo, hi
-            r._width = r._avail = r._need = width
-            r._slot, r._row, r._count, r._key, r._prev = slot, slot * width, 0, None, lo + slot
-            out.append(r)
-        return out
+    def widen(self, draws: int) -> None:
+        """Let later tables hold ``draws`` draws per shot, up to ``_MAX_WIDTH``;
+        a table is as wide as the most draws a shot has made."""
+        if draws > self._need:
+            self._need = min(draws, _MAX_WIDTH)
 
-    def _tabulate(self, lo: int) -> None:
-        streams = ShotStreams(self._seed, lo, lo + _BLOCK)
-        self._width = width = self._need
-        self._keys = streams.keys
-        self._uniforms = streams.uniforms(slice(None), streams.counts, width).ravel()
-        self._lo, self._hi = lo, lo + _BLOCK
+    def block(self, lo: int, hi: int) -> list:
+        """One stream per shot of [lo, hi), with this stream's seed, each
+        reset to its shot. They share one table of the range, as wide as
+        this stream's next table; :meth:`widen` this stream by the most
+        draws they make."""
+        table = self._table(lo, hi)
+        return [ShotRng(self._seed, shot, table) for shot in range(lo, hi)]
+
+    def _table(self, lo: int, hi: int) -> tuple:
+        """``(keys, uniforms, lo, hi, width)`` of shots [lo, hi) from one
+        :class:`ShotStreams`, ``_need`` draws per shot."""
+        streams = ShotStreams(self._seed, lo, hi)
+        width = self._need
+        return (streams.keys, streams.uniforms(slice(None), streams.counts, width).ravel(),
+                lo, hi, width)
 
     def next_u64(self) -> int:
         c = self._count

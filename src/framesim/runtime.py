@@ -13,9 +13,10 @@ per call, in this process and before any fork: the program's table, or one
 process share and each fork worker inherits. ``_shot_rows`` runs a range of
 shots on it and returns each kept shot's output bits as packed rows with
 its acceptance flags. A chunk holds about a megabyte (``_FOLD_BYTES``) of
-unpacked output bits and, on the closure VM, of per-shot walk state; the
-first closure-VM chunk of a call also holds at most about ``_CHUNK_WORK``
-amplitude operations, and each later chunk doubles, up to the megabyte.
+unpacked output bits and, on the closure VM, of per-shot walk state, and
+few enough shots that the walk's snapshots fit ``_SNAP_BYTES``; the first
+closure-VM chunk of a call also holds at most about ``_CHUNK_WORK``
+amplitude operations, and each later chunk doubles, up to those caps.
 ``_chunks`` yields the chunks in shot order, from this process or from a
 fork pool, and unpacks them; ``sample`` yields each row as a
 ``ShotRecord`` and ``sample_accumulate`` sums them. So records arrive a
@@ -51,16 +52,17 @@ with a snapshot of the array. A deferred ``Expand`` or ``ArrayRot``
 part reruns its instruction on the snapshot; a deferred collapse branch
 keeps only its collapsed half. Since the part the walk goes on with is at
 most half the group it came from, at most log2(group size) snapshots are
-live at once. ``run_shot``, ``trace``, ``expectation_probe`` and
-``testing.crosscheck`` run the same walk with a group of one shot, the
-:class:`ShotState` itself, which holds both the shot and its array. A shot
-that fails a postselection leaves the group there. Nothing consults the
-amplitudes to decide control flow (the compiler fixed the schedule). A
-shot's faults reach the ``NoiseBlock`` steps in one form, a sorted list of
-``(site, case)`` pairs: the hazard-skip sampler produces it per block, and
-a forced run (``run_shot``'s ``forced_faults``, ``testing.crosscheck``,
-``StratumSpec.draw_forced``) passes it for the whole shot, where a ``None``
-case is drawn when its block runs, in the order the sampled path draws it.
+live at once, each of at most 2^k_max entries. ``run_shot``, ``trace``,
+``expectation_probe`` and ``testing.crosscheck`` run the same walk with a
+group of one shot, the :class:`ShotState` itself, which holds both the shot
+and its array. A shot that fails a postselection leaves the group there.
+Nothing consults the amplitudes to decide control flow (the compiler fixed
+the schedule). A shot's faults reach the ``NoiseBlock`` steps in one form,
+a sorted list of ``(site, case)`` pairs: the hazard-skip sampler produces
+it per block, and a forced run (``run_shot``'s ``forced_faults``,
+``testing.crosscheck``, ``StratumSpec.draw_forced``) passes it for the
+whole shot, where a ``None`` case is drawn when its block runs, in the
+order the sampled path draws it.
 
 The dispatch loop is threaded code: each instruction is specialized once
 into a closure with its operands (qubit masks, index tuples, precomputed
@@ -107,6 +109,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import length_hint
 
 import numpy as np
 
@@ -138,9 +141,11 @@ BRANCH_FLOOR = 1e-12
 _SMALL = 16  # active arrays up to this size live in a Python list
 _FOLD_BYTES = 1 << 20  # unpacked output bytes and walk state of a chunk of shots
 _CHUNK_WORK = 1 << 24  # most amplitude operations of a call's first closure-VM chunk
-# a sampled shot's walk state besides its output bytes: its _Shot, its
-# ShotRng, their fields and the list slots that hold it (about 450 bytes on
-# the mirror, measured with tracemalloc, Python 3.11)
+_SNAP_BYTES = 1 << 24  # most bytes of the snapshots a chunk's walk keeps at once
+# a sampled shot's walk objects: its _Shot and ShotRng with their fields,
+# its key, and the list slots that hold it (at most 460 bytes on the mirror
+# and 500 on rot_n14, measured with tracemalloc, Python 3.11); its uniforms
+# (8 bytes a draw), output bytes and stratum faults come on top
 _SHOT_BYTES = 512
 # entries of the longest np.vdot: OpenBLAS runs a longer one on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
@@ -180,15 +185,19 @@ class ShotState:
       ``buf`` either way. ``scratch`` is a work buffer of the same capacity,
       and ``views`` keeps the numpy views of the two that vectorized kernels
       reuse from shot to shot. ``pending`` holds the walk's deferred parts,
-      each with its snapshot of the array.
+      each with its snapshot of the array: a group of n shots keeps at most
+      floor(log2 n) of them, and sampling keeps a chunk's within
+      ``_SNAP_BYTES`` (:func:`_fold_shots`).
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
     * ``out`` holds the records, detectors and observables, in that order,
       as 0/1 bytes.
-    * ``draws`` is how many draws a sampled shot's stream tabulates.
+    * ``rng`` is the shot's stream; for sampling it hands each chunk its
+      shots' streams (:meth:`ShotRng.block`).
 
-    A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) exceed the
-    machine's physical memory is refused before anything is allocated.
+    A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) and
+    sampling's snapshots exceed the machine's physical memory is refused
+    before anything is allocated.
 
     ``reset`` clears only what a shot reads before writing it: the frame,
     the scalars and the observables, which accumulate by XOR. Every record
@@ -199,15 +208,15 @@ class ShotState:
 
     __slots__ = ("n", "k", "k_max", "amps", "buf", "scratch", "views", "pending",
                  "frame_x", "frame_z", "gamma", "out", "weight", "accepted", "rng",
-                 "forced_faults", "forced_outcomes", "active_virtuals", "draws",
-                 "_clear", "_bits")
+                 "forced_faults", "forced_outcomes", "active_virtuals", "_clear", "_bits")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
         self.n = prog.n
         self.k_max = prog.k_max
         cap = 1 << prog.k_max
-        if 32 * cap > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-            raise ShotError(f"k_max={prog.k_max} needs {32 * cap} bytes for its active "
+        need = (32 + 16 * _snapshots(prog.k_max)) * cap
+        if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ShotError(f"k_max={prog.k_max} needs {need} bytes for its active "
                             "array, more than this machine's physical memory")
         self.buf = np.zeros(cap, dtype=np.complex128)
         self.scratch = np.zeros(cap, dtype=np.complex128)
@@ -225,12 +234,12 @@ class ShotState:
         bits = np.frombuffer(self.out, dtype=np.uint8)
         self._bits = (bits[:nr], bits[nr:nr + nd], bits[nr + nd:])
         self.rng = ShotRng(seed, 0)
+        # a shot with no fault draws once per collapse, coin and noise block
+        self.rng.widen(sum(isinstance(i, (MeasCollapse, MeasDormantRandom, NoiseBlock))
+                           for i in prog.instrs))
         self.forced_faults = None
         self.forced_outcomes = None
         self.active_virtuals = prog.final_active
-        # a shot with no fault draws once per collapse, coin and noise block
-        self.draws = min(_MAX_WIDTH, sum(isinstance(i, (MeasCollapse, MeasDormantRandom,
-                                                        NoiseBlock)) for i in prog.instrs))
         self.gamma = 1.0 + 0.0j
         self.k = 0
         self.weight = 1.0
@@ -291,7 +300,7 @@ class _Shot:
 # run(st, group): ``st`` holds the path's active array and ``group`` the
 # shots on that path (a list it may shrink). A step does each shot's work
 # and its amplitude kernel once. A step that splits the group returns the
-# deferred parts, as (instruction offset to resume at, shots, snapshot).
+# deferred part, as (instruction offset to resume at, shots, snapshot).
 
 def _frame_ops(gates) -> tuple:
     """(opcode, mask_a, mask_b) for each gate of a Clifford word; a gate the
@@ -348,7 +357,7 @@ def _fork(st: ShotState, group: list, m: int):
     zeros = [s for s in group if not s.frame_x & m]
     stay, bit, other = (ones, 1, zeros) if len(ones) <= len(zeros) else (zeros, 0, ones)
     group[:] = stay
-    return bit, [(0, other, st.snapshot())]
+    return bit, (0, other, st.snapshot())
 
 
 def _indices(size: int, keep) -> tuple:
@@ -542,9 +551,9 @@ def _c_expand(ins: Expand, prog):
     kernel = _expand_kernel(ins)
 
     def run(st: ShotState, group: list):
-        parity, deferred = _fork(st, group, m)
+        parity, split = _fork(st, group, m)
         kernel(st, parity)
-        return deferred
+        return split
 
     return run
 
@@ -605,13 +614,13 @@ def _c_array_rot(ins: ArrayRot, prog):
     kernel = _array_rot_kernel(ins)
 
     def run(st: ShotState, group: list):
-        parity, deferred = _fork(st, group, m)
+        parity, split = _fork(st, group, m)
         if to_gamma:
             ph0 = phases[parity][0]
             for s in group:
                 s.gamma *= ph0
         kernel(st, parity)
-        return deferred
+        return split
 
     return run
 
@@ -620,14 +629,14 @@ def _c_meas_dormant_static(ins: MeasDormantStatic, prog):
     virt, record, flip = ins.virt, ins.record, ins.flip
 
     def run(st: ShotState, group: list) -> None:
-        fo = st.forced_outcomes
-        forced = None if fo is None else fo.get(record)
         for s in group:
-            bit = ((s.frame_x >> virt) & 1) ^ flip
-            if forced is not None and forced != bit:
+            s.out[record] = ((s.frame_x >> virt) & 1) ^ flip
+        fo = st.forced_outcomes
+        if fo is not None:
+            forced = fo.get(record)
+            if forced is not None and any(s.out[record] != forced for s in group):
                 raise ShotError(
                     f"forced outcome {forced} for record {record} has probability 0")
-            s.out[record] = bit
 
     return run
 
@@ -809,18 +818,20 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             s.frame_x, s.frame_z = fx, fz
             s.gamma *= roots[branch]
             parts[branch].append(s)
-        # each branch taken, once: the one deferred into its collapsed half,
-        # then the group's in place. The smaller part stays in the group.
+        # each branch taken, once: the one deferred into a fresh array of its
+        # collapsed half, then the group's in place. The smaller part stays.
         n0, n1 = len(parts[0]), len(parts[1])
         stay = 1 if n0 == 0 or 0 < n1 < n0 else 0
-        deferred = None
+        split = None
         for branch in ((1 - stay, stay) if n0 and n1 else (stay,)):
             scale = 1.0 / math.sqrt(probs[branch] * p_all)
             here = branch == stay
             if size <= _SMALL:
-                entries = [row[branch] * scale for row in rows]
                 if here:
-                    amps[:half] = entries
+                    for i, row in enumerate(rows):
+                        amps[i] = row[branch] * scale
+                else:
+                    entries = [row[branch] * scale for row in rows]
             else:
                 if here:
                     out, spare = head, tmp
@@ -839,10 +850,10 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                     else:
                         entries = entries.tolist()
             if not here:
-                deferred = [(1, parts[branch], (st.k - 1, entries))]
+                split = (1, parts[branch], (st.k - 1, entries))
                 group[:] = parts[stay]
         st.k -= 1
-        return deferred
+        return split
 
     return run
 
@@ -1038,7 +1049,6 @@ def _pick_case(site, rng: ShotRng) -> int:
 
 
 # -- shot execution ---------------------------------------------------------------
-# -- shot execution ---------------------------------------------------------------
 
 
 def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 0,
@@ -1077,27 +1087,34 @@ def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_fau
 
 
 def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
-    """Run the shots of ``group``, each at its start, through ``code``, the
-    program's closures, depth first on ``st``'s one active array: a path
-    runs until the end or until a postselection stops its last shot, and
-    then the walk takes up the part deferred last. ``trace(st, ins)`` is
-    called after each instruction of a group of one."""
+    """Run the shots of ``group``, a list the walk may shrink, each at its
+    start, through ``code``, the program's closures, depth first on
+    ``st``'s one active array: a path runs until the end or until a
+    postselection stops its last shot, and then the walk takes up the part
+    deferred last. ``trace(st, ins)`` is called after each instruction of a
+    group of one."""
     st.k = 0
     st.amps[0] = 1 + 0j
     pending = st.pending
-    pending[:] = [(0, list(group), None)]
+    pending[:] = [(0, group, None)]
     while pending:
         pc, group, snap = pending.pop()
         if snap is not None:
             st.restore(snap)
+            snap = None  # the array holds it now
+        steps = iter(code)
+        if pc:
+            next(itertools.islice(steps, pc, pc), None)  # skip to pc
         try:
-            for fn in itertools.islice(code, pc, None):
-                deferred = fn(st, group)
+            for fn in steps:
+                split = fn(st, group)
                 if trace is not None:
-                    trace(st, prog.instrs[pc])
-                if deferred is not None:
-                    pending += [(pc + step, part, copy) for step, part, copy in deferred]
-                pc += 1
+                    trace(st, prog.instrs[len(code) - length_hint(steps) - 1])
+                if split is not None:
+                    # the iterator stands just past the step that split
+                    step, part, snap = split
+                    pc = len(code) - length_hint(steps) - 1
+                    pending.append((pc + step, part, snap))
         except _Halt:
             pass
 
@@ -1125,14 +1142,28 @@ def _user_idx(prog: BytecodeProgram):
     return prog.__dict__["_user_idx"]
 
 
-def _fold_shots(prog: BytecodeProgram) -> int:
+def _snapshots(k_max: int) -> int:
+    """How many snapshots of a 2^k_max-entry array fit ``_SNAP_BYTES``. A
+    group of n shots keeps at most floor(log2 n) of them, so a chunk stays
+    below 2^(this + 1) shots."""
+    return _SNAP_BYTES // (16 << k_max)
+
+
+def _fold_shots(prog: BytecodeProgram, stratum=None) -> int:
     """Most shots of a chunk: about _FOLD_BYTES of unpacked output bits and,
-    on the closure VM, of the walk's per-shot state (_SHOT_BYTES and the
-    shot's output bytes)."""
+    on the closure VM, of the walk's per-shot state, and few enough that
+    the walk's snapshots fit _SNAP_BYTES."""
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
-    if _frame_table(prog) is None:
-        width += _SHOT_BYTES + prog.record_count + prog.num_detectors + prog.num_observables
-    return max(1, _FOLD_BYTES // width)
+    if _frame_table(prog) is not None:
+        return max(1, _FOLD_BYTES // max(width, 1))
+    # each shot's objects, its table of uniforms, its output bytes and their
+    # copy in the chunk's rows, and its stratum's fault list of w (site,
+    # None) pairs (57 + about 90 w bytes)
+    width += _SHOT_BYTES + 8 * _MAX_WIDTH \
+        + 2 * (prog.record_count + prog.num_detectors + prog.num_observables)
+    if stratum is not None:
+        width += 64 + 128 * stratum.w
+    return max(1, min(_FOLD_BYTES // width, (2 << min(_snapshots(prog.k_max), 62)) - 1))
 
 
 def _chunk_shots(prog: BytecodeProgram) -> int:
@@ -1171,12 +1202,12 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
         return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
     state = engine
     width = len(state.out)
-    shots = [_Shot(rng, width) for rng in ShotRng.block(seed, lo, hi, state.draws)]
+    shots = [_Shot(rng, width) for rng in state.rng.block(lo, hi)]
     if stratum is not None:
         for s in shots:
             s.forced_faults = stratum.draw_forced(s.rng)
-    _walk(prog, _compiled(prog), state, shots)
-    state.draws = min(_MAX_WIDTH, max(s.rng.draws for s in shots))
+    _walk(prog, _compiled(prog), state, list(shots))
+    state.rng.widen(max(s.rng.draws for s in shots))
     rows, flags = bytearray(), bytearray()
     for s in shots:
         if s.accepted or keep_rejected:
@@ -1203,13 +1234,14 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     if engine is None:
         engine = ShotState(prog, seed=seed)
         _compiled(prog)
-    first = _chunk_shots(prog)
+    most = _fold_shots(prog, stratum)
+    first = min(_chunk_shots(prog), most)
     workers = min(workers, shots, os.cpu_count() or 1)
     if workers > 1 and (type(engine) is ShotState or shots > workers * first):
         parts = _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected)
     else:
         parts = (_shot_rows(prog, engine, seed, lo, hi, stratum, keep_rejected)
-                 for lo, hi in _bounds(shots, first, max(first, _fold_shots(prog))))
+                 for lo, hi in _bounds(shots, first, most))
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     for packed, flags in parts:
         yield np.unpackbits(packed, axis=1, count=width, bitorder="little"), flags
@@ -1267,8 +1299,8 @@ def _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected)
     import multiprocessing as mp
 
     per = -(-shots // workers)
-    first = _chunk_shots(prog)
-    jobs = _bounds(shots, min(first, per), min(max(first, _fold_shots(prog)), per))
+    most = min(_fold_shots(prog, stratum), per)
+    jobs = _bounds(shots, min(_chunk_shots(prog), most), most)
     ctx = mp.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker,
                   initargs=(prog, engine, seed, stratum, keep_rejected)) as pool:
@@ -1305,7 +1337,6 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
             "observables": totals[nmd:].copy()}
 
 
-# -- stratified importance sampling --------------------------------------------
 # -- stratified importance sampling --------------------------------------------
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,12 +106,11 @@ def _walk_group(prog, seed: int, faults: list, outcomes) -> list:
     """Shots 0.. of ``prog`` walked as one group, shot i with the fault list
     ``faults[i]`` and all with the forced outcomes ``outcomes``."""
     state = ShotState(prog, seed=seed)
-    group = [runtime._Shot(rng, len(state.out))
-             for rng in ShotRng.block(seed, 0, len(faults), state.draws)]
+    group = [runtime._Shot(rng, len(state.out)) for rng in state.rng.block(0, len(faults))]
     for s, ff in zip(group, faults):
         s.forced_faults = ff
     state.forced_outcomes = outcomes
-    runtime._walk(prog, runtime._compiled(prog), state, group)
+    runtime._walk(prog, runtime._compiled(prog), state, list(group))
     return [_state_of(s) for s in group]
 
 
@@ -211,15 +211,20 @@ def test_one_path_runs_each_kernel_once_per_chunk(monkeypatch):
     assert len(calls) == per_shot
 
 
-def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
-    # 20 collapses of probability 1/2 beside a 4-qubit array: the walk
-    # forks at each, and keeps at most floor(log2(group)) + 1 deferred
-    # parts, each holding one snapshot
+def _forking_program():
+    """20 collapses of probability 1/2 beside a 4-qubit array: the walk
+    forks at each."""
     text = "".join(f"H {q}\nT {q}\n" for q in range(1, 5))
     text += "".join(f"H 0\nT 0\nCX {1 + j % 4} 0\nM 0\n" for j in range(20))
     text += "M 1 2 3 4\n"
     prog = compile_circuit(text)
     assert sum(isinstance(i, MeasCollapse) for i in prog.instrs) >= 20
+    return prog
+
+
+def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
+    # at most floor(log2(group)) + 1 deferred parts, each holding one snapshot
+    prog = _forking_program()
     live = []
 
     def watched(fn):
@@ -232,10 +237,66 @@ def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
     for shots in (1, 2, 3, 64, 100):
         live.clear()
         state = ShotState(prog, seed=shots)
-        group = [runtime._Shot(rng, len(state.out))
-                 for rng in ShotRng.block(shots, 0, shots, state.draws)]
+        group = [runtime._Shot(rng, len(state.out)) for rng in state.rng.block(0, shots)]
         runtime._walk(prog, code, state, group)
         assert max(live) <= math.floor(math.log2(shots)) + 1
         if shots >= 64:
             assert max(live) >= 3  # it forked
     assert _alone(prog, 100, 1, None) == [_tuple(r) for r in sample(prog, 100, seed=1)]
+
+
+def test_snapshot_budget_caps_the_chunks(monkeypatch):
+    # room for three snapshots of the whole array: a group of 16 shots could
+    # keep four, so chunks hold at most 15 shots, and the bytes of the
+    # snapshots live at any step stay within the budget
+    prog = _forking_program()
+    want = [_tuple(r) for r in sample(prog, 100, seed=4)]
+    budget = 3 * 16 << prog.k_max
+    monkeypatch.setattr(runtime, "_SNAP_BYTES", budget)
+    assert runtime._fold_shots(prog) == runtime._chunk_shots(prog) == 15
+    sizes, live = [], []
+    rows = runtime._shot_rows
+
+    def counted(prog, engine, seed, lo, hi, *rest):
+        sizes.append(hi - lo)
+        return rows(prog, engine, seed, lo, hi, *rest)
+
+    def watched(fn):
+        def step(st, group):
+            live.append(sum(16 * len(snap[1]) for _, _, snap in st.pending if snap))
+            return fn(st, group)
+        return step
+
+    code = [watched(fn) for fn in runtime._compiled(prog)]
+    monkeypatch.setattr(runtime, "_shot_rows", counted)
+    monkeypatch.setattr(runtime, "_compiled", lambda prog: code)
+    assert [_tuple(r) for r in sample(prog, 100, seed=4)] == want
+    assert sizes == [15] * 6 + [10]
+    assert 0 < max(live) <= budget
+    # a budget below one snapshot: one-shot chunks that never snapshot
+    monkeypatch.setattr(runtime, "_SNAP_BYTES", budget // 4)
+    sizes.clear()
+    live.clear()
+    assert [_tuple(r) for r in sample(prog, 20, seed=4)] == want[:20]
+    assert sizes == [1] * 20 and max(live) == 0
+
+
+def test_a_chunk_holds_its_walk_state_within_the_fold_budget():
+    # 80 random coins and 80 noisy sites beside a rotated qubit: each shot
+    # tabulates the most uniforms a table holds, and a stratum adds fault
+    # lists; a chunk's peak allocation stays within _FOLD_BYTES
+    text = "H 0\nT 0\n" + "H 1\nDEPOLARIZE1(0.2) 1\nM 1\n" * 80 + "M 0\n"
+    prog = compile_circuit(text)
+    assert prog.k_max == 1
+    for stratum in (None, StratumSpec(prog, 5), StratumSpec(prog, 40)):
+        n = runtime._fold_shots(prog, stratum)
+        state = ShotState(prog, seed=1)
+        runtime._shot_rows(prog, state, 1, 0, n, stratum, True)  # widens the table
+        assert len(state.rng.block(0, 1)[0]._uniforms) == 64
+        tracemalloc.start()
+        try:
+            runtime._shot_rows(prog, state, 1, n, 2 * n, stratum, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= runtime._FOLD_BYTES
