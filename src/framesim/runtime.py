@@ -1106,10 +1106,8 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
         if pc:
             next(itertools.islice(steps, pc, pc), None)  # skip to pc
         try:
-            for fn in steps:
+            for fn in steps if trace is None else _traced(steps, prog, pc, st, trace):
                 split = fn(st, group)
-                if trace is not None:
-                    trace(st, prog.instrs[len(code) - length_hint(steps) - 1])
                 if split is not None:
                     # the iterator stands just past the step that split
                     step, part, snap = split
@@ -1117,6 +1115,14 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
                     pending.append((pc + step, part, snap))
         except _Halt:
             pass
+
+
+def _traced(steps, prog, pc: int, st: ShotState, trace):
+    """The steps of ``steps``, the program's from ``pc`` on, each followed,
+    once it has run, by ``trace(st, ins)`` with its instruction."""
+    for fn, ins in zip(steps, itertools.islice(prog.instrs, pc, None)):
+        yield fn
+        trace(st, ins)
 
 
 def make_record(prog: BytecodeProgram, state: ShotState) -> ShotRecord:
