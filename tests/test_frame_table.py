@@ -438,6 +438,14 @@ def test_mid_sized_repetition_code_samples_on_the_table(monkeypatch):
     assert runtime._frame_table(compile_circuit(repetition_code_circuit(101, 100, 1e-3))) is None
 
 
+def test_a_program_without_outputs_samples():
+    # no records, detectors or observables: a chunk still has shots
+    prog = compile_circuit("H 0\nS 0\n")
+    assert runtime._frame_table(prog) is not None
+    assert [r.measurements.size for r in sample(prog, 3)] == [0, 0, 0]
+    assert sample_accumulate(prog, 3)["accepted"] == 3
+
+
 # -- property test: small generated circuits -------------------------------------
 
 _P = st.sampled_from([0.1, 0.5, 1.0])
