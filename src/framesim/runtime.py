@@ -217,7 +217,7 @@ class ShotState:
         need = (32 + 16 * _snapshots(prog.k_max)) * cap
         if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
             raise ShotError(f"k_max={prog.k_max} needs {need} bytes for its active "
-                            "array, more than this machine's physical memory")
+                            "array and snapshots, more than this machine's physical memory")
         self.buf = np.zeros(cap, dtype=np.complex128)
         self.scratch = np.zeros(cap, dtype=np.complex128)
         self.views = {}

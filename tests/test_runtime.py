@@ -615,6 +615,20 @@ def test_state_refuses_an_active_array_larger_than_memory(monkeypatch, pool_size
     assert pool_sizes == []
 
 
+def test_state_counts_sampling_snapshots_against_memory(monkeypatch):
+    # k_max = 8: buf and scratch take 8 KiB and a chunk's snapshots up to
+    # _SNAP_BYTES, so a machine with 1 MiB refuses the state
+    import os
+
+    prog = compile_circuit("".join(f"H {q}\nT {q}\n" for q in range(8)))
+    assert prog.k_max == 8
+    need = (32 + 16 * runtime._snapshots(8)) << 8
+    assert runtime._SNAP_BYTES - (16 << 8) < need - (32 << 8) <= runtime._SNAP_BYTES
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    with pytest.raises(ShotError, match=f"k_max=8 needs {need} bytes"):
+        ShotState(prog)
+
+
 def test_normalization_after_active_measurement():
     rng = np.random.default_rng(29)
     from framesim.testing import random_circuit
