@@ -223,7 +223,7 @@ def _forking_program():
 
 
 def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
-    # at most floor(log2(group)) + 1 deferred parts, each holding one snapshot
+    # at most floor(log2(group)) deferred parts, each holding one snapshot
     prog = _forking_program()
     live = []
 
@@ -239,7 +239,7 @@ def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
         state = ShotState(prog, seed=shots)
         group = [runtime._Shot(rng, len(state.out)) for rng in state.rng.block(0, shots)]
         runtime._walk(prog, code, state, group)
-        assert max(live) <= math.floor(math.log2(shots)) + 1
+        assert max(live) <= math.floor(math.log2(shots))
         if shots >= 64:
             assert max(live) >= 3  # it forked
     assert _alone(prog, 100, 1, None) == [_tuple(r) for r in sample(prog, 100, seed=1)]
