@@ -65,16 +65,17 @@ whole shot, where a ``None`` case is drawn when its block runs, in the
 order the sampled path draws it.
 
 The dispatch loop is threaded code: each instruction is specialized once
-into a closure with its operands (qubit masks, index tuples, precomputed
-rotation phases) bound, so the hot path is a list of calls; every
-instruction kind has exactly one kernel. On that path, frame, record and
-detector updates are Python int and bytearray operations, never numpy
-scalar accesses. An active array of at most ``_SMALL`` entries is a
-Python list worked by scalar loops over precomputed indices; a larger one
-is a numpy array (capacity 2^k_max) worked by vectorized sweeps over views
-built once per state. At these sizes a numpy call costs about a microsecond
-whatever it computes, and a strided view costs that again for every run of
-its innermost axis, so the kernels make few calls over long runs:
+into a closure with its operands (qubit masks, precomputed rotation
+phases) bound, so the hot path is a list of calls; every instruction kind
+has exactly one kernel. On that path, frame, record and detector updates
+are Python int and bytearray operations, never numpy scalar accesses.
+The active array is the first 2^k entries of one numpy array (capacity
+2^k_max), and each kernel has one form at every size: vectorized sweeps
+over views built once per state. A kernel runs once per path, so its
+shots share its cost; a group of one pays it alone. A numpy call costs
+about a microsecond whatever it computes, and a strided view costs that
+again for every run of its innermost axis, so the kernels make few calls
+over long runs:
 
 * ``ArrayRot`` multiplies only the branch-1 half, by its phase relative to
   branch 0's, and folds branch 0's phase into ``gamma``; the phase has unit
@@ -138,10 +139,14 @@ from .table import _build_table, _table_shots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
-_SMALL = 16  # active arrays up to this size live in a Python list
 _FOLD_BYTES = 1 << 20  # unpacked output bytes and walk state of a chunk of shots
 _CHUNK_WORK = 1 << 24  # most amplitude operations of a call's first closure-VM chunk
 _SNAP_BYTES = 1 << 24  # most bytes of the snapshots a chunk's walk keeps at once
+_STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
+# bytes of a suffix table entry: a Python float and its list slot, and a
+# share of its list's header and spare slots (33-42 bytes measured with
+# tracemalloc, Python 3.11)
+_STRATUM_ENTRY_BYTES = 40
 # a sampled shot's walk objects: its _Shot and ShotRng with their fields,
 # its key, and the list slots that hold it (at most 460 bytes on the mirror
 # and 500 on rot_n14, measured with tracemalloc, Python 3.11); its uniforms
@@ -178,16 +183,14 @@ class ShotState:
     paths, and the fields of one shot; capacity fixed by the compiled
     program.
 
-    * The active array has 2^k entries. While that is at most ``_SMALL``
-      it lives in ``amps``, a Python list, where scalar kernels touch no
-      numpy; a larger one lives in ``buf`` (complex128, capacity 2^k_max).
-      ``active_view()`` returns the live 2^k entries as a prefix of
-      ``buf`` either way. ``scratch`` is a work buffer of the same capacity,
-      and ``views`` keeps the numpy views of the two that vectorized kernels
-      reuse from shot to shot. ``pending`` holds the walk's deferred parts,
-      each with its snapshot of the array: a group of n shots keeps at most
-      floor(log2 n) of them, and sampling keeps a chunk's within
-      ``_SNAP_BYTES`` (:func:`_fold_shots`).
+    * The active array is the first 2^k entries of ``buf`` (complex128,
+      capacity 2^k_max) at every size; ``active_view()`` returns them.
+      ``scratch`` is a work buffer of the same capacity, and ``views``
+      keeps the numpy views of the two that the kernels reuse from shot to
+      shot. ``pending`` holds the walk's deferred parts, each with its
+      snapshot of the array: a group of n shots keeps at most floor(log2 n)
+      of them, and sampling keeps a chunk's within ``_SNAP_BYTES``
+      (:func:`_fold_shots`).
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
     * ``out`` holds the records, detectors and observables, in that order,
@@ -206,7 +209,7 @@ class ShotState:
     starts the array.
     """
 
-    __slots__ = ("n", "k", "k_max", "amps", "buf", "scratch", "views", "pending",
+    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending",
                  "frame_x", "frame_z", "gamma", "out", "weight", "accepted", "rng",
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear", "_bits")
 
@@ -222,7 +225,6 @@ class ShotState:
         self.scratch = np.zeros(cap, dtype=np.complex128)
         self.views = {}
         self.pending = []
-        self.amps = [0j] * min(cap, _SMALL)
         self.frame_x = 0
         self.frame_z = 0
         nr, nd = prog.record_count, prog.num_detectors
@@ -257,24 +259,17 @@ class ShotState:
         self.rng.reset(shot)
 
     def active_view(self) -> np.ndarray:
-        size = 1 << self.k
-        if size <= _SMALL:  # the list holds the live entries
-            self.buf[:size] = self.amps[:size]
-        return self.buf[:size]
+        return self.buf[:1 << self.k]
 
     def snapshot(self) -> tuple:
         """``(k, entries)``: a copy of the live array, for :meth:`restore`."""
-        size = 1 << self.k
-        return self.k, (self.amps[:size] if size <= _SMALL else self.buf[:size].copy())
+        return self.k, self.buf[:1 << self.k].copy()
 
     def restore(self, snap: tuple) -> None:
-        """Make ``snap``, a :meth:`snapshot` or a collapsed half of the same
-        form, the live array."""
+        """Make ``snap``, a :meth:`snapshot` or a collapsed half, the live
+        array."""
         self.k, entries = snap
-        if type(entries) is list:
-            self.amps[:len(entries)] = entries
-        else:
-            self.buf[:len(entries)] = entries
+        self.buf[:len(entries)] = entries
 
 
 class _Shot:
@@ -360,14 +355,6 @@ def _fork(st: ShotState, group: list, m: int):
     return bit, (0, other, st.snapshot())
 
 
-def _indices(size: int, keep) -> tuple:
-    """Array indices i < size with keep(i), in increasing order, for the
-    scalar loops; arrays too large for the list need none."""
-    if size > _SMALL:
-        return ()
-    return tuple(i for i in range(size) if keep(i))
-
-
 def _views(st: ShotState, make):
     """``make(st)``: numpy views of the state's buffers, built once per state."""
     views = st.views.get(make)
@@ -413,25 +400,18 @@ def _array_gate_kernel(ins: ArrayGate):
     g, size = ins.gate, ins.size
     a, b = ins.axa, ins.axb
     if g == "S":
-        ph_np = _c0(1j)
-        ones = _indices(size, lambda i: (i >> a) & 1)
+        ph = _c0(1j)
 
         def make(st):
             return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
 
         def kernel(st: ShotState) -> None:
-            if size <= _SMALL:
-                amps = st.amps
-                for i in ones:
-                    amps[i] *= 1j
-            else:
-                for v1 in _views(st, make):
-                    np.multiply(v1, ph_np, out=v1)
+            for v1 in _views(st, make):
+                np.multiply(v1, ph, out=v1)
 
         return kernel
     if g == "H":
         step = 1 << a
-        pairs = tuple((i, i + step) for i in _indices(size, lambda i: not (i >> a) & 1))
         inv_sqrt2 = _c0(_INV_SQRT2)
 
         def make(st):
@@ -440,29 +420,17 @@ def _array_gate_kernel(ins: ArrayGate):
             return st.buf[:size], parts
 
         def kernel(st: ShotState) -> None:
-            if size <= _SMALL:
-                amps = st.amps
-                for i, j in pairs:
-                    lo = amps[i]
-                    hi = amps[j]
-                    amps[i] = (lo + hi) * _INV_SQRT2
-                    amps[j] = (lo - hi) * _INV_SQRT2
-            else:
-                whole, parts = _views(st, make)
-                for v0, v1, sc in parts:
-                    np.copyto(sc, v0)
-                    np.add(sc, v1, out=v0)
-                    np.subtract(sc, v1, out=v1)
-                np.multiply(whole, inv_sqrt2, out=whole)
+            whole, parts = _views(st, make)
+            for v0, v1, sc in parts:
+                np.copyto(sc, v0)
+                np.add(sc, v1, out=v0)
+                np.subtract(sc, v1, out=v1)
+            np.multiply(whole, inv_sqrt2, out=whole)
 
         return kernel
     hi, lo = max(a, b), min(a, b)
     mid = 1 << (hi - lo - 1)  # entries between the two axes
     if g == "CX":
-        tm = 1 << b
-        pairs = tuple((i, i | tm) for i in _indices(size, lambda i: (i >> a) & 1
-                                                    and not (i >> b) & 1))
-
         def make(st):
             # (destination, source): the control-set block with its target
             # axis reversed; numpy buffers the overlapping copy. The runs of
@@ -473,16 +441,10 @@ def _array_gate_kernel(ins: ArrayGate):
             return view[:, :, :, 1], view[:, ::-1, :, 1]
 
         def kernel(st: ShotState) -> None:
-            if size <= _SMALL:
-                amps = st.amps
-                for i, j in pairs:
-                    amps[i], amps[j] = amps[j], amps[i]
-            else:
-                np.copyto(*_views(st, make))
+            np.copyto(*_views(st, make))
 
         return kernel
     if g == "CZ":
-        ones = _indices(size, lambda i: (i >> a) & 1 and (i >> b) & 1)
         minus = _c0(-1)  # a multiply: numpy's complex negative has no fast loop
 
         def make(st):
@@ -490,13 +452,8 @@ def _array_gate_kernel(ins: ArrayGate):
                          for x, s in _split(st.buf[:size], lo))
 
         def kernel(st: ShotState) -> None:
-            if size <= _SMALL:
-                amps = st.amps
-                for i in ones:
-                    amps[i] = -amps[i]
-            else:
-                for v11 in _views(st, make):
-                    np.multiply(v11, minus, out=v11)
+            for v11 in _views(st, make):
+                np.multiply(v11, minus, out=v11)
 
         return kernel
     raise ShotError(f"unknown array gate {g}")
@@ -520,27 +477,16 @@ def _expand_kernel(ins: Expand):
     size = ins.size
     e0 = cmath.exp(-1j * ins.angle) * _INV_SQRT2
     e1 = cmath.exp(1j * ins.angle) * _INV_SQRT2
-    phases = ((e0, e1), (e1, e0))  # indexed by frame parity
-    phases_np = tuple((_c0(p0), _c0(p1)) for p0, p1 in phases)
+    phases = ((_c0(e0), _c0(e1)), (_c0(e1), _c0(e0)))  # indexed by frame parity
 
     def make(st):
         return st.buf[:size], st.buf[size: 2 * size]
 
     def kernel(st: ShotState, parity: int) -> None:
-        if 2 * size <= _SMALL:
-            ph0, ph1 = phases[parity]
-            amps = st.amps
-            for i in range(size):
-                v = amps[i]
-                amps[i] = v * ph0
-                amps[size + i] = v * ph1
-        else:
-            ph0, ph1 = phases_np[parity]
-            old, new = _views(st, make)
-            if size <= _SMALL:  # the array outgrows the list
-                old[:] = st.amps[:size]
-            np.multiply(old, ph1, out=new)
-            np.multiply(old, ph0, out=old)
+        ph0, ph1 = phases[parity]
+        old, new = _views(st, make)
+        np.multiply(old, ph1, out=new)
+        np.multiply(old, ph0, out=old)
         st.k += 1
 
     return kernel
@@ -578,47 +524,33 @@ def _array_rot_phases(ins: ArrayRot) -> tuple:
 
 def _array_rot_kernel(ins: ArrayRot):
     """The amplitude kernel ``kernel(st, parity)`` of an ``ArrayRot``, given
-    the frame X bit of its qubit. Above the list size it multiplies only
-    branch 1, by its phase relative to branch 0's; the step moves branch 0's
-    phase into each shot's ``gamma``."""
+    the frame X bit of its qubit. It multiplies only branch 1, by its phase
+    relative to branch 0's; the step moves branch 0's phase into each
+    shot's ``gamma``."""
     a, size = ins.axis, ins.size
-    phases = _array_rot_phases(ins)
-    ratios = tuple(_c0(p1 / p0) for p0, p1 in phases)
-    zeros = _indices(size, lambda i: not (i >> a) & 1)
-    ones = _indices(size, lambda i: (i >> a) & 1)
+    ratios = tuple(_c0(p1 / p0) for p0, p1 in _array_rot_phases(ins))
 
     def make(st):
         return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
 
     def kernel(st: ShotState, parity: int) -> None:
-        if size <= _SMALL:
-            ph0, ph1 = phases[parity]
-            amps = st.amps
-            for i in zeros:
-                amps[i] *= ph0
-            for i in ones:
-                amps[i] *= ph1
-        else:
-            ratio = ratios[parity]
-            for v1 in _views(st, make):
-                np.multiply(v1, ratio, out=v1)
+        ratio = ratios[parity]
+        for v1 in _views(st, make):
+            np.multiply(v1, ratio, out=v1)
 
     return kernel
 
 
 def _c_array_rot(ins: ArrayRot, prog):
     m = 1 << ins.virt
-    # above the list size, branch 0's phase goes into gamma
-    to_gamma = ins.size > _SMALL
     phases = _array_rot_phases(ins)
     kernel = _array_rot_kernel(ins)
 
     def run(st: ShotState, group: list):
         parity, split = _fork(st, group, m)
-        if to_gamma:
-            ph0 = phases[parity][0]
-            for s in group:
-                s.gamma *= ph0
+        ph0 = phases[parity][0]  # branch 0's phase goes into gamma
+        for s in group:
+            s.gamma *= ph0
         kernel(st, parity)
         return split
 
@@ -704,7 +636,6 @@ def _row(form: int, eps: np.ndarray, v0, v1, out, spare):
 
 def _c_meas_collapse(ins: MeasCollapse, prog):
     virt, a, record, flip, size = ins.virt, ins.axis, ins.record, ins.flip, ins.size
-    (u00, u01), (u10, u11) = ins.u
     m = 1 << virt
     # The folded basis change acts on this qubit alone: tabulate its frame
     # update (x mask, z mask to XOR in) by the qubit's (x, z) bits.
@@ -715,9 +646,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                     for x1, z1 in (_conjugate_frame(ops, x0, z0),))
     half = size >> 1
     step = 1 << a
-    # (branch-0, branch-1) index pairs; pair i becomes entry i after collapse
-    pairs = tuple((i, i + step) for i in _indices(size, lambda i: not (i >> a) & 1))
-    (f0, c0, eps0), (f1, c1, eps1) = _row_form(u00, u01), _row_form(u10, u11)
+    (f0, c0, eps0), (f1, c1, eps1) = _row_form(*ins.u[0]), _row_form(*ins.u[1])
     eps0, eps1 = _c0(eps0), _c0(eps1)
     c1_sq = abs(c1) ** 2
 
@@ -750,33 +679,18 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
 
     def run(st: ShotState, group: list):
         # the branch probability, once per path
-        if size <= _SMALL:
-            amps = st.amps
-            rows = []  # (b0, b1): u applied to each pair
-            p1 = 0.0
-            p_all = 0.0
-            for i, j in pairs:
-                a0 = amps[i]
-                a1 = amps[j]
-                b0 = u00 * a0 + u01 * a1
-                b1 = u10 * a0 + u11 * a1
-                q1 = b1.real * b1.real + b1.imag * b1.imag
-                p1 += q1
-                p_all += q1 + b0.real * b0.real + b0.imag * b0.imag
-                rows.append((b0, b1))
+        copy, halves, v0, v1, head, tmp, tmp2, k, lanes = _views(st, make)
+        if copy is not None:
+            np.copyto(*copy)
+        w1 = _row(f1, eps1, v0, v1, tmp, tmp2)
+        if f1 < 2:  # row 1 takes one branch, so p_all is one pass away
+            n0 = _norm2(v0)
+            n1 = _norm2(v1)
+            p_all = n0 + n1  # u is unitary
+            p1 = c1_sq * (n1 if f1 else n0)
         else:
-            copy, halves, v0, v1, head, tmp, tmp2, k, lanes = _views(st, make)
-            if copy is not None:
-                np.copyto(*copy)
-            w1 = _row(f1, eps1, v0, v1, tmp, tmp2)
-            if f1 < 2:  # row 1 takes one branch, so p_all is one pass away
-                n0 = _norm2(v0)
-                n1 = _norm2(v1)
-                p_all = n0 + n1  # u is unitary
-                p1 = c1_sq * (n1 if f1 else n0)
-            else:
-                p_all = _norm2(halves)
-                p1 = c1_sq * _norm2(w1)
+            p_all = _norm2(halves)
+            p1 = c1_sq * _norm2(w1)
         if p1 != p1:
             raise ShotError("NaN amplitude encountered at an active measurement")
         p1 = p1 / p_all if p_all > 0 else 0.0
@@ -826,29 +740,17 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         for branch in ((1 - stay, stay) if n0 and n1 else (stay,)):
             scale = 1.0 / math.sqrt(probs[branch] * p_all)
             here = branch == stay
-            if size <= _SMALL:
-                if here:
-                    for i, row in enumerate(rows):
-                        amps[i] = row[branch] * scale
-                else:
-                    entries = [row[branch] * scale for row in rows]
+            if here:
+                out, spare = head, tmp
             else:
-                if here:
-                    out, spare = head, tmp
-                else:
-                    entries = np.empty(half, dtype=np.complex128)
-                    out, spare = (entries.reshape(-1, lanes).T if lanes else entries), tmp2
-                if branch:
-                    k[()] = c1 * scale
-                    np.multiply(w1, k, out=out)
-                else:
-                    k[()] = c0 * scale
-                    np.multiply(_row(f0, eps0, v0, v1, out, spare), k, out=out)
-                if half <= _SMALL:  # the array fits the list again
-                    if here:
-                        st.amps[:half] = st.buf[:half].tolist()
-                    else:
-                        entries = entries.tolist()
+                entries = np.empty(half, dtype=np.complex128)
+                out, spare = (entries.reshape(-1, lanes).T if lanes else entries), tmp2
+            if branch:
+                k[()] = c1 * scale
+                np.multiply(w1, k, out=out)
+            else:
+                k[()] = c0 * scale
+                np.multiply(_row(f0, eps0, v0, v1, out, spare), k, out=out)
             if not here:
                 split = (1, parts[branch], (st.k - 1, entries))
                 group[:] = parts[stay]
@@ -1094,7 +996,7 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
     deferred last. ``trace(st, ins)`` is called after each instruction of a
     group of one."""
     st.k = 0
-    st.amps[0] = 1 + 0j
+    st.buf[0] = 1
     pending = st.pending
     pending[:] = [(0, group, None)]
     while pending:
@@ -1374,6 +1276,11 @@ class StratumSpec:
             raise ValueError(f"stratum fault count {w} is negative")
         if w > e:
             raise ValueError(f"stratum fault count {w} exceeds {e} sites")
+        # suffix[i] below holds min(e - i, w) + 1 entries
+        need = _STRATUM_ENTRY_BYTES * ((w + 1) * (w + 2) // 2 + (e - w) * (w + 1))
+        if need > _STRATUM_BYTES:
+            raise ValueError(f"stratum fault count {w} over {e} noise sites needs about "
+                             f"{need} bytes of tables, more than {_STRATUM_BYTES}")
         self.w = w
         self.probs = probs
         # suffix[i][c] = Pr[c faults among sites i..E-1], for counts c <= w,

@@ -260,6 +260,31 @@ def test_negative_stratum_is_rejected(tmp_path, capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_oversized_stratum_is_rejected(tmp_path, capsys, monkeypatch):
+    # the stratum's suffix tables hold about sites * (w + 1) floats; a w whose
+    # tables exceed the budget is refused before they are built
+    import framesim.runtime as runtime
+    from framesim.backend import compile_circuit
+
+    text = "DEPOLARIZE1(0.01) 0 1 2 3 4 5 6 7\nM 0\n"
+    prog = compile_circuit(text)
+    # w = 1 needs 17 entries over 8 sites, w = 2 needs 24
+    fits = runtime.StratumSpec(prog, 1)
+    assert sum(map(len, fits.suffix)) == 17
+    monkeypatch.setattr(runtime, "_STRATUM_BYTES", 17 * runtime._STRATUM_ENTRY_BYTES)
+    runtime.StratumSpec(prog, 1)
+    need = 24 * runtime._STRATUM_ENTRY_BYTES
+    with pytest.raises(ValueError, match=f"count 2 over 8 noise sites needs about {need} bytes"):
+        runtime.StratumSpec(prog, 2)
+    p = tmp_path / "c.txt"
+    p.write_text(text)
+    assert main(["sample", str(p), "--shots", "5", "--stratum-w", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stratum fault count 2 over 8 noise sites")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["ratio", "--k1", "-1", "--n1", "0", "--k2", "1", "--n2", "10"],
     ["ratio", "--k1", "1", "--n1", "10", "--k2", "1", "--n2", "10", "--samples", "0"],

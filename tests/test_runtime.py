@@ -21,7 +21,6 @@ from framesim.pauli import PauliString
 from framesim.testing import crosscheck, random_circuit, random_fault_plan
 from framesim.rng import ShotRng, mix64
 from framesim.runtime import (
-    _SMALL,
     _row_form,
     BRANCH_FLOOR,
     ShotError,
@@ -121,16 +120,16 @@ def test_rng_uniform_below_one_at_max_draw(monkeypatch):
     assert math.isfinite(tab.exponential())
 
 
-def test_active_array_crosses_list_size_both_ways():
-    # the active array outgrows the Python list that holds small ones, then a
-    # measurement shrinks it back into the list and the shot ends with it
-    # there; every prefix must expand to the dense oracle's state
+def test_active_array_grows_and_shrinks_against_oracle():
+    # the active array grows to 2^k_max, then measurements shrink it and the
+    # shot ends with a smaller one of more than one entry; every prefix must
+    # expand to the dense oracle's state
     lines = [f"R_Y(0.{q + 3}) {q}" for q in range(6)]
     lines += [f"CX {q} {q + 1}" for q in range(5)]
     lines += ["MX 0", "M 5", "H 2"]
     circ = parse_circuit("\n".join(lines) + "\n")
     prog = compile_circuit(circ)
-    assert 1 < 1 << prog.active_schedule[-1] <= _SMALL < 1 << prog.k_max
+    assert 1 < 1 << prog.active_schedule[-1] < 1 << prog.k_max
     for seed in range(4):
         res = crosscheck(circ, seed=seed, checkpoints=True)
         assert res["records_match"]
@@ -138,15 +137,13 @@ def test_active_array_crosses_list_size_both_ways():
 
 
 def _vector_kernels(prog) -> set:
-    """The vectorized kernel forms a program runs, on arrays above the list
-    size: each gate kind and ArrayRot, each also on axis 1 (the stride-2
-    sub-arrays; two-entry void elements for CX); each collapse layout (the
-    array's two slices, axis 1's lanes, the void-element gather) and the
-    form of the collapse's branch-1 row."""
+    """The vectorized kernel forms a program runs: each gate kind and
+    ArrayRot, each also on axis 1 (the stride-2 sub-arrays; two-entry void
+    elements for CX); each collapse layout (the array's two slices, axis 1's
+    lanes, the void-element gather) and the form of the collapse's branch-1
+    row."""
     reach = set()
     for ins in prog.instrs:
-        if getattr(ins, "size", 0) <= _SMALL:
-            continue
         if isinstance(ins, ArrayGate):
             reach.add(ins.gate if ins.gate != "CX" else
                       "CX control above" if ins.axa > ins.axb else "CX control below")
@@ -177,7 +174,7 @@ VECTOR_FORMS = {"S", "H", "CZ", "CX control above", "CX control below", "ArrayRo
 
 
 def _vector_corpus():
-    """Random circuits whose arrays pass the list size, without a final
+    """Random circuits whose arrays grow past 16 entries, without a final
     measurement of every qubit, which would leave a basis state and make
     the fidelity check blind to the amplitudes."""
     rng = np.random.default_rng(2026)
@@ -187,8 +184,8 @@ def _vector_corpus():
 
 
 def test_vectorized_kernels_match_oracle():
-    # arrays above the list size run the numpy kernels; force oracle
-    # trajectories, faults included, through every form of every one
+    # force oracle trajectories, faults included, through every form of
+    # every numpy kernel
     rng, circuits = _vector_corpus()
     reach = set()
     for circ in circuits:
@@ -207,7 +204,7 @@ def test_crosscheck_sees_a_wrong_vectorized_kernel(monkeypatch):
 
     def wrong(ins, prog):
         run = right(ins, prog)
-        if ins.gate != "H" or ins.axa != 1 or ins.size <= _SMALL:
+        if ins.gate != "H" or ins.axa != 1:
             return run
 
         def swapped(st, group):
@@ -252,21 +249,23 @@ def _on_axis(amps, a, m):
     return np.einsum("ij,ajb->aib", np.asarray(m), t).reshape(-1)
 
 
-def test_vectorized_kernels_match_dense_at_every_axis():
-    k = 10
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 10])
+def test_vectorized_kernels_match_dense_at_every_axis(k):
+    # every size has the one numpy form: from a one-entry array expanded to
+    # two up to 2^10 entries, and collapses down to one entry
     size = 1 << k
     rng = np.random.default_rng(7)
     amps = rng.normal(size=size) + 1j * rng.normal(size=size)
     amps /= np.linalg.norm(amps)
     idx = np.arange(size)
     r = math.sqrt(0.5)
+    cases = [(Expand(0, k, size, 0.3), {"frame_x": 1},
+              np.concatenate([amps * cmath.exp(0.3j), amps * cmath.exp(-0.3j)]) * r)]
     for a in range(k):
         bit = (idx >> a) & 1
-        cases = [
+        cases += [
             (ArrayGate("S", 0, None, a, None, size), {}, np.where(bit, 1j, 1) * amps),
             (ArrayGate("H", 0, None, a, None, size), {}, _on_axis(amps, a, [[r, r], [r, -r]])),
-            (Expand(0, k, size, 0.3), {"frame_x": 1},
-             np.concatenate([amps * cmath.exp(0.3j), amps * cmath.exp(-0.3j)]) * r),
         ]
         for parity in (0, 1):
             phase = np.exp(-0.4j * np.where(bit ^ parity, -1, 1))
@@ -284,9 +283,9 @@ def test_vectorized_kernels_match_dense_at_every_axis():
                           amps[np.where(bit, idx ^ (1 << b), idx)]))
             cases.append((ArrayGate("CZ", 0, 1, a, b, size), {},
                           np.where(bit & (idx >> b), -1, 1) * amps))
-        for ins, kw, want in cases:
-            got = _kernel_run(ins, amps, **kw)
-            assert np.abs(got - want).max() < 1e-12, ins
+    for ins, kw, want in cases:
+        got = _kernel_run(ins, amps, **kw)
+        assert np.abs(got - want).max() < 1e-12, ins
 
 
 # a program the closure VM runs (k_max = 1): it forks whenever workers > 1
