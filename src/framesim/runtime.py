@@ -14,16 +14,18 @@ process share and each fork worker inherits. ``_shot_rows`` runs a range of
 shots on it and returns each kept shot's output bits as packed rows with
 its acceptance flags. A chunk holds about a megabyte (``_FOLD_BYTES``) of
 unpacked output bits and, on the closure VM, of per-shot walk state, and
-few enough shots that the walk's snapshots fit ``_SNAP_BYTES``; the first
-closure-VM chunk of a call also holds at most about ``_CHUNK_WORK``
-amplitude operations, and each later chunk doubles, up to those caps.
-``_chunks`` yields the chunks in shot order, from this process or from a
-fork pool, and unpacks them; ``sample`` yields each row as a
-``ShotRecord`` and ``sample_accumulate`` sums them. So records arrive a
-chunk at a time, and the first record of a slow program waits for a chunk
-of tens of shots at most. The pool keeps at most two chunks per worker in
-flight, and a table program forks only when each worker gets more than a
-whole chunk.
+few enough shots that the walk's snapshots fit ``_SNAP_BYTES``. The
+first closure-VM chunk of a ``sample`` call, whose records stream, also
+holds at most about ``_CHUNK_WORK`` amplitude operations; every other
+chunk, and every chunk of ``sample_accumulate``, which returns only at
+its end, is as large as those budgets allow, so that its shots share the
+most paths. ``_chunks`` yields the chunks in shot order, from this
+process or from a fork pool, and unpacks them; ``sample`` yields each row
+as a ``ShotRecord`` and ``sample_accumulate`` sums them. So records
+arrive a chunk at a time, and the first record of a slow program waits
+for a chunk of tens of shots at most. The pool keeps at most two chunks
+per worker in flight, and a table program forks only when each worker
+gets more than a whole chunk.
 
 The closure VM runs a group of shots in one depth-first walk (``_walk``).
 Each shot owns its Pauli frame, as two Python-int bitmasks, its scalar
@@ -140,7 +142,7 @@ from .table import _build_table, _table_shots
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
 _FOLD_BYTES = 1 << 20  # unpacked output bytes and walk state of a chunk of shots
-_CHUNK_WORK = 1 << 24  # most amplitude operations of a call's first closure-VM chunk
+_CHUNK_WORK = 1 << 24  # most amplitude operations of a sample call's first closure-VM chunk
 _SNAP_BYTES = 1 << 24  # most bytes of the snapshots a chunk's walk keeps at once
 _STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
 # bytes of a suffix table entry: a Python float and its list slot, and a
@@ -1075,10 +1077,10 @@ def _fold_shots(prog: BytecodeProgram, stratum=None) -> int:
 
 
 def _chunk_shots(prog: BytecodeProgram) -> int:
-    """Shots of a call's first chunk: :func:`_fold_shots`, and for a program
-    with an active array at most about _CHUNK_WORK amplitude operations (its
-    work, the sum of its sweep sizes, per shot), so that a slow program's
-    first record does not wait long."""
+    """Shots of :func:`sample`'s first chunk: :func:`_fold_shots`, and for a
+    program with an active array at most about _CHUNK_WORK amplitude
+    operations (its work, the sum of its sweep sizes, per shot), so that a
+    slow program's first record does not wait long."""
     shots = _fold_shots(prog)
     if prog.k_max:
         shots = min(shots, max(1, _CHUNK_WORK // _plan_cost(prog)[1]))
@@ -1087,14 +1089,12 @@ def _chunk_shots(prog: BytecodeProgram) -> int:
 
 def _bounds(shots: int, first: int, most: int):
     """The (lo, hi) of each chunk of shots [0, ``shots``): ``first`` shots,
-    then each chunk twice the last, up to ``most``. The bounds are made as
-    they are taken."""
+    then ``most`` at a time. The bounds are made as they are taken."""
     lo, step = 0, first
     while lo < shots:
         hi = min(lo + step, shots)
         yield lo, hi
-        lo = hi
-        step = min(2 * step, most)
+        lo, step = hi, most
 
 
 def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, stratum,
@@ -1129,11 +1129,18 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
 
 
 def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
-            keep_rejected: bool):
+            keep_rejected: bool, stream: bool):
     """Yield each chunk of :func:`_shot_rows` in shot order, unpacked to one
     uint8 row of output bits per kept shot, with its acceptance flags; the
     chunks come from a fork pool when :func:`sample`'s rule for
-    ``workers`` starts one."""
+    ``workers`` starts one.
+
+    This is the one chunk rule. Each chunk holds :func:`_fold_shots`
+    shots, and no more than a worker's share in a pool. With ``stream``,
+    set by :func:`sample`, whose records go out as each chunk arrives, the
+    first chunk holds at most :func:`_chunk_shots`, so the first record
+    comes soon. Without it the first chunk is full size too, so that more
+    shots share each path."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     # the engine, once and before any fork; a state's views are built on its
@@ -1143,10 +1150,12 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
         engine = ShotState(prog, seed=seed)
         _compiled(prog)
     most = _fold_shots(prog, stratum)
-    first = min(_chunk_shots(prog), most)
+    first = min(_chunk_shots(prog), most) if stream else most
     workers = min(workers, shots, os.cpu_count() or 1)
     if workers > 1 and (type(engine) is ShotState or shots > workers * first):
-        parts = _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected)
+        most = min(most, -(-shots // workers))
+        bounds = _bounds(shots, min(first, most), most)
+        parts = _sample_parallel(prog, engine, bounds, seed, workers, stratum, keep_rejected)
     else:
         parts = (_shot_rows(prog, engine, seed, lo, hi, stratum, keep_rejected)
                  for lo, hi in _bounds(shots, first, most))
@@ -1174,7 +1183,7 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     weight = 1.0 if stratum is None else stratum.weight
     nm = len(prog.user_records)
     nmd = nm + prog.num_detectors
-    for bits, flags in _chunks(prog, shots, seed, workers, stratum, keep_rejected):
+    for bits, flags in _chunks(prog, shots, seed, workers, stratum, keep_rejected, True):
         for m, d, o, accepted in zip(bits[:, :nm], bits[:, nm:nmd], bits[:, nmd:],
                                      flags.tolist()):
             yield ShotRecord(m, d, o, accepted, weight)
@@ -1197,18 +1206,15 @@ def _worker_range(bounds):
     return _shot_rows(prog, engine, seed, *bounds, stratum, keep_rejected)
 
 
-def _sample_parallel(prog, engine, shots, seed, workers, stratum, keep_rejected):
+def _sample_parallel(prog, engine, jobs, seed, workers, stratum, keep_rejected):
     """Yield the packed chunks of :func:`_shot_rows` in shot order from a
-    pool of ``workers`` fork workers, which inherit ``engine``, built by
-    :func:`_chunks`. Chunk bounds are made as jobs are sent, no chunk is more
-    than a worker's share of the shots, and at most two
-    chunks per worker are in flight, so the parent holds a bounded number of
-    chunks whatever the shot count."""
+    pool of ``workers`` fork workers, which inherit ``engine``; ``jobs`` is
+    the chunk bounds of :func:`_chunks`, a :func:`_bounds` generator. The
+    bounds are made as jobs are sent, and at most two chunks per worker are
+    in flight, so the parent holds a bounded number of chunks whatever the
+    shot count."""
     import multiprocessing as mp
 
-    per = -(-shots // workers)
-    most = min(_fold_shots(prog, stratum), per)
-    jobs = _bounds(shots, min(_chunk_shots(prog), most), most)
     ctx = mp.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker,
                   initargs=(prog, engine, seed, stratum, keep_rejected)) as pool:
@@ -1227,7 +1233,10 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
     """Streaming marginals: bit sums for measurements/detectors/observables.
 
     The accepted shots' bits are summed a chunk at a time; the weight sum
-    adds one shot's weight at a time, as a shot-by-shot loop would.
+    adds one shot's weight at a time, as a shot-by-shot loop would. Nothing
+    is returned before the last chunk, so every chunk, the first too, holds
+    as many shots as the memory budget allows (:func:`_fold_shots`), and
+    the shots of a chunk share the amplitude work of each path they take.
     """
     nm = len(prog.user_records)
     nmd = nm + prog.num_detectors
@@ -1235,7 +1244,7 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
     weight = 1.0 if stratum is None else stratum.weight
     accepted = 0
     weight_sum = 0.0
-    for bits, flags in _chunks(prog, shots, seed, 1, stratum, False):
+    for bits, flags in _chunks(prog, shots, seed, 1, stratum, False, False):
         totals += bits.sum(axis=0, dtype=np.int64)
         accepted += len(flags)
         for _ in range(len(flags)):

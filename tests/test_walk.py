@@ -78,7 +78,7 @@ def _check_sampled(prog, seed: int, stratum, workers: int = 1) -> int:
 
 @pytest.mark.parametrize("first", [None, 1, 7])
 def test_grouped_records_match_groups_of_one(monkeypatch, first):
-    # chunks as sized, or a first chunk of 1 or 7 shots that then doubles
+    # chunks as sized, or a first chunk of 1 or 7 shots for sample, then full ones
     rejected = 0
     for i, prog in enumerate(_corpus(20)):
         if first is not None:
@@ -92,7 +92,7 @@ def test_grouped_records_match_groups_of_one(monkeypatch, first):
 def test_grouped_records_match_groups_of_one_over_a_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for i, prog in enumerate(_corpus(8)):
-        # first chunks of 7 shots, so a worker's chunks double: 7, 14, 9
+        # first chunks of 7 shots, then a worker's share of 30: 7, 30, 23
         monkeypatch.setattr(runtime, "_CHUNK_WORK", 7 * runtime._plan_cost(prog)[1])
         for stratum in _strata(prog)[:2]:
             _check_sampled(prog, i, stratum, workers=2)
@@ -300,3 +300,82 @@ def test_a_chunk_holds_its_walk_state_within_the_fold_budget():
         finally:
             tracemalloc.stop()
         assert peak <= runtime._FOLD_BYTES
+
+
+def _counted_rows(monkeypatch) -> list:
+    """The (lo, hi) of each ``_shot_rows`` call from here on."""
+    bounds = []
+    rows = runtime._shot_rows
+
+    def counted(prog, engine, seed, lo, hi, *rest):
+        bounds.append((lo, hi))
+        return rows(prog, engine, seed, lo, hi, *rest)
+
+    monkeypatch.setattr(runtime, "_shot_rows", counted)
+    return bounds
+
+
+def test_only_a_streamed_first_chunk_is_capped(monkeypatch):
+    # the benchmark's rot_n14 circuit (seed 0): sample's first chunk is
+    # capped by its amplitude work, then chunks are as large as memory
+    # allows; sample_accumulate walks all 200 shots as one group
+    circ = random_circuit(np.random.default_rng(0), 14, 400, p_noise=1e-3, rot_rate=0.3,
+                          measure_rate=0.03)
+    prog = compile_circuit(circ)
+    assert prog.k_max == 14 and runtime._chunk_shots(prog) == 21
+    bounds = _counted_rows(monkeypatch)
+    sample_accumulate(prog, 200)
+    assert bounds == [(0, 200)]
+    bounds.clear()
+    for _ in sample(prog, 200):
+        pass
+    assert bounds == [(0, 21), (21, 200)]
+
+
+def test_fold_budget_splits_an_accumulating_call(monkeypatch):
+    # a fold budget of a few shots splits 60 shots into several chunks for
+    # sample_accumulate too; its totals match the shots alone, with strata
+    # and postselection
+    bounds = _counted_rows(monkeypatch)
+    rejected = 0
+    for i, prog in enumerate(_corpus(8)):
+        for stratum in _strata(prog):
+            with monkeypatch.context() as m:
+                budget = runtime._FOLD_BYTES
+                while runtime._fold_shots(prog, stratum) > 9:
+                    budget //= 2
+                    m.setattr(runtime, "_FOLD_BYTES", budget)
+                most = runtime._fold_shots(prog, stratum)
+                assert runtime._chunk_shots(prog) >= most
+                bounds.clear()
+                rejected += _check_sampled(prog, i, stratum)
+            # two sample calls and one sample_accumulate, each in the same chunks
+            chunks = list(runtime._bounds(60, most, most))
+            assert len(chunks) >= 7 and bounds == chunks * 3
+    assert rejected > 0
+
+
+def test_an_accumulating_call_walks_its_paths_once(monkeypatch):
+    # with a 7-shot first chunk for sample, sample_accumulate still runs
+    # the amplitude kernels of one group, while sample reruns the paths of
+    # its first chunk
+    prog = _forking_program()
+    monkeypatch.setattr(runtime, "_CHUNK_WORK", 7 * runtime._plan_cost(prog)[1])
+    assert runtime._chunk_shots(prog) == 7 and runtime._fold_shots(prog) >= 100
+    calls = []
+    views = runtime._views
+
+    def counted(st, make):
+        calls.append(make)
+        return views(st, make)
+
+    monkeypatch.setattr(runtime, "_views", counted)
+    runtime._shot_rows(prog, ShotState(prog, seed=5), 5, 0, 100, None, False)
+    group = len(calls)
+    calls.clear()
+    sample_accumulate(prog, 100, seed=5)
+    assert len(calls) == group
+    calls.clear()
+    for _ in sample(prog, 100, seed=5):
+        pass
+    assert len(calls) > group
