@@ -11,8 +11,9 @@ keys and leading uniforms of the next block of shots from a
 :class:`ShotStreams`, as many draws per shot as the shots before it made.
 A new stream's first shot is never tabulated, so the first block already
 has that width. A sampler that runs a chunk of shots side by side takes
-one stream per shot from :meth:`ShotRng.block`, which share one table of
-the chunk, and widens its own stream by the most draws they made.
+one table of the chunk from :meth:`ShotRng._table`; each of its shots is a
+stream that reads its own slot of that table (``runtime._Shot``), and the
+sampler widens its own stream by the most draws they made.
 :class:`ShotStreams` is the one vector form of the mixer: it holds a
 chunk of shots' streams side by side, one draw counter per shot, for
 samplers that run shots in lock-step or that draw a grid of each shot's
@@ -33,7 +34,6 @@ _MAX_WIDTH = 64   # most draws per shot tabulated; later draws mix per draw
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MUL1_U64 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2_U64 = np.uint64(0x94D049BB133111EB)
-_NO_TABLE = (None, None, 0, 0, 0)  # a stream's table before it has one
 
 
 def mix64(x: int) -> int:
@@ -68,18 +68,21 @@ class ShotRng:
     :class:`ShotStreams` of the block. The current shot is entry ``_slot``
     of the table with its first uniform at ``_row`` and ``_avail`` draws
     tabulated; a shot outside the table has ``_avail`` 0 and its key in
-    ``_key``. A ``table`` given to the constructor is a :meth:`block`'s
-    shared one.
+    ``_key``. :meth:`uniform`, :meth:`bit`, :meth:`exponential` and
+    :meth:`next_u64` read only ``_count``, ``_key``, ``_keys``,
+    ``_uniforms``, ``_slot``, ``_row`` and ``_avail``, so a stream that
+    only draws may set just those.
     """
 
     __slots__ = ("_seed", "_key", "_count", "_keys", "_uniforms",
                  "_slot", "_row", "_width", "_avail", "_lo", "_hi", "_need", "_prev")
 
-    def __init__(self, seed: int, shot: int = 0, table: tuple = _NO_TABLE):
+    def __init__(self, seed: int, shot: int = 0):
         self._seed = seed
         self._key = 0
         self._count = 0
-        self._keys, self._uniforms, self._lo, self._hi, self._width = table
+        self._keys = self._uniforms = None
+        self._lo = self._hi = self._width = 0
         self._need = 0  # most draws any shot has used; sets the next width
         # the first shot is not tabulated: it shows how many draws a shot makes
         self._prev = shot
@@ -109,17 +112,12 @@ class ShotRng:
         if draws > self._need:
             self._need = min(draws, _MAX_WIDTH)
 
-    def block(self, lo: int, hi: int) -> list:
-        """One stream per shot of [lo, hi), with this stream's seed, each
-        reset to its shot. They share one table of the range, as wide as
-        this stream's next table; :meth:`widen` this stream by the most
-        draws they make."""
-        table = self._table(lo, hi)
-        return [ShotRng(self._seed, shot, table) for shot in range(lo, hi)]
-
     def _table(self, lo: int, hi: int) -> tuple:
-        """``(keys, uniforms, lo, hi, width)`` of shots [lo, hi) from one
-        :class:`ShotStreams`, ``_need`` draws per shot."""
+        """``(keys, uniforms, lo, hi, width)`` of shots [lo, hi) with this
+        stream's seed, from one :class:`ShotStreams`: as wide as this
+        stream's next table, ``_need`` draws per shot. A sampler that draws
+        from it for shots side by side widens this stream by the most draws
+        they make (:meth:`widen`)."""
         streams = ShotStreams(self._seed, lo, hi)
         width = self._need
         return (streams.keys, streams.uniforms(slice(None), streams.counts, width).ravel(),

@@ -28,18 +28,19 @@ per worker in flight, and a table program forks only when each worker
 gets more than a whole chunk.
 
 The closure VM runs a group of shots in one depth-first walk (``_walk``).
-Each shot owns its Pauli frame, as two Python-int bitmasks, its scalar
-``gamma``, its record, detector and observable bytes, and its
-counter-based RNG stream, from which it makes exactly the draws it would
-make alone. The active array belongs to the path. Two shots hold
-bit-identical arrays for as long as they agree on the path key: the probe
-bits, which are the frame X bits that ``Expand`` and ``ArrayRot`` read to
-pick the sign of their angle, and each collapse's branch, whose
-probability and scale the path fixes (a draw that hits ``BRANCH_FLOOR``
-takes the other branch at that branch's own probability, bit for bit). So
-each step does its frame, record, detector, noise and postselection work
-once per shot and its amplitude kernel once per path, on the state's one
-array:
+Each shot owns its Pauli frame, as two Python-int bitmasks, its record,
+detector and observable bytes, and its counter-based RNG stream, from
+which it makes exactly the draws it would make alone. A sampled shot is
+one object (``_Shot``), a stream that reads its draws from its slot of the
+chunk's one table. The active array and the scalar ``gamma`` belong to
+the path. Two shots hold bit-identical arrays for as long as they agree on
+the path key: the probe bits, which are the frame X bits that ``Expand``
+and ``ArrayRot`` read to pick the sign of their angle, and each collapse's
+branch, whose probability and scale the path fixes (a draw that hits
+``BRANCH_FLOOR`` takes the other branch at that branch's own probability,
+bit for bit). So each step does its frame, record, detector, noise and
+postselection work once per shot, and its amplitude kernel and ``gamma``
+factor once per path, on the state's one array:
 
 * ``ArrayGate`` conjugates each shot's frame by its gate, then runs its
   kernel.
@@ -49,8 +50,10 @@ array:
   records and updates the frame once per shot; and applies each branch
   taken once.
 
-At a split the walk goes on with the smaller part and defers the other
-with a snapshot of the array. A deferred ``Expand`` or ``ArrayRot``
+``GammaRot``'s phase depends on each shot's frame, so only a group of one,
+whose path is its shot, takes it into ``gamma``. At a split the walk goes
+on with the smaller part and defers the other with a snapshot of the
+array and its ``gamma``. A deferred ``Expand`` or ``ArrayRot``
 part reruns its instruction on the snapshot; a deferred collapse branch
 keeps only its collapsed half. Since the part the walk goes on with is at
 most half the group it came from, at most log2(group size) snapshots are
@@ -149,10 +152,10 @@ _STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
 # share of its list's header and spare slots (33-42 bytes measured with
 # tracemalloc, Python 3.11)
 _STRATUM_ENTRY_BYTES = 40
-# a sampled shot's walk objects: its _Shot and ShotRng with their fields,
-# its key, and the list slots that hold it (at most 460 bytes on the mirror
-# and 500 on rot_n14, measured with tracemalloc, Python 3.11); its uniforms
-# (8 bytes a draw), output bytes and stratum faults come on top
+# a sampled shot's walk objects: its _Shot with its fields, its key, and
+# the list slots that hold it (about 300 bytes on the mirror and 370 on
+# rot_n14, measured with tracemalloc over a chunk's walk, Python 3.11); its
+# uniforms (8 bytes a draw), output bytes and stratum faults come on top
 _SHOT_BYTES = 512
 # entries of the longest np.vdot: OpenBLAS runs a longer one on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
@@ -180,10 +183,10 @@ class ShotRecord:
 _EMPTY_BITS = np.zeros(0, dtype=np.uint8)
 
 
-class ShotState:
+class ShotState(ShotRng):
     """Reusable storage of the closure VM: the active array of a walk's
-    paths, and the fields of one shot; capacity fixed by the compiled
-    program.
+    paths with their ``gamma``, and the fields of one shot, its random
+    stream included; capacity fixed by the compiled program.
 
     * The active array is the first 2^k entries of ``buf`` (complex128,
       capacity 2^k_max) at every size; ``active_view()`` returns them.
@@ -193,26 +196,35 @@ class ShotState:
       snapshot of the array: a group of n shots keeps at most floor(log2 n)
       of them, and sampling keeps a chunk's within ``_SNAP_BYTES``
       (:func:`_fold_shots`).
+    * ``gamma`` is the scalar of the path the walk is on: the product of
+      the factors that ``ArrayRot``, ``MeasCollapse`` and
+      ``MeasDormantRandom`` give every shot of the path, so that
+      ``|gamma|^2`` is the product of its branch probabilities. A deferred
+      part's snapshot holds its path's ``gamma``. ``GammaRot``'s factor
+      depends on each shot's frame, and only a group of one, whose path is
+      its shot, takes it into ``gamma``.
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
     * ``out`` holds the records, detectors and observables, in that order,
       as 0/1 bytes.
-    * ``rng`` is the shot's stream; for sampling it hands each chunk its
-      shots' streams (:meth:`ShotRng.block`).
+    * The state is the shot's :class:`ShotRng` stream. For sampling it
+      tabulates each chunk's draws once (:meth:`ShotRng._table`), and each
+      sampled shot reads its slot of that table (:class:`_Shot`).
 
     A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) and
     sampling's snapshots exceed the machine's physical memory is refused
     before anything is allocated.
 
-    ``reset`` clears only what a shot reads before writing it: the frame,
-    the scalars and the observables, which accumulate by XOR. Every record
-    and detector is written before it is read, so they are cleared only
-    when a postselection can stop a shot before writing them all. The walk
-    starts the array.
+    ``reset`` moves the stream to a shot and clears only what the shot
+    reads before writing it: the frame, the scalars and the observables,
+    which accumulate by XOR. Every record and detector is written before it
+    is read, so they are cleared only when a postselection can stop a shot
+    before writing them all. The walk starts the path: the array and
+    ``gamma``.
     """
 
     __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending",
-                 "frame_x", "frame_z", "gamma", "out", "weight", "accepted", "rng",
+                 "frame_x", "frame_z", "gamma", "out", "weight", "accepted",
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear", "_bits")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
@@ -227,8 +239,6 @@ class ShotState:
         self.scratch = np.zeros(cap, dtype=np.complex128)
         self.views = {}
         self.pending = []
-        self.frame_x = 0
-        self.frame_z = 0
         nr, nd = prog.record_count, prog.num_detectors
         self.out = bytearray(nr + nd + prog.num_observables)
         # rejected shots stop early; only then can stale bits leak into output
@@ -237,17 +247,15 @@ class ShotState:
         # numpy views of the records, detectors and observables for make_record
         bits = np.frombuffer(self.out, dtype=np.uint8)
         self._bits = (bits[:nr], bits[nr:nr + nd], bits[nr + nd:])
-        self.rng = ShotRng(seed, 0)
-        # a shot with no fault draws once per collapse, coin and noise block
-        self.rng.widen(sum(isinstance(i, (MeasCollapse, MeasDormantRandom, NoiseBlock))
-                           for i in prog.instrs))
         self.forced_faults = None
         self.forced_outcomes = None
         self.active_virtuals = prog.final_active
         self.gamma = 1.0 + 0.0j
         self.k = 0
-        self.weight = 1.0
-        self.accepted = True
+        super().__init__(seed, 0)  # resets to shot 0, so it comes after out and _clear
+        # a shot with no fault draws once per collapse, coin and noise block
+        self.widen(sum(isinstance(i, (MeasCollapse, MeasDormantRandom, NoiseBlock))
+                       for i in prog.instrs))
 
     def reset(self, shot: int) -> None:
         self.frame_x = 0
@@ -255,39 +263,48 @@ class ShotState:
         if self._clear is not None:
             start, zeros = self._clear
             self.out[start:] = zeros
-        self.gamma = 1.0 + 0.0j
         self.weight = 1.0
         self.accepted = True
-        self.rng.reset(shot)
+        ShotRng.reset(self, shot)
 
     def active_view(self) -> np.ndarray:
         return self.buf[:1 << self.k]
 
     def snapshot(self) -> tuple:
-        """``(k, entries)``: a copy of the live array, for :meth:`restore`."""
-        return self.k, self.buf[:1 << self.k].copy()
+        """``(k, entries, gamma)``: a copy of the live array, and the path's
+        gamma, for :meth:`restore`."""
+        return self.k, self.buf[:1 << self.k].copy(), self.gamma
 
     def restore(self, snap: tuple) -> None:
-        """Make ``snap``, a :meth:`snapshot` or a collapsed half, the live
-        array."""
-        self.k, entries = snap
+        """Make ``snap``, a :meth:`snapshot` or a collapsed half with its
+        gamma, the live path."""
+        self.k, entries, self.gamma = snap
         self.buf[:len(entries)] = entries
 
 
-class _Shot:
+class _Shot(ShotRng):
     """One sampled shot of a group walk: the per-shot fields of a
-    :class:`ShotState`, under the same names, with the shot's stream
-    ``rng`` and its output bytes ``out`` at their start."""
+    :class:`ShotState`, under the same names, with its output bytes ``out``
+    at their start. It is its own random stream, and reads its draws from
+    slot ``slot`` of its chunk's table, ``keys`` and ``uniforms`` of
+    :meth:`ShotRng._table`, ``width`` uniforms a shot. It sets only the
+    fields that drawing reads, and is never reset or widened."""
 
-    __slots__ = ("frame_x", "frame_z", "gamma", "out", "accepted", "rng", "forced_faults")
+    __slots__ = ("frame_x", "frame_z", "out", "accepted", "forced_faults")
 
-    def __init__(self, rng: ShotRng, width: int):
+    def __init__(self, keys: np.ndarray, uniforms: np.ndarray, width: int, slot: int,
+                 size: int):
+        self._keys = keys
+        self._uniforms = uniforms
+        self._slot = slot
+        self._row = slot * width
+        self._avail = width
+        self._count = 0
+        self._key = None
         self.frame_x = 0
         self.frame_z = 0
-        self.gamma = 1.0 + 0.0j
-        self.out = bytearray(width)
+        self.out = bytearray(size)
         self.accepted = True
-        self.rng = rng
         self.forced_faults = None
 
 
@@ -511,8 +528,9 @@ def _c_gamma_rot(ins: GammaRot, prog):
     phases = (cmath.exp(-1j * ins.angle), cmath.exp(1j * ins.angle))
 
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            s.gamma *= phases[(s.frame_x >> virt) & 1]
+        # its phase is each shot's own, so only a group of one takes it
+        if group[0] is st:
+            st.gamma *= phases[(st.frame_x >> virt) & 1]
 
     return run
 
@@ -527,8 +545,8 @@ def _array_rot_phases(ins: ArrayRot) -> tuple:
 def _array_rot_kernel(ins: ArrayRot):
     """The amplitude kernel ``kernel(st, parity)`` of an ``ArrayRot``, given
     the frame X bit of its qubit. It multiplies only branch 1, by its phase
-    relative to branch 0's; the step moves branch 0's phase into each
-    shot's ``gamma``."""
+    relative to branch 0's; the step moves branch 0's phase into the
+    path's ``gamma``."""
     a, size = ins.axis, ins.size
     ratios = tuple(_c0(p1 / p0) for p0, p1 in _array_rot_phases(ins))
 
@@ -550,9 +568,7 @@ def _c_array_rot(ins: ArrayRot, prog):
 
     def run(st: ShotState, group: list):
         parity, split = _fork(st, group, m)
-        ph0 = phases[parity][0]  # branch 0's phase goes into gamma
-        for s in group:
-            s.gamma *= ph0
+        st.gamma *= phases[parity][0]  # branch 0's phase
         kernel(st, parity)
         return split
 
@@ -585,7 +601,7 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
         for s in group:
             fx, fz = s.frame_x, s.frame_z
             p = (fz >> virt) & 1
-            coin = s.rng.bit() if forced is None else forced ^ p ^ flip
+            coin = s.bit() if forced is None else forced ^ p ^ flip
             s.out[record] = coin ^ p ^ flip
             if (fx ^ fz) & m:  # swap the x and z bits
                 fx ^= m
@@ -593,7 +609,7 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
             if coin:
                 fx ^= m
             s.frame_x, s.frame_z = fx, fz
-            s.gamma *= _INV_SQRT2
+        st.gamma *= _INV_SQRT2
 
     return run
 
@@ -721,7 +737,7 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                 fz ^= dz
             parity = (fx >> virt) & 1
             if forced is None:
-                branch = hit if s.rng.uniform() < p1 else miss
+                branch = hit if s.uniform() < p1 else miss
             else:
                 branch = forced ^ parity ^ flip
                 if probs[branch] < BRANCH_FLOOR:
@@ -732,13 +748,13 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             if branch:
                 fx ^= m
             s.frame_x, s.frame_z = fx, fz
-            s.gamma *= roots[branch]
             parts[branch].append(s)
         # each branch taken, once: the one deferred into a fresh array of its
         # collapsed half, then the group's in place. The smaller part stays.
         n0, n1 = len(parts[0]), len(parts[1])
         stay = 1 if n0 == 0 or 0 < n1 < n0 else 0
         split = None
+        gamma = st.gamma
         for branch in ((1 - stay, stay) if n0 and n1 else (stay,)):
             scale = 1.0 / math.sqrt(probs[branch] * p_all)
             here = branch == stay
@@ -754,9 +770,10 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                 k[()] = c0 * scale
                 np.multiply(_row(f0, eps0, v0, v1, out, spare), k, out=out)
             if not here:
-                split = (1, parts[branch], (st.k - 1, entries))
+                split = (1, parts[branch], (st.k - 1, entries, gamma * roots[branch]))
                 group[:] = parts[stay]
         st.k -= 1
+        st.gamma = gamma * roots[stay]
         return split
 
     return run
@@ -788,12 +805,11 @@ def _c_noise_block(ins: NoiseBlock, prog):
     def run(st: ShotState, group: list) -> None:
         for s in group:
             ff = s.forced_faults
-            rng = s.rng
             if ff is None:
                 if one_segment:
-                    faults = _segment_faults(S, sites, rng, lo, hi)
+                    faults = _segment_faults(S, sites, s, lo, hi)
                 else:
-                    faults = _plan_faults(S, sites, plan, rng)
+                    faults = _plan_faults(S, sites, plan, s)
                 if not faults:
                     continue
             else:
@@ -801,7 +817,7 @@ def _c_noise_block(ins: NoiseBlock, prog):
             for site, case in faults:
                 tab = sites[site]
                 if case is None:
-                    case = _pick_case(tab, rng)
+                    case = _pick_case(tab, s)
                 s.frame_x ^= tab.case_x[case]
                 s.frame_z ^= tab.case_z[case]
 
@@ -982,7 +998,7 @@ def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_fau
     Returns whether the shot was accepted."""
     state.reset(shot)
     if stratum is not None:
-        forced_faults = stratum.draw_forced(state.rng)
+        forced_faults = stratum.draw_forced(state)
         state.weight = stratum.weight
     state.forced_faults = forced_faults
     state.forced_outcomes = forced_outcomes
@@ -999,6 +1015,7 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
     group of one."""
     st.k = 0
     st.buf[0] = 1
+    st.gamma = 1.0 + 0.0j
     pending = st.pending
     pending[:] = [(0, group, None)]
     while pending:
@@ -1110,12 +1127,13 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
         return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
     state = engine
     width = len(state.out)
-    shots = [_Shot(rng, width) for rng in state.rng.block(lo, hi)]
+    keys, uniforms, _, _, each = state._table(lo, hi)
+    shots = [_Shot(keys, uniforms, each, slot, width) for slot in range(hi - lo)]
     if stratum is not None:
         for s in shots:
-            s.forced_faults = stratum.draw_forced(s.rng)
+            s.forced_faults = stratum.draw_forced(s)
     _walk(prog, _compiled(prog), state, list(shots))
-    state.rng.widen(max(s.rng.draws for s in shots))
+    state.widen(max(s._count for s in shots))
     rows, flags = bytearray(), bytearray()
     for s in shots:
         if s.accepted or keep_rejected:

@@ -342,7 +342,7 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
                 draws = []
                 for shot in range(10, 90):
                     runtime._run(prog, code, state, shot, stratum)
-                    draws.append(state.rng.draws)
+                    draws.append(state.draws)
                 assert made[0].counts.tolist() == draws
     assert seen == {_NOISE, _COIN, _CHECK, _SURE, "certain", "multi"}
 

@@ -744,7 +744,7 @@ def test_rng_stream_frozen_after_rejection():
     draws = {}
     for shot in range(50):
         rec = run_shot(prog, st, shot=shot)
-        draws[bool(rec.accepted)] = st.rng.draws
+        draws[bool(rec.accepted)] = st.draws
         if len(draws) == 2:
             break
     assert draws[False] < draws[True]

@@ -2,8 +2,9 @@
 
 ``sample`` and ``sample_accumulate`` walk each chunk of shots as one group,
 which runs each amplitude kernel once per path; ``run_shot`` and
-``runtime._run`` walk a group of one. Records, acceptance, weights, frames
-and ``gamma`` must agree exactly.
+``runtime._run`` walk a group of one. Records, acceptance, weights and
+frames must agree exactly. ``gamma`` belongs to the path, not to a sampled
+shot, so only a group of one reports it.
 """
 from __future__ import annotations
 
@@ -99,14 +100,21 @@ def test_grouped_records_match_groups_of_one_over_a_pool(monkeypatch):
 
 
 def _state_of(s) -> tuple:
-    return bytes(s.out), s.frame_x, s.frame_z, s.gamma, s.accepted
+    return bytes(s.out), s.frame_x, s.frame_z, s.accepted
+
+
+def _group(state, shots: int) -> list:
+    """Shots 0..``shots`` - 1 of ``state``'s seed, as ``_shot_rows`` builds
+    them: each reads its slot of one table."""
+    keys, uniforms, _, _, width = state._table(0, shots)
+    return [runtime._Shot(keys, uniforms, width, slot, len(state.out)) for slot in range(shots)]
 
 
 def _walk_group(prog, seed: int, faults: list, outcomes) -> list:
     """Shots 0.. of ``prog`` walked as one group, shot i with the fault list
     ``faults[i]`` and all with the forced outcomes ``outcomes``."""
     state = ShotState(prog, seed=seed)
-    group = [runtime._Shot(rng, len(state.out)) for rng in state.rng.block(0, len(faults))]
+    group = _group(state, len(faults))
     for s, ff in zip(group, faults):
         s.forced_faults = ff
     state.forced_outcomes = outcomes
@@ -121,6 +129,50 @@ def _walk_alone(prog, seed: int, faults: list, outcomes) -> list:
         run_shot(prog, state, shot=shot, forced_faults=ff, forced_outcomes=outcomes)
         out.append(_state_of(state))
     return out
+
+
+@pytest.mark.parametrize("need", [0, 5, runtime._MAX_WIDTH + 10])
+def test_a_sampled_shot_draws_its_scalar_stream(need):
+    # a chunk's shots at lo > 0 read their slots of one table; with no
+    # tabulated draw, 5 of them, and the most a table holds, each draw of
+    # every kind equals a fresh scalar stream's, past the table too
+    lo, hi = 1000, 1040
+    rng = ShotRng(77, 0)
+    rng.widen(need)
+    keys, uniforms, _, _, width = rng._table(lo, hi)
+    assert width == min(need, runtime._MAX_WIDTH)
+    for slot, shot in enumerate(range(lo, hi)):
+        s = runtime._Shot(keys, uniforms, width, slot, 0)
+        alone = ShotRng(77, shot)
+        for c in range(runtime._MAX_WIDTH + 16):
+            kind = ("uniform", "bit", "exponential")[(shot + c) % 3]
+            assert getattr(s, kind)() == getattr(alone, kind)()
+        assert s.draws == alone.draws == runtime._MAX_WIDTH + 16
+
+
+def test_a_chunk_tabulates_once_and_builds_no_stream(monkeypatch):
+    # one table of draws per _shot_rows chunk, and no ShotRng constructed
+    # for its shots, with or without a stratum
+    prog = compile_circuit("H 0\nT 0\n" + "H 1\nDEPOLARIZE1(0.2) 1\nM 1\n" * 5 + "M 0\n")
+    assert prog.k_max == 1
+    for stratum in (None, StratumSpec(prog, 2)):
+        state = ShotState(prog, seed=3)
+        calls = []
+        table, init = ShotRng._table, ShotRng.__init__
+
+        def tabled(self, lo, hi):
+            calls.append("table")
+            return table(self, lo, hi)
+
+        def built(self, *args):
+            calls.append("init")
+            init(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(ShotRng, "_table", tabled)
+            m.setattr(ShotRng, "__init__", built)
+            packed, flags = runtime._shot_rows(prog, state, 3, 100, 400, stratum, True)
+        assert calls == ["table"] and len(flags) == 300
 
 
 def test_forced_faults_and_outcomes_in_a_group():
@@ -237,7 +289,7 @@ def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
     for shots in (1, 2, 3, 64, 100):
         live.clear()
         state = ShotState(prog, seed=shots)
-        group = [runtime._Shot(rng, len(state.out)) for rng in state.rng.block(0, shots)]
+        group = _group(state, shots)
         runtime._walk(prog, code, state, group)
         assert max(live) <= math.floor(math.log2(shots))
         if shots >= 64:
@@ -292,7 +344,7 @@ def test_a_chunk_holds_its_walk_state_within_the_fold_budget():
         n = runtime._fold_shots(prog, stratum)
         state = ShotState(prog, seed=1)
         runtime._shot_rows(prog, state, 1, 0, n, stratum, True)  # widens the table
-        assert len(state.rng.block(0, 1)[0]._uniforms) == 64
+        assert len(state._table(0, 1)[1]) == 64
         tracemalloc.start()
         try:
             runtime._shot_rows(prog, state, 1, n, 2 * n, stratum, True)
