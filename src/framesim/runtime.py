@@ -1114,6 +1114,14 @@ def _bounds(shots: int, first: int, most: int):
         lo, step = hi, most
 
 
+def _shots(state: ShotState, lo: int, hi: int) -> list:
+    """Shots [lo, hi) of ``state``'s seed, a :class:`_Shot` each, on their
+    slots of one table of the range."""
+    keys, uniforms, _, _, width = state._table(lo, hi)
+    size = len(state.out)
+    return [_Shot(keys, uniforms, width, slot, size) for slot in range(hi - lo)]
+
+
 def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, stratum,
                keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
     """Shots [lo, hi) on ``engine``, the program's frame table or a
@@ -1127,8 +1135,7 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
         return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
     state = engine
     width = len(state.out)
-    keys, uniforms, _, _, each = state._table(lo, hi)
-    shots = [_Shot(keys, uniforms, each, slot, width) for slot in range(hi - lo)]
+    shots = _shots(state, lo, hi)
     if stratum is not None:
         for s in shots:
             s.forced_faults = stratum.draw_forced(s)

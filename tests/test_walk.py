@@ -103,18 +103,11 @@ def _state_of(s) -> tuple:
     return bytes(s.out), s.frame_x, s.frame_z, s.accepted
 
 
-def _group(state, shots: int) -> list:
-    """Shots 0..``shots`` - 1 of ``state``'s seed, as ``_shot_rows`` builds
-    them: each reads its slot of one table."""
-    keys, uniforms, _, _, width = state._table(0, shots)
-    return [runtime._Shot(keys, uniforms, width, slot, len(state.out)) for slot in range(shots)]
-
-
 def _walk_group(prog, seed: int, faults: list, outcomes) -> list:
     """Shots 0.. of ``prog`` walked as one group, shot i with the fault list
     ``faults[i]`` and all with the forced outcomes ``outcomes``."""
     state = ShotState(prog, seed=seed)
-    group = _group(state, len(faults))
+    group = runtime._shots(state, 0, len(faults))
     for s, ff in zip(group, faults):
         s.forced_faults = ff
     state.forced_outcomes = outcomes
@@ -171,7 +164,7 @@ def test_a_chunk_tabulates_once_and_builds_no_stream(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(ShotRng, "_table", tabled)
             m.setattr(ShotRng, "__init__", built)
-            packed, flags = runtime._shot_rows(prog, state, 3, 100, 400, stratum, True)
+            _, flags = runtime._shot_rows(prog, state, 3, 100, 400, stratum, True)
         assert calls == ["table"] and len(flags) == 300
 
 
@@ -289,7 +282,7 @@ def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
     for shots in (1, 2, 3, 64, 100):
         live.clear()
         state = ShotState(prog, seed=shots)
-        group = _group(state, shots)
+        group = runtime._shots(state, 0, shots)
         runtime._walk(prog, code, state, group)
         assert max(live) <= math.floor(math.log2(shots))
         if shots >= 64:
