@@ -11,9 +11,12 @@ keys and leading uniforms of the next block of shots from a
 :class:`ShotStreams`, as many draws per shot as the shots before it made.
 A new stream's first shot is never tabulated, so the first block already
 has that width. A sampler that runs a chunk of shots side by side takes
-one table of the chunk from :meth:`ShotRng._table`; each of its shots is a
-stream that reads its own slot of that table (``runtime._Shot``), and the
-sampler widens its own stream by the most draws they made.
+one table of the chunk from :meth:`ShotRng._table`, and widens its own
+stream by the most draws a shot made. Shots that have made the same number
+of draws share one counter: a stream on that table draws the next uniform
+of each of them at once (:meth:`ShotRng.uniform_each`), reading each
+shot's own slot, and a stream seated at one slot (:meth:`ShotRng._seat`)
+draws for that shot alone (``runtime._ShotClass``).
 :class:`ShotStreams` is the one vector form of the mixer: it holds a
 chunk of shots' streams side by side, one draw counter per shot, for
 samplers that run shots in lock-step or that draw a grid of each shot's
@@ -70,7 +73,8 @@ class ShotRng:
     tabulated; a shot outside the table has ``_avail`` 0 and its key in
     ``_key``. :meth:`uniform`, :meth:`bit`, :meth:`exponential` and
     :meth:`next_u64` read only ``_count``, ``_key``, ``_keys``,
-    ``_uniforms``, ``_slot``, ``_row`` and ``_avail``, so a stream that
+    ``_uniforms``, ``_slot``, ``_row`` and ``_avail``, and
+    :meth:`uniform_each` and :meth:`_seat` ``_width`` too, so a stream that
     only draws may set just those.
     """
 
@@ -155,6 +159,26 @@ class ShotRng:
             self._count = c + 1
             return -math.log1p(-self._uniforms.item(self._row + c))
         return -math.log1p(-self.uniform())
+
+    def uniform_each(self, slots: list) -> list:
+        """The next :meth:`uniform` of each shot in ``slots``, slots of this
+        stream's table that have all made this stream's draws: the counter
+        is theirs, and moves on by one."""
+        c = self._count
+        self._count = c + 1
+        w = self._width
+        if c < self._avail:
+            item = self._uniforms.item
+            return [item(s * w + c) for s in slots]
+        item, step = self._keys.item, c * _GOLDEN
+        return [(mix64((item(s) + step) & _MASK) >> 11) * 1.1102230246251565e-16
+                for s in slots]
+
+    def _seat(self, slot: int) -> None:
+        """Draw for slot ``slot`` of this stream's table from here on."""
+        self._slot = slot
+        self._row = slot * self._width
+        self._key = None
 
     @property
     def draws(self) -> int:

@@ -1,110 +1,54 @@
 """Bytecode execution over the factored runtime state, and sampling.
 
-Each program class has one engine. A program with an active array
-(``k_max`` > 0) runs on the closure VM below. A frame-only program
-(``k_max`` == 0) is sampled through its frame table (:mod:`framesim.table`).
+A program with an active array (``k_max`` > 0) samples on the closure VM
+below, a frame-only one on its frame table (:mod:`framesim.table`);
 ``_frame_table`` is the switch. ``run_shot``, ``trace``,
 ``expectation_probe`` and ``testing.crosscheck`` always use the closure VM,
-the reference engine.
+the reference engine. ``_chunks`` picks the engine once per sampling call,
+before any fork, and ``_shot_rows`` runs a chunk of shots on it (about a
+megabyte of output bits and walk state, :func:`_fold_shots`).
 
-Sampling has one path for both engines. ``_chunks`` picks the engine once
-per call, in this process and before any fork: the program's table, or one
-``ShotState`` with the program's closures built, which the chunks of this
-process share and each fork worker inherits. ``_shot_rows`` runs a range of
-shots on it and returns each kept shot's output bits as packed rows with
-its acceptance flags. A chunk holds about a megabyte (``_FOLD_BYTES``) of
-unpacked output bits and, on the closure VM, of per-shot walk state, and
-few enough shots that the walk's snapshots fit ``_SNAP_BYTES``. The
-first closure-VM chunk of a ``sample`` call, whose records stream, also
-holds at most about ``_CHUNK_WORK`` amplitude operations; every other
-chunk, and every chunk of ``sample_accumulate``, which returns only at
-its end, is as large as those budgets allow, so that its shots share the
-most paths. ``_chunks`` yields the chunks in shot order, from this
-process or from a fork pool, and unpacks them; ``sample`` yields each row
-as a ``ShotRecord`` and ``sample_accumulate`` sums them. So records
-arrive a chunk at a time, and the first record of a slow program waits
-for a chunk of tens of shots at most. The pool keeps at most two chunks
-per worker in flight, and a table program forks only when each worker
-gets more than a whole chunk.
+The closure VM walks a chunk depth first (``_walk``). Its unit is a class
+(:class:`_ShotClass`): shots that have so far made the same draws with the
+same outcomes, which share one Pauli frame (two Python-int bitmasks), one
+bytearray of records, detectors and observables, one acceptance flag and
+one draw counter. So each step does its frame, record, detector,
+postselection and fork work once per class, and draws once per member
+shot, from the shot's own counter-based stream, as it would alone. A
+chunk starts as one class. A coin or a collapse splits a class by its
+members' draws; a member whose fault fires in a ``NoiseBlock`` (drawn, or
+listed by a stratum) leaves for a class of its own, which draws the block
+again as its shot. ``run_shot``, ``trace``, ``expectation_probe`` and
+``testing.crosscheck`` walk a class of one, the :class:`ShotState` itself.
+A shot's faults reach the ``NoiseBlock`` steps as a sorted list of
+``(site, case)`` pairs: drawn per block, or passed for the whole shot by a
+forced run (``forced_faults``, ``crosscheck``, ``StratumSpec``), where a
+``None`` case is drawn when its block runs, as a sampled shot draws it.
 
-The closure VM runs a group of shots in one depth-first walk (``_walk``).
-Each shot owns its Pauli frame, as two Python-int bitmasks, its record,
-detector and observable bytes, and its counter-based RNG stream, from
-which it makes exactly the draws it would make alone. A sampled shot is
-one object (``_Shot``), a stream that reads its draws from its slot of the
-chunk's one table. The active array and the scalar ``gamma`` belong to
-the path. Two shots hold bit-identical arrays for as long as they agree on
-the path key: the probe bits, which are the frame X bits that ``Expand``
-and ``ArrayRot`` read to pick the sign of their angle, and each collapse's
-branch, whose probability and scale the path fixes (a draw that hits
-``BRANCH_FLOOR`` takes the other branch at that branch's own probability,
-bit for bit). So each step does its frame, record, detector, noise and
-postselection work once per shot, and its amplitude kernel and ``gamma``
-factor once per path, on the state's one array:
+The active array and ``gamma`` belong to the path. Classes hold
+bit-identical arrays while they agree on the path key: the frame X bits
+that ``Expand`` and ``ArrayRot`` read to pick the sign of their angle, and
+each collapse's branch, whose probability and scale the path fixes (a draw
+that hits ``BRANCH_FLOOR`` takes the other branch at that branch's own
+probability, bit for bit). So each amplitude kernel and ``gamma`` factor
+runs once per path, and those three kinds split the group of classes; only
+a group of one takes ``GammaRot``'s phase, which is each frame's own. At a
+split the walk goes on with the part of fewer shots and defers the other
+with a snapshot of the array and its ``gamma``, so at most log2(shots)
+snapshots are live. Nothing consults the amplitudes to decide control
+flow: the compiler fixed the schedule.
 
-* ``ArrayGate`` conjugates each shot's frame by its gate, then runs its
-  kernel.
-* ``Expand`` and ``ArrayRot`` split the group by their probe bit and pass
-  that bit to the kernel.
-* ``MeasCollapse`` computes its branch probability once per path; draws,
-  records and updates the frame once per shot; and applies each branch
-  taken once.
-
-``GammaRot``'s phase depends on each shot's frame, so only a group of one,
-whose path is its shot, takes it into ``gamma``. At a split the walk goes
-on with the smaller part and defers the other with a snapshot of the
-array and its ``gamma``. A deferred ``Expand`` or ``ArrayRot``
-part reruns its instruction on the snapshot; a deferred collapse branch
-keeps only its collapsed half. Since the part the walk goes on with is at
-most half the group it came from, at most log2(group size) snapshots are
-live at once, each of at most 2^k_max entries. ``run_shot``, ``trace``,
-``expectation_probe`` and ``testing.crosscheck`` run the same walk with a
-group of one shot, the :class:`ShotState` itself, which holds both the shot
-and its array. A shot that fails a postselection leaves the group there.
-Nothing consults the amplitudes to decide control flow (the compiler fixed
-the schedule). A shot's faults reach the ``NoiseBlock`` steps in one form,
-a sorted list of ``(site, case)`` pairs: the hazard-skip sampler produces
-it per block, and a forced run (``run_shot``'s ``forced_faults``,
-``testing.crosscheck``, ``StratumSpec.draw_forced``) passes it for the
-whole shot, where a ``None`` case is drawn when its block runs, in the
-order the sampled path draws it.
-
-The dispatch loop is threaded code: each instruction is specialized once
-into a closure with its operands (qubit masks, precomputed rotation
-phases) bound, so the hot path is a list of calls; every instruction kind
-has exactly one kernel. On that path, frame, record and detector updates
-are Python int and bytearray operations, never numpy scalar accesses.
-The active array is the first 2^k entries of one numpy array (capacity
-2^k_max), and each kernel has one form at every size: vectorized sweeps
-over views built once per state. A kernel runs once per path, so its
-shots share its cost; a group of one pays it alone. A numpy call costs
-about a microsecond whatever it computes, and a strided view costs that
-again for every run of its innermost axis, so the kernels make few calls
-over long runs:
-
-* ``ArrayRot`` multiplies only the branch-1 half, by its phase relative to
-  branch 0's, and folds branch 0's phase into ``gamma``; the phase has unit
-  modulus, so ``|gamma|^2`` stays the product of the branch probabilities.
-* A kernel whose lowest axis is 1 (``S``, ``H``, ``CZ``, ``ArrayRot``) runs
-  on the two stride-2 sub-arrays, where that axis becomes axis 0 and each
-  view is one long strided run. ``CX`` moves each run of entries below its
-  lower axis as one element of a void dtype, and so does ``MeasCollapse``
-  when it copies the two halves of a lower axis into ``scratch`` in one
-  call (on axis 1 it copies the sub-arrays' halves as long runs instead).
-* ``MeasCollapse`` writes its halves, its branch row and its output between
-  ``buf`` and ``scratch``, allocating nothing for the branch the walk goes
-  on with. A branch row of its basis change that is one half, their sum or
-  their difference, times a factor (the identity, a bare ``H``), costs no
-  multiply or one add; the factor goes into the output's scale. ``p_all``
-  comes from the two halves, one pass for the identity, and no ``np.vdot``
-  spans more than ``_DOT`` entries.
-
-These forms change rounding, not results. ``gamma`` carries
-``ArrayRot``'s branch-0 phase, ``p_all`` is summed over the halves in
-their copied order and a row is applied as c (v0 + eps v1), so amplitudes
-differ from plain two-half sweeps in the last bits (about 1e-18 absolute
-at 2^14 entries), and a record can differ only where a draw lands within
-rounding of a branch probability.
+Each instruction is specialized once into a closure with its operands
+bound, and every kind has one kernel. Frame, record and detector updates
+are Python int and bytearray operations. The active array is the first
+2^k entries of one numpy array (capacity 2^k_max), and each kernel makes
+few numpy calls over long runs, on views built once per state, since a
+call costs about a microsecond and a strided view that again per run of
+its innermost axis (:func:`_split`, :func:`_blocks`, :func:`_row_form`;
+``ArrayRot`` folds branch 0's phase into ``gamma``). These forms change
+rounding, not results: amplitudes differ from plain two-half sweeps in
+the last bits (about 1e-18 absolute at 2^14 entries), and a record only
+where a draw lands within rounding of a branch probability.
 """
 from __future__ import annotations
 
@@ -152,10 +96,10 @@ _STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
 # share of its list's header and spare slots (33-42 bytes measured with
 # tracemalloc, Python 3.11)
 _STRATUM_ENTRY_BYTES = 40
-# a sampled shot's walk objects: its _Shot with its fields, its key, and
-# the list slots that hold it (about 300 bytes on the mirror and 370 on
-# rot_n14, measured with tracemalloc over a chunk's walk, Python 3.11); its
-# uniforms (8 bytes a draw), output bytes and stratum faults come on top
+# a class of one shot, the most a shot's walk state takes: its _ShotClass,
+# members list and list slots (about 410 bytes when 20 coins leave every
+# shot alone, measured with tracemalloc over a chunk's walk, Python 3.11);
+# its uniforms (8 bytes a draw), output bytes and stratum faults come on top
 _SHOT_BYTES = 512
 # entries of the longest np.vdot: OpenBLAS runs a longer one on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
@@ -185,45 +129,31 @@ _EMPTY_BITS = np.zeros(0, dtype=np.uint8)
 
 class ShotState(ShotRng):
     """Reusable storage of the closure VM: the active array of a walk's
-    paths with their ``gamma``, and the fields of one shot, its random
-    stream included; capacity fixed by the compiled program.
+    paths with their ``gamma``, and one shot, which is a class of one
+    (``members``, :class:`_ShotClass`) and its own :class:`ShotRng` stream;
+    capacity fixed by the compiled program.
 
     * The active array is the first 2^k entries of ``buf`` (complex128,
-      capacity 2^k_max) at every size; ``active_view()`` returns them.
-      ``scratch`` is a work buffer of the same capacity, and ``views``
-      keeps the numpy views of the two that the kernels reuse from shot to
-      shot. ``pending`` holds the walk's deferred parts, each with its
-      snapshot of the array: a group of n shots keeps at most floor(log2 n)
-      of them, and sampling keeps a chunk's within ``_SNAP_BYTES``
-      (:func:`_fold_shots`).
-    * ``gamma`` is the scalar of the path the walk is on: the product of
-      the factors that ``ArrayRot``, ``MeasCollapse`` and
-      ``MeasDormantRandom`` give every shot of the path, so that
-      ``|gamma|^2`` is the product of its branch probabilities. A deferred
-      part's snapshot holds its path's ``gamma``. ``GammaRot``'s factor
-      depends on each shot's frame, and only a group of one, whose path is
-      its shot, takes it into ``gamma``.
-    * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
-      virtual qubit j, the bit format of every ``PauliString``.
-    * ``out`` holds the records, detectors and observables, in that order,
-      as 0/1 bytes.
-    * The state is the shot's :class:`ShotRng` stream. For sampling it
-      tabulates each chunk's draws once (:meth:`ShotRng._table`), and each
-      sampled shot reads its slot of that table (:class:`_Shot`).
+      capacity 2^k_max); ``scratch`` is a work buffer of the same capacity,
+      and ``views`` keeps the kernels' numpy views of the two. ``gamma`` is
+      the path's scalar, ``|gamma|^2`` the product of its branch
+      probabilities. ``pending`` holds the walk's deferred parts, each with
+      a snapshot of the array and its ``gamma``, and ``classes`` a sampled
+      chunk's classes.
+    * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints, bit j for
+      virtual qubit j as in every ``PauliString``; ``out`` the records,
+      detectors and observables as 0/1 bytes; ``forced_faults`` is None or
+      ``[the shot's fault list]``.
 
-    A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) and
-    sampling's snapshots exceed the machine's physical memory is refused
-    before anything is allocated.
-
-    ``reset`` moves the stream to a shot and clears only what the shot
-    reads before writing it: the frame, the scalars and the observables,
-    which accumulate by XOR. Every record and detector is written before it
-    is read, so they are cleared only when a postselection can stop a shot
-    before writing them all. The walk starts the path: the array and
-    ``gamma``.
+    A program whose ``buf``, ``scratch`` (32 * 2^k_max bytes) and sampling
+    snapshots exceed the physical memory is refused before any allocation.
+    ``reset`` moves the stream to a shot and clears only what it reads
+    before writing: the frame, the scalars and the observables (XORed
+    into); the records and detectors only when a postselection can stop a
+    shot before it writes them all. The walk starts the array and ``gamma``.
     """
 
-    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending",
+    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending", "classes", "members",
                  "frame_x", "frame_z", "gamma", "out", "weight", "accepted",
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear", "_bits")
 
@@ -239,6 +169,8 @@ class ShotState(ShotRng):
         self.scratch = np.zeros(cap, dtype=np.complex128)
         self.views = {}
         self.pending = []
+        self.classes = []
+        self.members = [0]
         nr, nd = prog.record_count, prog.num_detectors
         self.out = bytearray(nr + nd + prog.num_observables)
         # rejected shots stop early; only then can stale bits leak into output
@@ -282,39 +214,59 @@ class ShotState(ShotRng):
         self.buf[:len(entries)] = entries
 
 
-class _Shot(ShotRng):
-    """One sampled shot of a group walk: the per-shot fields of a
-    :class:`ShotState`, under the same names, with its output bytes ``out``
-    at their start. It is its own random stream, and reads its draws from
-    slot ``slot`` of its chunk's table, ``keys`` and ``uniforms`` of
-    :meth:`ShotRng._table`, ``width`` uniforms a shot. It sets only the
-    fields that drawing reads, and is never reset or widened."""
+class _ShotClass(ShotRng):
+    """Shots of a group walk that have made the same draws with the same
+    outcomes: ``members``, their slots of the chunk's table of draws
+    (:meth:`ShotRng._table`). They share a :class:`ShotState`'s shot fields:
+    one frame, one ``out``, one acceptance flag and one draw counter;
+    ``forced_faults`` is None or each slot's fault list. The stream is
+    seated at ``members[0]``, so a class of one draws as its shot."""
 
-    __slots__ = ("frame_x", "frame_z", "out", "accepted", "forced_faults")
+    __slots__ = ("frame_x", "frame_z", "out", "accepted", "forced_faults", "members")
 
-    def __init__(self, keys: np.ndarray, uniforms: np.ndarray, width: int, slot: int,
-                 size: int):
-        self._keys = keys
-        self._uniforms = uniforms
-        self._slot = slot
-        self._row = slot * width
-        self._avail = width
-        self._count = 0
-        self._key = None
-        self.frame_x = 0
-        self.frame_z = 0
-        self.out = bytearray(size)
-        self.accepted = True
-        self.forced_faults = None
+    def __init__(self, keys: np.ndarray, uniforms: np.ndarray, width: int, members: list,
+                 out: bytearray, count: int = 0, forced_faults=None):
+        self._keys, self._uniforms, self._count = keys, uniforms, count
+        self._width = self._avail = width
+        self.frame_x = self.frame_z = 0
+        self.out, self.accepted, self.forced_faults = out, True, forced_faults
+        self.keep(members)
+
+    def keep(self, members: list) -> None:
+        self.members = members
+        if members:
+            self._seat(members[0])
+
+
+def _part(st: ShotState, cls: _ShotClass, members: list) -> _ShotClass:
+    """A new class of ``members``, shots that the caller takes out of
+    ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``."""
+    part = _ShotClass(cls._keys, cls._uniforms, cls._width, members, bytearray(cls.out),
+                      cls._count, cls.forced_faults)
+    part.frame_x, part.frame_z = cls.frame_x, cls.frame_z
+    st.classes.append(part)
+    return part
+
+
+def _below(st: ShotState, cls, p: float) -> tuple:
+    """Each member of ``cls``, a class of several, draws a uniform: the
+    classes of the members whose draw is below ``p`` and of the others,
+    None for an empty one; ``cls`` keeps the others."""
+    members = cls.members
+    us = cls.uniform_each(members)
+    below = [s for s, u in zip(members, us) if u < p]
+    if len(below) in (0, len(members)):
+        return (cls, None) if below else (None, cls)
+    cls.keep([s for s, u in zip(members, us) if u >= p])
+    return _part(st, cls, below), cls
 
 
 # -- instruction specialization --------------------------------------------------
 #
 # Each _c_* factory binds one instruction's operands and returns its step,
-# run(st, group): ``st`` holds the path's active array and ``group`` the
-# shots on that path (a list it may shrink). A step does each shot's work
-# and its amplitude kernel once. A step that splits the group returns the
-# deferred part, as (instruction offset to resume at, shots, snapshot).
+# run(st, group): ``st`` holds the path's active array and ``group`` its
+# classes (a list the step may change). A step that splits the group
+# returns the deferred part: (offset to resume at, classes, snapshot).
 
 def _frame_ops(gates) -> tuple:
     """(opcode, mask_a, mask_b) for each gate of a Clifford word; a gate the
@@ -350,26 +302,31 @@ def _c_frame(ins: FrameGates, prog):
     ops = _frame_ops(ins.gates)
 
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            s.frame_x, s.frame_z = _conjugate_frame(ops, s.frame_x, s.frame_z)
+        for c in group:
+            c.frame_x, c.frame_z = _conjugate_frame(ops, c.frame_x, c.frame_z)
 
     return run
 
 
+def _shots_in(part: list) -> int:
+    return sum(len(c.members) for c in part)
+
+
 def _fork(st: ShotState, group: list, m: int):
     """Split ``group`` by the frame X bit ``m`` that a kernel reads. Returns
-    that bit of the shots left in ``group`` and, when some shots have the
-    other bit, their deferred part: rerun this instruction on a snapshot of
-    the array. The smaller part stays."""
+    that bit of the classes left in ``group`` and, when some have the other
+    bit, their deferred part, which reruns this instruction on a snapshot
+    of the array. The part of fewer shots stays."""
     first = group[0].frame_x & m
-    for s in group:
-        if s.frame_x & m != first:
+    for c in group:
+        if c.frame_x & m != first:
             break
     else:
         return 1 if first else 0, None
-    ones = [s for s in group if s.frame_x & m]
-    zeros = [s for s in group if not s.frame_x & m]
-    stay, bit, other = (ones, 1, zeros) if len(ones) <= len(zeros) else (zeros, 0, ones)
+    ones = [c for c in group if c.frame_x & m]
+    zeros = [c for c in group if not c.frame_x & m]
+    stay, bit, other = (ones, 1, zeros) if _shots_in(ones) <= _shots_in(zeros) \
+        else (zeros, 0, ones)
     group[:] = stay
     return bit, (0, other, st.snapshot())
 
@@ -483,8 +440,8 @@ def _c_array_gate(ins: ArrayGate, prog):
     kernel = _array_gate_kernel(ins)
 
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            s.frame_x, s.frame_z = _conjugate_frame(ops, s.frame_x, s.frame_z)
+        for c in group:
+            c.frame_x, c.frame_z = _conjugate_frame(ops, c.frame_x, c.frame_z)
         kernel(st)
 
     return run
@@ -528,7 +485,7 @@ def _c_gamma_rot(ins: GammaRot, prog):
     phases = (cmath.exp(-1j * ins.angle), cmath.exp(1j * ins.angle))
 
     def run(st: ShotState, group: list) -> None:
-        # its phase is each shot's own, so only a group of one takes it
+        # its phase is each class's own, so only a group of one takes it
         if group[0] is st:
             st.gamma *= phases[(st.frame_x >> virt) & 1]
 
@@ -579,12 +536,12 @@ def _c_meas_dormant_static(ins: MeasDormantStatic, prog):
     virt, record, flip = ins.virt, ins.record, ins.flip
 
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            s.out[record] = ((s.frame_x >> virt) & 1) ^ flip
+        for c in group:
+            c.out[record] = ((c.frame_x >> virt) & 1) ^ flip
         fo = st.forced_outcomes
         if fo is not None:
             forced = fo.get(record)
-            if forced is not None and any(s.out[record] != forced for s in group):
+            if forced is not None and any(c.out[record] != forced for c in group):
                 raise ShotError(
                     f"forced outcome {forced} for record {record} has probability 0")
 
@@ -598,17 +555,30 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
     def run(st: ShotState, group: list) -> None:
         fo = st.forced_outcomes
         forced = None if fo is None else fo.get(record)
-        for s in group:
-            fx, fz = s.frame_x, s.frame_z
+        kept = []
+        for c in group:
+            fx, fz = c.frame_x, c.frame_z
             p = (fz >> virt) & 1
-            coin = s.bit() if forced is None else forced ^ p ^ flip
-            s.out[record] = coin ^ p ^ flip
             if (fx ^ fz) & m:  # swap the x and z bits
                 fx ^= m
                 fz ^= m
-            if coin:
-                fx ^= m
-            s.frame_x, s.frame_z = fx, fz
+            if forced is not None:
+                coin = forced ^ p ^ flip
+            elif len(c.members) == 1:
+                coin = 1 if c.uniform() >= 0.5 else 0
+            else:  # each member's coin: the class of the 0s is split off
+                zero, c = _below(st, c, 0.5)
+                if zero is not None:
+                    zero.out[record] = p ^ flip
+                    zero.frame_x, zero.frame_z = fx, fz
+                    kept.append(zero)
+                if c is None:
+                    continue
+                coin = 1
+            c.out[record] = coin ^ p ^ flip
+            c.frame_x, c.frame_z = fx ^ m if coin else fx, fz
+            kept.append(c)
+        group[:] = kept
         st.gamma *= _INV_SQRT2
 
     return run
@@ -716,11 +686,11 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             p1 = 0.0
         elif p1 > 1.0:
             p1 = 1.0
-        # the draw, the record and the frame, per shot. A draw that hits the
-        # floor takes the other branch with probability 1 - p_branch, which
-        # is that branch's own: for a flip to 1, p1 > 1 - BRANCH_FLOOR >= 1/2,
-        # so 1 - p1 is exact and 1 - (1 - p1) == p1. So the shots of a path
-        # take one of two (branch, probability) pairs, one array each.
+        # a draw per member, the record and frame per class. A draw that hits
+        # the floor takes the other branch with probability 1 - p_branch, its
+        # own: for a flip to 1, p1 > 1 - BRANCH_FLOOR >= 1/2, so 1 - p1 is
+        # exact and 1 - (1 - p1) == p1. So a path's shots take one of two
+        # (branch, probability) pairs, one array each.
         q0 = 1.0 - p1
         probs = (q0, p1)
         roots = (math.sqrt(q0), math.sqrt(p1))
@@ -729,33 +699,46 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         fo = st.forced_outcomes
         forced = None if fo is None else fo.get(record)
         parts = ([], [])
-        for s in group:
-            fx, fz = s.frame_x, s.frame_z
+        for c in group:
+            fx, fz = c.frame_x, c.frame_z
             if pre is not None:
                 dx, dz = pre[(2 if fx & m else 0) | (1 if fz & m else 0)]
                 fx ^= dx
                 fz ^= dz
             parity = (fx >> virt) & 1
-            if forced is None:
-                branch = hit if s.uniform() < p1 else miss
-            else:
+            if forced is None and len(c.members) == 1:
+                branch = hit if c.uniform() < p1 else miss
+            elif forced is not None:
                 branch = forced ^ parity ^ flip
                 if probs[branch] < BRANCH_FLOOR:
                     raise ShotError(
                         f"forced outcome {forced} for record {record} has probability"
                         f" {probs[branch]:.3e}")
-            s.out[record] = branch ^ parity ^ flip
+            elif hit == miss:  # every draw takes one branch: count them, unread
+                c._count += 1
+                branch = hit
+            else:  # a draw below p1 takes branch 1: that class is split off
+                one, c = _below(st, c, p1)
+                if one is not None:
+                    one.out[record] = 1 ^ parity ^ flip
+                    one.frame_x, one.frame_z = fx ^ m, fz
+                    parts[1].append(one)
+                if c is None:
+                    continue
+                branch = 0
+            c.out[record] = branch ^ parity ^ flip
             if branch:
                 fx ^= m
-            s.frame_x, s.frame_z = fx, fz
-            parts[branch].append(s)
-        # each branch taken, once: the one deferred into a fresh array of its
-        # collapsed half, then the group's in place. The smaller part stays.
-        n0, n1 = len(parts[0]), len(parts[1])
-        stay = 1 if n0 == 0 or 0 < n1 < n0 else 0
+            c.frame_x, c.frame_z = fx, fz
+            parts[branch].append(c)
+        # each branch taken, once: the deferred one into a fresh array of its
+        # collapsed half, then the group's in place; the part of fewer shots
+        # stays
+        both = parts[0] and parts[1]
+        stay = 1 if not parts[0] or both and _shots_in(parts[1]) < _shots_in(parts[0]) else 0
         split = None
         gamma = st.gamma
-        for branch in ((1 - stay, stay) if n0 and n1 else (stay,)):
+        for branch in ((1 - stay, stay) if both else (stay,)):
             scale = 1.0 / math.sqrt(probs[branch] * p_all)
             here = branch == stay
             if here:
@@ -783,10 +766,10 @@ def _c_cond_frame(ins: CondFrame, prog):
     xmask, zmask, record = ins.xmask, ins.zmask, ins.record
 
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            if s.out[record]:
-                s.frame_x ^= xmask
-                s.frame_z ^= zmask
+        for c in group:
+            if c.out[record]:
+                c.frame_x ^= xmask
+                c.frame_z ^= zmask
 
     return run
 
@@ -800,36 +783,72 @@ def _c_noise_block(ins: NoiseBlock, prog):
     plan = _block_plan(sites, lo, hi)
     # a block without certain sites is one hazard segment
     one_segment = plan == [(lo, hi)]
+    s_lo, s_hi = S[lo], S[hi]
     lo_key, hi_key = (lo,), (hi,)  # (s,) sorts just before the pairs of site s
 
+    def listed(f: list) -> list:
+        return f[bisect_left(f, lo_key):bisect_left(f, hi_key)]
+
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            ff = s.forced_faults
-            if ff is None:
-                if one_segment:
-                    faults = _segment_faults(S, sites, s, lo, hi)
+        left = None  # classes of one that members of a class leave for
+        for c in group:
+            members, ff = c.members, c.forced_faults
+            if len(members) == 1:  # a class of one takes its faults as its shot
+                if ff is not None:
+                    faults = listed(ff[members[0]])
+                elif not one_segment:
+                    faults = _plan_faults(S, sites, plan, c)
+                elif s_lo + c.exponential() < s_hi:  # a fault: draw the block again
+                    c._count -= 1
+                    faults = _segment_faults(S, sites, c, lo, hi)
                 else:
-                    faults = _plan_faults(S, sites, plan, s)
-                if not faults:
                     continue
+                if faults:
+                    _take(c, faults, sites)
+                continue
+            # the members with a fault here leave: one listed, a first hazard
+            # skip that lands in the block, or at a certain site, all
+            count = c._count
+            if ff is not None:
+                slots = [s for s in members if listed(ff[s])]
+            elif one_segment:
+                slots = [s for s, u in zip(members, c.uniform_each(members))
+                         if s_lo + -math.log1p(-u) < s_hi]
             else:
-                faults = ff[bisect_left(ff, lo_key):bisect_left(ff, hi_key)]
-            for site, case in faults:
-                tab = sites[site]
-                if case is None:
-                    case = _pick_case(tab, s)
-                s.frame_x ^= tab.case_x[case]
-                s.frame_z ^= tab.case_z[case]
+                slots = members
+            if slots:  # each for a class of one, which draws the block again
+                left = left or []
+                for s in slots:
+                    one = _part(st, c, [s])
+                    one._count = count
+                    faults = _plan_faults(S, sites, plan, one) if ff is None else listed(ff[s])
+                    _take(one, faults, sites)
+                    left.append(one)
+                gone = set(slots)
+                c.keep([s for s in members if s not in gone])
+        if left:
+            group[:] = [c for c in group if c.members] + left
 
     return run
+
+
+def _take(c, faults: list, sites) -> None:
+    """XOR the faults into the frame of ``c``, a class of one, which draws
+    each None case."""
+    for site, case in faults:
+        tab = sites[site]
+        if case is None:
+            case = _pick_case(tab, c)
+        c.frame_x ^= tab.case_x[case]
+        c.frame_z ^= tab.case_z[case]
 
 
 def _c_detector(ins: DetectorIns, prog):
     index, records = prog.record_count + ins.index, ins.records
 
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            out = s.out
+        for c in group:
+            out = c.out
             bit = 0
             for r in records:
                 bit ^= out[r]
@@ -843,8 +862,8 @@ def _c_observable(ins: ObservableIns, prog):
     records = ins.records
 
     def run(st: ShotState, group: list) -> None:
-        for s in group:
-            out = s.out
+        for c in group:
+            out = c.out
             bit = 0
             for r in records:
                 bit ^= out[r]
@@ -858,13 +877,13 @@ def _c_postselect(ins: PostSelectIns, prog):
     required = ins.required
 
     def run(st: ShotState, group: list) -> None:
-        stopped = [s for s in group if s.out[ref] != required]
+        stopped = [c for c in group if c.out[ref] != required]
         if stopped:
-            for s in stopped:
-                s.accepted = False
+            for c in stopped:
+                c.accepted = False
             if len(stopped) == len(group):
                 raise _Halt
-            group[:] = [s for s in group if s.accepted]
+            group[:] = [c for c in group if c.accepted]
 
     return run
 
@@ -1000,19 +1019,18 @@ def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_fau
     if stratum is not None:
         forced_faults = stratum.draw_forced(state)
         state.weight = stratum.weight
-    state.forced_faults = forced_faults
+    state.forced_faults = None if forced_faults is None else [forced_faults]
     state.forced_outcomes = forced_outcomes
     _walk(prog, code, state, [state], trace)
     return state.accepted
 
 
 def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
-    """Run the shots of ``group``, a list the walk may shrink, each at its
-    start, through ``code``, the program's closures, depth first on
-    ``st``'s one active array: a path runs until the end or until a
-    postselection stops its last shot, and then the walk takes up the part
-    deferred last. ``trace(st, ins)`` is called after each instruction of a
-    group of one."""
+    """Run the classes of ``group``, each at its start, through ``code``,
+    the program's closures, depth first on ``st``'s one active array: a path
+    runs until the end or until a postselection stops its last class, and
+    then the walk takes up the part deferred last. ``trace(st, ins)`` is
+    called after each instruction of a group of one."""
     st.k = 0
     st.buf[0] = 1
     st.gamma = 1.0 + 0.0j
@@ -1078,12 +1096,12 @@ def _snapshots(k_max: int) -> int:
 
 def _fold_shots(prog: BytecodeProgram, stratum=None) -> int:
     """Most shots of a chunk: about _FOLD_BYTES of unpacked output bits and,
-    on the closure VM, of the walk's per-shot state, and few enough that
-    the walk's snapshots fit _SNAP_BYTES."""
+    on the closure VM, of the walk's state, and few enough that the walk's
+    snapshots fit _SNAP_BYTES."""
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     if _frame_table(prog) is not None:
         return max(1, _FOLD_BYTES // max(width, 1))
-    # each shot's objects, its table of uniforms, its output bytes and their
+    # each shot's class, its table of uniforms, its output bytes and their
     # copy in the chunk's rows, and its stratum's fault list of w (site,
     # None) pairs (57 + about 90 w bytes)
     width += _SHOT_BYTES + 8 * _MAX_WIDTH \
@@ -1114,12 +1132,25 @@ def _bounds(shots: int, first: int, most: int):
         lo, step = hi, most
 
 
-def _shots(state: ShotState, lo: int, hi: int) -> list:
-    """Shots [lo, hi) of ``state``'s seed, a :class:`_Shot` each, on their
-    slots of one table of the range."""
+def _classes(state: ShotState, lo: int, hi: int, stratum) -> list:
+    """Shots [lo, hi) of ``state``'s seed, on one table of draws, as the
+    classes a walk starts with, which start ``state.classes``: one class,
+    or with a stratum, once each shot has drawn its fault list, one per
+    count of draws."""
     keys, uniforms, _, _, width = state._table(lo, hi)
     size = len(state.out)
-    return [_Shot(keys, uniforms, width, slot, size) for slot in range(hi - lo)]
+    classes = [_ShotClass(keys, uniforms, width, list(range(hi - lo)), bytearray(size))]
+    if stratum is not None:
+        one, faults, counts = classes[0], [], {}
+        for slot in range(hi - lo):
+            one._seat(slot)
+            one._count = 0
+            faults.append(stratum.draw_forced(one))
+            counts.setdefault(one._count, []).append(slot)
+        classes = [_ShotClass(keys, uniforms, width, members, bytearray(size), count, faults)
+                   for count, members in counts.items()]
+    state.classes = list(classes)
+    return classes
 
 
 def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, stratum,
@@ -1128,25 +1159,24 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     ShotState of ``prog`` seeded with ``seed``, on which the closure VM
     walks them as one group: each kept shot's output bits (user records,
     detectors, observables) packed little-endian, one uint8 row per shot,
-    and its acceptance flags (bool). A rejected shot is kept only with
-    ``keep_rejected``. This is the one place that runs shots for ``sample``
-    and ``sample_accumulate``."""
+    and its acceptance flag; a rejected shot is kept only with
+    ``keep_rejected``. ``sample`` and ``sample_accumulate`` run shots here."""
     if type(engine) is not ShotState:
         return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
     state = engine
+    _walk(prog, _compiled(prog), state, _classes(state, lo, hi, stratum))
+    classes, state.classes = state.classes, []
+    state.widen(max(c._count for c in classes))
+    final = [None] * (hi - lo)  # each shot's final class
+    for c in classes:
+        for slot in c.members:
+            final[slot] = c
+    if not keep_rejected:
+        final = [c for c in final if c.accepted]
     width = len(state.out)
-    shots = _shots(state, lo, hi)
-    if stratum is not None:
-        for s in shots:
-            s.forced_faults = stratum.draw_forced(s)
-    _walk(prog, _compiled(prog), state, list(shots))
-    state.widen(max(s._count for s in shots))
-    rows, flags = bytearray(), bytearray()
-    for s in shots:
-        if s.accepted or keep_rejected:
-            rows += s.out
-            flags.append(s.accepted)
-    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(flags), width)
+    bits = np.frombuffer(b"".join([c.out for c in final]), dtype=np.uint8)
+    bits = bits.reshape(len(final), width)
+    flags = bytes([c.accepted for c in final])
     uidx = _user_idx(prog)
     if uidx is not None:
         bits = bits[:, np.concatenate([uidx, np.arange(prog.record_count, width)])]
@@ -1156,16 +1186,11 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
 def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
             keep_rejected: bool, stream: bool):
     """Yield each chunk of :func:`_shot_rows` in shot order, unpacked to one
-    uint8 row of output bits per kept shot, with its acceptance flags; the
-    chunks come from a fork pool when :func:`sample`'s rule for
-    ``workers`` starts one.
-
-    This is the one chunk rule. Each chunk holds :func:`_fold_shots`
-    shots, and no more than a worker's share in a pool. With ``stream``,
-    set by :func:`sample`, whose records go out as each chunk arrives, the
-    first chunk holds at most :func:`_chunk_shots`, so the first record
-    comes soon. Without it the first chunk is full size too, so that more
-    shots share each path."""
+    uint8 row of output bits per kept shot, with its acceptance flags, from
+    a fork pool when :func:`sample`'s rule for ``workers`` starts one. Each
+    chunk holds :func:`_fold_shots` shots, at most a worker's share in a
+    pool; with ``stream`` (:func:`sample`, whose records go out as each
+    chunk arrives) the first holds at most :func:`_chunk_shots`."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     # the engine, once and before any fork; a state's views are built on its
@@ -1193,17 +1218,13 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
            stratum=None, keep_rejected: bool = True):
     """Yield ShotRecords for shot indices 0..shots-1, deterministically.
 
-    Records depend only on (seed, shot index): any worker split produces the
-    same stream, and a frame-only program's table gives the records the
-    closure VM gives. With a stratum, every record carries that stratum's
-    weight and noise sites are forced per its conditional law. Records
-    arrive a chunk of shots at a time, as row views of the chunk's bits.
-
-    ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
-    pool starts only when that leaves more than one worker and, for a
-    frame-table program, when each worker gets more than a whole chunk of
-    shots; below that the pool costs more than the shots, and this process
-    samples alone.
+    Records depend only on (seed, shot index), whatever the worker split
+    or engine. With a stratum, every record carries its weight and noise
+    sites are forced per its conditional law. Records arrive a chunk at a
+    time, as row views of the chunk's bits. ``workers`` is capped at the
+    shot count and ``os.cpu_count()``; a fork pool starts only when that
+    leaves more than one worker and, for a frame-table program, each gets
+    more than a whole chunk, below which the pool costs more than it saves.
     """
     weight = 1.0 if stratum is None else stratum.weight
     nm = len(prog.user_records)
@@ -1233,11 +1254,9 @@ def _worker_range(bounds):
 
 def _sample_parallel(prog, engine, jobs, seed, workers, stratum, keep_rejected):
     """Yield the packed chunks of :func:`_shot_rows` in shot order from a
-    pool of ``workers`` fork workers, which inherit ``engine``; ``jobs`` is
-    the chunk bounds of :func:`_chunks`, a :func:`_bounds` generator. The
-    bounds are made as jobs are sent, and at most two chunks per worker are
-    in flight, so the parent holds a bounded number of chunks whatever the
-    shot count."""
+    pool of ``workers`` fork workers, which inherit ``engine``. ``jobs``,
+    the chunk bounds of :func:`_chunks`, is drawn as jobs are sent, and at
+    most two chunks per worker are in flight, whatever the shot count."""
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
@@ -1257,11 +1276,10 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
                       stratum=None) -> dict:
     """Streaming marginals: bit sums for measurements/detectors/observables.
 
-    The accepted shots' bits are summed a chunk at a time; the weight sum
-    adds one shot's weight at a time, as a shot-by-shot loop would. Nothing
-    is returned before the last chunk, so every chunk, the first too, holds
-    as many shots as the memory budget allows (:func:`_fold_shots`), and
-    the shots of a chunk share the amplitude work of each path they take.
+    The accepted shots' bits are summed a chunk at a time, the weight sum a
+    shot at a time, as a shot-by-shot loop would. Nothing is returned before
+    the end, so every chunk holds as many shots as memory allows
+    (:func:`_fold_shots`), and they share the most work.
     """
     nm = len(prog.user_records)
     nmd = nm + prog.num_detectors

@@ -439,11 +439,13 @@ def test_mid_sized_repetition_code_samples_on_the_table(monkeypatch):
 
 
 def test_a_program_without_outputs_samples():
-    # no records, detectors or observables: a chunk still has shots
-    prog = compile_circuit("H 0\nS 0\n")
-    assert runtime._frame_table(prog) is not None
-    assert [r.measurements.size for r in sample(prog, 3)] == [0, 0, 0]
-    assert sample_accumulate(prog, 3)["accepted"] == 3
+    # no records, detectors or observables: a chunk still has shots, on the
+    # frame table and on the closure VM
+    for text, table in (("H 0\nS 0\n", True), ("H 0\nT 0\n", False)):
+        prog = compile_circuit(text)
+        assert (runtime._frame_table(prog) is not None) == table
+        assert [r.measurements.size for r in sample(prog, 3)] == [0, 0, 0]
+        assert sample_accumulate(prog, 3)["accepted"] == 3
 
 
 # -- property test: small generated circuits -------------------------------------

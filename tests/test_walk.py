@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,15 +105,18 @@ def _state_of(s) -> tuple:
 
 
 def _walk_group(prog, seed: int, faults: list, outcomes) -> list:
-    """Shots 0.. of ``prog`` walked as one group, shot i with the fault list
-    ``faults[i]`` and all with the forced outcomes ``outcomes``."""
+    """Shots 0.. of ``prog`` walked as one group, which starts as one class,
+    shot i with the fault list ``faults[i]`` (all None, or all lists) and
+    all with the forced outcomes ``outcomes``; each shot's bytes, frame and
+    flag are its final class's."""
     state = ShotState(prog, seed=seed)
-    group = runtime._shots(state, 0, len(faults))
-    for s, ff in zip(group, faults):
-        s.forced_faults = ff
+    group = runtime._classes(state, 0, len(faults), None)
+    if faults[0] is not None:
+        group[0].forced_faults = faults
     state.forced_outcomes = outcomes
-    runtime._walk(prog, runtime._compiled(prog), state, list(group))
-    return [_state_of(s) for s in group]
+    runtime._walk(prog, runtime._compiled(prog), state, group)
+    final = {slot: c for c in state.classes for slot in c.members}
+    return [_state_of(final[slot]) for slot in range(len(faults))]
 
 
 def _walk_alone(prog, seed: int, faults: list, outcomes) -> list:
@@ -126,21 +130,31 @@ def _walk_alone(prog, seed: int, faults: list, outcomes) -> list:
 
 @pytest.mark.parametrize("need", [0, 5, runtime._MAX_WIDTH + 10])
 def test_a_sampled_shot_draws_its_scalar_stream(need):
-    # a chunk's shots at lo > 0 read their slots of one table; with no
-    # tabulated draw, 5 of them, and the most a table holds, each draw of
-    # every kind equals a fresh scalar stream's, past the table too
+    # a class of a chunk's shots at lo > 0 reads their slots of one table;
+    # with no tabulated draw, 5 of them, and the most a table holds, each
+    # member's draws equal a fresh scalar stream's, past the table too,
+    # and so do those of a class of one that leaves it midway
     lo, hi = 1000, 1040
     rng = ShotRng(77, 0)
     rng.widen(need)
     keys, uniforms, _, _, width = rng._table(lo, hi)
     assert width == min(need, runtime._MAX_WIDTH)
-    for slot, shot in enumerate(range(lo, hi)):
-        s = runtime._Shot(keys, uniforms, width, slot, 0)
-        alone = ShotRng(77, shot)
-        for c in range(runtime._MAX_WIDTH + 16):
-            kind = ("uniform", "bit", "exponential")[(shot + c) % 3]
-            assert getattr(s, kind)() == getattr(alone, kind)()
-        assert s.draws == alone.draws == runtime._MAX_WIDTH + 16
+    cls = runtime._ShotClass(keys, uniforms, width, list(range(hi - lo)), bytearray())
+    alone = [ShotRng(77, shot) for shot in range(lo, hi)]
+    draws = runtime._MAX_WIDTH + 16
+    for c in range(draws):
+        assert cls.uniform_each(cls.members) == [a.uniform() for a in alone]
+        if c == draws // 2:
+            state = SimpleNamespace(classes=[])
+            one = runtime._part(state, cls, [7])
+            cls.keep([s for s in cls.members if s != 7])
+            assert state.classes == [one] and one.members == [7]
+            for d in range(16):
+                kind = ("uniform", "bit", "exponential")[d % 3]
+                assert getattr(one, kind)() == getattr(alone[7], kind)()
+            assert one.draws == alone[7].draws
+            del alone[7]
+    assert cls.draws == draws and all(a.draws == draws for a in alone)
 
 
 def test_a_chunk_tabulates_once_and_builds_no_stream(monkeypatch):
@@ -199,8 +213,9 @@ def test_a_branch_floor_flip_shares_its_branch(monkeypatch):
     # qubit 0 measures 1 with probability 1 - 2.5e-13, so a draw at or above
     # it takes branch 0 below the floor and flips to branch 1, at branch
     # 1's own probability; the patched draw sends about half the draws there
+    # and so does the patched draw of a class's members
     flips = []
-    uniform = ShotRng.uniform
+    uniform, uniform_each = ShotRng.uniform, ShotRng.uniform_each
 
     def patched(self):
         u = uniform(self)
@@ -209,7 +224,12 @@ def test_a_branch_floor_flip_shares_its_branch(monkeypatch):
             return 1 - 2.0 ** -53
         return u
 
+    def patched_each(self, slots):
+        return [u if u >= 0.5 else flips.append(u) or 1 - 2.0 ** -53
+                for u in uniform_each(self, slots)]
+
     monkeypatch.setattr(ShotRng, "uniform", patched)
+    monkeypatch.setattr(ShotRng, "uniform_each", patched_each)
     prog = compile_circuit(f"H 1\nT 1\nCX 1 0\nR_Y({math.pi - 1e-6!r}) 0\nM 0\n"
                            "T 1\nH 1\nM 1\nT 0\nH 0\nM 0 1\n")
     assert prog.k_max > 0 and any(isinstance(i, MeasCollapse) for i in prog.instrs)
@@ -256,6 +276,28 @@ def test_one_path_runs_each_kernel_once_per_chunk(monkeypatch):
     assert len(calls) == per_shot
 
 
+def test_frame_work_runs_once_per_class(monkeypatch):
+    # N shots that agree on every draw stay one class, whose frame steps
+    # conjugate one frame: as many calls as one shot alone
+    prog = _deterministic_program()
+    runtime._compiled(prog)  # specialized before counting
+    calls = []
+    conjugate = runtime._conjugate_frame
+
+    def counted(*args):
+        calls.append(args[0])
+        return conjugate(*args)
+
+    monkeypatch.setattr(runtime, "_conjugate_frame", counted)
+    run_shot(prog, ShotState(prog), shot=0)
+    per_shot = len(calls)
+    assert per_shot > 20
+    assert runtime._fold_shots(prog) >= 40  # one chunk
+    calls.clear()
+    assert not sample_accumulate(prog, 40, seed=2)["measurements"].any()
+    assert len(calls) == per_shot
+
+
 def _forking_program():
     """20 collapses of probability 1/2 beside a 4-qubit array: the walk
     forks at each."""
@@ -282,7 +324,7 @@ def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
     for shots in (1, 2, 3, 64, 100):
         live.clear()
         state = ShotState(prog, seed=shots)
-        group = runtime._shots(state, 0, shots)
+        group = runtime._classes(state, 0, shots, None)  # one class
         runtime._walk(prog, code, state, group)
         assert max(live) <= math.floor(math.log2(shots))
         if shots >= 64:
