@@ -15,8 +15,8 @@ one table of the chunk from :meth:`ShotRng._table`, and widens its own
 stream by the most draws a shot made. Shots that have made the same number
 of draws share one counter: a stream on that table draws the next uniform
 of each of them at once (:meth:`ShotRng.uniform_each`), reading each
-shot's own slot, and a stream seated at one slot (:meth:`ShotRng._seat`)
-draws for that shot alone (``runtime._ShotClass``).
+shot's own slot, and a stream seated at one slot (its ``_slot`` and
+``_row``) draws for that shot alone (``runtime._ShotClass``).
 :class:`ShotStreams` is the one vector form of the mixer: it holds a
 chunk of shots' streams side by side, one draw counter per shot, for
 samplers that run shots in lock-step or that draw a grid of each shot's
@@ -68,13 +68,14 @@ class ShotRng:
     ``key = mix64(mix64(seed) ^ shot)``. For the shots in [``_lo``,
     ``_hi``), ``_keys`` holds the keys and ``_uniforms`` (flat, ``_width``
     per shot) the :meth:`uniform` values of the first draws, both from a
-    :class:`ShotStreams` of the block. The current shot is entry ``_slot``
-    of the table with its first uniform at ``_row`` and ``_avail`` draws
-    tabulated; a shot outside the table has ``_avail`` 0 and its key in
-    ``_key``. :meth:`uniform`, :meth:`bit`, :meth:`exponential` and
-    :meth:`next_u64` read only ``_count``, ``_key``, ``_keys``,
-    ``_uniforms``, ``_slot``, ``_row`` and ``_avail``, and
-    :meth:`uniform_each` and :meth:`_seat` ``_width`` too, so a stream that
+    :class:`ShotStreams` of the block. ``_uniforms`` is a memoryview, whose
+    index gives the Python float of ``ndarray.item`` in about two thirds of
+    its time. The current shot is entry ``_slot`` of the table with its
+    first uniform at ``_row`` and ``_avail`` draws tabulated; a shot outside
+    the table has ``_avail`` 0 and its key in ``_key``. :meth:`uniform`,
+    :meth:`bit`, :meth:`exponential` and :meth:`next_u64` read only
+    ``_count``, ``_key``, ``_keys``, ``_uniforms``, ``_slot``, ``_row`` and
+    ``_avail``, and :meth:`uniform_each` ``_width`` too, so a stream that
     only draws may set just those.
     """
 
@@ -118,14 +119,14 @@ class ShotRng:
 
     def _table(self, lo: int, hi: int) -> tuple:
         """``(keys, uniforms, lo, hi, width)`` of shots [lo, hi) with this
-        stream's seed, from one :class:`ShotStreams`: as wide as this
-        stream's next table, ``_need`` draws per shot. A sampler that draws
-        from it for shots side by side widens this stream by the most draws
-        they make (:meth:`widen`)."""
+        stream's seed, from one :class:`ShotStreams`, ``uniforms`` a flat
+        memoryview: as wide as this stream's next table, ``_need`` draws per
+        shot. A sampler that draws from it for shots side by side widens
+        this stream by the most draws they make (:meth:`widen`)."""
         streams = ShotStreams(self._seed, lo, hi)
         width = self._need
-        return (streams.keys, streams.uniforms(slice(None), streams.counts, width).ravel(),
-                lo, hi, width)
+        uniforms = streams.uniforms(slice(None), streams.counts, width).ravel()
+        return streams.keys, memoryview(uniforms), lo, hi, width
 
     def next_u64(self) -> int:
         c = self._count
@@ -145,7 +146,7 @@ class ShotRng:
         c = self._count
         if c < self._avail:  # tabulated with numpy
             self._count = c + 1
-            return self._uniforms.item(self._row + c)
+            return self._uniforms[self._row + c]
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def bit(self) -> int:
@@ -157,7 +158,7 @@ class ShotRng:
         c = self._count
         if c < self._avail:  # uniform inlined for the tabulated case
             self._count = c + 1
-            return -math.log1p(-self._uniforms.item(self._row + c))
+            return -math.log1p(-self._uniforms[self._row + c])
         return -math.log1p(-self.uniform())
 
     def uniform_each(self, slots: list) -> list:
@@ -168,17 +169,11 @@ class ShotRng:
         self._count = c + 1
         w = self._width
         if c < self._avail:
-            item = self._uniforms.item
-            return [item(s * w + c) for s in slots]
+            uniforms = self._uniforms
+            return [uniforms[s * w + c] for s in slots]
         item, step = self._keys.item, c * _GOLDEN
         return [(mix64((item(s) + step) & _MASK) >> 11) * 1.1102230246251565e-16
                 for s in slots]
-
-    def _seat(self, slot: int) -> None:
-        """Draw for slot ``slot`` of this stream's table from here on."""
-        self._slot = slot
-        self._row = slot * self._width
-        self._key = None
 
     @property
     def draws(self) -> int:

@@ -1,54 +1,122 @@
 """Bytecode execution over the factored runtime state, and sampling.
 
-A program with an active array (``k_max`` > 0) samples on the closure VM
-below, a frame-only one on its frame table (:mod:`framesim.table`);
+Each program class has one engine. A program with an active array
+(``k_max`` > 0) runs on the closure VM below. A frame-only program
+(``k_max`` == 0) is sampled through its frame table (:mod:`framesim.table`).
 ``_frame_table`` is the switch. ``run_shot``, ``trace``,
 ``expectation_probe`` and ``testing.crosscheck`` always use the closure VM,
-the reference engine. ``_chunks`` picks the engine once per sampling call,
-before any fork, and ``_shot_rows`` runs a chunk of shots on it (about a
-megabyte of output bits and walk state, :func:`_fold_shots`).
+the reference engine.
 
-The closure VM walks a chunk depth first (``_walk``). Its unit is a class
-(:class:`_ShotClass`): shots that have so far made the same draws with the
-same outcomes, which share one Pauli frame (two Python-int bitmasks), one
-bytearray of records, detectors and observables, one acceptance flag and
-one draw counter. So each step does its frame, record, detector,
-postselection and fork work once per class, and draws once per member
-shot, from the shot's own counter-based stream, as it would alone. A
-chunk starts as one class. A coin or a collapse splits a class by its
-members' draws; a member whose fault fires in a ``NoiseBlock`` (drawn, or
-listed by a stratum) leaves for a class of its own, which draws the block
-again as its shot. ``run_shot``, ``trace``, ``expectation_probe`` and
-``testing.crosscheck`` walk a class of one, the :class:`ShotState` itself.
-A shot's faults reach the ``NoiseBlock`` steps as a sorted list of
-``(site, case)`` pairs: drawn per block, or passed for the whole shot by a
-forced run (``forced_faults``, ``crosscheck``, ``StratumSpec``), where a
-``None`` case is drawn when its block runs, as a sampled shot draws it.
+Sampling has one path for both engines. ``_chunks`` picks the engine once
+per call, in this process and before any fork: the program's table, or one
+``ShotState`` with the program's closures built, which the chunks of this
+process share and each fork worker inherits. ``_shot_rows`` runs a range of
+shots on it and returns each kept shot's output bits as packed rows with
+its acceptance flags. A chunk holds about a megabyte (``_FOLD_BYTES``) of
+unpacked output bits and, on the closure VM, of per-shot walk state, and
+few enough shots that the walk's snapshots fit ``_SNAP_BYTES``. The
+first closure-VM chunk of a ``sample`` call, whose records stream, also
+holds at most about ``_CHUNK_WORK`` amplitude operations; every other
+chunk, and every chunk of ``sample_accumulate``, which returns only at
+its end, is as large as those budgets allow, so that its shots share the
+most paths. ``_chunks`` yields the chunks in shot order, from this
+process or from a fork pool, and unpacks them; ``sample`` yields each row
+as a ``ShotRecord`` and ``sample_accumulate`` sums them. So records
+arrive a chunk at a time, and the first record of a slow program waits
+for a chunk of tens of shots at most. The pool keeps at most two chunks
+per worker in flight, and a table program forks only when each worker
+gets more than a whole chunk.
 
-The active array and ``gamma`` belong to the path. Classes hold
-bit-identical arrays while they agree on the path key: the frame X bits
-that ``Expand`` and ``ArrayRot`` read to pick the sign of their angle, and
-each collapse's branch, whose probability and scale the path fixes (a draw
-that hits ``BRANCH_FLOOR`` takes the other branch at that branch's own
-probability, bit for bit). So each amplitude kernel and ``gamma`` factor
-runs once per path, and those three kinds split the group of classes; only
-a group of one takes ``GammaRot``'s phase, which is each frame's own. At a
-split the walk goes on with the part of fewer shots and defers the other
-with a snapshot of the array and its ``gamma``, so at most log2(shots)
-snapshots are live. Nothing consults the amplitudes to decide control
-flow: the compiler fixed the schedule.
+The closure VM runs a group of shots in one depth-first walk (``_walk``).
+Its unit is a class of shots (``_ShotClass``): shots that have so far made
+the same draws with the same outcomes. The shots of a class share one
+Pauli frame, as two Python-int bitmasks, one bytearray of record, detector
+and observable bytes, one acceptance flag and one draw counter. Each shot
+keeps its counter-based RNG stream, its slot of the chunk's one table of
+draws, from which it makes exactly the draws it would make alone. The
+active array and the scalar ``gamma`` belong to the path. Two classes hold
+bit-identical arrays for as long as they agree on the path key: the probe
+bits, which are the frame X bits that ``Expand`` and ``ArrayRot`` read to
+pick the sign of their angle, and each collapse's branch, whose
+probability and scale the path fixes (a draw that hits ``BRANCH_FLOOR``
+takes the other branch at that branch's own probability, bit for bit). So
+each step does its frame, record, detector and postselection work once per
+class, its draws once per member shot, and its amplitude kernel and
+``gamma`` factor once per path, on the state's one array:
 
-Each instruction is specialized once into a closure with its operands
-bound, and every kind has one kernel. Frame, record and detector updates
-are Python int and bytearray operations. The active array is the first
-2^k entries of one numpy array (capacity 2^k_max), and each kernel makes
-few numpy calls over long runs, on views built once per state, since a
-call costs about a microsecond and a strided view that again per run of
-its innermost axis (:func:`_split`, :func:`_blocks`, :func:`_row_form`;
-``ArrayRot`` folds branch 0's phase into ``gamma``). These forms change
-rounding, not results: amplitudes differ from plain two-half sweeps in
-the last bits (about 1e-18 absolute at 2^14 entries), and a record only
-where a draw lands within rounding of a branch probability.
+* ``ArrayGate`` conjugates each class's frame by its gate, then runs its
+  kernel.
+* ``Expand`` and ``ArrayRot`` split the group by their probe bit and pass
+  that bit to the kernel.
+* ``MeasCollapse`` computes its branch probability once per path; draws
+  once per member shot, and splits a class whose members take both
+  branches; records and updates the frame once per class; and applies each
+  branch taken once. ``MeasDormantRandom`` splits a class by its members'
+  coins in the same way.
+* ``NoiseBlock`` draws each member's first hazard skip of each segment
+  (one per segment, the same draw a shot alone makes), and gives a certain
+  site of one case to the whole class. A member whose fault fires there, or
+  whose certain site draws its case, leaves for a class of its own, which
+  draws the rest of the block as its shot would.
+
+A chunk starts as one class (with a stratum, one per count of draws that
+its shots' fault lists took). ``GammaRot``'s phase depends on each class's
+frame, so only a group of one, whose path is its shot, takes it into
+``gamma``. At a split the walk goes on with the part of fewer shots and
+defers the other with a snapshot of the array and its ``gamma``. A
+deferred ``Expand`` or ``ArrayRot`` part reruns its instruction on the
+snapshot; a deferred collapse branch keeps only its collapsed half. Since
+the part the walk goes on with holds at most half the shots of the group
+it came from, at most log2(group size) snapshots are live at once, each of
+at most 2^k_max entries. ``run_shot``, ``trace``, ``expectation_probe``
+and ``testing.crosscheck`` run the same walk with a group of one class of
+one shot, the :class:`ShotState` itself, which holds both the shot and its
+array. A class that fails a postselection leaves the group there.
+Nothing consults the amplitudes to decide control flow (the compiler fixed
+the schedule). A shot's faults reach the ``NoiseBlock`` steps in one form,
+a sorted list of ``(site, case)`` pairs: the hazard-skip sampler produces
+it per block, and a forced run (``run_shot``'s ``forced_faults``,
+``testing.crosscheck``, ``StratumSpec.draw_forced``) passes it for the
+whole shot, where a ``None`` case is drawn when its block runs, in the
+order the sampled path draws it; a member of a class with a fault listed
+in a block leaves for a class of its own there.
+
+The dispatch loop is threaded code: each instruction is specialized once
+into a closure with its operands (qubit masks, precomputed rotation
+phases) bound, so the hot path is a list of calls; every instruction kind
+has exactly one kernel. On that path, frame, record and detector updates
+are Python int and bytearray operations, never numpy scalar accesses.
+The active array is the first 2^k entries of one numpy array (capacity
+2^k_max), and each kernel has one form at every size: vectorized sweeps
+over views built once per state. A kernel runs once per path, so its
+shots share its cost; a group of one pays it alone. A numpy call costs
+about a microsecond whatever it computes, and a strided view costs that
+again for every run of its innermost axis, so the kernels make few calls
+over long runs:
+
+* ``ArrayRot`` multiplies only the branch-1 half, by its phase relative to
+  branch 0's, and folds branch 0's phase into ``gamma``; the phase has unit
+  modulus, so ``|gamma|^2`` stays the product of the branch probabilities.
+* A kernel whose lowest axis is 1 (``S``, ``H``, ``CZ``, ``ArrayRot``) runs
+  on the two stride-2 sub-arrays, where that axis becomes axis 0 and each
+  view is one long strided run. ``CX`` moves each run of entries below its
+  lower axis as one element of a void dtype, and so does ``MeasCollapse``
+  when it copies the two halves of a lower axis into ``scratch`` in one
+  call (on axis 1 it copies the sub-arrays' halves as long runs instead).
+* ``MeasCollapse`` writes its halves, its branch row and its output between
+  ``buf`` and ``scratch``, allocating nothing for the branch the walk goes
+  on with. A branch row of its basis change that is one half, their sum or
+  their difference, times a factor (the identity, a bare ``H``), costs no
+  multiply or one add; the factor goes into the output's scale. ``p_all``
+  comes from the two halves, one pass for the identity, and no ``np.vdot``
+  spans more than ``_DOT`` entries.
+
+These forms change rounding, not results. ``gamma`` carries
+``ArrayRot``'s branch-0 phase, ``p_all`` is summed over the halves in
+their copied order and a row is applied as c (v0 + eps v1), so amplitudes
+differ from plain two-half sweeps in the last bits (about 1e-18 absolute
+at 2^14 entries), and a record can differ only where a draw lands within
+rounding of a branch probability.
 """
 from __future__ import annotations
 
@@ -129,31 +197,49 @@ _EMPTY_BITS = np.zeros(0, dtype=np.uint8)
 
 class ShotState(ShotRng):
     """Reusable storage of the closure VM: the active array of a walk's
-    paths with their ``gamma``, and one shot, which is a class of one
-    (``members``, :class:`_ShotClass`) and its own :class:`ShotRng` stream;
+    paths with their ``gamma``, and the fields of one shot, a class of one
+    (``members``, :class:`_ShotClass`), its random stream included;
     capacity fixed by the compiled program.
 
     * The active array is the first 2^k entries of ``buf`` (complex128,
-      capacity 2^k_max); ``scratch`` is a work buffer of the same capacity,
-      and ``views`` keeps the kernels' numpy views of the two. ``gamma`` is
-      the path's scalar, ``|gamma|^2`` the product of its branch
-      probabilities. ``pending`` holds the walk's deferred parts, each with
-      a snapshot of the array and its ``gamma``, and ``classes`` a sampled
-      chunk's classes.
-    * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints, bit j for
-      virtual qubit j as in every ``PauliString``; ``out`` the records,
-      detectors and observables as 0/1 bytes; ``forced_faults`` is None or
-      ``[the shot's fault list]``.
+      capacity 2^k_max) at every size; ``active_view()`` returns them.
+      ``scratch`` is a work buffer of the same capacity, and ``views``
+      keeps the numpy views of the two that the kernels reuse from shot to
+      shot. ``pending`` holds the walk's deferred parts, each with its
+      snapshot of the array: a group of n shots keeps at most floor(log2 n)
+      of them, and sampling keeps a chunk's within ``_SNAP_BYTES``
+      (:func:`_fold_shots`). ``classes`` lists the classes of the chunk
+      being sampled and ``spare`` those of the chunk before, which
+      :func:`_part` re-seats.
+    * ``gamma`` is the scalar of the path the walk is on: the product of
+      the factors that ``ArrayRot``, ``MeasCollapse`` and
+      ``MeasDormantRandom`` give every shot of the path, so that
+      ``|gamma|^2`` is the product of its branch probabilities. A deferred
+      part's snapshot holds its path's ``gamma``. ``GammaRot``'s factor
+      depends on each class's frame, and only a group of one, whose path is
+      its shot, takes it into ``gamma``.
+    * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
+      virtual qubit j, the bit format of every ``PauliString``.
+    * ``out`` holds the records, detectors and observables, in that order,
+      as 0/1 bytes. ``forced_faults`` is None or ``[the shot's faults]``.
+    * The state is the shot's :class:`ShotRng` stream. For sampling it
+      tabulates each chunk's draws once (:meth:`ShotRng._table`), and the
+      classes of the chunk's shots read their slots of that table.
 
-    A program whose ``buf``, ``scratch`` (32 * 2^k_max bytes) and sampling
-    snapshots exceed the physical memory is refused before any allocation.
-    ``reset`` moves the stream to a shot and clears only what it reads
-    before writing: the frame, the scalars and the observables (XORed
-    into); the records and detectors only when a postselection can stop a
-    shot before it writes them all. The walk starts the array and ``gamma``.
+    A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) and
+    sampling's snapshots exceed the machine's physical memory is refused
+    before anything is allocated.
+
+    ``reset`` moves the stream to a shot and clears only what the shot
+    reads before writing it: the frame, the scalars and the observables,
+    which accumulate by XOR. Every record and detector is written before it
+    is read, so they are cleared only when a postselection can stop a shot
+    before writing them all. The walk starts the path: the array and
+    ``gamma``.
     """
 
-    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending", "classes", "members",
+    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending", "classes", "spare",
+                 "members",
                  "frame_x", "frame_z", "gamma", "out", "weight", "accepted",
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear", "_bits")
 
@@ -170,6 +256,7 @@ class ShotState(ShotRng):
         self.views = {}
         self.pending = []
         self.classes = []
+        self.spare = []
         self.members = [0]
         nr, nd = prog.record_count, prog.num_detectors
         self.out = bytearray(nr + nd + prog.num_observables)
@@ -233,32 +320,41 @@ class _ShotClass(ShotRng):
         self.keep(members)
 
     def keep(self, members: list) -> None:
+        """Hold ``members`` from here on, seated at the first if any."""
         self.members = members
         if members:
-            self._seat(members[0])
+            self._slot = slot = members[0]
+            self._row, self._key = slot * self._width, None
 
 
 def _part(st: ShotState, cls: _ShotClass, members: list) -> _ShotClass:
     """A new class of ``members``, shots that the caller takes out of
-    ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``."""
-    part = _ShotClass(cls._keys, cls._uniforms, cls._width, members, bytearray(cls.out),
-                      cls._count, cls.forced_faults)
+    ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``;
+    a spare class of an earlier chunk is re-seated when there is one."""
+    if st.spare:
+        part = st.spare.pop()
+        part.out[:] = cls.out
+        part.__init__(cls._keys, cls._uniforms, cls._width, members, part.out, cls._count,
+                      cls.forced_faults)
+    else:
+        part = _ShotClass(cls._keys, cls._uniforms, cls._width, members, bytearray(cls.out),
+                          cls._count, cls.forced_faults)
     part.frame_x, part.frame_z = cls.frame_x, cls.frame_z
     st.classes.append(part)
     return part
 
 
 def _below(st: ShotState, cls, p: float) -> tuple:
-    """Each member of ``cls``, a class of several, draws a uniform: the
-    classes of the members whose draw is below ``p`` and of the others,
-    None for an empty one; ``cls`` keeps the others."""
+    """Each member of ``cls``, a class of several, draws a uniform. Returns
+    whether the draws of the members that ``cls`` keeps are below ``p``, and
+    the class of the others, split off, or None when every draw agrees."""
     members = cls.members
     us = cls.uniform_each(members)
     below = [s for s, u in zip(members, us) if u < p]
-    if len(below) in (0, len(members)):
-        return (cls, None) if below else (None, cls)
+    if not below or len(below) == len(members):
+        return bool(below), None
     cls.keep([s for s, u in zip(members, us) if u >= p])
-    return _part(st, cls, below), cls
+    return False, _part(st, cls, below)
 
 
 # -- instruction specialization --------------------------------------------------
@@ -555,7 +651,7 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
     def run(st: ShotState, group: list) -> None:
         fo = st.forced_outcomes
         forced = None if fo is None else fo.get(record)
-        kept = []
+        parted = None
         for c in group:
             fx, fz = c.frame_x, c.frame_z
             p = (fz >> virt) & 1
@@ -567,18 +663,17 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
             elif len(c.members) == 1:
                 coin = 1 if c.uniform() >= 0.5 else 0
             else:  # each member's coin: the class of the 0s is split off
-                zero, c = _below(st, c, 0.5)
-                if zero is not None:
-                    zero.out[record] = p ^ flip
-                    zero.frame_x, zero.frame_z = fx, fz
-                    kept.append(zero)
-                if c is None:
-                    continue
-                coin = 1
+                zero, part = _below(st, c, 0.5)
+                coin = 0 if zero else 1
+                if part is not None:
+                    part.out[record] = p ^ flip
+                    part.frame_x, part.frame_z = fx, fz
+                    parted = parted or []
+                    parted.append(part)
             c.out[record] = coin ^ p ^ flip
             c.frame_x, c.frame_z = fx ^ m if coin else fx, fz
-            kept.append(c)
-        group[:] = kept
+        if parted:
+            group += parted
         st.gamma *= _INV_SQRT2
 
     return run
@@ -706,26 +801,24 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                 fx ^= dx
                 fz ^= dz
             parity = (fx >> virt) & 1
-            if forced is None and len(c.members) == 1:
-                branch = hit if c.uniform() < p1 else miss
-            elif forced is not None:
+            if forced is not None:
                 branch = forced ^ parity ^ flip
                 if probs[branch] < BRANCH_FLOOR:
                     raise ShotError(
                         f"forced outcome {forced} for record {record} has probability"
                         f" {probs[branch]:.3e}")
+            elif len(c.members) == 1:
+                branch = hit if c.uniform() < p1 else miss
             elif hit == miss:  # every draw takes one branch: count them, unread
                 c._count += 1
                 branch = hit
             else:  # a draw below p1 takes branch 1: that class is split off
-                one, c = _below(st, c, p1)
-                if one is not None:
-                    one.out[record] = 1 ^ parity ^ flip
-                    one.frame_x, one.frame_z = fx ^ m, fz
-                    parts[1].append(one)
-                if c is None:
-                    continue
-                branch = 0
+                one, part = _below(st, c, p1)
+                branch = 1 if one else 0
+                if part is not None:
+                    part.out[record] = 1 ^ parity ^ flip
+                    part.frame_x, part.frame_z = fx ^ m, fz
+                    parts[1].append(part)
             c.out[record] = branch ^ parity ^ flip
             if branch:
                 fx ^= m
@@ -783,53 +876,69 @@ def _c_noise_block(ins: NoiseBlock, prog):
     plan = _block_plan(sites, lo, hi)
     # a block without certain sites is one hazard segment
     one_segment = plan == [(lo, hi)]
-    s_lo, s_hi = S[lo], S[hi]
+    tails = [plan[i:] for i in range(len(plan))]  # the plan from each part on
     lo_key, hi_key = (lo,), (hi,)  # (s,) sorts just before the pairs of site s
 
     def listed(f: list) -> list:
         return f[bisect_left(f, lo_key):bisect_left(f, hi_key)]
 
     def run(st: ShotState, group: list) -> None:
-        left = None  # classes of one that members of a class leave for
+        left = None  # the classes of one that members of a class leave for
         for c in group:
             members, ff = c.members, c.forced_faults
             if len(members) == 1:  # a class of one takes its faults as its shot
                 if ff is not None:
                     faults = listed(ff[members[0]])
-                elif not one_segment:
-                    faults = _plan_faults(S, sites, plan, c)
-                elif s_lo + c.exponential() < s_hi:  # a fault: draw the block again
-                    c._count -= 1
+                elif one_segment:
                     faults = _segment_faults(S, sites, c, lo, hi)
                 else:
-                    continue
+                    faults = _plan_faults(S, sites, plan, c)
                 if faults:
                     _take(c, faults, sites)
                 continue
-            # the members with a fault here leave: one listed, a first hazard
-            # skip that lands in the block, or at a certain site, all
-            count = c._count
-            if ff is not None:
+            left = left or []
+            if ff is not None:  # a member with a fault listed here leaves with it
                 slots = [s for s in members if listed(ff[s])]
-            elif one_segment:
-                slots = [s for s, u in zip(members, c.uniform_each(members))
-                         if s_lo + -math.log1p(-u) < s_hi]
-            else:
-                slots = members
-            if slots:  # each for a class of one, which draws the block again
-                left = left or []
-                for s in slots:
-                    one = _part(st, c, [s])
-                    one._count = count
-                    faults = _plan_faults(S, sites, plan, one) if ff is None else listed(ff[s])
-                    _take(one, faults, sites)
-                    left.append(one)
-                gone = set(slots)
-                c.keep([s for s in members if s not in gone])
+                for one in _leave(st, c, slots, c._count, left):
+                    _take(one, listed(ff[one.members[0]]), sites)
+                continue
+            for i, part in enumerate(plan):
+                count = c._count
+                if type(part) is int:
+                    tab = sites[part]
+                    if len(tab.case_cum) == 1:  # a certain fault of one case
+                        c.frame_x ^= tab.case_x[0]
+                        c.frame_z ^= tab.case_z[0]
+                        continue
+                    slots = members  # each draws its case
+                else:  # the members whose first hazard skip lands in the segment
+                    s_i, s_b = S[part[0]], S[part[1]]
+                    slots = [s for s, u in zip(members, c.uniform_each(members))
+                             if s_i + -math.log1p(-u) < s_b]
+                # each leaves for a class of one, which draws from this part on
+                for one in _leave(st, c, slots, count, left):
+                    _take(one, _plan_faults(S, sites, tails[i], one), sites)
+                members = c.members
+                if not members:
+                    break
         if left:
             group[:] = [c for c in group if c.members] + left
 
     return run
+
+
+def _leave(st: ShotState, c, slots: list, count: int, left: list) -> list:
+    """Move the members ``slots`` of ``c`` each to a class of one at draw
+    ``count``; returns those classes, which ``left`` gains too."""
+    if not slots:
+        return slots
+    gone = set(slots)
+    c.keep([s for s in c.members if s not in gone])
+    ones = [_part(st, c, [s]) for s in slots]
+    for one in ones:
+        one._count = count
+    left += ones
+    return ones
 
 
 def _take(c, faults: list, sites) -> None:
@@ -1096,8 +1205,8 @@ def _snapshots(k_max: int) -> int:
 
 def _fold_shots(prog: BytecodeProgram, stratum=None) -> int:
     """Most shots of a chunk: about _FOLD_BYTES of unpacked output bits and,
-    on the closure VM, of the walk's state, and few enough that the walk's
-    snapshots fit _SNAP_BYTES."""
+    on the closure VM, of the walk's per-shot state, and few enough that
+    the walk's snapshots fit _SNAP_BYTES."""
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     if _frame_table(prog) is not None:
         return max(1, _FOLD_BYTES // max(width, 1))
@@ -1143,7 +1252,7 @@ def _classes(state: ShotState, lo: int, hi: int, stratum) -> list:
     if stratum is not None:
         one, faults, counts = classes[0], [], {}
         for slot in range(hi - lo):
-            one._seat(slot)
+            one.keep([slot])
             one._count = 0
             faults.append(stratum.draw_forced(one))
             counts.setdefault(one._count, []).append(slot)
@@ -1159,8 +1268,9 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     ShotState of ``prog`` seeded with ``seed``, on which the closure VM
     walks them as one group: each kept shot's output bits (user records,
     detectors, observables) packed little-endian, one uint8 row per shot,
-    and its acceptance flag; a rejected shot is kept only with
-    ``keep_rejected``. ``sample`` and ``sample_accumulate`` run shots here."""
+    and its acceptance flags (bool). A rejected shot is kept only with
+    ``keep_rejected``. This is the one place that runs shots for ``sample``
+    and ``sample_accumulate``."""
     if type(engine) is not ShotState:
         return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
     state = engine
@@ -1169,6 +1279,7 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     state.widen(max(c._count for c in classes))
     final = [None] * (hi - lo)  # each shot's final class
     for c in classes:
+        c._keys = c._uniforms = None  # a spare class holds no table
         for slot in c.members:
             final[slot] = c
     if not keep_rejected:
@@ -1177,6 +1288,7 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     bits = np.frombuffer(b"".join([c.out for c in final]), dtype=np.uint8)
     bits = bits.reshape(len(final), width)
     flags = bytes([c.accepted for c in final])
+    state.spare = classes
     uidx = _user_idx(prog)
     if uidx is not None:
         bits = bits[:, np.concatenate([uidx, np.arange(prog.record_count, width)])]
@@ -1186,11 +1298,16 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
 def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
             keep_rejected: bool, stream: bool):
     """Yield each chunk of :func:`_shot_rows` in shot order, unpacked to one
-    uint8 row of output bits per kept shot, with its acceptance flags, from
-    a fork pool when :func:`sample`'s rule for ``workers`` starts one. Each
-    chunk holds :func:`_fold_shots` shots, at most a worker's share in a
-    pool; with ``stream`` (:func:`sample`, whose records go out as each
-    chunk arrives) the first holds at most :func:`_chunk_shots`."""
+    uint8 row of output bits per kept shot, with its acceptance flags; the
+    chunks come from a fork pool when :func:`sample`'s rule for
+    ``workers`` starts one.
+
+    This is the one chunk rule. Each chunk holds :func:`_fold_shots`
+    shots, and no more than a worker's share in a pool. With ``stream``,
+    set by :func:`sample`, whose records go out as each chunk arrives, the
+    first chunk holds at most :func:`_chunk_shots`, so the first record
+    comes soon. Without it the first chunk is full size too, so that more
+    shots share each path."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     # the engine, once and before any fork; a state's views are built on its
@@ -1218,13 +1335,17 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
            stratum=None, keep_rejected: bool = True):
     """Yield ShotRecords for shot indices 0..shots-1, deterministically.
 
-    Records depend only on (seed, shot index), whatever the worker split
-    or engine. With a stratum, every record carries its weight and noise
-    sites are forced per its conditional law. Records arrive a chunk at a
-    time, as row views of the chunk's bits. ``workers`` is capped at the
-    shot count and ``os.cpu_count()``; a fork pool starts only when that
-    leaves more than one worker and, for a frame-table program, each gets
-    more than a whole chunk, below which the pool costs more than it saves.
+    Records depend only on (seed, shot index): any worker split produces the
+    same stream, and a frame-only program's table gives the records the
+    closure VM gives. With a stratum, every record carries that stratum's
+    weight and noise sites are forced per its conditional law. Records
+    arrive a chunk of shots at a time, as row views of the chunk's bits.
+
+    ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
+    pool starts only when that leaves more than one worker and, for a
+    frame-table program, when each worker gets more than a whole chunk of
+    shots; below that the pool costs more than the shots, and this process
+    samples alone.
     """
     weight = 1.0 if stratum is None else stratum.weight
     nm = len(prog.user_records)
@@ -1254,9 +1375,11 @@ def _worker_range(bounds):
 
 def _sample_parallel(prog, engine, jobs, seed, workers, stratum, keep_rejected):
     """Yield the packed chunks of :func:`_shot_rows` in shot order from a
-    pool of ``workers`` fork workers, which inherit ``engine``. ``jobs``,
-    the chunk bounds of :func:`_chunks`, is drawn as jobs are sent, and at
-    most two chunks per worker are in flight, whatever the shot count."""
+    pool of ``workers`` fork workers, which inherit ``engine``; ``jobs`` is
+    the chunk bounds of :func:`_chunks`, a :func:`_bounds` generator. The
+    bounds are made as jobs are sent, and at most two chunks per worker are
+    in flight, so the parent holds a bounded number of chunks whatever the
+    shot count."""
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
@@ -1276,10 +1399,11 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
                       stratum=None) -> dict:
     """Streaming marginals: bit sums for measurements/detectors/observables.
 
-    The accepted shots' bits are summed a chunk at a time, the weight sum a
-    shot at a time, as a shot-by-shot loop would. Nothing is returned before
-    the end, so every chunk holds as many shots as memory allows
-    (:func:`_fold_shots`), and they share the most work.
+    The accepted shots' bits are summed a chunk at a time; the weight sum
+    adds one shot's weight at a time, as a shot-by-shot loop would. Nothing
+    is returned before the last chunk, so every chunk, the first too, holds
+    as many shots as the memory budget allows (:func:`_fold_shots`), and
+    the shots of a chunk share the amplitude work of each path they take.
     """
     nm = len(prog.user_records)
     nmd = nm + prog.num_detectors

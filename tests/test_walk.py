@@ -145,7 +145,7 @@ def test_a_sampled_shot_draws_its_scalar_stream(need):
     for c in range(draws):
         assert cls.uniform_each(cls.members) == [a.uniform() for a in alone]
         if c == draws // 2:
-            state = SimpleNamespace(classes=[])
+            state = SimpleNamespace(classes=[], spare=[])
             one = runtime._part(state, cls, [7])
             cls.keep([s for s in cls.members if s != 7])
             assert state.classes == [one] and one.members == [7]
