@@ -298,6 +298,23 @@ def test_frame_work_runs_once_per_class(monkeypatch):
     assert len(calls) == per_shot
 
 
+def test_a_certain_site_of_one_case_keeps_its_class():
+    # X_ERROR(1) draws nothing, so the class takes it whole; only members
+    # whose DEPOLARIZE1 fault fires in the same block leave, each alone,
+    # and every shot's bytes are still its own walk's
+    prog = compile_circuit("H 0\nT 0\nX_ERROR(1) 1\nDEPOLARIZE1(0.01) 1\nM 1\n")
+    assert prog.k_max == 1 and [s.prob for s in prog.sites] == [1.0, 0.01]
+    assert sum(isinstance(i, runtime.NoiseBlock) for i in prog.instrs) == 1
+    shots = 200
+    state = ShotState(prog, seed=5)
+    runtime._walk(prog, runtime._compiled(prog), state, runtime._classes(state, 0, shots, None))
+    sizes = sorted(len(c.members) for c in state.classes if c.members)
+    assert sizes[:-1] == [1] * (len(sizes) - 1) and sizes[-1] > shots * 0.9
+    final = {slot: c for c in state.classes for slot in c.members}
+    alone = _walk_alone(prog, 5, [None] * shots, None)
+    assert [_state_of(final[slot]) for slot in range(shots)] == alone
+
+
 def _forking_program():
     """20 collapses of probability 1/2 beside a 4-qubit array: the walk
     forks at each."""
