@@ -14,8 +14,8 @@ has that width. A sampler that runs a chunk of shots side by side takes
 one table of the chunk from :meth:`ShotRng._table`, and widens its own
 stream by the most draws a shot made. Shots that have made the same number
 of draws share one counter: a stream on that table draws the next uniform
-of each of them at once (:meth:`ShotRng.uniform_each`), reading each
-shot's own slot, and a stream seated at one slot (its ``_slot`` and
+of each of them at once (:meth:`ShotRng.uniform_each`), one numpy gather
+of their slots, and a stream seated at one slot (its ``_slot`` and
 ``_row``) draws for that shot alone (``runtime._ShotClass``).
 :class:`ShotStreams` is the one vector form of the mixer: it holds a
 chunk of shots' streams side by side, one draw counter per shot, for
@@ -70,8 +70,9 @@ class ShotRng:
     per shot) the :meth:`uniform` values of the first draws, both from a
     :class:`ShotStreams` of the block. ``_uniforms`` is a memoryview, whose
     index gives the Python float of ``ndarray.item`` in about two thirds of
-    its time. The current shot is entry ``_slot`` of the table with its
-    first uniform at ``_row`` and ``_avail`` draws tabulated; a shot outside
+    its time; :meth:`uniform_each` gathers from its ndarray. The current
+    shot is entry ``_slot`` of the table with its first uniform at
+    ``_row`` and ``_avail`` draws tabulated; a shot outside
     the table has ``_avail`` 0 and its key in ``_key``. :meth:`uniform`,
     :meth:`bit`, :meth:`exponential` and :meth:`next_u64` read only
     ``_count``, ``_key``, ``_keys``, ``_uniforms``, ``_slot``, ``_row`` and
@@ -161,19 +162,20 @@ class ShotRng:
             return -math.log1p(-self._uniforms[self._row + c])
         return -math.log1p(-self.uniform())
 
-    def uniform_each(self, slots: list) -> list:
-        """The next :meth:`uniform` of each shot in ``slots``, slots of this
-        stream's table that have all made this stream's draws: the counter
-        is theirs, and moves on by one."""
+    def uniform_each(self, slots: np.ndarray) -> np.ndarray:
+        """The next :meth:`uniform` of each shot in ``slots``, an index array
+        of slots of this stream's table that have all made this stream's
+        draws: the counter is theirs, and moves on by one. A tabulated draw
+        is one gather from the table's ndarray (the memoryview's ``obj``);
+        a later one is mixed with numpy, the floats the scalar mixer gives."""
         c = self._count
         self._count = c + 1
-        w = self._width
         if c < self._avail:
-            uniforms = self._uniforms
-            return [uniforms[s * w + c] for s in slots]
-        item, step = self._keys.item, c * _GOLDEN
-        return [(mix64((item(s) + step) & _MASK) >> 11) * 1.1102230246251565e-16
-                for s in slots]
+            return self._uniforms.obj[c::self._width][slots]
+        x = self._keys[slots]
+        x += np.uint64((c * _GOLDEN) & _MASK)
+        _mix64_inplace(x, np.empty_like(x))
+        return np.right_shift(x, 11, out=x) * 2.0 ** -53
 
     @property
     def draws(self) -> int:

@@ -33,8 +33,11 @@ the same draws with the same outcomes. The shots of a class share one
 Pauli frame, as two Python-int bitmasks, one bytearray of record, detector
 and observable bytes, one acceptance flag and one draw counter. Each shot
 keeps its counter-based RNG stream, its slot of the chunk's one table of
-draws, from which it makes exactly the draws it would make alone. The
-active array and the scalar ``gamma`` belong to the path. Two classes hold
+draws, from which it makes exactly the draws it would make alone. A class
+of several holds its slots as one index array, and each of its draw steps
+is a few numpy calls (a gather of the slots' uniforms, a mask); a class of
+one draws from its stream with scalar reads. The active array and the
+scalar ``gamma`` belong to the path. Two classes hold
 bit-identical arrays for as long as they agree on the path key: the probe
 bits, which are the frame X bits that ``Expand`` and ``ArrayRot`` read to
 pick the sign of their angle, and each collapse's branch, whose
@@ -55,9 +58,11 @@ class, its draws once per member shot, and its amplitude kernel and
   coins in the same way.
 * ``NoiseBlock`` draws each member's first hazard skip of each segment
   (one per segment, the same draw a shot alone makes), and gives a certain
-  site of one case to the whole class. A member whose fault fires there, or
-  whose certain site draws its case, leaves for a class of its own, which
-  draws the rest of the block as its shot would.
+  site of one case to the whole class. numpy only clears the members whose
+  skip surely passes the segment (``table._may_fault``); every other
+  member, and one whose certain site draws its case, leaves for a class of
+  its own, which redraws the block from there as its shot would, with the
+  exact arithmetic, so a draw within the guard costs only its sharing.
 
 A chunk starts as one class (with a stratum, one per count of draws that
 its shots' fault lists took). ``GammaRot``'s phase depends on each class's
@@ -89,34 +94,9 @@ are Python int and bytearray operations, never numpy scalar accesses.
 The active array is the first 2^k entries of one numpy array (capacity
 2^k_max), and each kernel has one form at every size: vectorized sweeps
 over views built once per state. A kernel runs once per path, so its
-shots share its cost; a group of one pays it alone. A numpy call costs
-about a microsecond whatever it computes, and a strided view costs that
-again for every run of its innermost axis, so the kernels make few calls
-over long runs:
-
-* ``ArrayRot`` multiplies only the branch-1 half, by its phase relative to
-  branch 0's, and folds branch 0's phase into ``gamma``; the phase has unit
-  modulus, so ``|gamma|^2`` stays the product of the branch probabilities.
-* A kernel whose lowest axis is 1 (``S``, ``H``, ``CZ``, ``ArrayRot``) runs
-  on the two stride-2 sub-arrays, where that axis becomes axis 0 and each
-  view is one long strided run. ``CX`` moves each run of entries below its
-  lower axis as one element of a void dtype, and so does ``MeasCollapse``
-  when it copies the two halves of a lower axis into ``scratch`` in one
-  call (on axis 1 it copies the sub-arrays' halves as long runs instead).
-* ``MeasCollapse`` writes its halves, its branch row and its output between
-  ``buf`` and ``scratch``, allocating nothing for the branch the walk goes
-  on with. A branch row of its basis change that is one half, their sum or
-  their difference, times a factor (the identity, a bare ``H``), costs no
-  multiply or one add; the factor goes into the output's scale. ``p_all``
-  comes from the two halves, one pass for the identity, and no ``np.vdot``
-  spans more than ``_DOT`` entries.
-
-These forms change rounding, not results. ``gamma`` carries
-``ArrayRot``'s branch-0 phase, ``p_all`` is summed over the halves in
-their copied order and a row is applied as c (v0 + eps v1), so amplitudes
-differ from plain two-half sweeps in the last bits (about 1e-18 absolute
-at 2^14 entries), and a record can differ only where a draw lands within
-rounding of a branch probability.
+shots share its cost; a group of one pays it alone. README's "Amplitude
+kernels" section gives the kernels' forms, and why they change rounding
+and not results.
 """
 from __future__ import annotations
 
@@ -152,7 +132,7 @@ from .backend import (
 )
 from .pauli import PauliString
 from .rng import _MAX_WIDTH, ShotRng
-from .table import _build_table, _table_shots
+from .table import _build_table, _may_fault, _table_shots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
@@ -164,10 +144,11 @@ _STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
 # share of its list's header and spare slots (33-42 bytes measured with
 # tracemalloc, Python 3.11)
 _STRATUM_ENTRY_BYTES = 40
-# a class of one shot, the most a shot's walk state takes: its _ShotClass,
-# members list and list slots (about 410 bytes when 20 coins leave every
-# shot alone, measured with tracemalloc over a chunk's walk, Python 3.11);
-# its uniforms (8 bytes a draw), output bytes and stratum faults come on top
+# a class of one shot, the most a shot's walk state takes: its _ShotClass
+# and members index array (about 370 bytes, 470 at the peak with its
+# output bytearray, when 20 coins leave every shot alone, measured with
+# tracemalloc over a chunk's walk, Python 3.11); its uniforms (8 bytes a
+# draw), output bytes and stratum faults come on top
 _SHOT_BYTES = 512
 # entries of the longest np.vdot: OpenBLAS runs a longer one on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
@@ -303,31 +284,33 @@ class ShotState(ShotRng):
 
 class _ShotClass(ShotRng):
     """Shots of a group walk that have made the same draws with the same
-    outcomes: ``members``, their slots of the chunk's table of draws
-    (:meth:`ShotRng._table`). They share a :class:`ShotState`'s shot fields:
-    one frame, one ``out``, one acceptance flag and one draw counter;
-    ``forced_faults`` is None or each slot's fault list. The stream is
-    seated at ``members[0]``, so a class of one draws as its shot."""
+    outcomes: ``members``, an index array of their slots of the chunk's
+    table of draws (:meth:`ShotRng._table`). They share a
+    :class:`ShotState`'s shot fields: one frame, one ``out``, one acceptance
+    flag and one draw counter; ``forced_faults`` is None or each slot's
+    fault list. A class of several draws for its members with numpy
+    (:meth:`ShotRng.uniform_each`). The stream is seated at ``members[0]``,
+    so a class of one draws as its shot, with the scalar draws."""
 
     __slots__ = ("frame_x", "frame_z", "out", "accepted", "forced_faults", "members")
 
-    def __init__(self, keys: np.ndarray, uniforms: np.ndarray, width: int, members: list,
-                 out: bytearray, count: int = 0, forced_faults=None):
+    def __init__(self, keys: np.ndarray, uniforms: memoryview, width: int,
+                 members: np.ndarray, out: bytearray, count: int = 0, forced_faults=None):
         self._keys, self._uniforms, self._count = keys, uniforms, count
         self._width = self._avail = width
         self.frame_x = self.frame_z = 0
         self.out, self.accepted, self.forced_faults = out, True, forced_faults
         self.keep(members)
 
-    def keep(self, members: list) -> None:
+    def keep(self, members: np.ndarray) -> None:
         """Hold ``members`` from here on, seated at the first if any."""
         self.members = members
-        if members:
-            self._slot = slot = members[0]
+        if len(members):
+            self._slot = slot = int(members[0])
             self._row, self._key = slot * self._width, None
 
 
-def _part(st: ShotState, cls: _ShotClass, members: list) -> _ShotClass:
+def _part(st: ShotState, cls: _ShotClass, members: np.ndarray) -> _ShotClass:
     """A new class of ``members``, shots that the caller takes out of
     ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``;
     a spare class of an earlier chunk is re-seated when there is one."""
@@ -349,12 +332,12 @@ def _below(st: ShotState, cls, p: float) -> tuple:
     whether the draws of the members that ``cls`` keeps are below ``p``, and
     the class of the others, split off, or None when every draw agrees."""
     members = cls.members
-    us = cls.uniform_each(members)
-    below = [s for s, u in zip(members, us) if u < p]
-    if not below or len(below) == len(members):
-        return bool(below), None
-    cls.keep([s for s, u in zip(members, us) if u >= p])
-    return False, _part(st, cls, below)
+    below = cls.uniform_each(members) < p
+    part = members[below]
+    if len(part) == 0 or len(part) == len(members):
+        return len(part) > 0, None
+    cls.keep(members[~below])
+    return False, _part(st, cls, part)
 
 
 # -- instruction specialization --------------------------------------------------
@@ -898,9 +881,9 @@ def _c_noise_block(ins: NoiseBlock, prog):
                 continue
             left = left or []
             if ff is not None:  # a member with a fault listed here leaves with it
-                slots = [s for s in members if listed(ff[s])]
-                for one in _leave(st, c, slots, c._count, left):
-                    _take(one, listed(ff[one.members[0]]), sites)
+                gone = np.array([bool(listed(ff[s])) for s in members.tolist()])
+                for one in _leave(st, c, gone, c._count, left):
+                    _take(one, listed(ff[one._slot]), sites)
                 continue
             for i, part in enumerate(plan):
                 count = c._count
@@ -910,31 +893,34 @@ def _c_noise_block(ins: NoiseBlock, prog):
                         c.frame_x ^= tab.case_x[0]
                         c.frame_z ^= tab.case_z[0]
                         continue
-                    slots = members  # each draws its case
-                else:  # the members whose first hazard skip lands in the segment
-                    s_i, s_b = S[part[0]], S[part[1]]
-                    slots = [s for s, u in zip(members, c.uniform_each(members))
-                             if s_i + -math.log1p(-u) < s_b]
-                # each leaves for a class of one, which draws from this part on
-                for one in _leave(st, c, slots, count, left):
+                    gone = np.ones(len(members), dtype=bool)  # each draws its case
+                else:
+                    # the members whose first hazard skip may land in the
+                    # segment: numpy only clears a member that surely survives
+                    gone = _may_fault(S[part[0]], c.uniform_each(members), S[part[1]])
+                # each leaves for a class of one, which draws from this part
+                # on with the exact arithmetic, the same draw first
+                for one in _leave(st, c, gone, count, left):
                     _take(one, _plan_faults(S, sites, tails[i], one), sites)
                 members = c.members
-                if not members:
+                if not len(members):
                     break
         if left:
-            group[:] = [c for c in group if c.members] + left
+            group[:] = [c for c in group if len(c.members)] + left
 
     return run
 
 
-def _leave(st: ShotState, c, slots: list, count: int, left: list) -> list:
-    """Move the members ``slots`` of ``c`` each to a class of one at draw
-    ``count``; returns those classes, which ``left`` gains too."""
-    if not slots:
-        return slots
-    gone = set(slots)
-    c.keep([s for s in c.members if s not in gone])
-    ones = [_part(st, c, [s]) for s in slots]
+def _leave(st: ShotState, c, gone: np.ndarray, count: int, left: list) -> list:
+    """Move the members of ``c`` where the mask ``gone`` holds each to a
+    class of one at draw ``count``; returns those classes, which ``left``
+    gains too."""
+    if not gone.any():
+        return []
+    members = c.members
+    slots = members[gone]
+    c.keep(members[~gone])
+    ones = [_part(st, c, slots[j:j + 1]) for j in range(len(slots))]
     for one in ones:
         one._count = count
     left += ones
@@ -1248,15 +1234,17 @@ def _classes(state: ShotState, lo: int, hi: int, stratum) -> list:
     count of draws."""
     keys, uniforms, _, _, width = state._table(lo, hi)
     size = len(state.out)
-    classes = [_ShotClass(keys, uniforms, width, list(range(hi - lo)), bytearray(size))]
+    slots = np.arange(hi - lo)
+    classes = [_ShotClass(keys, uniforms, width, slots, bytearray(size))]
     if stratum is not None:
         one, faults, counts = classes[0], [], {}
         for slot in range(hi - lo):
-            one.keep([slot])
+            one.keep(slots[slot:slot + 1])
             one._count = 0
             faults.append(stratum.draw_forced(one))
             counts.setdefault(one._count, []).append(slot)
-        classes = [_ShotClass(keys, uniforms, width, members, bytearray(size), count, faults)
+        classes = [_ShotClass(keys, uniforms, width, np.array(members), bytearray(size), count,
+                              faults)
                    for count, members in counts.items()]
     state.classes = list(classes)
     return classes
@@ -1280,7 +1268,7 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     final = [None] * (hi - lo)  # each shot's final class
     for c in classes:
         c._keys = c._uniforms = None  # a spare class holds no table
-        for slot in c.members:
+        for slot in c.members.tolist():
             final[slot] = c
     if not keep_rejected:
         final = [c for c in final if c.accepted]
@@ -1399,8 +1387,10 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
                       stratum=None) -> dict:
     """Streaming marginals: bit sums for measurements/detectors/observables.
 
-    The accepted shots' bits are summed a chunk at a time; the weight sum
-    adds one shot's weight at a time, as a shot-by-shot loop would. Nothing
+    The accepted shots' bits are summed a chunk at a time. Without a
+    stratum each weight is 1.0, so a chunk adds its count of shots, the
+    sum a shot-by-shot loop makes, since every partial sum is an integer
+    below 2^53; a stratum's weight is added one shot at a time. Nothing
     is returned before the last chunk, so every chunk, the first too, holds
     as many shots as the memory budget allows (:func:`_fold_shots`), and
     the shots of a chunk share the amplitude work of each path they take.
@@ -1414,6 +1404,9 @@ def sample_accumulate(prog: BytecodeProgram, shots: int, seed: int = 0,
     for bits, flags in _chunks(prog, shots, seed, 1, stratum, False, False):
         totals += bits.sum(axis=0, dtype=np.int64)
         accepted += len(flags)
+        if stratum is None:  # whole partial sums, below 2^53: exact
+            weight_sum += float(len(flags))
+            continue
         for _ in range(len(flags)):
             weight_sum += weight
     return {"shots": shots, "accepted": accepted, "weight_sum": weight_sum,

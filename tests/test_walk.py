@@ -20,6 +20,7 @@ import framesim.runtime as runtime
 from framesim.backend import MeasCollapse, compile_circuit
 from framesim.rng import ShotRng
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
+from framesim.table import _GUARD
 from framesim.testing import random_circuit
 
 
@@ -139,16 +140,16 @@ def test_a_sampled_shot_draws_its_scalar_stream(need):
     rng.widen(need)
     keys, uniforms, _, _, width = rng._table(lo, hi)
     assert width == min(need, runtime._MAX_WIDTH)
-    cls = runtime._ShotClass(keys, uniforms, width, list(range(hi - lo)), bytearray())
+    cls = runtime._ShotClass(keys, uniforms, width, np.arange(hi - lo), bytearray())
     alone = [ShotRng(77, shot) for shot in range(lo, hi)]
     draws = runtime._MAX_WIDTH + 16
     for c in range(draws):
-        assert cls.uniform_each(cls.members) == [a.uniform() for a in alone]
+        assert cls.uniform_each(cls.members).tolist() == [a.uniform() for a in alone]
         if c == draws // 2:
             state = SimpleNamespace(classes=[], spare=[])
-            one = runtime._part(state, cls, [7])
-            cls.keep([s for s in cls.members if s != 7])
-            assert state.classes == [one] and one.members == [7]
+            one = runtime._part(state, cls, cls.members[7:8])
+            cls.keep(cls.members[cls.members != 7])
+            assert state.classes == [one] and one.members.tolist() == [7]
             for d in range(16):
                 kind = ("uniform", "bit", "exponential")[d % 3]
                 assert getattr(one, kind)() == getattr(alone[7], kind)()
@@ -225,8 +226,11 @@ def test_a_branch_floor_flip_shares_its_branch(monkeypatch):
         return u
 
     def patched_each(self, slots):
-        return [u if u >= 0.5 else flips.append(u) or 1 - 2.0 ** -53
-                for u in uniform_each(self, slots)]
+        us = uniform_each(self, slots)
+        low = us < 0.5
+        flips.extend(us[low].tolist())
+        us[low] = 1 - 2.0 ** -53
+        return us
 
     monkeypatch.setattr(ShotRng, "uniform", patched)
     monkeypatch.setattr(ShotRng, "uniform_each", patched_each)
@@ -308,11 +312,43 @@ def test_a_certain_site_of_one_case_keeps_its_class():
     shots = 200
     state = ShotState(prog, seed=5)
     runtime._walk(prog, runtime._compiled(prog), state, runtime._classes(state, 0, shots, None))
-    sizes = sorted(len(c.members) for c in state.classes if c.members)
+    sizes = sorted(len(c.members) for c in state.classes if len(c.members))
     assert sizes[:-1] == [1] * (len(sizes) - 1) and sizes[-1] > shots * 0.9
     final = {slot: c for c in state.classes for slot in c.members}
     alone = _walk_alone(prog, 5, [None] * shots, None)
     assert [_state_of(final[slot]) for slot in range(shots)] == alone
+
+
+def test_a_hazard_skip_inside_the_guard_leaves_its_class_without_a_fault(monkeypatch):
+    # shot 5's X_ERROR(0.01) skip is planted where its target equals the
+    # segment's end S[b]: numpy's test cannot clear it, since its target is
+    # not below S[b] + _GUARD, so the shot leaves for a class of one; there
+    # the exact arithmetic finds no fault, and its bytes are a group of
+    # one's, M 1 reading 0
+    prog = compile_circuit("H 0\nT 0\nX_ERROR(0.01) 1\nM 1\nM 0\n")
+    assert type(prog.instrs[0]) is runtime.NoiseBlock and prog.record_count == 2
+    s_b = prog.cum_hazard[1]
+    u = 0.01
+    while -math.log1p(-u) < s_b or -np.log1p(-u) < s_b:
+        u = math.nextafter(u, 1.0)
+    assert s_b <= -np.log1p(-u) < s_b + _GUARD * max(s_b, 1.0)
+    shot, table = 5, ShotRng._table
+
+    def planted(self, lo, hi):  # the noise block's draw is each shot's first
+        keys, uniforms, lo, hi, width = table(self, lo, hi)
+        if lo <= shot < hi:
+            uniforms.obj[(shot - lo) * width] = u
+        return keys, uniforms, lo, hi, width
+
+    monkeypatch.setattr(ShotRng, "_table", planted)
+    shots = 64
+    state = ShotState(prog, seed=2)
+    runtime._walk(prog, runtime._compiled(prog), state, runtime._classes(state, 0, shots, None))
+    final = {slot: c for c in state.classes for slot in c.members}
+    assert len(final[shot].members) == 1
+    alone = _walk_alone(prog, 2, [None] * shots, None)
+    assert [_state_of(final[slot]) for slot in range(shots)] == alone
+    assert alone[shot][0][0] == 0
 
 
 def _forking_program():
