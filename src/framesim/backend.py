@@ -508,11 +508,6 @@ def _plan_cost(prog: BytecodeProgram) -> tuple[int, int]:
     return prog.k_max, sum(getattr(ins, "size", 0) for ins in prog.instrs)
 
 
-def plan_metrics(hir: HirProgram) -> tuple[int, int]:
-    """The scheduling objective of ``plan_and_emit(hir)``."""
-    return _plan_cost(plan_and_emit(hir))
-
-
 def plan_schedule(hir: HirProgram, postselect_detectors=()):
     """``(winner, its program)``: ``schedule_candidate(hir)``, or ``hir``
     itself if the candidate's (k_max, work) is worse. ``hir`` is planned only

@@ -5,24 +5,18 @@ sampling is reproducible regardless of how shots are split across workers.
 The mixer is SplitMix64, which is cheap enough to run per draw in pure
 Python and statistically solid at the shot counts used here.
 
-Sampling loops visit shots in order. When a stream is reset to the shot
-after the previous one and that shot is not tabulated yet, it takes the
-keys and leading uniforms of the next block of shots from a
-:class:`ShotStreams`, as many draws per shot as the shots before it made.
-A new stream's first shot is never tabulated, so the first block already
-has that width. A sampler that runs a chunk of shots side by side takes
-one table of the chunk from :meth:`ShotRng._table`, and widens its own
-stream by the most draws a shot made. Shots that have made the same number
-of draws share one counter: a stream on that table draws the next uniform
-of each of them at once (:meth:`ShotRng.uniform_each`), one numpy gather
-of their slots, and a stream seated at one slot (its ``_slot`` and
-``_row``) draws for that shot alone (``runtime._ShotClass``).
-:class:`ShotStreams` is the one vector form of the mixer: it holds a
+A stream that :meth:`ShotRng.reset` moves to a shot mixes each draw. A
+sampler that runs a chunk of shots side by side takes one table of the
+chunk from :meth:`ShotRng._table`, and widens its own stream by the most
+draws a shot made. A stream seated at a slot of that table
+(:meth:`ShotRng._seat`) draws for that shot alone, and
+:meth:`ShotRng.uniform_each` for all the shots of a class at their shared
+counter, one numpy gather of their slots. :class:`ShotStreams` holds a
 chunk of shots' streams side by side, one draw counter per shot, for
-samplers that run shots in lock-step or that draw a grid of each shot's
-next draws at once. Its values are the ones the scalar mixer computes;
-only the cost per draw changes. A coin is a uniform's test
-``u >= 0.5``, which holds exactly when bit 63 of the draw is set.
+samplers that run shots in lock-step or draw a grid of each shot's next
+draws. :func:`_uniform_of` is the vector form of the mixer: the floats the
+scalar mixer gives. A coin is a uniform's test ``u >= 0.5``, which holds
+exactly when bit 63 of the draw is set.
 """
 from __future__ import annotations
 
@@ -32,7 +26,6 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_BLOCK = 128      # shots tabulated at a time
 _MAX_WIDTH = 64   # most draws per shot tabulated; later draws mix per draw
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MUL1_U64 = np.uint64(0xBF58476D1CE4E5B9)
@@ -61,56 +54,63 @@ def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
     x ^= tmp
 
 
+def _uniform_of(x: np.ndarray) -> np.ndarray:
+    """:meth:`ShotRng.uniform` of the draws ``x`` (uint64, each ``key + c *
+    golden``), mixed in place, so a grid of draws takes no second grid."""
+    _mix64_inplace(x, np.empty_like(x))
+    return np.right_shift(x, 11, out=x) * 2.0 ** -53
+
+
 class ShotRng:
     """Deterministic stream keyed by (seed, shot); draws are counted.
 
     Draw c of a shot is ``mix64(key + c * golden)`` with
-    ``key = mix64(mix64(seed) ^ shot)``. For the shots in [``_lo``,
-    ``_hi``), ``_keys`` holds the keys and ``_uniforms`` (flat, ``_width``
-    per shot) the :meth:`uniform` values of the first draws, both from a
-    :class:`ShotStreams` of the block. ``_uniforms`` is a memoryview, whose
-    index gives the Python float of ``ndarray.item`` in about two thirds of
-    its time; :meth:`uniform_each` gathers from its ndarray. The current
-    shot is entry ``_slot`` of the table with its first uniform at
-    ``_row`` and ``_avail`` draws tabulated; a shot outside
-    the table has ``_avail`` 0 and its key in ``_key``. :meth:`uniform`,
-    :meth:`bit`, :meth:`exponential` and :meth:`next_u64` read only
-    ``_count``, ``_key``, ``_keys``, ``_uniforms``, ``_slot``, ``_row`` and
-    ``_avail``, and :meth:`uniform_each` ``_width`` too, so a stream that
-    only draws may set just those.
+    ``key = mix64(mix64(seed) ^ shot)``. After :meth:`reset` the key is in
+    ``_key`` and ``_avail`` is 0. A stream put on a chunk's table
+    (:meth:`_put`) holds the shots' keys in ``_keys`` and the
+    :meth:`uniform` values of their first draws in ``_uniforms`` (flat,
+    ``_width`` per shot), a memoryview, whose index gives the Python float
+    of ``ndarray.item`` in about two thirds of its time; :meth:`uniform_each`
+    gathers from its ndarray. Seated at entry ``_slot`` (:meth:`_seat`), its
+    first uniform is at ``_row``, ``_avail`` draws are tabulated, and its key
+    is read from ``_keys`` past them. :meth:`uniform`, :meth:`exponential`
+    and :meth:`next_u64` read only ``_count``, ``_key``, ``_keys``,
+    ``_uniforms``, ``_slot``, ``_row`` and ``_avail``, and
+    :meth:`uniform_each` ``_width`` too, so a stream that only draws may set
+    just those.
     """
 
     __slots__ = ("_seed", "_key", "_count", "_keys", "_uniforms",
-                 "_slot", "_row", "_width", "_avail", "_lo", "_hi", "_need", "_prev")
+                 "_slot", "_row", "_width", "_avail", "_need")
 
     def __init__(self, seed: int, shot: int = 0):
         self._seed = seed
-        self._key = 0
-        self._count = 0
-        self._keys = self._uniforms = None
-        self._lo = self._hi = self._width = 0
         self._need = 0  # most draws any shot has used; sets the next width
-        # the first shot is not tabulated: it shows how many draws a shot makes
-        self._prev = shot
         self.reset(shot)
 
     def reset(self, shot: int) -> None:
-        self.widen(self._count)
-        self._count = 0
-        inside = self._lo <= shot < self._hi
-        if not inside and shot == self._prev + 1 and 0 <= shot <= _MASK - _BLOCK:
-            self._keys, self._uniforms, self._lo, self._hi, self._width = \
-                self._table(shot, shot + _BLOCK)
-            inside = True
-        self._prev = shot
-        if inside:
-            self._slot = shot - self._lo
-            self._row = self._slot * self._width
-            self._avail = self._width
-            self._key = None  # read from _keys only past the tabulated draws
-            return
-        self._avail = 0
+        """Move to the first draw of shot ``shot``, mixed per draw."""
+        self._count = self._avail = 0
         self._key = mix64(mix64(self._seed & _MASK) ^ (shot & _MASK))
+
+    def _seat(self, slot: int) -> None:
+        """Draw as entry ``slot`` of this stream's table from the counter on."""
+        self._slot = slot
+        self._row = slot * self._width
+        self._avail = self._width
+        self._key = None  # read from _keys only past the tabulated draws
+
+    def _each_slot(self, draw, n: int) -> tuple[list, list]:
+        """``draw(self)`` at slots 0 to ``n - 1`` of this stream's table, each
+        from its first draw: the results and the draws each made. Both
+        engines draw a chunk's stratum fault lists here."""
+        out, counts = [], []
+        for slot in range(n):
+            self._seat(slot)
+            self._count = 0
+            out.append(draw(self))
+            counts.append(self._count)
+        return out, counts
 
     def widen(self, draws: int) -> None:
         """Let later tables hold ``draws`` draws per shot, up to ``_MAX_WIDTH``;
@@ -119,15 +119,15 @@ class ShotRng:
             self._need = min(draws, _MAX_WIDTH)
 
     def _table(self, lo: int, hi: int) -> tuple:
-        """``(keys, uniforms, lo, hi, width)`` of shots [lo, hi) with this
-        stream's seed, from one :class:`ShotStreams`, ``uniforms`` a flat
-        memoryview: as wide as this stream's next table, ``_need`` draws per
-        shot. A sampler that draws from it for shots side by side widens
-        this stream by the most draws they make (:meth:`widen`)."""
-        streams = ShotStreams(self._seed, lo, hi)
-        width = self._need
-        uniforms = streams.uniforms(slice(None), streams.counts, width).ravel()
-        return streams.keys, memoryview(uniforms), lo, hi, width
+        """:meth:`ShotStreams.table` of shots [lo, hi) with this stream's
+        seed, ``_need`` draws per shot. A sampler that draws from it for
+        shots side by side widens this stream by the most draws they make."""
+        return ShotStreams(self._seed, lo, hi).table(slice(None), self._need)
+
+    def _put(self, keys: np.ndarray, uniforms: memoryview, width: int) -> None:
+        """Draw from the table ``(keys, uniforms, width)`` of :meth:`_table`
+        or :meth:`ShotStreams.table`, at the slot :meth:`_seat` gives."""
+        self._keys, self._uniforms, self._width = keys, uniforms, width
 
     def next_u64(self) -> int:
         c = self._count
@@ -150,10 +150,6 @@ class ShotRng:
             return self._uniforms[self._row + c]
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
-    def bit(self) -> int:
-        """A coin: 1 when the next uniform is at least 1/2."""
-        return 1 if self.uniform() >= 0.5 else 0
-
     def exponential(self) -> float:
         """Unit-rate exponential draw."""
         c = self._count
@@ -174,8 +170,7 @@ class ShotRng:
             return self._uniforms.obj[c::self._width][slots]
         x = self._keys[slots]
         x += np.uint64((c * _GOLDEN) & _MASK)
-        _mix64_inplace(x, np.empty_like(x))
-        return np.right_shift(x, 11, out=x) * 2.0 ** -53
+        return _uniform_of(x)
 
     @property
     def draws(self) -> int:
@@ -204,10 +199,9 @@ class ShotStreams:
         (distinct indices), the same floats; their counters move on."""
         x = self.counts[rows]
         self.counts[rows] = x + 1
-        x *= _GOLDEN_U64
+        x *= _GOLDEN_U64  # wraps, as the scalar mixer masks
         x += self.keys[rows]
-        _mix64_inplace(x, np.empty_like(x))
-        return np.right_shift(x, 11, out=x) * 2.0 ** -53
+        return _uniform_of(x)
 
     def uniforms(self, rows: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
         """The uniforms of draws ``start[i]`` to ``start[i] + n - 1`` of shot
@@ -216,5 +210,11 @@ class ShotStreams:
         x = np.add.outer(start.astype(np.uint64), np.arange(n, dtype=np.uint64))
         x *= _GOLDEN_U64
         x += self.keys[rows][:, None]
-        _mix64_inplace(x, np.empty_like(x))
-        return np.right_shift(x, 11, out=x) * 2.0 ** -53
+        return _uniform_of(x)
+
+    def table(self, rows: slice, width: int) -> tuple:
+        """``(keys, uniforms, width)``: a table of shots ``rows`` for
+        :meth:`ShotRng._put`, ``uniforms`` a flat memoryview of each shot's
+        ``width`` draws from its counter."""
+        uniforms = self.uniforms(rows, self.counts[rows], width).ravel()
+        return self.keys[rows], memoryview(uniforms), width

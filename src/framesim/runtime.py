@@ -107,7 +107,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import length_hint
+from operator import index, length_hint
 
 import numpy as np
 
@@ -296,8 +296,8 @@ class _ShotClass(ShotRng):
 
     def __init__(self, keys: np.ndarray, uniforms: memoryview, width: int,
                  members: np.ndarray, out: bytearray, count: int = 0, forced_faults=None):
-        self._keys, self._uniforms, self._count = keys, uniforms, count
-        self._width = self._avail = width
+        self._put(keys, uniforms, width)
+        self._count = count
         self.frame_x = self.frame_z = 0
         self.out, self.accepted, self.forced_faults = out, True, forced_faults
         self.keep(members)
@@ -306,8 +306,7 @@ class _ShotClass(ShotRng):
         """Hold ``members`` from here on, seated at the first if any."""
         self.members = members
         if len(members):
-            self._slot = slot = int(members[0])
-            self._row, self._key = slot * self._width, None
+            self._seat(int(members[0]))
 
 
 def _part(st: ShotState, cls: _ShotClass, members: np.ndarray) -> _ShotClass:
@@ -1232,20 +1231,17 @@ def _classes(state: ShotState, lo: int, hi: int, stratum) -> list:
     classes a walk starts with, which start ``state.classes``: one class,
     or with a stratum, once each shot has drawn its fault list, one per
     count of draws."""
-    keys, uniforms, _, _, width = state._table(lo, hi)
+    keys, uniforms, width = state._table(lo, hi)
     size = len(state.out)
-    slots = np.arange(hi - lo)
-    classes = [_ShotClass(keys, uniforms, width, slots, bytearray(size))]
+    classes = [_ShotClass(keys, uniforms, width, np.arange(hi - lo), bytearray(size))]
     if stratum is not None:
-        one, faults, counts = classes[0], [], {}
-        for slot in range(hi - lo):
-            one.keep(slots[slot:slot + 1])
-            one._count = 0
-            faults.append(stratum.draw_forced(one))
-            counts.setdefault(one._count, []).append(slot)
+        faults, counts = classes[0]._each_slot(stratum.draw_forced, hi - lo)
+        slots = {}
+        for slot, count in enumerate(counts):
+            slots.setdefault(count, []).append(slot)
         classes = [_ShotClass(keys, uniforms, width, np.array(members), bytearray(size), count,
                               faults)
-                   for count, members in counts.items()]
+                   for count, members in slots.items()]
     state.classes = list(classes)
     return classes
 
@@ -1298,6 +1294,8 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     shots share each path."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     # the engine, once and before any fork; a state's views are built on its
     # first shot, so every chunk of a process runs on the one state
     engine = _frame_table(prog)
@@ -1329,11 +1327,11 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     weight and noise sites are forced per its conditional law. Records
     arrive a chunk of shots at a time, as row views of the chunk's bits.
 
-    ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
-    pool starts only when that leaves more than one worker and, for a
-    frame-table program, when each worker gets more than a whole chunk of
-    shots; below that the pool costs more than the shots, and this process
-    samples alone.
+    ``workers`` must be at least 1, and is capped at the shot count and
+    ``os.cpu_count()``. A fork pool starts only when that leaves more than
+    one worker and, for a frame-table program, when each worker gets more
+    than a whole chunk of shots; below that the pool costs more than the
+    shots, and this process samples alone.
     """
     weight = 1.0 if stratum is None else stratum.weight
     nm = len(prog.user_records)
@@ -1441,6 +1439,10 @@ class StratumSpec:
     def __init__(self, prog: BytecodeProgram, w: int):
         probs = [s.prob for s in prog.sites]
         e = len(probs)
+        try:
+            w = index(w)
+        except TypeError:
+            raise ValueError(f"stratum fault count {w!r} is not an integer") from None
         if w < 0:
             raise ValueError(f"stratum fault count {w} is negative")
         if w > e:

@@ -41,7 +41,7 @@ from .backend import (
     PostSelectIns,
     _block_plan,
 )
-from .rng import ShotRng, ShotStreams
+from .rng import _MAX_WIDTH, ShotRng, ShotStreams
 
 _NOISE, _COIN, _CHECK = 0, 1, 2
 _SURE = 3  # a span part: a certain (p=1) site
@@ -317,7 +317,7 @@ def _table_shots(tab: _FrameTable, seed: int, lo: int, hi: int, stratum,
     acc8 = acc.view(np.uint8)
     accepted = np.ones(hi - lo, dtype=bool)
     run = np.arange(hi - lo)  # the rows of the shots still running
-    forced = None if stratum is None else _forced_sites(stratum, seed, lo, hi, streams)
+    forced = None if stratum is None else _forced_sites(stratum, streams)
 
     def fire(rows, sites) -> None:
         """Shots ``rows`` (distinct) fault at ``sites``: draw each case
@@ -482,17 +482,17 @@ def _segment(tab: _FrameTable, streams: ShotStreams, fire, rows: np.ndarray,
         rows, pos, stop = rows[inside], sites[inside] + 1, stop[inside]
 
 
-def _forced_sites(stratum, seed: int, lo: int, hi: int, streams: ShotStreams) -> np.ndarray:
-    """Each shot's stratum fault list, drawn first on a scalar stream: row k
-    holds each shot's k-th listed site (-1 past its last), and ``streams``
-    resumes each shot after those draws."""
-    rng = ShotRng(seed, lo)
-    lists = []
-    for shot in range(lo, hi):
-        rng.reset(shot)
-        lists.append([site for site, _ in stratum.draw_forced(rng)])
-        streams.counts[shot - lo] = rng.draws
-    forced = np.full((max(map(len, lists)), hi - lo), -1, dtype=np.int64)
-    for i, sites in enumerate(lists):
-        forced[:len(sites), i] = sites
+def _forced_sites(stratum, streams: ShotStreams) -> np.ndarray:
+    """Each shot's stratum fault list, drawn first as the closure VM draws
+    it (``ShotRng._each_slot``), on tables of at most _GRID draws (a list
+    draws at most once a site): row k holds each shot's k-th of its w
+    sites, and ``streams`` resumes each shot after those draws."""
+    width = min(len(stratum.probs), _MAX_WIDTH) if stratum.w else 0
+    n, step, rng = len(streams.counts), _GRID // max(width, 1), ShotRng(0)
+    forced = np.empty((stratum.w, n), dtype=np.int64)
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        rng._put(*streams.table(rows, width))  # the keys are the table's
+        lists, streams.counts[rows] = rng._each_slot(stratum.draw_forced, len(rng._keys))
+        forced[:, rows] = np.array([[site for site, _ in f] for f in lists], dtype=np.int64).T
     return forced

@@ -2,13 +2,23 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import framesim
 from framesim.cli import main
+
+
+def _child_env(**env) -> dict:
+    """The environment of a child ``python -m``: it imports the framesim
+    this process imported, from ``src`` when that is a source checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(framesim.__file__).resolve().parents[1]), **env)
+
 
 MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_DAG 0\nH 0\nM 0 1\n"
 
@@ -211,7 +221,7 @@ def test_analyze_ratio_and_tbound(capsys):
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "framesim.cli", "analyze", "tbound", "--y", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(0.5)
 
@@ -219,16 +229,9 @@ def test_cli_entry_point_runs():
 def test_python_dash_m_framesim_runs_sample(mirror_file, capsys):
     """``python -m framesim`` runs the CLI from a source checkout, with only
     ``src`` on the path: the same output as ``main``."""
-    import os
-    from pathlib import Path
-
-    import framesim
-
-    src = str(Path(framesim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     argv = ["sample", mirror_file, "--shots", "20", "--seed", "5"]
     proc = subprocess.run([sys.executable, "-m", "framesim", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
@@ -326,9 +329,7 @@ def test_unreadable_circuit_is_an_error(tmp_path, capsys, command, kind):
 def test_non_utf8_stdin_is_an_error_under_the_c_locale(command):
     # under the C locale Python's stdin text layer would turn the bad byte
     # into a surrogate; the bytes are decoded strictly instead
-    import os
-
-    env = dict(os.environ, LC_ALL="C", PYTHONIOENCODING="")
+    env = _child_env(LC_ALL="C", PYTHONIOENCODING="")
     argv = [sys.executable, "-m", "framesim.cli", command] + (
         ["--shots", "1"] if command == "sample" else [])
     proc = subprocess.run(argv, input=b"M 0\n\xff\n", capture_output=True, env=env)

@@ -8,6 +8,7 @@ and totals must agree exactly, serially and over a fork pool.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -309,6 +310,27 @@ def test_effect_rows_match_forced_faults_on_closure_vm():
     assert multi > 0
 
 
+def test_stratum_lists_draw_on_bounded_tables():
+    # 70 noise sites and one output bit: a table of the first draws of the
+    # fault lists is 64 wide, so it holds a thousand shots at a time, and a
+    # stratum adds less than _FOLD_BYTES to a chunk's peak (one table of
+    # the chunk's 16k shots alone would take 8 MB)
+    prog = compile_circuit("X_ERROR(0.01) 0\n" * 70 + "M 0\n")
+    tab = runtime._frame_table(prog)
+    shots = 1 << 14
+    peaks = []
+    for stratum in (None, StratumSpec(prog, 1), StratumSpec(prog, 3)):
+        tracemalloc.start()
+        try:
+            rows, _ = _table_shots(tab, 5, 0, shots, stratum, True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if stratum is not None:  # an odd number of X faults flips the record
+            assert (rows[:, 0] & 1).all()
+    assert max(peaks[1:]) <= peaks[0] + runtime._FOLD_BYTES
+
+
 def _draw_programs() -> list:
     """Programs whose table shots draw for coins, certain (p=1) sites and
     multi-case sites, across checks."""
@@ -328,13 +350,16 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
 
     monkeypatch.setattr(frametable, "ShotStreams", Recorded)
     seen = set()
-    for prog in _draw_programs() + [compile_circuit(repetition_code_circuit(7, 7, 0.01))]:
+    # 81 sites: a stratum's draws run past its chunk's table of _MAX_WIDTH
+    wide = compile_circuit(repetition_code_circuit(9, 9, 0.01))
+    assert len(wide.sites) > runtime._MAX_WIDTH
+    for prog in _draw_programs() + [compile_circuit(repetition_code_circuit(7, 7, 0.01)), wide]:
         tab = runtime._frame_table(prog)
         seen |= _kinds(tab) - {"moves"}
         seen.update("certain" for s in prog.sites if s.prob >= 1.0)
         seen.update("multi" for s in prog.sites if len(s.case_x) > 1)
         code = runtime._compiled(prog)
-        for stratum in _strata(prog):
+        for stratum in _strata(prog) + [StratumSpec(prog, 0)] * (prog is wide):
             for keep in (True, False):
                 made.clear()
                 _table_shots(tab, 4, 10, 90, stratum, keep)
@@ -355,14 +380,15 @@ def test_coin_boundary_in_both_engines(monkeypatch, draw, coin):
         def next_u64(self):
             return draw
 
-    assert Fixed(0, 0).bit() == coin  # a draw of the scalar mixer
+    assert (Fixed(0, 0).uniform() >= 0.5) == coin  # a draw of the scalar mixer
 
     monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(draw))
-    rng = ShotRng(0, 0)
-    rng.bit()
-    rng.reset(1)  # the next shot: a tabulated block
+    rng = ShotRng(0)
+    rng.widen(1)
+    rng._put(*rng._table(0, 2))
+    rng._seat(1)  # a slot of a chunk's table
     assert rng._avail == 1
-    assert rng.bit() == coin
+    assert (rng.uniform() >= 0.5) == coin
     prog = compile_circuit("H 0\nM 0\n")
     (meas,) = [i for i in prog.instrs if type(i) is MeasDormantRandom]
     tab = runtime._frame_table(prog)

@@ -21,7 +21,7 @@ from framesim.hir import (
     peephole_pass,
     schedule_pass,
 )
-from framesim.backend import plan_metrics
+from framesim.backend import _plan_cost, plan_and_emit
 from framesim.oracle import dense_run, fidelity, DenseState, site_cases
 from framesim.testing import crosscheck, random_circuit, random_fault_plan
 
@@ -214,7 +214,7 @@ def test_schedule_noop_without_legal_moves():
 
 def test_schedule_contracts_before_second_expansion():
     hir = schedule_pass(peephole_pass(lower("H 0\nT 0\nH 1\nT 1\nM 0\n")))
-    assert plan_metrics(hir)[0] == 1
+    assert _plan_cost(plan_and_emit(hir))[0] == 1
 
 
 def test_schedule_never_increases_kmax():
@@ -223,8 +223,8 @@ def test_schedule_never_increases_kmax():
         n = int(rng.integers(2, 5))
         circ = random_circuit(rng, n, int(rng.integers(4, 20)), p_noise=0.2)
         hir = peephole_pass(lower(circ.serialize()))
-        before = plan_metrics(hir)
-        after = plan_metrics(schedule_pass(hir))
+        before = _plan_cost(plan_and_emit(hir))
+        after = _plan_cost(plan_and_emit(schedule_pass(hir)))
         assert after[0] <= before[0]
         assert _replay_equiv(circ.serialize(), schedule_pass(hir), seed=i)
 
@@ -243,7 +243,7 @@ def test_schedule_matches_exhaustive_min_on_tiny_cases():
             continue
         seen = {tuple(map(id, hir.ops))}
         frontier = [list(hir.ops)]
-        best = plan_metrics(hir)[0]
+        best = _plan_cost(plan_and_emit(hir))[0]
         while frontier:
             ops = frontier.pop()
             for j in range(len(ops) - 1):
@@ -253,11 +253,11 @@ def test_schedule_matches_exhaustive_min_on_tiny_cases():
                     key = tuple(map(id, cand))
                     if key not in seen:
                         seen.add(key)
-                        best = min(best, plan_metrics(replace(hir, ops=cand))[0])
+                        best = min(best, _plan_cost(plan_and_emit(replace(hir, ops=cand)))[0])
                         frontier.append(cand)
-        scheduled_k = plan_metrics(schedule_pass(hir))[0]
+        scheduled_k = _plan_cost(plan_and_emit(schedule_pass(hir)))[0]
         assert scheduled_k >= best  # sanity on the oracle itself
-        assert scheduled_k <= plan_metrics(hir)[0]
+        assert scheduled_k <= _plan_cost(plan_and_emit(hir))[0]
         checked += 1
     assert checked >= 4
 

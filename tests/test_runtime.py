@@ -78,24 +78,37 @@ def test_same_seed_identical_streams():
 
 def test_rng_tabulated_draws_match_scalar_mixer():
     # draw c of a shot is mix64(key + c * golden), key = mix64(mix64(seed) ^ shot);
-    # sequential resets are tabulated with numpy, jumps and late draws are not
+    # a reset stream mixes each draw, and a stream seated at a slot of a
+    # chunk's table reads its first _MAX_WIDTH draws there and mixes the rest
     golden, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
     seed = 2024
     rng = ShotRng(seed, 0)
+    lo, hi = 1000, 1300
+    tab = ShotRng(seed)
+    tab.widen(runtime._MAX_WIDTH)
+    tab._put(*tab._table(lo, hi))
     shots = list(range(300)) + [5, 6, 7, 2**64 - 1, 1000] + list(range(1001, 1300))
     for i, shot in enumerate(shots):
         rng.reset(shot)
+        streams = [rng]
+        if lo <= shot < hi:
+            tab._seat(shot - lo)
+            tab._count = 0
+            assert tab._avail == runtime._MAX_WIDTH
+            streams.append(tab)
         key = mix64(mix64(seed) ^ shot)
-        for c in range(i % 7 if shot < 1100 else 90):
-            want = mix64((key + c * golden) & mask)
-            kind = (shot + c) % 3
-            if kind == 0:
-                assert rng.next_u64() == want
-            elif kind == 1:
-                assert rng.bit() == want >> 63
-            else:
-                assert rng.uniform() == (want >> 11) * 2.0 ** -53
-        assert rng.draws == (i % 7 if shot < 1100 else 90)
+        draws = i % 7 if shot < 1100 else 90
+        for stream in streams:
+            for c in range(draws):
+                want = mix64((key + c * golden) & mask)
+                kind = (shot + c) % 3
+                if kind == 0:
+                    assert stream.next_u64() == want
+                elif kind == 1:
+                    assert (stream.uniform() >= 0.5) == want >> 63
+                else:
+                    assert stream.uniform() == (want >> 11) * 2.0 ** -53
+            assert stream.draws == draws
 
 
 def test_rng_uniform_below_one_at_max_draw(monkeypatch):
@@ -110,13 +123,12 @@ def test_rng_uniform_below_one_at_max_draw(monkeypatch):
 
     # every tabulated draw is the largest one
     monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(2**64 - 1))
-    tab = ShotRng(0, 0)
-    for shot in range(1, 129):  # one draw per shot, then a tabulated block
-        tab.uniform()
-        tab.reset(shot)
-    assert tab._avail >= 1
+    tab = ShotRng(0)
+    tab.widen(2)
+    tab._put(*tab._table(0, 4))
+    tab._seat(3)  # a slot of a chunk's table
+    assert tab._avail == 2
     assert tab.uniform() < 1.0
-    tab.reset(128)
     assert math.isfinite(tab.exponential())
 
 
@@ -371,6 +383,20 @@ def test_shot_count_below_one_is_refused(text, shots):
     for run in (sample_accumulate, lambda prog, shots: list(sample(prog, shots))):
         with pytest.raises(ValueError, match="shots must be >= 1"):
             run(prog, shots)
+
+
+@pytest.mark.parametrize("text", [ACTIVE, "H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n",
+                                  "X_ERROR(0.1) 0 1 2\nM 0 1 2\n"])
+def test_workers_below_one_and_a_fractional_stratum_are_refused(text):
+    # as the CLI refuses --workers 0; a fault count of 1.5 is no count at all
+    prog = compile_circuit(text)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            list(sample(prog, 3, workers=workers))
+    for w in (1.5, "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            StratumSpec(prog, w)
+    assert StratumSpec(prog, np.int64(1)).w == 1
 
 
 def test_hazard_sample_edge_cases():

@@ -138,7 +138,7 @@ def test_a_sampled_shot_draws_its_scalar_stream(need):
     lo, hi = 1000, 1040
     rng = ShotRng(77, 0)
     rng.widen(need)
-    keys, uniforms, _, _, width = rng._table(lo, hi)
+    keys, uniforms, width = rng._table(lo, hi)
     assert width == min(need, runtime._MAX_WIDTH)
     cls = runtime._ShotClass(keys, uniforms, width, np.arange(hi - lo), bytearray())
     alone = [ShotRng(77, shot) for shot in range(lo, hi)]
@@ -150,9 +150,9 @@ def test_a_sampled_shot_draws_its_scalar_stream(need):
             one = runtime._part(state, cls, cls.members[7:8])
             cls.keep(cls.members[cls.members != 7])
             assert state.classes == [one] and one.members.tolist() == [7]
-            for d in range(16):
-                kind = ("uniform", "bit", "exponential")[d % 3]
-                assert getattr(one, kind)() == getattr(alone[7], kind)()
+            draws_of = (ShotRng.uniform, lambda r: r.uniform() >= 0.5, ShotRng.exponential)
+            for d in range(16):  # a uniform, a coin, an exponential, ...
+                assert draws_of[d % 3](one) == draws_of[d % 3](alone[7])
             assert one.draws == alone[7].draws
             del alone[7]
     assert cls.draws == draws and all(a.draws == draws for a in alone)
@@ -335,10 +335,10 @@ def test_a_hazard_skip_inside_the_guard_leaves_its_class_without_a_fault(monkeyp
     shot, table = 5, ShotRng._table
 
     def planted(self, lo, hi):  # the noise block's draw is each shot's first
-        keys, uniforms, lo, hi, width = table(self, lo, hi)
+        keys, uniforms, width = table(self, lo, hi)
         if lo <= shot < hi:
             uniforms.obj[(shot - lo) * width] = u
-        return keys, uniforms, lo, hi, width
+        return keys, uniforms, width
 
     monkeypatch.setattr(ShotRng, "_table", planted)
     shots = 64
