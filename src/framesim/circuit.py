@@ -203,6 +203,10 @@ def _validate(ins: Instruction) -> None:
     if op == "OBSERVABLE_INCLUDE":
         if ins.args[0] < 0 or ins.args[0] != int(ins.args[0]):
             raise CircuitError("observable index must be a non-negative integer", line)
+        # every shot holds a byte for each observable up to the highest index
+        if ins.args[0] >= MAX_TARGETS:
+            raise CircuitError(f"observable index {int(ins.args[0])} is past the limit of "
+                               f"{MAX_TARGETS} observables", line)
     qubit_targets = [t for t in ins.targets if isinstance(t, int)]
     rec_targets = len(qubit_targets) < len(ins.targets)
     if op in _PAIRED:

@@ -4,8 +4,8 @@ Nothing here is on the sampling hot path. The module provides:
 
 * ``dense_run``: textbook state-vector evolution of a flattened circuit with
   deterministic fault injection and forced measurement outcomes.
-* ``expand_factored``: expand a VM shot state gamma * U * P * (phi (x) 0)
-  back into a dense vector for cross-checks.
+* ``expand_factored``: expand a VM shot state U * P * (phi (x) 0) back
+  into a dense vector for cross-checks.
 * ``apply_tableau_dense`` / ``tableau_to_dense_state``: synthesize the action
   of a Clifford tableau on dense vectors by column-wise basis-state
   propagation, so frozen tableaus with no gate history are covered.
@@ -361,10 +361,11 @@ def apply_tableau_dense(tableau: CliffordTableau, vec: np.ndarray) -> np.ndarray
 
 
 def expand_factored(state, frame: CliffordTableau) -> DenseState:
-    """Expand gamma * U * P * (phi (x) 0) into a normalized dense state.
+    """Expand U * P * (phi (x) 0) into a dense state, normalized, up to a
+    global phase.
 
     ``state`` provides the runtime view: ``n``, ``frame_x``/``frame_z`` as
-    Python-int bitmasks (bit j = virtual qubit j), ``gamma``, ``k``,
+    Python-int bitmasks (bit j = virtual qubit j), ``k``,
     ``active_virtuals`` (axis -> virtual qubit), and ``active_view()``
     returning the 2^k amplitudes (axis p = index bit p).
     """
@@ -385,7 +386,6 @@ def expand_factored(state, frame: CliffordTableau) -> DenseState:
         vec[dense_idx] = a
     vec = apply_pauli_dense(PauliString(n, state.frame_x, state.frame_z), vec)
     vec = apply_tableau_dense(frame, vec)
-    vec = vec * (state.gamma / abs(state.gamma) if state.gamma != 0 else 1.0)
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise OracleError("expanded state has zero norm")

@@ -36,21 +36,26 @@ keeps its counter-based RNG stream, its slot of the chunk's one table of
 draws, from which it makes exactly the draws it would make alone. A class
 of several holds its slots as one index array, and each of its draw steps
 is a few numpy calls (a gather of the slots' uniforms, a mask); a class of
-one draws from its stream with scalar reads. The active array and the
-scalar ``gamma`` belong to the path. Two classes hold
+one draws from its stream with scalar reads. A path is the set of a
+chunk's shots that share one active array, and the array and its size
+``k`` are all of its state: with a class's frame, the array gives its
+shots' normalized state up to a global phase, which no output reads, so
+no scalar is kept beside it. Two classes hold
 bit-identical arrays for as long as they agree on the path key: the probe
 bits, which are the frame X bits that ``Expand`` and ``ArrayRot`` read to
 pick the sign of their angle, and each collapse's branch, whose
 probability and scale the path fixes (a draw that hits ``BRANCH_FLOOR``
 takes the other branch at that branch's own probability, bit for bit). So
 each step does its frame, record, detector and postselection work once per
-class, its draws once per member shot, and its amplitude kernel and
-``gamma`` factor once per path, on the state's one array:
+class, its draws once per member shot, and its amplitude kernel once per
+path, on the state's one array:
 
 * ``ArrayGate`` conjugates each class's frame by its gate, then runs its
   kernel.
-* ``Expand`` and ``ArrayRot`` split the group by their probe bit and pass
-  that bit to the kernel.
+* ``Expand`` and ``ArrayRot``, the probe steps, split the group by their
+  probe bit and pass that bit to the kernel.
+* ``GammaRot`` is a dormant qubit's rotation, a global phase, and does
+  nothing.
 * ``MeasCollapse`` computes its branch probability once per path; draws
   once per member shot, and splits a class whose members take both
   branches; records and updates the frame once per class; and applies each
@@ -65,10 +70,8 @@ class, its draws once per member shot, and its amplitude kernel and
   exact arithmetic, so a draw within the guard costs only its sharing.
 
 A chunk starts as one class (with a stratum, one per count of draws that
-its shots' fault lists took). ``GammaRot``'s phase depends on each class's
-frame, so only a group of one, whose path is its shot, takes it into
-``gamma``. At a split the walk goes on with the part of fewer shots and
-defers the other with a snapshot of the array and its ``gamma``. A
+its shots' fault lists took). At a split the walk goes on with the part
+of fewer shots and defers the other with a snapshot of the array. A
 deferred ``Expand`` or ``ArrayRot`` part reruns its instruction on the
 snapshot; a deferred collapse branch keeps only its collapsed half. Since
 the part the walk goes on with holds at most half the shots of the group
@@ -178,7 +181,7 @@ _EMPTY_BITS = np.zeros(0, dtype=np.uint8)
 
 class ShotState(ShotRng):
     """Reusable storage of the closure VM: the active array of a walk's
-    paths with their ``gamma``, and the fields of one shot, a class of one
+    paths, and the fields of one shot, a class of one
     (``members``, :class:`_ShotClass`), its random stream included;
     capacity fixed by the compiled program.
 
@@ -192,13 +195,6 @@ class ShotState(ShotRng):
       (:func:`_fold_shots`). ``classes`` lists the classes of the chunk
       being sampled and ``spare`` those of the chunk before, which
       :func:`_part` re-seats.
-    * ``gamma`` is the scalar of the path the walk is on: the product of
-      the factors that ``ArrayRot``, ``MeasCollapse`` and
-      ``MeasDormantRandom`` give every shot of the path, so that
-      ``|gamma|^2`` is the product of its branch probabilities. A deferred
-      part's snapshot holds its path's ``gamma``. ``GammaRot``'s factor
-      depends on each class's frame, and only a group of one, whose path is
-      its shot, takes it into ``gamma``.
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
     * ``out`` holds the records, detectors and observables, in that order,
@@ -215,13 +211,12 @@ class ShotState(ShotRng):
     reads before writing it: the frame, the scalars and the observables,
     which accumulate by XOR. Every record and detector is written before it
     is read, so they are cleared only when a postselection can stop a shot
-    before writing them all. The walk starts the path: the array and
-    ``gamma``.
+    before writing them all. The walk starts the path's array.
     """
 
     __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending", "classes", "spare",
                  "members",
-                 "frame_x", "frame_z", "gamma", "out", "weight", "accepted",
+                 "frame_x", "frame_z", "out", "weight", "accepted",
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear", "_bits")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
@@ -250,7 +245,6 @@ class ShotState(ShotRng):
         self.forced_faults = None
         self.forced_outcomes = None
         self.active_virtuals = prog.final_active
-        self.gamma = 1.0 + 0.0j
         self.k = 0
         super().__init__(seed, 0)  # resets to shot 0, so it comes after out and _clear
         # a shot with no fault draws once per collapse, coin and noise block
@@ -271,14 +265,13 @@ class ShotState(ShotRng):
         return self.buf[:1 << self.k]
 
     def snapshot(self) -> tuple:
-        """``(k, entries, gamma)``: a copy of the live array, and the path's
-        gamma, for :meth:`restore`."""
-        return self.k, self.buf[:1 << self.k].copy(), self.gamma
+        """``(k, entries)``: a copy of the live array, for :meth:`restore`."""
+        return self.k, self.buf[:1 << self.k].copy()
 
     def restore(self, snap: tuple) -> None:
-        """Make ``snap``, a :meth:`snapshot` or a collapsed half with its
-        gamma, the live path."""
-        self.k, entries, self.gamma = snap
+        """Make ``snap``, a :meth:`snapshot` or a collapsed half, the live
+        array."""
+        self.k, entries = snap
         self.buf[:len(entries)] = entries
 
 
@@ -546,44 +539,15 @@ def _expand_kernel(ins: Expand):
     return kernel
 
 
-def _c_expand(ins: Expand, prog):
-    m = 1 << ins.virt
-    kernel = _expand_kernel(ins)
-
-    def run(st: ShotState, group: list):
-        parity, split = _fork(st, group, m)
-        kernel(st, parity)
-        return split
-
-    return run
-
-
-def _c_gamma_rot(ins: GammaRot, prog):
-    virt = ins.virt
-    phases = (cmath.exp(-1j * ins.angle), cmath.exp(1j * ins.angle))
-
-    def run(st: ShotState, group: list) -> None:
-        # its phase is each class's own, so only a group of one takes it
-        if group[0] is st:
-            st.gamma *= phases[(st.frame_x >> virt) & 1]
-
-    return run
-
-
-def _array_rot_phases(ins: ArrayRot) -> tuple:
-    """Per frame parity, the (branch-0, branch-1) phases of an ``ArrayRot``."""
-    e0 = cmath.exp(-1j * ins.angle)
-    e1 = e0.conjugate()
-    return (e0, e1), (e1, e0)
-
-
 def _array_rot_kernel(ins: ArrayRot):
     """The amplitude kernel ``kernel(st, parity)`` of an ``ArrayRot``, given
     the frame X bit of its qubit. It multiplies only branch 1, by its phase
-    relative to branch 0's; the step moves branch 0's phase into the
-    path's ``gamma``."""
+    relative to branch 0's, and so leaves out branch 0's phase, a global
+    one."""
     a, size = ins.axis, ins.size
-    ratios = tuple(_c0(p1 / p0) for p0, p1 in _array_rot_phases(ins))
+    e0 = cmath.exp(-1j * ins.angle)
+    e1 = e0.conjugate()
+    ratios = (_c0(e1 / e0), _c0(e0 / e1))  # indexed by frame parity
 
     def make(st):
         return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
@@ -596,18 +560,23 @@ def _array_rot_kernel(ins: ArrayRot):
     return kernel
 
 
-def _c_array_rot(ins: ArrayRot, prog):
+def _c_probe(ins: Expand | ArrayRot, prog):
+    """The step of an ``Expand`` or ``ArrayRot``, whose kernel reads the
+    frame X bit of its qubit, the probe bit."""
     m = 1 << ins.virt
-    phases = _array_rot_phases(ins)
-    kernel = _array_rot_kernel(ins)
+    kernel = (_expand_kernel if type(ins) is Expand else _array_rot_kernel)(ins)
 
     def run(st: ShotState, group: list):
         parity, split = _fork(st, group, m)
-        st.gamma *= phases[parity][0]  # branch 0's phase
         kernel(st, parity)
         return split
 
     return run
+
+
+def _global_phase(st: ShotState, group: list) -> None:
+    """The step of every ``GammaRot``: a dormant qubit's rotation multiplies
+    the state by a phase, which no output reads."""
 
 
 def _c_meas_dormant_static(ins: MeasDormantStatic, prog):
@@ -656,7 +625,6 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
             c.frame_x, c.frame_z = fx ^ m if coin else fx, fz
         if parted:
             group += parted
-        st.gamma *= _INV_SQRT2
 
     return run
 
@@ -770,7 +738,6 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         # (branch, probability) pairs, one array each.
         q0 = 1.0 - p1
         probs = (q0, p1)
-        roots = (math.sqrt(q0), math.sqrt(p1))
         hit = 1 if p1 >= BRANCH_FLOOR else 0  # the branch of a draw below p1
         miss = 0 if q0 >= BRANCH_FLOOR else 1  # and of any other draw
         fo = st.forced_outcomes
@@ -812,7 +779,6 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         both = parts[0] and parts[1]
         stay = 1 if not parts[0] or both and _shots_in(parts[1]) < _shots_in(parts[0]) else 0
         split = None
-        gamma = st.gamma
         for branch in ((1 - stay, stay) if both else (stay,)):
             scale = 1.0 / math.sqrt(probs[branch] * p_all)
             here = branch == stay
@@ -828,10 +794,9 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                 k[()] = c0 * scale
                 np.multiply(_row(f0, eps0, v0, v1, out, spare), k, out=out)
             if not here:
-                split = (1, parts[branch], (st.k - 1, entries, gamma * roots[branch]))
+                split = (1, parts[branch], (st.k - 1, entries))
                 group[:] = parts[stay]
         st.k -= 1
-        st.gamma = gamma * roots[stay]
         return split
 
     return run
@@ -985,9 +950,9 @@ def _c_postselect(ins: PostSelectIns, prog):
 _FACTORIES = {
     FrameGates: _c_frame,
     ArrayGate: _c_array_gate,
-    Expand: _c_expand,
-    GammaRot: _c_gamma_rot,
-    ArrayRot: _c_array_rot,
+    Expand: _c_probe,
+    GammaRot: lambda ins, prog: _global_phase,
+    ArrayRot: _c_probe,
     MeasDormantStatic: _c_meas_dormant_static,
     MeasDormantRandom: _c_meas_dormant_random,
     MeasCollapse: _c_meas_collapse,
@@ -1098,8 +1063,21 @@ def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 
     """
     if state is None:
         state = ShotState(prog, seed=seed)
+    else:
+        _check_state(prog, state)
     _run(prog, _compiled(prog), state, shot, None, forced_faults, forced_outcomes, trace)
     return make_record(prog, state)
+
+
+def _check_state(prog: BytecodeProgram, state: ShotState) -> None:
+    """Refuse ``state`` when it was built for a program of another size or
+    of other final active qubits, which ``expectation_probe`` reads."""
+    have = (state.n, state.k_max, len(state.out), state.active_virtuals)
+    want = (prog.n, prog.k_max, prog.record_count + prog.num_detectors + prog.num_observables,
+            prog.final_active)
+    if have != want:
+        raise ValueError(f"a ShotState of (n, k_max, output width, active qubits) {have} "
+                         f"given for a program of {want}")
 
 
 def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_faults=None,
@@ -1127,7 +1105,6 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
     called after each instruction of a group of one."""
     st.k = 0
     st.buf[0] = 1
-    st.gamma = 1.0 + 0.0j
     pending = st.pending
     pending[:] = [(0, group, None)]
     while pending:
@@ -1216,6 +1193,14 @@ def _chunk_shots(prog: BytecodeProgram) -> int:
     return shots
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or a ValueError naming it as ``name``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 def _bounds(shots: int, first: int, most: int):
     """The (lo, hi) of each chunk of shots [0, ``shots``): ``first`` shots,
     then ``most`` at a time. The bounds are made as they are taken."""
@@ -1292,10 +1277,13 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     first chunk holds at most :func:`_chunk_shots`, so the first record
     comes soon. Without it the first chunk is full size too, so that more
     shots share each path."""
+    shots, workers = _integer(shots, "shots"), _integer(workers, "workers")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if stratum is not None and stratum.probs != [s.prob for s in prog.sites]:
+        raise ValueError("the stratum was built for a program of other noise sites")
     # the engine, once and before any fork; a state's views are built on its
     # first shot, so every chunk of a process runs on the one state
     engine = _frame_table(prog)
@@ -1439,10 +1427,7 @@ class StratumSpec:
     def __init__(self, prog: BytecodeProgram, w: int):
         probs = [s.prob for s in prog.sites]
         e = len(probs)
-        try:
-            w = index(w)
-        except TypeError:
-            raise ValueError(f"stratum fault count {w!r} is not an integer") from None
+        w = _integer(w, "stratum fault count")
         if w < 0:
             raise ValueError(f"stratum fault count {w} is negative")
         if w > e:
@@ -1502,6 +1487,7 @@ def expectation_probe(prog: BytecodeProgram, state: ShotState,
     have been accepted: a failed postselection stops it before the final
     tableau and active set the probe reads.
     """
+    _check_state(prog, state)
     if not observable.is_hermitian():
         raise ValueError("probe observable must be Hermitian")
     if not state.accepted:

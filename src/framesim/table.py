@@ -244,7 +244,7 @@ def _build_table(prog: BytecodeProgram):
                     hidden += 1
             keep = ((1 << width) - 1) & ~after & ~(touched << obs0)
             seq.append((_CHECK, p, ins.required, keep, tuple(moves)))
-        elif t is not GammaRot:  # a rotation of a dormant qubit moves only gamma
+        elif t is not GammaRot:  # a dormant qubit's rotation: a global phase
             raise TypeError(f"{t.__name__} has no frame-table form")
     seq.reverse()
     nbytes = 8 * max(1, (hidden + 63) // 64)

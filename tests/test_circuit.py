@@ -268,6 +268,23 @@ def test_size_limits_refuse_before_flattening(monkeypatch, tmp_path, capsys):
             assert "limit" in capsys.readouterr().err
 
 
+def test_observable_index_past_the_limit_is_refused(tmp_path, capsys):
+    from framesim.circuit import MAX_TARGETS
+    from framesim.cli import main
+
+    # parse only: a program with this many observables is never built
+    text = "M 0\nOBSERVABLE_INCLUDE(4000000000) rec[-1]\n"
+    with pytest.raises(CircuitError, match=f"limit of {MAX_TARGETS}") as err:
+        parse_circuit(text)
+    assert err.value.line == 2
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    assert main(["sample", str(path), "--shots", "2"]) == 1
+    assert "limit" in capsys.readouterr().err
+    last = parse_circuit(f"M 0\nOBSERVABLE_INCLUDE({MAX_TARGETS - 1}) rec[-1]\n")
+    assert last.instructions[1].args == (MAX_TARGETS - 1,)
+
+
 _QUBIT = st.integers(0, 40)
 _REC = st.integers(1, 9).map(lambda k: f"rec[-{k}]") | st.integers(0, 9).map(lambda r: f"rec[{r}]")
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -240,8 +240,8 @@ def test_crosscheck_sees_a_wrong_vectorized_kernel(monkeypatch):
 
 
 def _kernel_run(ins, amps, frame_x=0, forced=None):
-    """``ins``'s kernel on a state holding ``amps``: the live array times
-    gamma afterwards."""
+    """``ins``'s kernel on a state holding ``amps``: the live array
+    afterwards."""
     k = len(amps).bit_length() - 1
     prog = SimpleNamespace(n=16, k_max=k + 1, record_count=1, num_detectors=0,
                            num_observables=0, final_active=(), instrs=[])
@@ -252,7 +252,7 @@ def _kernel_run(ins, amps, frame_x=0, forced=None):
     if forced is not None:
         st.forced_outcomes = {0: forced}
     runtime._FACTORIES[type(ins)](ins, prog)(st, [st])
-    return st.active_view() * st.gamma
+    return st.active_view()
 
 
 def _on_axis(amps, a, m):
@@ -280,14 +280,17 @@ def test_vectorized_kernels_match_dense_at_every_axis(k):
             (ArrayGate("H", 0, None, a, None, size), {}, _on_axis(amps, a, [[r, r], [r, -r]])),
         ]
         for parity in (0, 1):
+            # branch 0's phase is global, and the kernel leaves it out
             phase = np.exp(-0.4j * np.where(bit ^ parity, -1, 1))
-            cases.append((ArrayRot(0, a, 0.4, size), {"frame_x": parity}, phase * amps))
+            cases.append((ArrayRot(0, a, 0.4, size), {"frame_x": parity},
+                          phase * amps / phase[0]))
         for u in (((1, 0), (0, 1)), ((r, r), (r, -r)), ((r, r * 1j), (r, -r * 1j)),
                   ((0, 1), (1, 0))):
             rotated = _on_axis(amps, a, u).reshape(-1, 2, 1 << a)
             for branch in (0, 1):
                 ins = MeasCollapse(0, a, 0, 0, size, u, ())
-                cases.append((ins, {"forced": branch}, rotated[:, branch].reshape(-1)))
+                half = rotated[:, branch].reshape(-1)
+                cases.append((ins, {"forced": branch}, half / np.linalg.norm(half)))
         for b in range(k):
             if b == a:
                 continue
@@ -388,15 +391,54 @@ def test_shot_count_below_one_is_refused(text, shots):
 @pytest.mark.parametrize("text", [ACTIVE, "H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n",
                                   "X_ERROR(0.1) 0 1 2\nM 0 1 2\n"])
 def test_workers_below_one_and_a_fractional_stratum_are_refused(text):
-    # as the CLI refuses --workers 0; a fault count of 1.5 is no count at all
+    # as the CLI refuses --workers 0; a count of 1.5 (faults, shots or
+    # workers) is no count at all
     prog = compile_circuit(text)
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             list(sample(prog, 3, workers=workers))
+    for shots, workers in ((2.5, 1), (3, 2.5)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            list(sample(prog, shots, workers=workers))
+    with pytest.raises(ValueError, match="shots 2.5 is not an integer"):
+        sample_accumulate(prog, 2.5)
+    assert len(list(sample(prog, np.int64(3), workers=np.int64(1)))) == 3
     for w in (1.5, "1", None):
         with pytest.raises(ValueError, match="is not an integer"):
             StratumSpec(prog, w)
     assert StratumSpec(prog, np.int64(1)).w == 1
+
+
+def test_a_state_or_stratum_of_another_program_is_refused():
+    # states of another n and k_max, of another output width, and of the
+    # same sizes with the active qubits in the other order
+    a = compile_circuit("X 0\nM 0 1 2\n")
+    b = compile_circuit("H 0\nT 0\nM 0\n")
+    text = "H 1\nR_Z(0.3) 1\nH 0\nT 0\nH 0\n"
+    c = compile_circuit(text)
+    d = compile_circuit("H 0\nT 0\nH 1\nR_Z(0.3) 1\nH 0\n")
+    assert c.final_active == d.final_active[::-1] != d.final_active
+    for prog, other in ((b, a), (b, compile_circuit("H 0\nT 0\nM 0\nM 0\n")), (c, d)):
+        state = ShotState(other)
+        with pytest.raises(ValueError, match="ShotState"):
+            run_shot(prog, state)
+        with pytest.raises(ValueError, match="ShotState"):
+            expectation_probe(prog, state, PauliString.single(prog.n, 0, "Z"))
+    state = ShotState(compile_circuit(text))  # the same program, compiled again
+    run_shot(c, state)
+    assert expectation_probe(c, state, PauliString.single(2, 1, "X")) == pytest.approx(
+        math.cos(0.3))
+    # three sites of probability 0.3, against one site, or three of 0.2, on
+    # the closure VM and on the frame table
+    stratum = StratumSpec(compile_circuit("X_ERROR(0.3) 0 1 2\nM 0 1 2\n"), 1)
+    for text in ("H 0\nT 0\nX_ERROR(0.3) 0\nM 0\n", "X_ERROR(0.2) 0 1 2\nM 0 1 2\n"):
+        prog = compile_circuit(text)
+        with pytest.raises(ValueError, match="stratum"):
+            list(sample(prog, 4, stratum=stratum))
+        with pytest.raises(ValueError, match="stratum"):
+            sample_accumulate(prog, 4, stratum=stratum)
+    same = compile_circuit("X_ERROR(0.3) 0 1 2\nM 0 1 2\n")
+    assert sample_accumulate(same, 4, stratum=stratum)["accepted"] == 4
 
 
 def test_hazard_sample_edge_cases():
@@ -664,13 +706,6 @@ def test_normalization_after_active_measurement():
         st = ShotState(prog)
         run_shot(prog, st, shot=i)
         assert abs(np.linalg.norm(st.active_view()) - 1.0) < 1e-12
-
-
-def test_gamma_squared_is_branch_probability():
-    prog = compile_circuit("H 0\nM 0\nH 0\nM 0\n")
-    st = ShotState(prog)
-    run_shot(prog, st, shot=0)
-    assert abs(abs(st.gamma) ** 2 - 0.25) < 1e-12
 
 
 def test_branch_floor_forces_alternate_branch():

@@ -3,8 +3,7 @@
 ``sample`` and ``sample_accumulate`` walk each chunk of shots as one group,
 which runs each amplitude kernel once per path; ``run_shot`` and
 ``runtime._run`` walk a group of one. Records, acceptance, weights and
-frames must agree exactly. ``gamma`` belongs to the path, not to a sampled
-shot, so only a group of one reports it.
+frames must agree exactly.
 """
 from __future__ import annotations
 
