@@ -12,10 +12,13 @@ and emitted as runtime instructions:
 
 Each runtime operation is emitted in its one executable form: promoting a
 qubit and rotating it is one ``Expand``, measuring an active qubit and
-retiring its axis is one ``MeasCollapse``; neighbouring frame words and
-noise sites are merged as they are emitted. ``optimize_bytecode`` then only
-folds single-axis basis changes into the collapse after them. The
-instruction list is the only record of the active dimension k.
+retiring its axis is one ``MeasCollapse``; neighbouring frame words are
+merged as they are emitted, and so are the noise sites of each run of
+adjacent noise events. A dormant qubit's Z rotation multiplies the state
+by a global phase, which no output reads, and emits nothing.
+``optimize_bytecode`` then only folds single-axis basis changes into the
+collapse after them. The instruction list is the only record of the
+active dimension k.
 ``plan_schedule`` plans the scheduling pass's candidates, each once, and
 ``compile_circuit`` keeps the winner's program.
 
@@ -143,14 +146,6 @@ class Expand:
     virt: int
     axis: int
     size: int          # 2^k before expansion
-    angle: float
-
-
-@dataclass(frozen=True)
-class GammaRot:
-    """Dormant-Z rotation: pure scalar phase, sign from the frame parity."""
-
-    virt: int
     angle: float
 
 
@@ -308,8 +303,6 @@ def _render_instr(ins, prog: BytecodeProgram) -> str:
         if abs(ins.angle + math.pi / 8) < 1e-12:
             return f"EXPAND_T_DAG {ins.axis}"
         return f"EXPAND_ROT({ins.angle:.6g}) {ins.axis}"
-    if isinstance(ins, GammaRot):
-        return f"GAMMA_ROT({ins.angle:.6g}) q{ins.virt}"
     if isinstance(ins, ArrayRot):
         if abs(ins.angle - math.pi / 8) < 1e-12:
             return f"ARRAY_T {ins.axis}"
@@ -340,8 +333,11 @@ def _render_instr(ins, prog: BytecodeProgram) -> str:
 def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
     """Classify every HIR op against the planned active set and emit bytecode.
 
-    Neighbouring frame words are emitted as one ``FrameGates``, and
-    neighbouring noise sites as one ``NoiseBlock``."""
+    Neighbouring frame words are emitted as one ``FrameGates``. A
+    ``NoiseBlock`` holds the sites of one run of adjacent ``NoiseEvent`` ops:
+    every other HIR op ends the run, even one that emits nothing (a dormant
+    qubit's Z rotation), so the blocks, and with them every shot's draws,
+    are set by the HIR alone."""
     n = hir.n
     low_n = (1 << n) - 1
     adj = CliffordTableau(n)     # accumulated virtual adjustment W
@@ -353,6 +349,7 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
     m_active = 0
     rot_count = 0
     postselect_detectors = frozenset(postselect_detectors)
+    noise_run = False  # the op before is a NoiseEvent, whose block ends instrs
 
     def emit_frame(gates: tuple) -> None:
         """Emit a frame word, merged into the one just before it if any."""
@@ -425,15 +422,14 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 if basis == "X":
                     absorb_and_emit_gates((("H", v, None),))
                 emit(ArrayRot(v, active[v], theta, 1 << len(active)))
-            elif basis == "Z":
-                emit(GammaRot(v, theta))
-            else:
+            elif basis == "X":
                 adj.absorb_left("H", v)
                 emit_frame((("H", v, None),))
                 axis = len(active)
                 active[v] = axis
                 emit(Expand(v, axis, 1 << axis, theta))
                 k_max = max(k_max, axis + 1)
+            # else a dormant Z rotation: a global phase, which emits nothing
         elif kind is NoiseEvent:
             if op.site != len(sites):
                 raise CompileError("noise sites out of order")
@@ -462,7 +458,7 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
                 case_x.append(x)
                 case_z.append(z)
             sites.append(SiteTable(cum, case_cum, case_x, case_z))
-            if instrs and type(instrs[-1]) is NoiseBlock:
+            if noise_run:
                 instrs[-1] = NoiseBlock(instrs[-1].lo, op.site + 1)
             else:
                 emit(NoiseBlock(op.site, op.site + 1))
@@ -478,6 +474,7 @@ def plan_and_emit(hir: HirProgram, postselect_detectors=()) -> BytecodeProgram:
             emit(PostSelectIns(op.kind, op.ref, op.required))
         else:
             raise CompileError(f"cannot emit HIR op {op!r}")
+        noise_run = kind is NoiseEvent
 
     cum_hazard = [0.0]
     for s in sites:
@@ -554,7 +551,8 @@ def _fold_into_collapse(instrs: list, meas: MeasCollapse) -> MeasCollapse:
 def optimize_bytecode(prog: BytecodeProgram) -> BytecodeProgram:
     """Fold the single-axis array gates just before each measurement
     collapse into it (``plan_and_emit`` already merged neighbouring frame
-    words and noise blocks). Full-array traversals never increase."""
+    words, and the noise sites of each run of adjacent noise events).
+    Full-array traversals never increase."""
     instrs: list = []
     for ins in prog.instrs:
         if isinstance(ins, MeasCollapse):

@@ -43,6 +43,8 @@ OPCODES = frozenset(CLIFFORD_1Q + CLIFFORD_2Q + ROTATIONS + MEASUREMENTS
 MAX_QUBITS = 2048
 MAX_TARGETS = 1 << 20  # flattened targets; an instruction without any counts one
 
+# the opcodes that take arguments; every other opcode takes none, apart
+# from the coordinates and the optional bit that _validate admits
 _ARG_COUNT = {"R_X": 1, "R_Y": 1, "R_Z": 1, "X_ERROR": 1, "Y_ERROR": 1,
               "Z_ERROR": 1, "DEPOLARIZE1": 1, "DEPOLARIZE2": 1,
               "OBSERVABLE_INCLUDE": 1}
@@ -190,16 +192,22 @@ _NEEDS_QUBIT = frozenset(CLIFFORD_1Q + ROTATIONS + MEASUREMENTS + NOISE_1Q + ("R
 
 def _validate(ins: Instruction) -> None:
     op, line = ins.opcode, ins.line
-    want = _ARG_COUNT.get(op)
-    if want is not None and len(ins.args) != want:
-        raise CircuitError(f"{op} takes {want} argument(s), got {len(ins.args)}", line)
+    if op == "POSTSELECT":
+        if len(ins.args) > 1:
+            raise CircuitError(f"POSTSELECT takes at most 1 argument, got {len(ins.args)}",
+                               line)
+        if ins.args and ins.args[0] not in (0.0, 1.0):
+            raise CircuitError("POSTSELECT argument must be 0 or 1", line)
+    elif op not in ("DETECTOR", "QUBIT_COORDS"):  # coordinates, ignored as in Stim
+        # no other opcode reads an argument it is not listed with, so one
+        # given would be dropped in silence: M(0.01) would sample no noise
+        want = _ARG_COUNT.get(op, 0)
+        if len(ins.args) != want:
+            raise CircuitError(f"{op} takes {want} argument(s), got {len(ins.args)}", line)
     if op in _NOISE:
         p = ins.args[0]
         if not 0.0 <= p <= 1.0:
             raise CircuitError(f"{op} probability {p} outside [0, 1]", line)
-    if op == "POSTSELECT":
-        if ins.args and ins.args[0] not in (0.0, 1.0):
-            raise CircuitError("POSTSELECT argument must be 0 or 1", line)
     if op == "OBSERVABLE_INCLUDE":
         if ins.args[0] < 0 or ins.args[0] != int(ins.args[0]):
             raise CircuitError("observable index must be a non-negative integer", line)

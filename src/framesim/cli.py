@@ -20,15 +20,16 @@ from .runtime import ShotError, ShotRecord, sample
 
 
 def _read_circuit(path: str | None) -> str:
-    """The circuit text of ``path``, or of stdin for None or ``-``. A file
-    that cannot be read as UTF-8 text raises a CircuitError. Stdin's bytes
-    are decoded here, strictly: its text layer may follow the locale and
-    turn bad bytes into surrogates."""
+    """The circuit text of ``path``, or of stdin for None or ``-``, without
+    a leading UTF-8 byte-order mark. A file that cannot be read as UTF-8
+    text raises a CircuitError. Stdin's bytes are decoded here, strictly:
+    its text layer may follow the locale and turn bad bytes into
+    surrogates."""
     path = None if path == "-" else path
     try:
         if path is None:
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as fh:
+            return sys.stdin.buffer.read().decode("utf-8-sig")
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise CircuitError(f"cannot read {path}: {exc.strerror or exc}") from None

@@ -54,8 +54,6 @@ path, on the state's one array:
   kernel.
 * ``Expand`` and ``ArrayRot``, the probe steps, split the group by their
   probe bit and pass that bit to the kernel.
-* ``GammaRot`` is a dormant qubit's rotation, a global phase, and does
-  nothing.
 * ``MeasCollapse`` computes its branch probability once per path; draws
   once per member shot, and splits a class whose members take both
   branches; records and updates the frame once per class; and applies each
@@ -123,7 +121,6 @@ from .backend import (
     DetectorIns,
     Expand,
     FrameGates,
-    GammaRot,
     MeasCollapse,
     MeasDormantRandom,
     MeasDormantStatic,
@@ -574,11 +571,6 @@ def _c_probe(ins: Expand | ArrayRot, prog):
     return run
 
 
-def _global_phase(st: ShotState, group: list) -> None:
-    """The step of every ``GammaRot``: a dormant qubit's rotation multiplies
-    the state by a phase, which no output reads."""
-
-
 def _c_meas_dormant_static(ins: MeasDormantStatic, prog):
     virt, record, flip = ins.virt, ins.record, ins.flip
 
@@ -951,7 +943,6 @@ _FACTORIES = {
     FrameGates: _c_frame,
     ArrayGate: _c_array_gate,
     Expand: _c_probe,
-    GammaRot: lambda ins, prog: _global_phase,
     ArrayRot: _c_probe,
     MeasDormantStatic: _c_meas_dormant_static,
     MeasDormantRandom: _c_meas_dormant_random,
@@ -1059,14 +1050,39 @@ def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 
     fire, so ``[]`` means no fault fires, and a case of ``None`` is drawn
     from the site's case law when its block runs. ``None`` (the default)
     samples the faults. ``forced_outcomes`` maps record indices to the
-    outcome a measurement must give.
+    outcome, 0 or 1, a measurement must give. Sites that do not increase
+    strictly from 0, a case that is not one of its site's, a negative
+    record or another outcome raise ``ValueError``. Sites and records past
+    the program's last are ignored: ``testing.crosscheck`` hands each
+    prefix of a circuit the whole circuit's plans.
     """
+    if forced_faults is not None or forced_outcomes is not None:
+        _check_forced(prog, forced_faults, forced_outcomes)
     if state is None:
         state = ShotState(prog, seed=seed)
     else:
         _check_state(prog, state)
     _run(prog, _compiled(prog), state, shot, None, forced_faults, forced_outcomes, trace)
     return make_record(prog, state)
+
+
+def _check_forced(prog: BytecodeProgram, forced_faults, forced_outcomes) -> None:
+    """Refuse the forced inputs that ``run_shot`` would misread."""
+    last = -1
+    for site, case in forced_faults or ():
+        if site <= last:
+            raise ValueError(f"forced fault sites must increase strictly from 0, got "
+                             f"{[s for s, _ in forced_faults]}")
+        last = site
+        if site < len(prog.sites) and case is not None:
+            cases = len(prog.sites[site].case_cum)
+            if case not in range(cases):
+                raise ValueError(f"forced case {case!r} of site {site}, which has "
+                                 f"{cases} case(s)")
+    for record, outcome in (forced_outcomes or {}).items():
+        if record < 0 or outcome not in (0, 1):
+            raise ValueError(f"forced outcome {outcome!r} for record {record}: "
+                             f"records are non-negative and outcomes 0 or 1")
 
 
 def _check_state(prog: BytecodeProgram, state: ShotState) -> None:

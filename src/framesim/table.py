@@ -33,7 +33,6 @@ from .backend import (
     CondFrame,
     DetectorIns,
     FrameGates,
-    GammaRot,
     MeasDormantRandom,
     MeasDormantStatic,
     NoiseBlock,
@@ -244,7 +243,7 @@ def _build_table(prog: BytecodeProgram):
                     hidden += 1
             keep = ((1 << width) - 1) & ~after & ~(touched << obs0)
             seq.append((_CHECK, p, ins.required, keep, tuple(moves)))
-        elif t is not GammaRot:  # a dormant qubit's rotation: a global phase
+        else:
             raise TypeError(f"{t.__name__} has no frame-table form")
     seq.reverse()
     nbytes = 8 * max(1, (hidden + 63) // 64)

@@ -14,7 +14,6 @@ from framesim.backend import (
     CompileError,
     Expand,
     FrameGates,
-    GammaRot,
     MeasCollapse,
     MeasDormantRandom,
     MeasDormantStatic,
@@ -23,13 +22,14 @@ from framesim.backend import (
     localize,
     optimize_bytecode,
     plan_and_emit,
+    plan_schedule,
 )
 from framesim.circuit import flatten, parse_circuit
-from framesim.hir import lower_to_hir, peephole_pass, schedule_pass
+from framesim.hir import NoiseEvent, lower_to_hir, peephole_pass, schedule_pass
 from framesim.pauli import PauliString, bit_indices, random_pauli
 from framesim.testing import random_circuit, repetition_code_circuit
 
-from test_compile_pin import _workloads
+from test_compile_pin import _corpus, _workloads
 from test_pauli import GATE_MATS, embed
 
 MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_DAG 0\nH 0\nM 0 1\n"
@@ -243,7 +243,7 @@ def test_expand_then_collapse_returns_to_zero():
 
 def test_dormant_z_rotation_is_scalar_phase():
     prog = compile_circuit("T 0\nM 0\n")
-    assert any(isinstance(i, GammaRot) for i in prog.instrs)
+    assert [type(i) for i in prog.instrs] == [MeasDormantStatic]
     assert prog.k_max == 0
 
 
@@ -313,6 +313,32 @@ def test_optimizer_coalesces_noise_and_keeps_segments():
         "X_ERROR(0.1) 0\nX_ERROR(0.1) 0\nM 0\nX_ERROR(0.2) 0\nM 0\n"))
     blocks = [i for i in prog.instrs if isinstance(i, NoiseBlock)]
     assert [(b.lo, b.hi) for b in blocks] == [(0, 2), (2, 3)]
+
+
+def _noise_runs(hir) -> list:
+    """``(lo, hi)`` of the sites of each run of adjacent ``NoiseEvent`` ops."""
+    runs, last = [], None
+    for op in hir.ops:
+        if type(op) is NoiseEvent:
+            if last is NoiseEvent:
+                runs[-1] = (runs[-1][0], op.site + 1)
+            else:
+                runs.append((op.site, op.site + 1))
+        last = type(op)
+    return runs
+
+
+def test_noise_blocks_are_the_runs_of_adjacent_noise_events():
+    # a dormant qubit's rotation emits nothing, and still ends a block
+    prog = compile_circuit("X_ERROR(0.2) 0\nT 0\nX_ERROR(0.2) 0\nM 0\n")
+    assert prog.instrs[:2] == [NoiseBlock(0, 1), NoiseBlock(1, 2)]
+    assert [type(i) for i in prog.instrs[2:]] == [MeasDormantStatic]
+    for text in [*_workloads(), *_corpus(200)]:
+        hir = peephole_pass(lower_to_hir(flatten(parse_circuit(text))))
+        winner, _ = plan_schedule(hir)
+        blocks = [(i.lo, i.hi) for i in compile_circuit(text).instrs
+                  if isinstance(i, NoiseBlock)]
+        assert blocks == _noise_runs(winner)
 
 
 def test_optimizer_noop_without_adjacency():

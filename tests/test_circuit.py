@@ -220,6 +220,10 @@ def test_postselect_forms():
     ("H 0\nR_X(0.5, x) 0", 2),                   # argument not a number
     ("H 0\nCNOT 0 1", 2),                        # unknown opcode
     ("H 0\nR_Y(inf) 0", 2),                      # non-finite argument
+    ("H 0\nM(0.01) 0", 2),                       # argument on an opcode that takes none
+    ("H 0\nCX(0.2) 0 1", 2),
+    ("H 0\nTICK(1)", 2),
+    ("M 0\nPOSTSELECT(0, 1) rec[-1]", 2),        # postselect with two arguments
 ])
 def test_parse_error_names_its_line(text, line):
     with pytest.raises(CircuitError) as err:

@@ -338,6 +338,18 @@ def test_non_utf8_stdin_is_an_error_under_the_c_locale(command):
     assert proc.stderr.decode() == "error: stdin is not UTF-8 text: invalid start byte at byte 4\n"
 
 
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\xef\xbb\xbfM 0\n")
+    assert main(["compile", str(path), "--emit", "bytecode"]) == 0
+    assert capsys.readouterr().out == "MEAS_DORMANT_STATIC 0 -> rec[0]\n"
+    proc = subprocess.run([sys.executable, "-m", "framesim.cli", "compile", "-", "--emit",
+                           "bytecode"], input=b"\xef\xbb\xbfM 0\n", capture_output=True,
+                          env=_child_env())
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == b"MEAS_DORMANT_STATIC 0 -> rec[0]\n"
+
+
 def test_sample_out_into_missing_directory_is_an_error(mirror_file, tmp_path, capsys):
     out = tmp_path / "absent" / "shots.txt"
     assert main(["sample", mirror_file, "--shots", "3", "--out", str(out)]) == 1

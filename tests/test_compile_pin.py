@@ -14,8 +14,14 @@ cases without phases. ``FRONTEND_SHA256`` pins what the front end hands
 the compiler, the ``(opcode, targets, args, line)`` of every instruction of
 ``flatten(parse_circuit(text))`` for the same texts: it was computed at
 commit a985830, before the parser kept one parse per distinct statement and
-flatten shared the instructions without records. A change that moves any of
-them changes emitted programs and must say why.
+flatten shared the instructions without records. The three program
+digests moved after commit 0588ef9, when a dormant qubit's Z rotation stopped
+emitting the no-op ``GAMMA_ROT``: each is the earlier digest of the same
+fingerprints with every ``GAMMA_ROT`` line dropped, each ``FRAME_CLIFFORD``
+line that became adjacent to the one before it joined to it, and the
+active schedule kept for the lines that stay; every ``NOISE_BLOCK`` line
+is unchanged. A change that moves any of them changes emitted programs and
+must say why.
 """
 from __future__ import annotations
 
@@ -28,9 +34,9 @@ from framesim.testing import random_circuit, repetition_code_circuit
 
 WORKED_MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_DAG 0\nH 0\nM 0 1\n"
 
-WORKLOADS_SHA256 = "7e926bb18b59d53082fc954f5552904698e88c41668cb3fa80282a5d2307af6c"
-CORPUS_200_SHA256 = "7fd6b1d75a131160fcc58d869456506cabb4e4361142f2456cdcd7b4942530cb"
-COMMUTING_SHA256 = "c5af7f48c12ce7707a6b307496ed5984682df775c75ebe4adca48de625bd41f8"
+WORKLOADS_SHA256 = "4015bda7baef62428db554faad8b9ef0285bd8b9398f7e3086188dcf8e5639b8"
+CORPUS_200_SHA256 = "b5770015270ed8093ae329cb59f226d7e5d59bbd2c1b5fb1515782687f1af5be"
+COMMUTING_SHA256 = "3cd7ad5ba24d0591fb72e41ab0790b4fbc15dfee2a346e5859b0d88b7e854435"
 SITES_SHA256 = "2b1f115558ae320c0897c59b39a607ec6f460e539bda6641f06d1bf15aa92c41"
 FRONTEND_SHA256 = "4333571072835b198043cf5a53b8de849769f4fc7c56fbec5c9dfaaddee83ef0"
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import framesim.rng
 import framesim.runtime as runtime
 import framesim.table as frametable
-from framesim.backend import GammaRot, MeasDormantRandom, compile_circuit
+from framesim.backend import MeasDormantRandom, NoiseBlock, compile_circuit
 from framesim.rng import ShotRng, ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
 from framesim.table import _CHECK, _COIN, _NOISE, _SURE, _may_fault, _Span, _table_shots
@@ -99,12 +99,13 @@ CERTAIN_SITES = (
     "POSTSELECT rec[-1]\nH 2\nX_ERROR(0.3) 0\nM 0 2\nDETECTOR rec[-1] rec[-2]\n")
 
 
-def _gamma_rot_program():
-    """A rotation of a dormant qubit between two noise blocks: a GammaRot,
-    which both engines skip. The fuzz corpus has no rotations."""
+def _dormant_rotation_program():
+    """A rotation of a dormant qubit between two noise sites: it emits
+    nothing, and the sites stay two adjacent noise blocks. The fuzz corpus
+    has no rotations."""
     prog = compile_circuit("X_ERROR(0.2) 0\nT 0\nX_ERROR(0.2) 0\nM 0\nDETECTOR rec[-1]\n")
     assert prog.k_max == 0 and runtime._frame_table(prog) is not None
-    assert any(type(ins) is GammaRot for ins in prog.instrs)
+    assert [type(ins) for ins in prog.instrs[:2]] == [NoiseBlock, NoiseBlock]
     return prog
 
 
@@ -121,7 +122,7 @@ def test_corpus_exercises_every_table_step():
 @pytest.mark.parametrize("seed", [3, 11])
 def test_table_records_match_closure_vm_on_corpus(monkeypatch, seed):
     rejected = 0
-    for prog in [compile_circuit(CERTAIN_SITES), _gamma_rot_program(), *_corpus(50)]:
+    for prog in [compile_circuit(CERTAIN_SITES), _dormant_rotation_program(), *_corpus(50)]:
         for stratum in _strata(prog):
             for keep in (True, False):
                 table, closure = _both(monkeypatch, lambda: _records(
@@ -133,7 +134,7 @@ def test_table_records_match_closure_vm_on_corpus(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_table_totals_match_closure_vm_on_corpus(monkeypatch, seed):
-    for prog in [_gamma_rot_program(), *_corpus(50)]:
+    for prog in [_dormant_rotation_program(), *_corpus(50)]:
         for stratum in _strata(prog):
             table, closure = _both(monkeypatch, lambda: _totals(prog, 60, seed, stratum))
             assert table == closure

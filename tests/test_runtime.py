@@ -753,6 +753,26 @@ def test_forced_zero_probability_branch_raises():
         run_shot(prog, shot=0, forced_outcomes={0: 1})
 
 
+def test_run_shot_refuses_malformed_forced_inputs():
+    prog = compile_circuit("X_ERROR(0.1) 0\nH 0\nM 0\nDEPOLARIZE1(0.1) 0\nM 0\n")
+    for faults, outcomes in [
+        ([(1, 0), (0, 0)], None),  # sites out of order
+        ([(0, 0), (0, 0)], None),  # a site twice
+        ([(-1, 0)], None),         # a negative site
+        ([(0, 3)], None),          # a case its one-case site does not have
+        ([(1, 3)], None),
+        (None, {0: 5}),            # an outcome other than 0 or 1
+        (None, {0: -2}),
+        (None, {-2: 0}),           # a negative record
+    ]:
+        with pytest.raises(ValueError, match="forced"):
+            run_shot(prog, forced_faults=faults, forced_outcomes=outcomes)
+    # sites and records past the program's last are ignored
+    rec = run_shot(prog, forced_faults=[(0, 0), (1, 2), (7, 9)],
+                   forced_outcomes={0: 1, 9: 1})
+    assert rec.measurements[0] == 1
+
+
 def test_nan_detection_aborts_shot():
     prog = compile_circuit("H 0\nT 0\nH 0\nM 0\n")
     bad_instrs = [replace(i, angle=float("nan")) if isinstance(i, Expand) else i
