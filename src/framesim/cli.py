@@ -22,15 +22,19 @@ from .runtime import ShotError, ShotRecord, sample
 def _read_circuit(path: str | None) -> str:
     """The circuit text of ``path``, or of stdin for None or ``-``, without
     a leading UTF-8 byte-order mark. A file that cannot be read as UTF-8
-    text raises a CircuitError. Stdin's bytes are decoded here, strictly:
-    its text layer may follow the locale and turn bad bytes into
-    surrogates."""
+    text raises a CircuitError that names the offset of the bad byte. The
+    bytes are decoded here, strictly: stdin's text layer may follow the
+    locale and turn bad bytes into surrogates. Line ends stay as read; the
+    parser splits lines at any of them."""
     path = None if path == "-" else path
     try:
         if path is None:
-            return sys.stdin.buffer.read().decode("utf-8-sig")
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        # decoded whole, so an error's offset counts the mark's bytes too
+        return data.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise CircuitError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

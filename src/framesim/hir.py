@@ -397,15 +397,9 @@ def _split_clifford_part(angle: float, eighths):
         e = eighths % 16
         if e > 8:
             e -= 16
-        # e in [-7, 8]; peel quarter turns of 2 eighths keeping |resid| <= 1
-        m = int(math.trunc(e / 2))
-        resid = e - 2 * m
-        if resid > 1:
-            m += 1
-            resid -= 2
-        elif resid < -1:
-            m -= 1
-            resid += 2
+        # e in [-7, 8]; peeling quarter turns of 2 eighths with trunc keeps
+        # |resid| <= 1
+        resid = e - 2 * math.trunc(e / 2)
         full = (eighths - resid) // 2
         return full, resid * math.pi / 8, resid
     a = math.remainder(angle, _TAU)

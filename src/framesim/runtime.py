@@ -173,9 +173,6 @@ class ShotRecord:
     weight: float
 
 
-_EMPTY_BITS = np.zeros(0, dtype=np.uint8)
-
-
 class ShotState(ShotRng):
     """Reusable storage of the closure VM: the active array of a walk's
     paths, and the fields of one shot, a class of one
@@ -190,12 +187,12 @@ class ShotState(ShotRng):
       snapshot of the array: a group of n shots keeps at most floor(log2 n)
       of them, and sampling keeps a chunk's within ``_SNAP_BYTES``
       (:func:`_fold_shots`). ``classes`` lists the classes of the chunk
-      being sampled and ``spare`` those of the chunk before, which
-      :func:`_part` re-seats.
+      being sampled.
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
     * ``out`` holds the records, detectors and observables, in that order,
-      as 0/1 bytes. ``forced_faults`` is None or ``[the shot's faults]``.
+      as 0/1 bytes; :func:`_columns` names those of the output row.
+      ``forced_faults`` is None or ``[the shot's faults]``.
     * The state is the shot's :class:`ShotRng` stream. For sampling it
       tabulates each chunk's draws once (:meth:`ShotRng._table`), and the
       classes of the chunk's shots read their slots of that table.
@@ -211,10 +208,9 @@ class ShotState(ShotRng):
     before writing them all. The walk starts the path's array.
     """
 
-    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending", "classes", "spare",
-                 "members",
+    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending", "classes", "members",
                  "frame_x", "frame_z", "out", "weight", "accepted",
-                 "forced_faults", "forced_outcomes", "active_virtuals", "_clear", "_bits")
+                 "forced_faults", "forced_outcomes", "active_virtuals", "_clear")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
         self.n = prog.n
@@ -229,16 +225,12 @@ class ShotState(ShotRng):
         self.views = {}
         self.pending = []
         self.classes = []
-        self.spare = []
         self.members = [0]
         nr, nd = prog.record_count, prog.num_detectors
         self.out = bytearray(nr + nd + prog.num_observables)
         # rejected shots stop early; only then can stale bits leak into output
         start = 0 if any(isinstance(i, PostSelectIns) for i in prog.instrs) else nr + nd
         self._clear = (start, bytes(len(self.out) - start)) if len(self.out) > start else None
-        # numpy views of the records, detectors and observables for make_record
-        bits = np.frombuffer(self.out, dtype=np.uint8)
-        self._bits = (bits[:nr], bits[nr:nr + nd], bits[nr + nd:])
         self.forced_faults = None
         self.forced_outcomes = None
         self.active_virtuals = prog.final_active
@@ -301,16 +293,9 @@ class _ShotClass(ShotRng):
 
 def _part(st: ShotState, cls: _ShotClass, members: np.ndarray) -> _ShotClass:
     """A new class of ``members``, shots that the caller takes out of
-    ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``;
-    a spare class of an earlier chunk is re-seated when there is one."""
-    if st.spare:
-        part = st.spare.pop()
-        part.out[:] = cls.out
-        part.__init__(cls._keys, cls._uniforms, cls._width, members, part.out, cls._count,
-                      cls.forced_faults)
-    else:
-        part = _ShotClass(cls._keys, cls._uniforms, cls._width, members, bytearray(cls.out),
-                          cls._count, cls.forced_faults)
+    ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``."""
+    part = _ShotClass(cls._keys, cls._uniforms, cls._width, members, bytearray(cls.out),
+                      cls._count, cls.forced_faults)
     part.frame_x, part.frame_z = cls.frame_x, cls.frame_z
     st.classes.append(part)
     return part
@@ -956,9 +941,10 @@ _FACTORIES = {
 
 
 def _cache(prog: BytecodeProgram) -> dict:
-    """The program's runtime cache: its instruction closures (``"code"``)
-    and its frame table (``"table"``), each built on first use. Code that
-    edits ``prog.instrs`` drops the whole entry."""
+    """The program's runtime cache: its instruction closures (``"code"``),
+    its frame table (``"table"``) and its output columns (``"columns"``),
+    each built on first use. Code that edits ``prog.instrs`` drops the
+    whole entry."""
     cache = prog.__dict__.get("_dispatch")
     if cache is None:
         cache = prog.__dict__["_dispatch"] = {}
@@ -1152,26 +1138,28 @@ def _traced(steps, prog, pc: int, st: ShotState, trace):
 
 
 def make_record(prog: BytecodeProgram, state: ShotState) -> ShotRecord:
-    uidx = _user_idx(prog)
-    rec, det, obs = state._bits
-    # fancy indexing already yields a fresh array; identity maps just copy
-    return ShotRecord(
-        measurements=rec.copy() if uidx is None else rec[uidx],
-        detectors=det.copy() if len(det) else _EMPTY_BITS,
-        observables=obs.copy() if len(obs) else _EMPTY_BITS,
-        accepted=state.accepted,
-        weight=state.weight,
-    )
+    """The shot ``state`` holds, its three fields slices of one fresh row
+    of its output bits, as :func:`sample` makes them."""
+    bits = np.frombuffer(state.out, dtype=np.uint8)
+    cols = _columns(prog)
+    # fancy indexing already yields a fresh array
+    row = bits.copy() if cols is None else bits[cols]
+    nm = len(prog.user_records)
+    nmd = nm + prog.num_detectors
+    return ShotRecord(row[:nm], row[nm:nmd], row[nmd:], state.accepted, state.weight)
 
 
-def _user_idx(prog: BytecodeProgram):
-    """Index array for user records, or None when they are all records."""
-    if "_user_idx" not in prog.__dict__:
-        if prog.user_records == tuple(range(prog.record_count)):
-            prog.__dict__["_user_idx"] = None
-        else:
-            prog.__dict__["_user_idx"] = np.array(prog.user_records, dtype=np.int64)
-    return prog.__dict__["_user_idx"]
+def _columns(prog: BytecodeProgram):
+    """The bytes of a shot's ``out`` that form its output row (user
+    records, detectors, observables), or None when the user records are
+    all the records, and the row is all of ``out``."""
+    cache = _cache(prog)
+    if "columns" not in cache:
+        user, nr = prog.user_records, prog.record_count
+        end = nr + prog.num_detectors + prog.num_observables
+        cache["columns"] = None if user == tuple(range(nr)) else np.concatenate(
+            [np.array(user, dtype=np.intp), np.arange(nr, end, dtype=np.intp)])
+    return cache["columns"]
 
 
 def _snapshots(k_max: int) -> int:
@@ -1252,8 +1240,9 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     """Shots [lo, hi) on ``engine``, the program's frame table or a
     ShotState of ``prog`` seeded with ``seed``, on which the closure VM
     walks them as one group: each kept shot's output bits (user records,
-    detectors, observables) packed little-endian, one uint8 row per shot,
-    and its acceptance flags (bool). A rejected shot is kept only with
+    detectors, observables; the :func:`_columns` of its final class's
+    ``out``) packed little-endian, one uint8 row per shot, and its
+    acceptance flags (bool). A rejected shot is kept only with
     ``keep_rejected``. This is the one place that runs shots for ``sample``
     and ``sample_accumulate``."""
     if type(engine) is not ShotState:
@@ -1264,7 +1253,6 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     state.widen(max(c._count for c in classes))
     final = [None] * (hi - lo)  # each shot's final class
     for c in classes:
-        c._keys = c._uniforms = None  # a spare class holds no table
         for slot in c.members.tolist():
             final[slot] = c
     if not keep_rejected:
@@ -1273,10 +1261,9 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     bits = np.frombuffer(b"".join([c.out for c in final]), dtype=np.uint8)
     bits = bits.reshape(len(final), width)
     flags = bytes([c.accepted for c in final])
-    state.spare = classes
-    uidx = _user_idx(prog)
-    if uidx is not None:
-        bits = bits[:, np.concatenate([uidx, np.arange(prog.record_count, width)])]
+    cols = _columns(prog)
+    if cols is not None:
+        bits = bits[:, cols]
     return np.packbits(bits, axis=1, bitorder="little"), np.frombuffer(flags, dtype=bool)
 
 

@@ -42,8 +42,7 @@ from .backend import (
 )
 from .rng import _MAX_WIDTH, ShotRng, ShotStreams
 
-_NOISE, _COIN, _CHECK = 0, 1, 2
-_SURE = 3  # a span part: a certain (p=1) site
+_NOISE, _COIN, _SURE = 0, 1, 2  # span parts: a segment, a coin, a certain (p=1) site
 _TABLE_BITS = 1 << 28  # most bits of rows a table's build may hold: 32 MiB
 _GUARD = 2.0 ** -40  # a lock-step survival's margin, relative to the bound (_may_fault)
 _GRID = 1 << 16  # most draws of one span grid; more shots take several grids
@@ -118,8 +117,9 @@ def _build_table(prog: BytecodeProgram):
     record r. A gate maps them by its transpose. A fault's effect row is the
     XOR of the rows of the frame bits its case flips, a coin's the row of
     its record XOR that of the frame X bit it sets; each is packed to bytes
-    once, and no transpose is needed. The draw sequence comes out backwards,
-    as span parts and checks.
+    once, and no transpose is needed. The walk meets the draw sequence
+    backwards: it closes the span parts met since the last check into a
+    :class:`_Span` at each check and at the end, and reverses the list.
 
     A check's hidden bits are made when the walk reaches it: an observable
     that an ``ObservableIns`` after the check changes gets one, and each
@@ -150,7 +150,9 @@ def _build_table(prog: BytecodeProgram):
     rows = [0] * n_inputs  # effect rows as ints; row 0 is the constant
     nxt = n_inputs  # one past the row of the last input not yet met
     site_bit = [0] * len(sites)
-    seq: list = []  # the draw sequence, backwards: span parts and checks
+    hazard = np.array(prog.cum_hazard)
+    spans: list = []  # the spans and checks met, backwards
+    run: list = []  # the span parts met since the last check, backwards
     for ins in reversed(prog.instrs):
         t = type(ins)
         if t is MeasDormantStatic:
@@ -211,7 +213,7 @@ def _build_table(prog: BytecodeProgram):
                         cz ^= low
                     rows[i] = row
                     i += 1
-            seq += [(_SURE, p, p + 1, int(len(sites[p].case_cum) > 1)) if isinstance(p, int)
+            run += [(_SURE, p, p + 1, int(len(sites[p].case_cum) > 1)) if isinstance(p, int)
                     else (_NOISE, *p, 1) for p in reversed(_block_plan(sites, lo, hi))]
         elif t is MeasDormantRandom:
             v, r = ins.virt, ins.record
@@ -225,7 +227,7 @@ def _build_table(prog: BytecodeProgram):
             # bit XOR the coin; the new Z bit is the old X bit
             rows[nxt] = row ^ sx[v]
             sx[v], sz[v] = sz[v], rows[nxt]
-            seq.append((_COIN, nxt, 0, 1))
+            run.append((_COIN, nxt, 0, 1))
         elif t is ObservableIns:
             bits = obs_bits[ins.index]
             touched |= 1 << ins.index
@@ -242,17 +244,21 @@ def _build_table(prog: BytecodeProgram):
                     obs_bits[o] |= 1 << hidden
                     hidden += 1
             keep = ((1 << width) - 1) & ~after & ~(touched << obs0)
-            seq.append((_CHECK, p, ins.required, keep, tuple(moves)))
+            if run:
+                spans.append(_span_of(run, hazard))
+                run = []
+            spans.append((p, ins.required, keep, tuple(moves)))
         else:
             raise TypeError(f"{t.__name__} has no frame-table form")
-    seq.reverse()
+    if run:
+        spans.append(_span_of(run, hazard))
+    spans.reverse()
     nbytes = 8 * max(1, (hidden + 63) // 64)
     ncases = [len(s.case_cum) for s in sites]
     case_cum = np.full((len(sites), max(ncases, default=1)), np.inf)
     for i, n in enumerate(ncases):
         if n > 1:  # a one-case site draws no case
             case_cum[i, :n] = sites[i].case_cum
-    hazard = np.array(prog.cum_hazard)
     return _FrameTable(
         effects=b"".join([row.to_bytes(nbytes, "little") for row in rows]),
         nbytes=nbytes, hazard=hazard,
@@ -260,32 +266,13 @@ def _build_table(prog: BytecodeProgram):
         prob=np.array([s.prob for s in sites], dtype=np.float64),
         ncases=np.array(ncases, dtype=np.int64),
         case_cum=case_cum,
-        spans=_spans(seq, hazard))
-
-
-def _spans(seq: list, hazard: np.ndarray) -> list:
-    """The draw sequence ``seq``, of span parts ``(kind, lo, hi, fault-free
-    draws)`` and checks ``(_CHECK, bit, required, keep, moves)``, with each
-    run of parts between checks as a :class:`_Span` and each check as
-    ``(bit, required, keep, moves)``."""
-    items: list = []
-    run: list = []
-    for part in seq:
-        if part[0] != _CHECK:
-            run.append(part)
-            continue
-        if run:
-            items.append(_span_of(run, hazard))
-            run = []
-        items.append(part[1:])
-    if run:
-        items.append(_span_of(run, hazard))
-    return items
+        spans=spans)
 
 
 def _span_of(parts: list, hazard: np.ndarray) -> _Span:
-    """The :class:`_Span` of ``parts``."""
-    kind, lo, hi, draws = (np.array(col, dtype=np.int64) for col in zip(*parts))
+    """The :class:`_Span` of ``parts``, span parts ``(kind, lo, hi,
+    fault-free draws)`` given backwards."""
+    kind, lo, hi, draws = (np.array(col, dtype=np.int64) for col in zip(*reversed(parts)))
     off = np.zeros(len(parts) + 1, dtype=np.int64)
     np.cumsum(draws, out=off[1:])
     seg = (kind == _NOISE).nonzero()[0]

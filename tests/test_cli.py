@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import framesim
+from framesim import compile_circuit, sample
 from framesim.cli import main
 
 
@@ -132,6 +133,15 @@ def test_sample_postselect_detectors_flag(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     kept = [l for l in lines if "rejected" not in l]
     assert all(l[0] == "0" for l in kept)
+    # --keep-rejected prints the rejected shots too, each with a suffix
+    assert main(["sample", str(p), "--shots", "400", "--seed", "1",
+                 "--postselect-detectors", "0", "--keep-rejected"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    prog = compile_circuit(p.read_text(), postselect_detectors=(0,))
+    rejected = sum(not rec.accepted for rec in sample(prog, 400, seed=1))
+    assert 0 < rejected < 400
+    assert sum(l.endswith(" rejected") for l in lines) == rejected
+    assert [l for l in lines if not l.endswith(" rejected")] == kept
 
 
 @pytest.mark.parametrize("index", ["7", "-1"])
@@ -348,6 +358,20 @@ def test_a_utf8_byte_order_mark_is_skipped(tmp_path, capsys):
                           env=_child_env())
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == b"MEAS_DORMANT_STATIC 0 -> rec[0]\n"
+    # CRLF line ends parse as LF ones
+    path.write_bytes(b"\xef\xbb\xbfH 0\r\nM 0\r\n")
+    assert main(["compile", str(path), "--emit", "bytecode"]) == 0
+    assert capsys.readouterr().out.endswith("-> rec[0]\n")
+    # a bad byte after the mark is reported at its offset in the file
+    bad = b"\xef\xbb\xbfM 0\n\xff\n"
+    path.write_bytes(bad)
+    assert main(["compile", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: {path} is not UTF-8 text: invalid start byte "
+                                       "at byte 7\n")
+    proc = subprocess.run([sys.executable, "-m", "framesim.cli", "compile", "-"], input=bad,
+                          capture_output=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: stdin is not UTF-8 text: invalid start byte at byte 7\n"
 
 
 def test_sample_out_into_missing_directory_is_an_error(mirror_file, tmp_path, capsys):

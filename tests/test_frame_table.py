@@ -22,7 +22,7 @@ import framesim.table as frametable
 from framesim.backend import MeasDormantRandom, NoiseBlock, compile_circuit
 from framesim.rng import ShotRng, ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
-from framesim.table import _CHECK, _COIN, _NOISE, _SURE, _may_fault, _Span, _table_shots
+from framesim.table import _COIN, _NOISE, _SURE, _may_fault, _Span, _table_shots
 from framesim.testing import random_circuit, repetition_code_circuit
 
 # An observable read before and after a postselected record, so a rejected
@@ -74,6 +74,9 @@ def _corpus(count: int):
 
 def _strata(prog) -> list:
     return [None] + [StratumSpec(prog, w) for w in (1, 2) if w <= len(prog.sites)]
+
+
+_CHECK = "check"  # the label _kinds gives a postselection check
 
 
 def _kinds(tab) -> set:

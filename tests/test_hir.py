@@ -170,6 +170,21 @@ def test_peephole_absorbs_clifford_multiples():
     assert _replay_equiv("H 0\nT 0\nT 0\nM 0\n", hir)
 
 
+def test_quarter_turn_rotations_are_absorbed_into_the_frame():
+    # a rotation by a multiple of pi/2 is Clifford: lowering absorbs it into
+    # the frame and emits no Rot, while the T beside it stays
+    for axis in "XYZ":
+        for k in range(-4, 5):
+            for prep in ("H 0\n", "H 0\nS 0\n"):
+                text = (f"H 1\nT 1\n{prep}R_{axis}({k * math.pi / 2!r}) 0\nCX 0 1\nT 1\n"
+                        "H 1\nM 1\nH 0\nM 0\n")
+                assert sum(isinstance(op, Rot) for op in lower(text).ops) == 2
+                for seed in range(3):
+                    res = crosscheck(parse_circuit(text), seed=seed, checkpoints=True)
+                    assert res["records_match"], (text, seed)
+                    assert res["min_checkpoint_fidelity"] >= 1 - 1e-10, (text, seed)
+
+
 def test_peephole_semantics_on_injected_cancelling_pairs():
     rng = np.random.default_rng(47)
     for i in range(15):

@@ -155,6 +155,14 @@ def _assert_matches_reference(hir):
     return sweeps
 
 
+def test_exact_split_keeps_residual_within_one_eighth():
+    # trunc peels quarter turns so that the residual is -1, 0 or 1 eighths
+    for eighths in range(-40, 41):
+        m, angle, resid = _split_clifford_part(eighths * math.pi / 8, eighths)
+        assert resid in (-1, 0, 1) and 2 * m + resid == eighths
+        assert angle == resid * math.pi / 8
+
+
 def test_deferred_peephole_matches_eager_fixpoint(monkeypatch):
     seen = _record_sweeps(monkeypatch)
     rng = np.random.default_rng(20261018)

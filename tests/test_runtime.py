@@ -148,6 +148,47 @@ def test_active_array_grows_and_shrinks_against_oracle():
         assert res["min_checkpoint_fidelity"] >= 1 - 1e-10
 
 
+def test_norm2_sums_long_arrays_in_chunks():
+    rng = np.random.default_rng(14)
+    for size in (runtime._DOT + 8, 2 * runtime._DOT):
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        expect = np.vdot(x, x).real
+        assert abs(runtime._norm2(x) - expect) <= 1e-12 * expect
+
+
+def test_parity_readout_of_14_qubits_against_oracle():
+    # criterion 10's construction at n = 14: its collapses take the squared
+    # norm of a 2^14-entry array in chunks
+    lines = [f"R_Y(0.7) {q}" for q in range(14)]
+    lines += [f"CX {q} {q + 1}" for q in range(13)]
+    lines.append("M 13")
+    lines += [f"CX {q} {q + 1}" for q in range(12, -1, -1)]
+    lines.append("MX " + " ".join(str(q) for q in range(14)))
+    circ = parse_circuit("\n".join(lines) + "\n")
+    assert compile_circuit(circ).k_max == 14
+    res = crosscheck(circ, seed=3)
+    assert res["records_match"] and res["fidelity"] > 1 - 1e-10
+
+
+# a reset's record is not a user record, so these cut their output rows
+@pytest.mark.parametrize("text", [
+    EXACT_MIRROR,
+    "H 0\nT 0\nM 0\nR 0\nH 0\nX_ERROR(0.2) 1\nM 1 0\nDETECTOR rec[-1]\n",
+    "X_ERROR(0.3) 0\nM 0\nDETECTOR rec[-1]\nPOSTSELECT rec[-1]\nR 1\nH 1\nM 1\n",
+], ids=["mirror", "closure_vm", "frame_table"])
+def test_program_pickled_after_sampling_samples_the_same(text):
+    import pickle
+
+    prog = compile_circuit(text)
+    before = list(sample(prog, 50, seed=5))
+    again = pickle.loads(pickle.dumps(prog))
+    for a, b in zip(before, sample(again, 50, seed=5), strict=True):
+        assert np.array_equal(a.measurements, b.measurements)
+        assert np.array_equal(a.detectors, b.detectors)
+        assert np.array_equal(a.observables, b.observables)
+        assert a.accepted == b.accepted
+
+
 def _vector_kernels(prog) -> set:
     """The vectorized kernel forms a program runs: each gate kind and
     ArrayRot, each also on axis 1 (the stride-2 sub-arrays; two-entry void
@@ -750,6 +791,11 @@ def test_classical_pauli_controls_undo_the_outcome(text):
 def test_forced_zero_probability_branch_raises():
     prog = compile_circuit("M 0\n")
     with pytest.raises(ShotError, match="probability"):
+        run_shot(prog, shot=0, forced_outcomes={0: 1})
+    # a collapse's branch below BRANCH_FLOOR cannot be forced either
+    prog = compile_circuit("R_X(2e-7) 0\nM 0\n")
+    assert MeasCollapse in map(type, prog.instrs)
+    with pytest.raises(ShotError, match="has probability 1.000e-14"):
         run_shot(prog, shot=0, forced_outcomes={0: 1})
 
 

@@ -145,7 +145,7 @@ def test_a_sampled_shot_draws_its_scalar_stream(need):
     for c in range(draws):
         assert cls.uniform_each(cls.members).tolist() == [a.uniform() for a in alone]
         if c == draws // 2:
-            state = SimpleNamespace(classes=[], spare=[])
+            state = SimpleNamespace(classes=[])
             one = runtime._part(state, cls, cls.members[7:8])
             cls.keep(cls.members[cls.members != 7])
             assert state.classes == [one] and one.members.tolist() == [7]
