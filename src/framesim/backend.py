@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
-from .circuit import flatten, parse_circuit
+from .circuit import check_circuit, flatten, parse_circuit
 from .hir import (
     CondPauli,
     DetectorDef,
@@ -566,7 +566,8 @@ def compile_circuit(circuit_or_text, postselect_detectors=()) -> BytecodeProgram
 
     ``postselect_detectors`` lists detector indices whose shots are kept only
     when the detector reads 0; an index outside the circuit's detectors is a
-    :class:`CompileError`.
+    :class:`CompileError`. A :class:`Circuit` is validated as parsed text
+    is, and its qubits recounted (:func:`circuit.check_circuit`).
 
     The compile makes no reference cycles, so the cyclic garbage collector
     is paused while it runs and its previous state restored after. If a
@@ -591,8 +592,9 @@ def _compile(circuit_or_text, postselect_detectors: tuple) -> BytecodeProgram:
     program die when it returns."""
     if isinstance(circuit_or_text, str):
         circuit = parse_circuit(circuit_or_text)
-    else:
+    else:  # built in code, or edited since its parse
         circuit = circuit_or_text
+        check_circuit(circuit)
     hir = peephole_pass(lower_to_hir(flatten(circuit)))
     check_postselect_detectors(hir, postselect_detectors)
     return optimize_bytecode(plan_schedule(hir, postselect_detectors)[1])

@@ -121,7 +121,7 @@ class Circuit:
         ``flatten`` store on their output the count together with the number
         of instructions it covers, so only instructions appended since are
         walked; an instruction replaced in place, or one added to a REPEAT
-        body, is not seen."""
+        body, is not seen until :func:`check_circuit` recounts them."""
         counted, best = self._counted
         if counted > len(self.instructions):
             counted = best = 0
@@ -371,6 +371,49 @@ def _parse_instruction(stmt: str, lineno: int) -> Instruction:
     ins = Instruction(name, targets, args, lineno)
     _validate(ins)
     return ins
+
+
+def check_circuit(circuit: Circuit) -> None:
+    """Validate a circuit built in code as :func:`parse_circuit` validates
+    text, raising :class:`CircuitError`: each distinct instruction object
+    once, REPEAT bodies included, with a known opcode, finite arguments,
+    and qubit targets that are ints >= 0 (records are :class:`Rec`). Each
+    circuit's qubit count is recounted and stored, so an instruction
+    replaced in place or added to a REPEAT body is counted."""
+    seen: set = set()
+
+    def walk(c: Circuit) -> int:
+        qubits = 0
+        for ins in c.instructions:
+            if isinstance(ins, RepeatBlock):
+                if type(ins.count) is not int or ins.count < 1:
+                    raise CircuitError(f"REPEAT count must be an int >= 1, got {ins.count!r}",
+                                       ins.line)
+                qubits = max(qubits, walk(ins.body))
+                continue
+            if not isinstance(ins, Instruction):
+                raise CircuitError(f"not an instruction: {ins!r}")
+            if id(ins) not in seen:
+                seen.add(id(ins))
+                if ins.opcode not in OPCODES:
+                    raise CircuitError(f"unknown opcode {ins.opcode!r}", ins.line)
+                if not all(isinstance(a, (int, float)) and math.isfinite(a) for a in ins.args):
+                    raise CircuitError(f"non-finite or non-numeric argument in {ins.opcode}",
+                                       ins.line)
+                for t in ins.targets:
+                    if type(t) is Rec and type(t.value) is int:
+                        continue
+                    if type(t) is not int or t < 0:
+                        raise CircuitError(f"{ins.opcode} target {t!r} is neither a qubit "
+                                           "index >= 0 nor a record", ins.line)
+                _validate(ins)
+            for t in ins.targets:
+                if type(t) is int and t >= qubits:
+                    qubits = t + 1
+        c._counted = (len(c.instructions), qubits)
+        return qubits
+
+    walk(circuit)
 
 
 def flatten(circuit: Circuit) -> Circuit:

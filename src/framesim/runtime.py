@@ -1,103 +1,31 @@
 """Bytecode execution over the factored runtime state, and sampling.
 
-Each program class has one engine. A program with an active array
-(``k_max`` > 0) runs on the closure VM below. A frame-only program
-(``k_max`` == 0) is sampled through its frame table (:mod:`framesim.table`).
-``_frame_table`` is the switch. ``run_shot``, ``trace``,
-``expectation_probe`` and ``testing.crosscheck`` always use the closure VM,
-the reference engine.
+A program with an active array (``k_max`` > 0) runs on the closure VM
+below; a frame-only one (``k_max`` == 0) samples through its frame table
+(:mod:`framesim.table`), and ``_frame_table`` is the switch. ``run_shot``,
+``trace``, ``expectation_probe`` and ``testing.crosscheck`` always use the
+closure VM, the reference engine.
 
-Sampling has one path for both engines. ``_chunks`` picks the engine once
-per call, in this process and before any fork: the program's table, or one
-``ShotState`` with the program's closures built, which the chunks of this
-process share and each fork worker inherits. ``_shot_rows`` runs a range of
-shots on it and returns each kept shot's output bits as packed rows with
-its acceptance flags. A chunk holds about a megabyte (``_FOLD_BYTES``) of
-unpacked output bits and, on the closure VM, of per-shot walk state, and
-few enough shots that the walk's snapshots fit ``_SNAP_BYTES``. The
-first closure-VM chunk of a ``sample`` call, whose records stream, also
-holds at most about ``_CHUNK_WORK`` amplitude operations; every other
-chunk, and every chunk of ``sample_accumulate``, which returns only at
-its end, is as large as those budgets allow, so that its shots share the
-most paths. ``_chunks`` yields the chunks in shot order, from this
-process or from a fork pool, and unpacks them; ``sample`` yields each row
-as a ``ShotRecord`` and ``sample_accumulate`` sums them. So records
-arrive a chunk at a time, and the first record of a slow program waits
-for a chunk of tens of shots at most. The pool keeps at most two chunks
-per worker in flight, and a table program forks only when each worker
-gets more than a whole chunk.
+``_chunks`` picks the engine once per call, before any fork, and runs the
+shots in chunks sized by ``_fold_shots`` (and, for ``sample``'s first,
+``_chunk_shots``) through ``_shot_rows``, here or in a fork pool.
 
-The closure VM runs a group of shots in one depth-first walk (``_walk``).
-Its unit is a class of shots (``_ShotClass``): shots that have so far made
-the same draws with the same outcomes. The shots of a class share one
-Pauli frame, as two Python-int bitmasks, one bytearray of record, detector
-and observable bytes, one acceptance flag and one draw counter. Each shot
-keeps its counter-based RNG stream, its slot of the chunk's one table of
-draws, from which it makes exactly the draws it would make alone. A class
-of several holds its slots as one index array, and each of its draw steps
-is a few numpy calls (a gather of the slots' uniforms, a mask); a class of
-one draws from its stream with scalar reads. A path is the set of a
-chunk's shots that share one active array, and the array and its size
-``k`` are all of its state: with a class's frame, the array gives its
-shots' normalized state up to a global phase, which no output reads, so
-no scalar is kept beside it. Two classes hold
-bit-identical arrays for as long as they agree on the path key: the probe
-bits, which are the frame X bits that ``Expand`` and ``ArrayRot`` read to
-pick the sign of their angle, and each collapse's branch, whose
-probability and scale the path fixes (a draw that hits ``BRANCH_FLOOR``
-takes the other branch at that branch's own probability, bit for bit). So
-each step does its frame, record, detector and postselection work once per
-class, its draws once per member shot, and its amplitude kernel once per
-path, on the state's one array:
-
-* ``ArrayGate`` conjugates each class's frame by its gate, then runs its
-  kernel.
-* ``Expand`` and ``ArrayRot``, the probe steps, split the group by their
-  probe bit and pass that bit to the kernel.
-* ``MeasCollapse`` computes its branch probability once per path; draws
-  once per member shot, and splits a class whose members take both
-  branches; records and updates the frame once per class; and applies each
-  branch taken once. ``MeasDormantRandom`` splits a class by its members'
-  coins in the same way.
-* ``NoiseBlock`` draws each member's first hazard skip of each segment
-  (one per segment, the same draw a shot alone makes), and gives a certain
-  site of one case to the whole class. numpy only clears the members whose
-  skip surely passes the segment (``table._may_fault``); every other
-  member, and one whose certain site draws its case, leaves for a class of
-  its own, which redraws the block from there as its shot would, with the
-  exact arithmetic, so a draw within the guard costs only its sharing.
-
-A chunk starts as one class (with a stratum, one per count of draws that
-its shots' fault lists took). At a split the walk goes on with the part
-of fewer shots and defers the other with a snapshot of the array. A
-deferred ``Expand`` or ``ArrayRot`` part reruns its instruction on the
-snapshot; a deferred collapse branch keeps only its collapsed half. Since
-the part the walk goes on with holds at most half the shots of the group
-it came from, at most log2(group size) snapshots are live at once, each of
-at most 2^k_max entries. ``run_shot``, ``trace``, ``expectation_probe``
-and ``testing.crosscheck`` run the same walk with a group of one class of
-one shot, the :class:`ShotState` itself, which holds both the shot and its
-array. A class that fails a postselection leaves the group there.
-Nothing consults the amplitudes to decide control flow (the compiler fixed
-the schedule). A shot's faults reach the ``NoiseBlock`` steps in one form,
-a sorted list of ``(site, case)`` pairs: the hazard-skip sampler produces
-it per block, and a forced run (``run_shot``'s ``forced_faults``,
-``testing.crosscheck``, ``StratumSpec.draw_forced``) passes it for the
-whole shot, where a ``None`` case is drawn when its block runs, in the
-order the sampled path draws it; a member of a class with a fault listed
-in a block leaves for a class of its own there.
-
-The dispatch loop is threaded code: each instruction is specialized once
-into a closure with its operands (qubit masks, precomputed rotation
-phases) bound, so the hot path is a list of calls; every instruction kind
-has exactly one kernel. On that path, frame, record and detector updates
-are Python int and bytearray operations, never numpy scalar accesses.
-The active array is the first 2^k entries of one numpy array (capacity
-2^k_max), and each kernel has one form at every size: vectorized sweeps
-over views built once per state. A kernel runs once per path, so its
-shots share its cost; a group of one pays it alone. README's "Amplitude
-kernels" section gives the kernels' forms, and why they change rounding
-and not results.
+The closure VM walks a chunk as classes of shots (``_ShotClass``): shots
+that made the same draws with the same outcomes share one frame, one
+``out`` and one draw counter, and each draws from its own slot of the
+chunk's table of draws. Each class stands on a row of the batch, the
+paths of one step: ``buf[:rows << k]`` viewed as (rows, 2^k), with
+rows * 2^k <= 2^k_max. Every step runs its frame work once per class, its
+draws once per member, and its amplitude kernel once per batch over the
+leading path axis; a class of one (``run_shot``) is a batch of one row.
+``Expand`` and ``ArrayRot`` give each row its probe bit, copying a row
+whose classes differ; past the capacity the rows of fewer shots stay and
+the others are deferred with a snapshot of their rows, so at most
+floor(log2 shots) snapshots live at once. ``MeasCollapse`` computes its
+branch probability per row and lays out the branches taken as the next
+batch's rows, which always fit. ``_shot_rows`` builds each final class's
+output row once and gathers them to its members. README's "Sampling" and
+"Amplitude kernels" give the design and its measurements.
 """
 from __future__ import annotations
 
@@ -150,7 +78,7 @@ _STRATUM_ENTRY_BYTES = 40
 # tracemalloc over a chunk's walk, Python 3.11); its uniforms (8 bytes a
 # draw), output bytes and stratum faults come on top
 _SHOT_BYTES = 512
-# entries of the longest np.vdot: OpenBLAS runs a longer one on several
+# floats of the longest dot: OpenBLAS runs one of more than 10^4 on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
 # 2-core host for no gain in wall time
 _DOT = 1 << 13
@@ -174,42 +102,39 @@ class ShotRecord:
 
 
 class ShotState(ShotRng):
-    """Reusable storage of the closure VM: the active array of a walk's
-    paths, and the fields of one shot, a class of one
-    (``members``, :class:`_ShotClass`), its random stream included;
-    capacity fixed by the compiled program.
+    """Reusable storage of the closure VM: the batch of a walk's paths, and
+    the fields of one shot, a class of one (``members``, ``row``,
+    :class:`_ShotClass`), its random stream included; capacity fixed by
+    the compiled program.
 
-    * The active array is the first 2^k entries of ``buf`` (complex128,
-      capacity 2^k_max) at every size; ``active_view()`` returns them.
-      ``scratch`` is a work buffer of the same capacity, and ``views``
-      keeps the numpy views of the two that the kernels reuse from shot to
-      shot. ``pending`` holds the walk's deferred parts, each with its
-      snapshot of the array: a group of n shots keeps at most floor(log2 n)
-      of them, and sampling keeps a chunk's within ``_SNAP_BYTES``
-      (:func:`_fold_shots`). ``classes`` lists the classes of the chunk
-      being sampled.
+    * The batch is ``rows`` rows of 2^k entries, ``buf[:rows << k]``
+      (complex128, capacity 2^k_max), with rows * 2^k <= 2^k_max;
+      ``active_view()`` returns row 0. ``scratch`` is a work buffer of the
+      same capacity, which a kernel may write and :meth:`swap` in, and
+      ``views`` keeps the kernels' numpy views of the two per row count.
+      ``pending`` holds the walk's deferred parts, each with a snapshot of
+      its rows, at most 2^k_max entries: a group of n shots keeps at most
+      floor(log2 n) of them, and sampling keeps a chunk's within
+      ``_SNAP_BYTES`` (:func:`_fold_shots`). ``classes`` lists the classes
+      of the chunk being sampled.
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
     * ``out`` holds the records, detectors and observables, in that order,
       as 0/1 bytes; :func:`_columns` names those of the output row.
       ``forced_faults`` is None or ``[the shot's faults]``.
-    * The state is the shot's :class:`ShotRng` stream. For sampling it
-      tabulates each chunk's draws once (:meth:`ShotRng._table`), and the
-      classes of the chunk's shots read their slots of that table.
+    * The state is the shot's :class:`ShotRng` stream; for sampling it
+      tabulates each chunk's draws once (:meth:`ShotRng._table`).
 
     A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) and
     sampling's snapshots exceed the machine's physical memory is refused
-    before anything is allocated.
-
-    ``reset`` moves the stream to a shot and clears only what the shot
-    reads before writing it: the frame, the scalars and the observables,
-    which accumulate by XOR. Every record and detector is written before it
-    is read, so they are cleared only when a postselection can stop a shot
-    before writing them all. The walk starts the path's array.
+    before anything is allocated. ``reset`` moves the stream to a shot and
+    clears what the shot reads before writing it: the frame, the scalars,
+    the observables (accumulated by XOR), and the records and detectors
+    only when a postselection can stop a shot before writing them all.
     """
 
-    __slots__ = ("n", "k", "k_max", "buf", "scratch", "views", "pending", "classes", "members",
-                 "frame_x", "frame_z", "out", "weight", "accepted",
+    __slots__ = ("n", "k", "k_max", "rows", "row", "buf", "scratch", "views", "pending", "classes",
+                 "members", "frame_x", "frame_z", "out", "weight", "accepted",
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
@@ -235,6 +160,8 @@ class ShotState(ShotRng):
         self.forced_outcomes = None
         self.active_virtuals = prog.final_active
         self.k = 0
+        self.rows = 1
+        self.row = 0
         super().__init__(seed, 0)  # resets to shot 0, so it comes after out and _clear
         # a shot with no fault draws once per collapse, coin and noise block
         self.widen(sum(isinstance(i, (MeasCollapse, MeasDormantRandom, NoiseBlock))
@@ -251,17 +178,19 @@ class ShotState(ShotRng):
         ShotRng.reset(self, shot)
 
     def active_view(self) -> np.ndarray:
+        """The first row of the batch: a class of one's whole array."""
         return self.buf[:1 << self.k]
 
-    def snapshot(self) -> tuple:
-        """``(k, entries)``: a copy of the live array, for :meth:`restore`."""
-        return self.k, self.buf[:1 << self.k].copy()
-
     def restore(self, snap: tuple) -> None:
-        """Make ``snap``, a :meth:`snapshot` or a collapsed half, the live
-        array."""
+        """Make ``snap``, ``(k, entries)`` with whole rows of 2^k entries,
+        the live batch."""
         self.k, entries = snap
         self.buf[:len(entries)] = entries
+        self.rows = len(entries) >> self.k
+
+    def swap(self) -> None:
+        """Make the work buffer, which a kernel has written, the batch's."""
+        self.buf, self.scratch = self.scratch, self.buf
 
 
 class _ShotClass(ShotRng):
@@ -269,18 +198,19 @@ class _ShotClass(ShotRng):
     outcomes: ``members``, an index array of their slots of the chunk's
     table of draws (:meth:`ShotRng._table`). They share a
     :class:`ShotState`'s shot fields: one frame, one ``out``, one acceptance
-    flag and one draw counter; ``forced_faults`` is None or each slot's
-    fault list. A class of several draws for its members with numpy
+    flag and one draw counter, and stand on one ``row`` of the batch;
+    ``forced_faults`` is None or each slot's fault list. A class of
+    several draws for its members with numpy
     (:meth:`ShotRng.uniform_each`). The stream is seated at ``members[0]``,
     so a class of one draws as its shot, with the scalar draws."""
 
-    __slots__ = ("frame_x", "frame_z", "out", "accepted", "forced_faults", "members")
+    __slots__ = ("frame_x", "frame_z", "out", "accepted", "forced_faults", "members", "row")
 
     def __init__(self, keys: np.ndarray, uniforms: memoryview, width: int,
                  members: np.ndarray, out: bytearray, count: int = 0, forced_faults=None):
         self._put(keys, uniforms, width)
         self._count = count
-        self.frame_x = self.frame_z = 0
+        self.frame_x = self.frame_z = self.row = 0
         self.out, self.accepted, self.forced_faults = out, True, forced_faults
         self.keep(members)
 
@@ -296,7 +226,7 @@ def _part(st: ShotState, cls: _ShotClass, members: np.ndarray) -> _ShotClass:
     ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``."""
     part = _ShotClass(cls._keys, cls._uniforms, cls._width, members, bytearray(cls.out),
                       cls._count, cls.forced_faults)
-    part.frame_x, part.frame_z = cls.frame_x, cls.frame_z
+    part.frame_x, part.frame_z, part.row = cls.frame_x, cls.frame_z, cls.row
     st.classes.append(part)
     return part
 
@@ -317,9 +247,9 @@ def _below(st: ShotState, cls, p: float) -> tuple:
 # -- instruction specialization --------------------------------------------------
 #
 # Each _c_* factory binds one instruction's operands and returns its step,
-# run(st, group): ``st`` holds the path's active array and ``group`` its
-# classes (a list the step may change). A step that splits the group
-# returns the deferred part: (offset to resume at, classes, snapshot).
+# run(st, group): ``st`` holds the batch and ``group`` its classes (a list
+# the step may change), each on its ``row``. A step that defers part of
+# the group returns it as (classes, snapshot); the part reruns the step.
 
 def _frame_ops(gates) -> tuple:
     """(opcode, mask_a, mask_b) for each gate of a Clifford word; a gate the
@@ -365,30 +295,13 @@ def _shots_in(part: list) -> int:
     return sum(len(c.members) for c in part)
 
 
-def _fork(st: ShotState, group: list, m: int):
-    """Split ``group`` by the frame X bit ``m`` that a kernel reads. Returns
-    that bit of the classes left in ``group`` and, when some have the other
-    bit, their deferred part, which reruns this instruction on a snapshot
-    of the array. The part of fewer shots stays."""
-    first = group[0].frame_x & m
-    for c in group:
-        if c.frame_x & m != first:
-            break
-    else:
-        return 1 if first else 0, None
-    ones = [c for c in group if c.frame_x & m]
-    zeros = [c for c in group if not c.frame_x & m]
-    stay, bit, other = (ones, 1, zeros) if _shots_in(ones) <= _shots_in(zeros) \
-        else (zeros, 0, ones)
-    group[:] = stay
-    return bit, (0, other, st.snapshot())
-
-
 def _views(st: ShotState, make):
-    """``make(st)``: numpy views of the state's buffers, built once per state."""
-    views = st.views.get(make)
+    """``make(st)``: numpy views of the state's buffers for a batch of
+    ``st.rows`` rows, built once per state, row count and buffer order."""
+    key = (make, st.rows, id(st.buf))
+    views = st.views.get(key)
     if views is None:
-        views = st.views[make] = make(st)
+        views = st.views[key] = make(st)
     return views
 
 
@@ -399,22 +312,20 @@ def _c0(z) -> np.ndarray:
 
 
 def _split(x: np.ndarray, lo: int) -> tuple:
-    """``(sub, shift)`` pairs that cover the 1-D array ``x`` for a kernel whose
-    lowest axis is ``lo``. On axis 1 a view's inner loop has two entries, and
-    a numpy call pays for every inner loop, so an axis-1 kernel runs on the
-    two stride-2 sub-arrays, where that axis becomes axis 0 (``shift`` 1)
-    and its views are single long strided runs. Any other axis keeps ``x``:
-    from axis 2 up a split into 2^lo sub-arrays measured slower at 2^10
-    entries and mixed at 2^13 (2-core x86-64 host, numpy 2.4)."""
+    """``(sub, shift)`` pairs that cover the batch ``x``, whole rows flat,
+    for a kernel whose lowest axis is ``lo``: on axis 1 the two stride-2
+    sub-arrays, where that axis becomes axis 0 (``shift`` 1), and
+    otherwise ``x`` (README, "Amplitude kernels")."""
     if lo == 1:
         return (x[0::2], 1), (x[1::2], 1)
     return ((x, 0),)
 
 
-def _halves(x: np.ndarray, a: int) -> tuple:
-    """The (branch-0, branch-1) views of axis ``a`` of the 1-D array ``x``."""
-    v = x.reshape(-1, 2, 1 << a)
-    return v[:, 0, :], v[:, 1, :]
+def _halves(x: np.ndarray, a: int, rows: int = 1) -> tuple:
+    """The (branch-0, branch-1) views of axis ``a`` of the flat batch ``x``
+    of ``rows`` rows, each ``(rows, blocks, 2^a)``."""
+    v = x.reshape(rows, -1, 2, 1 << a)
+    return v[:, :, 0, :], v[:, :, 1, :]
 
 
 def _blocks(x: np.ndarray, a: int) -> np.ndarray:
@@ -425,14 +336,15 @@ def _blocks(x: np.ndarray, a: int) -> np.ndarray:
 
 
 def _array_gate_kernel(ins: ArrayGate):
-    """The amplitude kernel ``kernel(st)`` of an ``ArrayGate``."""
+    """The amplitude kernel ``kernel(st)`` of an ``ArrayGate``. A gate acts
+    alike on every row, so it sweeps the batch as one flat array."""
     g, size = ins.gate, ins.size
     a, b = ins.axa, ins.axb
     if g == "S":
         ph = _c0(1j)
 
         def make(st):
-            return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
+            return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:st.rows * size], a))
 
         def kernel(st: ShotState) -> None:
             for v1 in _views(st, make):
@@ -444,9 +356,10 @@ def _array_gate_kernel(ins: ArrayGate):
         inv_sqrt2 = _c0(_INV_SQRT2)
 
         def make(st):
-            parts = tuple(_halves(x, a - s) + (st.scratch[: len(x) // 2].reshape(-1, step >> s),)
-                          for x, s in _split(st.buf[:size], a))
-            return st.buf[:size], parts
+            whole = st.buf[:st.rows * size]
+            parts = tuple(_halves(x, a - s) + (st.scratch[: len(x) // 2].reshape(1, -1, step >> s),)
+                          for x, s in _split(whole, a))
+            return whole, parts
 
         def kernel(st: ShotState) -> None:
             whole, parts = _views(st, make)
@@ -464,7 +377,7 @@ def _array_gate_kernel(ins: ArrayGate):
             # (destination, source): the control-set block with its target
             # axis reversed; numpy buffers the overlapping copy. The runs of
             # entries below the lower axis move whole, as void elements.
-            view = _blocks(st.buf[:size], lo).reshape(-1, 2, mid, 2)
+            view = _blocks(st.buf[:st.rows * size], lo).reshape(-1, 2, mid, 2)
             if a == hi:
                 return view[:, 1], view[:, 1, :, ::-1]
             return view[:, :, :, 1], view[:, ::-1, :, 1]
@@ -478,7 +391,7 @@ def _array_gate_kernel(ins: ArrayGate):
 
         def make(st):
             return tuple(x.reshape(-1, 2, mid, 2, 1 << (lo - s))[:, 1, :, 1, :]
-                         for x, s in _split(st.buf[:size], lo))
+                         for x, s in _split(st.buf[:st.rows * size], lo))
 
         def kernel(st: ShotState) -> None:
             for v11 in _views(st, make):
@@ -501,41 +414,46 @@ def _c_array_gate(ins: ArrayGate, prog):
 
 
 def _expand_kernel(ins: Expand):
-    """The amplitude kernel ``kernel(st, parity)`` of an ``Expand``, given the
-    frame X bit of its qubit."""
+    """The amplitude kernel ``kernel(st, bits)`` of an ``Expand``, given the
+    frame X bit of its qubit for each row: one multiply writes each row
+    and its copy, by their phases, into the work buffer."""
     size = ins.size
     e0 = cmath.exp(-1j * ins.angle) * _INV_SQRT2
     e1 = cmath.exp(1j * ins.angle) * _INV_SQRT2
-    phases = ((_c0(e0), _c0(e1)), (_c0(e1), _c0(e0)))  # indexed by frame parity
+    phases = np.array([[e0, e1], [e1, e0]]).reshape(2, 2, 1)  # indexed by frame parity
+    alike = (phases[:1], phases[1:])  # the phases of rows that all have one bit
 
     def make(st):
-        return st.buf[:size], st.buf[size: 2 * size]
+        rows = st.rows
+        return st.buf[:rows * size].reshape(rows, 1, size), \
+            st.scratch[:2 * rows * size].reshape(rows, 2, size)
 
-    def kernel(st: ShotState, parity: int) -> None:
-        ph0, ph1 = phases[parity]
+    def kernel(st: ShotState, bits: list) -> None:
         old, new = _views(st, make)
-        np.multiply(old, ph1, out=new)
-        np.multiply(old, ph0, out=old)
+        np.multiply(old, alike[bits[0]] if bits.count(bits[0]) == len(bits) else phases[bits],
+                    out=new)
+        st.swap()
         st.k += 1
 
     return kernel
 
 
 def _array_rot_kernel(ins: ArrayRot):
-    """The amplitude kernel ``kernel(st, parity)`` of an ``ArrayRot``, given
-    the frame X bit of its qubit. It multiplies only branch 1, by its phase
-    relative to branch 0's, and so leaves out branch 0's phase, a global
-    one."""
+    """The amplitude kernel ``kernel(st, bits)`` of an ``ArrayRot``, given
+    the frame X bit of its qubit for each row. It multiplies only branch
+    1, by its phase relative to branch 0's, and so leaves out branch 0's
+    phase, a global one."""
     a, size = ins.axis, ins.size
     e0 = cmath.exp(-1j * ins.angle)
     e1 = e0.conjugate()
-    ratios = (_c0(e1 / e0), _c0(e0 / e1))  # indexed by frame parity
+    ratios = np.array([e1 / e0, e0 / e1]).reshape(2, 1, 1)  # indexed by frame parity
+    alike = (_c0(e1 / e0), _c0(e0 / e1))
 
     def make(st):
-        return tuple(_halves(x, a - s)[1] for x, s in _split(st.buf[:size], a))
+        return tuple(_halves(x, a - s, st.rows)[1] for x, s in _split(st.buf[:st.rows * size], a))
 
-    def kernel(st: ShotState, parity: int) -> None:
-        ratio = ratios[parity]
+    def kernel(st: ShotState, bits: list) -> None:
+        ratio = alike[bits[0]] if bits.count(bits[0]) == len(bits) else ratios[bits]
         for v1 in _views(st, make):
             np.multiply(v1, ratio, out=v1)
 
@@ -544,16 +462,74 @@ def _array_rot_kernel(ins: ArrayRot):
 
 def _c_probe(ins: Expand | ArrayRot, prog):
     """The step of an ``Expand`` or ``ArrayRot``, whose kernel reads the
-    frame X bit of its qubit, the probe bit."""
+    frame X bit of its qubit, the probe bit, for each row."""
     m = 1 << ins.virt
-    kernel = (_expand_kernel if type(ins) is Expand else _array_rot_kernel)(ins)
+    grow = type(ins) is Expand
+    kernel = (_expand_kernel if grow else _array_rot_kernel)(ins)
 
     def run(st: ShotState, group: list):
-        parity, split = _fork(st, group, m)
-        kernel(st, parity)
+        bits = [-1] * st.rows
+        for c in group:
+            bit = 1 if c.frame_x & m else 0
+            r = c.row
+            if bits[r] != bit:
+                if bits[r] >= 0:
+                    break
+                bits[r] = bit
+        else:
+            # each row's classes agree, each row has one, and the rows fit
+            if -1 not in bits and st.rows << (st.k + grow) <= 1 << st.k_max:
+                kernel(st, bits)
+                return None
+        split, bits = _relayout(st, group, m, grow)
+        kernel(st, bits)
         return split
 
     return run
+
+
+def _relayout(st: ShotState, group: list, m: int, grow: int) -> tuple:
+    """Lay the batch out for a probe step: a row for each (row, probe bit)
+    that a class of ``group`` holds, rows without a class dropped. Past
+    the capacity after the step, the rows that hold fewer shots stay (at
+    most half the batch's shots) and the others are deferred, with a
+    snapshot of their rows, to rerun the step. Returns the deferred part
+    or None, and each row's bit."""
+    k, rows = st.k, st.rows
+    keys = {}  # (row, probe bit) -> its classes
+    for c in group:
+        keys.setdefault(c.row << 1 | (1 if c.frame_x & m else 0), []).append(c)
+    order = sorted(keys)
+    split = None
+    most = (1 << st.k_max) >> (k + grow)  # rows that fit after the step
+    if len(order) > most:
+        shots = {key: _shots_in(keys[key]) for key in order}
+        half = sum(shots.values()) / 2
+        stay, held = [], 0
+        for key in sorted(order, key=shots.get):
+            if len(stay) == most or held + shots[key] > half:
+                break
+            stay.append(key)
+            held += shots[key]
+        gone = [key for key in order if key not in stay]
+        old = sorted({key >> 1 for key in gone})
+        at = {r: i for i, r in enumerate(old)}
+        part = [c for key in gone for c in keys[key]]
+        for c in part:
+            c.row = at[c.row]
+        split = (part, (k, st.buf[:rows << k].reshape(rows, -1)[old].reshape(-1)))
+        order = sorted(stay)
+        group[:] = [c for key in order for c in keys[key]]
+    src = [key >> 1 for key in order]
+    if src != list(range(len(src))):  # rows copied or moved
+        np.take(st.buf[:rows << k].reshape(rows, -1), src, axis=0,
+                out=st.scratch[:len(src) << k].reshape(len(src), -1))
+        st.swap()
+    st.rows = len(src)
+    for i, key in enumerate(order):
+        for c in keys[key]:
+            c.row = i
+    return split, [key & 1 for key in order]
 
 
 def _c_meas_dormant_static(ins: MeasDormantStatic, prog):
@@ -606,14 +582,23 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
     return run
 
 
-def _norm2(x: np.ndarray) -> float:
-    """The squared norm of the contiguous complex array ``x``, from vdots of
-    at most ``_DOT`` entries each."""
-    if x.size <= _DOT:
-        return float(np.vdot(x, x).real)
-    x = x.reshape(-1)
-    return float(sum(np.vdot(x[i:i + _DOT], x[i:i + _DOT]).real
-                     for i in range(0, len(x), _DOT)))
+def _runs(f: np.ndarray) -> np.ndarray:
+    """The float rows ``f`` for :func:`_norm2`, each row cut into equal runs
+    of at most ``_DOT`` floats on a new last axis when it is longer."""
+    n = f.shape[-1]
+    if n <= _DOT:
+        return f
+    cuts = -(-n // _DOT)
+    while n % cuts:
+        cuts += 1
+    return f.reshape(*f.shape[:-1], cuts, n // cuts)
+
+
+def _norm2(runs: np.ndarray, cut: bool) -> np.ndarray:
+    """The squared norm of each row of a complex array, from the
+    :func:`_runs` of its float view, ``cut`` when they added an axis."""
+    dots = np.vecdot(runs, runs)
+    return np.add.reduce(dots, axis=-1) if cut else dots
 
 
 def _row_form(u0: complex, u1: complex) -> tuple:
@@ -628,10 +613,10 @@ def _row_form(u0: complex, u1: complex) -> tuple:
     return {0: 0, 1: 2, -1: 3}.get(eps, 4), u0, eps
 
 
-def _row(form: int, eps: np.ndarray, v0, v1, out, spare):
+def _row(form: int, eps: np.ndarray, v0, v1, out):
     """The row of form ``form`` (of :func:`_row_form`) applied to the
-    branches ``v0``, ``v1``, short of its factor c: one of them, or ``out``
-    holding the result; ``spare`` is a work half for form 4."""
+    branches ``v0``, ``v1``, short of its factor c: one of them, or ``out``,
+    apart from both, holding the result."""
     if form == 0:
         return v0
     if form == 1:
@@ -640,8 +625,25 @@ def _row(form: int, eps: np.ndarray, v0, v1, out, spare):
         return np.add(v0, v1, out=out)
     if form == 3:
         return np.subtract(v0, v1, out=out)
-    np.multiply(v1, eps, out=spare)
-    return np.add(v0, spare, out=out)
+    np.multiply(v1, eps, out=out)
+    return np.add(v0, out, out=out)
+
+
+def _pick(rows: list):
+    """The ascending ``rows`` as a slice (a view) when consecutive."""
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
+
+
+def _scales(scale: np.ndarray, c: complex, rows: list, draws: list, branch: int):
+    """Each output row's factor, c / sqrt(p_branch p_all) of its row's
+    ``draws``: one row's in the 0-d ``scale``, which numpy multiplies by
+    faster than a broadcast array, several in a (rows, 1, 1) array."""
+    out = [c * (1.0 / math.sqrt((p if branch else 1.0 - p) * total))
+           for p, _, _, total in map(draws.__getitem__, rows)]
+    if len(out) == 1:
+        scale[()] = out[0]
+        return scale
+    return np.array(out)[:, None, None]
 
 
 def _c_meas_collapse(ins: MeasCollapse, prog):
@@ -655,71 +657,77 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         pre = tuple((x0 ^ x1, z0 ^ z1) for x0, z0 in ((0, 0), (0, m), (m, 0), (m, m))
                     for x1, z1 in (_conjugate_frame(ops, x0, z0),))
     half = size >> 1
-    step = 1 << a
+    top = 1 << a == half
+    cut = size > _DOT  # rows of half floats are cut into runs
+    lanes = 2 if a == 1 and not top else 1
     (f0, c0, eps0), (f1, c1, eps1) = _row_form(*ins.u[0]), _row_form(*ins.u[1])
     eps0, eps1 = _c0(eps0), _c0(eps1)
     c1_sq = abs(c1) ** 2
+    scale = _c0(0)  # one output row's factor
 
     def make(st):
-        """(copy, halves, v0, v1, head, tmp, tmp2, k, lanes): the
-        (destination, source) copy that fills ``halves`` when they are not
-        the array's two slices; the contiguous branch halves v0 and v1, its
-        two halves; the collapsed array's place; two work halves apart from
-        all three; a 0-d slot for a branch's factor; and the lanes that
-        ``head`` transposes, 0 when it is a plain slice."""
-        buf, sc = st.buf, st.scratch
-        k = _c0(0)
-        if step == half:
-            return None, buf[:size], buf[:half], buf[half:size], buf[:half], sc[:half], \
-                sc[half:size], k, 0
-        # One copy moves the halves into scratch, and buf[:size] becomes the
-        # work space. On axis 1 the copy keeps the two stride-2 sub-arrays
-        # apart, so each half is two long runs, and the collapsed array is
-        # written back through the transposed view of its two lanes.
-        # Elsewhere each run of 2^a entries moves as one element.
-        if a == 1:
-            copy = (sc[:size].reshape(2, 2, -1), buf[:size].reshape(-1, 2, 2).transpose(1, 2, 0))
-            lanes = 2
+        """(copy, halves, ones, v0, v1, w1, out): the copy that fills the
+        halves unless they are each row's two slices; the :func:`_runs` of
+        the (rows, 2, half) halves and of ``w1``; the branches as (rows,
+        lanes, half / lanes); branch 1's work rows ``w1``, past branch 0's
+        output rows; and up to two output rows per row, in the buffer that
+        does not hold the halves, transposed from ``lanes``."""
+        rows = st.rows
+        n = rows * size
+        copy = None
+        if top:
+            src, dst = st.buf, st.scratch
         else:
-            copy = (_blocks(sc[:size], a).reshape(2, -1), _blocks(buf[:size], a).reshape(-1, 2).T)
-            lanes = 1
-        v0, v1, tmp, tmp2 = (x.reshape(lanes, -1) for x in
-                             (sc[:half], sc[half:size], buf[half:size], buf[:half]))
-        return copy, sc[:size], v0, v1, buf[:half].reshape(-1, lanes).T, tmp, tmp2, k, lanes
+            # One copy moves each row's halves into scratch, and the batch's
+            # buffer becomes the output. On axis 1 the copy keeps the two
+            # stride-2 sub-arrays apart, so each half is two long runs.
+            # Elsewhere each run of 2^a entries moves as one element.
+            src, dst = st.scratch, st.buf
+            if a == 1:
+                copy = (src[:n].reshape(rows, 2, 2, -1),
+                        dst[:n].reshape(rows, -1, 2, 2).transpose(0, 2, 3, 1))
+            else:
+                copy = (_blocks(src[:n], a).reshape(rows, 2, -1),
+                        _blocks(dst[:n], a).reshape(rows, -1, 2).transpose(0, 2, 1))
+        halves = src[:n].reshape(rows, 2, half)
+        v0, v1 = (halves[:, i].reshape(rows, lanes, -1) for i in (0, 1))
+        w1 = dst[n >> 1:n].reshape(rows, lanes, -1)
+        out = dst[:n].reshape(2 * rows, -1, lanes).transpose(0, 2, 1)
+        return copy, _runs(halves.view(np.float64)), _runs(w1.reshape(rows, half).view(np.float64)), \
+            v0, v1, w1, out
 
     def run(st: ShotState, group: list):
-        # the branch probability, once per path
-        copy, halves, v0, v1, head, tmp, tmp2, k, lanes = _views(st, make)
+        # the branch probabilities, per row, in Python floats
+        rows = st.rows
+        copy, halves, ones, v0, v1, w1, out = _views(st, make)
         if copy is not None:
             np.copyto(*copy)
-        w1 = _row(f1, eps1, v0, v1, tmp, tmp2)
-        if f1 < 2:  # row 1 takes one branch, so p_all is one pass away
-            n0 = _norm2(v0)
-            n1 = _norm2(v1)
-            p_all = n0 + n1  # u is unitary
-            p1 = c1_sq * (n1 if f1 else n0)
+        norms = _norm2(halves, cut).tolist()  # each row's [branch 0's, branch 1's]
+        if f1 < 2:  # row 1 takes one branch
+            w1 = v1 if f1 else v0
         else:
-            p_all = _norm2(halves)
-            p1 = c1_sq * _norm2(w1)
-        if p1 != p1:
-            raise ShotError("NaN amplitude encountered at an active measurement")
-        p1 = p1 / p_all if p_all > 0 else 0.0
-        if p1 < 0.0:
-            p1 = 0.0
-        elif p1 > 1.0:
-            p1 = 1.0
-        # a draw per member, the record and frame per class. A draw that hits
-        # the floor takes the other branch with probability 1 - p_branch, its
-        # own: for a flip to 1, p1 > 1 - BRANCH_FLOOR >= 1/2, so 1 - p1 is
-        # exact and 1 - (1 - p1) == p1. So a path's shots take one of two
-        # (branch, probability) pairs, one array each.
-        q0 = 1.0 - p1
-        probs = (q0, p1)
-        hit = 1 if p1 >= BRANCH_FLOOR else 0  # the branch of a draw below p1
-        miss = 0 if q0 >= BRANCH_FLOOR else 1  # and of any other draw
+            _row(f1, eps1, v0, v1, w1)
+            ones = _norm2(ones, cut).tolist()
+        # each row's (p1, branch of a draw below p1, branch of any other
+        # draw, p_all). A draw that hits the floor takes the other branch
+        # with probability 1 - p_branch, its own: for a flip to 1, p1 > 1 -
+        # BRANCH_FLOOR >= 1/2, so 1 - p1 is exact and 1 - (1 - p1) == p1.
+        # So a row's shots take one of two (branch, probability) pairs.
+        draws = []
+        for r, (n0, n1) in enumerate(norms):
+            total = n0 + n1  # u is unitary
+            p = c1_sq * (ones[r] if f1 > 1 else n1 if f1 else n0)
+            if p != p:
+                raise ShotError("NaN amplitude encountered at an active measurement")
+            p = p / total if total > 0 else 0.0
+            p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+            draws.append((p, 1 if p >= BRANCH_FLOOR else 0, 0 if 1.0 - p >= BRANCH_FLOOR else 1,
+                          total))
+        # a draw per member, the record and frame per class
         fo = st.forced_outcomes
         forced = None if fo is None else fo.get(record)
-        parts = ([], [])
+        taken = [0] * rows  # bit b: some class takes branch b of the row
+        parted = None
         for c in group:
             fx, fz = c.frame_x, c.frame_z
             if pre is not None:
@@ -727,54 +735,65 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
                 fx ^= dx
                 fz ^= dz
             parity = (fx >> virt) & 1
+            r = c.row
+            p, hit, miss, _ = draws[r]
             if forced is not None:
                 branch = forced ^ parity ^ flip
-                if probs[branch] < BRANCH_FLOOR:
-                    raise ShotError(
-                        f"forced outcome {forced} for record {record} has probability"
-                        f" {probs[branch]:.3e}")
+                prob = p if branch else 1.0 - p
+                if prob < BRANCH_FLOOR:
+                    raise ShotError(f"forced outcome {forced} for record {record} has "
+                                    f"probability {prob:.3e}")
             elif len(c.members) == 1:
-                branch = hit if c.uniform() < p1 else miss
+                branch = hit if c.uniform() < p else miss
             elif hit == miss:  # every draw takes one branch: count them, unread
                 c._count += 1
                 branch = hit
             else:  # a draw below p1 takes branch 1: that class is split off
-                one, part = _below(st, c, p1)
+                one, part = _below(st, c, p)
                 branch = 1 if one else 0
                 if part is not None:
                     part.out[record] = 1 ^ parity ^ flip
                     part.frame_x, part.frame_z = fx ^ m, fz
-                    parts[1].append(part)
+                    part.row = r << 1 | 1
+                    taken[r] |= 2
+                    parted = parted or []
+                    parted.append(part)
             c.out[record] = branch ^ parity ^ flip
             if branch:
                 fx ^= m
             c.frame_x, c.frame_z = fx, fz
-            parts[branch].append(c)
-        # each branch taken, once: the deferred one into a fresh array of its
-        # collapsed half, then the group's in place; the part of fewer shots
-        # stays
-        both = parts[0] and parts[1]
-        stay = 1 if not parts[0] or both and _shots_in(parts[1]) < _shots_in(parts[0]) else 0
-        split = None
-        for branch in ((1 - stay, stay) if both else (stay,)):
-            scale = 1.0 / math.sqrt(probs[branch] * p_all)
-            here = branch == stay
-            if here:
-                out, spare = head, tmp
-            else:
-                entries = np.empty(half, dtype=np.complex128)
-                out, spare = (entries.reshape(-1, lanes).T if lanes else entries), tmp2
-            if branch:
-                k[()] = c1 * scale
-                np.multiply(w1, k, out=out)
-            else:
-                k[()] = c0 * scale
-                np.multiply(_row(f0, eps0, v0, v1, out, spare), k, out=out)
-            if not here:
-                split = (1, parts[branch], (st.k - 1, entries))
-                group[:] = parts[stay]
+            c.row = r << 1 | branch  # its (row, branch) until the rows are laid out
+            taken[r] |= 1 << branch
+        if parted:
+            group += parted
+        # each branch taken, once per row: branch 0's rows, then branch 1's
+        zero, one = [], []
+        for r, t in enumerate(taken):
+            if t & 1:
+                zero.append(r)
+            if t & 2:
+                one.append(r)
+        n0 = len(zero)
+        at = [0] * (2 * rows)  # the output row of each (row, branch)
+        for i, r in enumerate(zero):
+            at[r << 1] = i
+        for i, r in enumerate(one, n0):
+            at[r << 1 | 1] = i
+        for c in group:
+            c.row = at[c.row]
+        if zero:
+            dst = out[:n0]
+            pick = slice(None) if n0 == rows else _pick(zero)
+            np.multiply(_row(f0, eps0, v0[pick], v1[pick], dst),
+                        _scales(scale, c0, zero, draws, 0), out=dst)
+        if one:
+            dst = out[n0:n0 + len(one)]
+            np.multiply(w1[slice(None) if len(one) == rows else _pick(one)],
+                        _scales(scale, c1, one, draws, 1), out=dst)
+        if top:
+            st.swap()
         st.k -= 1
-        return split
+        st.rows = n0 + len(one)
 
     return run
 
@@ -1100,12 +1119,13 @@ def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_fau
 
 
 def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
-    """Run the classes of ``group``, each at its start, through ``code``,
-    the program's closures, depth first on ``st``'s one active array: a path
-    runs until the end or until a postselection stops its last class, and
-    then the walk takes up the part deferred last. ``trace(st, ins)`` is
-    called after each instruction of a group of one."""
+    """Run the classes of ``group``, each at its start on row 0, through
+    ``code``, the program's closures, as one batch on ``st``'s buffers: a
+    batch runs until the end or until a postselection stops its last
+    class, and then the walk takes up the part deferred last.
+    ``trace(st, ins)`` is called after each instruction of a group of one."""
     st.k = 0
+    st.rows = 1
     st.buf[0] = 1
     pending = st.pending
     pending[:] = [(0, group, None)]
@@ -1113,18 +1133,16 @@ def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
         pc, group, snap = pending.pop()
         if snap is not None:
             st.restore(snap)
-            snap = None  # the array holds it now
+            snap = None  # the buffer holds it now
         steps = iter(code)
         if pc:
             next(itertools.islice(steps, pc, pc), None)  # skip to pc
         try:
             for fn in steps if trace is None else _traced(steps, prog, pc, st, trace):
                 split = fn(st, group)
-                if split is not None:
-                    # the iterator stands just past the step that split
-                    step, part, snap = split
-                    pc = len(code) - length_hint(steps) - 1
-                    pending.append((pc + step, part, snap))
+                if split is not None:  # its part reruns the step, which the
+                    # iterator stands just past
+                    pending.append((len(code) - length_hint(steps) - 1, *split))
         except _Halt:
             pass
 
@@ -1240,9 +1258,11 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     """Shots [lo, hi) on ``engine``, the program's frame table or a
     ShotState of ``prog`` seeded with ``seed``, on which the closure VM
     walks them as one group: each kept shot's output bits (user records,
-    detectors, observables; the :func:`_columns` of its final class's
-    ``out``) packed little-endian, one uint8 row per shot, and its
-    acceptance flags (bool). A rejected shot is kept only with
+    detectors, observables), one uint8 row per shot, and its acceptance
+    flags (bool). The table's rows are packed little-endian. The closure
+    VM's rows are one byte a bit, built once per final class (the
+    :func:`_columns` of its ``out``) and gathered to each shot by an index
+    array of its members. A rejected shot is kept only with
     ``keep_rejected``. This is the one place that runs shots for ``sample``
     and ``sample_accumulate``."""
     if type(engine) is not ShotState:
@@ -1251,20 +1271,19 @@ def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, strat
     _walk(prog, _compiled(prog), state, _classes(state, lo, hi, stratum))
     classes, state.classes = state.classes, []
     state.widen(max(c._count for c in classes))
-    final = [None] * (hi - lo)  # each shot's final class
-    for c in classes:
-        for slot in c.members.tolist():
-            final[slot] = c
-    if not keep_rejected:
-        final = [c for c in final if c.accepted]
-    width = len(state.out)
-    bits = np.frombuffer(b"".join([c.out for c in final]), dtype=np.uint8)
-    bits = bits.reshape(len(final), width)
-    flags = bytes([c.accepted for c in final])
+    classes = [c for c in classes if len(c.members)]
+    rows = np.frombuffer(b"".join([c.out for c in classes]), dtype=np.uint8)
+    rows = rows.reshape(len(classes), -1)
     cols = _columns(prog)
     if cols is not None:
-        bits = bits[:, cols]
-    return np.packbits(bits, axis=1, bitorder="little"), np.frombuffer(flags, dtype=bool)
+        rows = rows[:, cols]
+    flags = np.array([c.accepted for c in classes])
+    which = np.empty(hi - lo, dtype=np.intp)  # each shot's final class
+    which[np.concatenate([c.members for c in classes])] = np.repeat(
+        np.arange(len(classes)), [len(c.members) for c in classes])
+    if not keep_rejected and not flags.all():
+        which = which[flags[which]]
+    return rows[which], flags[which]
 
 
 def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
@@ -1296,13 +1315,17 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     most = _fold_shots(prog, stratum)
     first = min(_chunk_shots(prog), most) if stream else most
     workers = min(workers, shots, os.cpu_count() or 1)
-    if workers > 1 and (type(engine) is ShotState or shots > workers * first):
+    pool = workers > 1 and (type(engine) is ShotState or shots > workers * first)
+    if pool:
         most = min(most, -(-shots // workers))
         bounds = _bounds(shots, min(first, most), most)
         parts = _sample_parallel(prog, engine, bounds, seed, workers, stratum, keep_rejected)
     else:
         parts = (_shot_rows(prog, engine, seed, lo, hi, stratum, keep_rejected)
                  for lo, hi in _bounds(shots, first, most))
+    if type(engine) is ShotState and not pool:  # rows one byte a bit already
+        yield from parts
+        return
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     for packed, flags in parts:
         yield np.unpackbits(packed, axis=1, count=width, bitorder="little"), flags
@@ -1345,9 +1368,12 @@ def _init_worker(*args) -> None:
 
 
 def _worker_range(bounds):
-    """Shots [lo, hi) in a pool worker, as packed rows."""
+    """Shots [lo, hi) in a pool worker, as packed rows for the pipe."""
     prog, engine, seed, stratum, keep_rejected = _WORKER
-    return _shot_rows(prog, engine, seed, *bounds, stratum, keep_rejected)
+    rows, flags = _shot_rows(prog, engine, seed, *bounds, stratum, keep_rejected)
+    if type(engine) is ShotState:
+        rows = np.packbits(rows, axis=1, bitorder="little")
+    return rows, flags
 
 
 def _sample_parallel(prog, engine, jobs, seed, workers, stratum, keep_rejected):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framesim.backend import compile_circuit
 from framesim.circuit import (
     Circuit,
     CircuitError,
@@ -536,3 +537,28 @@ def test_flatten_refuses_absolute_records_not_yet_produced():
     f.instructions.insert(0, Instruction("DETECTOR", (Rec(0),), (), 1))
     with pytest.raises(CircuitError, match=r"rec\[0\] not yet produced"):
         flatten(f)
+
+
+@pytest.mark.parametrize("ins", [
+    Instruction("M", (-1,)),
+    Instruction("CX", (0,)),
+    Instruction("R_Z", (0,)),
+    Instruction("X_ERROR", (0,), (2.0,)),
+    Instruction("H", (1.5,)),
+    Instruction("NOT_AN_OP", (0,)),
+])
+def test_a_circuit_built_in_code_is_validated(ins):
+    # compile_circuit validates a Circuit as the parser validates text, in a
+    # REPEAT body too, once per distinct instruction object
+    for circ in (Circuit([ins]), Circuit([RepeatBlock(2, Circuit([Instruction("H", (0,)), ins]))])):
+        with pytest.raises(CircuitError):
+            compile_circuit(circ)
+
+
+def test_an_instruction_replaced_in_place_is_counted():
+    # the parse counted one qubit; H 5 in place of H 0 makes six
+    circ = parse_circuit("H 0\nM 0\n")
+    assert circ.qubit_count == 1
+    circ.instructions[0] = Instruction("H", (5,))
+    prog = compile_circuit(circ)
+    assert prog.n == 6 and circ.qubit_count == 6

@@ -153,7 +153,9 @@ def test_norm2_sums_long_arrays_in_chunks():
     for size in (runtime._DOT + 8, 2 * runtime._DOT):
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
         expect = np.vdot(x, x).real
-        assert abs(runtime._norm2(x) - expect) <= 1e-12 * expect
+        runs = runtime._runs(x[None].view(np.float64))
+        assert runs.ndim == 3 and runs.shape[-1] <= runtime._DOT
+        assert abs(runtime._norm2(runs, True)[0] - expect) <= 1e-12 * expect
 
 
 def test_parity_readout_of_14_qubits_against_oracle():
@@ -1138,3 +1140,37 @@ def test_closure_vm_matches_dense_oracle_property(seed, n, depth, rot_rate, meas
     res = crosscheck(circ, seed=seed, fault_plan=random_fault_plan(circ, rng, trigger_rate=0.5))
     assert res["records_match"] and res["detectors_match"] and res["observables_match"]
     assert res["fidelity"] >= 1 - 1e-10
+
+
+def test_batched_kernels_match_each_row_alone():
+    # every kernel over a batch of three rows, rows 0 and 2 of class A and
+    # row 1 of class B, whose probe bits differ: each row ends as it does
+    # alone, a collapse forced to one branch halving every row
+    k, rows = 4, 3
+    size = 1 << k
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    r = math.sqrt(0.5)
+    prog = SimpleNamespace(n=16, k_max=k + 3, record_count=1, num_detectors=0,
+                           num_observables=0, final_active=(), instrs=[])
+    cases = [Expand(0, k, size, 0.3), ArrayRot(0, 2, 0.4, size), ArrayRot(0, 1, 0.4, size),
+             MeasCollapse(0, 3, 0, 0, size, ((r, r * 1j), (r, -r * 1j)), ()),
+             MeasCollapse(0, 1, 0, 0, size, ((1, 0), (0, 1)), ())]
+    cases += [ArrayGate(g, 0, None if g in "SH" else 1, a, None if g in "SH" else b, size)
+              for g in ("S", "H", "CX", "CZ") for a, b in ((1, 3), (3, 0))]
+    for ins in cases:
+        st = ShotState(prog)
+        st.buf[:rows * size] = amps.reshape(-1)
+        st.k, st.rows = k, rows
+        st.forced_outcomes = {0: 1}
+        group = [SimpleNamespace(frame_x=0, frame_z=0, row=0, members=[0], out=bytearray(1)),
+                 SimpleNamespace(frame_x=1, frame_z=0, row=1, members=[1], out=bytearray(1))]
+        group.append(SimpleNamespace(frame_x=0, frame_z=0, row=2, members=[2], out=bytearray(1)))
+        bits = [c.frame_x for c in group]  # a collapse updates the frames
+        runtime._FACTORIES[type(ins)](ins, prog)(st, group)
+        got = st.buf[:st.rows << st.k].reshape(st.rows, -1)
+        for c, bit, row in zip(group, bits, amps):
+            want = _kernel_run(ins, row, frame_x=bit,
+                               forced=1 if isinstance(ins, MeasCollapse) else None)
+            assert np.abs(got[c.row] - want).max() < 1e-12, (ins, c.row)

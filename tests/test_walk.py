@@ -518,3 +518,104 @@ def test_an_accumulating_call_walks_its_paths_once(monkeypatch):
     for _ in sample(prog, 100, seed=5):
         pass
     assert len(calls) > group
+
+
+def _k10_program():
+    """Criterion 10's program: ten rotated qubits, a parity readout that
+    keeps every axis alive, then an X readout of each; its collapses halve
+    the array ten times, and its paths multiply."""
+    lines = [f"R_Y(0.7) {q}" for q in range(10)] + [f"CX {q} {q + 1}" for q in range(9)]
+    lines += ["M 9"] + [f"CX {q} {q + 1}" for q in range(8, -1, -1)]
+    lines.append("MX " + " ".join(str(q) for q in range(10)))
+    prog = compile_circuit("\n".join(lines) + "\n")
+    assert prog.k_max == 10
+    return prog
+
+
+def _rot_n14_program():
+    """The benchmark's rot_n14 circuit (circuit seed 0): k_max = 14."""
+    circ = random_circuit(np.random.default_rng(0), 14, 400, p_noise=1e-3, rot_rate=0.3,
+                          measure_rate=0.03)
+    return compile_circuit(circ)
+
+
+@pytest.mark.parametrize("make, shots", [(_k10_program, 600), (_forking_program, 100),
+                                         (_rot_n14_program, 40)])
+def test_a_batch_holds_its_rows_within_the_capacity(make, shots):
+    # before and after every step, the batch's P rows of 2^k entries fit
+    # 2^k_max; the deferred parts' snapshots stay within _snapshots(k_max)
+    # whole arrays and floor(log2(shots)) parts; and the sampled records are
+    # the shots' own
+    prog = make()
+    cap = 1 << prog.k_max
+    seen = []
+
+    def watched(fn):
+        def step(st, group):
+            assert st.rows << st.k <= cap
+            snaps = [snap for _, _, snap in st.pending if snap is not None]
+            assert sum(len(entries) for _, entries in snaps) <= runtime._snapshots(prog.k_max) * cap
+            assert len(snaps) <= math.floor(math.log2(shots))
+            seen.append(st.rows)
+            split = fn(st, group)
+            assert st.rows << st.k <= cap
+            return split
+        return step
+
+    code = [watched(fn) for fn in runtime._compiled(prog)]
+    state = ShotState(prog, seed=3)
+    runtime._walk(prog, code, state, runtime._classes(state, 0, shots, None))
+    assert max(seen) > 1  # some step ran a batch of several rows
+    final = {slot: c for c in state.classes for slot in c.members.tolist()}
+    assert [_state_of(final[slot]) for slot in range(shots)] == \
+        _walk_alone(prog, 3, [None] * shots, None)
+
+
+def test_k10_records_match_each_shot_alone():
+    # more than a chunk of criterion 10's program, hundreds of paths a
+    # chunk, against run_shot of each shot
+    prog = _k10_program()
+    shots = runtime._fold_shots(prog) + 50
+    state = ShotState(prog, seed=8)
+    alone = [_tuple(run_shot(prog, state, shot=shot)) for shot in range(shots)]
+    assert [_tuple(r) for r in sample(prog, shots, seed=8)] == alone
+
+
+def _rows_per_shot(prog, seed: int, lo: int, hi: int, stratum) -> np.ndarray:
+    """Shots [lo, hi) walked as one group, each shot's output row read from
+    its final class one shot at a time."""
+    state = ShotState(prog, seed=seed)
+    runtime._walk(prog, runtime._compiled(prog), state, runtime._classes(state, lo, hi, stratum))
+    final = {slot: c for c in state.classes for slot in c.members.tolist()}
+    cols = runtime._columns(prog)
+    rows = [np.frombuffer(bytes(final[slot].out), dtype=np.uint8) for slot in range(hi - lo)]
+    return np.array([r if cols is None else r[cols] for r in rows])
+
+
+def test_rows_built_per_class_equal_rows_built_per_shot(monkeypatch):
+    # postselected corpus programs and a stratum: a chunk's rows gathered
+    # from its final classes equal each shot's row; sample_accumulate sums
+    # sample's accepted records; keep_rejected=False drops exactly the
+    # rejected shots; and a pool of two gives the serial records
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rejected = strata = 0
+    for i, prog in enumerate(_corpus(9)):
+        for stratum in (None, StratumSpec(prog, 1) if prog.sites else None):
+            strata += stratum is not None
+            rows, _ = runtime._shot_rows(prog, ShotState(prog, seed=i), i, 10, 70, stratum, True)
+            assert (rows == _rows_per_shot(prog, i, 10, 70, stratum)).all()
+            records = [_tuple(r) for r in sample(prog, 70, seed=i, stratum=stratum)]
+            kept = [_tuple(r) for r in sample(prog, 70, seed=i, stratum=stratum,
+                                              keep_rejected=False)]
+            accepted = [r for r in records if r[3]]
+            assert kept == accepted
+            rejected += len(records) - len(accepted)
+            assert [_tuple(r) for r in sample(prog, 70, seed=i, stratum=stratum,
+                                              workers=2)] == records
+            acc = sample_accumulate(prog, 70, seed=i, stratum=stratum)
+            assert acc["accepted"] == len(accepted)
+            for j, key in enumerate(("measurements", "detectors", "observables")):
+                want = np.sum([r[j] for r in accepted], axis=0, dtype=np.int64) \
+                    if accepted else 0
+                assert (acc[key] == want).all()
+    assert rejected > 0 and strata > 0
