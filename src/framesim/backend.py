@@ -282,7 +282,7 @@ class BytecodeProgram:
         return self.dump() + repr(self.active_schedule)
 
     def __getstate__(self):
-        # the runtime cache (closures, frame table, output columns) does not pickle
+        # the runtime cache (closures, frame table, path steps, output columns) does not pickle
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def __setstate__(self, state):

@@ -315,8 +315,6 @@ def parse_circuit(text: str) -> Circuit:
                     ins_text, stmt = stmt[:brace].strip(), stmt[brace:]
                 else:
                     ins_text, stmt = stmt, ""
-                if not ins_text:
-                    continue
                 fields = parsed.get(ins_text)
                 if fields is None:
                     ins = _parse_instruction(ins_text, lineno)

@@ -5,18 +5,16 @@ sampling is reproducible regardless of how shots are split across workers.
 The mixer is SplitMix64, which is cheap enough to run per draw in pure
 Python and statistically solid at the shot counts used here.
 
-A stream that :meth:`ShotRng.reset` moves to a shot mixes each draw. A
-sampler that runs a chunk of shots side by side takes one table of the
-chunk from :meth:`ShotRng._table`, and widens its own stream by the most
-draws a shot made. A stream seated at a slot of that table
-(:meth:`ShotRng._seat`) draws for that shot alone, and
-:meth:`ShotRng.uniform_each` for all the shots of a class at their shared
-counter, one numpy gather of their slots. :class:`ShotStreams` holds a
-chunk of shots' streams side by side, one draw counter per shot, for
-samplers that run shots in lock-step or draw a grid of each shot's next
-draws. :func:`_uniform_of` is the vector form of the mixer: the floats the
-scalar mixer gives. A coin is a uniform's test ``u >= 0.5``, which holds
-exactly when bit 63 of the draw is set.
+A stream that :meth:`ShotRng.reset` moves to a shot mixes each draw; the
+closure VM draws so. :class:`ShotStreams` holds a chunk of shots' streams
+side by side, one draw counter per shot, for the frame table, which runs
+shots in lock-step or draws a grid of each shot's next draws. A
+:class:`ShotRng` seated at a slot of a :meth:`ShotStreams.table`
+(:meth:`ShotRng._seat`) draws the first tabulated draws of that shot from
+the table: a stratum's fault lists are drawn so, by the scalar code of
+``StratumSpec.draw_forced``. :func:`_uniform_of` is the vector form of the
+mixer: the floats the scalar mixer gives. A coin is a uniform's test ``u
+>= 0.5``, which holds exactly when bit 63 of the draw is set.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MAX_WIDTH = 64   # most draws per shot tabulated; later draws mix per draw
+_MAX_WIDTH = 64   # most draws per shot a stratum's table holds; later draws mix per draw
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MUL1_U64 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2_U64 = np.uint64(0x94D049BB133111EB)
@@ -70,22 +68,16 @@ class ShotRng:
     (:meth:`_put`) holds the shots' keys in ``_keys`` and the
     :meth:`uniform` values of their first draws in ``_uniforms`` (flat,
     ``_width`` per shot), a memoryview, whose index gives the Python float
-    of ``ndarray.item`` in about two thirds of its time; :meth:`uniform_each`
-    gathers from its ndarray. Seated at entry ``_slot`` (:meth:`_seat`), its
-    first uniform is at ``_row``, ``_avail`` draws are tabulated, and its key
-    is read from ``_keys`` past them. :meth:`uniform`, :meth:`exponential`
-    and :meth:`next_u64` read only ``_count``, ``_key``, ``_keys``,
-    ``_uniforms``, ``_slot``, ``_row`` and ``_avail``, and
-    :meth:`uniform_each` ``_width`` too, so a stream that only draws may set
-    just those.
+    of ``ndarray.item`` in about two thirds of its time. Seated at entry
+    ``_slot`` (:meth:`_seat`), its first uniform is at ``_row``, ``_avail``
+    draws are tabulated, and its key is read from ``_keys`` past them.
     """
 
     __slots__ = ("_seed", "_key", "_count", "_keys", "_uniforms",
-                 "_slot", "_row", "_width", "_avail", "_need")
+                 "_slot", "_row", "_width", "_avail")
 
     def __init__(self, seed: int, shot: int = 0):
         self._seed = seed
-        self._need = 0  # most draws any shot has used; sets the next width
         self.reset(shot)
 
     def reset(self, shot: int) -> None:
@@ -102,8 +94,8 @@ class ShotRng:
 
     def _each_slot(self, draw, n: int) -> tuple[list, list]:
         """``draw(self)`` at slots 0 to ``n - 1`` of this stream's table, each
-        from its first draw: the results and the draws each made. Both
-        engines draw a chunk's stratum fault lists here."""
+        from its first draw: the results and the draws each made. The frame
+        table draws a chunk's stratum fault lists here."""
         out, counts = [], []
         for slot in range(n):
             self._seat(slot)
@@ -112,21 +104,9 @@ class ShotRng:
             counts.append(self._count)
         return out, counts
 
-    def widen(self, draws: int) -> None:
-        """Let later tables hold ``draws`` draws per shot, up to ``_MAX_WIDTH``;
-        a table is as wide as the most draws a shot has made."""
-        if draws > self._need:
-            self._need = min(draws, _MAX_WIDTH)
-
-    def _table(self, lo: int, hi: int) -> tuple:
-        """:meth:`ShotStreams.table` of shots [lo, hi) with this stream's
-        seed, ``_need`` draws per shot. A sampler that draws from it for
-        shots side by side widens this stream by the most draws they make."""
-        return ShotStreams(self._seed, lo, hi).table(slice(None), self._need)
-
     def _put(self, keys: np.ndarray, uniforms: memoryview, width: int) -> None:
-        """Draw from the table ``(keys, uniforms, width)`` of :meth:`_table`
-        or :meth:`ShotStreams.table`, at the slot :meth:`_seat` gives."""
+        """Draw from the table ``(keys, uniforms, width)`` of
+        :meth:`ShotStreams.table`, at the slot :meth:`_seat` gives."""
         self._keys, self._uniforms, self._width = keys, uniforms, width
 
     def next_u64(self) -> int:
@@ -157,20 +137,6 @@ class ShotRng:
             self._count = c + 1
             return -math.log1p(-self._uniforms[self._row + c])
         return -math.log1p(-self.uniform())
-
-    def uniform_each(self, slots: np.ndarray) -> np.ndarray:
-        """The next :meth:`uniform` of each shot in ``slots``, an index array
-        of slots of this stream's table that have all made this stream's
-        draws: the counter is theirs, and moves on by one. A tabulated draw
-        is one gather from the table's ndarray (the memoryview's ``obj``);
-        a later one is mixed with numpy, the floats the scalar mixer gives."""
-        c = self._count
-        self._count = c + 1
-        if c < self._avail:
-            return self._uniforms.obj[c::self._width][slots]
-        x = self._keys[slots]
-        x += np.uint64((c * _GOLDEN) & _MASK)
-        return _uniform_of(x)
 
     @property
     def draws(self) -> int:

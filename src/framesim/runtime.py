@@ -1,31 +1,31 @@
 """Bytecode execution over the factored runtime state, and sampling.
 
-A program with an active array (``k_max`` > 0) runs on the closure VM
-below; a frame-only one (``k_max`` == 0) samples through its frame table
-(:mod:`framesim.table`), and ``_frame_table`` is the switch. ``run_shot``,
-``trace``, ``expectation_probe`` and ``testing.crosscheck`` always use the
-closure VM, the reference engine.
+Sampling has one engine, the frame table (:mod:`framesim.table`): a shot's
+output bits are a constant XOR the effect rows of the random inputs that
+fire, and a chunk of shots draws each span of its draws on a numpy grid.
+A program with an active array (``k_max`` > 0) adds the path walk: after
+each span, the ``ArrayGate``, ``Expand``, ``ArrayRot`` and ``MeasCollapse``
+instructions up to the next check run on the batch of the chunk's paths
+(:func:`_path_steps`), each shot reading its probe bits from its own XOR
+row and its branch from its collapse draw. A program whose table build
+would pass ``table._TABLE_BITS`` samples shot by shot on the closure VM.
+``run_shot``, ``trace``, ``expectation_probe`` and ``testing.crosscheck``
+always use the closure VM, the single-path reference engine.
+
+The batch is ``buf[:rows << k]`` viewed as (rows, 2^k), with rows * 2^k <=
+2^k_max, and every amplitude kernel runs once per step over its leading
+path axis; a shot of the closure VM is a batch of one row, on the same
+kernels. ``Expand`` and ``ArrayRot`` give each row its probe bit, copying a
+row whose shots read both; past the capacity the rows of fewer shots stay
+and the others are deferred with a snapshot of their rows, so at most
+floor(log2 shots) snapshots live at once. ``MeasCollapse`` computes its
+branch probability per row and lays out the branches taken as the next
+batch's rows, which always fit.
 
 ``_chunks`` picks the engine once per call, before any fork, and runs the
 shots in chunks sized by ``_fold_shots`` (and, for ``sample``'s first,
-``_chunk_shots``) through ``_shot_rows``, here or in a fork pool.
-
-The closure VM walks a chunk as classes of shots (``_ShotClass``): shots
-that made the same draws with the same outcomes share one frame, one
-``out`` and one draw counter, and each draws from its own slot of the
-chunk's table of draws. Each class stands on a row of the batch, the
-paths of one step: ``buf[:rows << k]`` viewed as (rows, 2^k), with
-rows * 2^k <= 2^k_max. Every step runs its frame work once per class, its
-draws once per member, and its amplitude kernel once per batch over the
-leading path axis; a class of one (``run_shot``) is a batch of one row.
-``Expand`` and ``ArrayRot`` give each row its probe bit, copying a row
-whose classes differ; past the capacity the rows of fewer shots stay and
-the others are deferred with a snapshot of their rows, so at most
-floor(log2 shots) snapshots live at once. ``MeasCollapse`` computes its
-branch probability per row and lays out the branches taken as the next
-batch's rows, which always fit. ``_shot_rows`` builds each final class's
-output row once and gathers them to its members. README's "Sampling" and
-"Amplitude kernels" give the design and its measurements.
+``_chunk_shots``) through ``_shot_rows``, here or in a fork pool. README's
+"Sampling" and "Amplitude kernels" give the design and its measurements.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import index, length_hint
+from operator import index
 
 import numpy as np
 
@@ -59,25 +59,22 @@ from .backend import (
     _plan_cost,
 )
 from .pauli import PauliString
-from .rng import _MAX_WIDTH, ShotRng
-from .table import _build_table, _may_fault, _table_shots
+from .rng import ShotRng
+from .table import _Active, _build_table, _Part, _Span, _table_shots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BRANCH_FLOOR = 1e-12
 _FOLD_BYTES = 1 << 20  # unpacked output bytes and walk state of a chunk of shots
-_CHUNK_WORK = 1 << 24  # most amplitude operations of a sample call's first closure-VM chunk
+_CHUNK_WORK = 1 << 24  # most amplitude operations of a sample call's first path-walk chunk
 _SNAP_BYTES = 1 << 24  # most bytes of the snapshots a chunk's walk keeps at once
 _STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
 # bytes of a suffix table entry: a Python float and its list slot, and a
 # share of its list's header and spare slots (33-42 bytes measured with
 # tracemalloc, Python 3.11)
 _STRATUM_ENTRY_BYTES = 40
-# a class of one shot, the most a shot's walk state takes: its _ShotClass
-# and members index array (about 370 bytes, 470 at the peak with its
-# output bytearray, when 20 coins leave every shot alone, measured with
-# tracemalloc over a chunk's walk, Python 3.11); its uniforms (8 bytes a
-# draw), output bytes and stratum faults come on top
-_SHOT_BYTES = 512
+# shots of a part up to which a probe step tests its rows' bits in Python:
+# a numpy call costs about a microsecond whatever its size
+_FEW = 16
 # floats of the longest dot: OpenBLAS runs one of more than 10^4 on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
 # 2-core host for no gain in wall time
@@ -89,7 +86,7 @@ class ShotError(RuntimeError):
 
 
 class _Halt(Exception):
-    """Raised when a postselection stops every shot of a path."""
+    """Raised when a postselection stops the shot."""
 
 
 @dataclass(slots=True)
@@ -102,28 +99,23 @@ class ShotRecord:
 
 
 class ShotState(ShotRng):
-    """Reusable storage of the closure VM: the batch of a walk's paths, and
-    the fields of one shot, a class of one (``members``, ``row``,
-    :class:`_ShotClass`), its random stream included; capacity fixed by
-    the compiled program.
+    """Reusable storage of the closure VM, one shot and its random stream,
+    and of the path walk's batch; capacity fixed by the compiled program.
 
     * The batch is ``rows`` rows of 2^k entries, ``buf[:rows << k]``
       (complex128, capacity 2^k_max), with rows * 2^k <= 2^k_max;
-      ``active_view()`` returns row 0. ``scratch`` is a work buffer of the
-      same capacity, which a kernel may write and :meth:`swap` in, and
-      ``views`` keeps the kernels' numpy views of the two per row count.
-      ``pending`` holds the walk's deferred parts, each with a snapshot of
-      its rows, at most 2^k_max entries: a group of n shots keeps at most
-      floor(log2 n) of them, and sampling keeps a chunk's within
-      ``_SNAP_BYTES`` (:func:`_fold_shots`). ``classes`` lists the classes
-      of the chunk being sampled.
+      ``active_view()`` returns row 0, a shot's whole array. ``scratch`` is
+      a work buffer of the same capacity, which a kernel may write and
+      :meth:`swap` in, and ``views`` keeps the kernels' numpy views of the
+      two per row count. ``pending`` holds the path walk's deferred parts
+      (``table._Part``), each with a snapshot of its rows, at most 2^k_max
+      entries: a chunk of n shots keeps at most floor(log2 n) of them, and
+      within ``_SNAP_BYTES`` (:func:`_fold_shots`).
     * ``frame_x``/``frame_z`` hold the Pauli frame as Python ints: bit j is
       virtual qubit j, the bit format of every ``PauliString``.
     * ``out`` holds the records, detectors and observables, in that order,
       as 0/1 bytes; :func:`_columns` names those of the output row.
-      ``forced_faults`` is None or ``[the shot's faults]``.
-    * The state is the shot's :class:`ShotRng` stream; for sampling it
-      tabulates each chunk's draws once (:meth:`ShotRng._table`).
+      ``forced_faults`` is None or the shot's faults.
 
     A program whose ``buf`` and ``scratch`` (32 * 2^k_max bytes) and
     sampling's snapshots exceed the machine's physical memory is refused
@@ -133,8 +125,8 @@ class ShotState(ShotRng):
     only when a postselection can stop a shot before writing them all.
     """
 
-    __slots__ = ("n", "k", "k_max", "rows", "row", "buf", "scratch", "views", "pending", "classes",
-                 "members", "frame_x", "frame_z", "out", "weight", "accepted",
+    __slots__ = ("n", "k", "k_max", "rows", "buf", "scratch", "views", "pending",
+                 "frame_x", "frame_z", "out", "weight", "accepted",
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
@@ -149,8 +141,6 @@ class ShotState(ShotRng):
         self.scratch = np.zeros(cap, dtype=np.complex128)
         self.views = {}
         self.pending = []
-        self.classes = []
-        self.members = [0]
         nr, nd = prog.record_count, prog.num_detectors
         self.out = bytearray(nr + nd + prog.num_observables)
         # rejected shots stop early; only then can stale bits leak into output
@@ -161,11 +151,7 @@ class ShotState(ShotRng):
         self.active_virtuals = prog.final_active
         self.k = 0
         self.rows = 1
-        self.row = 0
         super().__init__(seed, 0)  # resets to shot 0, so it comes after out and _clear
-        # a shot with no fault draws once per collapse, coin and noise block
-        self.widen(sum(isinstance(i, (MeasCollapse, MeasDormantRandom, NoiseBlock))
-                       for i in prog.instrs))
 
     def reset(self, shot: int) -> None:
         self.frame_x = 0
@@ -178,7 +164,7 @@ class ShotState(ShotRng):
         ShotRng.reset(self, shot)
 
     def active_view(self) -> np.ndarray:
-        """The first row of the batch: a class of one's whole array."""
+        """The first row of the batch: a shot's whole array."""
         return self.buf[:1 << self.k]
 
     def restore(self, snap: tuple) -> None:
@@ -193,63 +179,12 @@ class ShotState(ShotRng):
         self.buf, self.scratch = self.scratch, self.buf
 
 
-class _ShotClass(ShotRng):
-    """Shots of a group walk that have made the same draws with the same
-    outcomes: ``members``, an index array of their slots of the chunk's
-    table of draws (:meth:`ShotRng._table`). They share a
-    :class:`ShotState`'s shot fields: one frame, one ``out``, one acceptance
-    flag and one draw counter, and stand on one ``row`` of the batch;
-    ``forced_faults`` is None or each slot's fault list. A class of
-    several draws for its members with numpy
-    (:meth:`ShotRng.uniform_each`). The stream is seated at ``members[0]``,
-    so a class of one draws as its shot, with the scalar draws."""
-
-    __slots__ = ("frame_x", "frame_z", "out", "accepted", "forced_faults", "members", "row")
-
-    def __init__(self, keys: np.ndarray, uniforms: memoryview, width: int,
-                 members: np.ndarray, out: bytearray, count: int = 0, forced_faults=None):
-        self._put(keys, uniforms, width)
-        self._count = count
-        self.frame_x = self.frame_z = self.row = 0
-        self.out, self.accepted, self.forced_faults = out, True, forced_faults
-        self.keep(members)
-
-    def keep(self, members: np.ndarray) -> None:
-        """Hold ``members`` from here on, seated at the first if any."""
-        self.members = members
-        if len(members):
-            self._seat(int(members[0]))
-
-
-def _part(st: ShotState, cls: _ShotClass, members: np.ndarray) -> _ShotClass:
-    """A new class of ``members``, shots that the caller takes out of
-    ``cls``, with a copy of its frame, bytes and counter, in ``st.classes``."""
-    part = _ShotClass(cls._keys, cls._uniforms, cls._width, members, bytearray(cls.out),
-                      cls._count, cls.forced_faults)
-    part.frame_x, part.frame_z, part.row = cls.frame_x, cls.frame_z, cls.row
-    st.classes.append(part)
-    return part
-
-
-def _below(st: ShotState, cls, p: float) -> tuple:
-    """Each member of ``cls``, a class of several, draws a uniform. Returns
-    whether the draws of the members that ``cls`` keeps are below ``p``, and
-    the class of the others, split off, or None when every draw agrees."""
-    members = cls.members
-    below = cls.uniform_each(members) < p
-    part = members[below]
-    if len(part) == 0 or len(part) == len(members):
-        return len(part) > 0, None
-    cls.keep(members[~below])
-    return False, _part(st, cls, part)
-
-
 # -- instruction specialization --------------------------------------------------
 #
-# Each _c_* factory binds one instruction's operands and returns its step,
-# run(st, group): ``st`` holds the batch and ``group`` its classes (a list
-# the step may change), each on its ``row``. A step that defers part of
-# the group returns it as (classes, snapshot); the part reruns the step.
+# Each _c_* factory binds one instruction's operands and returns its step
+# on the closure VM, run(st), for the shot that ``st`` holds. The kernels
+# (_*_kernel) act on the batch of ``st``: one row for a shot, the paths of
+# a step for the path walk (_path_steps).
 
 def _frame_ops(gates) -> tuple:
     """(opcode, mask_a, mask_b) for each gate of a Clifford word; a gate the
@@ -284,15 +219,10 @@ def _conjugate_frame(ops, fx: int, fz: int) -> tuple[int, int]:
 def _c_frame(ins: FrameGates, prog):
     ops = _frame_ops(ins.gates)
 
-    def run(st: ShotState, group: list) -> None:
-        for c in group:
-            c.frame_x, c.frame_z = _conjugate_frame(ops, c.frame_x, c.frame_z)
+    def run(st: ShotState) -> None:
+        st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
 
     return run
-
-
-def _shots_in(part: list) -> int:
-    return sum(len(c.members) for c in part)
 
 
 def _views(st: ShotState, make):
@@ -405,9 +335,8 @@ def _c_array_gate(ins: ArrayGate, prog):
     ops = _frame_ops(((ins.gate, ins.va, ins.vb),))
     kernel = _array_gate_kernel(ins)
 
-    def run(st: ShotState, group: list) -> None:
-        for c in group:
-            c.frame_x, c.frame_z = _conjugate_frame(ops, c.frame_x, c.frame_z)
+    def run(st: ShotState) -> None:
+        st.frame_x, st.frame_z = _conjugate_frame(ops, st.frame_x, st.frame_z)
         kernel(st)
 
     return run
@@ -462,86 +391,26 @@ def _array_rot_kernel(ins: ArrayRot):
 
 def _c_probe(ins: Expand | ArrayRot, prog):
     """The step of an ``Expand`` or ``ArrayRot``, whose kernel reads the
-    frame X bit of its qubit, the probe bit, for each row."""
+    frame X bit of its qubit, the probe bit."""
     m = 1 << ins.virt
-    grow = type(ins) is Expand
-    kernel = (_expand_kernel if grow else _array_rot_kernel)(ins)
+    kernel = (_expand_kernel if type(ins) is Expand else _array_rot_kernel)(ins)
+    bits = ([0], [1])
 
-    def run(st: ShotState, group: list):
-        bits = [-1] * st.rows
-        for c in group:
-            bit = 1 if c.frame_x & m else 0
-            r = c.row
-            if bits[r] != bit:
-                if bits[r] >= 0:
-                    break
-                bits[r] = bit
-        else:
-            # each row's classes agree, each row has one, and the rows fit
-            if -1 not in bits and st.rows << (st.k + grow) <= 1 << st.k_max:
-                kernel(st, bits)
-                return None
-        split, bits = _relayout(st, group, m, grow)
-        kernel(st, bits)
-        return split
+    def run(st: ShotState) -> None:
+        kernel(st, bits[1 if st.frame_x & m else 0])
 
     return run
-
-
-def _relayout(st: ShotState, group: list, m: int, grow: int) -> tuple:
-    """Lay the batch out for a probe step: a row for each (row, probe bit)
-    that a class of ``group`` holds, rows without a class dropped. Past
-    the capacity after the step, the rows that hold fewer shots stay (at
-    most half the batch's shots) and the others are deferred, with a
-    snapshot of their rows, to rerun the step. Returns the deferred part
-    or None, and each row's bit."""
-    k, rows = st.k, st.rows
-    keys = {}  # (row, probe bit) -> its classes
-    for c in group:
-        keys.setdefault(c.row << 1 | (1 if c.frame_x & m else 0), []).append(c)
-    order = sorted(keys)
-    split = None
-    most = (1 << st.k_max) >> (k + grow)  # rows that fit after the step
-    if len(order) > most:
-        shots = {key: _shots_in(keys[key]) for key in order}
-        half = sum(shots.values()) / 2
-        stay, held = [], 0
-        for key in sorted(order, key=shots.get):
-            if len(stay) == most or held + shots[key] > half:
-                break
-            stay.append(key)
-            held += shots[key]
-        gone = [key for key in order if key not in stay]
-        old = sorted({key >> 1 for key in gone})
-        at = {r: i for i, r in enumerate(old)}
-        part = [c for key in gone for c in keys[key]]
-        for c in part:
-            c.row = at[c.row]
-        split = (part, (k, st.buf[:rows << k].reshape(rows, -1)[old].reshape(-1)))
-        order = sorted(stay)
-        group[:] = [c for key in order for c in keys[key]]
-    src = [key >> 1 for key in order]
-    if src != list(range(len(src))):  # rows copied or moved
-        np.take(st.buf[:rows << k].reshape(rows, -1), src, axis=0,
-                out=st.scratch[:len(src) << k].reshape(len(src), -1))
-        st.swap()
-    st.rows = len(src)
-    for i, key in enumerate(order):
-        for c in keys[key]:
-            c.row = i
-    return split, [key & 1 for key in order]
 
 
 def _c_meas_dormant_static(ins: MeasDormantStatic, prog):
     virt, record, flip = ins.virt, ins.record, ins.flip
 
-    def run(st: ShotState, group: list) -> None:
-        for c in group:
-            c.out[record] = ((c.frame_x >> virt) & 1) ^ flip
+    def run(st: ShotState) -> None:
+        st.out[record] = ((st.frame_x >> virt) & 1) ^ flip
         fo = st.forced_outcomes
         if fo is not None:
             forced = fo.get(record)
-            if forced is not None and any(c.out[record] != forced for c in group):
+            if forced is not None and st.out[record] != forced:
                 raise ShotError(
                     f"forced outcome {forced} for record {record} has probability 0")
 
@@ -552,32 +421,17 @@ def _c_meas_dormant_random(ins: MeasDormantRandom, prog):
     virt, record, flip = ins.virt, ins.record, ins.flip
     m = 1 << virt
 
-    def run(st: ShotState, group: list) -> None:
+    def run(st: ShotState) -> None:
         fo = st.forced_outcomes
         forced = None if fo is None else fo.get(record)
-        parted = None
-        for c in group:
-            fx, fz = c.frame_x, c.frame_z
-            p = (fz >> virt) & 1
-            if (fx ^ fz) & m:  # swap the x and z bits
-                fx ^= m
-                fz ^= m
-            if forced is not None:
-                coin = forced ^ p ^ flip
-            elif len(c.members) == 1:
-                coin = 1 if c.uniform() >= 0.5 else 0
-            else:  # each member's coin: the class of the 0s is split off
-                zero, part = _below(st, c, 0.5)
-                coin = 0 if zero else 1
-                if part is not None:
-                    part.out[record] = p ^ flip
-                    part.frame_x, part.frame_z = fx, fz
-                    parted = parted or []
-                    parted.append(part)
-            c.out[record] = coin ^ p ^ flip
-            c.frame_x, c.frame_z = fx ^ m if coin else fx, fz
-        if parted:
-            group += parted
+        fx, fz = st.frame_x, st.frame_z
+        p = (fz >> virt) & 1
+        if (fx ^ fz) & m:  # swap the x and z bits
+            fx ^= m
+            fz ^= m
+        coin = forced ^ p ^ flip if forced is not None else 1 if st.uniform() >= 0.5 else 0
+        st.out[record] = coin ^ p ^ flip
+        st.frame_x, st.frame_z = fx ^ m if coin else fx, fz
 
     return run
 
@@ -646,16 +500,14 @@ def _scales(scale: np.ndarray, c: complex, rows: list, draws: list, branch: int)
     return np.array(out)[:, None, None]
 
 
-def _c_meas_collapse(ins: MeasCollapse, prog):
-    virt, a, record, flip, size = ins.virt, ins.axis, ins.record, ins.flip, ins.size
-    m = 1 << virt
-    # The folded basis change acts on this qubit alone: tabulate its frame
-    # update (x mask, z mask to XOR in) by the qubit's (x, z) bits.
-    pre = None
-    if ins.pre_gates:
-        ops = _frame_ops(ins.pre_gates)
-        pre = tuple((x0 ^ x1, z0 ^ z1) for x0, z0 in ((0, 0), (0, m), (m, 0), (m, m))
-                    for x1, z1 in (_conjugate_frame(ops, x0, z0),))
+def _collapse_kernel(ins: MeasCollapse) -> tuple:
+    """``(probs, apply)``, the amplitude kernel of a ``MeasCollapse`` in two
+    halves. ``probs(st)`` gives, for each row of the batch, ``(p1, branch
+    of a draw below p1, branch of any other draw, p_all)``. ``apply(st,
+    zero, one, draws)`` then writes the next batch from those ``draws``:
+    the rows ``zero``, ascending, collapsed to branch 0, then the rows
+    ``one`` collapsed to branch 1."""
+    a, size = ins.axis, ins.size
     half = size >> 1
     top = 1 << a == half
     cut = size > _DOT  # rows of half floats are cut into runs
@@ -696,23 +548,19 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         return copy, _runs(halves.view(np.float64)), _runs(w1.reshape(rows, half).view(np.float64)), \
             v0, v1, w1, out
 
-    def run(st: ShotState, group: list):
+    def probs(st: ShotState) -> list:
         # the branch probabilities, per row, in Python floats
-        rows = st.rows
-        copy, halves, ones, v0, v1, w1, out = _views(st, make)
+        copy, halves, ones, v0, v1, w1, _ = _views(st, make)
         if copy is not None:
             np.copyto(*copy)
         norms = _norm2(halves, cut).tolist()  # each row's [branch 0's, branch 1's]
-        if f1 < 2:  # row 1 takes one branch
-            w1 = v1 if f1 else v0
-        else:
+        if f1 > 1:  # row 1 mixes the branches
             _row(f1, eps1, v0, v1, w1)
             ones = _norm2(ones, cut).tolist()
-        # each row's (p1, branch of a draw below p1, branch of any other
-        # draw, p_all). A draw that hits the floor takes the other branch
-        # with probability 1 - p_branch, its own: for a flip to 1, p1 > 1 -
-        # BRANCH_FLOOR >= 1/2, so 1 - p1 is exact and 1 - (1 - p1) == p1.
-        # So a row's shots take one of two (branch, probability) pairs.
+        # A draw that hits the floor takes the other branch with probability
+        # 1 - p_branch, its own: for a flip to 1, p1 > 1 - BRANCH_FLOOR >=
+        # 1/2, so 1 - p1 is exact and 1 - (1 - p1) == p1. So a row's shots
+        # take one of two (branch, probability) pairs.
         draws = []
         for r, (n0, n1) in enumerate(norms):
             total = n0 + n1  # u is unitary
@@ -723,64 +571,14 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
             p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
             draws.append((p, 1 if p >= BRANCH_FLOOR else 0, 0 if 1.0 - p >= BRANCH_FLOOR else 1,
                           total))
-        # a draw per member, the record and frame per class
-        fo = st.forced_outcomes
-        forced = None if fo is None else fo.get(record)
-        taken = [0] * rows  # bit b: some class takes branch b of the row
-        parted = None
-        for c in group:
-            fx, fz = c.frame_x, c.frame_z
-            if pre is not None:
-                dx, dz = pre[(2 if fx & m else 0) | (1 if fz & m else 0)]
-                fx ^= dx
-                fz ^= dz
-            parity = (fx >> virt) & 1
-            r = c.row
-            p, hit, miss, _ = draws[r]
-            if forced is not None:
-                branch = forced ^ parity ^ flip
-                prob = p if branch else 1.0 - p
-                if prob < BRANCH_FLOOR:
-                    raise ShotError(f"forced outcome {forced} for record {record} has "
-                                    f"probability {prob:.3e}")
-            elif len(c.members) == 1:
-                branch = hit if c.uniform() < p else miss
-            elif hit == miss:  # every draw takes one branch: count them, unread
-                c._count += 1
-                branch = hit
-            else:  # a draw below p1 takes branch 1: that class is split off
-                one, part = _below(st, c, p)
-                branch = 1 if one else 0
-                if part is not None:
-                    part.out[record] = 1 ^ parity ^ flip
-                    part.frame_x, part.frame_z = fx ^ m, fz
-                    part.row = r << 1 | 1
-                    taken[r] |= 2
-                    parted = parted or []
-                    parted.append(part)
-            c.out[record] = branch ^ parity ^ flip
-            if branch:
-                fx ^= m
-            c.frame_x, c.frame_z = fx, fz
-            c.row = r << 1 | branch  # its (row, branch) until the rows are laid out
-            taken[r] |= 1 << branch
-        if parted:
-            group += parted
-        # each branch taken, once per row: branch 0's rows, then branch 1's
-        zero, one = [], []
-        for r, t in enumerate(taken):
-            if t & 1:
-                zero.append(r)
-            if t & 2:
-                one.append(r)
+        return draws
+
+    def apply(st: ShotState, zero: list, one: list, draws: list) -> None:
+        rows = st.rows
+        _, _, _, v0, v1, w1, out = _views(st, make)
+        if f1 < 2:  # row 1 takes one branch
+            w1 = v1 if f1 else v0
         n0 = len(zero)
-        at = [0] * (2 * rows)  # the output row of each (row, branch)
-        for i, r in enumerate(zero):
-            at[r << 1] = i
-        for i, r in enumerate(one, n0):
-            at[r << 1 | 1] = i
-        for c in group:
-            c.row = at[c.row]
         if zero:
             dst = out[:n0]
             pick = slice(None) if n0 == rows else _pick(zero)
@@ -795,17 +593,55 @@ def _c_meas_collapse(ins: MeasCollapse, prog):
         st.k -= 1
         st.rows = n0 + len(one)
 
+    return probs, apply
+
+
+def _c_meas_collapse(ins: MeasCollapse, prog):
+    virt, record, flip = ins.virt, ins.record, ins.flip
+    m = 1 << virt
+    # The folded basis change acts on this qubit alone: tabulate its frame
+    # update (x mask, z mask to XOR in) by the qubit's (x, z) bits.
+    pre = None
+    if ins.pre_gates:
+        ops = _frame_ops(ins.pre_gates)
+        pre = tuple((x0 ^ x1, z0 ^ z1) for x0, z0 in ((0, 0), (0, m), (m, 0), (m, m))
+                    for x1, z1 in (_conjugate_frame(ops, x0, z0),))
+    probs, apply = _collapse_kernel(ins)
+    layouts = (([0], []), ([], [0]))  # the one row's (zero, one) by branch
+
+    def run(st: ShotState) -> None:
+        draws = probs(st)
+        p, hit, miss, _ = draws[0]
+        fx, fz = st.frame_x, st.frame_z
+        if pre is not None:
+            dx, dz = pre[(2 if fx & m else 0) | (1 if fz & m else 0)]
+            fx ^= dx
+            fz ^= dz
+        parity = (fx >> virt) & 1
+        fo = st.forced_outcomes
+        forced = None if fo is None else fo.get(record)
+        if forced is not None:
+            branch = forced ^ parity ^ flip
+            prob = p if branch else 1.0 - p
+            if prob < BRANCH_FLOOR:
+                raise ShotError(f"forced outcome {forced} for record {record} has "
+                                f"probability {prob:.3e}")
+        else:
+            branch = hit if st.uniform() < p else miss
+        st.out[record] = branch ^ parity ^ flip
+        st.frame_x, st.frame_z = fx ^ m if branch else fx, fz
+        apply(st, *layouts[branch], draws)
+
     return run
 
 
 def _c_cond_frame(ins: CondFrame, prog):
     xmask, zmask, record = ins.xmask, ins.zmask, ins.record
 
-    def run(st: ShotState, group: list) -> None:
-        for c in group:
-            if c.out[record]:
-                c.frame_x ^= xmask
-                c.frame_z ^= zmask
+    def run(st: ShotState) -> None:
+        if st.out[record]:
+            st.frame_x ^= xmask
+            st.frame_z ^= zmask
 
     return run
 
@@ -819,95 +655,35 @@ def _c_noise_block(ins: NoiseBlock, prog):
     plan = _block_plan(sites, lo, hi)
     # a block without certain sites is one hazard segment
     one_segment = plan == [(lo, hi)]
-    tails = [plan[i:] for i in range(len(plan))]  # the plan from each part on
     lo_key, hi_key = (lo,), (hi,)  # (s,) sorts just before the pairs of site s
 
-    def listed(f: list) -> list:
-        return f[bisect_left(f, lo_key):bisect_left(f, hi_key)]
-
-    def run(st: ShotState, group: list) -> None:
-        left = None  # the classes of one that members of a class leave for
-        for c in group:
-            members, ff = c.members, c.forced_faults
-            if len(members) == 1:  # a class of one takes its faults as its shot
-                if ff is not None:
-                    faults = listed(ff[members[0]])
-                elif one_segment:
-                    faults = _segment_faults(S, sites, c, lo, hi)
-                else:
-                    faults = _plan_faults(S, sites, plan, c)
-                if faults:
-                    _take(c, faults, sites)
-                continue
-            left = left or []
-            if ff is not None:  # a member with a fault listed here leaves with it
-                gone = np.array([bool(listed(ff[s])) for s in members.tolist()])
-                for one in _leave(st, c, gone, c._count, left):
-                    _take(one, listed(ff[one._slot]), sites)
-                continue
-            for i, part in enumerate(plan):
-                count = c._count
-                if type(part) is int:
-                    tab = sites[part]
-                    if len(tab.case_cum) == 1:  # a certain fault of one case
-                        c.frame_x ^= tab.case_x[0]
-                        c.frame_z ^= tab.case_z[0]
-                        continue
-                    gone = np.ones(len(members), dtype=bool)  # each draws its case
-                else:
-                    # the members whose first hazard skip may land in the
-                    # segment: numpy only clears a member that surely survives
-                    gone = _may_fault(S[part[0]], c.uniform_each(members), S[part[1]])
-                # each leaves for a class of one, which draws from this part
-                # on with the exact arithmetic, the same draw first
-                for one in _leave(st, c, gone, count, left):
-                    _take(one, _plan_faults(S, sites, tails[i], one), sites)
-                members = c.members
-                if not len(members):
-                    break
-        if left:
-            group[:] = [c for c in group if len(c.members)] + left
+    def run(st: ShotState) -> None:
+        ff = st.forced_faults
+        if ff is not None:
+            faults = ff[bisect_left(ff, lo_key):bisect_left(ff, hi_key)]
+        elif one_segment:
+            faults = _segment_faults(S, sites, st, lo, hi)
+        else:
+            faults = _plan_faults(S, sites, plan, st)
+        for site, case in faults or ():
+            tab = sites[site]
+            if case is None:
+                case = _pick_case(tab, st)
+            st.frame_x ^= tab.case_x[case]
+            st.frame_z ^= tab.case_z[case]
 
     return run
-
-
-def _leave(st: ShotState, c, gone: np.ndarray, count: int, left: list) -> list:
-    """Move the members of ``c`` where the mask ``gone`` holds each to a
-    class of one at draw ``count``; returns those classes, which ``left``
-    gains too."""
-    if not gone.any():
-        return []
-    members = c.members
-    slots = members[gone]
-    c.keep(members[~gone])
-    ones = [_part(st, c, slots[j:j + 1]) for j in range(len(slots))]
-    for one in ones:
-        one._count = count
-    left += ones
-    return ones
-
-
-def _take(c, faults: list, sites) -> None:
-    """XOR the faults into the frame of ``c``, a class of one, which draws
-    each None case."""
-    for site, case in faults:
-        tab = sites[site]
-        if case is None:
-            case = _pick_case(tab, c)
-        c.frame_x ^= tab.case_x[case]
-        c.frame_z ^= tab.case_z[case]
 
 
 def _c_detector(ins: DetectorIns, prog):
     index, records = prog.record_count + ins.index, ins.records
 
-    def run(st: ShotState, group: list) -> None:
-        for c in group:
-            out = c.out
-            bit = 0
-            for r in records:
-                bit ^= out[r]
-            out[index] = bit
+    def run(st: ShotState) -> None:
+        out = st.out
+        bit = 0
+        for r in records:
+            bit ^= out[r]
+        out[index] = bit
 
     return run
 
@@ -916,13 +692,12 @@ def _c_observable(ins: ObservableIns, prog):
     index = prog.record_count + prog.num_detectors + ins.index
     records = ins.records
 
-    def run(st: ShotState, group: list) -> None:
-        for c in group:
-            out = c.out
-            bit = 0
-            for r in records:
-                bit ^= out[r]
-            out[index] ^= bit
+    def run(st: ShotState) -> None:
+        out = st.out
+        bit = 0
+        for r in records:
+            bit ^= out[r]
+        out[index] ^= bit
 
     return run
 
@@ -931,14 +706,10 @@ def _c_postselect(ins: PostSelectIns, prog):
     ref = prog.record_count + ins.ref if ins.kind == "detector" else ins.ref
     required = ins.required
 
-    def run(st: ShotState, group: list) -> None:
-        stopped = [c for c in group if c.out[ref] != required]
-        if stopped:
-            for c in stopped:
-                c.accepted = False
-            if len(stopped) == len(group):
-                raise _Halt
-            group[:] = [c for c in group if c.accepted]
+    def run(st: ShotState) -> None:
+        if st.out[ref] != required:
+            st.accepted = False
+            raise _Halt
 
     return run
 
@@ -961,9 +732,9 @@ _FACTORIES = {
 
 def _cache(prog: BytecodeProgram) -> dict:
     """The program's runtime cache: its instruction closures (``"code"``),
-    its frame table (``"table"``) and its output columns (``"columns"``),
-    each built on first use. Code that edits ``prog.instrs`` drops the
-    whole entry."""
+    its frame table (``"table"``), its path-walk steps (``"paths"``) and its
+    output columns (``"columns"``), each built on first use. Code that
+    edits ``prog.instrs`` drops the whole entry."""
     cache = prog.__dict__.get("_dispatch")
     if cache is None:
         cache = prog.__dict__["_dispatch"] = {}
@@ -981,14 +752,159 @@ def _compiled(prog: BytecodeProgram):
 
 def _frame_table(prog: BytecodeProgram):
     """The engine switch: the program's frame table (:mod:`framesim.table`),
-    or None when the closure VM runs it: the program has an active array, or
-    the table would exceed ``table._TABLE_BITS``."""
-    if prog.k_max:
-        return None
+    or None when the closure VM samples it shot by shot, because the table
+    would exceed ``table._TABLE_BITS``."""
     cache = _cache(prog)
     if "table" not in cache:
         cache["table"] = _build_table(prog)
     return cache["table"]
+
+
+# -- the path walk ---------------------------------------------------------------
+#
+# A step of the path walk, step(st, part, acc, uniforms), runs one
+# instruction for a table._Part of a chunk's shots on the batch of ``st``:
+# ``acc`` holds each shot's XOR row (bytes) and ``uniforms`` its collapse
+# draws of the span. A step that defers some of the part's shots returns
+# them as a new part. The per-row bookkeeping is Python over the batch's
+# (row, bit) keys, which are few; the per-shot work is numpy, but for a
+# part of one shot.
+
+
+def _path_steps(prog: BytecodeProgram, tab) -> list:
+    """The path walk's step for each item of ``tab.spans``, None for a span
+    or a check; built once per program."""
+    cache = _cache(prog)
+    steps = cache.get("paths")
+    if steps is None:
+        effects = np.frombuffer(tab.effects, dtype=np.uint8).reshape(-1, tab.nbytes)
+        steps = cache["paths"] = [
+            None if type(item) is not _Active
+            else _p_gate(item.ins) if type(item.ins) is ArrayGate
+            else _p_collapse(item.ins, effects[item.at], item.j) if type(item.ins) is MeasCollapse
+            else _p_probe(item.ins, item.at)
+            for item in tab.spans]
+    return steps
+
+
+def _p_gate(ins: ArrayGate):
+    kernel = _array_gate_kernel(ins)
+
+    def step(st: ShotState, part: _Part, acc, uniforms) -> None:
+        kernel(st)
+
+    return step
+
+
+def _p_probe(ins: Expand | ArrayRot, col: int):
+    """The step of an ``Expand`` or ``ArrayRot``, whose probe bit is each
+    shot's bit ``col`` of its XOR row."""
+    grow = type(ins) is Expand
+    kernel = (_expand_kernel if grow else _array_rot_kernel)(ins)
+    byte, shift = col >> 3, col & 7
+
+    def step(st: ShotState, part: _Part, acc, uniforms):
+        shots = part.shots
+        if len(shots) == 1 and st.rows == 1:
+            kernel(st, [int(acc[shots[0], byte]) >> shift & 1])
+            return None
+        bits = (acc[shots, byte] >> shift) & 1
+        if len(shots) <= _FEW and st.rows << (st.k + grow) <= 1 << st.k_max:
+            # each row's bit, if its shots agree and each row has one
+            row_bits = [-1] * st.rows
+            for r, bit in zip(part.rows.tolist(), bits.tolist()):
+                if row_bits[r] != bit:
+                    if row_bits[r] >= 0:
+                        break
+                    row_bits[r] = bit
+            else:
+                if -1 not in row_bits:
+                    kernel(st, row_bits)
+                    return None
+        split, bits = _relayout(st, part, part.rows * 2 + bits, grow)
+        kernel(st, bits)
+        return split
+
+    return step
+
+
+def _relayout(st: ShotState, part: _Part, key: np.ndarray, grow: int) -> tuple:
+    """Lay the batch out for a probe step: a row for each key, (row << 1 |
+    probe bit), that a shot of ``part`` holds, rows without a shot dropped.
+    Past the capacity after the step, the rows that hold fewer shots stay
+    (at most half the part's shots) and the others are deferred, as a new
+    part with a snapshot of their rows, to rerun the step. Returns the
+    deferred part or None, and each row's bit."""
+    k, rows = st.k, st.rows
+    counts = np.bincount(key, minlength=2 * rows).tolist()
+    order = [q for q, n in enumerate(counts) if n]  # the keys held, ascending
+    most = (1 << st.k_max) >> (k + grow)  # rows that fit after the step
+    split = None
+    if len(order) > most:
+        stay, held = [], 0
+        for q in sorted(order, key=counts.__getitem__):  # fewest shots first
+            if len(stay) == most or held + counts[q] > len(key) / 2:
+                break
+            stay.append(q)
+            held += counts[q]
+        stay.sort()
+        gone = np.ones(2 * rows, dtype=bool)
+        gone[stay] = False
+        old = sorted({q >> 1 for q in set(order).difference(stay)})  # the deferred part's rows
+        place = np.zeros(rows, dtype=np.intp)
+        place[old] = np.arange(len(old))
+        leave = gone[key]
+        split = _Part(0, part.shots[leave], place[part.rows[leave]],
+                      (k, st.buf[:rows << k].reshape(rows, -1)[old].reshape(-1)))
+        part.keep(~leave)
+        key = key[~leave]
+        order = stay
+    src = [q >> 1 for q in order]
+    if src != list(range(len(src))):  # rows copied or moved
+        np.take(st.buf[:rows << k].reshape(rows, -1), src, axis=0,
+                out=st.scratch[:len(src) << k].reshape(len(src), -1))
+        st.swap()
+        at = np.zeros(2 * rows, dtype=np.intp)
+        at[order] = np.arange(len(order))
+        part.rows = at[key]
+    st.rows = len(src)
+    return split, [q & 1 for q in order]
+
+
+def _p_collapse(ins: MeasCollapse, effect: np.ndarray, j: int):
+    """The step of a ``MeasCollapse``, whose branch 1 XORs ``effect`` into
+    a shot's row, drawn by the shot's ``j``-th collapse draw of the span."""
+    probs, apply = _collapse_kernel(ins)
+
+    def step(st: ShotState, part: _Part, acc, uniforms) -> None:
+        draws = probs(st)
+        shots, r = part.shots, part.rows
+        if len(shots) == 1:
+            row = int(r[0])
+            p, hit, miss, _ = draws[row]
+            branch = hit if uniforms[shots[0], j] < p else miss
+            if branch:
+                acc[shots[0]] ^= effect
+            r[0] = 0
+            apply(st, [] if branch else [row], [row] if branch else [], draws)
+            return
+        p, hit, miss = (np.array(col) for col in list(zip(*draws))[:3])
+        branch = np.where(uniforms[shots, j] < p[r], hit[r], miss[r])
+        one = branch.nonzero()[0]
+        if len(one):
+            acc[shots[one]] ^= effect
+        # each (row, branch) taken, once: branch 0's rows, then branch 1's
+        key = r * 2 + branch
+        taken = np.bincount(key, minlength=2 * st.rows).tolist()
+        zero = [i for i, n in enumerate(taken[0::2]) if n]
+        ones = [i for i, n in enumerate(taken[1::2]) if n]
+        at = [0] * len(taken)
+        for n, q in enumerate([2 * i for i in zero] + [2 * i + 1 for i in ones]):
+            at[q] = n
+        part.rows = np.array(at)[key]
+        apply(st, zero, ones, draws)
+
+    return step
 
 
 # -- hazard sampling -------------------------------------------------------------
@@ -1103,56 +1019,31 @@ def _check_state(prog: BytecodeProgram, state: ShotState) -> None:
 
 def _run(prog, code: list, state: ShotState, shot: int, stratum=None, forced_faults=None,
          forced_outcomes=None, trace=None) -> bool:
-    """Run shot ``shot`` of ``prog`` on ``state``, a group of one: reset, let
-    the stratum draw the shot's fault list (which then replaces
-    ``forced_faults``) and set its weight, and walk ``code``, the program's
-    closures. ``trace(state, ins)`` is called after each instruction.
-    Returns whether the shot was accepted."""
+    """Run shot ``shot`` of ``prog`` on ``state``: reset, let the stratum draw
+    the shot's fault list (which then replaces ``forced_faults``) and set
+    its weight, and walk ``code``, the program's closures.
+    ``trace(state, ins)`` is called after each instruction. Returns whether
+    the shot was accepted."""
     state.reset(shot)
     if stratum is not None:
         forced_faults = stratum.draw_forced(state)
         state.weight = stratum.weight
-    state.forced_faults = None if forced_faults is None else [forced_faults]
+    state.forced_faults = forced_faults
     state.forced_outcomes = forced_outcomes
-    _walk(prog, code, state, [state], trace)
+    state.k = 0
+    state.rows = 1
+    state.buf[0] = 1
+    try:
+        if trace is None:
+            for fn in code:
+                fn(state)
+        else:
+            for fn, ins in zip(code, prog.instrs):
+                fn(state)
+                trace(state, ins)
+    except _Halt:
+        pass
     return state.accepted
-
-
-def _walk(prog, code: list, st: ShotState, group: list, trace=None) -> None:
-    """Run the classes of ``group``, each at its start on row 0, through
-    ``code``, the program's closures, as one batch on ``st``'s buffers: a
-    batch runs until the end or until a postselection stops its last
-    class, and then the walk takes up the part deferred last.
-    ``trace(st, ins)`` is called after each instruction of a group of one."""
-    st.k = 0
-    st.rows = 1
-    st.buf[0] = 1
-    pending = st.pending
-    pending[:] = [(0, group, None)]
-    while pending:
-        pc, group, snap = pending.pop()
-        if snap is not None:
-            st.restore(snap)
-            snap = None  # the buffer holds it now
-        steps = iter(code)
-        if pc:
-            next(itertools.islice(steps, pc, pc), None)  # skip to pc
-        try:
-            for fn in steps if trace is None else _traced(steps, prog, pc, st, trace):
-                split = fn(st, group)
-                if split is not None:  # its part reruns the step, which the
-                    # iterator stands just past
-                    pending.append((len(code) - length_hint(steps) - 1, *split))
-        except _Halt:
-            pass
-
-
-def _traced(steps, prog, pc: int, st: ShotState, trace):
-    """The steps of ``steps``, the program's from ``pc`` on, each followed,
-    once it has run, by ``trace(st, ins)`` with its instruction."""
-    for fn, ins in zip(steps, itertools.islice(prog.instrs, pc, None)):
-        yield fn
-        trace(st, ins)
 
 
 def make_record(prog: BytecodeProgram, state: ShotState) -> ShotRecord:
@@ -1188,20 +1079,26 @@ def _snapshots(k_max: int) -> int:
 
 
 def _fold_shots(prog: BytecodeProgram, stratum=None) -> int:
-    """Most shots of a chunk: about _FOLD_BYTES of unpacked output bits and,
-    on the closure VM, of the walk's per-shot state, and few enough that
-    the walk's snapshots fit _SNAP_BYTES."""
+    """Most shots of a chunk: about _FOLD_BYTES of each shot's unpacked
+    output bits and packed XOR row, and with an active array its path-walk
+    arrays and its share of a span grid, or on the closure VM its output
+    bytes; and few enough that the path walk's snapshots fit _SNAP_BYTES."""
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
-    if _frame_table(prog) is not None:
+    tab = _frame_table(prog)
+    if tab is None:  # shot by shot: each shot's out bytes, and their bits
+        width += 2 * (prog.record_count + prog.num_detectors + prog.num_observables)
+    elif not prog.k_max:
         return max(1, _FOLD_BYTES // max(width, 1))
-    # each shot's class, its table of uniforms, its output bytes and their
-    # copy in the chunk's rows, and its stratum's fault list of w (site,
-    # None) pairs (57 + about 90 w bytes)
-    width += _SHOT_BYTES + 8 * _MAX_WIDTH \
-        + 2 * (prog.record_count + prog.num_detectors + prog.num_observables)
-    if stratum is not None:
+    else:
+        # its XOR row; its index, row and key in the walk, with their
+        # temporaries, and its collapse draws; and 32 bytes a draw of the
+        # longest span's grid, its floats and their temporaries (25-28
+        # measured with tracemalloc over a chunk, Python 3.11)
+        draws = max((int(item.off[-1]) for item in tab.spans if type(item) is _Span), default=0)
+        width += tab.nbytes + 64 + 8 * tab.collapses + 32 * draws
+    if stratum is not None:  # its fault list of w (site, None) pairs (57 + about 90 w bytes)
         width += 64 + 128 * stratum.w
-    return max(1, min(_FOLD_BYTES // width, (2 << min(_snapshots(prog.k_max), 62)) - 1))
+    return max(1, min(_FOLD_BYTES // max(width, 1), (2 << min(_snapshots(prog.k_max), 62)) - 1))
 
 
 def _chunk_shots(prog: BytecodeProgram) -> int:
@@ -1233,57 +1130,35 @@ def _bounds(shots: int, first: int, most: int):
         lo, step = hi, most
 
 
-def _classes(state: ShotState, lo: int, hi: int, stratum) -> list:
-    """Shots [lo, hi) of ``state``'s seed, on one table of draws, as the
-    classes a walk starts with, which start ``state.classes``: one class,
-    or with a stratum, once each shot has drawn its fault list, one per
-    count of draws."""
-    keys, uniforms, width = state._table(lo, hi)
-    size = len(state.out)
-    classes = [_ShotClass(keys, uniforms, width, np.arange(hi - lo), bytearray(size))]
-    if stratum is not None:
-        faults, counts = classes[0]._each_slot(stratum.draw_forced, hi - lo)
-        slots = {}
-        for slot, count in enumerate(counts):
-            slots.setdefault(count, []).append(slot)
-        classes = [_ShotClass(keys, uniforms, width, np.array(members), bytearray(size), count,
-                              faults)
-                   for count, members in slots.items()]
-    state.classes = list(classes)
-    return classes
-
-
 def _shot_rows(prog: BytecodeProgram, engine, seed: int, lo: int, hi: int, stratum,
                keep_rejected: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Shots [lo, hi) on ``engine``, the program's frame table or a
-    ShotState of ``prog`` seeded with ``seed``, on which the closure VM
-    walks them as one group: each kept shot's output bits (user records,
-    detectors, observables), one uint8 row per shot, and its acceptance
-    flags (bool). The table's rows are packed little-endian. The closure
-    VM's rows are one byte a bit, built once per final class (the
-    :func:`_columns` of its ``out``) and gathered to each shot by an index
-    array of its members. A rejected shot is kept only with
+    """Shots [lo, hi) on ``engine``: the frame table of a program without an
+    active array, or a ShotState of ``prog`` seeded with ``seed``, on whose
+    batch the table's path walk runs, or which runs each shot on the
+    closure VM when the program has no table. Returns each kept shot's
+    output bits (user records, detectors, observables) as one packed
+    little-endian uint8 row per shot, bits past them included, and its
+    acceptance flags (bool). A rejected shot is kept only with
     ``keep_rejected``. This is the one place that runs shots for ``sample``
     and ``sample_accumulate``."""
     if type(engine) is not ShotState:
         return _table_shots(engine, seed, lo, hi, stratum, keep_rejected)
-    state = engine
-    _walk(prog, _compiled(prog), state, _classes(state, lo, hi, stratum))
-    classes, state.classes = state.classes, []
-    state.widen(max(c._count for c in classes))
-    classes = [c for c in classes if len(c.members)]
-    rows = np.frombuffer(b"".join([c.out for c in classes]), dtype=np.uint8)
-    rows = rows.reshape(len(classes), -1)
+    tab = _frame_table(prog)
+    if tab is not None:
+        return _table_shots(tab, seed, lo, hi, stratum, keep_rejected,
+                            (engine, _path_steps(prog, tab)))
+    code = _compiled(prog)
+    out = np.empty((hi - lo, len(engine.out)), dtype=np.uint8)
+    flags = np.empty(hi - lo, dtype=bool)
+    for i in range(hi - lo):
+        flags[i] = _run(prog, code, engine, lo + i, stratum)
+        out[i] = np.frombuffer(engine.out, dtype=np.uint8)
     cols = _columns(prog)
     if cols is not None:
-        rows = rows[:, cols]
-    flags = np.array([c.accepted for c in classes])
-    which = np.empty(hi - lo, dtype=np.intp)  # each shot's final class
-    which[np.concatenate([c.members for c in classes])] = np.repeat(
-        np.arange(len(classes)), [len(c.members) for c in classes])
-    if not keep_rejected and not flags.all():
-        which = which[flags[which]]
-    return rows[which], flags[which]
+        out = out[:, cols]
+    if not keep_rejected:
+        out, flags = out[flags], flags[flags]
+    return np.packbits(out, axis=1, bitorder="little"), flags
 
 
 def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
@@ -1308,10 +1183,13 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
         raise ValueError("the stratum was built for a program of other noise sites")
     # the engine, once and before any fork; a state's views are built on its
     # first shot, so every chunk of a process runs on the one state
-    engine = _frame_table(prog)
-    if engine is None:
+    engine = tab = _frame_table(prog)
+    if tab is None or prog.k_max:
         engine = ShotState(prog, seed=seed)
-        _compiled(prog)
+        if tab is None:
+            _compiled(prog)
+        else:
+            _path_steps(prog, tab)
     most = _fold_shots(prog, stratum)
     first = min(_chunk_shots(prog), most) if stream else most
     workers = min(workers, shots, os.cpu_count() or 1)
@@ -1323,9 +1201,6 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     else:
         parts = (_shot_rows(prog, engine, seed, lo, hi, stratum, keep_rejected)
                  for lo, hi in _bounds(shots, first, most))
-    if type(engine) is ShotState and not pool:  # rows one byte a bit already
-        yield from parts
-        return
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     for packed, flags in parts:
         yield np.unpackbits(packed, axis=1, count=width, bitorder="little"), flags
@@ -1336,8 +1211,8 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     """Yield ShotRecords for shot indices 0..shots-1, deterministically.
 
     Records depend only on (seed, shot index): any worker split produces the
-    same stream, and a frame-only program's table gives the records the
-    closure VM gives. With a stratum, every record carries that stratum's
+    same stream, and the frame table gives the records the closure VM
+    gives. With a stratum, every record carries that stratum's
     weight and noise sites are forced per its conditional law. Records
     arrive a chunk of shots at a time, as row views of the chunk's bits.
 
@@ -1362,18 +1237,15 @@ _WORKER = None  # a pool worker's (prog, engine, seed, stratum, keep_rejected)
 def _init_worker(*args) -> None:
     """Pool initializer. A fork worker gets its arguments by inheritance, not
     by pickle, so the program and its engine arrive as the parent built
-    them; a closure-VM worker runs all its jobs on its copy of the state."""
+    them; a worker with a state runs all its jobs on its copy of it."""
     global _WORKER
     _WORKER = args
 
 
 def _worker_range(bounds):
-    """Shots [lo, hi) in a pool worker, as packed rows for the pipe."""
+    """Shots [lo, hi) in a pool worker, as :func:`_shot_rows` packs them."""
     prog, engine, seed, stratum, keep_rejected = _WORKER
-    rows, flags = _shot_rows(prog, engine, seed, *bounds, stratum, keep_rejected)
-    if type(engine) is ShotState:
-        rows = np.packbits(rows, axis=1, bitorder="little")
-    return rows, flags
+    return _shot_rows(prog, engine, seed, *bounds, stratum, keep_rejected)
 
 
 def _sample_parallel(prog, engine, jobs, seed, workers, stratum, keep_rejected):

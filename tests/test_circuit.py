@@ -546,13 +546,26 @@ def test_flatten_refuses_absolute_records_not_yet_produced():
     Instruction("X_ERROR", (0,), (2.0,)),
     Instruction("H", (1.5,)),
     Instruction("NOT_AN_OP", (0,)),
+    Instruction("R_Z", (0,), (float("nan"),)),
+    Instruction("R_Z", (0,), ("0.3",)),
+    "H 0",
+    *(RepeatBlock(count, Circuit([Instruction("H", (0,))])) for count in (0, 2.5, True)),
 ])
 def test_a_circuit_built_in_code_is_validated(ins):
     # compile_circuit validates a Circuit as the parser validates text, in a
-    # REPEAT body too, once per distinct instruction object
+    # REPEAT body too, once per distinct instruction object: an element that
+    # is no instruction, a bad REPEAT count and a non-finite or non-numeric
+    # argument are refused by name
+    match = ("not an instruction" if isinstance(ins, str)
+             else "REPEAT count" if isinstance(ins, RepeatBlock)
+             else "non-finite or non-numeric" if ins.opcode == "R_Z" and ins.args else None)
     for circ in (Circuit([ins]), Circuit([RepeatBlock(2, Circuit([Instruction("H", (0,)), ins]))])):
-        with pytest.raises(CircuitError):
+        with pytest.raises(CircuitError, match=match):
             compile_circuit(circ)
+    # with a valid instruction in its place, the REPEAT circuit compiles as its text
+    valid = Circuit([RepeatBlock(2, Circuit([Instruction("H", (0,)), Instruction("T", (0,))]))])
+    assert compile_circuit(valid).fingerprint() == \
+        compile_circuit("REPEAT 2 {\nH 0\nT 0\n}\n").fingerprint()
 
 
 def test_an_instruction_replaced_in_place_is_counted():

@@ -31,18 +31,35 @@ def mirror_file(tmp_path):
     return str(p)
 
 
-def test_compile_emit_hir(mirror_file, capsys):
+# a detector, a postselected record and an observable, with the detector
+# postselected too: every check's line in the dumps
+CHECKS = ("H 0\nT 0\nM 0\nDETECTOR rec[-1]\nM 1\nPOSTSELECT rec[-1]\n"
+          "OBSERVABLE_INCLUDE(0) rec[-2]\n")
+
+
+def _checks_dump(tmp_path, capsys, emit: str) -> str:
+    p = tmp_path / "checks.txt"
+    p.write_text(CHECKS)
+    assert main(["compile", str(p), "--emit", emit, "--postselect-detectors", "0"]) == 0
+    return capsys.readouterr().out
+
+
+def test_compile_emit_hir(mirror_file, tmp_path, capsys):
     assert main(["compile", mirror_file, "--emit", "hir"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 6
     assert "MEAS" in out and "NOISE" in out
+    out = _checks_dump(tmp_path, capsys, "hir")
+    assert "DET   D0" in out and "PSEL  rec[1] == 0" in out and "OBS   L0" in out
 
 
-def test_compile_emit_bytecode(mirror_file, capsys):
+def test_compile_emit_bytecode(mirror_file, tmp_path, capsys):
     assert main(["compile", mirror_file, "--emit", "bytecode"]) == 0
     out = capsys.readouterr().out
     assert "NOISE_BLOCK sites=[0..2)" in out
     assert "EXPAND_T" in out
+    out = _checks_dump(tmp_path, capsys, "bytecode")
+    assert "POSTSELECT D0 == 0" in out and "POSTSELECT rec[1] == 0" in out
 
 
 def test_compile_emit_stats_json(mirror_file, capsys):
@@ -83,15 +100,14 @@ def test_sample_shot_error_exits_1(tmp_path, capsys, monkeypatch, workers):
     # no honest circuit cheaply reaches a ShotError, so the collapse kernel is
     # swapped for one that raises as a NaN amplitude would
     import framesim.runtime as runtime
-    from framesim.backend import MeasCollapse
 
-    def broken(ins, prog):
-        def run(st, group):
+    def broken(ins):
+        def probs(st):
             raise runtime.ShotError("NaN amplitude encountered at an active measurement")
 
-        return run
+        return probs, None
 
-    monkeypatch.setitem(runtime._FACTORIES, MeasCollapse, broken)
+    monkeypatch.setattr(runtime, "_collapse_kernel", broken)
     p = tmp_path / "c.txt"
     p.write_text("H 0\nT 0\nH 0\nM 0\n")
     assert main(["sample", str(p), "--shots", "5", "--workers", workers]) == 1

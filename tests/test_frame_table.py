@@ -1,14 +1,17 @@
-"""The frame table of k_max = 0 programs against the closure VM, bit for bit.
+"""The frame table against the closure VM, bit for bit.
 
-``sample`` and ``sample_accumulate`` run a frame-only program through its
-table; with ``runtime._frame_table`` patched to return None they run the same
-program on the closure VM, the reference engine. Records, acceptance, weights
-and totals must agree exactly, serially and over a fork pool.
+``sample`` and ``sample_accumulate`` run every program through its table;
+with ``runtime._frame_table`` patched to return None they run the same
+program shot by shot on the closure VM, the reference engine. Records,
+acceptance, weights and totals must agree exactly, serially and over a fork
+pool. The frame-only programs here have no path walk; ``test_walk.py``
+samples programs with an active array against their shots alone.
 """
 from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,11 +22,20 @@ from hypothesis import strategies as st
 import framesim.rng
 import framesim.runtime as runtime
 import framesim.table as frametable
-from framesim.backend import MeasDormantRandom, NoiseBlock, compile_circuit
-from framesim.rng import ShotRng, ShotStreams
+from framesim.backend import (
+    ArrayRot,
+    Expand,
+    MeasCollapse,
+    MeasDormantRandom,
+    NoiseBlock,
+    compile_circuit,
+)
+from framesim.rng import _MAX_WIDTH, ShotRng, ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
-from framesim.table import _COIN, _NOISE, _SURE, _may_fault, _Span, _table_shots
+from framesim.table import _COIN, _COLLAPSE, _NOISE, _SURE, _Active, _may_fault, _Span, _table_shots
 from framesim.testing import random_circuit, repetition_code_circuit
+from test_sample_pin import FORKING, NOISY
+from test_walk import _corpus as _active_corpus
 
 # An observable read before and after a postselected record, so a rejected
 # shot keeps the observable as it stood at the check.
@@ -86,7 +98,7 @@ def _kinds(tab) -> set:
     for item in tab.spans:
         if type(item) is _Span:
             kinds.update(item.kind.tolist())
-        else:  # a check (bit, required, keep, moves)
+        elif type(item) is not _Active:  # a check (bit, required, keep, moves)
             kinds.add(_CHECK)
             if item[3]:
                 kinds.add("moves")
@@ -251,8 +263,6 @@ def test_sure_survival_never_hides_a_fault_property(u, start, offset, numpy_side
 
 def test_table_is_rebuilt_after_instructions_change():
     # the negative controls edit prog.instrs and drop the "_dispatch" entry
-    from dataclasses import replace
-
     from framesim.backend import MeasDormantStatic
 
     prog = compile_circuit("X_ERROR(1.0) 0\nM 0\n")
@@ -300,6 +310,30 @@ def _coin_free_programs(count: int):
             yield prog
 
 
+def _active_programs() -> list:
+    """Programs with an active array: the walk corpus of ``test_walk.py``
+    and the forking and noisy programs of the split pin."""
+    return [*_active_corpus(20), compile_circuit(FORKING),
+            compile_circuit(NOISY, postselect_detectors=(0,))]
+
+
+def _probed_shot(prog, state, faults, outcomes):
+    """A closure-VM shot's output bits followed by the probe bit that each
+    ``Expand`` and ``ArrayRot`` reads, the frame X bit of its qubit as a
+    trace callback sees it after the step before; None if rejected."""
+    instrs = prog.instrs
+    probes = [] if type(instrs[0]) not in (Expand, ArrayRot) else [0]
+    at = iter(range(1, len(instrs) + 1))
+
+    def trace(st, ins):
+        i = next(at)
+        if i < len(instrs) and type(instrs[i]) in (Expand, ArrayRot):
+            probes.append(st.frame_x >> instrs[i].virt & 1)
+
+    rec = run_shot(prog, state, forced_faults=faults, forced_outcomes=outcomes, trace=trace)
+    return np.concatenate([_output_bits(rec), probes]).astype(np.uint8) if rec.accepted else None
+
+
 def test_effect_rows_match_forced_faults_on_closure_vm():
     # Each noise case's effect row is what that one fault changes in the
     # closure VM's output bits; the constant row is the fault-free output.
@@ -321,6 +355,41 @@ def test_effect_rows_match_forced_faults_on_closure_vm():
                 faulty = _output_bits(run_shot(prog, state, forced_faults=[(site, case)]))
                 assert effects[tab.first[site] + case].tolist() == (faulty ^ clean).tolist()
     assert multi > 0
+    # With an active array, every record an output bit: with the branches
+    # of the fault-free shot held (each collapse's outcome forced to its
+    # record XOR the row's bit there), a single fault gives the fault-free
+    # shot XOR its row, a collapse's row is its branch flipped, and each
+    # probe column is the bit the probe reads.
+    checked = {"fault": 0, "collapse": 0, "probe": 0}
+    for i, prog in enumerate(_active_programs()):
+        prog = replace(prog, user_records=tuple(range(prog.record_count)))
+        tab = runtime._frame_table(prog)
+        width = prog.record_count + prog.num_detectors + prog.num_observables
+        acts = [a for a in tab.spans if type(a) is _Active]
+        collapses = [a for a in acts if type(a.ins) is MeasCollapse]
+        columns = list(range(width)) + [a.at for a in acts if type(a.ins) in (Expand, ArrayRot)]
+        effects = np.unpackbits(np.frombuffer(tab.effects, dtype=np.uint8).reshape(
+            -1, tab.nbytes), axis=1, bitorder="little")[:, columns]
+        state = ShotState(prog, seed=i)
+        first = _output_bits(run_shot(prog, state, forced_faults=[]))
+        held = {a.ins.record: int(first[a.ins.record]) for a in collapses}
+        clean = _probed_shot(prog, state, [], held)
+        if clean is None:
+            continue
+        inputs = [([(site, case)], tab.first[site] + case) for site, table in enumerate(prog.sites)
+                  for case in range(len(table.case_x))]
+        inputs += [([], a.at) for a in collapses]
+        for faults, row in inputs:
+            outcomes = {r: b ^ int(effects[row, r]) for r, b in held.items()}
+            try:
+                got = _probed_shot(prog, state, faults, outcomes)
+            except runtime.ShotError:  # the held branch is impossible on this path
+                continue
+            if got is not None:
+                assert (got ^ clean).tolist() == effects[row].tolist()
+                checked["fault" if faults else "collapse"] += 1
+                checked["probe"] += int(effects[row, width:].any())
+    assert min(checked.values()) > 20
 
 
 def test_stratum_lists_draw_on_bounded_tables():
@@ -353,7 +422,8 @@ def _draw_programs() -> list:
 def test_table_shots_make_the_closure_vm_draws(monkeypatch):
     # Every shot's draw counter after _table_shots equals the draws the
     # closure VM's ShotRng made for that shot, so each shot consumed exactly
-    # the serial draws whatever path the grid sent it down.
+    # the serial draws whatever path the grid sent it down; a program with
+    # an active array draws its collapses in its spans, for the path walk.
     made = []
 
     class Recorded(ShotStreams):
@@ -365,8 +435,9 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
     seen = set()
     # 81 sites: a stratum's draws run past its chunk's table of _MAX_WIDTH
     wide = compile_circuit(repetition_code_circuit(9, 9, 0.01))
-    assert len(wide.sites) > runtime._MAX_WIDTH
-    for prog in _draw_programs() + [compile_circuit(repetition_code_circuit(7, 7, 0.01)), wide]:
+    assert len(wide.sites) > _MAX_WIDTH
+    for prog in (_draw_programs() + [compile_circuit(repetition_code_circuit(7, 7, 0.01)), wide]
+                 + _active_programs()[::3]):
         tab = runtime._frame_table(prog)
         seen |= _kinds(tab) - {"moves"}
         seen.update("certain" for s in prog.sites if s.prob >= 1.0)
@@ -375,14 +446,15 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
         for stratum in _strata(prog) + [StratumSpec(prog, 0)] * (prog is wide):
             for keep in (True, False):
                 made.clear()
-                _table_shots(tab, 4, 10, 90, stratum, keep)
                 state = ShotState(prog, seed=4)
+                walk = (state, runtime._path_steps(prog, tab)) if prog.k_max else None
+                _table_shots(tab, 4, 10, 90, stratum, keep, walk)
                 draws = []
                 for shot in range(10, 90):
                     runtime._run(prog, code, state, shot, stratum)
                     draws.append(state.draws)
                 assert made[0].counts.tolist() == draws
-    assert seen == {_NOISE, _COIN, _CHECK, _SURE, "certain", "multi"}
+    assert seen == {_NOISE, _COIN, _CHECK, _SURE, _COLLAPSE, "certain", "multi"}
 
 
 @pytest.mark.parametrize("draw, coin", [(1 << 63, 1), ((1 << 63) - 1, 0)])
@@ -397,8 +469,7 @@ def test_coin_boundary_in_both_engines(monkeypatch, draw, coin):
 
     monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(draw))
     rng = ShotRng(0)
-    rng.widen(1)
-    rng._put(*rng._table(0, 2))
+    rng._put(*ShotStreams(0, 0, 2).table(slice(None), 1))
     rng._seat(1)  # a slot of a chunk's table
     assert rng._avail == 1
     assert (rng.uniform() >= 0.5) == coin
@@ -477,14 +548,18 @@ def test_mid_sized_repetition_code_samples_on_the_table(monkeypatch):
     assert runtime._frame_table(compile_circuit(repetition_code_circuit(101, 100, 1e-3))) is None
 
 
-def test_a_program_without_outputs_samples():
+def test_a_program_without_outputs_samples(monkeypatch):
     # no records, detectors or observables: a chunk still has shots, on the
-    # frame table and on the closure VM
-    for text, table in (("H 0\nS 0\n", True), ("H 0\nT 0\n", False)):
-        prog = compile_circuit(text)
-        assert (runtime._frame_table(prog) is not None) == table
-        assert [r.measurements.size for r in sample(prog, 3)] == [0, 0, 0]
-        assert sample_accumulate(prog, 3)["accepted"] == 3
+    # frame table, with and without a path walk, and on the closure VM
+    for text in ("H 0\nS 0\n", "H 0\nT 0\n"):
+        for table in (True, False):
+            with monkeypatch.context() as m:
+                if not table:
+                    m.setattr(runtime, "_frame_table", lambda prog: None)
+                prog = compile_circuit(text)
+                assert (runtime._frame_table(prog) is not None) == table
+                assert [r.measurements.size for r in sample(prog, 3)] == [0, 0, 0]
+                assert sample_accumulate(prog, 3)["accepted"] == 3
 
 
 # -- property test: small generated circuits -------------------------------------

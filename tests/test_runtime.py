@@ -19,7 +19,7 @@ from framesim.oracle import expand_factored, fidelity, dense_run
 from framesim.circuit import flatten, parse_circuit
 from framesim.pauli import PauliString
 from framesim.testing import crosscheck, random_circuit, random_fault_plan
-from framesim.rng import ShotRng, mix64
+from framesim.rng import _MAX_WIDTH, ShotRng, ShotStreams, mix64
 from framesim.runtime import (
     _row_form,
     BRANCH_FLOOR,
@@ -85,8 +85,7 @@ def test_rng_tabulated_draws_match_scalar_mixer():
     rng = ShotRng(seed, 0)
     lo, hi = 1000, 1300
     tab = ShotRng(seed)
-    tab.widen(runtime._MAX_WIDTH)
-    tab._put(*tab._table(lo, hi))
+    tab._put(*ShotStreams(seed, lo, hi).table(slice(None), _MAX_WIDTH))
     shots = list(range(300)) + [5, 6, 7, 2**64 - 1, 1000] + list(range(1001, 1300))
     for i, shot in enumerate(shots):
         rng.reset(shot)
@@ -94,7 +93,7 @@ def test_rng_tabulated_draws_match_scalar_mixer():
         if lo <= shot < hi:
             tab._seat(shot - lo)
             tab._count = 0
-            assert tab._avail == runtime._MAX_WIDTH
+            assert tab._avail == _MAX_WIDTH
             streams.append(tab)
         key = mix64(mix64(seed) ^ shot)
         draws = i % 7 if shot < 1100 else 90
@@ -124,8 +123,7 @@ def test_rng_uniform_below_one_at_max_draw(monkeypatch):
     # every tabulated draw is the largest one
     monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(2**64 - 1))
     tab = ShotRng(0)
-    tab.widen(2)
-    tab._put(*tab._table(0, 4))
+    tab._put(*ShotStreams(0, 0, 4).table(slice(None), 2))
     tab._seat(3)  # a slot of a chunk's table
     assert tab._avail == 2
     assert tab.uniform() < 1.0
@@ -262,8 +260,8 @@ def test_crosscheck_sees_a_wrong_vectorized_kernel(monkeypatch):
         if ins.gate != "H" or ins.axa != 1:
             return run
 
-        def swapped(st, group):
-            run(st, group)
+        def swapped(st):
+            run(st)
             v = st.buf[:ins.size].reshape(-1, 2, 2)
             v[:] = v[:, ::-1].copy()
 
@@ -294,7 +292,7 @@ def _kernel_run(ins, amps, frame_x=0, forced=None):
     st.frame_x = frame_x
     if forced is not None:
         st.forced_outcomes = {0: forced}
-    runtime._FACTORIES[type(ins)](ins, prog)(st, [st])
+    runtime._FACTORIES[type(ins)](ins, prog)(st)
     return st.active_view()
 
 
@@ -1143,9 +1141,10 @@ def test_closure_vm_matches_dense_oracle_property(seed, n, depth, rot_rate, meas
 
 
 def test_batched_kernels_match_each_row_alone():
-    # every kernel over a batch of three rows, rows 0 and 2 of class A and
-    # row 1 of class B, whose probe bits differ: each row ends as it does
-    # alone, a collapse forced to one branch halving every row
+    # every kernel over a batch of three rows, rows 0 and 2 of frame A and
+    # row 1 of frame B, whose probe bits differ: each row ends as it does
+    # alone, a collapse forced to one outcome halving every row, row 1 on
+    # the other branch, and laid out branch 0's rows first
     k, rows = 4, 3
     size = 1 << k
     rng = np.random.default_rng(11)
@@ -1159,18 +1158,25 @@ def test_batched_kernels_match_each_row_alone():
              MeasCollapse(0, 1, 0, 0, size, ((1, 0), (0, 1)), ())]
     cases += [ArrayGate(g, 0, None if g in "SH" else 1, a, None if g in "SH" else b, size)
               for g in ("S", "H", "CX", "CZ") for a, b in ((1, 3), (3, 0))]
+    bits = [0, 1, 0]  # each row's frame X bit of qubit 0
+    # the outcome 1 is branch 1 ^ bit: row 1 takes branch 0, laid out first
+    layout = [1, 0, 2]
     for ins in cases:
         st = ShotState(prog)
         st.buf[:rows * size] = amps.reshape(-1)
         st.k, st.rows = k, rows
-        st.forced_outcomes = {0: 1}
-        group = [SimpleNamespace(frame_x=0, frame_z=0, row=0, members=[0], out=bytearray(1)),
-                 SimpleNamespace(frame_x=1, frame_z=0, row=1, members=[1], out=bytearray(1))]
-        group.append(SimpleNamespace(frame_x=0, frame_z=0, row=2, members=[2], out=bytearray(1)))
-        bits = [c.frame_x for c in group]  # a collapse updates the frames
-        runtime._FACTORIES[type(ins)](ins, prog)(st, group)
+        at = [0, 1, 2]
+        if isinstance(ins, MeasCollapse):
+            probs, apply = runtime._collapse_kernel(ins)
+            apply(st, [1], [0, 2], probs(st))
+            at = layout
+        elif isinstance(ins, ArrayGate):
+            runtime._array_gate_kernel(ins)(st)
+        else:
+            (runtime._expand_kernel if isinstance(ins, Expand)
+             else runtime._array_rot_kernel)(ins)(st, bits)
         got = st.buf[:st.rows << st.k].reshape(st.rows, -1)
-        for c, bit, row in zip(group, bits, amps):
+        for r, (bit, row) in enumerate(zip(bits, amps)):
             want = _kernel_run(ins, row, frame_x=bit,
                                forced=1 if isinstance(ins, MeasCollapse) else None)
-            assert np.abs(got[c.row] - want).max() < 1e-12, (ins, c.row)
+            assert np.abs(got[at.index(r)] - want).max() < 1e-12, (ins, r)

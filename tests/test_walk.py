@@ -1,23 +1,24 @@
-"""The closure VM's group walk against groups of one, shot for shot.
+"""The frame table's path walk against shots alone, shot for shot.
 
-``sample`` and ``sample_accumulate`` walk each chunk of shots as one group,
-which runs each amplitude kernel once per path; ``run_shot`` and
-``runtime._run`` walk a group of one. Records, acceptance, weights and
-frames must agree exactly.
+``sample`` and ``sample_accumulate`` run each chunk of shots of a program
+with an active array on its frame table, whose path walk runs each
+amplitude kernel once per step over the batch of the chunk's paths;
+``run_shot`` and ``runtime._run`` run one shot on the closure VM. Records,
+acceptance and weights must agree exactly.
 """
 from __future__ import annotations
 
 import math
 import os
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import framesim.runtime as runtime
+import framesim.table as frametable
 from framesim.backend import MeasCollapse, compile_circuit
-from framesim.rng import ShotRng
+from framesim.rng import _MAX_WIDTH, ShotRng, ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
 from framesim.table import _GUARD
 from framesim.testing import random_circuit
@@ -100,122 +101,89 @@ def test_grouped_records_match_groups_of_one_over_a_pool(monkeypatch):
             _check_sampled(prog, i, stratum, workers=2)
 
 
-def _state_of(s) -> tuple:
-    return bytes(s.out), s.frame_x, s.frame_z, s.accepted
+def _watch(prog, watched) -> None:
+    """Replace the program's path-walk steps by ``watched(step)`` of each."""
+    steps = runtime._path_steps(prog, runtime._frame_table(prog))
+    runtime._cache(prog)["paths"] = [None if fn is None else watched(fn) for fn in steps]
 
 
-def _walk_group(prog, seed: int, faults: list, outcomes) -> list:
-    """Shots 0.. of ``prog`` walked as one group, which starts as one class,
-    shot i with the fault list ``faults[i]`` (all None, or all lists) and
-    all with the forced outcomes ``outcomes``; each shot's bytes, frame and
-    flag are its final class's."""
+def _rows_alone(prog, seed: int, lo: int, hi: int, stratum) -> np.ndarray:
+    """Shots [lo, hi) each run alone on the closure VM, as one row of
+    output bits per shot."""
     state = ShotState(prog, seed=seed)
-    group = runtime._classes(state, 0, len(faults), None)
-    if faults[0] is not None:
-        group[0].forced_faults = faults
-    state.forced_outcomes = outcomes
-    runtime._walk(prog, runtime._compiled(prog), state, group)
-    final = {slot: c for c in state.classes for slot in c.members}
-    return [_state_of(final[slot]) for slot in range(len(faults))]
+    code = runtime._compiled(prog)
+    rows = []
+    for shot in range(lo, hi):
+        runtime._run(prog, code, state, shot, stratum)
+        rec = runtime.make_record(prog, state)
+        rows.append(np.concatenate([rec.measurements, rec.detectors, rec.observables]))
+    return np.array(rows, dtype=np.uint8).reshape(hi - lo, -1)
 
 
-def _walk_alone(prog, seed: int, faults: list, outcomes) -> list:
-    state = ShotState(prog, seed=seed)
-    out = []
-    for shot, ff in enumerate(faults):
-        run_shot(prog, state, shot=shot, forced_faults=ff, forced_outcomes=outcomes)
-        out.append(_state_of(state))
-    return out
+def _sampled_rows(prog, state, seed: int, lo: int, hi: int, stratum) -> np.ndarray:
+    """Shots [lo, hi) of one ``_shot_rows`` chunk, unpacked."""
+    width = len(prog.user_records) + prog.num_detectors + prog.num_observables
+    rows, _ = runtime._shot_rows(prog, state, seed, lo, hi, stratum, True)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
 
 
-@pytest.mark.parametrize("need", [0, 5, runtime._MAX_WIDTH + 10])
+@pytest.mark.parametrize("need", [0, 5, _MAX_WIDTH + 10])
 def test_a_sampled_shot_draws_its_scalar_stream(need):
-    # a class of a chunk's shots at lo > 0 reads their slots of one table;
-    # with no tabulated draw, 5 of them, and the most a table holds, each
-    # member's draws equal a fresh scalar stream's, past the table too,
-    # and so do those of a class of one that leaves it midway
+    # a chunk's shots at lo > 0 draw from its streams: a grid of ``need``
+    # draws from each shot's counter, then draws one at a time; each shot's
+    # uniforms, coins and exponentials equal a fresh scalar stream's
     lo, hi = 1000, 1040
-    rng = ShotRng(77, 0)
-    rng.widen(need)
-    keys, uniforms, width = rng._table(lo, hi)
-    assert width == min(need, runtime._MAX_WIDTH)
-    cls = runtime._ShotClass(keys, uniforms, width, np.arange(hi - lo), bytearray())
+    streams = ShotStreams(77, lo, hi)
+    rows = np.arange(hi - lo)
     alone = [ShotRng(77, shot) for shot in range(lo, hi)]
-    draws = runtime._MAX_WIDTH + 16
-    for c in range(draws):
-        assert cls.uniform_each(cls.members).tolist() == [a.uniform() for a in alone]
-        if c == draws // 2:
-            state = SimpleNamespace(classes=[])
-            one = runtime._part(state, cls, cls.members[7:8])
-            cls.keep(cls.members[cls.members != 7])
-            assert state.classes == [one] and one.members.tolist() == [7]
-            draws_of = (ShotRng.uniform, lambda r: r.uniform() >= 0.5, ShotRng.exponential)
-            for d in range(16):  # a uniform, a coin, an exponential, ...
-                assert draws_of[d % 3](one) == draws_of[d % 3](alone[7])
-            assert one.draws == alone[7].draws
-            del alone[7]
-    assert cls.draws == draws and all(a.draws == draws for a in alone)
+    grid = streams.uniforms(rows, streams.counts, need)
+    streams.counts += np.uint64(need)
+    for c in range(need):
+        assert grid[:, c].tolist() == [a.uniform() for a in alone]
+    for d in range(_MAX_WIDTH + 16):
+        u = streams.uniform(rows).tolist()
+        if d % 3 == 0:  # a uniform, a coin, an exponential, ...
+            assert u == [a.uniform() for a in alone]
+        elif d % 3 == 1:
+            assert [x >= 0.5 for x in u] == [a.uniform() >= 0.5 for a in alone]
+        else:
+            assert [-math.log1p(-x) for x in u] == [a.exponential() for a in alone]
+    assert streams.counts.tolist() == [a.draws for a in alone]
+    assert all(a.draws == need + _MAX_WIDTH + 16 for a in alone)
 
 
 def test_a_chunk_tabulates_once_and_builds_no_stream(monkeypatch):
-    # one table of draws per _shot_rows chunk, and no ShotRng constructed
-    # for its shots, with or without a stratum
+    # one ShotStreams per _shot_rows chunk, and no ShotRng constructed for
+    # its shots; a stratum's fault lists take one stream of the chunk's table
     prog = compile_circuit("H 0\nT 0\n" + "H 1\nDEPOLARIZE1(0.2) 1\nM 1\n" * 5 + "M 0\n")
     assert prog.k_max == 1
     for stratum in (None, StratumSpec(prog, 2)):
         state = ShotState(prog, seed=3)
         calls = []
-        table, init = ShotRng._table, ShotRng.__init__
+        streams, init = ShotStreams.__init__, ShotRng.__init__
 
-        def tabled(self, lo, hi):
-            calls.append("table")
-            return table(self, lo, hi)
+        def tabled(self, *args):
+            calls.append("streams")
+            streams(self, *args)
 
         def built(self, *args):
             calls.append("init")
             init(self, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(ShotRng, "_table", tabled)
+            m.setattr(ShotStreams, "__init__", tabled)
             m.setattr(ShotRng, "__init__", built)
             _, flags = runtime._shot_rows(prog, state, 3, 100, 400, stratum, True)
-        assert calls == ["table"] and len(flags) == 300
-
-
-def test_forced_faults_and_outcomes_in_a_group():
-    # each shot its own fault list, some cases drawn when their block runs;
-    # a random part of the collapses forced, shrunk until every shot alone
-    # can take it
-    rng = np.random.default_rng(7)
-    forced_runs = 0
-    for i, prog in enumerate(_corpus(20)):
-        faults = []
-        for _ in range(40):
-            fired = np.flatnonzero(rng.random(len(prog.sites)) < 0.15)
-            faults.append([(int(s), None if rng.random() < 0.3
-                            else int(rng.integers(len(prog.sites[s].case_x))))
-                           for s in fired])
-        records = [ins.record for ins in prog.instrs if isinstance(ins, MeasCollapse)]
-        chosen = [r for r in records if rng.random() < 0.5]
-        while True:
-            outcomes = {r: int(rng.integers(2)) for r in chosen}
-            try:
-                alone = _walk_alone(prog, i, faults, outcomes)
-                break
-            except runtime.ShotError:
-                chosen = chosen[:len(chosen) // 2]
-        forced_runs += bool(chosen)
-        assert _walk_group(prog, i, faults, outcomes) == alone
-    assert forced_runs >= 5
+        assert calls == ["streams"] + ["init"] * (stratum is not None) and len(flags) == 300
 
 
 def test_a_branch_floor_flip_shares_its_branch(monkeypatch):
     # qubit 0 measures 1 with probability 1 - 2.5e-13, so a draw at or above
     # it takes branch 0 below the floor and flips to branch 1, at branch
-    # 1's own probability; the patched draw sends about half the draws there
-    # and so does the patched draw of a class's members
+    # 1's own probability; the patched draws send about half the draws
+    # there, those of a shot alone and those of a chunk's streams
     flips = []
-    uniform, uniform_each = ShotRng.uniform, ShotRng.uniform_each
+    uniform, uniforms, each = ShotRng.uniform, ShotStreams.uniforms, ShotStreams.uniform
 
     def patched(self):
         u = uniform(self)
@@ -224,23 +192,23 @@ def test_a_branch_floor_flip_shares_its_branch(monkeypatch):
             return 1 - 2.0 ** -53
         return u
 
-    def patched_each(self, slots):
-        us = uniform_each(self, slots)
+    def lifted(us):
         low = us < 0.5
         flips.extend(us[low].tolist())
         us[low] = 1 - 2.0 ** -53
         return us
 
     monkeypatch.setattr(ShotRng, "uniform", patched)
-    monkeypatch.setattr(ShotRng, "uniform_each", patched_each)
+    monkeypatch.setattr(ShotStreams, "uniforms", lambda *args: lifted(uniforms(*args)))
+    monkeypatch.setattr(ShotStreams, "uniform", lambda *args: lifted(each(*args)))
     prog = compile_circuit(f"H 1\nT 1\nCX 1 0\nR_Y({math.pi - 1e-6!r}) 0\nM 0\n"
                            "T 1\nH 1\nM 1\nT 0\nH 0\nM 0 1\n")
     assert prog.k_max > 0 and any(isinstance(i, MeasCollapse) for i in prog.instrs)
-    faults = [None] * 64
-    assert _walk_group(prog, 3, faults, None) == _walk_alone(prog, 3, faults, None)
-    assert flips
     alone = _alone(prog, 64, 3, None)
+    assert flips
+    flips.clear()
     assert [_tuple(r) for r in sample(prog, 64, seed=3)] == alone
+    assert flips
 
 
 def _deterministic_program():
@@ -279,9 +247,9 @@ def test_one_path_runs_each_kernel_once_per_chunk(monkeypatch):
     assert len(calls) == per_shot
 
 
-def test_frame_work_runs_once_per_class(monkeypatch):
-    # N shots that agree on every draw stay one class, whose frame steps
-    # conjugate one frame: as many calls as one shot alone
+def test_sampling_conjugates_no_frame(monkeypatch):
+    # the frame table holds the frame work: N sampled shots conjugate no
+    # frame, where one shot alone conjugates one per frame word
     prog = _deterministic_program()
     runtime._compiled(prog)  # specialized before counting
     calls = []
@@ -293,37 +261,31 @@ def test_frame_work_runs_once_per_class(monkeypatch):
 
     monkeypatch.setattr(runtime, "_conjugate_frame", counted)
     run_shot(prog, ShotState(prog), shot=0)
-    per_shot = len(calls)
-    assert per_shot > 20
-    assert runtime._fold_shots(prog) >= 40  # one chunk
+    assert len(calls) > 20
     calls.clear()
     assert not sample_accumulate(prog, 40, seed=2)["measurements"].any()
-    assert len(calls) == per_shot
+    assert calls == []
 
 
-def test_a_certain_site_of_one_case_keeps_its_class():
-    # X_ERROR(1) draws nothing, so the class takes it whole; only members
-    # whose DEPOLARIZE1 fault fires in the same block leave, each alone,
-    # and every shot's bytes are still its own walk's
+def test_a_certain_site_of_one_case_fires_in_every_shot():
+    # X_ERROR(1) draws nothing and fires in every shot, whose DEPOLARIZE1
+    # fault in the same block may fire too; every shot's record is its own
+    # shot's alone
     prog = compile_circuit("H 0\nT 0\nX_ERROR(1) 1\nDEPOLARIZE1(0.01) 1\nM 1\n")
     assert prog.k_max == 1 and [s.prob for s in prog.sites] == [1.0, 0.01]
     assert sum(isinstance(i, runtime.NoiseBlock) for i in prog.instrs) == 1
-    shots = 200
-    state = ShotState(prog, seed=5)
-    runtime._walk(prog, runtime._compiled(prog), state, runtime._classes(state, 0, shots, None))
-    sizes = sorted(len(c.members) for c in state.classes if len(c.members))
-    assert sizes[:-1] == [1] * (len(sizes) - 1) and sizes[-1] > shots * 0.9
-    final = {slot: c for c in state.classes for slot in c.members}
-    alone = _walk_alone(prog, 5, [None] * shots, None)
-    assert [_state_of(final[slot]) for slot in range(shots)] == alone
+    shots = 1000
+    alone = _alone(prog, shots, 5, None)
+    assert [_tuple(r) for r in sample(prog, shots, seed=5)] == alone
+    assert shots * 0.99 < sum(r[0][0] for r in alone) < shots
 
 
-def test_a_hazard_skip_inside_the_guard_leaves_its_class_without_a_fault(monkeypatch):
+def test_a_hazard_skip_inside_the_guard_fires_no_fault(monkeypatch):
     # shot 5's X_ERROR(0.01) skip is planted where its target equals the
     # segment's end S[b]: numpy's test cannot clear it, since its target is
-    # not below S[b] + _GUARD, so the shot leaves for a class of one; there
-    # the exact arithmetic finds no fault, and its bytes are a group of
-    # one's, M 1 reading 0
+    # not below S[b] + _GUARD, so the shot runs the segment's exact
+    # arithmetic, which finds no fault; its record is a shot alone's, M 1
+    # reading 0
     prog = compile_circuit("H 0\nT 0\nX_ERROR(0.01) 1\nM 1\nM 0\n")
     assert type(prog.instrs[0]) is runtime.NoiseBlock and prog.record_count == 2
     s_b = prog.cum_hazard[1]
@@ -331,22 +293,24 @@ def test_a_hazard_skip_inside_the_guard_leaves_its_class_without_a_fault(monkeyp
     while -math.log1p(-u) < s_b or -np.log1p(-u) < s_b:
         u = math.nextafter(u, 1.0)
     assert s_b <= -np.log1p(-u) < s_b + _GUARD * max(s_b, 1.0)
-    shot, table = 5, ShotRng._table
+    shot, uniforms, segment = 5, ShotStreams.uniforms, frametable._segment
+    exact = []
 
-    def planted(self, lo, hi):  # the noise block's draw is each shot's first
-        keys, uniforms, width = table(self, lo, hi)
-        if lo <= shot < hi:
-            uniforms.obj[(shot - lo) * width] = u
-        return keys, uniforms, width
+    def planted(self, rows, start, n):  # the noise block's draw is each shot's first
+        out = uniforms(self, rows, start, n)
+        out[(rows == shot) & (start == 0), 0] = u
+        return out
 
-    monkeypatch.setattr(ShotRng, "_table", planted)
+    def counted(tab, streams, fire, rows, *args):
+        exact.extend(rows.tolist())
+        return segment(tab, streams, fire, rows, *args)
+
+    monkeypatch.setattr(ShotStreams, "uniforms", planted)
+    monkeypatch.setattr(frametable, "_segment", counted)
     shots = 64
-    state = ShotState(prog, seed=2)
-    runtime._walk(prog, runtime._compiled(prog), state, runtime._classes(state, 0, shots, None))
-    final = {slot: c for c in state.classes for slot in c.members}
-    assert len(final[shot].members) == 1
-    alone = _walk_alone(prog, 2, [None] * shots, None)
-    assert [_state_of(final[slot]) for slot in range(shots)] == alone
+    alone = _alone(prog, shots, 2, None)
+    assert [_tuple(r) for r in sample(prog, shots, seed=2)] == alone
+    assert exact == [shot]
     assert alone[shot][0][0] == 0
 
 
@@ -367,17 +331,16 @@ def test_live_snapshots_stay_within_log2_of_the_group(monkeypatch):
     live = []
 
     def watched(fn):
-        def step(st, group):
+        def step(st, part, *args):
             live.append(len(st.pending))
-            return fn(st, group)
+            return fn(st, part, *args)
         return step
 
-    code = [watched(fn) for fn in runtime._compiled(prog)]
+    _watch(prog, watched)
     for shots in (1, 2, 3, 64, 100):
         live.clear()
         state = ShotState(prog, seed=shots)
-        group = runtime._classes(state, 0, shots, None)  # one class
-        runtime._walk(prog, code, state, group)
+        runtime._shot_rows(prog, state, shots, 0, shots, None, True)  # one part
         assert max(live) <= math.floor(math.log2(shots))
         if shots >= 64:
             assert max(live) >= 3  # it forked
@@ -401,14 +364,13 @@ def test_snapshot_budget_caps_the_chunks(monkeypatch):
         return rows(prog, engine, seed, lo, hi, *rest)
 
     def watched(fn):
-        def step(st, group):
-            live.append(sum(16 * len(snap[1]) for _, _, snap in st.pending if snap))
-            return fn(st, group)
+        def step(st, part, *args):
+            live.append(sum(16 * len(p.snap[1]) for p in st.pending if p.snap))
+            return fn(st, part, *args)
         return step
 
-    code = [watched(fn) for fn in runtime._compiled(prog)]
+    _watch(prog, watched)
     monkeypatch.setattr(runtime, "_shot_rows", counted)
-    monkeypatch.setattr(runtime, "_compiled", lambda prog: code)
     assert [_tuple(r) for r in sample(prog, 100, seed=4)] == want
     assert sizes == [15] * 6 + [10]
     assert 0 < max(live) <= budget
@@ -430,8 +392,7 @@ def test_a_chunk_holds_its_walk_state_within_the_fold_budget():
     for stratum in (None, StratumSpec(prog, 5), StratumSpec(prog, 40)):
         n = runtime._fold_shots(prog, stratum)
         state = ShotState(prog, seed=1)
-        runtime._shot_rows(prog, state, 1, 0, n, stratum, True)  # widens the table
-        assert len(state._table(0, 1)[1]) == 64
+        runtime._shot_rows(prog, state, 1, 0, n, stratum, True)
         tracemalloc.start()
         try:
             runtime._shot_rows(prog, state, 1, n, 2 * n, stratum, True)
@@ -551,24 +512,22 @@ def test_a_batch_holds_its_rows_within_the_capacity(make, shots):
     seen = []
 
     def watched(fn):
-        def step(st, group):
+        def step(st, part, *args):
             assert st.rows << st.k <= cap
-            snaps = [snap for _, _, snap in st.pending if snap is not None]
+            snaps = [p.snap for p in st.pending if p.snap is not None]
             assert sum(len(entries) for _, entries in snaps) <= runtime._snapshots(prog.k_max) * cap
             assert len(snaps) <= math.floor(math.log2(shots))
             seen.append(st.rows)
-            split = fn(st, group)
+            split = fn(st, part, *args)
             assert st.rows << st.k <= cap
             return split
         return step
 
-    code = [watched(fn) for fn in runtime._compiled(prog)]
+    _watch(prog, watched)
     state = ShotState(prog, seed=3)
-    runtime._walk(prog, code, state, runtime._classes(state, 0, shots, None))
+    rows = _sampled_rows(prog, state, 3, 0, shots, None)
     assert max(seen) > 1  # some step ran a batch of several rows
-    final = {slot: c for c in state.classes for slot in c.members.tolist()}
-    assert [_state_of(final[slot]) for slot in range(shots)] == \
-        _walk_alone(prog, 3, [None] * shots, None)
+    assert (rows == _rows_alone(prog, 3, 0, shots, None)).all()
 
 
 def test_k10_records_match_each_shot_alone():
@@ -581,29 +540,18 @@ def test_k10_records_match_each_shot_alone():
     assert [_tuple(r) for r in sample(prog, shots, seed=8)] == alone
 
 
-def _rows_per_shot(prog, seed: int, lo: int, hi: int, stratum) -> np.ndarray:
-    """Shots [lo, hi) walked as one group, each shot's output row read from
-    its final class one shot at a time."""
-    state = ShotState(prog, seed=seed)
-    runtime._walk(prog, runtime._compiled(prog), state, runtime._classes(state, lo, hi, stratum))
-    final = {slot: c for c in state.classes for slot in c.members.tolist()}
-    cols = runtime._columns(prog)
-    rows = [np.frombuffer(bytes(final[slot].out), dtype=np.uint8) for slot in range(hi - lo)]
-    return np.array([r if cols is None else r[cols] for r in rows])
-
-
-def test_rows_built_per_class_equal_rows_built_per_shot(monkeypatch):
-    # postselected corpus programs and a stratum: a chunk's rows gathered
-    # from its final classes equal each shot's row; sample_accumulate sums
-    # sample's accepted records; keep_rejected=False drops exactly the
-    # rejected shots; and a pool of two gives the serial records
+def test_chunk_rows_equal_rows_built_per_shot(monkeypatch):
+    # postselected corpus programs and a stratum: a chunk's rows equal each
+    # shot's row alone; sample_accumulate sums sample's accepted records;
+    # keep_rejected=False drops exactly the rejected shots; and a pool of
+    # two gives the serial records
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rejected = strata = 0
     for i, prog in enumerate(_corpus(9)):
         for stratum in (None, StratumSpec(prog, 1) if prog.sites else None):
             strata += stratum is not None
-            rows, _ = runtime._shot_rows(prog, ShotState(prog, seed=i), i, 10, 70, stratum, True)
-            assert (rows == _rows_per_shot(prog, i, 10, 70, stratum)).all()
+            rows = _sampled_rows(prog, ShotState(prog, seed=i), i, 10, 70, stratum)
+            assert (rows == _rows_alone(prog, i, 10, 70, stratum)).all()
             records = [_tuple(r) for r in sample(prog, 70, seed=i, stratum=stratum)]
             kept = [_tuple(r) for r in sample(prog, 70, seed=i, stratum=stratum,
                                               keep_rejected=False)]
