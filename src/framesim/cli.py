@@ -85,9 +85,20 @@ def _format_bits(rec: ShotRecord) -> str:
     return (bits + ord("0")).tobytes().decode()
 
 
+def _bad_seed(seed: int) -> bool:
+    """Whether ``--seed`` lies outside the streams' seeds, [0, 2^64), which
+    it then reports."""
+    if 0 <= seed < 1 << 64:
+        return False
+    print(f"error: --seed must be in [0, 2^64), got {seed}", file=sys.stderr)
+    return True
+
+
 def cmd_sample(args) -> int:
     if args.shots < 1:
         print("error: --shots must be >= 1", file=sys.stderr)
+        return 2
+    if _bad_seed(args.seed):
         return 2
     workers = args.workers
     if workers is not None and workers < 1:
@@ -156,6 +167,8 @@ def cmd_validate(args) -> int:
         if getattr(args, name) < 0:
             print(f"error: --{name} must be >= 0, got {getattr(args, name)}", file=sys.stderr)
             return 2
+    if _bad_seed(args.seed):
+        return 2
     failures = run_validation_suite(seed=args.seed, mirrors=args.mirrors,
                                     fuzz=args.fuzz)
     if args.self_test:

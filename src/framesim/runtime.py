@@ -20,7 +20,9 @@ row whose shots read both; past the capacity the rows of fewer shots stay
 and the others are deferred with a snapshot of their rows, so at most
 floor(log2 shots) snapshots live at once. ``MeasCollapse`` computes its
 branch probability per row and lays out the branches taken as the next
-batch's rows, which always fit.
+batch's rows, which always fit. Only the walk's steps run under a small
+ufunc buffer, ``table._WALK_BUF`` elements; spans, checks, the closure VM
+and the caller keep their own.
 
 ``_chunks`` picks the engine once per call, before any fork, and runs the
 shots in chunks sized by ``_fold_shots`` (and, for ``sample``'s first,
@@ -130,6 +132,7 @@ class ShotState(ShotRng):
                  "forced_faults", "forced_outcomes", "active_virtuals", "_clear")
 
     def __init__(self, prog: BytecodeProgram, seed: int = 0):
+        seed = _word(seed, "seed")
         self.n = prog.n
         self.k_max = prog.k_max
         cap = 1 << prog.k_max
@@ -973,10 +976,12 @@ def run_shot(prog: BytecodeProgram, state: ShotState | None = None, shot: int = 
     samples the faults. ``forced_outcomes`` maps record indices to the
     outcome, 0 or 1, a measurement must give. Sites that do not increase
     strictly from 0, a case that is not one of its site's, a negative
-    record or another outcome raise ``ValueError``. Sites and records past
-    the program's last are ignored: ``testing.crosscheck`` hands each
-    prefix of a circuit the whole circuit's plans.
+    record or another outcome raise ``ValueError``, as do a ``shot`` or
+    ``seed`` outside [0, 2^64). Sites and records past the program's last
+    are ignored: ``testing.crosscheck`` hands each prefix of a circuit the
+    whole circuit's plans.
     """
+    shot, seed = _word(shot, "shot"), _word(seed, "seed")
     if forced_faults is not None or forced_outcomes is not None:
         _check_forced(prog, forced_faults, forced_outcomes)
     if state is None:
@@ -1120,6 +1125,15 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
+def _word(value, name: str) -> int:
+    """``value``, a seed or a shot index, as an int in [0, 2^64), or a
+    ValueError naming it as ``name``: the streams would wrap it."""
+    value = _integer(value, name)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} {value} is outside [0, 2^64)")
+    return value
+
+
 def _bounds(shots: int, first: int, most: int):
     """The (lo, hi) of each chunk of shots [0, ``shots``): ``first`` shots,
     then ``most`` at a time. The bounds are made as they are taken."""
@@ -1175,6 +1189,7 @@ def _chunks(prog: BytecodeProgram, shots: int, seed: int, workers: int, stratum,
     comes soon. Without it the first chunk is full size too, so that more
     shots share each path."""
     shots, workers = _integer(shots, "shots"), _integer(workers, "workers")
+    seed = _word(seed, "seed")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if workers < 1:
@@ -1216,11 +1231,12 @@ def sample(prog: BytecodeProgram, shots: int, seed: int = 0, workers: int = 1,
     weight and noise sites are forced per its conditional law. Records
     arrive a chunk of shots at a time, as row views of the chunk's bits.
 
-    ``workers`` must be at least 1, and is capped at the shot count and
-    ``os.cpu_count()``. A fork pool starts only when that leaves more than
-    one worker and, for a frame-table program, when each worker gets more
-    than a whole chunk of shots; below that the pool costs more than the
-    shots, and this process samples alone.
+    ``seed`` must be an integer in [0, 2^64), and ``workers`` at least 1;
+    ``workers`` is capped at the shot count and ``os.cpu_count()``. A fork
+    pool starts only when that leaves more than one worker and, for a
+    frame-table program, when each worker gets more than a whole chunk of
+    shots; below that the pool costs more than the shots, and this process
+    samples alone.
     """
     weight = 1.0 if stratum is None else stratum.weight
     nm = len(prog.user_records)

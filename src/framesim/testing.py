@@ -212,14 +212,16 @@ def _pad_instruction(n: int):
 
 def run_validation_suite(seed: int = 0, mirrors: int = 20, fuzz: int = 40,
                          shots_per_mirror: int = 200, verbose: bool = False) -> list[str]:
-    """Mirror determinism + forced-trajectory oracle equivalence; returns failures."""
+    """Mirror determinism + forced-trajectory oracle equivalence; returns
+    failures. Each program's stream seed is ``seed`` plus its number, modulo
+    2^64, so every seed in [0, 2^64) runs."""
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     for i in range(mirrors):
         n = int(rng.integers(1, 6))
         circ = random_mirror_circuit(rng, n, int(rng.integers(1, 7)))
         prog = compile_circuit(circ)
-        state = ShotState(prog, seed=seed + i)
+        state = ShotState(prog, seed=(seed + i) % (1 << 64))
         for shot in range(shots_per_mirror):
             rec = run_shot(prog, state, shot=shot)
             if rec.measurements.any():
@@ -231,7 +233,7 @@ def run_validation_suite(seed: int = 0, mirrors: int = 20, fuzz: int = 40,
                               reset_rate=0.05, feedforward_rate=0.1)
         plan = random_fault_plan(circ, rng)
         try:
-            res = crosscheck(circ, seed=seed + 1000 + i, fault_plan=plan)
+            res = crosscheck(circ, seed=(seed + 1000 + i) % (1 << 64), fault_plan=plan)
         except Exception as exc:  # report, don't mask
             failures.append(f"fuzz {i}: exception {exc!r}")
             continue

@@ -336,6 +336,22 @@ def test_validate_negative_count_is_usage_error(capsys, flag):
     assert captured.err.startswith(f"error: {flag}")
 
 
+@pytest.mark.parametrize("command", ["sample", "validate"])
+def test_a_seed_outside_the_streams_is_a_usage_error(mirror_file, capsys, command):
+    # the streams take seeds in [0, 2^64); argparse refuses a float itself
+    argv = ([command, mirror_file, "--shots", "3"] if command == "sample"
+            else [command, "--mirrors", "1", "--fuzz", "1"])
+    for seed in ("-1", str(2**64)):
+        assert main(argv + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --seed must be in [0, 2^64), got {seed}")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1.5"])
+    assert exc.value.code == 2
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+
+
 @pytest.mark.parametrize("command", ["compile", "sample"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
 def test_unreadable_circuit_is_an_error(tmp_path, capsys, command, kind):

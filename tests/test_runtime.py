@@ -429,6 +429,27 @@ def test_shot_count_below_one_is_refused(text, shots):
             run(prog, shots)
 
 
+@pytest.mark.parametrize("text", [ACTIVE, "H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n"],
+                         ids=["closure_vm", "frame_table"])
+@pytest.mark.parametrize("value", [-1, 2**64, 1.5])
+def test_a_seed_or_shot_outside_the_streams_is_refused(text, value):
+    # the streams take a seed and a shot index modulo 2^64, so -1 would
+    # give 2^64 - 1's records and 2^64 seed 0's; a float is no integer
+    prog = compile_circuit(text)
+    calls = [("seed", lambda: list(sample(prog, 3, seed=value))),
+             ("seed", lambda: sample_accumulate(prog, 3, seed=value)),
+             ("seed", lambda: ShotState(prog, seed=value)),
+             ("seed", lambda: run_shot(prog, seed=value)),
+             ("shot", lambda: run_shot(prog, shot=value))]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} {value}"):
+            call()
+    last = 2**64 - 1  # the last seed and shot run
+    assert _record_tuple(next(sample(prog, 1, seed=last))) == _record_tuple(
+        run_shot(prog, ShotState(prog, seed=np.uint64(last)), shot=0))
+    run_shot(prog, shot=last, seed=last)
+
+
 @pytest.mark.parametrize("text", [ACTIVE, "H 0\nM 0\nDEPOLARIZE1(0.2) 0\nM 0\n",
                                   "X_ERROR(0.1) 0 1 2\nM 0 1 2\n"])
 def test_workers_below_one_and_a_fractional_stratum_are_refused(text):

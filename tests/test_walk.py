@@ -17,7 +17,7 @@ import pytest
 
 import framesim.runtime as runtime
 import framesim.table as frametable
-from framesim.backend import MeasCollapse, compile_circuit
+from framesim.backend import MeasCollapse, PostSelectIns, compile_circuit
 from framesim.rng import _MAX_WIDTH, ShotRng, ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
 from framesim.table import _GUARD
@@ -528,6 +528,57 @@ def test_a_batch_holds_its_rows_within_the_capacity(make, shots):
     rows = _sampled_rows(prog, state, 3, 0, shots, None)
     assert max(seen) > 1  # some step ran a batch of several rows
     assert (rows == _rows_alone(prog, 3, 0, shots, None)).all()
+
+
+def test_the_walk_buffer_stays_inside_the_walk_steps(monkeypatch):
+    # the path walk's steps run under _WALK_BUF; the spans, the checks and
+    # the closure VM under the caller's buffer size, which is back after a
+    # call, a partly consumed stream and a shot that fails mid-walk; and the
+    # buffer size changes no sum
+    prog = next(p for p in _corpus(9) if any(type(i) is PostSelectIns for i in p.instrs))
+    seen = {"step": set(), "span": set(), "check": set(), "shot": set()}
+
+    def spy(name, fn):
+        def call(*args):
+            seen[name].add(np.getbufsize())
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(frametable, "_span", spy("span", frametable._span))
+    monkeypatch.setattr(frametable, "_check", spy("check", frametable._check))
+    _watch(prog, lambda fn: spy("step", fn))
+    calls = 0
+
+    def failing(fn):
+        def step(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 5:
+                raise runtime.ShotError("planted")
+            return fn(*args)
+        return step
+
+    with np.errstate():
+        np.setbufsize(4096)
+        sample_accumulate(prog, 50, seed=1)
+        assert np.getbufsize() == 4096
+        stream = sample(prog, 50, seed=1)
+        next(stream)
+        assert np.getbufsize() == 4096
+        stream.close()
+        run_shot(prog, shot=3, trace=lambda st, ins: seen["shot"].add(np.getbufsize()))
+        assert seen == {"step": {frametable._WALK_BUF}, "span": {4096}, "check": {4096},
+                        "shot": {4096}}
+        _watch(prog, failing)
+        with pytest.raises(runtime.ShotError, match="planted"):
+            sample_accumulate(prog, 50, seed=1)
+        assert np.getbufsize() == 4096
+    rot = _rot_n14_program()
+    want = sample_accumulate(rot, 200)
+    monkeypatch.setattr(frametable, "_WALK_BUF", 8192)
+    got = sample_accumulate(rot, 200)
+    for key in ("measurements", "detectors", "observables"):
+        assert (got[key] == want[key]).all()
 
 
 def test_k10_records_match_each_shot_alone():
