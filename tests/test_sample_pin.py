@@ -28,6 +28,7 @@ WORKED_MIRROR = "H 0\nT 0\nT 0\nT 0\nCX 0 1\nDEPOLARIZE1(0.001) 0 1\nCX 0 1\nT_D
 
 SAMPLE_SHA256 = "5bb6749478c4fa69067285eb03d0955a9d7262dd17a710140b48ade47cab526d"
 SPLIT_SHA256 = "e2ef12041584438691e76333a02b5d78c560964465bedcfcc3713e564b9db853"
+WALK_SHA256 = "90fd64eefffb38de2aaffc49f94b24873654f02343eccba2ef29b484c63b49f7"
 
 COINS = "H 0\nT 0\n" + "".join(f"H {q}\nM {q}\n" for q in range(1, 21))
 FORKING = ("".join(f"H {q}\nT {q}\n" for q in range(1, 5))
@@ -77,21 +78,38 @@ def _split_programs():
     yield noisy, 1200, [None, StratumSpec(noisy, 2)]
 
 
+def _records(h, records) -> None:
+    for r in records:
+        h.update(r.measurements.tobytes() + r.detectors.tobytes() + r.observables.tobytes())
+        h.update(repr((r.accepted, r.weight)).encode())
+    h.update(b"\1")
+
+
+def _totals(h, acc: dict) -> None:
+    for key in ("measurements", "detectors", "observables"):
+        h.update(acc[key].astype(np.int64).tobytes())
+    h.update(repr((acc["shots"], acc["accepted"], acc["weight_sum"])).encode())
+    h.update(b"\0")
+
+
 def _digest(programs) -> str:
     h = hashlib.sha256()
     for seed, (prog, shots, strata) in enumerate(programs):
         for stratum in strata:
             for keep in (True, False):
-                for r in sample(prog, shots, seed=seed, stratum=stratum, keep_rejected=keep):
-                    h.update(r.measurements.tobytes() + r.detectors.tobytes()
-                             + r.observables.tobytes())
-                    h.update(repr((r.accepted, r.weight)).encode())
-                h.update(b"\1")
-            acc = sample_accumulate(prog, shots, seed=seed, stratum=stratum)
-            for key in ("measurements", "detectors", "observables"):
-                h.update(acc[key].astype(np.int64).tobytes())
-            h.update(repr((acc["shots"], acc["accepted"], acc["weight_sum"])).encode())
-            h.update(b"\0")
+                _records(h, sample(prog, shots, seed=seed, stratum=stratum, keep_rejected=keep))
+            _totals(h, sample_accumulate(prog, shots, seed=seed, stratum=stratum))
+    return h.hexdigest()
+
+
+def _walk_digest() -> str:
+    prog = compile_circuit(random_circuit(np.random.default_rng(0), 14, 400, p_noise=1e-3,
+                                          rot_rate=0.3, measure_rate=0.03))
+    assert prog.k_max == 14
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        _totals(h, sample_accumulate(prog, 200, seed=seed))
+    _records(h, sample(prog, 40, seed=2))
     return h.hexdigest()
 
 
@@ -101,3 +119,7 @@ def test_sampled_records_are_pinned():
 
 def test_records_of_parting_shots_are_pinned():
     assert _digest(_split_programs()) == SPLIT_SHA256
+
+
+def test_records_of_the_walk_at_capacity_are_pinned():
+    assert _walk_digest() == WALK_SHA256
