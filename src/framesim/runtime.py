@@ -36,7 +36,7 @@ import itertools
 import math
 import os
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from operator import index
 
@@ -74,8 +74,10 @@ _STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
 # share of its list's header and spare slots (33-42 bytes measured with
 # tracemalloc, Python 3.11)
 _STRATUM_ENTRY_BYTES = 40
-# shots of a part up to which a probe step tests its rows' bits in Python:
-# a numpy call costs about a microsecond whatever its size
+# shots of a part up to which the path walk's steps keep its bookkeeping in
+# Python lists (a probe step's keys, _relayout's count, layout and split, a
+# collapse's branches, fired rows and layout): a numpy call costs about a
+# microsecond whatever its size
 _FEW = 16
 # floats of the longest dot: OpenBLAS runs one of more than 10^4 on several
 # threads, which doubled the CPU time of a 2^14-entry program's shots on a
@@ -523,7 +525,8 @@ def _collapse_kernel(ins: MeasCollapse) -> tuple:
     def make(st):
         """(copy, halves, ones, v0, v1, w1, out): the copy that fills the
         halves unless they are each row's two slices; the :func:`_runs` of
-        the (rows, 2, half) halves and of ``w1``; the branches as (rows,
+        the (rows, 2, half) halves and, if row 1 mixes the branches, of
+        ``w1``; the branches as (rows,
         lanes, half / lanes); branch 1's work rows ``w1``, past branch 0's
         output rows; and up to two output rows per row, in the buffer that
         does not hold the halves, transposed from ``lanes``."""
@@ -548,8 +551,8 @@ def _collapse_kernel(ins: MeasCollapse) -> tuple:
         v0, v1 = (halves[:, i].reshape(rows, lanes, -1) for i in (0, 1))
         w1 = dst[n >> 1:n].reshape(rows, lanes, -1)
         out = dst[:n].reshape(2 * rows, -1, lanes).transpose(0, 2, 1)
-        return copy, _runs(halves.view(np.float64)), _runs(w1.reshape(rows, half).view(np.float64)), \
-            v0, v1, w1, out
+        ones = _runs(w1.reshape(rows, half).view(np.float64)) if f1 > 1 else None
+        return copy, _runs(halves.view(np.float64)), ones, v0, v1, w1, out
 
     def probs(st: ShotState) -> list:
         # the branch probabilities, per row, in Python floats
@@ -582,15 +585,25 @@ def _collapse_kernel(ins: MeasCollapse) -> tuple:
         if f1 < 2:  # row 1 takes one branch
             w1 = v1 if f1 else v0
         n0 = len(zero)
-        if zero:
-            dst = out[:n0]
-            pick = slice(None) if n0 == rows else _pick(zero)
-            np.multiply(_row(f0, eps0, v0[pick], v1[pick], dst),
-                        _scales(scale, c0, zero, draws, 0), out=dst)
-        if one:
-            dst = out[n0:n0 + len(one)]
-            np.multiply(w1[slice(None) if len(one) == rows else _pick(one)],
-                        _scales(scale, c1, one, draws, 1), out=dst)
+        if n0 + len(one) == rows == 1:  # one path, run_shot's: its branch times a 0-d factor
+            p, _, _, total = draws[0]
+            dst = out[:1]
+            if one:
+                scale[()] = c1 * (1.0 / math.sqrt(p * total))
+                np.multiply(w1, scale, out=dst)
+            else:
+                scale[()] = c0 * (1.0 / math.sqrt((1.0 - p) * total))
+                np.multiply(_row(f0, eps0, v0, v1, dst), scale, out=dst)
+        else:
+            if zero:
+                dst = out[:n0]
+                pick = slice(None) if n0 == rows else _pick(zero)
+                np.multiply(_row(f0, eps0, v0[pick], v1[pick], dst),
+                            _scales(scale, c0, zero, draws, 0), out=dst)
+            if one:
+                dst = out[n0:n0 + len(one)]
+                np.multiply(w1[slice(None) if len(one) == rows else _pick(one)],
+                            _scales(scale, c1, one, draws, 1), out=dst)
         if top:
             st.swap()
         st.k -= 1
@@ -770,8 +783,12 @@ def _frame_table(prog: BytecodeProgram):
 # ``acc`` holds each shot's XOR row (bytes) and ``uniforms`` its collapse
 # draws of the span. A step that defers some of the part's shots returns
 # them as a new part. The per-row bookkeeping is Python over the batch's
-# (row, bit) keys, which are few; the per-shot work is numpy, but for a
-# part of one shot.
+# (row, bit) keys, which are few. The per-shot work is Python lists for a
+# part of up to _FEW shots: the probe bits and keys of _p_probe, the count,
+# layout and split of _relayout, and each shot's branch, fired row and next
+# row in _p_collapse. A larger part takes numpy for each. A part of one shot
+# on a batch of one row runs a shot's own arithmetic: its probe bit, or its
+# collapse's branch and the one-path form of ``apply``.
 
 
 def _path_steps(prog: BytecodeProgram, tab) -> list:
@@ -811,39 +828,38 @@ def _p_probe(ins: Expand | ArrayRot, col: int):
         if len(shots) == 1 and st.rows == 1:
             kernel(st, [int(acc[shots[0], byte]) >> shift & 1])
             return None
-        bits = (acc[shots, byte] >> shift) & 1
-        if len(shots) <= _FEW and st.rows << (st.k + grow) <= 1 << st.k_max:
-            # each row's bit, if its shots agree and each row has one
-            row_bits = [-1] * st.rows
-            for r, bit in zip(part.rows.tolist(), bits.tolist()):
-                if row_bits[r] != bit:
-                    if row_bits[r] >= 0:
-                        break
-                    row_bits[r] = bit
-            else:
-                if -1 not in row_bits:
-                    kernel(st, row_bits)
-                    return None
-        split, bits = _relayout(st, part, part.rows * 2 + bits, grow)
+        if len(shots) <= _FEW:
+            key = [r << 1 | b >> shift & 1
+                   for r, b in zip(part.rows.tolist(), acc[:, byte][shots].tolist())]
+        else:
+            key = part.rows * 2 + ((acc[shots, byte] >> shift) & 1)
+        split, bits = _relayout(st, part, key, grow)
         kernel(st, bits)
         return split
 
     return step
 
 
-def _relayout(st: ShotState, part: _Part, key: np.ndarray, grow: int) -> tuple:
+def _relayout(st: ShotState, part: _Part, key, grow: int) -> tuple:
     """Lay the batch out for a probe step: a row for each key, (row << 1 |
-    probe bit), that a shot of ``part`` holds, rows without a shot dropped.
-    Past the capacity after the step, the rows that hold fewer shots stay
-    (at most half the part's shots) and the others are deferred, as a new
-    part with a snapshot of their rows, to rerun the step. Returns the
-    deferred part or None, and each row's bit."""
+    probe bit), that a shot of ``part`` holds, rows without a shot dropped;
+    ``key`` is a list for a part of up to ``_FEW`` shots and an array
+    otherwise. Past the capacity after the step, the rows that hold fewer
+    shots stay (at most half the part's shots) and the others are
+    deferred, as a new part with a snapshot of their rows, to rerun the
+    step. Returns the deferred part or None, and each row's bit."""
     k, rows = st.k, st.rows
-    counts = np.bincount(key, minlength=2 * rows).tolist()
-    order = [q for q, n in enumerate(counts) if n]  # the keys held, ascending
+    few = type(key) is list
+    if few:
+        order = sorted(set(key))  # the keys held, ascending
+    else:
+        counts = np.bincount(key, minlength=2 * rows).tolist()
+        order = [q for q, n in enumerate(counts) if n]
     most = (1 << st.k_max) >> (k + grow)  # rows that fit after the step
     split = None
     if len(order) > most:
+        if few:
+            counts = Counter(key)
         stay, held = [], 0
         for q in sorted(order, key=counts.__getitem__):  # fewest shots first
             if len(stay) == most or held + counts[q] > len(key) / 2:
@@ -851,25 +867,43 @@ def _relayout(st: ShotState, part: _Part, key: np.ndarray, grow: int) -> tuple:
             stay.append(q)
             held += counts[q]
         stay.sort()
-        gone = np.ones(2 * rows, dtype=bool)
-        gone[stay] = False
         old = sorted({q >> 1 for q in set(order).difference(stay)})  # the deferred part's rows
-        place = np.zeros(rows, dtype=np.intp)
-        place[old] = np.arange(len(old))
-        leave = gone[key]
-        split = _Part(0, part.shots[leave], place[part.rows[leave]],
-                      (k, st.buf[:rows << k].reshape(rows, -1)[old].reshape(-1)))
+        snap = np.empty(len(old) << k, dtype=np.complex128)
+        np.take(st.buf[:rows << k].reshape(rows, -1), old, axis=0,
+                out=snap.reshape(len(old), -1), mode="clip")
+        if few:
+            kept = set(stay)
+            place = dict(zip(old, range(len(old))))
+            leave = [q not in kept for q in key]
+            moved = np.array([place[q >> 1] for q in key if q not in kept], dtype=np.intp)
+            key = [q for q in key if q in kept]
+            leave = np.array(leave)
+        else:
+            gone = np.ones(2 * rows, dtype=bool)
+            gone[stay] = False
+            place = np.zeros(rows, dtype=np.intp)
+            place[old] = np.arange(len(old))
+            leave = gone[key]
+            moved = place[part.rows[leave]]
+            key = key[~leave]
+        split = _Part(0, part.shots[leave], moved, (k, snap))
         part.keep(~leave)
-        key = key[~leave]
         order = stay
     src = [q >> 1 for q in order]
     if src != list(range(len(src))):  # rows copied or moved
+        # The rows are in range: under the default mode="raise" numpy
+        # copies a take through a buffer into ``out``, which took about 3
+        # times as long for rows of 2^10-2^13 entries (numpy 2.4.6).
         np.take(st.buf[:rows << k].reshape(rows, -1), src, axis=0,
-                out=st.scratch[:len(src) << k].reshape(len(src), -1))
+                out=st.scratch[:len(src) << k].reshape(len(src), -1), mode="clip")
         st.swap()
-        at = np.zeros(2 * rows, dtype=np.intp)
-        at[order] = np.arange(len(order))
-        part.rows = at[key]
+        if few:
+            at = dict(zip(order, range(len(order))))
+            part.rows = np.array([at[q] for q in key], dtype=np.intp)
+        else:
+            at = np.zeros(2 * rows, dtype=np.intp)
+            at[order] = np.arange(len(order))
+            part.rows = at[key]
     st.rows = len(src)
     return split, [q & 1 for q in order]
 
@@ -881,31 +915,48 @@ def _p_collapse(ins: MeasCollapse, effect: np.ndarray, j: int):
 
     def step(st: ShotState, part: _Part, acc, uniforms) -> None:
         draws = probs(st)
-        shots, r = part.shots, part.rows
-        if len(shots) == 1:
-            row = int(r[0])
-            p, hit, miss, _ = draws[row]
-            branch = hit if uniforms[shots[0], j] < p else miss
-            if branch:
+        shots = part.shots
+        if len(shots) == 1 and st.rows == 1:  # one path: run_shot's arithmetic
+            p, hit, miss, _ = draws[0]
+            if hit if uniforms[shots[0], j] < p else miss:
                 acc[shots[0]] ^= effect
-            r[0] = 0
-            apply(st, [] if branch else [row], [row] if branch else [], draws)
+                apply(st, [], [0], draws)
+            else:
+                apply(st, [0], [], draws)
             return
-        p, hit, miss = (np.array(col) for col in list(zip(*draws))[:3])
-        branch = np.where(uniforms[shots, j] < p[r], hit[r], miss[r])
-        one = branch.nonzero()[0]
-        if len(one):
-            acc[shots[one]] ^= effect
+        if len(shots) <= _FEW:
+            # each shot's (row, branch) key, its branch 1 XORed in row by row
+            key = []
+            for s, r, u in zip(shots.tolist(), part.rows.tolist(),
+                               uniforms[:, j][shots].tolist()):
+                p, hit, miss, _ = draws[r]
+                if hit if u < p else miss:
+                    acc[s] ^= effect
+                    key.append(r << 1 | 1)
+                else:
+                    key.append(r << 1)
+            held = sorted(set(key))
+        else:
+            r = part.rows
+            p, hit, miss = (np.array(col) for col in list(zip(*draws))[:3])
+            branch = np.where(uniforms[shots, j] < p[r], hit[r], miss[r])
+            one = branch.nonzero()[0]
+            if len(one):
+                acc[shots[one]] ^= effect
+            key = r * 2 + branch
+            held = np.bincount(key, minlength=2 * st.rows).nonzero()[0].tolist()
         # each (row, branch) taken, once: branch 0's rows, then branch 1's
-        key = r * 2 + branch
-        taken = np.bincount(key, minlength=2 * st.rows).tolist()
-        zero = [i for i, n in enumerate(taken[0::2]) if n]
-        ones = [i for i, n in enumerate(taken[1::2]) if n]
-        at = [0] * len(taken)
-        for n, q in enumerate([2 * i for i in zero] + [2 * i + 1 for i in ones]):
-            at[q] = n
-        part.rows = np.array(at)[key]
-        apply(st, zero, ones, draws)
+        taken = [q for q in held if not q & 1]
+        n0 = len(taken)
+        taken += [q for q in held if q & 1]
+        if type(key) is list:
+            at = dict(zip(taken, range(len(taken))))
+            part.rows = np.array([at[q] for q in key], dtype=np.intp)
+        else:
+            at = np.zeros(2 * st.rows, dtype=np.intp)
+            at[taken] = np.arange(len(taken))
+            part.rows = at[key]
+        apply(st, [q >> 1 for q in taken[:n0]], [q >> 1 for q in taken[n0:]], draws)
 
     return step
 

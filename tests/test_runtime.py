@@ -1201,3 +1201,41 @@ def test_batched_kernels_match_each_row_alone():
             want = _kernel_run(ins, row, frame_x=bit,
                                forced=1 if isinstance(ins, MeasCollapse) else None)
             assert np.abs(got[at.index(r)] - want).max() < 1e-12, (ins, r)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 3, 5])
+@pytest.mark.parametrize("u", ["I", "H", "HS", "SH"])
+def test_a_lone_row_collapses_as_in_a_batch(axis, u):
+    # a batch of one row, the one path, collapses to the branch and
+    # amplitudes that row gets in a batch of two, on axis 0, axis 1, a
+    # middle axis and the top axis, with a folded basis change or none
+    k = 6
+    size = 1 << k
+    r = math.sqrt(0.5)
+    rows_u = {"I": ((1, 0), (0, 1)), "H": ((r, r), (r, -r)), "HS": ((r, r * 1j), (r, -r * 1j)),
+              "SH": ((r, r), (r * 1j, -r * 1j))}
+    ins = MeasCollapse(0, axis, 0, 0, size, rows_u[u], ())
+    rng = np.random.default_rng(axis)
+    amps = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    prog = SimpleNamespace(n=16, k_max=k + 1, record_count=1, num_detectors=0,
+                           num_observables=0, final_active=(), instrs=[])
+    probs, apply = runtime._collapse_kernel(ins)
+    for branch in (0, 1):
+        lone = ShotState(prog)
+        lone.buf[:size] = amps[0]
+        lone.k = k
+        draw = probs(lone)
+        apply(lone, [] if branch else [0], [0] if branch else [], draw)
+        batch = ShotState(prog)
+        batch.buf[:2 * size] = amps.reshape(-1)
+        batch.k, batch.rows = k, 2
+        draws = probs(batch)
+        # row 0 on ``branch``, row 1 on the other; branch 0's rows come first
+        apply(batch, [1] if branch else [0], [0] if branch else [1], draws)
+        assert draw[0][1:3] == draws[0][1:3]
+        assert abs(draw[0][0] - draws[0][0]) <= 1e-15
+        assert (lone.k, lone.rows, batch.k, batch.rows) == (k - 1, 1, k - 1, 2)
+        got = lone.active_view()
+        want = batch.buf[:2 << batch.k].reshape(2, -1)[branch]
+        assert np.abs(got - want).max() <= 1e-15, (axis, u, branch)

@@ -22,6 +22,7 @@ from framesim.rng import _MAX_WIDTH, ShotRng, ShotStreams
 from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
 from framesim.table import _GUARD
 from framesim.testing import random_circuit
+from test_sample_pin import COINS, NOISY
 
 
 def _corpus(count: int) -> list:
@@ -618,3 +619,32 @@ def test_chunk_rows_equal_rows_built_per_shot(monkeypatch):
                     if accepted else 0
                 assert (acc[key] == want).all()
     assert rejected > 0 and strata > 0
+
+
+def _rot8_program():
+    """The rot_n14 circuit at 8 qubits: its walk defers rows past the
+    capacity."""
+    return compile_circuit(random_circuit(np.random.default_rng(0), 8, 400, p_noise=1e-3,
+                                          rot_rate=0.3, measure_rate=0.03))
+
+
+def _sampled(prog, shots: int, stratum) -> tuple:
+    acc = sample_accumulate(prog, shots, seed=5, stratum=stratum)
+    return ([_tuple(r) for r in sample(prog, shots, seed=5, stratum=stratum)],
+            [acc[key].tolist() for key in ("measurements", "detectors", "observables")],
+            acc["accepted"], acc["weight_sum"])
+
+
+def test_python_and_numpy_bookkeeping_sample_alike(monkeypatch):
+    # every part's steps keep their rows in Python lists (_FEW = 2^20), or
+    # every part's in numpy (_FEW = 0): the records are the default's
+    noisy = compile_circuit(NOISY, postselect_detectors=(0,))
+    cases = [(_forking_program(), 400, None), (compile_circuit(COINS), 300, None),
+             (noisy, 600, StratumSpec(noisy, 2)), (_k10_program(), 300, None),
+             (_rot8_program(), 200, None)]
+    for prog, shots, stratum in cases:
+        want = _sampled(prog, shots, stratum)
+        for few in (0, 1 << 20):
+            monkeypatch.setattr(runtime, "_FEW", few)
+            assert _sampled(prog, shots, stratum) == want, (few, prog.k_max)
+        monkeypatch.undo()
