@@ -874,10 +874,9 @@ def _relayout(st: ShotState, part: _Part, key, grow: int) -> tuple:
         if few:
             kept = set(stay)
             place = dict(zip(old, range(len(old))))
-            leave = [q not in kept for q in key]
             moved = np.array([place[q >> 1] for q in key if q not in kept], dtype=np.intp)
+            leave = np.array([q not in kept for q in key])
             key = [q for q in key if q in kept]
-            leave = np.array(leave)
         else:
             gone = np.ones(2 * rows, dtype=bool)
             gone[stay] = False
@@ -924,7 +923,8 @@ def _p_collapse(ins: MeasCollapse, effect: np.ndarray, j: int):
             else:
                 apply(st, [0], [], draws)
             return
-        if len(shots) <= _FEW:
+        few = len(shots) <= _FEW
+        if few:
             # each shot's (row, branch) key, its branch 1 XORed in row by row
             key = []
             for s, r, u in zip(shots.tolist(), part.rows.tolist(),
@@ -949,7 +949,7 @@ def _p_collapse(ins: MeasCollapse, effect: np.ndarray, j: int):
         taken = [q for q in held if not q & 1]
         n0 = len(taken)
         taken += [q for q in held if q & 1]
-        if type(key) is list:
+        if few:
             at = dict(zip(taken, range(len(taken))))
             part.rows = np.array([at[q] for q in key], dtype=np.intp)
         else:
