@@ -36,7 +36,7 @@ import itertools
 import math
 import os
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from operator import index
 
@@ -75,7 +75,7 @@ _STRATUM_BYTES = 1 << 30  # most bytes of a StratumSpec's suffix tables
 # tracemalloc, Python 3.11)
 _STRATUM_ENTRY_BYTES = 40
 # shots of a part up to which the path walk's steps keep its bookkeeping in
-# Python lists (a probe step's keys, _relayout's count, layout and split, a
+# Python lists (a probe step's keys, _relayout's count and layout, a
 # collapse's branches, fired rows and layout): a numpy call costs about a
 # microsecond whatever its size
 _FEW = 16
@@ -585,25 +585,15 @@ def _collapse_kernel(ins: MeasCollapse) -> tuple:
         if f1 < 2:  # row 1 takes one branch
             w1 = v1 if f1 else v0
         n0 = len(zero)
-        if n0 + len(one) == rows == 1:  # one path, run_shot's: its branch times a 0-d factor
-            p, _, _, total = draws[0]
-            dst = out[:1]
-            if one:
-                scale[()] = c1 * (1.0 / math.sqrt(p * total))
-                np.multiply(w1, scale, out=dst)
-            else:
-                scale[()] = c0 * (1.0 / math.sqrt((1.0 - p) * total))
-                np.multiply(_row(f0, eps0, v0, v1, dst), scale, out=dst)
-        else:
-            if zero:
-                dst = out[:n0]
-                pick = slice(None) if n0 == rows else _pick(zero)
-                np.multiply(_row(f0, eps0, v0[pick], v1[pick], dst),
-                            _scales(scale, c0, zero, draws, 0), out=dst)
-            if one:
-                dst = out[n0:n0 + len(one)]
-                np.multiply(w1[slice(None) if len(one) == rows else _pick(one)],
-                            _scales(scale, c1, one, draws, 1), out=dst)
+        if zero:
+            dst = out[:n0]
+            pick = slice(None) if n0 == rows else _pick(zero)
+            np.multiply(_row(f0, eps0, v0[pick], v1[pick], dst),
+                        _scales(scale, c0, zero, draws, 0), out=dst)
+        if one:
+            dst = out[n0:n0 + len(one)]
+            np.multiply(w1[slice(None) if len(one) == rows else _pick(one)],
+                        _scales(scale, c1, one, draws, 1), out=dst)
         if top:
             st.swap()
         st.k -= 1
@@ -784,11 +774,12 @@ def _frame_table(prog: BytecodeProgram):
 # draws of the span. A step that defers some of the part's shots returns
 # them as a new part. The per-row bookkeeping is Python over the batch's
 # (row, bit) keys, which are few. The per-shot work is Python lists for a
-# part of up to _FEW shots: the probe bits and keys of _p_probe, the count,
-# layout and split of _relayout, and each shot's branch, fired row and next
-# row in _p_collapse. A larger part takes numpy for each. A part of one shot
-# on a batch of one row runs a shot's own arithmetic: its probe bit, or its
-# collapse's branch and the one-path form of ``apply``.
+# part of up to _FEW shots: the probe bits and keys of _p_probe, the count
+# and layout of _relayout, and each shot's branch, fired row and next row in
+# _p_collapse. A larger part takes numpy for each, and so does a split at
+# the capacity, whatever the part's size. A part of one shot on a batch of
+# one row runs a shot's own arithmetic: its probe bit, or its collapse's
+# branch.
 
 
 def _path_steps(prog: BytecodeProgram, tab) -> list:
@@ -858,8 +849,9 @@ def _relayout(st: ShotState, part: _Part, key, grow: int) -> tuple:
     most = (1 << st.k_max) >> (k + grow)  # rows that fit after the step
     split = None
     if len(order) > most:
-        if few:
-            counts = Counter(key)
+        if few:  # a split takes the numpy path, whatever the part's size
+            key, few = np.asarray(key), False
+            counts = np.bincount(key, minlength=2 * rows).tolist()
         stay, held = [], 0
         for q in sorted(order, key=counts.__getitem__):  # fewest shots first
             if len(stay) == most or held + counts[q] > len(key) / 2:
@@ -871,22 +863,14 @@ def _relayout(st: ShotState, part: _Part, key, grow: int) -> tuple:
         snap = np.empty(len(old) << k, dtype=np.complex128)
         np.take(st.buf[:rows << k].reshape(rows, -1), old, axis=0,
                 out=snap.reshape(len(old), -1), mode="clip")
-        if few:
-            kept = set(stay)
-            place = dict(zip(old, range(len(old))))
-            moved = np.array([place[q >> 1] for q in key if q not in kept], dtype=np.intp)
-            leave = np.array([q not in kept for q in key])
-            key = [q for q in key if q in kept]
-        else:
-            gone = np.ones(2 * rows, dtype=bool)
-            gone[stay] = False
-            place = np.zeros(rows, dtype=np.intp)
-            place[old] = np.arange(len(old))
-            leave = gone[key]
-            moved = place[part.rows[leave]]
-            key = key[~leave]
-        split = _Part(0, part.shots[leave], moved, (k, snap))
+        gone = np.ones(2 * rows, dtype=bool)
+        gone[stay] = False
+        place = np.zeros(rows, dtype=np.intp)
+        place[old] = np.arange(len(old))
+        leave = gone[key]
+        split = _Part(0, part.shots[leave], place[part.rows[leave]], (k, snap))
         part.keep(~leave)
+        key = key[~leave]
         order = stay
     src = [q >> 1 for q in order]
     if src != list(range(len(src))):  # rows copied or moved

@@ -1206,7 +1206,7 @@ def test_batched_kernels_match_each_row_alone():
 @pytest.mark.parametrize("axis", [0, 1, 3, 5])
 @pytest.mark.parametrize("u", ["I", "H", "HS", "SH"])
 def test_a_lone_row_collapses_as_in_a_batch(axis, u):
-    # a batch of one row, the one path, collapses to the branch and
+    # a batch of one row, a lone shot's, collapses to the branch and
     # amplitudes that row gets in a batch of two, on axis 0, axis 1, a
     # middle axis and the top axis, with a folded basis change or none
     k = 6
