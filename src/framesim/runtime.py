@@ -1120,24 +1120,25 @@ def _snapshots(k_max: int) -> int:
 
 def _fold_shots(prog: BytecodeProgram, stratum=None) -> int:
     """Most shots of a chunk: about _FOLD_BYTES of each shot's unpacked
-    output bits and packed XOR row, and with an active array its path-walk
-    arrays and its share of a span grid, or on the closure VM its output
-    bytes; and few enough that the path walk's snapshots fit _SNAP_BYTES."""
+    output bits, with an active array its packed XOR row, path-walk arrays
+    and share of a span grid, or on the closure VM its output bytes, and a
+    stratum's fault list; and few enough that the path walk's snapshots fit
+    _SNAP_BYTES."""
     width = len(prog.user_records) + prog.num_detectors + prog.num_observables
     tab = _frame_table(prog)
     if tab is None:  # shot by shot: each shot's out bytes, and their bits
         width += 2 * (prog.record_count + prog.num_detectors + prog.num_observables)
-    elif not prog.k_max:
-        return max(1, _FOLD_BYTES // max(width, 1))
-    else:
+    elif prog.k_max:
         # its XOR row; its index, row and key in the walk, with their
         # temporaries, and its collapse draws; and 32 bytes a draw of the
         # longest span's grid, its floats and their temporaries (25-28
         # measured with tracemalloc over a chunk, Python 3.11)
         draws = max((int(item.off[-1]) for item in tab.spans if type(item) is _Span), default=0)
         width += tab.nbytes + 64 + 8 * tab.collapses + 32 * draws
-    if stratum is not None:  # its fault list of w (site, None) pairs (57 + about 90 w bytes)
-        width += 64 + 128 * stratum.w
+    if stratum is not None:
+        # its fault list, w int64 sites, and the per-site draw's temporaries
+        # (41-51 bytes a shot measured with tracemalloc, Python 3.11)
+        width += 64 + 8 * stratum.w
     return max(1, min(_FOLD_BYTES // max(width, 1), (2 << min(_snapshots(prog.k_max), 62)) - 1))
 
 
@@ -1372,8 +1373,9 @@ class StratumSpec:
     """Shot batch conditioned on exactly w realized faults.
 
     ``weight`` is Pr[W = w] under the Poisson-binomial law of the site
-    probabilities; ``draw_forced`` samples a site subset from the exact
-    conditional law by sequential conditioning on suffix counts.
+    probabilities, and a w of weight 0.0 is refused; ``draw_forced``
+    samples a site subset from the exact conditional law by sequential
+    conditioning on suffix counts.
     """
 
     def __init__(self, prog: BytecodeProgram, w: int):
@@ -1384,8 +1386,10 @@ class StratumSpec:
             raise ValueError(f"stratum fault count {w} is negative")
         if w > e:
             raise ValueError(f"stratum fault count {w} exceeds {e} sites")
-        # suffix[i] below holds min(e - i, w) + 1 entries
-        need = _STRATUM_ENTRY_BYTES * ((w + 1) * (w + 2) // 2 + (e - w) * (w + 1))
+        # suffix[i] below holds min(e - i, w) + 1 entries, and suffix_array
+        # (e + 1) * (w + 1) floats
+        need = (_STRATUM_ENTRY_BYTES * ((w + 1) * (w + 2) // 2 + (e - w) * (w + 1))
+                + 8 * (e + 1) * (w + 1))
         if need > _STRATUM_BYTES:
             raise ValueError(f"stratum fault count {w} over {e} noise sites needs about "
                              f"{need} bytes of tables, more than {_STRATUM_BYTES}")
@@ -1403,8 +1407,15 @@ class StratumSpec:
             if len(prev) <= w:
                 nxt.append(prev[-1] * p)
             suffix[i] = nxt
-        self.suffix = suffix
         self.weight = suffix[0][w]
+        if self.weight == 0.0:
+            raise ValueError(f"stratum fault count {w} has weight Pr[W = {w}] = 0.0 "
+                             f"over these {e} noise sites: no shot can be drawn in it")
+        self.suffix = suffix
+        # the same floats as one zero-padded array, which the frame table reads
+        self.suffix_array = np.zeros((e + 1, w + 1))
+        for i, row in enumerate(suffix):
+            self.suffix_array[i, :len(row)] = row
 
     def draw_forced(self, rng: ShotRng) -> list:
         """The shot's fault list: ``(site, None)`` for each of the w sites

@@ -57,7 +57,7 @@ from .backend import (
     PostSelectIns,
     _block_plan,
 )
-from .rng import _MAX_WIDTH, ShotRng, ShotStreams
+from .rng import ShotStreams
 
 # span parts: a segment, a coin, a certain (p=1) site, a collapse's draw
 _NOISE, _COIN, _SURE, _COLLAPSE = 0, 1, 2, 3
@@ -629,15 +629,31 @@ def _segment(tab: _FrameTable, streams: ShotStreams, fire, rows: np.ndarray,
 
 def _forced_sites(stratum, streams: ShotStreams) -> np.ndarray:
     """Each shot's stratum fault list, drawn first as the closure VM draws
-    it (``ShotRng._each_slot``), on tables of at most _GRID draws (a list
-    draws at most once a site): row k holds each shot's k-th of its w
-    sites, and ``streams`` resumes each shot after those draws."""
-    width = min(len(stratum.probs), _MAX_WIDTH) if stratum.w else 0
-    n, step, rng = len(streams.counts), _GRID // max(width, 1), ShotRng(0)
-    forced = np.empty((stratum.w, n), dtype=np.int64)
-    for i in range(0, n, step):
-        rows = slice(i, i + step)
-        rng._put(*streams.table(rows, width))  # the keys are the table's
-        lists, streams.counts[rows] = rng._each_slot(stratum.draw_forced, len(rng._keys))
-        forced[:, rows] = np.array([[site for site, _ in f] for f in lists], dtype=np.int64).T
+    it (``StratumSpec.draw_forced``): row k holds each shot's k-th of its w
+    sites, and ``streams`` resumes each shot after those draws.
+
+    The shots run the sites in lock-step. At site i a shot that needs c
+    more faults takes sites i to e - 1 when c = e - i, with no draw; one
+    with 0 < c < e - i draws once, and the site fires when ``u * S[i, c] <
+    p_i * S[i + 1, c - 1]``, the scalar loop's float operations on the
+    same floats (``StratumSpec.suffix_array``)."""
+    e, w, n = len(stratum.probs), stratum.w, len(streams.counts)
+    suffix = stratum.suffix_array
+    forced = np.empty((w, n), dtype=np.int64)
+    live = np.arange(n if w else 0)  # the shots that still need faults
+    need = np.full(len(live), w, dtype=np.int64)
+    for i, p in enumerate(stratum.probs):
+        if not len(live):
+            break
+        if e - i <= w:  # the shots that need every site left take them
+            rest = need == e - i
+            if rest.any():
+                forced[w - (e - i):, live[rest]] = np.arange(i, e)[:, None]
+                live, need = live[~rest], need[~rest]
+        hit = (streams.uniform(live) * suffix[i, need] < p * suffix[i + 1, need - 1]).nonzero()[0]
+        if len(hit):
+            forced[w - need[hit], live[hit]] = i
+            need[hit] -= 1
+            going = need > 0
+            live, need = live[going], need[going]
     return forced

@@ -297,12 +297,13 @@ def test_oversized_stratum_is_rejected(tmp_path, capsys, monkeypatch):
 
     text = "DEPOLARIZE1(0.01) 0 1 2 3 4 5 6 7\nM 0\n"
     prog = compile_circuit(text)
-    # w = 1 needs 17 entries over 8 sites, w = 2 needs 24
+    # w = 1 needs 17 list entries over 8 sites and 9 * 2 array floats, w = 2
+    # needs 24 and 9 * 3
     fits = runtime.StratumSpec(prog, 1)
-    assert sum(map(len, fits.suffix)) == 17
-    monkeypatch.setattr(runtime, "_STRATUM_BYTES", 17 * runtime._STRATUM_ENTRY_BYTES)
+    assert sum(map(len, fits.suffix)) == 17 and fits.suffix_array.shape == (9, 2)
+    monkeypatch.setattr(runtime, "_STRATUM_BYTES", 17 * runtime._STRATUM_ENTRY_BYTES + 8 * 18)
     runtime.StratumSpec(prog, 1)
-    need = 24 * runtime._STRATUM_ENTRY_BYTES
+    need = 24 * runtime._STRATUM_ENTRY_BYTES + 8 * 27
     with pytest.raises(ValueError, match=f"count 2 over 8 noise sites needs about {need} bytes"):
         runtime.StratumSpec(prog, 2)
     p = tmp_path / "c.txt"

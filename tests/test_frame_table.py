@@ -30,8 +30,15 @@ from framesim.backend import (
     NoiseBlock,
     compile_circuit,
 )
-from framesim.rng import _MAX_WIDTH, ShotRng, ShotStreams
-from framesim.runtime import ShotState, StratumSpec, run_shot, sample, sample_accumulate
+from framesim.rng import ShotRng, ShotStreams
+from framesim.runtime import (
+    ShotState,
+    StratumSpec,
+    poisson_binomial,
+    run_shot,
+    sample,
+    sample_accumulate,
+)
 from framesim.table import _COIN, _COLLAPSE, _NOISE, _SURE, _Active, _may_fault, _Span, _table_shots
 from framesim.testing import random_circuit, repetition_code_circuit
 from test_sample_pin import FORKING, NOISY
@@ -85,7 +92,9 @@ def _corpus(count: int):
 
 
 def _strata(prog) -> list:
-    return [None] + [StratumSpec(prog, w) for w in (1, 2) if w <= len(prog.sites)]
+    """No stratum, then w = 1 and 2 where those strata have positive weight."""
+    return [None] + [StratumSpec(prog, w) for w in (1, 2)
+                     if w <= len(prog.sites) and poisson_binomial([s.prob for s in prog.sites])[w]]
 
 
 _CHECK = "check"  # the label _kinds gives a postselection check
@@ -392,11 +401,60 @@ def test_effect_rows_match_forced_faults_on_closure_vm():
     assert min(checked.values()) > 20
 
 
+@pytest.mark.parametrize("text", [
+    "H 0\n" + "DEPOLARIZE1(0.2) 0 1\nM 0 1\n" * 3,  # sites of three cases
+    "X_ERROR(0.3) 0\nX_ERROR(1.0) 1\nDEPOLARIZE1(0.1) 0\nM 0 1\n",  # a certain site
+    repetition_code_circuit(9, 9, 0.01).serialize(),  # 81 sites
+])
+def test_stratum_lists_match_the_scalar_draws(text):
+    # a chunk's fault lists, drawn site by site over its shots, against
+    # draw_forced on a stream of each shot's own: the same sites, and each
+    # stream resumes after the same draws; a stratum of weight 0 is refused
+    prog = compile_circuit(text)
+    e = len(prog.sites)
+    pmf = poisson_binomial([s.prob for s in prog.sites])
+    lo, hi = 1000, 1150
+    drawn = 0
+    for w in (0, 1, e - 1, e):
+        if not pmf[w]:
+            with pytest.raises(ValueError, match="weight"):
+                StratumSpec(prog, w)
+            continue
+        stratum = StratumSpec(prog, w)
+        streams = ShotStreams(7, lo, hi)
+        forced = frametable._forced_sites(stratum, streams)
+        want, draws = [], []
+        for shot in range(lo, hi):
+            rng = ShotRng(7, shot)
+            want.append([site for site, _ in stratum.draw_forced(rng)])
+            draws.append(rng.draws)
+        assert forced.T.tolist() == want
+        assert streams.counts.tolist() == draws
+        drawn += sum(draws)
+    assert drawn > 0
+
+
+def test_a_stratum_of_weight_zero_is_refused(tmp_path, capsys):
+    # W = 200 of the d=25 repetition code underflows to weight 0.0, and
+    # CERTAIN_SITES has two certain sites, so W < 2 never happens
+    from framesim.cli import main
+
+    rep = repetition_code_circuit(25, 25, 1e-3).serialize()
+    for text, w in ((rep, 200), (CERTAIN_SITES, 0), (CERTAIN_SITES, 1)):
+        with pytest.raises(ValueError, match=f"Pr\\[W = {w}\\] = 0.0"):
+            StratumSpec(compile_circuit(text), w)
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        assert main(["sample", str(path), "--shots", "5", "--stratum-w", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: stratum fault count {w}")
+    assert StratumSpec(compile_circuit(CERTAIN_SITES), 2).weight > 0
+
+
 def test_stratum_lists_draw_on_bounded_tables():
-    # 70 noise sites and one output bit: a table of the first draws of the
-    # fault lists is 64 wide, so it holds a thousand shots at a time, and a
-    # stratum adds less than _FOLD_BYTES to a chunk's peak (one table of
-    # the chunk's 16k shots alone would take 8 MB)
+    # 70 noise sites and one output bit: the fault lists are drawn a site
+    # at a time, and a stratum adds less than _FOLD_BYTES to a chunk's peak
+    # (a table of 64 draws of each of the chunk's 16k shots would take 8 MB)
     prog = compile_circuit("X_ERROR(0.01) 0\n" * 70 + "M 0\n")
     tab = runtime._frame_table(prog)
     shots = 1 << 14
@@ -411,6 +469,25 @@ def test_stratum_lists_draw_on_bounded_tables():
         if stratum is not None:  # an odd number of X faults flips the record
             assert (rows[:, 0] & 1).all()
     assert max(peaks[1:]) <= peaks[0] + runtime._FOLD_BYTES
+
+
+def test_a_table_chunk_holds_its_fault_lists_within_the_fold_budget():
+    # one output bit, so without a stratum a chunk holds a million shots;
+    # with w = 40 each shot's list takes 320 bytes, and the chunk's lists
+    # and the temporaries of their draw stay within _FOLD_BYTES
+    prog = compile_circuit("X_ERROR(0.01) 0\n" * 70 + "M 0\n")
+    assert prog.k_max == 0 and runtime._fold_shots(prog) == runtime._FOLD_BYTES
+    stratum = StratumSpec(prog, 40)
+    n = runtime._fold_shots(prog, stratum)
+    assert n < 4000
+    streams = ShotStreams(1, n, 2 * n)
+    tracemalloc.start()
+    try:
+        frametable._forced_sites(stratum, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= runtime._FOLD_BYTES
 
 
 def _draw_programs() -> list:
@@ -433,9 +510,9 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
 
     monkeypatch.setattr(frametable, "ShotStreams", Recorded)
     seen = set()
-    # 81 sites: a stratum's draws run past its chunk's table of _MAX_WIDTH
+    # 81 sites: a stratum's draws run past 64 sites
     wide = compile_circuit(repetition_code_circuit(9, 9, 0.01))
-    assert len(wide.sites) > _MAX_WIDTH
+    assert len(wide.sites) > 64
     for prog in (_draw_programs() + [compile_circuit(repetition_code_circuit(7, 7, 0.01)), wide]
                  + _active_programs()[::3]):
         tab = runtime._frame_table(prog)
@@ -443,7 +520,7 @@ def test_table_shots_make_the_closure_vm_draws(monkeypatch):
         seen.update("certain" for s in prog.sites if s.prob >= 1.0)
         seen.update("multi" for s in prog.sites if len(s.case_x) > 1)
         code = runtime._compiled(prog)
-        for stratum in _strata(prog) + [StratumSpec(prog, 0)] * (prog is wide):
+        for stratum in _strata(prog) + ([StratumSpec(prog, 0)] if prog is wide else []):
             for keep in (True, False):
                 made.clear()
                 state = ShotState(prog, seed=4)
@@ -468,11 +545,8 @@ def test_coin_boundary_in_both_engines(monkeypatch, draw, coin):
     assert (Fixed(0, 0).uniform() >= 0.5) == coin  # a draw of the scalar mixer
 
     monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(draw))
-    rng = ShotRng(0)
-    rng._put(*ShotStreams(0, 0, 2).table(slice(None), 1))
-    rng._seat(1)  # a slot of a chunk's table
-    assert rng._avail == 1
-    assert (rng.uniform() >= 0.5) == coin
+    # the draws of a chunk's streams
+    assert ((ShotStreams(0, 0, 2).uniform(np.arange(2)) >= 0.5) == coin).all()
     prog = compile_circuit("H 0\nM 0\n")
     (meas,) = [i for i in prog.instrs if type(i) is MeasDormantRandom]
     tab = runtime._frame_table(prog)

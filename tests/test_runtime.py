@@ -19,7 +19,7 @@ from framesim.oracle import expand_factored, fidelity, dense_run
 from framesim.circuit import flatten, parse_circuit
 from framesim.pauli import PauliString
 from framesim.testing import crosscheck, random_circuit, random_fault_plan
-from framesim.rng import _MAX_WIDTH, ShotRng, ShotStreams, mix64
+from framesim.rng import ShotRng, ShotStreams, mix64
 from framesim.runtime import (
     _row_form,
     BRANCH_FLOOR,
@@ -78,36 +78,38 @@ def test_same_seed_identical_streams():
 
 def test_rng_tabulated_draws_match_scalar_mixer():
     # draw c of a shot is mix64(key + c * golden), key = mix64(mix64(seed) ^ shot);
-    # a reset stream mixes each draw, and a stream seated at a slot of a
-    # chunk's table reads its first _MAX_WIDTH draws there and mixes the rest
+    # a reset stream mixes each draw, and a chunk's streams give the same
+    # uniforms, one draw of each listed shot at a time or a grid of them
     golden, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
     seed = 2024
     rng = ShotRng(seed, 0)
     lo, hi = 1000, 1300
-    tab = ShotRng(seed)
-    tab._put(*ShotStreams(seed, lo, hi).table(slice(None), _MAX_WIDTH))
     shots = list(range(300)) + [5, 6, 7, 2**64 - 1, 1000] + list(range(1001, 1300))
     for i, shot in enumerate(shots):
         rng.reset(shot)
-        streams = [rng]
-        if lo <= shot < hi:
-            tab._seat(shot - lo)
-            tab._count = 0
-            assert tab._avail == _MAX_WIDTH
-            streams.append(tab)
         key = mix64(mix64(seed) ^ shot)
         draws = i % 7 if shot < 1100 else 90
-        for stream in streams:
-            for c in range(draws):
-                want = mix64((key + c * golden) & mask)
-                kind = (shot + c) % 3
-                if kind == 0:
-                    assert stream.next_u64() == want
-                elif kind == 1:
-                    assert (stream.uniform() >= 0.5) == want >> 63
-                else:
-                    assert stream.uniform() == (want >> 11) * 2.0 ** -53
-            assert stream.draws == draws
+        for c in range(draws):
+            want = mix64((key + c * golden) & mask)
+            kind = (shot + c) % 3
+            if kind == 0:
+                assert rng.next_u64() == want
+            elif kind == 1:
+                assert (rng.uniform() >= 0.5) == want >> 63
+            else:
+                assert rng.uniform() == (want >> 11) * 2.0 ** -53
+        assert rng.draws == draws
+    streams = ShotStreams(seed, lo, hi)
+    rows = np.arange(0, hi - lo, 3)
+    keys = [mix64(mix64(seed) ^ (lo + r)) for r in rows.tolist()]
+    grid = streams.uniforms(rows, np.full(len(rows), 2), 64)
+    assert not streams.counts.any()
+    for c in range(66):
+        want = [(mix64((key + c * golden) & mask) >> 11) * 2.0 ** -53 for key in keys]
+        if c >= 2:
+            assert grid[:, c - 2].tolist() == want
+        assert streams.uniform(rows).tolist() == want
+    assert streams.counts.tolist() == [66 * (r % 3 == 0) for r in range(hi - lo)]
 
 
 def test_rng_uniform_below_one_at_max_draw(monkeypatch):
@@ -120,14 +122,11 @@ def test_rng_uniform_below_one_at_max_draw(monkeypatch):
     assert per_draw.uniform() < 1.0
     assert math.isfinite(per_draw.exponential())
 
-    # every tabulated draw is the largest one
+    # every draw of a chunk's streams is the largest one
     monkeypatch.setattr(framesim.rng, "_mix64_inplace", lambda x, tmp: x.fill(2**64 - 1))
-    tab = ShotRng(0)
-    tab._put(*ShotStreams(0, 0, 4).table(slice(None), 2))
-    tab._seat(3)  # a slot of a chunk's table
-    assert tab._avail == 2
-    assert tab.uniform() < 1.0
-    assert math.isfinite(tab.exponential())
+    u = ShotStreams(0, 0, 4).uniform(np.arange(4))
+    assert (u < 1.0).all()
+    assert np.isfinite(-np.log1p(-u)).all()
 
 
 def test_active_array_grows_and_shrinks_against_oracle():
